@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ContractError, DataError
 from .model import HGNNParams
 from .mwn import MWNParams
 from .partition import Partition
@@ -85,13 +85,22 @@ def save_run_artifact(path, config_echo: dict, state: TrainState, metrics: dict)
 
 
 def load_run_artifact(path) -> RunArtifact:
+    """Read and decode an artifact; any malformed content raises DataError."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError("artifact-parse", f"{path}: {exc}") from exc
-    if doc.get("format") != FORMAT:
-        raise DataError("artifact-format", f"expected {FORMAT}, got {doc.get('format')!r}")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != FORMAT:
+        raise DataError("artifact-format", f"expected {FORMAT}, got {fmt!r}")
+    try:
+        return _decode(doc)
+    except (KeyError, TypeError, ValueError, OverflowError, ContractError) as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        raise DataError("artifact-schema", f"{path}: missing or ill-typed content ({detail})") from exc
 
+
+def _decode(doc: dict) -> RunArtifact:
     ck = doc["checkpoint"]
     weights, attn = [], []
     layer = 0
@@ -123,13 +132,29 @@ def load_run_artifact(path) -> RunArtifact:
         requested_k=int(part["requested_k"]),
         n_iter=0,
     )
+    history = [_step_record(rec).to_dict() for rec in doc["history"]]
+    if not isinstance(doc["config"], dict) or not isinstance(doc["metrics"], dict):
+        raise DataError("artifact-schema", "config and metrics must be JSON objects")
     return RunArtifact(
         config=doc["config"],
         partition=partition,
-        history=doc["history"],
+        history=history,
         hgnn=hgnn,
         mwn=mwn,
         metrics=doc["metrics"],
+    )
+
+
+def _step_record(rec: dict) -> StepRecord:
+    return StepRecord(
+        step=int(rec["step"]),
+        lr1=float(rec["lr1"]),
+        lr2=float(rec["lr2"]),
+        train_loss=float(rec["train_loss"]),
+        meta_loss=float(rec["meta_loss"]),
+        mean_alpha=[float("nan") if a is None else float(a) for a in rec["mean_alpha"]],
+        grad_w_norm=float(rec["grad_w_norm"]),
+        grad_theta_norm=float(rec["grad_theta_norm"]),
     )
 
 
@@ -147,17 +172,5 @@ def state_from_artifact(artifact: RunArtifact) -> TrainState:
         seed=int(artifact.config.get("seed", 0)),
         step=len(artifact.history),
     )
-    for rec in artifact.history:
-        state.history.append(
-            StepRecord(
-                step=rec["step"],
-                lr1=rec["lr1"],
-                lr2=rec["lr2"],
-                train_loss=rec["train_loss"],
-                meta_loss=rec["meta_loss"],
-                mean_alpha=[float("nan") if a is None else a for a in rec["mean_alpha"]],
-                grad_w_norm=rec["grad_w_norm"],
-                grad_theta_norm=rec["grad_theta_norm"],
-            )
-        )
+    state.history.extend(_step_record(rec) for rec in artifact.history)
     return state

@@ -19,6 +19,7 @@ from .config import RunConfig, load_config
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .errors import ConfigError, DataError, HgmetaError, TrainingError
 from .model import branch_losses
+from .mwn import OUTPUT_MODES
 from .partition import assign_level, kmeans_1d
 from .trainer import predict, train
 from .verify import HGNN_TOLERANCE, META_TOLERANCE, hgnn_gradient_check, meta_gradient_check
@@ -166,24 +167,23 @@ def cmd_emit_losses(args) -> int:
 
 def cmd_grad_check(args) -> int:
     report = hgnn_gradient_check(nodes=args.nodes, hidden=args.hidden, seed=args.seed)
-    meta = meta_gradient_check(
-        nodes=args.nodes,
-        hidden=args.hidden,
-        mwn_hidden=args.mwn_hidden,
-        seed=args.seed,
-        lam1=args.lam1,
-    )
     print(f"hgnn_ss_max_rel_err={report['ss']:.3e}")
     print(f"hgnn_fs_max_rel_err={report['fs']:.3e}")
-    print(f"meta_max_rel_err={meta.max_rel_err:.3e}")
-    print(f"meta_grad_norm={meta.analytic_norm:.6e}")
-    ok = (
-        report["ss"] <= HGNN_TOLERANCE
-        and report["fs"] <= HGNN_TOLERANCE
-        and meta.max_rel_err <= META_TOLERANCE
-    )
-    if args.lam1 == 0.0 and meta.analytic_norm != 0.0:
-        ok = False
+    ok = report["ss"] <= HGNN_TOLERANCE and report["fs"] <= HGNN_TOLERANCE
+    for mode in OUTPUT_MODES:
+        meta = meta_gradient_check(
+            nodes=args.nodes,
+            hidden=args.hidden,
+            mwn_hidden=args.mwn_hidden,
+            seed=args.seed,
+            lam1=args.lam1,
+            mode=mode,
+        )
+        print(f"{mode}_meta_max_rel_err={meta.max_rel_err:.3e}")
+        print(f"{mode}_meta_grad_norm={meta.analytic_norm:.6e}")
+        ok = ok and meta.max_rel_err <= META_TOLERANCE
+        if args.lam1 == 0.0 and meta.analytic_norm != 0.0:
+            ok = False
     print(f"result={'ok' if ok else 'tolerance-breach'}")
     return EXIT_OK if ok else EXIT_TOLERANCE
 
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_el.add_argument("--history-csv", default=None)
     p_el.set_defaults(func=cmd_emit_losses)
 
-    p_gc = sub.add_parser("grad-check", help="verify backward passes against finite differences")
+    p_gc = sub.add_parser("grad-check", help="verify backward passes and both meta-gradient modes against finite differences")
     p_gc.add_argument("--nodes", type=int, default=8)
     p_gc.add_argument("--hidden", type=int, default=4)
     p_gc.add_argument("--mwn-hidden", type=int, default=8)

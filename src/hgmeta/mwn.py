@@ -2,9 +2,10 @@
 
 A shared hidden layer reads the two losses; one small head per overlap level
 produces the blend weights for samples of that level. In the default
-complementary mode a head emits a single logit and beta = 1 - alpha, which is
-the form the analytic meta-gradient assumes. Independent mode gives each head
-two outputs passed through separate sigmoids.
+complementary mode a head emits a single logit and beta = 1 - alpha.
+Independent mode gives each head two outputs passed through separate
+sigmoids. Both modes share one analytic meta-gradient: a seeded backward pass
+through (alpha, beta) in ``weighted_alpha_theta_grad``.
 
 Heads are zero-initialized so training starts with alpha = beta = 0.5.
 """
@@ -211,20 +212,23 @@ def mwn_grad(l1: float, l2: float, task: int, params: MWNParams) -> MWNGrad:
     )
 
 
-def weighted_alpha_theta_grad(l1, l2, tasks, params: MWNParams, coeffs) -> dict[str, Array]:
-    """Gradient of sum_j coeffs[j] * alpha_j w.r.t. every Theta parameter.
+def weighted_alpha_theta_grad(l1, l2, tasks, params: MWNParams, coeffs, beta_coeffs=None) -> dict[str, Array]:
+    """Gradient of sum_j (coeffs[j] * alpha_j + beta_coeffs[j] * beta_j) w.r.t. Theta.
 
     This realizes the per-sample chain rule of the analytic meta-update in a
-    single backward pass; coeffs are treated as constants.
+    single seeded backward pass; coefficients are treated as constants and
+    ``beta_coeffs`` defaults to zero.
     """
     l1 = np.asarray(l1, dtype=np.float64).ravel()
     l2 = np.asarray(l2, dtype=np.float64).ravel()
     coeffs = np.asarray(coeffs, dtype=np.float64).ravel()
-    if not (l1.shape == l2.shape == coeffs.shape):
+    if beta_coeffs is None:
+        beta_coeffs = np.zeros_like(coeffs)
+    beta_coeffs = np.asarray(beta_coeffs, dtype=np.float64).ravel()
+    if not (l1.shape == l2.shape == coeffs.shape == beta_coeffs.shape):
         raise ContractError("losses and coefficients must align")
     tape = Tape()
     ptensors = register_mwn(tape, params)
     losses = tape.constant(np.stack([l1, l2], axis=1))
-    alpha, _ = alpha_beta_graph(tape, losses, tasks, params, ptensors)
-    weighted = T.sum_all(T.scale_rows(alpha, tape.constant(coeffs.reshape(-1, 1))))
-    return tape.backward(weighted)
+    alpha, beta = alpha_beta_graph(tape, losses, tasks, params, ptensors)
+    return tape.backward(T.concat_cols(alpha, beta), np.stack([coeffs, beta_coeffs], axis=1))

@@ -47,7 +47,8 @@ class Tape:
     def __init__(self):
         self._next_idx = 0
         self._records: list[tuple[int, tuple[int | None, ...], Callable[[Array], Sequence[Array | None]]]] = []
-        self._params: dict[str, Tensor] = {}
+        # (idx, shape) only: holding the Tensors would make a cycle through Tensor.tape
+        self._params: dict[str, tuple[int, tuple[int, ...]]] = {}
 
     def _new_idx(self) -> int:
         idx = self._next_idx
@@ -59,7 +60,7 @@ class Tape:
         if name in self._params:
             raise ContractError(f"parameter {name!r} already registered")
         t = Tensor(_validated(value), self, self._new_idx())
-        self._params[name] = t
+        self._params[name] = (t.idx, t.shape)
         return t
 
     def constant(self, value: Array) -> Tensor:
@@ -104,9 +105,7 @@ class Tape:
                     continue
                 acc = grads.get(idx)
                 grads[idx] = gi if acc is None else acc + gi
-        return {
-            name: grads.get(t.idx, np.zeros_like(t.data)) for name, t in self._params.items()
-        }
+        return {name: grads.get(idx, np.zeros(shape)) for name, (idx, shape) in self._params.items()}
 
 
 def _validated(value) -> Array:
@@ -449,6 +448,29 @@ def segment_softmax(scores: Tensor, segment_ids) -> Tensor:
 # verification oracle
 
 
+def central_difference(value_at: Callable[[Array], float], x: Array, eps: float) -> Array:
+    """Central-difference gradient of a scalar function of a flat vector.
+
+    Coordinate i is (f(x + eps e_i) - f(x - eps e_i)) / (2 eps). ``value_at``
+    must not keep or modify its argument; a non-finite value raises
+    OracleError.
+    """
+    if eps <= 0:
+        raise ContractError("eps must be positive")
+    grad = np.empty_like(x)
+    bumped = x.copy()
+    for i in range(x.size):
+        bumped[i] += eps
+        f_plus = value_at(bumped)
+        bumped[i] -= 2 * eps
+        f_minus = value_at(bumped)
+        bumped[i] = x[i]
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise OracleError("objective evaluated to a non-finite value")
+        grad[i] = (f_plus - f_minus) / (2.0 * eps)
+    return grad
+
+
 def finite_diff_check(build, params: dict[str, Array], eps: float = 1e-4) -> float:
     """Max relative error between tape gradients and central differences.
 
@@ -463,24 +485,16 @@ def finite_diff_check(build, params: dict[str, Array], eps: float = 1e-4) -> flo
         raise ContractError("finite_diff_check needs a scalar loss")
     analytic = tape.backward(loss)
 
-    def value_at(p: dict[str, Array]) -> float:
-        _, out = build(p)
-        v = float(out.data[0, 0])
-        if not np.isfinite(v):
-            raise OracleError("objective evaluated to a non-finite value")
-        return v
-
     worst = 0.0
     for name, base in params.items():
         if name not in analytic:
             raise ContractError(f"build() did not register parameter {name!r}")
-        for index in np.ndindex(base.shape):
-            bumped = {k: v.copy() for k, v in params.items()}
-            bumped[name][index] += eps
-            f_plus = value_at(bumped)
-            bumped[name][index] -= 2 * eps
-            f_minus = value_at(bumped)
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            err = abs(analytic[name][index] - numeric) / max(1e-8, abs(numeric))
-            worst = max(worst, err)
+
+        def value_at(vec: Array, name=name, shape=base.shape) -> float:
+            _, out = build({**params, name: vec.reshape(shape)})
+            return float(out.data[0, 0])
+
+        numeric = central_difference(value_at, base.ravel(), eps)
+        err = np.abs(analytic[name].ravel() - numeric) / np.maximum(1e-8, np.abs(numeric))
+        worst = max(worst, float(err.max(initial=0.0)))
     return worst

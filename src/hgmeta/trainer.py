@@ -7,11 +7,13 @@ weight-net parameters Theta:
    an intermediate w_hat = w - lr1 * sum_j (alpha_j g1_j + beta_j g2_j) with
    (alpha, beta) from the current Theta;
 2. weight-net step: Theta moves along the analytic gradient of the meta-set
-   loss at w_hat. Because w_hat is linear in each alpha_j, that gradient is
-   exactly -lr1 * sum_j gbar_j * d(alpha_j)/d(Theta) with
-   gbar_j = g_meta . (g1_j - g2_j), so no second-order differentiation is
-   needed (complementary output mode only; independent mode falls back to a
-   finite-difference gradient);
+   loss at w_hat. Because w_hat is linear in each alpha_j and beta_j, that
+   gradient is exactly
+   -lr1 * sum_j (gbar1_j * d(alpha_j)/d(Theta) + gbar2_j * d(beta_j)/d(Theta))
+   with gbar1_j = g_meta . g1_j and gbar2_j = g_meta . g2_j, so no
+   second-order differentiation is needed. In complementary mode
+   beta_j = 1 - alpha_j and the sum folds into one term with
+   gbar_j = g_meta . (g1_j - g2_j);
 3. commit step: recompute (alpha, beta) under the new Theta and apply them
    to the cached per-sample gradients, still evaluated at w.
 
@@ -287,7 +289,6 @@ def meta_gradient(
     meta_ids: Array,
     mwn: MWNParams,
     lam1: float,
-    weight_decay: float = 0.0,
     ss_col: Array | None = None,
 ) -> tuple[Array, float, Array]:
     """Step 2 gradient of the meta loss w.r.t. Theta, plus diagnostics.
@@ -295,7 +296,8 @@ def meta_gradient(
     Returns (d_theta, meta_loss, gbar) where d_theta is flat in
     MWNParams.param_items() order and gbar[j] is the inner product of the
     meta-loss gradient at w_hat with the branch-gradient difference of
-    training sample j.
+    training sample j. Weight decay moves w_hat by a term that does not
+    depend on Theta, so it drops out of d_theta.
     """
     meta_ids = np.asarray(meta_ids, dtype=np.int64)
     onehot = one_hot(np.asarray(y, dtype=np.int64)[meta_ids], num_classes)
@@ -306,42 +308,15 @@ def meta_gradient(
     tape, total = _meta_loss_graph(g, X, onehot, meta_ids, w_hat, ss_col)
     meta_loss = float(total.data[0, 0])
     g_meta = _flatten_grads(tape.backward(total), w_hat)
-    gbar = (cache.grads1 - cache.grads2) @ g_meta
     if mwn.mode == "complementary":
+        gbar = (cache.grads1 - cache.grads2) @ g_meta
         grad_dict = weighted_alpha_theta_grad(cache.l1, cache.l2, cache.tasks, mwn, gbar)
-        d_theta = -lam1 * _flatten_mwn_grads(grad_dict, mwn)
     else:
-        logger.warning(
-            "independent output mode has no analytic Theta-gradient; "
-            "falling back to finite differences"
-        )
-        d_theta = _meta_gradient_fd(
-            g, X, y, num_classes, w_hat, cache, meta_ids, mwn, lam1, weight_decay, ss_col
-        )
+        gbar1, gbar2 = cache.grads1 @ g_meta, cache.grads2 @ g_meta
+        gbar = gbar1 - gbar2
+        grad_dict = weighted_alpha_theta_grad(cache.l1, cache.l2, cache.tasks, mwn, gbar1, gbar2)
+    d_theta = -lam1 * _flatten_mwn_grads(grad_dict, mwn)
     return d_theta, meta_loss, gbar
-
-
-def _meta_gradient_fd(
-    g, X, y, num_classes, template: HGNNParams, cache: StepCache, meta_ids, mwn: MWNParams,
-    lam1, weight_decay, ss_col, eps: float = 1e-5,
-) -> Array:
-    base_theta = mwn.flatten()
-
-    def loss_at(theta_vec: Array) -> float:
-        p = mwn.with_vec(theta_vec)
-        alpha, beta = mwn_forward_batch(cache.l1, cache.l2, cache.tasks, p)
-        w_vec = cache.w_vec - lam1 * _weighted_grad_sum(alpha, beta, cache, weight_decay)
-        return meta_loss_value(g, X, y, num_classes, meta_ids, template.with_vec(w_vec), ss_col)
-
-    grad = np.empty_like(base_theta)
-    for i in range(base_theta.size):
-        bump = base_theta.copy()
-        bump[i] += eps
-        f_plus = loss_at(bump)
-        bump[i] -= 2 * eps
-        f_minus = loss_at(bump)
-        grad[i] = (f_plus - f_minus) / (2 * eps)
-    return grad
 
 
 def internal_update(mwn: MWNParams, d_theta: Array, lam2: float) -> MWNParams:
@@ -499,8 +474,7 @@ def _one_step(state: TrainState, dataset, settings: TrainSettings, t: int, train
     )
     if settings.pin_alpha is None:
         d_theta, meta_loss, _ = meta_gradient(
-            g, X, y, dataset.num_classes, w_hat, cache, meta_ids, state.mwn,
-            lam1, settings.weight_decay, ss_col,
+            g, X, y, dataset.num_classes, w_hat, cache, meta_ids, state.mwn, lam1, ss_col
         )
         state.mwn = internal_update(state.mwn, d_theta, lam2)
     else:

@@ -2,9 +2,10 @@
 
 Two checks: the taped backward pass of each classifier branch against
 central finite differences over every parameter coordinate, and the analytic
-Theta-gradient of the weight-net update against finite differences pushed
-through one probe step (perturb Theta, rebuild the probe parameters from the
-cached per-sample gradients, re-evaluate the meta loss).
+Theta-gradient of the weight-net update, in either output mode, against
+finite differences pushed through one probe step (perturb Theta, rebuild the
+probe parameters from the cached per-sample gradients, re-evaluate the meta
+loss).
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Splits
-from .errors import OracleError
 from .hypergraph import Hypergraph
 from .model import HGNNParams, build_branch_graph, one_hot, register_params, ss_coefficients
 from .mwn import MWNParams, mwn_forward_batch
 from .rng import stream
-from .tensor import Array, Tape, finite_diff_check
+from .tensor import Array, Tape, central_difference, finite_diff_check
 from .trainer import (
     _weighted_grad_sum,
     intermediate_update,
@@ -113,8 +113,9 @@ def meta_gradient_check(
     seed: int = 0,
     lam1: float = 0.05,
     eps: float = 1e-5,
+    mode: str = "complementary",
 ) -> MetaCheckReport:
-    """Analytic Theta-gradient vs finite differences through one probe step."""
+    """Analytic Theta-gradient vs finite differences through one probe step, in output ``mode``."""
     ds = random_toy_dataset(nodes=nodes, seed=seed)
     rng = stream(seed, "meta-check")
     train_ids = np.asarray(ds.splits.train, dtype=np.int64)
@@ -125,7 +126,7 @@ def meta_gradient_check(
         stream(seed, "init-w"),
         stream(seed, "init-a"),
     )
-    mwn = MWNParams.init(k, hidden=mwn_hidden, rng=stream(seed, "init-mwn"))
+    mwn = MWNParams.init(k, hidden=mwn_hidden, mode=mode, rng=stream(seed, "init-mwn"))
     # random heads so the gradient is not trivially zero
     mwn = mwn.with_vec(mwn.flatten() + 0.3 * rng.normal(size=mwn.flatten().size))
 
@@ -140,22 +141,11 @@ def meta_gradient_check(
         probe_mwn = mwn.with_vec(theta_vec)
         alpha, beta = mwn_forward_batch(cache.l1, cache.l2, cache.tasks, probe_mwn)
         w_vec = cache.w_vec - lam1 * _weighted_grad_sum(alpha, beta, cache, 0.0)
-        value = meta_loss_value(
+        return meta_loss_value(
             ds.graph, ds.features, ds.labels, ds.num_classes, meta_ids, hgnn.with_vec(w_vec)
         )
-        if not np.isfinite(value):
-            raise OracleError("meta loss evaluated to a non-finite value")
-        return value
 
-    base = mwn.flatten()
-    numeric = np.empty_like(base)
-    for i in range(base.size):
-        bumped = base.copy()
-        bumped[i] += eps
-        f_plus = loss_at(bumped)
-        bumped[i] -= 2 * eps
-        f_minus = loss_at(bumped)
-        numeric[i] = (f_plus - f_minus) / (2 * eps)
+    numeric = central_difference(loss_at, mwn.flatten(), eps)
     errs = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(numeric))
     return MetaCheckReport(
         max_rel_err=float(errs.max()),

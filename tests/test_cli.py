@@ -7,8 +7,10 @@ import pytest
 
 from hgmeta import cli
 from hgmeta import tensor as T
+from hgmeta import trainer as trainer_mod
 from hgmeta.artifact import load_run_artifact, save_run_artifact, state_from_artifact
 from hgmeta.data import SyntheticSpec, generate_synthetic, save_dataset
+from hgmeta.mwn import weighted_alpha_theta_grad
 from hgmeta.trainer import TrainSettings, ScheduleSpec, train
 
 from test_data import write_toy_dataset
@@ -154,6 +156,24 @@ class TestEvalCommand:
         assert cli.main(["train", str(cfg)]) == 0
         assert cli.main(["eval", str(tmp_path / "run.json")]) == 3
 
+    @pytest.mark.parametrize("mangle", ["format-only", "drop-checkpoint", "history-not-a-list", "bad-mwn-mode"])
+    def test_malformed_artifact_exits_3(self, tmp_path, capsys, mangle):
+        cfg = tiny_config(tmp_path)
+        assert cli.main(["train", str(cfg)]) == 0
+        doc = json.loads((tmp_path / "run.json").read_text())
+        if mangle == "format-only":
+            doc = {"format": doc["format"]}
+        elif mangle == "drop-checkpoint":
+            del doc["checkpoint"]
+        elif mangle == "history-not-a-list":
+            doc["history"] = 3
+        else:
+            doc["checkpoint"]["mwn_meta"]["mode"] = "sideways"
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["eval", str(tmp_path / "bad.json"), "--regen"]) == 3
+        assert "artifact-schema" in capsys.readouterr().err
+
 
 class TestAnalyzeOverlap:
     def test_hub_toy_row_shows_six_decimals(self, tmp_path, capsys):
@@ -244,11 +264,24 @@ class TestGradCheck:
         assert cli.main(["grad-check", "--nodes", "6", "--hidden", "3", "--mwn-hidden", "4"]) == 0
         out = capsys.readouterr().out
         assert "result=ok" in out
+        assert "complementary_meta_max_rel_err=" in out
+        assert "independent_meta_max_rel_err=" in out
 
     def test_zero_lam1_reports_exact_zero_meta_gradient(self, capsys):
         assert cli.main(["grad-check", "--nodes", "6", "--hidden", "3", "--lam1", "0.0"]) == 0
         out = capsys.readouterr().out
         assert "meta_grad_norm=0.000000e+00" in out
+
+    def test_independent_mode_breach_exits_5(self, monkeypatch, capsys):
+        # negative control: drop the beta term, which only independent mode uses
+        def alpha_term_only(l1, l2, tasks, params, coeffs, beta_coeffs=None):
+            return weighted_alpha_theta_grad(l1, l2, tasks, params, coeffs)
+
+        monkeypatch.setattr(trainer_mod, "weighted_alpha_theta_grad", alpha_term_only)
+        rc = cli.main(["grad-check", "--nodes", "6", "--hidden", "3", "--mwn-hidden", "4"])
+        out = capsys.readouterr().out
+        assert rc == 5
+        assert "result=tolerance-breach" in out
 
     def test_corrupted_backward_exits_5(self, monkeypatch, capsys):
         # negative control: break one derivative and the check must fail

@@ -127,17 +127,22 @@ class TestGradients:
 
 
 class TestWeightedAlphaGrad:
-    def test_matches_sum_of_per_sample_gradients(self):
-        params = fresh_params(k=2, hidden=5, randomize_heads=True)
+    @pytest.mark.parametrize("mode", ["complementary", "independent"])
+    def test_matches_sum_of_per_sample_gradients(self, mode):
+        params = fresh_params(k=2, hidden=5, mode=mode, randomize_heads=True)
         rng = np.random.default_rng(8)
         l1, l2 = rng.uniform(0, 3, 6), rng.uniform(0, 3, 6)
         tasks = rng.integers(0, 2, 6)
         coeffs = rng.normal(size=6)
-        combined = weighted_alpha_theta_grad(l1, l2, tasks, params, coeffs)
+        # complementary mode, as meta_gradient calls it, seeds the alpha term only
+        beta_coeffs = rng.normal(size=6) if mode == "independent" else None
+        combined = weighted_alpha_theta_grad(l1, l2, tasks, params, coeffs, beta_coeffs)
         expected = {name: np.zeros_like(arr) for name, arr in params.param_items()}
         for j in range(6):
             g = mwn_grad(float(l1[j]), float(l2[j]), int(tasks[j]), params)
             for name in expected:
                 expected[name] += coeffs[j] * g.d_alpha[name]
+                if beta_coeffs is not None:
+                    expected[name] += beta_coeffs[j] * g.d_beta[name]
         for name in expected:
             np.testing.assert_allclose(combined[name], expected[name], rtol=1e-10, atol=1e-12)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,21 @@ class TestBasicGradients:
         first = tape.backward(loss)["w"]
         second = tape.backward(loss)["w"]
         np.testing.assert_array_equal(first, second)
+
+    def test_tape_is_freed_without_the_cyclic_collector(self):
+        def taped_step():
+            tape, ts = _param_tape(w=np.array([[1.0, -2.0], [0.5, 3.0]]))
+            loss = T.sum_all(T.sigmoid(T.matmul(ts["w"], ts["w"])))
+            tape.backward(loss)
+            return weakref.ref(tape)
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert taped_step()() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestPrimitiveValues:

@@ -7,7 +7,7 @@ from hgmeta.data import Dataset, Splits
 from hgmeta.errors import ContractError, TrainingError
 from hgmeta.hypergraph import Hypergraph
 from hgmeta.model import HGNNParams, build_branch_graph, one_hot, register_params, ss_coefficients
-from hgmeta.mwn import MWNParams, mwn_forward_batch
+from hgmeta.mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
 from hgmeta.rng import stream
 from hgmeta.tensor import Tape
 from hgmeta.trainer import (
@@ -126,17 +126,21 @@ class TestMetaGradient:
         report = meta_gradient_check(nodes=8, hidden=4, mwn_hidden=8, seed=0)
         assert report.max_rel_err <= 1e-3
 
-    def test_independent_mode_fd_fallback_agrees_with_itself(self, caplog):
+    def test_independent_mode_matches_finite_difference_oracle(self):
+        report = meta_gradient_check(nodes=8, hidden=4, mwn_hidden=8, seed=0, mode="independent")
+        assert report.analytic_norm > 0
+        assert report.max_rel_err <= 1e-3
+
+    def test_complementary_mode_is_the_alpha_term_bitwise(self):
         g, X, y, hgnn, mwn, ids, tasks = width2_instance(seed=6)
         rng = np.random.default_rng(7)
-        ind = MWNParams.init(2, hidden=4, mode="independent", rng=stream(6, "init-mwn"))
-        ind = ind.with_vec(ind.flatten() + 0.3 * rng.normal(size=ind.flatten().size))
-        meta_ids = np.array([1, 2])
-        w_hat, cache = intermediate_update(g, X, y, 2, hgnn, ind, ids, tasks, lam1=0.05)
-        with caplog.at_level("WARNING"):
-            d_theta, _, _ = meta_gradient(g, X, y, 2, w_hat, cache, meta_ids, ind, lam1=0.05)
-        assert "finite differences" in caplog.text
-        assert np.all(np.isfinite(d_theta)) and np.abs(d_theta).max() > 0
+        mwn = mwn.with_vec(mwn.flatten() + 0.3 * rng.normal(size=mwn.flatten().size))
+        lam1, meta_ids = 0.05, np.array([1, 2])
+        w_hat, cache = intermediate_update(g, X, y, 2, hgnn, mwn, ids, tasks, lam1=lam1)
+        d_theta, _, gbar = meta_gradient(g, X, y, 2, w_hat, cache, meta_ids, mwn, lam1=lam1)
+        grads = weighted_alpha_theta_grad(cache.l1, cache.l2, cache.tasks, mwn, gbar)
+        expected = -lam1 * np.concatenate([grads[name].ravel() for name, _ in mwn.param_items()])
+        np.testing.assert_array_equal(d_theta, expected)
 
 
 class TestParameterUpdates:
@@ -293,11 +297,9 @@ class TestTrainLoop:
         state, _ = train(ds, quick_settings(2, mwn_log1p=True))
         assert state.mwn.log1p_inputs and state.step == 2
 
-    def test_independent_mode_trains_through_fd_fallback(self, caplog):
+    def test_independent_mode_trains(self):
         ds = random_toy_dataset(nodes=8, seed=16)
-        with caplog.at_level("WARNING"):
-            state, _ = train(ds, quick_settings(2, mwn_mode="independent", mwn_hidden=4))
-        assert "finite differences" in caplog.text
+        state, _ = train(ds, quick_settings(2, mwn_mode="independent", mwn_hidden=4))
         assert state.step == 2
         assert state.mwn.mode == "independent"
 
