@@ -16,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .config import RunConfig, parse_config
+from .errors import ConfigError, ContractError, DataError
 from .model import HGNNParams
 from .mwn import MWNParams
 from .partition import Partition
-from .trainer import ScheduleSpec, StepRecord, TrainState
+from .trainer import StepRecord, TrainState
 
 FORMAT = "hgmeta-run-v1"
 
@@ -44,9 +45,9 @@ def _encode_named(items) -> dict:
 
 @dataclass
 class RunArtifact:
-    """Deserialized artifact contents."""
+    """Deserialized artifact contents; ``config`` is the parsed config echo."""
 
-    config: dict
+    config: RunConfig
     partition: Partition
     history: list[dict]
     hgnn: HGNNParams
@@ -95,7 +96,7 @@ def load_run_artifact(path) -> RunArtifact:
         raise DataError("artifact-format", f"expected {FORMAT}, got {fmt!r}")
     try:
         return _decode(doc)
-    except (KeyError, TypeError, ValueError, OverflowError, ContractError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ContractError, ConfigError) as exc:
         detail = f"{type(exc).__name__}: {exc}"
         raise DataError("artifact-schema", f"{path}: missing or ill-typed content ({detail})") from exc
 
@@ -133,10 +134,14 @@ def _decode(doc: dict) -> RunArtifact:
         n_iter=0,
     )
     history = [_step_record(rec).to_dict() for rec in doc["history"]]
-    if not isinstance(doc["config"], dict) or not isinstance(doc["metrics"], dict):
-        raise DataError("artifact-schema", "config and metrics must be JSON objects")
+    if not isinstance(doc["metrics"], dict):
+        raise DataError("artifact-schema", "metrics must be a JSON object")
+    config = parse_config(doc["config"])
+    # training echoes every default, so a valid echo is its own echo
+    if config.echo != doc["config"]:
+        raise DataError("artifact-schema", "config is not a complete config echo")
     return RunArtifact(
-        config=doc["config"],
+        config=config,
         partition=partition,
         history=history,
         hgnn=hgnn,
@@ -160,16 +165,14 @@ def _step_record(rec: dict) -> StepRecord:
 
 def state_from_artifact(artifact: RunArtifact) -> TrainState:
     """Rebuild a TrainState sufficient for prediction and evaluation."""
-    sched = artifact.config.get("schedules", {})
-    schedule1 = ScheduleSpec(kind=sched.get("kind", "inverse-sqrt"), c=sched.get("c1", 0.02), m_hat=sched.get("m_hat", 10.0))
-    schedule2 = ScheduleSpec(kind=sched.get("kind", "inverse-sqrt"), c=sched.get("c2", 1.0), m_hat=sched.get("m_hat", 10.0))
+    settings = artifact.config.settings
     state = TrainState(
         hgnn=artifact.hgnn,
         mwn=artifact.mwn,
         partition=artifact.partition,
-        schedule1=schedule1,
-        schedule2=schedule2,
-        seed=int(artifact.config.get("seed", 0)),
+        schedule1=settings.schedule1,
+        schedule2=settings.schedule2,
+        seed=artifact.config.seed,
         step=len(artifact.history),
     )
     state.history.extend(_step_record(rec) for rec in artifact.history)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .artifact import RunArtifact, load_run_artifact, save_run_artifact, state_from_artifact
 from .config import RunConfig, load_config
-from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
+from .data import Dataset, generate_synthetic, load_dataset, save_dataset
 from .errors import ConfigError, DataError, HgmetaError, TrainingError
 from .model import branch_losses
 from .mwn import OUTPUT_MODES
@@ -42,23 +42,9 @@ def _dataset_for_artifact(artifact: RunArtifact, dataset_dir: str | None, regen:
         return load_dataset(dataset_dir)
     if not regen:
         raise DataError("dataset-missing", "pass --dataset DIR or --regen for synthetic runs")
-    synth = artifact.config.get("dataset", {}).get("synthetic")
-    if synth is None:
+    if artifact.config.synthetic is None:
         raise DataError("dataset-missing", "artifact was not trained on a synthetic dataset")
-    spec = SyntheticSpec(
-        nodes=synth["nodes"],
-        classes=synth["classes"],
-        hyperedges=synth["hyperedges"],
-        size_range=tuple(synth["size_range"]),
-        homophily=synth["homophily"],
-        dim=synth["dim"],
-        noise=synth["noise"],
-        signal=synth["signal"],
-        bias=synth["bias"],
-        bias_fraction=synth["bias_fraction"],
-        split_fractions=tuple(synth["split_fractions"]),
-    )
-    return generate_synthetic(spec, int(artifact.config["seed"]))
+    return _resolve_dataset(artifact.config)
 
 
 def _check_compat(artifact: RunArtifact, ds: Dataset) -> None:

@@ -55,6 +55,7 @@ class RunConfig:
 
 
 def _take(section: dict, defaults: dict, where: str) -> dict:
+    _require(isinstance(section, dict), f"{where} must be a JSON object")
     unknown = set(section) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")

@@ -189,18 +189,6 @@ class Hypergraph:
             raise IndexError(f"hyperedge id {e} outside [0, {self.num_hyperedges})")
 
 
-def node_degree(g: Hypergraph, v: int) -> int:
-    return g.node_degree(v)
-
-
-def hyperedge_avg_degree(g: Hypergraph, e: int) -> float:
-    return g.hyperedge_avg_degree(e)
-
-
-def egonet(g: Hypergraph, v: int) -> frozenset[int]:
-    return g.egonet(v)
-
-
 def overlapness(g: Hypergraph, v: int) -> float | None:
     return g.overlapness(v)
 

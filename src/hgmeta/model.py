@@ -17,6 +17,7 @@ consumed by the feature branch.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -124,13 +125,22 @@ class BranchGraph:
     mean_loss: Tensor
 
 
+@functools.lru_cache(maxsize=1)
 def ss_coefficients(g: Hypergraph) -> Array:
-    """Structural coefficients 1/(d_i * d_e) over node-major incidence pairs."""
+    """Structural coefficients 1/(d_i * d_e) over node-major incidence pairs.
+
+    d_e is an integer degree sum over the members of e divided by its size,
+    so the values match ``Hypergraph.hyperedge_avg_degree`` bit for bit.
+    Every ``ss`` forward pass asks for them, so the read-only result is kept
+    for the last graph: repeated passes over one graph allocate nothing here.
+    """
     arrays = g.incidence_arrays()
-    pair_nodes, pair_edges = arrays["pair_nodes"], arrays["pair_edges"]
-    out = np.empty(pair_nodes.size)
-    for i in range(pair_nodes.size):
-        out[i] = 1.0 / (g.node_degree(int(pair_nodes[i])) * g.hyperedge_avg_degree(int(pair_edges[i])))
+    degrees = arrays["node_degrees"]
+    degree_sums = np.zeros(g.num_hyperedges, dtype=np.int64)
+    np.add.at(degree_sums, arrays["member_edges"], degrees[arrays["member_nodes"]])
+    avg_degrees = degree_sums / arrays["edge_sizes"]
+    out = 1.0 / (degrees[arrays["pair_nodes"]] * avg_degrees[arrays["pair_edges"]])
+    out.setflags(write=False)
     return out
 
 
@@ -138,26 +148,37 @@ def aggregate_hyperedges(g: Hypergraph, node_feats: Array) -> Array:
     """Stage-1 aggregation: mean member feature per hyperedge."""
     if node_feats.shape[0] != g.num_nodes:
         raise ContractError("node_feats must have one row per node")
-    arrays = g.incidence_arrays()
-    gathered = T.gather_rows(T.as_tensor(node_feats), arrays["member_nodes"])
-    return T.segment_mean(gathered, arrays["member_edges"], g.num_hyperedges).data
+    return _aggregate_t(g, T.as_tensor(node_feats)).data
 
 
 def fs_coefficients(g: Hypergraph, node_proj: Array, edge_proj: Array, a: Array) -> Array:
     """Feature coefficients per incidence pair, softmaxed per node."""
     if a.shape != (node_proj.shape[1] + edge_proj.shape[1], 1):
         raise ContractError("attention vector length must match the concatenated projections")
-    arrays = g.incidence_arrays()
-    out = _fs_coefficients_t(
-        arrays,
-        T.as_tensor(node_proj),
-        T.as_tensor(edge_proj),
-        T.as_tensor(a),
-    )
+    out = _fs_coefficients_t(g, T.as_tensor(node_proj), T.as_tensor(edge_proj), T.as_tensor(a))
     return out.data[:, 0]
 
 
-def _fs_coefficients_t(arrays, node_proj: Tensor, edge_proj: Tensor, a: Tensor) -> Tensor:
+def node_update(g: Hypergraph, node_feats: Array, edge_feats: Array, coeffs: Array, w: Array, activate: bool = True) -> Array:
+    """Stage-2 update: sigma(x_i w + sum_e coeff_ie * x_e w)."""
+    w = T.as_tensor(w)
+    out = _node_update_t(
+        g,
+        T.matmul(T.as_tensor(node_feats), w),
+        T.matmul(T.as_tensor(edge_feats), w),
+        T.as_tensor(T.column(coeffs)),
+    )
+    return (T.elu(out) if activate else out).data
+
+
+def _aggregate_t(g: Hypergraph, h: Tensor) -> Tensor:
+    arrays = g.incidence_arrays()
+    gathered = T.gather_rows(h, arrays["member_nodes"])
+    return T.segment_mean(gathered, arrays["member_edges"], g.num_hyperedges)
+
+
+def _fs_coefficients_t(g: Hypergraph, node_proj: Tensor, edge_proj: Tensor, a: Tensor) -> Tensor:
+    arrays = g.incidence_arrays()
     pair_feats = T.concat_cols(
         T.gather_rows(node_proj, arrays["pair_nodes"]),
         T.gather_rows(edge_proj, arrays["pair_edges"]),
@@ -166,28 +187,11 @@ def _fs_coefficients_t(arrays, node_proj: Tensor, edge_proj: Tensor, a: Tensor) 
     return T.segment_softmax(scores, arrays["pair_nodes"])
 
 
-def node_update(g: Hypergraph, node_feats: Array, edge_feats: Array, coeffs: Array, w: Array, activate: bool = True) -> Array:
-    """Stage-2 update: sigma(x_i w + sum_e coeff_ie * x_e w)."""
+def _node_update_t(g: Hypergraph, hw: Tensor, ew: Tensor, coeff_col: Tensor) -> Tensor:
+    """Pre-activation update from projected node and hyperedge features."""
     arrays = g.incidence_arrays()
-    out = _node_update_t(
-        g.num_nodes,
-        arrays,
-        T.as_tensor(node_feats),
-        T.as_tensor(edge_feats),
-        T.as_tensor(T.column(np.asarray(coeffs, dtype=np.float64))),
-        T.as_tensor(w),
-        activate,
-    )
-    return out.data
-
-
-def _node_update_t(num_nodes, arrays, x: Tensor, edge_feats: Tensor, coeff_col: Tensor, w: Tensor, activate: bool) -> Tensor:
-    xw = T.matmul(x, w)
-    ew = T.matmul(edge_feats, w)
     messages = T.scale_rows(T.gather_rows(ew, arrays["pair_edges"]), coeff_col)
-    aggregated = T.segment_sum(messages, arrays["pair_nodes"], num_nodes)
-    combined = T.add(xw, aggregated)
-    return T.elu(combined) if activate else combined
+    return T.add(hw, T.segment_sum(messages, arrays["pair_nodes"], g.num_nodes))
 
 
 def _forward_t(
@@ -196,36 +200,22 @@ def _forward_t(
     weights: list[Tensor],
     attn: list[Tensor],
     branch: str,
-    ss_col: Array | None = None,
     dropout_masks: list[Array] | None = None,
 ) -> Tensor:
     if branch not in BRANCHES:
         raise ContractError(f"unknown branch {branch!r}")
-    arrays = g.incidence_arrays()
     tape = x.tape
     if branch == "ss":
-        if ss_col is None:
-            ss_col = ss_coefficients(g)
-        ss_coeff = T.as_tensor(ss_col.reshape(-1, 1), tape)
+        coeff = T.as_tensor(T.column(ss_coefficients(g)), tape)
     h = x
     last = len(weights) - 1
     for t, (w, a) in enumerate(zip(weights, attn)):
-        gathered = T.gather_rows(h, arrays["member_nodes"])
-        edge_feats = T.segment_mean(gathered, arrays["member_edges"], g.num_hyperedges)
+        edge_feats = _aggregate_t(g, h)
         hw = T.matmul(h, w)
         ew = T.matmul(edge_feats, w)
-        if branch == "ss":
-            coeff = ss_coeff
-        else:
-            pair_feats = T.concat_cols(
-                T.gather_rows(hw, arrays["pair_nodes"]),
-                T.gather_rows(ew, arrays["pair_edges"]),
-            )
-            scores = T.leaky_relu(T.matmul(pair_feats, a), FS_SLOPE)
-            coeff = T.segment_softmax(scores, arrays["pair_nodes"])
-        messages = T.scale_rows(T.gather_rows(ew, arrays["pair_edges"]), coeff)
-        aggregated = T.segment_sum(messages, arrays["pair_nodes"], g.num_nodes)
-        h = T.add(hw, aggregated)
+        if branch == "fs":
+            coeff = _fs_coefficients_t(g, hw, ew, a)
+        h = _node_update_t(g, hw, ew, coeff)
         if t < last:
             h = T.elu(h)
             if dropout_masks is not None:
@@ -274,7 +264,6 @@ def build_branch_graph(
     tape: Tape,
     weights: list[Tensor],
     attn: list[Tensor],
-    ss_col: Array | None = None,
     dropout_masks: list[Array] | None = None,
 ) -> BranchGraph:
     """Taped forward to per-sample CE losses for eval_ids on one branch.
@@ -286,7 +275,7 @@ def build_branch_graph(
     eval_ids = np.asarray(eval_ids, dtype=np.int64)
     if y_onehot.shape[0] != eval_ids.size:
         raise ContractError("one-hot labels must align with eval_ids")
-    hidden = _forward_t(g, tape.constant(X), weights, attn, branch, ss_col, dropout_masks)
+    hidden = _forward_t(g, tape.constant(X), weights, attn, branch, dropout_masks)
     logits = T.gather_rows(hidden, eval_ids)
     logp = T.row_log_softmax(logits)
     picked = T.row_sum(T.mul(logp, tape.constant(y_onehot)))
@@ -301,10 +290,9 @@ def branch_losses(g: Hypergraph, X: Array, y: Array, params: HGNNParams, ids) ->
     onehot = one_hot(np.asarray(y, dtype=np.int64)[ids], params.out_dim)
     tape = Tape()
     weights, attn = register_params(tape, params)
-    ss_col = ss_coefficients(g)
     out = {}
     for branch in BRANCHES:
-        graph = build_branch_graph(g, X, onehot, ids, branch, tape, weights, attn, ss_col)
+        graph = build_branch_graph(g, X, onehot, ids, branch, tape, weights, attn)
         out[branch] = (graph.logits.data, graph.loss_vec.data[:, 0])
     return ForwardOutput(
         logits_ss=out["ss"][0],

@@ -40,7 +40,6 @@ from .model import (
     forward,
     one_hot,
     register_params,
-    ss_coefficients,
 )
 from .mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
 from .partition import Partition, assign_level, kmeans_1d
@@ -168,11 +167,7 @@ class StepCache:
     grad_sum2: Array | None = None
 
 
-def _flatten_grads(grads: dict[str, Array], params: HGNNParams) -> Array:
-    return np.concatenate([grads[name].ravel() for name, _ in params.param_items()])
-
-
-def _flatten_mwn_grads(grads: dict[str, Array], params: MWNParams) -> Array:
+def _flatten_grads(grads: dict[str, Array], params: HGNNParams | MWNParams) -> Array:
     return np.concatenate([grads[name].ravel() for name, _ in params.param_items()])
 
 
@@ -220,18 +215,15 @@ def intermediate_update(
     lam1: float,
     pin_alpha: float | None = None,
     weight_decay: float = 0.0,
-    ss_col: Array | None = None,
     dropout_masks: list[Array] | None = None,
 ) -> tuple[HGNNParams, StepCache]:
     """Step 1: per-sample losses/gradients at w and the probe parameters w_hat."""
     ids = np.asarray(ids, dtype=np.int64)
     onehot = one_hot(np.asarray(y, dtype=np.int64)[ids], num_classes)
-    if ss_col is None:
-        ss_col = ss_coefficients(g)
     tape = Tape()
     weights, attn = register_params(tape, hgnn)
-    graph_ss = build_branch_graph(g, X, onehot, ids, "ss", tape, weights, attn, ss_col, dropout_masks)
-    graph_fs = build_branch_graph(g, X, onehot, ids, "fs", tape, weights, attn, ss_col, dropout_masks)
+    graph_ss = build_branch_graph(g, X, onehot, ids, "ss", tape, weights, attn, dropout_masks)
+    graph_fs = build_branch_graph(g, X, onehot, ids, "fs", tape, weights, attn, dropout_masks)
     l1 = graph_ss.loss_vec.data[:, 0].copy()
     l2 = graph_fs.loss_vec.data[:, 0].copy()
     cache = StepCache(
@@ -260,22 +252,20 @@ def intermediate_update(
     return hgnn.with_vec(w_hat_vec), cache
 
 
-def _meta_loss_graph(g, X, y_onehot, meta_ids, params: HGNNParams, ss_col):
+def _meta_loss_graph(g, X, y_onehot, meta_ids, params: HGNNParams):
     tape = Tape()
     weights, attn = register_params(tape, params)
-    graph_ss = build_branch_graph(g, X, y_onehot, meta_ids, "ss", tape, weights, attn, ss_col)
-    graph_fs = build_branch_graph(g, X, y_onehot, meta_ids, "fs", tape, weights, attn, ss_col)
+    graph_ss = build_branch_graph(g, X, y_onehot, meta_ids, "ss", tape, weights, attn)
+    graph_fs = build_branch_graph(g, X, y_onehot, meta_ids, "fs", tape, weights, attn)
     total = T.add(graph_ss.mean_loss, graph_fs.mean_loss)
     return tape, total
 
 
-def meta_loss_value(g, X, y, num_classes, meta_ids, params: HGNNParams, ss_col=None) -> float:
+def meta_loss_value(g, X, y, num_classes, meta_ids, params: HGNNParams) -> float:
     """Mean over the meta split of the summed branch losses."""
     meta_ids = np.asarray(meta_ids, dtype=np.int64)
     onehot = one_hot(np.asarray(y, dtype=np.int64)[meta_ids], num_classes)
-    if ss_col is None:
-        ss_col = ss_coefficients(g)
-    _, total = _meta_loss_graph(g, X, onehot, meta_ids, params, ss_col)
+    _, total = _meta_loss_graph(g, X, onehot, meta_ids, params)
     return float(total.data[0, 0])
 
 
@@ -289,7 +279,6 @@ def meta_gradient(
     meta_ids: Array,
     mwn: MWNParams,
     lam1: float,
-    ss_col: Array | None = None,
 ) -> tuple[Array, float, Array]:
     """Step 2 gradient of the meta loss w.r.t. Theta, plus diagnostics.
 
@@ -301,11 +290,9 @@ def meta_gradient(
     """
     meta_ids = np.asarray(meta_ids, dtype=np.int64)
     onehot = one_hot(np.asarray(y, dtype=np.int64)[meta_ids], num_classes)
-    if ss_col is None:
-        ss_col = ss_coefficients(g)
     if cache.grads1 is None:
         raise ContractError("meta_gradient needs per-sample gradients (not a pinned-alpha cache)")
-    tape, total = _meta_loss_graph(g, X, onehot, meta_ids, w_hat, ss_col)
+    tape, total = _meta_loss_graph(g, X, onehot, meta_ids, w_hat)
     meta_loss = float(total.data[0, 0])
     g_meta = _flatten_grads(tape.backward(total), w_hat)
     if mwn.mode == "complementary":
@@ -315,7 +302,7 @@ def meta_gradient(
         gbar1, gbar2 = cache.grads1 @ g_meta, cache.grads2 @ g_meta
         gbar = gbar1 - gbar2
         grad_dict = weighted_alpha_theta_grad(cache.l1, cache.l2, cache.tasks, mwn, gbar1, gbar2)
-    d_theta = -lam1 * _flatten_mwn_grads(grad_dict, mwn)
+    d_theta = -lam1 * _flatten_grads(grad_dict, mwn)
     return d_theta, meta_loss, gbar
 
 
@@ -443,13 +430,12 @@ def train(dataset, settings: TrainSettings):
         train_tasks=train_tasks,
         adam=adam,
     )
-    ss_col = ss_coefficients(g)
     batch_rng = stream(settings.seed, "batch")
 
     for t in range(1, settings.steps + 1):
         started = perf_counter()
         try:
-            _one_step(state, dataset, settings, t, train_ids, meta_ids, ss_col, batch_rng)
+            _one_step(state, dataset, settings, t, train_ids, meta_ids, batch_rng)
         except NumericsError as exc:
             raise TrainingError(str(exc), step=t, state=state) from exc
         state.step = t
@@ -458,7 +444,7 @@ def train(dataset, settings: TrainSettings):
     return state, metrics
 
 
-def _one_step(state: TrainState, dataset, settings: TrainSettings, t: int, train_ids, meta_ids, ss_col, batch_rng):
+def _one_step(state: TrainState, dataset, settings: TrainSettings, t: int, train_ids, meta_ids, batch_rng):
     g, X, y = dataset.graph, dataset.features, dataset.labels
     lam1, lam2 = lr(state.schedule1, t), lr(state.schedule2, t)
     if settings.batch_size is not None and settings.batch_size < train_ids.size:
@@ -470,17 +456,17 @@ def _one_step(state: TrainState, dataset, settings: TrainSettings, t: int, train
     masks = _dropout_masks(settings, g.num_nodes, batch_rng)
     w_hat, cache = intermediate_update(
         g, X, y, dataset.num_classes, state.hgnn, state.mwn, ids, tasks,
-        lam1, settings.pin_alpha, settings.weight_decay, ss_col, masks,
+        lam1, settings.pin_alpha, settings.weight_decay, masks,
     )
     if settings.pin_alpha is None:
         d_theta, meta_loss, _ = meta_gradient(
-            g, X, y, dataset.num_classes, w_hat, cache, meta_ids, state.mwn, lam1, ss_col
+            g, X, y, dataset.num_classes, w_hat, cache, meta_ids, state.mwn, lam1
         )
         state.mwn = internal_update(state.mwn, d_theta, lam2)
     else:
         # pinned weights never update Theta; only the meta loss is reported
         d_theta = np.zeros(0)
-        meta_loss = meta_loss_value(g, X, y, dataset.num_classes, meta_ids, w_hat, ss_col)
+        meta_loss = meta_loss_value(g, X, y, dataset.num_classes, meta_ids, w_hat)
     state.hgnn, alpha_new, grad_w = external_update(
         cache, state.hgnn, state.mwn, lam1, settings.pin_alpha, settings.weight_decay, state.adam
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, Splits
 from .hypergraph import Hypergraph
-from .model import HGNNParams, build_branch_graph, one_hot, register_params, ss_coefficients
+from .model import HGNNParams, build_branch_graph, one_hot, register_params
 from .mwn import MWNParams, mwn_forward_batch
 from .rng import stream
 from .tensor import Array, Tape, central_difference, finite_diff_check
@@ -80,7 +80,6 @@ def hgnn_gradient_check(
         stream(seed, "init-w"),
         stream(seed, "init-a"),
     )
-    ss_col = ss_coefficients(ds.graph)
     report = {}
     for branch in ("ss", "fs"):
 
@@ -91,7 +90,7 @@ def hgnn_gradient_check(
             )
             tape = Tape()
             weights, attn = register_params(tape, hp)
-            graph = build_branch_graph(ds.graph, ds.features, onehot, ids, branch, tape, weights, attn, ss_col)
+            graph = build_branch_graph(ds.graph, ds.features, onehot, ids, branch, tape, weights, attn)
             return tape, graph.mean_loss
 
         report[branch] = finite_diff_check(build, dict(template.param_items()), eps=eps)

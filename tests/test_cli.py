@@ -9,6 +9,7 @@ from hgmeta import cli
 from hgmeta import tensor as T
 from hgmeta import trainer as trainer_mod
 from hgmeta.artifact import load_run_artifact, save_run_artifact, state_from_artifact
+from hgmeta.config import parse_config
 from hgmeta.data import SyntheticSpec, generate_synthetic, save_dataset
 from hgmeta.mwn import weighted_alpha_theta_grad
 from hgmeta.trainer import TrainSettings, ScheduleSpec, train
@@ -39,6 +40,11 @@ def tiny_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def config_echo(**doc):
+    """A complete config echo, as `hgmeta train` embeds it in an artifact."""
+    return parse_config({"dataset": {"path": "unused"}, **doc}).echo
 
 
 class TestTrainCommand:
@@ -97,8 +103,6 @@ class TestTrainCommand:
 
 
 def test_documented_example_config_parses():
-    from hgmeta.config import parse_config
-
     doc = {
         "dataset": {
             "synthetic": {
@@ -156,7 +160,19 @@ class TestEvalCommand:
         assert cli.main(["train", str(cfg)]) == 0
         assert cli.main(["eval", str(tmp_path / "run.json")]) == 3
 
-    @pytest.mark.parametrize("mangle", ["format-only", "drop-checkpoint", "history-not-a-list", "bad-mwn-mode"])
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            "format-only",
+            "drop-checkpoint",
+            "history-not-a-list",
+            "bad-mwn-mode",
+            "schedules-not-an-object",
+            "drop-seed",
+            "nodes-not-a-number",
+            "unknown-schedule-kind",
+        ],
+    )
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, mangle):
         cfg = tiny_config(tmp_path)
         assert cli.main(["train", str(cfg)]) == 0
@@ -167,8 +183,16 @@ class TestEvalCommand:
             del doc["checkpoint"]
         elif mangle == "history-not-a-list":
             doc["history"] = 3
-        else:
+        elif mangle == "bad-mwn-mode":
             doc["checkpoint"]["mwn_meta"]["mode"] = "sideways"
+        elif mangle == "schedules-not-an-object":
+            doc["config"]["schedules"] = 3
+        elif mangle == "drop-seed":
+            del doc["config"]["seed"]
+        elif mangle == "nodes-not-a-number":
+            doc["config"]["dataset"]["synthetic"]["nodes"] = "many"
+        else:
+            doc["config"]["schedules"]["kind"] = "cosine"
         (tmp_path / "bad.json").write_text(json.dumps(doc))
         capsys.readouterr()
         assert cli.main(["eval", str(tmp_path / "bad.json"), "--regen"]) == 3
@@ -221,7 +245,7 @@ class TestEmitLosses:
         state, metrics = train(ds, settings)
         zeroed = state.hgnn.with_vec(np.zeros(state.hgnn.flatten().size))
         state.hgnn = zeroed
-        save_run_artifact(tmp_path / "run.json", {"seed": 0, "dataset": {"path": "x"}}, state, metrics)
+        save_run_artifact(tmp_path / "run.json", config_echo(seed=0), state, metrics)
         rc = cli.main(
             [
                 "emit-losses",
@@ -257,6 +281,17 @@ class TestEmitLosses:
         assert rc == 0
         history = (tmp_path / "h.csv").read_text().splitlines()
         assert len(history) == 1 + 3
+
+    def test_config_echo_without_seed_exits_3(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        assert cli.main(["train", str(cfg)]) == 0
+        doc = json.loads((tmp_path / "run.json").read_text())
+        del doc["config"]["seed"]
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = cli.main(["emit-losses", str(tmp_path / "bad.json"), "--regen", "--losses-csv", str(tmp_path / "l.csv")])
+        assert rc == 3
+        assert "artifact-schema" in capsys.readouterr().err
 
 
 class TestGradCheck:
@@ -299,7 +334,7 @@ class TestArtifactRoundTrip:
             schedule1=ScheduleSpec(c=0.02), schedule2=ScheduleSpec(c=0.5),
         )
         state, metrics = train(ds, settings)
-        save_run_artifact(tmp_path / "a.json", {"seed": 1}, state, metrics)
+        save_run_artifact(tmp_path / "a.json", config_echo(seed=1), state, metrics)
         artifact = load_run_artifact(tmp_path / "a.json")
         np.testing.assert_array_equal(artifact.hgnn.flatten(), state.hgnn.flatten())
         np.testing.assert_array_equal(artifact.mwn.flatten(), state.mwn.flatten())
@@ -312,5 +347,5 @@ class TestArtifactRoundTrip:
     def test_history_row_count_matches_steps(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(nodes=24, classes=2, hyperedges=12, dim=4), seed=5)
         state, metrics = train(ds, TrainSettings(steps=4, k=2, hidden=5, mwn_hidden=6, seed=2))
-        save_run_artifact(tmp_path / "a.json", {}, state, metrics)
+        save_run_artifact(tmp_path / "a.json", config_echo(), state, metrics)
         assert len(load_run_artifact(tmp_path / "a.json").history) == 4

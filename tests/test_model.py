@@ -157,6 +157,25 @@ class TestForward:
         # output layer is linear, ss coefficient is exactly 1
         np.testing.assert_allclose(logits, [[1.5, 0.5], [0.5, 1.5]], rtol=1e-15)
 
+    @pytest.mark.parametrize("branch", ["ss", "fs"])
+    def test_three_layers_match_chain_of_stage_helpers(self, branch):
+        # forward is built from the same stage helpers, so the public chain
+        # aggregate -> project -> coefficients -> update reproduces it bit for bit
+        rng = np.random.default_rng(18)
+        for trial in range(20):
+            g = random_hypergraph(rng, max_nodes=30)
+            X = rng.normal(size=(g.num_nodes, 5))
+            params = random_params([5, 4, 6, 3], seed=trial)
+            h = X
+            for t, (w, a) in enumerate(zip(params.weights, params.attn)):
+                edge_feats = aggregate_hyperedges(g, h)
+                if branch == "ss":
+                    coeffs = ss_coefficients(g)
+                else:
+                    coeffs = fs_coefficients(g, h @ w, edge_feats @ w, a)
+                h = node_update(g, h, edge_feats, coeffs, w, activate=t < params.num_layers - 1)
+            np.testing.assert_array_equal(forward(g, X, params, branch, range(g.num_nodes)), h)
+
     def test_hyperedge_permutation_invariance(self, toy):
         params = random_params([5, 4, 3], seed=3)
         X = np.random.default_rng(4).normal(size=(7, 5))

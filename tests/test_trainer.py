@@ -6,7 +6,7 @@ import pytest
 from hgmeta.data import Dataset, Splits
 from hgmeta.errors import ContractError, TrainingError
 from hgmeta.hypergraph import Hypergraph
-from hgmeta.model import HGNNParams, build_branch_graph, one_hot, register_params, ss_coefficients
+from hgmeta.model import HGNNParams, build_branch_graph, one_hot, register_params
 from hgmeta.mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
 from hgmeta.rng import stream
 from hgmeta.tensor import Tape
@@ -70,7 +70,7 @@ def reference_per_sample_grads(g, X, y, hgnn, ids, branch, num_classes=2):
     for j in range(ids.size):
         tape = Tape()
         weights, attn = register_params(tape, hgnn)
-        graph = build_branch_graph(g, X, onehot, ids, branch, tape, weights, attn, ss_coefficients(g))
+        graph = build_branch_graph(g, X, onehot, ids, branch, tape, weights, attn)
         seed_vec = np.zeros((ids.size, 1))
         seed_vec[j, 0] = 1.0
         grads = tape.backward(graph.loss_vec, seed_vec)
