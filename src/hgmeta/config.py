@@ -64,6 +64,14 @@ def _take(section: dict, defaults: dict, where: str) -> dict:
     return merged
 
 
+def _number(section: dict, key: str, where: str, kind: type):
+    """``kind(section[key])``; a value that does not convert is a ConfigError."""
+    try:
+        return kind(section[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}.{key} must be a number, got {section[key]!r}") from exc
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
@@ -114,38 +122,40 @@ def parse_config(doc: dict) -> RunConfig:
         }
 
     model = _take(doc.get("model", {}), _MODEL_DEFAULTS, "model")
-    _require(int(model["layers"]) >= 1, "model.layers must be >= 1")
-    _require(int(model["hidden"]) >= 1, "model.hidden must be >= 1")
-    _require(0.0 <= float(model["dropout"]) < 1.0, "model.dropout must lie in [0, 1)")
-    _require(float(model["weight_decay"]) >= 0.0, "model.weight_decay must be >= 0")
+    layers, hidden = (_number(model, key, "model", int) for key in ("layers", "hidden"))
+    dropout, weight_decay = (_number(model, key, "model", float) for key in ("dropout", "weight_decay"))
+    _require(layers >= 1, "model.layers must be >= 1")
+    _require(hidden >= 1, "model.hidden must be >= 1")
+    _require(0.0 <= dropout < 1.0, "model.dropout must lie in [0, 1)")
+    _require(weight_decay >= 0.0, "model.weight_decay must be >= 0")
 
     part = _take(doc.get("partition", {}), {"k": 3}, "partition")
-    _require(int(part["k"]) >= 1, "partition.k must be >= 1")
+    k = _number(part, "k", "partition", int)
+    _require(k >= 1, "partition.k must be >= 1")
 
     mwn = _take(doc.get("mwn", {}), _MWN_DEFAULTS, "mwn")
+    mwn_hidden = _number(mwn, "hidden", "mwn", int)
     _require(mwn["output_mode"] in OUTPUT_MODES, f"mwn.output_mode must be one of {OUTPUT_MODES}")
-    _require(int(mwn["hidden"]) >= 1, "mwn.hidden must be >= 1")
+    _require(mwn_hidden >= 1, "mwn.hidden must be >= 1")
     _require(isinstance(mwn["log1p"], bool), "mwn.log1p must be a boolean")
 
     sched = _take(doc.get("schedules", {}), _SCHEDULE_DEFAULTS, "schedules")
+    c1, c2, m_hat = (_number(sched, key, "schedules", float) for key in ("c1", "c2", "m_hat"))
     _require(sched["kind"] in SCHEDULE_KINDS, f"schedules.kind must be one of {SCHEDULE_KINDS}")
-    _require(float(sched["c1"]) >= 0 and float(sched["c2"]) >= 0, "schedule constants must be >= 0")
-    _require(float(sched["m_hat"]) > 0, "schedules.m_hat must be > 0")
+    _require(c1 >= 0 and c2 >= 0, "schedule constants must be >= 0")
+    _require(m_hat > 0, "schedules.m_hat must be > 0")
 
     train = _take(doc.get("train", {}), _TRAIN_DEFAULTS, "train")
-    _require(int(train["steps"]) >= 0, "train.steps must be >= 0")
-    _require(
-        train["batch"] is None or int(train["batch"]) >= 1,
-        "train.batch must be null or a positive integer",
-    )
+    steps = _number(train, "steps", "train", int)
+    batch = None if train["batch"] is None else _number(train, "batch", "train", int)
+    pin_alpha = None if train["pin_alpha"] is None else _number(train, "pin_alpha", "train", float)
+    _require(steps >= 0, "train.steps must be >= 0")
+    _require(batch is None or batch >= 1, "train.batch must be null or a positive integer")
     _require(
         train["meta_source"] in ("meta-split", "test-split"),
         "train.meta_source must be 'meta-split' or 'test-split'",
     )
-    _require(
-        train["pin_alpha"] is None or 0.0 <= float(train["pin_alpha"]) <= 1.0,
-        "train.pin_alpha must be null or lie in [0, 1]",
-    )
+    _require(pin_alpha is None or 0.0 <= pin_alpha <= 1.0, "train.pin_alpha must be null or lie in [0, 1]")
     _require(train["optimizer"] in ("gd", "adam"), "train.optimizer must be 'gd' or 'adam'")
 
     seed = doc.get("seed", 0)
@@ -154,46 +164,41 @@ def parse_config(doc: dict) -> RunConfig:
     _require(isinstance(output, str), "output must be a string path")
 
     settings = TrainSettings(
-        steps=int(train["steps"]),
-        schedule1=ScheduleSpec(kind=sched["kind"], c=float(sched["c1"]), m_hat=float(sched["m_hat"])),
-        schedule2=ScheduleSpec(kind=sched["kind"], c=float(sched["c2"]), m_hat=float(sched["m_hat"])),
-        layers=int(model["layers"]),
-        hidden=int(model["hidden"]),
-        k=int(part["k"]),
-        mwn_hidden=int(mwn["hidden"]),
+        steps=steps,
+        schedule1=ScheduleSpec(kind=sched["kind"], c=c1, m_hat=m_hat),
+        schedule2=ScheduleSpec(kind=sched["kind"], c=c2, m_hat=m_hat),
+        layers=layers,
+        hidden=hidden,
+        k=k,
+        mwn_hidden=mwn_hidden,
         mwn_mode=str(mwn["output_mode"]),
         mwn_log1p=bool(mwn["log1p"]),
         seed=int(seed),
-        batch_size=None if train["batch"] is None else int(train["batch"]),
+        batch_size=batch,
         meta_source=str(train["meta_source"]),
-        pin_alpha=None if train["pin_alpha"] is None else float(train["pin_alpha"]),
+        pin_alpha=pin_alpha,
         optimizer=str(train["optimizer"]),
-        weight_decay=float(model["weight_decay"]),
-        dropout=float(model["dropout"]),
+        weight_decay=weight_decay,
+        dropout=dropout,
     )
 
     echo = {
         "dataset": {"path": dataset_path} if dataset_path is not None else {"synthetic": synth_echo},
-        "model": {
-            "layers": int(model["layers"]),
-            "hidden": int(model["hidden"]),
-            "dropout": float(model["dropout"]),
-            "weight_decay": float(model["weight_decay"]),
-        },
-        "partition": {"k": int(part["k"])},
+        "model": {"layers": layers, "hidden": hidden, "dropout": dropout, "weight_decay": weight_decay},
+        "partition": {"k": k},
         "mwn": {
-            "hidden": int(mwn["hidden"]),
+            "hidden": mwn_hidden,
             "output_mode": mwn["output_mode"],
             "log1p": bool(mwn["log1p"]),
         },
         "schedules": {
             "kind": sched["kind"],
-            "c1": float(sched["c1"]),
-            "c2": float(sched["c2"]),
-            "m_hat": float(sched["m_hat"]),
+            "c1": c1,
+            "c2": c2,
+            "m_hat": m_hat,
         },
         "train": {
-            "steps": int(train["steps"]),
+            "steps": steps,
             "batch": train["batch"],
             "meta_source": train["meta_source"],
             "pin_alpha": train["pin_alpha"],
@@ -206,7 +211,7 @@ def parse_config(doc: dict) -> RunConfig:
         dataset_path=dataset_path,
         synthetic=synthetic,
         settings=settings,
-        k=int(part["k"]),
+        k=k,
         seed=int(seed),
         output=output,
         echo=echo,

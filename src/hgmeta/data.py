@@ -39,7 +39,11 @@ class Splits:
 
 @dataclass
 class Dataset:
-    """Validated hypergraph classification data with disjoint splits."""
+    """Validated hypergraph classification data with disjoint splits.
+
+    ``load_dataset`` and ``generate_synthetic`` return read-only ``features``;
+    copy the array before editing it.
+    """
 
     graph: Hypergraph
     features: np.ndarray
@@ -86,6 +90,8 @@ def _validate_dataset(ds: Dataset) -> Dataset:
                 raise DataError("split-unlabeled", f"{split_name} index {v} has no label")
     if not np.all(np.isfinite(ds.features)):
         raise DataError("feature-nonfinite", "features contain NaN/Inf")
+    # the model caches per-graph aggregates of read-only features
+    ds.features.setflags(write=False)
     return ds
 
 
@@ -96,20 +102,23 @@ def load_dataset(path) -> Dataset:
         if not (root / fname).is_file():
             raise DataError("missing-file", str(root / fname))
 
-    feature_rows: list[list[float]] = []
-    for lineno, line in enumerate((root / "features.csv").read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            feature_rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise DataError("feature-parse", f"features.csv line {lineno}: {exc}") from exc
+    # streamed into one float64 array per row: the whole text and a Python
+    # float per value would peak at several times the size of the features
+    feature_rows: list[np.ndarray] = []
+    with (root / "features.csv").open() as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                feature_rows.append(np.array([float(tok) for tok in line.split(",")]))
+            except ValueError as exc:
+                raise DataError("feature-parse", f"features.csv line {lineno}: {exc}") from exc
     if not feature_rows:
         raise DataError("feature-parse", "features.csv is empty")
-    width = len(feature_rows[0])
-    if any(len(row) != width for row in feature_rows):
+    width = feature_rows[0].size
+    if any(row.size != width for row in feature_rows):
         raise DataError("ragged-features", "feature rows have differing lengths")
-    features = np.asarray(feature_rows, dtype=np.float64)
+    features = np.stack(feature_rows)
     n = features.shape[0]
 
     edges: list[list[int]] = []

@@ -13,11 +13,17 @@ differ only in where the coefficients come from:
 
 Weight matrices are shared between branches; the attention vectors are only
 consumed by the feature branch.
+
+Layer 0 aggregates the raw input features, which do not change between
+steps. When they arrive as an untracked, read-only array (``Dataset.features``
+is one), their hyperedge means are computed once per graph and features
+array and reused by every later forward pass, taped or not.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -172,9 +178,49 @@ def node_update(g: Hypergraph, node_feats: Array, edge_feats: Array, coeffs: Arr
 
 
 def _aggregate_t(g: Hypergraph, h: Tensor) -> Tensor:
+    if h.idx is None and _read_only(h.data):
+        return Tensor(_input_edge_means(g, h.data), h.tape, None)
+    return _edge_means_t(g, h)
+
+
+def _edge_means_t(g: Hypergraph, h: Tensor) -> Tensor:
     arrays = g.incidence_arrays()
     gathered = T.gather_rows(h, arrays["member_nodes"])
     return T.segment_mean(gathered, arrays["member_edges"], g.num_hyperedges)
+
+
+def _read_only(a: Array) -> bool:
+    """True when neither ``a`` nor any array it is a view of can be written."""
+    while a is not None:
+        if not isinstance(a, np.ndarray) or a.flags.writeable:
+            return False
+        a = a.base
+    return True
+
+
+# (graph, weakref to the features, their read-only hyperedge means) of the last call
+_input_means_slot: list[tuple[Hypergraph, weakref.ref, Array]] = []
+
+
+def _input_edge_means(g: Hypergraph, x: Array) -> Array:
+    """Hyperedge means of read-only input features, kept for the last pair.
+
+    The slot holds the features only weakly and empties when they are freed,
+    so dropping a dataset frees its means too.
+    """
+    if _input_means_slot:
+        graph, ref, means = _input_means_slot[0]
+        if graph is g and ref() is x:
+            return means
+    means = _edge_means_t(g, Tensor(x)).data
+    means.setflags(write=False)
+
+    def forget(dead: weakref.ref) -> None:
+        if _input_means_slot and _input_means_slot[0][1] is dead:
+            _input_means_slot.clear()
+
+    _input_means_slot[:] = [(g, weakref.ref(x, forget), means)]
+    return means
 
 
 def _fs_coefficients_t(g: Hypergraph, node_proj: Tensor, edge_proj: Tensor, a: Tensor) -> Tensor:

@@ -4,11 +4,15 @@ Everything is a matrix: scalars are (1, 1), vectors are (n, 1) columns.
 Operations run eagerly; when an operand is tracked on a Tape, the op also
 records a backward closure. A Tape owns a registry of named trainable
 parameters and replays its records in reverse to accumulate their gradients.
+An operand that was untracked when the op ran (a constant such as the input
+features or a label matrix) receives no gradient computation at all: the
+closures of ``matmul``, ``mul`` and ``scale_rows`` return ``None`` for it.
 The only implicit broadcast allowed anywhere is a (1, n) row added to an
 (m, n) matrix; every other shape coercion must be spelled out by the caller.
 
 All public operations police their outputs for NaN/Inf and raise
-NumericsError instead of letting non-finite values propagate.
+NumericsError, naming the operation and its output shape, instead of letting
+non-finite values propagate.
 """
 
 from __future__ import annotations
@@ -117,9 +121,9 @@ def _validated(value) -> Array:
     return a
 
 
-def _finite(a: Array) -> Array:
+def _finite(op: str, a: Array) -> Array:
     if not np.all(np.isfinite(a)):
-        raise NumericsError("operation produced non-finite values")
+        raise NumericsError(f"{op} produced non-finite values, shape {a.shape}")
     return a
 
 
@@ -133,8 +137,8 @@ def _tape_of(*tensors: Tensor) -> Tape | None:
     return tape
 
 
-def _emit(value: Array, inputs: Sequence[Tensor], grad_fn) -> Tensor:
-    _finite(value)
+def _emit(op: str, value: Array, inputs: Sequence[Tensor], grad_fn) -> Tensor:
+    _finite(op, value)
     tape = _tape_of(*inputs)
     if tape is None or all(t.idx is None for t in inputs):
         return Tensor(value, tape, None)
@@ -164,11 +168,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ContractError(f"matmul shape mismatch {a.shape} @ {b.shape}")
     av, bv = a.data, b.data
+    grad_a, grad_b = a.idx is not None, b.idx is not None
 
     def grad(g: Array):
-        return g @ bv.T, av.T @ g
+        return (g @ bv.T if grad_a else None), (av.T @ g if grad_b else None)
 
-    return _emit(av @ bv, (a, b), grad)
+    return _emit("matmul", av @ bv, (a, b), grad)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -180,7 +185,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         gb = g.sum(axis=0, keepdims=True) if row_broadcast else g
         return g, gb
 
-    return _emit(a.data + b.data, (a, b), grad)
+    return _emit("add", a.data + b.data, (a, b), grad)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -190,18 +195,19 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def grad(g: Array):
         return g, -g
 
-    return _emit(a.data - b.data, (a, b), grad)
+    return _emit("sub", a.data - b.data, (a, b), grad)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ContractError(f"mul shape mismatch {a.shape} * {b.shape}")
     av, bv = a.data, b.data
+    grad_a, grad_b = a.idx is not None, b.idx is not None
 
     def grad(g: Array):
-        return g * bv, g * av
+        return (g * bv if grad_a else None), (g * av if grad_b else None)
 
-    return _emit(av * bv, (a, b), grad)
+    return _emit("mul", av * bv, (a, b), grad)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -210,7 +216,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def grad(g: Array):
         return (g * c,)
 
-    return _emit(a.data * c, (a,), grad)
+    return _emit("scale", a.data * c, (a,), grad)
 
 
 def scale_rows(a: Tensor, c: Tensor) -> Tensor:
@@ -218,11 +224,12 @@ def scale_rows(a: Tensor, c: Tensor) -> Tensor:
     if c.shape != (a.shape[0], 1):
         raise ContractError(f"scale_rows needs a ({a.shape[0]}, 1) column, got {c.shape}")
     av, cv = a.data, c.data
+    grad_a, grad_c = a.idx is not None, c.idx is not None
 
     def grad(g: Array):
-        return g * cv, (g * av).sum(axis=1, keepdims=True)
+        return (g * cv if grad_a else None), ((g * av).sum(axis=1, keepdims=True) if grad_c else None)
 
-    return _emit(av * cv, (a, c), grad)
+    return _emit("scale_rows", av * cv, (a, c), grad)
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -233,7 +240,7 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     def grad(g: Array):
         return g[:, :na], g[:, na:]
 
-    return _emit(np.concatenate([a.data, b.data], axis=1), (a, b), grad)
+    return _emit("concat_cols", np.concatenate([a.data, b.data], axis=1), (a, b), grad)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -246,7 +253,7 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         full[:, start:stop] = g
         return (full,)
 
-    return _emit(a.data[:, start:stop].copy(), (a,), grad)
+    return _emit("slice_cols", a.data[:, start:stop].copy(), (a,), grad)
 
 
 class _RunIndex:
@@ -254,8 +261,11 @@ class _RunIndex:
 
     ``order`` is a stable argsort of the ids; ``starts`` marks the first
     position of each distinct id in the sorted view and ``unique`` holds
-    those ids. Reductions via reduceat visit elements in the same relative
-    order as a sequential scatter-add, so results are bit-identical.
+    those ids. ``np.add.reduceat`` sums each run in sorted order but does not
+    add its rows strictly one after another, so float sums can differ from a
+    sequential scatter-add (``np.add.at``) in the last bits. Sums of
+    integer-valued floats below 2**53 are exact, and every result repeats
+    bit for bit on one NumPy build.
     """
 
     __slots__ = ("ids", "order", "starts", "unique", "counts")
@@ -294,7 +304,7 @@ def gather_rows(a: Tensor, ids) -> Tensor:
             index.append(_RunIndex(ids))
         return (index[0].sum_into(g, rows),)
 
-    return _emit(a.data[ids], (a,), grad)
+    return _emit("gather_rows", a.data[ids], (a,), grad)
 
 
 def row_sum(a: Tensor) -> Tensor:
@@ -303,7 +313,7 @@ def row_sum(a: Tensor) -> Tensor:
     def grad(g: Array):
         return (np.repeat(g, cols, axis=1),)
 
-    return _emit(a.data.sum(axis=1, keepdims=True), (a,), grad)
+    return _emit("row_sum", a.data.sum(axis=1, keepdims=True), (a,), grad)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -312,7 +322,7 @@ def sum_all(a: Tensor) -> Tensor:
     def grad(g: Array):
         return (np.full(shape, g[0, 0]),)
 
-    return _emit(np.full((1, 1), a.data.sum()), (a,), grad)
+    return _emit("sum_all", np.full((1, 1), a.data.sum()), (a,), grad)
 
 
 def _d_elu(x: Array, out: Array) -> Array:
@@ -327,7 +337,7 @@ def elu(a: Tensor) -> Tensor:
     def grad(g: Array):
         return (g * _d_elu(x, out),)
 
-    return _emit(out, (a,), grad)
+    return _emit("elu", out, (a,), grad)
 
 
 def _d_leaky_relu(x: Array, slope: float) -> Array:
@@ -341,7 +351,7 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     def grad(g: Array):
         return (g * _d_leaky_relu(x, slope),)
 
-    return _emit(out, (a,), grad)
+    return _emit("leaky_relu", out, (a,), grad)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -355,7 +365,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def grad(g: Array):
         return (g * out * (1.0 - out),)
 
-    return _emit(out, (a,), grad)
+    return _emit("sigmoid", out, (a,), grad)
 
 
 def log1p(a: Tensor) -> Tensor:
@@ -366,7 +376,7 @@ def log1p(a: Tensor) -> Tensor:
     def grad(g: Array):
         return (g / (1.0 + x),)
 
-    return _emit(np.log1p(x), (a,), grad)
+    return _emit("log1p", np.log1p(x), (a,), grad)
 
 
 def row_log_softmax(a: Tensor) -> Tensor:
@@ -379,7 +389,7 @@ def row_log_softmax(a: Tensor) -> Tensor:
     def grad(g: Array):
         return (g - softmax * g.sum(axis=1, keepdims=True),)
 
-    return _emit(out, (a,), grad)
+    return _emit("row_log_softmax", out, (a,), grad)
 
 
 def _segment_ids(ids, num_segments: int, count: int) -> Array:
@@ -399,7 +409,7 @@ def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     def grad(g: Array):
         return (g[ids],)
 
-    return _emit(out, (values,), grad)
+    return _emit("segment_sum", out, (values,), grad)
 
 
 def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
@@ -415,7 +425,7 @@ def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     def grad(g: Array):
         return (g[ids] / counts[ids, None],)
 
-    return _emit(out, (values,), grad)
+    return _emit("segment_mean", out, (values,), grad)
 
 
 def segment_softmax(scores: Tensor, segment_ids) -> Tensor:
@@ -441,7 +451,7 @@ def segment_softmax(scores: Tensor, segment_ids) -> Tensor:
             weighted[index.unique] = np.add.reduceat((g * out)[index.order, 0], index.starts)
         return (out * (g - weighted[ids][:, None]),)
 
-    return _emit(out, (scores,), grad)
+    return _emit("segment_softmax", out, (scores,), grad)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,7 @@ def test_criterion_6_desk_scale_learning():
     _report(6, ok, f"blend acc {acc:.4f}, non-increasing windows {noninc:.3f}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_bias_adaptivity():
     base = dict(nodes=200, classes=3, hyperedges=150, homophily=0.9, noise=0.8)
     schedule2 = ScheduleSpec(kind="constant", c=3.0)

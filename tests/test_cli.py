@@ -81,6 +81,20 @@ class TestTrainCommand:
         cfg = tiny_config(tmp_path, dataset={"synthetic": {"nodes": 24, "n_edges": 14}})
         assert cli.main(["train", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "section,value,key",
+        [
+            ("model", {"layers": "two", "hidden": 6}, "model.layers"),
+            ("mwn", {"hidden": "x"}, "mwn.hidden"),
+            ("train", {"steps": None}, "train.steps"),
+        ],
+        ids=["layers-not-a-number", "mwn-hidden-not-a-number", "steps-null"],
+    )
+    def test_unconvertible_value_exits_2(self, tmp_path, capsys, section, value, key):
+        cfg = tiny_config(tmp_path, **{section: value})
+        assert cli.main(["train", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_numeric_blowup_exits_4(self, tmp_path):
         cfg = tiny_config(

@@ -176,6 +176,16 @@ class TestSynthetic:
             generate_synthetic(SyntheticSpec(nodes=10, classes=4, dim=2), seed=0)
 
 
+def test_loaded_and_generated_features_reject_in_place_writes(tmp_path):
+    loaded = load_dataset(write_toy_dataset(tmp_path / "toy"))
+    generated = generate_synthetic(SyntheticSpec(nodes=20, hyperedges=8), seed=0)
+    for ds in (loaded, generated):
+        with pytest.raises(ValueError, match="read-only"):
+            ds.features[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.features *= 2.0
+
+
 def test_validation_catches_split_overlap_in_constructed_dataset():
     g = Hypergraph(4, [[0, 1], [2, 3]])
     with pytest.raises(DataError):

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from hgmeta import model
+from hgmeta import tensor as T
 from hgmeta.hypergraph import Hypergraph
 from hgmeta.model import (
     HGNNParams,
@@ -198,6 +203,70 @@ class TestForward:
             base = forward(toy, X, params, branch, range(7))
             moved = forward(remapped, X_perm, params, branch, perm)
             np.testing.assert_allclose(moved, base, rtol=1e-12)
+
+
+class TestInputMeansCache:
+    """Layer-0 hyperedge means of read-only features are computed once per pair."""
+
+    @staticmethod
+    def _instance(seed=21):
+        rng = np.random.default_rng(seed)
+        g = random_hypergraph(rng, max_nodes=30, allow_isolated=False)
+        X = rng.normal(size=(g.num_nodes, 5))
+        X.setflags(write=False)
+        return g, X, random_params([5, 4, 3], seed=seed)
+
+    @pytest.mark.parametrize("branch", ["ss", "fs"])
+    def test_read_only_features_reuse_their_means_with_the_same_bits(self, branch):
+        g, X, params = self._instance()
+        ids = range(g.num_nodes)
+        first = forward(g, X, params, branch, ids)
+        means = model._input_means_slot[0][2]
+        second = forward(g, X, params, branch, ids)
+        assert model._input_means_slot[0][2] is means
+        assert not means.flags.writeable
+        np.testing.assert_array_equal(first, second)
+        writeable = X.copy()
+        np.testing.assert_array_equal(forward(g, writeable, params, branch, ids), first)
+        assert model._input_means_slot[0][1]() is X
+
+    def test_taped_gradients_match_writeable_features_bitwise(self):
+        g, X, params = self._instance(seed=22)
+        onehot = one_hot(np.arange(g.num_nodes) % 3, 3)
+        ids = np.arange(g.num_nodes)
+        results = []
+        for feats in (X, X.copy(), X):
+            tape = Tape()
+            weights, attn = register_params(tape, params)
+            ss, fs = (build_branch_graph(g, feats, onehot, ids, b, tape, weights, attn) for b in ("ss", "fs"))
+            results.append(tape.backward(T.add(ss.mean_loss, fs.mean_loss)))
+        for grads in results[1:]:
+            for name, value in results[0].items():
+                np.testing.assert_array_equal(grads[name], value)
+
+    def test_view_of_writeable_array_is_not_cached(self):
+        g, X, params = self._instance(seed=23)
+        base = X.copy()
+        view = base[:]
+        view.setflags(write=False)
+        forward(g, X, params, "ss", [0])
+        cached = model._input_means_slot[0][2]
+        forward(g, view, params, "ss", [0])
+        assert model._input_means_slot[0][2] is cached
+
+    def test_dropped_features_free_their_means_without_the_cyclic_collector(self):
+        g, X, params = self._instance(seed=24)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            forward(g, X, params, "fs", [0])
+            x_ref, means_ref = weakref.ref(X), weakref.ref(model._input_means_slot[0][2])
+            del X
+            assert x_ref() is None and means_ref() is None
+            assert model._input_means_slot == []
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestCELoss:

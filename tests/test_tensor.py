@@ -128,11 +128,71 @@ class TestPrimitiveValues:
         with pytest.raises(NumericsError):
             T.as_tensor(np.array([[np.inf, 1.0]]))
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_nonfinite_output_names_primitive_and_shape(self):
+        with pytest.raises(NumericsError, match=r"^scale produced non-finite values, shape \(3, 1\)$"):
+            T.scale(T.as_tensor(np.full((3, 1), 1e300)), 1e300)
+
+    def test_run_index_sum_matches_scatter_add(self):
+        # reduceat does not add a run's rows strictly in sequence, so floats
+        # can differ from np.add.at in the last bits; integers stay exact
+        rng = np.random.default_rng(13)
+        ids = rng.integers(0, 300, size=2000)
+        index = T._RunIndex(ids)
+
+        def scatter_add(values):
+            out = np.zeros((300, 64))
+            np.add.at(out, ids, values)
+            return out
+
+        floats = rng.normal(size=(2000, 64))
+        # atol covers sums that cancel to nearly zero
+        np.testing.assert_allclose(index.sum_into(floats, 300), scatter_add(floats), rtol=1e-12, atol=1e-12)
+        integers = rng.integers(-1000, 1000, size=(2000, 64)).astype(np.float64)
+        np.testing.assert_array_equal(index.sum_into(integers, 300), scatter_add(integers))
+
     def test_row_log_softmax_rows_normalize(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(-3, 3, (6, 4))
         out = T.row_log_softmax(T.as_tensor(x))
         np.testing.assert_allclose(np.exp(out.data).sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestUntrackedOperands:
+    """A constant operand gets no gradient computation; the parameters keep their bits."""
+
+    # op, operand shapes, position of the constant operand
+    CASES = {
+        "matmul_left": (T.matmul, [(5, 4), (4, 3)], 0),
+        "matmul_right": (T.matmul, [(5, 4), (4, 3)], 1),
+        "mul": (T.mul, [(5, 3), (5, 3)], 0),
+        "scale_rows_matrix": (T.scale_rows, [(5, 3), (5, 1)], 0),
+        "scale_rows_column": (T.scale_rows, [(5, 3), (5, 1)], 1),
+    }
+
+    @staticmethod
+    def _taped(op, arrays, constant):
+        tape = Tape()
+        operands = [
+            T.as_tensor(arr, tape) if i == constant else tape.param(f"p{i}", arr) for i, arr in enumerate(arrays)
+        ]
+        out = op(*operands)
+        return tape, out, tape.backward(T.sum_all(T.sigmoid(out)))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_parameter_gradient_is_bit_equal_to_fully_tracked_graph(self, case):
+        op, shapes, constant = self.CASES[case]
+        rng = np.random.default_rng(7)
+        arrays = [rng.uniform(-1.0, 1.0, shape) for shape in shapes]
+        tape, out, partial = self._taped(op, arrays, constant)
+        _, _, full = self._taped(op, arrays, None)
+        trained = f"p{1 - constant}"
+        assert list(partial) == [trained]
+        np.testing.assert_array_equal(partial[trained], full[trained])
+        # the op's own record returns None in the constant's slot
+        _, _, grad_fn = next(rec for rec in tape._records if rec[0] == out.idx)
+        op_grads = grad_fn(np.ones(out.shape))
+        assert op_grads[constant] is None and op_grads[1 - constant] is not None
 
 
 def _random_matrix(rng, shape):
