@@ -4,7 +4,7 @@ from .data import Dataset, Splits, SyntheticSpec, generate_synthetic, load_datas
 from .hypergraph import Hypergraph, OverlapVector, overlap_vector, overlapness
 from .model import HGNNParams, ForwardOutput, branch_losses, ce_loss, forward
 from .mwn import MWNParams, mwn_forward, mwn_grad
-from .partition import Partition, assign_level, kmeans_1d
+from .partition import Partition, assign_level, assign_levels, kmeans_1d
 from .tensor import Tape, Tensor, finite_diff_check
 from .trainer import ScheduleSpec, TrainSettings, TrainState, evaluate, lr, predict, train
 
@@ -26,6 +26,7 @@ __all__ = [
     "TrainSettings",
     "TrainState",
     "assign_level",
+    "assign_levels",
     "branch_losses",
     "ce_loss",
     "evaluate",

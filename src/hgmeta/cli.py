@@ -20,7 +20,7 @@ from .data import Dataset, generate_synthetic, load_dataset, save_dataset
 from .errors import ConfigError, DataError, HgmetaError, TrainingError
 from .model import branch_losses
 from .mwn import OUTPUT_MODES
-from .partition import assign_level, kmeans_1d
+from .partition import assign_levels, kmeans_1d
 from .trainer import predict, train
 from .verify import HGNN_TOLERANCE, META_TOLERANCE, hgnn_gradient_check, meta_gradient_check
 
@@ -106,10 +106,7 @@ def cmd_analyze_overlap(args) -> int:
         centroids = part.centroids
     else:
         centroids = np.array([1.0])
-    levels = [
-        assign_level(float(vec.values[v]) if vec.valid[v] else None, centroids)
-        for v in range(g.num_nodes)
-    ]
+    levels = assign_levels(vec.values, centroids)
     print("node_id p level")
     for v in range(g.num_nodes):
         p_str = f"{vec.values[v]:.6f}" if vec.valid[v] else "undefined"

@@ -89,10 +89,6 @@ class Hypergraph:
         self._check_node(v)
         return self._degrees[v]
 
-    def hyperedge_size(self, e: int) -> int:
-        self._check_edge(e)
-        return len(self._edge_to_nodes[e])
-
     def hyperedge_avg_degree(self, e: int) -> float:
         """Mean node degree over the members of hyperedge e.
 
@@ -145,7 +141,10 @@ class Hypergraph:
         Returns a dict with node-major pair arrays (``pair_nodes``,
         ``pair_edges``: every incidence sorted by node then edge), edge-major
         member arrays (``member_edges``, ``member_nodes``), and per-node /
-        per-edge degree arrays. All arrays are read-only.
+        per-edge degree arrays. All arrays are read-only over immutable
+        ``bytes``, so NumPy cannot make them writeable again: the tape's
+        gather and segment primitives index each of them once and rely on
+        that.
         """
         if self._arrays is None:
             pair_nodes, pair_edges = [], []
@@ -156,17 +155,14 @@ class Hypergraph:
             for e, vs in enumerate(self._edge_to_nodes):
                 member_edges.extend([e] * len(vs))
                 member_nodes.extend(vs)
-            arrays = {
-                "pair_nodes": np.asarray(pair_nodes, dtype=np.int64),
-                "pair_edges": np.asarray(pair_edges, dtype=np.int64),
-                "member_edges": np.asarray(member_edges, dtype=np.int64),
-                "member_nodes": np.asarray(member_nodes, dtype=np.int64),
-                "node_degrees": np.asarray(self._degrees, dtype=np.int64),
-                "edge_sizes": np.asarray([len(m) for m in self._edge_to_nodes], dtype=np.int64),
+            self._arrays = {
+                "pair_nodes": _frozen_ints(pair_nodes),
+                "pair_edges": _frozen_ints(pair_edges),
+                "member_edges": _frozen_ints(member_edges),
+                "member_nodes": _frozen_ints(member_nodes),
+                "node_degrees": _frozen_ints(self._degrees),
+                "edge_sizes": _frozen_ints([len(m) for m in self._edge_to_nodes]),
             }
-            for a in arrays.values():
-                a.setflags(write=False)
-            self._arrays = arrays
         return self._arrays
 
     def __eq__(self, other) -> bool:
@@ -195,3 +191,8 @@ def overlapness(g: Hypergraph, v: int) -> float | None:
 
 def overlap_vector(g: Hypergraph, nodes: Sequence[int]) -> OverlapVector:
     return g.overlap_vector(nodes)
+
+
+def _frozen_ints(values) -> np.ndarray:
+    """A read-only int64 array over an immutable ``bytes`` copy of ``values``."""
+    return np.frombuffer(np.asarray(values, dtype=np.int64).tobytes(), dtype=np.int64)

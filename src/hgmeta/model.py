@@ -178,7 +178,7 @@ def node_update(g: Hypergraph, node_feats: Array, edge_feats: Array, coeffs: Arr
 
 
 def _aggregate_t(g: Hypergraph, h: Tensor) -> Tensor:
-    if h.idx is None and _read_only(h.data):
+    if h.idx is None and T.read_only(h.data):
         return Tensor(_input_edge_means(g, h.data), h.tape, None)
     return _edge_means_t(g, h)
 
@@ -187,15 +187,6 @@ def _edge_means_t(g: Hypergraph, h: Tensor) -> Tensor:
     arrays = g.incidence_arrays()
     gathered = T.gather_rows(h, arrays["member_nodes"])
     return T.segment_mean(gathered, arrays["member_edges"], g.num_hyperedges)
-
-
-def _read_only(a: Array) -> bool:
-    """True when neither ``a`` nor any array it is a view of can be written."""
-    while a is not None:
-        if not isinstance(a, np.ndarray) or a.flags.writeable:
-            return False
-        a = a.base
-    return True
 
 
 # (graph, weakref to the features, their read-only hyperedge means) of the last call
@@ -212,7 +203,8 @@ def _input_edge_means(g: Hypergraph, x: Array) -> Array:
         graph, ref, means = _input_means_slot[0]
         if graph is g and ref() is x:
             return means
-    means = _edge_means_t(g, Tensor(x)).data
+    arrays = g.incidence_arrays()
+    means = T.gathered_segment_mean(x, arrays["member_nodes"], arrays["member_edges"], g.num_hyperedges)
     means.setflags(write=False)
 
     def forget(dead: weakref.ref) -> None:

@@ -138,9 +138,20 @@ def kmeans_1d(values, k: int, max_iter: int = 100, tol: float = 1e-9, seed: int 
 
 def assign_level(p: float | None, centroids) -> int:
     """Index of the nearest centroid; ties to the lower index; None maps to 0."""
+    return int(assign_levels([np.nan if p is None else p], centroids)[0])
+
+
+def assign_levels(values, centroids) -> np.ndarray:
+    """``assign_level`` of every entry of ``values`` in one call.
+
+    NaN marks a node without hyperedges, as in ``OverlapVector.values``, and
+    maps to level 0.
+    """
     centroids = np.asarray(centroids, dtype=np.float64)
     if centroids.ndim != 1 or centroids.size == 0:
         raise ContractError("assign_level needs a nonempty centroid array")
-    if p is None or (isinstance(p, float) and np.isnan(p)):
-        return 0
-    return int(np.abs(float(p) - centroids).argmin())
+    values = np.asarray(values, dtype=np.float64)
+    # argmin returns the first minimum, which implements ties-to-lower-index
+    levels = np.abs(values[:, None] - centroids[None, :]).argmin(axis=1)
+    levels[np.isnan(values)] = 0
+    return levels

@@ -13,10 +13,18 @@ The only implicit broadcast allowed anywhere is a (1, n) row added to an
 All public operations police their outputs for NaN/Inf and raise
 NumericsError, naming the operation and its output shape, instead of letting
 non-finite values propagate.
+
+Grouped sums (the backward of ``gather_rows``, ``segment_sum``,
+``segment_mean`` and both sums of ``segment_softmax``) associate exactly as
+``np.add.reduceat`` over the stably sorted rows does: each group's first row
+plus NumPy's pairwise sum of the rest (see ``_RunIndex``). They are computed
+with plain vectorized adds instead, and the run index of a frozen id array
+(such as a graph's incidence arrays, see ``frozen``) is built once.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -257,54 +265,197 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 class _RunIndex:
-    """Sorted-run view of an integer id array for fast grouped reductions.
+    """Grouped sums over the runs of equal ids, with ``np.add.reduceat``'s bits.
 
-    ``order`` is a stable argsort of the ids; ``starts`` marks the first
-    position of each distinct id in the sorted view and ``unique`` holds
-    those ids. ``np.add.reduceat`` sums each run in sorted order but does not
-    add its rows strictly one after another, so float sums can differ from a
-    sequential scatter-add (``np.add.at``) in the last bits. Sums of
-    integer-valued floats below 2**53 are exact, and every result repeats
-    bit for bit on one NumPy build.
+    The rows that share an id form a run, kept in their original order. For
+    a run r0, ..., r_{n-1}, ``np.add.reduceat`` over the stably sorted rows
+    returns ``r0 + P(r1, ..., r_{n-1})``, each column on its own, where P is
+    NumPy's pairwise sum of m rows:
+
+    * below 8 rows, they are added in sequence, starting from -0.0;
+    * from 8 to 128 rows, 8 accumulators take rows i, i + 8, i + 16, ... of
+      the whole blocks of 8, are combined as
+      ``((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))``, and the rows
+      after the last whole block are added in sequence;
+    * above 128 rows, P splits at m // 2 rounded down to a multiple of 8 and
+      adds the pairwise sums of the two parts.
+
+    The index cuts the rest r1, ..., r_{n-1} of every run into the leaves of
+    that tree, parts of at most 128 rows (a run of one row has one empty
+    leaf), and evaluates the leaves of all runs together. Leaves are kept in
+    two orders, so that those taking part in a step are always a prefix:
+    most whole blocks first for the accumulators, longest tail first for the
+    in-sequence adds. The splits are then added level by level, deepest
+    first, and each run's first row last. A reduction thus makes a bounded
+    number of ufunc calls on (leaves, d) slices, whatever the run lengths:
+    at most 16 block steps, 7 combining adds, 7 tail steps and one step per
+    tree level. Sums equal reduceat's byte for byte (checked against NumPy
+    2.4), and a max is exact in any order. The tree is spelled out here, so
+    the sums do not depend on how a NumPy build implements reduceat.
     """
 
-    __slots__ = ("ids", "order", "starts", "unique", "counts")
+    __slots__ = ("unique", "counts", "_blocks", "_combined", "_tails", "_levels", "_size", "_heads", "_roots", "_rows")
 
     def __init__(self, ids: Array):
-        self.ids = ids
-        self.order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[self.order]
-        if ids.size:
-            self.starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
-            self.unique = sorted_ids[self.starts]
-            self.counts = np.diff(np.r_[self.starts, ids.size])
-        else:
-            self.starts = np.zeros(0, dtype=np.int64)
-            self.unique = np.zeros(0, dtype=np.int64)
-            self.counts = np.zeros(0, dtype=np.int64)
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]]) if ids.size else order[:0]
+        self.unique = sorted_ids[starts]
+        self.counts = np.diff(np.r_[starts, ids.size])
+        runs = starts.size
+        # cut each run's rest into leaves; tree nodes are numbered as made, the runs' roots first
+        base, length, node = starts + 1, self.counts - 1, np.arange(runs)
+        leaves, splits, made = [], [], runs
+        while True:
+            big = length > 128
+            leaves.append((base[~big], length[~big], node[~big]))
+            if not big.any():
+                break
+            base, length, parent = base[big], length[big], node[big]
+            half = length // 2 - length // 2 % 8
+            left = np.arange(made, made + parent.size)
+            right = left + parent.size
+            made += 2 * parent.size
+            splits.append((parent, left, right))
+            base, length, node = np.r_[base, base + half], np.r_[half, length - half], np.r_[left, right]
+        leaf_base, leaf_len, leaf_node = (np.concatenate(part) for part in zip(*leaves))
+        blocks, tails = leaf_len // 8, leaf_len % 8
 
-    def sum_into(self, values: Array, num_rows: int) -> Array:
-        out = np.zeros((num_rows, values.shape[1]))
-        if self.ids.size:
-            out[self.unique] = np.add.reduceat(values[self.order], self.starts, axis=0)
+        # row of each node in the sums: the leaves longest tail first, then the splits
+        by_tail = np.argsort(-tails.astype(np.int8), kind="stable")
+        slot = np.empty(made, dtype=np.int64)
+        slot[leaf_node[by_tail]] = np.arange(leaf_node.size)
+        slot[np.concatenate([order[:0]] + [parent for parent, _, _ in splits])] = np.arange(leaf_node.size, made)
+        self._size = made
+
+        by_blocks = np.argsort(-blocks.astype(np.int8), kind="stable")
+        first, blocks = leaf_base[by_blocks], blocks[by_blocks]
+        within = np.arange(8)
+        self._blocks = [
+            order[first[: np.count_nonzero(blocks > i), None] + 8 * i + within] for i in range(blocks.max(initial=0))
+        ]
+        self._combined = slot[leaf_node[by_blocks[: np.count_nonzero(blocks)]]]
+        first, tails = (leaf_base + leaf_len - tails)[by_tail], tails[by_tail]
+        self._tails = [order[first[: np.count_nonzero(tails > j)] + j] for j in range(tails.max(initial=0))]
+        self._levels = [(slot[parent], slot[left], slot[right]) for parent, left, right in reversed(splits)]
+
+        run_at = np.full(made, -1)
+        run_at[slot[:runs]] = np.arange(runs)
+        by_root = run_at[run_at >= 0]
+        self._heads, self._rows = order[starts[by_root]], self.unique[by_root]
+        # without splits every leaf is a root, and the ascending roots are 0 .. runs - 1
+        self._roots = slot[by_root] if splits else slice(0, runs)
+
+    def sum_into(self, values: Array, num_rows: int, take: Array | None = None) -> Array:
+        """Per-id sums of ``values`` rows (of ``values[take]`` rows when given) in a (num_rows, d) array."""
+        return self._reduce(np.add, -0.0, np.zeros((num_rows, values.shape[1])), values, take)
+
+    def max_into(self, values: Array, num_rows: int) -> Array:
+        """Per-id maxima of ``values`` rows; ids without rows read -inf."""
+        return self._reduce(np.maximum, -np.inf, np.full((num_rows, values.shape[1]), -np.inf), values, None)
+
+    def _reduce(self, op, neutral: float, out: Array, values: Array, take: Array | None) -> Array:
+        def rows(positions: Array) -> Array:
+            return values[positions if take is None else take[positions]]
+
+        sums = np.full((self._size, values.shape[1]), neutral)
+        if self._blocks:
+            acc = rows(self._blocks[0])  # (leaves, 8, d): the 8 accumulators of each leaf
+            for positions in self._blocks[1:]:
+                _accumulate(op, acc, rows(positions))
+            a = [acc[:, k] for k in range(8)]
+            sums[self._combined] = op(op(op(a[0], a[1]), op(a[2], a[3])), op(op(a[4], a[5]), op(a[6], a[7])))
+        for positions in self._tails:
+            _accumulate(op, sums, rows(positions))
+        for parents, left, right in self._levels:
+            sums[parents] = op(sums[left], sums[right])
+        head = rows(self._heads)
+        op(head, sums[self._roots], out=head)
+        out[self._rows] = head
         return out
 
 
+def _accumulate(op, acc: Array, x: Array) -> None:
+    part = acc[: x.shape[0]]
+    op(part, x, out=part)
+
+
+def read_only(a: Array) -> bool:
+    """True when neither ``a`` nor any array it is a view of can be written."""
+    while a is not None:
+        if not isinstance(a, np.ndarray) or a.flags.writeable:
+            return False
+        a = a.base
+    return True
+
+
+def frozen(a: Array) -> bool:
+    """True when ``a`` is read-only over memory that no NumPy call can make writeable.
+
+    That is a read-only array, or a view of one, over an immutable buffer
+    such as ``bytes``: ``setflags(write=True)`` raises on it. A read-only
+    array that owns its memory, or views a writeable one, can be made
+    writeable again and is not frozen.
+    """
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    try:
+        return memoryview(a).readonly
+    except TypeError:
+        return False
+
+
+# id(ids) -> (weakref to the frozen ids, their run index)
+_run_indexes: dict[int, tuple[weakref.ref, _RunIndex]] = {}
+
+
+def _run_index(ids: Array) -> _RunIndex:
+    """The run index of ``ids``, built once per frozen array (see ``frozen``).
+
+    A frozen array cannot change, so its index is kept for as long as the
+    array lives and no longer: the cache holds the array only weakly, and
+    the index does not refer to it. A graph's incidence arrays are frozen.
+    Any other array gets a fresh index.
+    """
+    if not frozen(ids):
+        return _RunIndex(ids)
+    key = id(ids)
+    hit = _run_indexes.get(key)
+    if hit is not None and hit[0]() is ids:
+        return hit[1]
+
+    def forget(dead: weakref.ref) -> None:
+        entry = _run_indexes.get(key)
+        if entry is not None and entry[0] is dead:
+            del _run_indexes[key]
+
+    index = _RunIndex(ids)
+    _run_indexes[key] = (weakref.ref(ids, forget), index)
+    return index
+
+
 def gather_rows(a: Tensor, ids) -> Tensor:
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ContractError("gather_rows ids must be 1-D")
-    if ids.size and (ids.min() < 0 or ids.max() >= a.shape[0]):
-        raise ContractError("gather_rows ids out of range")
+    ids = _row_ids(ids, a.shape[0])
     rows = a.shape[0]
-    index: list[_RunIndex] = []  # built lazily, only if a backward pass runs
+    index: list[_RunIndex] = []  # looked up lazily, only if a backward pass runs
 
     def grad(g: Array):
         if not index:
-            index.append(_RunIndex(ids))
+            index.append(_run_index(ids))
         return (index[0].sum_into(g, rows),)
 
     return _emit("gather_rows", a.data[ids], (a,), grad)
+
+
+def _row_ids(ids, num_rows: int) -> Array:
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 1:
+        raise ContractError("gather_rows ids must be 1-D")
+    if ids.size and (ids.min() < 0 or ids.max() >= num_rows):
+        raise ContractError("gather_rows ids out of range")
+    return ids
 
 
 def row_sum(a: Tensor) -> Tensor:
@@ -403,8 +554,7 @@ def _segment_ids(ids, num_segments: int, count: int) -> Array:
 
 def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     ids = _segment_ids(segment_ids, num_segments, values.shape[0])
-    index = _RunIndex(ids)
-    out = index.sum_into(values.data, num_segments)
+    out = _run_index(ids).sum_into(values.data, num_segments)
 
     def grad(g: Array):
         return (g[ids],)
@@ -412,13 +562,18 @@ def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     return _emit("segment_sum", out, (values,), grad)
 
 
-def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
-    ids = _segment_ids(segment_ids, num_segments, values.shape[0])
-    index = _RunIndex(ids)
+def _segment_counts(index: _RunIndex, num_segments: int) -> Array:
     if index.unique.size != num_segments:
         raise ContractError("segment_mean encountered an empty segment")
     counts = np.zeros(num_segments)
     counts[index.unique] = index.counts
+    return counts
+
+
+def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
+    ids = _segment_ids(segment_ids, num_segments, values.shape[0])
+    index = _run_index(ids)
+    counts = _segment_counts(index, num_segments)
     out = index.sum_into(values.data, num_segments)
     out /= counts[:, None]
 
@@ -428,28 +583,46 @@ def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     return _emit("segment_mean", out, (values,), grad)
 
 
+# column block of gathered_segment_mean, the width of a typical hidden layer
+_MEAN_BLOCK = 64
+
+
+def gathered_segment_mean(values: Array, rows, segment_ids, num_segments: int) -> Array:
+    """Untaped ``segment_mean(gather_rows(values, rows), ...)`` with its bits.
+
+    The sums read ``values[rows]`` rank by rank, so the gathered rows are
+    never held as a whole. Columns are summed independently, so blocks of
+    ``_MEAN_BLOCK`` columns give the same bits while keeping every temporary
+    small: on wide inputs, freeing a temporary as large as the result lets
+    glibc raise its mmap threshold to that size, and later per-step arrays
+    below it then stay on the heap and raise the peak RSS of the run.
+    """
+    rows = _row_ids(rows, values.shape[0])
+    ids = _segment_ids(segment_ids, num_segments, rows.size)
+    index = _run_index(ids)
+    counts = _segment_counts(index, num_segments)[:, None]
+    out = np.empty((num_segments, values.shape[1]))
+    for lo in range(0, values.shape[1], _MEAN_BLOCK):
+        block = slice(lo, lo + _MEAN_BLOCK)
+        out[:, block] = index.sum_into(values[:, block], num_segments, rows) / counts
+    return _finite("segment_mean", out)
+
+
 def segment_softmax(scores: Tensor, segment_ids) -> Tensor:
     """Softmax of (k, 1) scores within groups given by segment_ids."""
     if scores.shape[1] != 1:
         raise ContractError("segment_softmax expects a (k, 1) column of scores")
-    num_segments = int(np.max(segment_ids)) + 1 if len(np.asarray(segment_ids)) else 0
-    ids = _segment_ids(segment_ids, max(num_segments, 1), scores.shape[0])
-    index = _RunIndex(ids)
-    x = scores.data[:, 0]
-    seg_max = np.full(max(num_segments, 1), -np.inf)
-    if ids.size:
-        seg_max[index.unique] = np.maximum.reduceat(x[index.order], index.starts)
-    e = np.exp(x - seg_max[ids])
-    denom = np.ones(max(num_segments, 1))
-    if ids.size:
-        denom[index.unique] = np.add.reduceat(e[index.order], index.starts)
-    out = (e / denom[ids])[:, None]
+    num_segments = max(int(np.max(segment_ids)) + 1 if len(np.asarray(segment_ids)) else 0, 1)
+    ids = _segment_ids(segment_ids, num_segments, scores.shape[0])
+    index = _run_index(ids)
+    x = scores.data
+    e = np.exp(x - index.max_into(x, num_segments)[ids])
+    denom = index.sum_into(e, num_segments)
+    out = e / denom[ids]
 
     def grad(g: Array):
-        weighted = np.zeros(max(num_segments, 1))
-        if ids.size:
-            weighted[index.unique] = np.add.reduceat((g * out)[index.order, 0], index.starts)
-        return (out * (g - weighted[ids][:, None]),)
+        weighted = index.sum_into(g * out, num_segments)
+        return (out * (g - weighted[ids]),)
 
     return _emit("segment_softmax", out, (scores,), grad)
 

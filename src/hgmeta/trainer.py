@@ -42,7 +42,7 @@ from .model import (
     register_params,
 )
 from .mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
-from .partition import Partition, assign_level, kmeans_1d
+from .partition import Partition, assign_levels, kmeans_1d
 from .rng import stream
 from .tensor import Array, Tape
 
@@ -366,14 +366,7 @@ def fit_overlap_partition(g: Hypergraph, train_ids: Sequence[int], k: int) -> tu
         partition = Partition(
             centroids=np.array([1.0]), labels=np.zeros(0, dtype=np.int64), k=1, requested_k=k, n_iter=0
         )
-    tasks = np.array(
-        [
-            assign_level(float(vec.values[i]) if vec.valid[i] else None, partition.centroids)
-            for i in range(train_ids.size)
-        ],
-        dtype=np.int64,
-    )
-    return partition, tasks
+    return partition, assign_levels(vec.values, partition.centroids)
 
 
 def _mean_alpha_per_task(alpha: Array, tasks: Array, k: int) -> list[float]:
@@ -518,10 +511,7 @@ def predict(state: TrainState, dataset, ids, mode: str = "blend") -> tuple[Array
         p_ss = _softmax_rows(forward(g, X, state.hgnn, "ss", ids))
         p_fs = _softmax_rows(forward(g, X, state.hgnn, "fs", ids))
         alpha_bar = final_alpha_per_task(state)
-        levels = np.array(
-            [assign_level(g.overlapness(int(v)), state.partition.centroids) for v in ids],
-            dtype=np.int64,
-        )
+        levels = assign_levels(g.overlap_vector(ids).values, state.partition.centroids)
         weights = alpha_bar[levels][:, None]
         scores = weights * p_ss + (1.0 - weights) * p_fs
     return scores.argmax(axis=1), scores

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hgmeta.errors import ContractError
-from hgmeta.partition import Partition, assign_level, kmeans_1d
+from hgmeta.data import SyntheticSpec, generate_synthetic
+from hgmeta.partition import Partition, assign_level, assign_levels, kmeans_1d
 
 
 def brute_force_two_means(values: np.ndarray) -> float:
@@ -102,3 +103,42 @@ class TestAssignLevel:
     def test_rejects_empty_centroids(self):
         with pytest.raises(ContractError):
             assign_level(1.0, [])
+
+
+def _loop_level(p, centroids) -> int:
+    """The per-node level rule that predict and fit_overlap_partition applied one node at a time."""
+    if p is None:
+        return 0
+    return int(np.abs(float(p) - np.asarray(centroids, dtype=np.float64)).argmin())
+
+
+# the criterion-6 desk graph and the Cora-CA-shaped benchmark graph (the
+# feature width does not change the generated hyperedges)
+LEVEL_GRAPHS = {
+    "desk": SyntheticSpec(),
+    "coraca": SyntheticSpec(nodes=2708, hyperedges=1072, dim=7, classes=7),
+}
+
+
+class TestAssignLevels:
+    @pytest.mark.parametrize("name", sorted(LEVEL_GRAPHS))
+    def test_equals_per_node_loop_on_every_node(self, name):
+        g = generate_synthetic(LEVEL_GRAPHS[name], 0).graph
+        nodes = range(g.num_nodes)
+        vec = g.overlap_vector(nodes)
+        valid = vec.values[vec.valid]
+        # fitted levels, plus centroid pairs midway around common overlap values
+        centroid_sets = [kmeans_1d(valid, k).centroids for k in (1, 2, 3, 5)]
+        centroid_sets += [np.array([0.5, 1.5]), np.array([1.0, 2.0, 3.0]), np.array([1.25, 1.75])]
+        ties = 0
+        for centroids in centroid_sets:
+            loop = [_loop_level(g.overlapness(v), centroids) for v in nodes]
+            np.testing.assert_array_equal(assign_levels(vec.values, centroids), loop)
+            dist = np.sort(np.abs(valid[:, None] - centroids[None, :]), axis=1)
+            ties += int((dist[:, 0] == dist[:, 1:2].min(axis=1, initial=np.inf)).sum())
+        assert ties > 0
+        if name == "coraca":
+            assert not vec.valid.all()
+
+    def test_empty_values_give_no_levels(self):
+        assert assign_levels(np.zeros(0), [1.0, 2.0]).shape == (0,)

@@ -8,6 +8,7 @@ import pytest
 
 from hgmeta import tensor as T
 from hgmeta.errors import ContractError, NumericsError, OracleError
+from hgmeta.hypergraph import Hypergraph
 from hgmeta.tensor import Tape, finite_diff_check
 
 
@@ -156,6 +157,225 @@ class TestPrimitiveValues:
         x = rng.uniform(-3, 3, (6, 4))
         out = T.row_log_softmax(T.as_tensor(x))
         np.testing.assert_allclose(np.exp(out.data).sum(axis=1), 1.0, atol=1e-12)
+
+
+def _reduceat_sum(ids, values, num_rows):
+    """Per-id sums of ``values`` rows by ``np.add.reduceat`` over the stably sorted rows."""
+    out = np.zeros((num_rows,) + values.shape[1:])
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    if ids.size:
+        starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+        out[sorted_ids[starts]] = np.add.reduceat(values[order], starts, axis=0)
+    return out
+
+
+def _signed_zero_values(rng, k, d):
+    """Values of mixed magnitude with many +0.0 and -0.0 entries."""
+    values = rng.normal(size=(k, d)) * 10.0 ** rng.integers(-4, 5, size=(k, 1))
+    zeros = rng.random((k, d)) < 0.3
+    values[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    return values
+
+
+def _random_runs(rng):
+    """Ids in random order: many short runs, a few runs of up to ~3000 rows, or both mixed."""
+    kind = rng.random()
+    if kind < 0.4:
+        num_rows = int(rng.integers(1, 80))
+        return rng.integers(0, num_rows, size=int(rng.integers(0, 600))), num_rows
+    if kind < 0.7:
+        lengths = rng.integers(1, 3000, size=int(rng.integers(1, 5)))
+    else:
+        short = rng.integers(1, 40, size=int(rng.integers(1, 60)))
+        lengths = rng.permutation(np.r_[short, rng.integers(100, 1500, size=int(rng.integers(1, 6)))])
+    num_rows = lengths.size + 2
+    ids = rng.permutation(np.repeat(rng.permutation(num_rows)[: lengths.size], lengths))
+    return ids, num_rows
+
+
+class TestGroupedSums:
+    """The run index and the primitives built on it give np.add.reduceat's bytes."""
+
+    def test_run_index_sum_equals_reduceat_bytes(self):
+        rng = np.random.default_rng(31)
+        longest = 0
+        for _ in range(60):
+            ids, num_rows = _random_runs(rng)
+            longest = max(longest, np.bincount(ids).max(initial=0))
+            for d in (1, 5):
+                values = _signed_zero_values(rng, ids.size, d)
+                got = T._RunIndex(ids).sum_into(values, num_rows)
+                assert got.tobytes() == _reduceat_sum(ids, values, num_rows).tobytes()
+        assert longest > 1024
+
+    def test_run_index_sum_over_taken_rows_equals_gathered(self):
+        rng = np.random.default_rng(32)
+        values = _signed_zero_values(rng, 50, 4)
+        rows = rng.integers(0, 50, size=700)
+        ids = rng.integers(0, 9, size=700)
+        got = T._RunIndex(ids).sum_into(values, 9, take=rows)
+        assert got.tobytes() == _reduceat_sum(ids, values[rows], 9).tobytes()
+
+    def test_run_index_max_equals_reduceat(self):
+        rng = np.random.default_rng(33)
+        ids, num_rows = _random_runs(rng)
+        values = _signed_zero_values(rng, ids.size, 3)
+        got = T._RunIndex(ids).max_into(values, num_rows)
+        present = np.bincount(ids, minlength=num_rows) > 0
+        order = np.argsort(ids, kind="stable")
+        starts = np.flatnonzero(np.r_[True, ids[order][1:] != ids[order][:-1]])
+        np.testing.assert_array_equal(got[present], np.maximum.reduceat(values[order], starts, axis=0))
+        assert np.all(got[~present] == -np.inf)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_primitives_match_reduceat_reference(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        ids, num_rows = _random_runs(rng)
+        ids = np.r_[ids, np.arange(num_rows)]  # no empty segment, for segment_mean
+        k = ids.size
+        values = _signed_zero_values(rng, k, 3)
+        counts = np.bincount(ids, minlength=num_rows).astype(np.float64)
+
+        tape = Tape()
+        table = tape.param("table", _signed_zero_values(rng, num_rows, 3))
+        seed_rows = _signed_zero_values(rng, k, 3)
+        grad = tape.backward(T.gather_rows(table, ids), seed=seed_rows)["table"]
+        assert grad.tobytes() == _reduceat_sum(ids, seed_rows, num_rows).tobytes()
+
+        summed = T.segment_sum(T.as_tensor(values), ids, num_rows).data
+        assert summed.tobytes() == _reduceat_sum(ids, values, num_rows).tobytes()
+        mean = T.segment_mean(T.as_tensor(values), ids, num_rows).data
+        assert mean.tobytes() == (_reduceat_sum(ids, values, num_rows) / counts[:, None]).tobytes()
+
+        scores = rng.normal(size=(k, 1)) * 3.0
+        upstream = _signed_zero_values(rng, k, 1)
+        tape = Tape()
+        s = tape.param("s", scores)
+        soft = T.segment_softmax(s, ids)
+        d_scores = tape.backward(soft, seed=upstream)["s"]
+        ref_out, ref_grad = self._reduceat_softmax(scores[:, 0], ids, upstream)
+        assert soft.data.tobytes() == ref_out.tobytes()
+        assert d_scores.tobytes() == ref_grad.tobytes()
+
+    @staticmethod
+    def _reduceat_softmax(x, ids, upstream):
+        num_segments = int(ids.max()) + 1
+        order = np.argsort(ids, kind="stable")
+        starts = np.flatnonzero(np.r_[True, ids[order][1:] != ids[order][:-1]])
+        unique = ids[order][starts]
+        seg_max = np.full(num_segments, -np.inf)
+        seg_max[unique] = np.maximum.reduceat(x[order], starts)
+        e = np.exp(x - seg_max[ids])
+        denom = np.ones(num_segments)
+        denom[unique] = np.add.reduceat(e[order], starts)
+        out = (e / denom[ids])[:, None]
+        weighted = np.zeros(num_segments)
+        weighted[unique] = np.add.reduceat((upstream * out)[order, 0], starts)
+        return out, out * (upstream - weighted[ids][:, None])
+
+    def test_gathered_segment_mean_equals_taped_composition(self):
+        rng = np.random.default_rng(34)
+        values = _signed_zero_values(rng, 30, 150)  # more than one column block
+        rows = rng.integers(0, 30, size=400)
+        ids = np.r_[rng.integers(0, 12, size=388), np.arange(12)]
+        composed = T.segment_mean(T.gather_rows(T.as_tensor(values), rows), ids, 12).data
+        assert T.gathered_segment_mean(values, rows, ids, 12).tobytes() == composed.tobytes()
+
+
+class TestRunIndexCache:
+    """A frozen id array has its run index built once, and held no longer than the array."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        made = []
+
+        class Counting(T._RunIndex):
+            __slots__ = ()
+
+            def __init__(self, ids):
+                made.append(ids)
+                super().__init__(ids)
+
+        monkeypatch.setattr(T, "_RunIndex", Counting)
+        return made
+
+    @staticmethod
+    def _use_every_primitive(ids, num_segments):
+        values = np.random.default_rng(0).normal(size=(ids.size, 2))
+        T.segment_sum(T.as_tensor(values), ids, num_segments)
+        T.segment_mean(T.as_tensor(values), ids, num_segments)
+        T.segment_softmax(T.as_tensor(values[:, :1]), ids)
+        T.gathered_segment_mean(values, np.arange(ids.size), ids, num_segments)
+        tape = Tape()
+        table = tape.param("table", np.ones((num_segments, 2)))
+        tape.backward(T.sum_all(T.gather_rows(table, ids)))
+
+    @staticmethod
+    def _frozen_ids():
+        return np.frombuffer(np.array([2, 0, 1, 2, 0, 1, 1]).tobytes(), dtype=np.int64)
+
+    def test_built_once_per_frozen_array(self, builds):
+        ids = self._frozen_ids()
+        self._use_every_primitive(ids, 3)
+        self._use_every_primitive(ids, 3)
+        assert len(builds) == 1 and builds[0] is ids
+        assert T._run_index(ids) is T._run_index(ids)
+
+    def test_graph_incidence_arrays_are_frozen_and_cannot_be_made_writeable(self, builds):
+        g = Hypergraph(5, [[0, 1, 2], [1, 3], [0, 3, 4]])
+        for name, ids in g.incidence_arrays().items():
+            assert T.frozen(ids), name
+            with pytest.raises(ValueError):
+                ids.setflags(write=True)
+            with pytest.raises(ValueError):
+                ids[1:].setflags(write=True)
+        self._use_every_primitive(g.incidence_arrays()["pair_nodes"], g.num_nodes)
+        assert len(builds) == 1
+
+    def test_arrays_that_could_be_made_writeable_are_not_cached(self, builds):
+        ids = np.array([2, 0, 1, 2, 0, 1, 1])
+        view = ids[:]
+        view.setflags(write=False)
+        owner = ids.copy()
+        owner.setflags(write=False)  # owns its memory, so it can be made writeable again
+        over_bytearray = np.frombuffer(bytearray(ids.tobytes()), dtype=np.int64)
+        over_bytearray.setflags(write=False)
+        for array in (ids, view, owner, over_bytearray):
+            assert not T.frozen(array)
+            before = len(builds)
+            self._use_every_primitive(array, 3)
+            assert len(builds) - before == 5
+            assert id(array) not in T._run_indexes
+
+    def test_owner_made_writeable_again_gives_fresh_sums(self):
+        ids = np.array([0, 0, 1, 1, 1])
+        ids.setflags(write=False)
+        values = np.arange(10.0).reshape(5, 2)
+        before = T.segment_sum(T.as_tensor(values), ids, 2).data
+        ids.setflags(write=True)
+        ids[:] = [1, 1, 0, 0, 0]
+        ids.setflags(write=False)
+        after = T.segment_sum(T.as_tensor(values), ids, 2).data
+        np.testing.assert_array_equal(after, before[::-1])
+
+    def test_dropped_graph_frees_its_indexes_without_the_cyclic_collector(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = Hypergraph(5, [[0, 1, 2], [1, 3], [0, 3, 4]])
+            arrays = g.incidence_arrays()
+            self._use_every_primitive(arrays["pair_nodes"], g.num_nodes)
+            self._use_every_primitive(arrays["member_edges"], g.num_hyperedges)
+            held = [T._run_indexes[id(arrays[key])][1] for key in ("pair_nodes", "member_edges")]
+            refs = [weakref.ref(index.unique) for index in held] + [weakref.ref(arrays["pair_nodes"])]
+            keys = [id(arrays["pair_nodes"]), id(arrays["member_edges"])]
+            del g, arrays, held
+            assert all(ref() is None for ref in refs)
+            assert not any(key in T._run_indexes for key in keys)
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestUntrackedOperands:
