@@ -3,7 +3,7 @@
 from .data import Dataset, Splits, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .hypergraph import Hypergraph, OverlapVector, overlap_vector, overlapness
 from .model import HGNNParams, ForwardOutput, branch_losses, ce_loss, forward
-from .mwn import MWNParams, mwn_forward, mwn_grad
+from .mwn import MWNParams
 from .partition import Partition, assign_level, assign_levels, kmeans_1d
 from .tensor import Tape, Tensor, finite_diff_check
 from .trainer import ScheduleSpec, TrainSettings, TrainState, evaluate, lr, predict, train
@@ -36,8 +36,6 @@ __all__ = [
     "kmeans_1d",
     "load_dataset",
     "lr",
-    "mwn_forward",
-    "mwn_grad",
     "overlap_vector",
     "overlapness",
     "predict",

@@ -131,7 +131,6 @@ def _decode(doc: dict) -> RunArtifact:
         labels=np.asarray(part["labels"], dtype=np.int64),
         k=int(part["k"]),
         requested_k=int(part["requested_k"]),
-        n_iter=0,
     )
     history = [_step_record(rec).to_dict() for rec in doc["history"]]
     if not isinstance(doc["metrics"], dict):

@@ -41,8 +41,9 @@ class Splits:
 class Dataset:
     """Validated hypergraph classification data with disjoint splits.
 
-    ``load_dataset`` and ``generate_synthetic`` return read-only ``features``;
-    copy the array before editing it.
+    ``load_dataset`` and ``generate_synthetic`` return frozen ``features``
+    (read-only over immutable ``bytes``, see ``tensor.frozen``), which the
+    model may cache derived values of; copy the array before editing it.
     """
 
     graph: Hypergraph
@@ -90,8 +91,8 @@ def _validate_dataset(ds: Dataset) -> Dataset:
                 raise DataError("split-unlabeled", f"{split_name} index {v} has no label")
     if not np.all(np.isfinite(ds.features)):
         raise DataError("feature-nonfinite", "features contain NaN/Inf")
-    # the model caches per-graph aggregates of read-only features
-    ds.features.setflags(write=False)
+    # validation only reads: the loaders build frozen features themselves,
+    # and a caller's own array keeps its flags
     return ds
 
 
@@ -102,24 +103,26 @@ def load_dataset(path) -> Dataset:
         if not (root / fname).is_file():
             raise DataError("missing-file", str(root / fname))
 
-    # streamed into one float64 array per row: the whole text and a Python
-    # float per value would peak at several times the size of the features
-    feature_rows: list[np.ndarray] = []
+    # streamed into the float64 bytes of one row at a time: the whole text
+    # and a Python float per value would peak at several times the size of
+    # the features. Joining the rows once gives the frozen features without
+    # a second full-size array.
+    feature_rows: list[bytes] = []
     with (root / "features.csv").open() as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                feature_rows.append(np.array([float(tok) for tok in line.split(",")]))
+                feature_rows.append(np.fromiter(map(float, line.split(",")), dtype=np.float64).tobytes())
             except ValueError as exc:
                 raise DataError("feature-parse", f"features.csv line {lineno}: {exc}") from exc
     if not feature_rows:
         raise DataError("feature-parse", "features.csv is empty")
-    width = feature_rows[0].size
-    if any(row.size != width for row in feature_rows):
+    n, row_bytes = len(feature_rows), len(feature_rows[0])
+    if any(len(row) != row_bytes for row in feature_rows):
         raise DataError("ragged-features", "feature rows have differing lengths")
-    features = np.stack(feature_rows)
-    n = features.shape[0]
+    features = np.frombuffer(b"".join(feature_rows), dtype=np.float64).reshape(n, -1)
+    del feature_rows
 
     edges: list[list[int]] = []
     for lineno, line in enumerate((root / "hyperedges.txt").read_text().splitlines(), 1):
@@ -316,7 +319,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
 
     ds = Dataset(
         graph=Hypergraph(n, edges),
-        features=features,
+        features=np.frombuffer(features.tobytes(), dtype=np.float64).reshape(features.shape),
         labels=labels.astype(np.int64),
         splits=splits,
         num_classes=c,

@@ -15,14 +15,14 @@ Weight matrices are shared between branches; the attention vectors are only
 consumed by the feature branch.
 
 Layer 0 aggregates the raw input features, which do not change between
-steps. When they arrive as an untracked, read-only array (``Dataset.features``
-is one), their hyperedge means are computed once per graph and features
-array and reused by every later forward pass, taped or not.
+steps. When they arrive as an untracked, frozen array (see ``tensor.frozen``;
+``Dataset.features`` is one), their hyperedge means are computed once per
+graph and features array and reused by every later forward pass, taped or
+not. The structural coefficients are likewise computed once per graph.
 """
 
 from __future__ import annotations
 
-import functools
 import weakref
 from dataclasses import dataclass
 from typing import Sequence
@@ -131,23 +131,28 @@ class BranchGraph:
     mean_loss: Tensor
 
 
-@functools.lru_cache(maxsize=1)
 def ss_coefficients(g: Hypergraph) -> Array:
     """Structural coefficients 1/(d_i * d_e) over node-major incidence pairs.
 
     d_e is an integer degree sum over the members of e divided by its size,
     so the values match ``Hypergraph.hyperedge_avg_degree`` bit for bit.
     Every ``ss`` forward pass asks for them, so the read-only result is kept
-    for the last graph: repeated passes over one graph allocate nothing here.
+    for as long as the graph's frozen ``pair_nodes`` array lives (see
+    ``tensor.derived``): repeated passes over one graph allocate nothing here,
+    and a dropped graph is not kept alive.
     """
     arrays = g.incidence_arrays()
-    degrees = arrays["node_degrees"]
-    degree_sums = np.zeros(g.num_hyperedges, dtype=np.int64)
-    np.add.at(degree_sums, arrays["member_edges"], degrees[arrays["member_nodes"]])
-    avg_degrees = degree_sums / arrays["edge_sizes"]
-    out = 1.0 / (degrees[arrays["pair_nodes"]] * avg_degrees[arrays["pair_edges"]])
-    out.setflags(write=False)
-    return out
+
+    def build() -> Array:
+        degrees = arrays["node_degrees"]
+        degree_sums = np.zeros(g.num_hyperedges, dtype=np.int64)
+        np.add.at(degree_sums, arrays["member_edges"], degrees[arrays["member_nodes"]])
+        avg_degrees = degree_sums / arrays["edge_sizes"]
+        out = 1.0 / (degrees[arrays["pair_nodes"]] * avg_degrees[arrays["pair_edges"]])
+        out.setflags(write=False)
+        return out
+
+    return T.derived(arrays["pair_nodes"], "ss_coefficients", build)
 
 
 def aggregate_hyperedges(g: Hypergraph, node_feats: Array) -> Array:
@@ -178,7 +183,7 @@ def node_update(g: Hypergraph, node_feats: Array, edge_feats: Array, coeffs: Arr
 
 
 def _aggregate_t(g: Hypergraph, h: Tensor) -> Tensor:
-    if h.idx is None and T.read_only(h.data):
+    if h.idx is None and T.frozen(h.data):
         return Tensor(_input_edge_means(g, h.data), h.tape, None)
     return _edge_means_t(g, h)
 
@@ -189,29 +194,32 @@ def _edge_means_t(g: Hypergraph, h: Tensor) -> Tensor:
     return T.segment_mean(gathered, arrays["member_edges"], g.num_hyperedges)
 
 
-# (graph, weakref to the features, their read-only hyperedge means) of the last call
-_input_means_slot: list[tuple[Hypergraph, weakref.ref, Array]] = []
+# weakrefs to the graph's frozen member_nodes and to the features, and their
+# read-only hyperedge means, of the last call
+_input_means_slot: list[tuple[weakref.ref, weakref.ref, Array]] = []
 
 
 def _input_edge_means(g: Hypergraph, x: Array) -> Array:
-    """Hyperedge means of read-only input features, kept for the last pair.
+    """Hyperedge means of frozen input features, kept for the last pair.
 
-    The slot holds the features only weakly and empties when they are freed,
-    so dropping a dataset frees its means too.
+    The slot holds the graph (through its frozen ``member_nodes``) and the
+    features only weakly and empties when either is freed, so dropping a
+    dataset, or only its graph, frees the means too.
     """
-    if _input_means_slot:
-        graph, ref, means = _input_means_slot[0]
-        if graph is g and ref() is x:
-            return means
     arrays = g.incidence_arrays()
-    means = T.gathered_segment_mean(x, arrays["member_nodes"], arrays["member_edges"], g.num_hyperedges)
+    members = arrays["member_nodes"]
+    if _input_means_slot:
+        graph_ref, x_ref, means = _input_means_slot[0]
+        if graph_ref() is members and x_ref() is x:
+            return means
+    means = T.gathered_segment_mean(x, members, arrays["member_edges"], g.num_hyperedges)
     means.setflags(write=False)
 
     def forget(dead: weakref.ref) -> None:
-        if _input_means_slot and _input_means_slot[0][1] is dead:
+        if _input_means_slot and any(ref is dead for ref in _input_means_slot[0][:2]):
             _input_means_slot.clear()
 
-    _input_means_slot[:] = [(g, weakref.ref(x, forget), means)]
+    _input_means_slot[:] = [(weakref.ref(members, forget), weakref.ref(x, forget), means)]
     return means
 
 

@@ -178,40 +178,6 @@ def mwn_forward_batch(l1, l2, tasks, params: MWNParams) -> tuple[Array, Array]:
     return alpha.data[:, 0].copy(), beta.data[:, 0].copy()
 
 
-def mwn_forward(l1: float, l2: float, task: int, params: MWNParams) -> tuple[float, float]:
-    """Blend weights for a single sample."""
-    alpha, beta = mwn_forward_batch([l1], [l2], [task], params)
-    return float(alpha[0]), float(beta[0])
-
-
-@dataclass
-class MWNGrad:
-    """Gradients of one sample's alpha (and beta) w.r.t. parameters and inputs."""
-
-    d_alpha: dict[str, Array]
-    d_beta: dict[str, Array]
-    d_alpha_inputs: Array  # (2,) gradient w.r.t. (l1, l2)
-    d_beta_inputs: Array
-
-
-def mwn_grad(l1: float, l2: float, task: int, params: MWNParams) -> MWNGrad:
-    """Exact tape gradients for one sample, both w.r.t. Theta and (l1, l2)."""
-    if not (np.isfinite(l1) and np.isfinite(l2)) or l1 < 0 or l2 < 0:
-        raise ContractError("losses must be finite and nonnegative")
-    tape = Tape()
-    ptensors = register_mwn(tape, params)
-    losses = tape.param("inputs", np.array([[float(l1), float(l2)]]))
-    alpha, beta = alpha_beta_graph(tape, losses, [task], params, ptensors)
-    d_alpha = tape.backward(alpha)
-    d_beta = tape.backward(beta)
-    return MWNGrad(
-        d_alpha={k: v for k, v in d_alpha.items() if k != "inputs"},
-        d_beta={k: v for k, v in d_beta.items() if k != "inputs"},
-        d_alpha_inputs=d_alpha["inputs"][0].copy(),
-        d_beta_inputs=d_beta["inputs"][0].copy(),
-    )
-
-
 def weighted_alpha_theta_grad(l1, l2, tasks, params: MWNParams, coeffs, beta_coeffs=None) -> dict[str, Array]:
     """Gradient of sum_j (coeffs[j] * alpha_j + beta_coeffs[j] * beta_j) w.r.t. Theta.
 

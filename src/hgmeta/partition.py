@@ -2,10 +2,11 @@
 
 In one dimension the optimal clusters are contiguous runs of the sorted
 values, so the exact optimum is found by dynamic programming over split
-points; Lloyd iterations then run from that start (they confirm the fixed
-point and guard the non-increasing-SSE invariant). Everything is
-deterministic; the ``seed`` argument is kept for API stability only. Labels
-are relabeled so that level 0 is the lowest-overlap cluster.
+points. That optimum is a fixed point of Lloyd's algorithm (Wang & Song
+2011, Ckmeans.1d.dp), so one assignment to its means, one re-average over
+the values in input order and one reassignment finish the fit. Everything
+is deterministic. Labels are relabeled so that level 0 is the
+lowest-overlap cluster.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ class Partition:
     labels: np.ndarray
     k: int
     requested_k: int
-    n_iter: int
 
     def __post_init__(self):
         if self.k != self.centroids.shape[0]:
@@ -35,10 +35,6 @@ class Partition:
 def _assign(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # argmin returns the first minimum, which implements ties-to-lower-index
     return np.abs(values[:, None] - centroids[None, :]).argmin(axis=1)
-
-
-def _sse(values: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
-    return float(((values - centroids[labels]) ** 2).sum())
 
 
 def _optimal_contiguous_means(ordered: np.ndarray, k: int) -> np.ndarray:
@@ -74,8 +70,8 @@ def _optimal_contiguous_means(ordered: np.ndarray, k: int) -> np.ndarray:
     return means
 
 
-def kmeans_1d(values, k: int, max_iter: int = 100, tol: float = 1e-9, seed: int | None = None) -> Partition:
-    """Optimal-start Lloyd clustering; k is clamped to the number of distinct values."""
+def kmeans_1d(values, k: int) -> Partition:
+    """Exact 1-D k-means; k is clamped to the number of distinct values."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise ContractError("kmeans_1d needs a nonempty 1-D array")
@@ -83,30 +79,16 @@ def kmeans_1d(values, k: int, max_iter: int = 100, tol: float = 1e-9, seed: int 
         raise ContractError("kmeans_1d values must be finite")
     if k < 1:
         raise ContractError("k must be >= 1")
-    if max_iter < 1:
-        raise ContractError("max_iter must be >= 1")
     requested_k = k
     k = min(k, np.unique(values).size)
 
     centroids = _optimal_contiguous_means(np.sort(values), k)
     labels = _assign(values, centroids)
-    prev_sse = _sse(values, centroids, labels)
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        new_centroids = centroids.copy()
-        for c in range(k):
-            members = values[labels == c]
-            if members.size:
-                new_centroids[c] = members.mean()
-        movement = float(np.abs(new_centroids - centroids).max())
-        centroids = new_centroids
-        labels = _assign(values, centroids)
-        sse = _sse(values, centroids, labels)
-        if sse > prev_sse + 1e-12 * max(1.0, prev_sse):
-            raise ContractError("within-cluster SSE increased across a Lloyd iteration")
-        prev_sse = sse
-        if movement <= tol:
-            break
+    for c in range(k):
+        members = values[labels == c]
+        if members.size:
+            centroids[c] = members.mean()
+    labels = _assign(values, centroids)
 
     # ascending order, then merge degenerate duplicate centroids
     order = np.argsort(centroids, kind="stable")
@@ -132,7 +114,6 @@ def kmeans_1d(values, k: int, max_iter: int = 100, tol: float = 1e-9, seed: int 
         labels=labels,
         k=int(centroids.size),
         requested_k=requested_k,
-        n_iter=n_iter,
     )
 
 

@@ -380,60 +380,54 @@ def _accumulate(op, acc: Array, x: Array) -> None:
     op(part, x, out=part)
 
 
-def read_only(a: Array) -> bool:
-    """True when neither ``a`` nor any array it is a view of can be written."""
-    while a is not None:
-        if not isinstance(a, np.ndarray) or a.flags.writeable:
-            return False
-        a = a.base
-    return True
-
-
 def frozen(a: Array) -> bool:
-    """True when ``a`` is read-only over memory that no NumPy call can make writeable.
+    """True when ``a`` is read-only over ``bytes``, memory that nothing can write.
 
-    That is a read-only array, or a view of one, over an immutable buffer
-    such as ``bytes``: ``setflags(write=True)`` raises on it. A read-only
-    array that owns its memory, or views a writeable one, can be made
-    writeable again and is not frozen.
+    That is a read-only array, or a view of one, whose memory is a ``bytes``
+    object: ``setflags(write=True)`` raises on it. A read-only array that
+    owns its memory, or views a writeable one, can be made writeable again;
+    a read-only memoryview may expose memory that its exporter still writes.
+    Neither is frozen.
     """
     while isinstance(a, np.ndarray):
         if a.flags.writeable:
             return False
         a = a.base
-    try:
-        return memoryview(a).readonly
-    except TypeError:
-        return False
+    return isinstance(a, bytes)
 
 
-# id(ids) -> (weakref to the frozen ids, their run index)
-_run_indexes: dict[int, tuple[weakref.ref, _RunIndex]] = {}
+# (id of a frozen array, kind of value) -> (weakref to the array, the value)
+_derived: dict[tuple[int, str], tuple[weakref.ref, object]] = {}
 
 
-def _run_index(ids: Array) -> _RunIndex:
-    """The run index of ``ids``, built once per frozen array (see ``frozen``).
+def derived(key: Array, kind: str, build: Callable[[], object]):
+    """``build()``, kept under ``kind`` for as long as ``key`` lives, if ``key`` is frozen.
 
-    A frozen array cannot change, so its index is kept for as long as the
-    array lives and no longer: the cache holds the array only weakly, and
-    the index does not refer to it. A graph's incidence arrays are frozen.
-    Any other array gets a fresh index.
+    A frozen array (see ``frozen``) cannot change, so a value derived from it
+    stays valid while the array lives and is kept no longer: the cache holds
+    the array only weakly, and the value must not refer to it. Any other
+    ``key`` gets a fresh ``build()`` on every call.
     """
-    if not frozen(ids):
-        return _RunIndex(ids)
-    key = id(ids)
-    hit = _run_indexes.get(key)
-    if hit is not None and hit[0]() is ids:
+    if not frozen(key):
+        return build()
+    slot = (id(key), kind)
+    hit = _derived.get(slot)
+    if hit is not None and hit[0]() is key:
         return hit[1]
 
     def forget(dead: weakref.ref) -> None:
-        entry = _run_indexes.get(key)
+        entry = _derived.get(slot)
         if entry is not None and entry[0] is dead:
-            del _run_indexes[key]
+            del _derived[slot]
 
-    index = _RunIndex(ids)
-    _run_indexes[key] = (weakref.ref(ids, forget), index)
-    return index
+    value = build()
+    _derived[slot] = (weakref.ref(key, forget), value)
+    return value
+
+
+def _run_index(ids: Array) -> _RunIndex:
+    """The run index of ``ids``, built once per frozen array (see ``derived``)."""
+    return derived(ids, "run_index", lambda: _RunIndex(ids))
 
 
 def gather_rows(a: Tensor, ids) -> Tensor:

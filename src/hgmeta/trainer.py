@@ -363,9 +363,7 @@ def fit_overlap_partition(g: Hypergraph, train_ids: Sequence[int], k: int) -> tu
     if valid_values.size:
         partition = kmeans_1d(valid_values, k)
     else:
-        partition = Partition(
-            centroids=np.array([1.0]), labels=np.zeros(0, dtype=np.int64), k=1, requested_k=k, n_iter=0
-        )
+        partition = Partition(centroids=np.array([1.0]), labels=np.zeros(0, dtype=np.int64), k=1, requested_k=k)
     return partition, assign_levels(vec.values, partition.centroids)
 
 

@@ -188,7 +188,19 @@ def test_criterion_9_coauthorship_integration_advisory():
     print(f"[{'PASS' if within else 'INFO'}] criterion 9 (advisory): mean blend acc {mean_acc:.4f} vs 0.785 +/- 0.05")
 
 
-def test_criterion_10_determinism(tmp_path):
+# the criterion-10 config and variants through every optional training path;
+# each entry is merged into the named sections of the base config
+DETERMINISM_VARIANTS = {
+    "default": {},
+    "independent": {"mwn": {"output_mode": "independent"}},
+    "pinned-batch": {"train": {"pin_alpha": 0.3, "batch": 10}},
+    "dropout-decay-adam": {"model": {"dropout": 0.3, "weight_decay": 0.01}, "train": {"optimizer": "adam"}},
+    "layers3-log1p": {"model": {"layers": 3}, "mwn": {"log1p": True}},
+}
+
+
+@pytest.mark.parametrize("variant", list(DETERMINISM_VARIANTS))
+def test_criterion_10_determinism(tmp_path, variant):
     doc = {
         "dataset": {"synthetic": {"nodes": 60, "classes": 3, "hyperedges": 40, "dim": 8}},
         "model": {"hidden": 16},
@@ -197,10 +209,12 @@ def test_criterion_10_determinism(tmp_path):
         "seed": 11,
         "output": str(tmp_path / "run.json"),
     }
+    for section, keys in DETERMINISM_VARIANTS[variant].items():
+        doc[section].update(keys)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
     assert cli.main(["train", str(cfg)]) == 0
     first = (tmp_path / "run.json").read_bytes()
     assert cli.main(["train", str(cfg)]) == 0
     ok = (tmp_path / "run.json").read_bytes() == first
-    _report(10, ok, f"two runs, {len(first)} artifact bytes, byte-identical: {ok}")
+    _report(10, ok, f"{variant}: two runs, {len(first)} artifact bytes, byte-identical: {ok}")

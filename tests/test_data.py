@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgmeta import tensor as T
 from hgmeta.data import (
     Dataset,
     Splits,
@@ -180,6 +181,9 @@ def test_loaded_and_generated_features_reject_in_place_writes(tmp_path):
     loaded = load_dataset(write_toy_dataset(tmp_path / "toy"))
     generated = generate_synthetic(SyntheticSpec(nodes=20, hyperedges=8), seed=0)
     for ds in (loaded, generated):
+        assert T.frozen(ds.features)
+        with pytest.raises(ValueError):
+            ds.features.setflags(write=True)
         with pytest.raises(ValueError, match="read-only"):
             ds.features[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):

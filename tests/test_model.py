@@ -8,6 +8,7 @@ import pytest
 
 from hgmeta import model
 from hgmeta import tensor as T
+from hgmeta.data import SyntheticSpec, generate_synthetic
 from hgmeta.hypergraph import Hypergraph
 from hgmeta.model import (
     HGNNParams,
@@ -74,6 +75,21 @@ class TestSSCoefficients:
                 members = g.edge_to_nodes(e)
                 d_e = sum(len(g.node_to_edges(u)) for u in members) / len(members)
                 assert coeffs[i] == 1.0 / (len(g.node_to_edges(v)) * d_e)
+
+    def test_dropped_dataset_frees_its_graph_without_the_cyclic_collector(self):
+        ds = generate_synthetic(SyntheticSpec(nodes=30, hyperedges=12, dim=4), seed=3)
+        params = random_params([4, 3, 2], seed=3)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            forward(ds.graph, ds.features, params, "ss", [0])
+            assert ss_coefficients(ds.graph) is ss_coefficients(ds.graph)
+            pair_nodes_ref = weakref.ref(ds.graph.incidence_arrays()["pair_nodes"])
+            del ds
+            assert pair_nodes_ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestAggregateHyperedges:
@@ -206,14 +222,15 @@ class TestForward:
 
 
 class TestInputMeansCache:
-    """Layer-0 hyperedge means of read-only features are computed once per pair."""
+    """Layer-0 hyperedge means of frozen features are computed once per pair."""
 
     @staticmethod
     def _instance(seed=21):
+        """A graph, frozen features over ``bytes`` (as the loaders build them) and parameters."""
         rng = np.random.default_rng(seed)
         g = random_hypergraph(rng, max_nodes=30, allow_isolated=False)
-        X = rng.normal(size=(g.num_nodes, 5))
-        X.setflags(write=False)
+        X = np.frombuffer(rng.normal(size=(g.num_nodes, 5)).tobytes()).reshape(g.num_nodes, 5)
+        assert T.frozen(X)
         return g, X, random_params([5, 4, 3], seed=seed)
 
     @pytest.mark.parametrize("branch", ["ss", "fs"])
@@ -253,6 +270,35 @@ class TestInputMeansCache:
         cached = model._input_means_slot[0][2]
         forward(g, view, params, "ss", [0])
         assert model._input_means_slot[0][2] is cached
+
+    @pytest.mark.parametrize("branch", ["ss", "fs"])
+    def test_owner_edited_between_passes_gives_fresh_means(self, branch):
+        g, frozen_x, params = self._instance(seed=25)
+        X = frozen_x.copy()
+        X.setflags(write=False)  # owns its memory, so it can be made writeable again
+        ids = range(g.num_nodes)
+        before = forward(g, X, params, branch, ids)
+        X.setflags(write=True)
+        X *= -1.5
+        X.setflags(write=False)
+        after = forward(g, X, params, branch, ids)
+        np.testing.assert_array_equal(after, forward(g, X.copy(), params, branch, ids))
+        assert not np.array_equal(after, before)
+
+    def test_dropped_graph_is_not_kept_alive_by_its_features(self):
+        g, X, params = self._instance(seed=26)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            forward(g, X, params, "fs", [0])
+            assert model._input_means_slot[0][1]() is X
+            members_ref = weakref.ref(g.incidence_arrays()["member_nodes"])
+            del g
+            assert members_ref() is None
+            assert model._input_means_slot == []
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_dropped_features_free_their_means_without_the_cyclic_collector(self):
         g, X, params = self._instance(seed=24)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hgmeta.errors import ContractError
-from hgmeta.mwn import MWNParams, mwn_forward, mwn_forward_batch, mwn_grad, weighted_alpha_theta_grad
+from hgmeta.mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
 from hgmeta.tensor import finite_diff_check, Tape
 from hgmeta import mwn as mwn_mod
 from hgmeta import tensor as T
@@ -19,12 +21,31 @@ def fresh_params(k=3, hidden=8, mode="complementary", seed=0, randomize_heads=Fa
     return params
 
 
+def sample_grad(l1: float, l2: float, task: int, params: MWNParams) -> SimpleNamespace:
+    """Tape gradients of one sample's alpha and beta w.r.t. Theta and (l1, l2).
+
+    The per-sample oracle: ``d_alpha``/``d_beta`` map parameter names to
+    gradients, ``d_alpha_inputs``/``d_beta_inputs`` are the (2,) gradients
+    w.r.t. the two losses.
+    """
+    tape = Tape()
+    ptensors = mwn_mod.register_mwn(tape, params)
+    losses = tape.param("inputs", np.array([[float(l1), float(l2)]]))
+    alpha, beta = mwn_mod.alpha_beta_graph(tape, losses, [task], params, ptensors)
+    d_alpha, d_beta = tape.backward(alpha), tape.backward(beta)
+    return SimpleNamespace(
+        d_alpha={k: v for k, v in d_alpha.items() if k != "inputs"},
+        d_beta={k: v for k, v in d_beta.items() if k != "inputs"},
+        d_alpha_inputs=d_alpha["inputs"][0],
+        d_beta_inputs=d_beta["inputs"][0],
+    )
+
+
 class TestForward:
     def test_zero_head_starts_balanced(self):
         params = fresh_params()
-        for l1, l2, task in [(0.0, 0.0, 0), (1.3, 0.2, 1), (5.0, 5.0, 2)]:
-            alpha, beta = mwn_forward(l1, l2, task, params)
-            assert alpha == 0.5 and beta == 0.5
+        alpha, beta = mwn_forward_batch([0.0, 1.3, 5.0], [0.0, 0.2, 5.0], [0, 1, 2], params)
+        assert np.all(alpha == 0.5) and np.all(beta == 0.5)
 
     def test_complementary_sums_to_one_exactly(self):
         params = fresh_params(randomize_heads=True)
@@ -43,26 +64,26 @@ class TestForward:
 
     def test_task_heads_differ_for_identical_losses(self):
         params = fresh_params(randomize_heads=True)
-        a0, _ = mwn_forward(1.0, 2.0, 0, params)
-        a1, _ = mwn_forward(1.0, 2.0, 1, params)
-        a2, _ = mwn_forward(1.0, 2.0, 2, params)
-        assert len({a0, a1, a2}) > 1
+        alpha, _ = mwn_forward_batch([1.0] * 3, [2.0] * 3, [0, 1, 2], params)
+        assert len(set(alpha.tolist())) > 1
 
     def test_same_task_same_losses_is_deterministic(self):
         params = fresh_params(randomize_heads=True)
-        assert mwn_forward(0.7, 0.9, 1, params) == mwn_forward(0.7, 0.9, 1, params)
+        first = mwn_forward_batch([0.7], [0.9], [1], params)
+        second = mwn_forward_batch([0.7], [0.9], [1], params)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
 
     def test_task_out_of_range_rejected(self):
         with pytest.raises(ContractError):
-            mwn_forward(1.0, 1.0, 3, fresh_params(k=3))
+            mwn_forward_batch([1.0], [1.0], [3], fresh_params(k=3))
 
     def test_negative_loss_rejected(self):
         with pytest.raises(ContractError):
-            mwn_forward(-0.1, 1.0, 0, fresh_params())
+            mwn_forward_batch([-0.1], [1.0], [0], fresh_params())
 
     def test_independent_mode_outputs_are_uncoupled(self):
         params = fresh_params(mode="independent", randomize_heads=True)
-        alpha, beta = mwn_forward(1.0, 0.3, 0, params)
+        (alpha,), (beta,) = mwn_forward_batch([1.0], [0.3], [0], params)
         assert 0 < alpha < 1 and 0 < beta < 1
         assert alpha + beta != 1.0  # no complementarity constraint
 
@@ -70,7 +91,7 @@ class TestForward:
 class TestGradients:
     def test_zero_head_gradient_is_quarter_hidden(self):
         params = fresh_params(k=2, hidden=8)
-        grad = mwn_grad(1.2, 0.4, 1, params)
+        grad = sample_grad(1.2, 0.4, 1, params)
         # with a zero head, d alpha / d head_w = sigmoid'(0) * hidden activation
         tape = Tape()
         losses = T.as_tensor(np.array([[1.2, 0.4]]))
@@ -82,7 +103,7 @@ class TestGradients:
 
     def test_complementary_beta_gradient_is_negated_alpha(self):
         params = fresh_params(randomize_heads=True)
-        grad = mwn_grad(0.9, 1.7, 2, params)
+        grad = sample_grad(0.9, 1.7, 2, params)
         for name in grad.d_alpha:
             np.testing.assert_array_equal(grad.d_beta[name], -grad.d_alpha[name])
         np.testing.assert_array_equal(grad.d_beta_inputs, -grad.d_alpha_inputs)
@@ -113,15 +134,15 @@ class TestGradients:
 
     def test_input_gradient_matches_finite_differences(self):
         params = fresh_params(k=2, hidden=6, randomize_heads=True)
-        grad = mwn_grad(1.3, 0.8, 0, params)
+        grad = sample_grad(1.3, 0.8, 0, params)
         eps = 1e-6
         for j, base in enumerate([1.3, 0.8]):
             args_plus = [1.3, 0.8]
             args_minus = [1.3, 0.8]
             args_plus[j] = base + eps
             args_minus[j] = base - eps
-            a_plus, _ = mwn_forward(args_plus[0], args_plus[1], 0, params)
-            a_minus, _ = mwn_forward(args_minus[0], args_minus[1], 0, params)
+            (a_plus,), _ = mwn_forward_batch([args_plus[0]], [args_plus[1]], [0], params)
+            (a_minus,), _ = mwn_forward_batch([args_minus[0]], [args_minus[1]], [0], params)
             numeric = (a_plus - a_minus) / (2 * eps)
             assert grad.d_alpha_inputs[j] == pytest.approx(numeric, rel=1e-5, abs=1e-10)
 
@@ -139,7 +160,7 @@ class TestWeightedAlphaGrad:
         combined = weighted_alpha_theta_grad(l1, l2, tasks, params, coeffs, beta_coeffs)
         expected = {name: np.zeros_like(arr) for name, arr in params.param_items()}
         for j in range(6):
-            g = mwn_grad(float(l1[j]), float(l2[j]), int(tasks[j]), params)
+            g = sample_grad(float(l1[j]), float(l2[j]), int(tasks[j]), params)
             for name in expected:
                 expected[name] += coeffs[j] * g.d_alpha[name]
                 if beta_coeffs is not None:

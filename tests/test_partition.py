@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hgmeta.errors import ContractError
+from hgmeta import partition
 from hgmeta.data import SyntheticSpec, generate_synthetic
 from hgmeta.partition import Partition, assign_level, assign_levels, kmeans_1d
 
@@ -142,3 +143,81 @@ class TestAssignLevels:
 
     def test_empty_values_give_no_levels(self):
         assert assign_levels(np.zeros(0), [1.0, 2.0]).shape == (0,)
+
+
+def lloyd_from_optimum(values, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: Lloyd iterations from the DP optimum until the centroids stop moving.
+
+    This is the loop ``kmeans_1d`` ran before it was cut to one re-average
+    (max_iter 100, tol 1e-9), with the same ordering and merging afterwards.
+    Returns (centroids, labels).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    k = min(k, np.unique(values).size)
+    centroids = partition._optimal_contiguous_means(np.sort(values), k)
+    labels = partition._assign(values, centroids)
+    prev_sse = float(((values - centroids[labels]) ** 2).sum())
+    for _ in range(100):
+        new_centroids = centroids.copy()
+        for c in range(k):
+            members = values[labels == c]
+            if members.size:
+                new_centroids[c] = members.mean()
+        movement = float(np.abs(new_centroids - centroids).max())
+        centroids = new_centroids
+        labels = partition._assign(values, centroids)
+        sse = float(((values - centroids[labels]) ** 2).sum())
+        assert sse <= prev_sse + 1e-12 * max(1.0, prev_sse)
+        prev_sse = sse
+        if movement <= 1e-9:
+            break
+    order = np.argsort(centroids, kind="stable")
+    centroids = centroids[order]
+    remap = np.empty(k, dtype=np.int64)
+    remap[order] = np.arange(k)
+    labels = remap[labels]
+    keep: list[float] = []
+    merge = np.empty(k, dtype=np.int64)
+    for c in range(k):
+        if keep and centroids[c] == keep[-1]:
+            merge[c] = len(keep) - 1
+        else:
+            merge[c] = len(keep)
+            keep.append(float(centroids[c]))
+    return np.asarray(keep), merge[labels]
+
+
+def _kmeans_inputs():
+    """(values, k) cases: random, rounded with ties, small-integer ratios, and training-node
+    overlaps of generated graphs, the desk and Cora-CA-shaped graphs among them."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(500):
+        cases.append((rng.uniform(0, 5, int(rng.integers(1, 80))), int(rng.integers(1, 6))))
+    for _ in range(500):
+        values = np.round(rng.uniform(0, 3, int(rng.integers(1, 80))), int(rng.integers(0, 2)))
+        cases.append((values, int(rng.integers(1, 6))))
+    for _ in range(400):
+        n = int(rng.integers(1, 60))
+        cases.append((rng.integers(1, 9, n) / rng.integers(1, 9, n), int(rng.integers(1, 6))))
+    specs = [SyntheticSpec(nodes=int(rng.integers(40, 160)), hyperedges=int(rng.integers(20, 120)), dim=3) for _ in range(120)]
+    for seed, spec in enumerate(specs + list(LEVEL_GRAPHS.values())):
+        ds = generate_synthetic(spec, seed)
+        vec = ds.graph.overlap_vector(ds.splits.train)
+        valid = vec.values[vec.valid]
+        if valid.size:
+            cases += [(valid, k) for k in (1, 2, 3, 4, 5)]
+    return cases
+
+
+def test_kmeans_equals_lloyd_loop_from_the_optimum_byte_for_byte():
+    cases = _kmeans_inputs()
+    assert len(cases) >= 2000
+    ties = 0
+    for values, k in cases:
+        part = kmeans_1d(values, k)
+        centroids, labels = lloyd_from_optimum(values, k)
+        assert part.centroids.tobytes() == centroids.tobytes()
+        assert part.labels.tobytes() == labels.astype(np.int64).tobytes()
+        ties += np.unique(values).size < values.size
+    assert ties > 1000

@@ -341,12 +341,14 @@ class TestRunIndexCache:
         owner.setflags(write=False)  # owns its memory, so it can be made writeable again
         over_bytearray = np.frombuffer(bytearray(ids.tobytes()), dtype=np.int64)
         over_bytearray.setflags(write=False)
-        for array in (ids, view, owner, over_bytearray):
+        # a read-only memoryview, while ``ids`` itself stays writeable
+        over_readonly_view = np.frombuffer(memoryview(ids).toreadonly(), dtype=np.int64)
+        for array in (ids, view, owner, over_bytearray, over_readonly_view):
             assert not T.frozen(array)
             before = len(builds)
             self._use_every_primitive(array, 3)
             assert len(builds) - before == 5
-            assert id(array) not in T._run_indexes
+            assert (id(array), "run_index") not in T._derived
 
     def test_owner_made_writeable_again_gives_fresh_sums(self):
         ids = np.array([0, 0, 1, 1, 1])
@@ -367,12 +369,12 @@ class TestRunIndexCache:
             arrays = g.incidence_arrays()
             self._use_every_primitive(arrays["pair_nodes"], g.num_nodes)
             self._use_every_primitive(arrays["member_edges"], g.num_hyperedges)
-            held = [T._run_indexes[id(arrays[key])][1] for key in ("pair_nodes", "member_edges")]
+            keys = [(id(arrays[name]), "run_index") for name in ("pair_nodes", "member_edges")]
+            held = [T._derived[key][1] for key in keys]
             refs = [weakref.ref(index.unique) for index in held] + [weakref.ref(arrays["pair_nodes"])]
-            keys = [id(arrays["pair_nodes"]), id(arrays["member_edges"])]
             del g, arrays, held
             assert all(ref() is None for ref in refs)
-            assert not any(key in T._run_indexes for key in keys)
+            assert not any(key in T._derived for key in keys)
         finally:
             if was_enabled:
                 gc.enable()
