@@ -19,6 +19,11 @@ steps. When they arrive as an untracked, frozen array (see ``tensor.frozen``;
 ``Dataset.features`` is one), their hyperedge means are computed once per
 graph and features array and reused by every later forward pass, taped or
 not. The structural coefficients are likewise computed once per graph.
+A pass over both branches (``build_branch_graphs``, ``_forward_branches``)
+computes the layer-0 products ``X @ W0`` and ``means(X) @ W0`` of an
+untracked input once; on a tape each branch still records its own two
+layer-0 ``matmul`` nodes with those values, so the record sequence and every
+gradient are those of two separate branches.
 """
 
 from __future__ import annotations
@@ -240,6 +245,29 @@ def _node_update_t(g: Hypergraph, hw: Tensor, ew: Tensor, coeff_col: Tensor) -> 
     return T.add(hw, T.segment_sum(messages, arrays["pair_nodes"], g.num_nodes))
 
 
+@dataclass(frozen=True)
+class _Layer0:
+    """Layer-0 inputs and products of a constant input, shared by both branches.
+
+    ``hw`` is ``x @ W0`` and ``ew`` is ``edge_feats @ W0``. Each branch still
+    records its own two layer-0 ``matmul`` nodes, with these values.
+    """
+
+    x: Tensor
+    edge_feats: Tensor
+    hw: Array
+    ew: Array
+
+
+def _layer0_products(g: Hypergraph, x: Tensor, w0: Tensor) -> _Layer0 | None:
+    """The layer-0 products of ``x``, or None when ``x`` is tracked."""
+    if x.idx is not None:
+        return None
+    edge_feats = _aggregate_t(g, x)
+    w0 = Tensor(w0.data)  # untracked, so the products record nothing
+    return _Layer0(x, edge_feats, T.matmul(x, w0).data, T.matmul(edge_feats, w0).data)
+
+
 def _forward_t(
     g: Hypergraph,
     x: Tensor,
@@ -247,6 +275,7 @@ def _forward_t(
     attn: list[Tensor],
     branch: str,
     dropout_masks: list[Array] | None = None,
+    layer0: _Layer0 | None = None,
 ) -> Tensor:
     if branch not in BRANCHES:
         raise ContractError(f"unknown branch {branch!r}")
@@ -256,9 +285,14 @@ def _forward_t(
     h = x
     last = len(weights) - 1
     for t, (w, a) in enumerate(zip(weights, attn)):
-        edge_feats = _aggregate_t(g, h)
-        hw = T.matmul(h, w)
-        ew = T.matmul(edge_feats, w)
+        if t == 0 and layer0 is not None:
+            edge_feats = layer0.edge_feats
+            hw = T.matmul(h, w, product=layer0.hw)
+            ew = T.matmul(edge_feats, w, product=layer0.ew)
+        else:
+            edge_feats = _aggregate_t(g, h)
+            hw = T.matmul(h, w)
+            ew = T.matmul(edge_feats, w)
         if branch == "fs":
             coeff = _fs_coefficients_t(g, hw, ew, a)
         h = _node_update_t(g, hw, ew, coeff)
@@ -271,16 +305,20 @@ def _forward_t(
 
 def forward(g: Hypergraph, X: Array, params: HGNNParams, branch: str, eval_ids) -> Array:
     """Untaped forward pass; returns logits rows for eval_ids."""
+    (logits,) = _forward_branches(g, X, params, (branch,), eval_ids)
+    return logits
+
+
+def _forward_branches(g: Hypergraph, X: Array, params: HGNNParams, branches: Sequence[str], eval_ids) -> list[Array]:
+    """Untaped logits rows for eval_ids of each branch, with one layer-0 projection."""
     if X.shape[0] != g.num_nodes:
         raise ContractError("X must have one row per node")
-    hidden = _forward_t(
-        g,
-        T.as_tensor(X),
-        [T.as_tensor(w) for w in params.weights],
-        [T.as_tensor(a) for a in params.attn],
-        branch,
-    )
-    return hidden.data[np.asarray(eval_ids, dtype=np.int64)]
+    x = T.as_tensor(X)
+    weights = [T.as_tensor(w) for w in params.weights]
+    attn = [T.as_tensor(a) for a in params.attn]
+    layer0 = _layer0_products(g, x, weights[0])
+    ids = np.asarray(eval_ids, dtype=np.int64)
+    return [_forward_t(g, x, weights, attn, branch, layer0=layer0).data[ids] for branch in branches]
 
 
 def ce_loss(logits_row: Array, onehot: Array) -> float:
@@ -311,17 +349,21 @@ def build_branch_graph(
     weights: list[Tensor],
     attn: list[Tensor],
     dropout_masks: list[Array] | None = None,
+    layer0: _Layer0 | None = None,
 ) -> BranchGraph:
     """Taped forward to per-sample CE losses for eval_ids on one branch.
 
     ``y_onehot`` must carry one row per eval id. Parameters are passed as
     tape tensors so both branches of one step can share a single tape (and
     therefore accumulate gradients into the same shared weights).
+    ``layer0``, from ``build_branch_graphs``, carries this tape's constant
+    ``X`` and its layer-0 products.
     """
     eval_ids = np.asarray(eval_ids, dtype=np.int64)
     if y_onehot.shape[0] != eval_ids.size:
         raise ContractError("one-hot labels must align with eval_ids")
-    hidden = _forward_t(g, tape.constant(X), weights, attn, branch, dropout_masks)
+    x = tape.constant(X) if layer0 is None else layer0.x
+    hidden = _forward_t(g, x, weights, attn, branch, dropout_masks, layer0)
     logits = T.gather_rows(hidden, eval_ids)
     logp = T.row_log_softmax(logits)
     picked = T.row_sum(T.mul(logp, tape.constant(y_onehot)))
@@ -330,21 +372,42 @@ def build_branch_graph(
     return BranchGraph(tape=tape, branch=branch, loss_vec=loss_vec, logits=logits, mean_loss=mean_loss)
 
 
+def build_branch_graphs(
+    g: Hypergraph,
+    X: Array,
+    y_onehot: Array,
+    eval_ids,
+    tape: Tape,
+    weights: list[Tensor],
+    attn: list[Tensor],
+    dropout_masks: list[Array] | None = None,
+) -> tuple[BranchGraph, BranchGraph]:
+    """``build_branch_graph`` for ss, then fs, on one tape.
+
+    ``X @ W0`` and the layer-0 hyperedge means times ``W0`` are computed
+    once for both branches. Each branch records the same nodes, in the same
+    order and with the same backward closures, as on its own.
+    """
+    layer0 = _layer0_products(g, tape.constant(X), weights[0])
+    graph_ss, graph_fs = (
+        build_branch_graph(g, X, y_onehot, eval_ids, branch, tape, weights, attn, dropout_masks, layer0)
+        for branch in BRANCHES
+    )
+    return graph_ss, graph_fs
+
+
 def branch_losses(g: Hypergraph, X: Array, y: Array, params: HGNNParams, ids) -> ForwardOutput:
     """Per-sample losses for both branches with shared weights (no tape)."""
     ids = np.asarray(ids, dtype=np.int64)
     onehot = one_hot(np.asarray(y, dtype=np.int64)[ids], params.out_dim)
     tape = Tape()
     weights, attn = register_params(tape, params)
-    out = {}
-    for branch in BRANCHES:
-        graph = build_branch_graph(g, X, onehot, ids, branch, tape, weights, attn)
-        out[branch] = (graph.logits.data, graph.loss_vec.data[:, 0])
+    ss, fs = build_branch_graphs(g, X, onehot, ids, tape, weights, attn)
     return ForwardOutput(
-        logits_ss=out["ss"][0],
-        logits_fs=out["fs"][0],
-        loss_ss=out["ss"][1],
-        loss_fs=out["fs"][1],
+        logits_ss=ss.logits.data,
+        logits_fs=fs.logits.data,
+        loss_ss=ss.loss_vec.data[:, 0],
+        loss_fs=fs.loss_vec.data[:, 0],
     )
 
 

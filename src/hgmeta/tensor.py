@@ -12,7 +12,15 @@ The only implicit broadcast allowed anywhere is a (1, n) row added to an
 
 All public operations police their outputs for NaN/Inf and raise
 NumericsError, naming the operation and its output shape, instead of letting
-non-finite values propagate.
+non-finite values propagate. Inputs are scanned as they become tensors; a
+frozen array (see ``frozen``) is scanned once and its verdict kept.
+
+``matmul`` accepts a product computed ahead (the layer-0 projections that
+both branches share). The elementwise derivative factors of ``elu`` and
+``leaky_relu`` are built once with a tracked node and reused by every
+backward pass through it, so the repeated seeded passes of the per-sample
+gradients do not rebuild them; ``segment_mean`` divides by each segment's
+count before it spreads the gradient over the segment's rows.
 
 Grouped sums (the backward of ``gather_rows``, ``segment_sum``,
 ``segment_mean`` and both sums of ``segment_softmax``) associate exactly as
@@ -124,7 +132,8 @@ def _validated(value) -> Array:
     a = np.asarray(value, dtype=np.float64)
     if a.ndim != 2:
         raise ContractError(f"tensors are 2-D, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    # a frozen array (the input features) is scanned once, not on every pass
+    if not derived(a, "finite", lambda: bool(np.all(np.isfinite(a)))):
         raise NumericsError("non-finite values in tensor data")
     return a
 
@@ -172,16 +181,26 @@ def column(values) -> Array:
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, product: Array | None = None) -> Tensor:
+    """``a @ b``; ``product``, when given, is that value already computed.
+
+    A product shared by several nodes (the layer-0 projections of both
+    branches) is computed once, while each node still records its own
+    backward closure.
+    """
     if a.shape[1] != b.shape[0]:
         raise ContractError(f"matmul shape mismatch {a.shape} @ {b.shape}")
     av, bv = a.data, b.data
+    if product is None:
+        product = av @ bv
+    elif product.shape != (a.shape[0], b.shape[1]):
+        raise ContractError(f"matmul product of shape {product.shape} given for {a.shape} @ {b.shape}")
     grad_a, grad_b = a.idx is not None, b.idx is not None
 
     def grad(g: Array):
         return (g @ bv.T if grad_a else None), (av.T @ g if grad_b else None)
 
-    return _emit("matmul", av @ bv, (a, b), grad)
+    return _emit("matmul", product, (a, b), grad)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -478,9 +497,11 @@ def _d_elu(x: Array, out: Array) -> Array:
 def elu(a: Tensor) -> Tensor:
     x = a.data
     out = np.where(x > 0.0, x, np.expm1(np.minimum(x, 0.0)))
+    # built with a tracked node, held in place of x, and reused by every backward pass
+    factor = _d_elu(x, out) if a.idx is not None else None
 
     def grad(g: Array):
-        return (g * _d_elu(x, out),)
+        return (g * factor,)
 
     return _emit("elu", out, (a,), grad)
 
@@ -492,9 +513,10 @@ def _d_leaky_relu(x: Array, slope: float) -> Array:
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     x = a.data
     out = np.where(x > 0.0, x, slope * x)
+    factor = _d_leaky_relu(x, slope) if a.idx is not None else None
 
     def grad(g: Array):
-        return (g * _d_leaky_relu(x, slope),)
+        return (g * factor,)
 
     return _emit("leaky_relu", out, (a,), grad)
 
@@ -567,12 +589,13 @@ def _segment_counts(index: _RunIndex, num_segments: int) -> Array:
 def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     ids = _segment_ids(segment_ids, num_segments, values.shape[0])
     index = _run_index(ids)
-    counts = _segment_counts(index, num_segments)
+    counts = _segment_counts(index, num_segments)[:, None]
     out = index.sum_into(values.data, num_segments)
-    out /= counts[:, None]
+    out /= counts
 
     def grad(g: Array):
-        return (g[ids] / counts[ids, None],)
+        # each row's quotient is the same division as g[ids] / counts[ids], done once per segment
+        return ((g / counts)[ids],)
 
     return _emit("segment_mean", out, (values,), grad)
 

@@ -35,9 +35,10 @@ from . import tensor as T
 from .errors import ContractError, NumericsError, TrainingError
 from .hypergraph import Hypergraph
 from .model import (
+    BRANCHES,
     HGNNParams,
-    build_branch_graph,
-    forward,
+    _forward_branches,
+    build_branch_graphs,
     one_hot,
     register_params,
 )
@@ -222,8 +223,7 @@ def intermediate_update(
     onehot = one_hot(np.asarray(y, dtype=np.int64)[ids], num_classes)
     tape = Tape()
     weights, attn = register_params(tape, hgnn)
-    graph_ss = build_branch_graph(g, X, onehot, ids, "ss", tape, weights, attn, dropout_masks)
-    graph_fs = build_branch_graph(g, X, onehot, ids, "fs", tape, weights, attn, dropout_masks)
+    graph_ss, graph_fs = build_branch_graphs(g, X, onehot, ids, tape, weights, attn, dropout_masks)
     l1 = graph_ss.loss_vec.data[:, 0].copy()
     l2 = graph_fs.loss_vec.data[:, 0].copy()
     cache = StepCache(
@@ -255,8 +255,7 @@ def intermediate_update(
 def _meta_loss_graph(g, X, y_onehot, meta_ids, params: HGNNParams):
     tape = Tape()
     weights, attn = register_params(tape, params)
-    graph_ss = build_branch_graph(g, X, y_onehot, meta_ids, "ss", tape, weights, attn)
-    graph_fs = build_branch_graph(g, X, y_onehot, meta_ids, "fs", tape, weights, attn)
+    graph_ss, graph_fs = build_branch_graphs(g, X, y_onehot, meta_ids, tape, weights, attn)
     total = T.add(graph_ss.mean_loss, graph_fs.mean_loss)
     return tape, total
 
@@ -499,29 +498,32 @@ def predict(state: TrainState, dataset, ids, mode: str = "blend") -> tuple[Array
     """
     if mode not in PREDICT_MODES:
         raise ContractError(f"unknown predict mode {mode!r}")
-    g, X = dataset.graph, dataset.features
-    ids = np.asarray(ids, dtype=np.int64)
-    if mode == "ss":
-        scores = _softmax_rows(forward(g, X, state.hgnn, "ss", ids))
-    elif mode == "fs":
-        scores = _softmax_rows(forward(g, X, state.hgnn, "fs", ids))
-    else:
-        p_ss = _softmax_rows(forward(g, X, state.hgnn, "ss", ids))
-        p_fs = _softmax_rows(forward(g, X, state.hgnn, "fs", ids))
+    scores = _scores(state, dataset, np.asarray(ids, dtype=np.int64), (mode,))[mode]
+    return scores.argmax(axis=1), scores
+
+
+def _scores(state: TrainState, dataset, ids: Array, modes: Sequence[str]) -> dict[str, Array]:
+    """``predict``'s scores for each of ``modes``, running each branch it needs once."""
+    g = dataset.graph
+    branches = BRANCHES if "blend" in modes else tuple(modes)
+    logits = _forward_branches(g, dataset.features, state.hgnn, branches, ids)
+    scores = {branch: _softmax_rows(rows) for branch, rows in zip(branches, logits)}
+    if "blend" in modes:
         alpha_bar = final_alpha_per_task(state)
         levels = assign_levels(g.overlap_vector(ids).values, state.partition.centroids)
         weights = alpha_bar[levels][:, None]
-        scores = weights * p_ss + (1.0 - weights) * p_fs
-    return scores.argmax(axis=1), scores
+        scores["blend"] = weights * scores["ss"] + (1.0 - weights) * scores["fs"]
+    return scores
 
 
 def evaluate(state: TrainState, dataset) -> dict:
     """Test accuracies for both branches and the blend, plus final alphas."""
     test_ids = np.asarray(dataset.splits.test, dtype=np.int64)
     truth = dataset.labels[test_ids]
+    scores = _scores(state, dataset, test_ids, PREDICT_MODES)
     out: dict = {}
     for mode in PREDICT_MODES:
-        labels, _ = predict(state, dataset, test_ids, mode)
+        labels = scores[mode].argmax(axis=1)
         out[f"test_acc_{mode}"] = float((labels == truth).mean()) if test_ids.size else float("nan")
     out["final_mean_alpha"] = [float(a) for a in final_alpha_per_task(state)]
     if state.history:

@@ -92,6 +92,7 @@ def test_criterion_4_meta_gradient_fidelity():
     _report(4, ok, f"max rel err {report.max_rel_err:.2e}, {elapsed:.2f}s")
 
 
+@pytest.mark.bitwise
 def test_criterion_5_degenerate_identities():
     g, X, y, hgnn, mwn, ids, tasks = width2_instance(seed=0)
     # lam1 = 0: probe parameters unchanged, meta gradient exactly zero
@@ -199,6 +200,7 @@ DETERMINISM_VARIANTS = {
 }
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("variant", list(DETERMINISM_VARIANTS))
 def test_criterion_10_determinism(tmp_path, variant):
     doc = {

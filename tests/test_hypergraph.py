@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgmeta import hypergraph
+from hgmeta.data import SyntheticSpec, generate_synthetic
 from hgmeta.errors import ContractError
 from hgmeta.hypergraph import Hypergraph
 
@@ -164,6 +166,69 @@ class TestOverlapVector:
         vec = toy.overlap_vector([2, 0, 2])
         assert vec.values[1] == 12 / 7
         assert vec.values[0] == vec.values[2]
+
+
+def _overlap_loop(g: Hypergraph, nodes) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: ``overlapness`` one node at a time."""
+    values, valid = np.full(len(nodes), np.nan), np.zeros(len(nodes), dtype=bool)
+    for i, v in enumerate(nodes):
+        p = g.overlapness(int(v))
+        if p is not None:
+            values[i], valid[i] = p, True
+    return values, valid
+
+
+def _isolated_graph() -> Hypergraph:
+    """Twelve nodes, four of them in no hyperedge, and a repeated hyperedge."""
+    return Hypergraph(12, [[0, 1, 2], [2, 3], [0, 1, 2], [3, 4, 5, 6, 7], [7]])
+
+
+# the feature width does not change the generated hyperedges
+VECTOR_GRAPHS = {
+    "toy": lambda: Hypergraph(7, [[0, 1, 2, 3], [0, 3, 4, 5], [0, 1, 5, 6]]),
+    "isolated": _isolated_graph,
+    "desk": lambda: generate_synthetic(SyntheticSpec(), 0).graph,
+    "coraca": lambda: generate_synthetic(SyntheticSpec(nodes=2708, hyperedges=1072, dim=7, classes=7), 0).graph,
+}
+
+
+@pytest.mark.bitwise
+class TestVectorizedOverlap:
+    """``overlap_vector`` equals the per-node ``overlapness`` byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(VECTOR_GRAPHS))
+    def test_equals_per_node_loop(self, name):
+        g = VECTOR_GRAPHS[name]()
+        rng = np.random.default_rng(3)
+        for nodes in (np.arange(g.num_nodes), rng.integers(0, g.num_nodes, size=2 * g.num_nodes), [], [0]):
+            vec = g.overlap_vector(nodes)
+            values, valid = _overlap_loop(g, nodes)
+            assert vec.values.tobytes() == values.tobytes()
+            np.testing.assert_array_equal(vec.valid, valid)
+        if name in ("isolated", "coraca"):  # both have nodes in no hyperedge
+            assert not g.overlap_vector(np.arange(g.num_nodes)).valid.all()
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_blocks_of_member_slots_keep_the_bytes(self, monkeypatch, block):
+        monkeypatch.setattr(hypergraph, "_UNION_BLOCK", block)
+        for seed in range(20):
+            g = random_hypergraph(np.random.default_rng(seed))
+            nodes = np.random.default_rng(seed + 100).integers(0, g.num_nodes, size=3 * g.num_nodes)
+            values, valid = _overlap_loop(g, nodes)
+            vec = g.overlap_vector(nodes)
+            assert vec.values.tobytes() == values.tobytes()
+            np.testing.assert_array_equal(vec.valid, valid)
+
+    @pytest.mark.parametrize("nodes", [[0, 12], [-1], [3, 99, -2]])
+    def test_out_of_range_node_raises_index_error_naming_it(self, nodes):
+        g = _isolated_graph()
+        bad = next(v for v in nodes if not 0 <= v < 12)
+        with pytest.raises(IndexError, match=f"node id {bad} outside"):
+            g.overlap_vector(nodes)
+
+    def test_non_integer_ids_are_rejected(self):
+        with pytest.raises(TypeError):
+            _isolated_graph().overlap_vector([0.5])
 
 
 @settings(max_examples=100, deadline=None)

@@ -15,6 +15,7 @@ from hgmeta.model import (
     aggregate_hyperedges,
     branch_losses,
     build_branch_graph,
+    build_branch_graphs,
     ce_loss,
     forward,
     fs_coefficients,
@@ -313,6 +314,94 @@ class TestInputMeansCache:
         finally:
             if was_enabled:
                 gc.enable()
+
+
+@pytest.mark.bitwise
+class TestSharedLayer0:
+    """Both branches of a pass share the layer-0 products of the constant input."""
+
+    @staticmethod
+    def _instance(seed: int, layers: int, frozen: bool):
+        rng = np.random.default_rng(seed)
+        g = random_hypergraph(rng, max_nodes=30)
+        n = g.num_nodes
+        X = rng.normal(size=(n, 5))
+        if frozen:
+            X = np.frombuffer(X.tobytes()).reshape(n, 5)
+        masks = [(rng.random((n, 4)) < 0.7) / 0.7 for _ in range(layers - 1)]
+        ids = np.sort(rng.choice(n, size=min(n, 6), replace=False))
+        onehot = one_hot(rng.integers(0, 3, size=ids.size), 3)
+        return g, X, random_params([5] + [4] * (layers - 1) + [3], seed=seed), masks, ids, onehot
+
+    @staticmethod
+    def _graphs(g, X, params, masks, ids, onehot, shared: bool):
+        tape = Tape()
+        weights, attn = register_params(tape, params)
+        if shared:
+            graphs = build_branch_graphs(g, X, onehot, ids, tape, weights, attn, masks)
+        else:
+            graphs = tuple(build_branch_graph(g, X, onehot, ids, b, tape, weights, attn, masks) for b in ("ss", "fs"))
+        return tape, graphs
+
+    @staticmethod
+    def _layer0_outputs(monkeypatch, w0: np.ndarray) -> list:
+        """Records the output of every matmul node of a branch with ``w0`` on its right."""
+        outputs, matmul = [], T.matmul
+
+        def recording(a, b, product=None):
+            out = matmul(a, b, product)
+            if b.data is w0 and (b.idx is not None or product is not None):
+                outputs.append(out)
+            return out
+
+        monkeypatch.setattr(T, "matmul", recording)
+        return outputs
+
+    @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "writeable"])
+    def test_taped_branches_share_the_values_and_record_their_own_nodes(self, monkeypatch, frozen):
+        g, X, params, masks, ids, onehot = self._instance(31, 2, frozen)
+        outputs = self._layer0_outputs(monkeypatch, params.weights[0])
+        self._graphs(g, X, params, masks, ids, onehot, shared=True)
+        ss_hw, ss_ew, fs_hw, fs_ew = outputs
+        assert fs_hw.data is ss_hw.data and fs_ew.data is ss_ew.data
+        assert len({ss_hw.idx, ss_ew.idx, fs_hw.idx, fs_ew.idx}) == 4
+
+    def test_untaped_branches_share_the_values_with_the_bits_of_one_branch(self, monkeypatch):
+        g, X, params, _, ids, _ = self._instance(32, 3, frozen=True)
+        outputs = self._layer0_outputs(monkeypatch, params.weights[0])
+        both = model._forward_branches(g, X, params, model.BRANCHES, ids)
+        ss_hw, ss_ew, fs_hw, fs_ew = outputs
+        assert fs_hw.data is ss_hw.data and fs_ew.data is ss_ew.data
+        weights, attn = [T.as_tensor(w) for w in params.weights], [T.as_tensor(a) for a in params.attn]
+        for branch, logits in zip(model.BRANCHES, both):
+            alone = model._forward_t(g, T.as_tensor(X), weights, attn, branch)  # its own layer-0 products
+            assert logits.tobytes() == alone.data[ids].tobytes()
+
+    @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "writeable"])
+    @pytest.mark.parametrize("dropout", [False, True], ids=["plain", "dropout"])
+    @pytest.mark.parametrize("layers", [2, 3])
+    def test_backward_equals_separate_products_byte_for_byte(self, layers, dropout, frozen):
+        g, X, params, masks, ids, onehot = self._instance(33 + layers, layers, frozen)
+        masks = masks if dropout else None
+        shared_tape, shared = self._graphs(g, X, params, masks, ids, onehot, shared=True)
+        own_tape, own = self._graphs(g, X, params, masks, ids, onehot, shared=False)
+        assert [rec[:2] for rec in shared_tape._records] == [rec[:2] for rec in own_tape._records]
+        seeds = [np.ones((ids.size, 1))] + list(np.eye(ids.size)[:, :, None])
+        for a, b in zip(shared, own):
+            assert a.loss_vec.data.tobytes() == b.loss_vec.data.tobytes()
+            for seed in seeds:
+                _assert_same_bytes(shared_tape.backward(a.loss_vec, seed), own_tape.backward(b.loss_vec, seed))
+        # the meta loss: both branches' gradients meet at the shared weights
+        summed = [
+            tape.backward(T.add(ss.mean_loss, fs.mean_loss)) for tape, (ss, fs) in ((shared_tape, shared), (own_tape, own))
+        ]
+        _assert_same_bytes(*summed)
+
+
+def _assert_same_bytes(grads: dict, expected: dict) -> None:
+    assert list(grads) == list(expected)
+    for name, value in expected.items():
+        assert grads[name].tobytes() == value.tobytes(), name
 
 
 class TestCELoss:

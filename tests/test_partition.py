@@ -210,6 +210,7 @@ def _kmeans_inputs():
     return cases
 
 
+@pytest.mark.bitwise
 def test_kmeans_equals_lloyd_loop_from_the_optimum_byte_for_byte():
     cases = _kmeans_inputs()
     assert len(cases) >= 2000

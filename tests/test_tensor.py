@@ -194,6 +194,7 @@ def _random_runs(rng):
     return ids, num_rows
 
 
+@pytest.mark.bitwise
 class TestGroupedSums:
     """The run index and the primitives built on it give np.add.reduceat's bytes."""
 
@@ -380,6 +381,7 @@ class TestRunIndexCache:
                 gc.enable()
 
 
+@pytest.mark.bitwise
 class TestUntrackedOperands:
     """A constant operand gets no gradient computation; the parameters keep their bits."""
 
@@ -415,6 +417,104 @@ class TestUntrackedOperands:
         _, _, grad_fn = next(rec for rec in tape._records if rec[0] == out.idx)
         op_grads = grad_fn(np.ones(out.shape))
         assert op_grads[constant] is None and op_grads[1 - constant] is not None
+
+
+class _CountingNumpy:
+    """Stands in for the ``np`` that ``tensor`` sees and counts ``isfinite`` calls on one array."""
+
+    def __init__(self, watched):
+        self.watched, self.scans = watched, 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def isfinite(self, a, *args, **kwargs):
+        self.scans += a is self.watched
+        return np.isfinite(a, *args, **kwargs)
+
+
+@pytest.mark.bitwise
+class TestFinitenessScan:
+    """A frozen array is scanned for NaN/Inf once; any other array on every use."""
+
+    @staticmethod
+    def _frozen(values) -> np.ndarray:
+        values = np.asarray(values, dtype=np.float64)
+        return np.frombuffer(values.tobytes()).reshape(values.shape)
+
+    def test_frozen_features_are_scanned_once(self, monkeypatch):
+        X = self._frozen(np.arange(12.0).reshape(4, 3))
+        counting = _CountingNumpy(X)
+        monkeypatch.setattr(T, "np", counting)
+        for _ in range(3):
+            assert Tape().constant(X).data is X
+            assert T.as_tensor(X).data is X
+        assert counting.scans == 1
+
+    def test_writeable_array_is_scanned_on_every_use(self, monkeypatch):
+        X = np.arange(12.0).reshape(4, 3)
+        counting = _CountingNumpy(X)
+        monkeypatch.setattr(T, "np", counting)
+        for _ in range(3):
+            Tape().constant(X)
+        assert counting.scans == 3
+
+    def test_frozen_array_holding_nan_raises_on_every_call(self):
+        X = self._frozen([[1.0, np.nan], [0.0, 2.0]])
+        for _ in range(3):
+            with pytest.raises(NumericsError):
+                Tape().constant(X)
+            with pytest.raises(NumericsError):
+                T.as_tensor(X)
+
+    def test_writeable_array_edited_to_nan_between_calls_raises(self):
+        X = np.ones((3, 2))
+        Tape().constant(X)
+        X[1, 0] = np.nan
+        with pytest.raises(NumericsError):
+            Tape().constant(X)
+        X[1, 0] = np.inf
+        with pytest.raises(NumericsError):
+            T.as_tensor(X)
+
+
+@pytest.mark.bitwise
+class TestDerivativeFactors:
+    """Elementwise derivative factors are built once per node and reused by every backward pass."""
+
+    @staticmethod
+    def _loss(rng):
+        tape = Tape()
+        w = tape.param("w", rng.uniform(-1.0, 1.0, (6, 4)))
+        ids = np.array([0, 2, 1, 0, 2, 2])
+        h = T.elu(T.matmul(T.as_tensor(rng.uniform(-1.0, 1.0, (6, 6))), w))
+        h = T.segment_mean(T.leaky_relu(h, 0.2), ids, 3)
+        return tape, T.row_sum(T.elu(h))
+
+    def test_repeated_backward_passes_equal_a_fresh_tape_byte_for_byte(self, monkeypatch):
+        built = {"_d_elu": 0, "_d_leaky_relu": 0}
+        for name in built:
+            original = getattr(T, name)
+
+            def counting(*args, name=name, original=original):
+                built[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(T, name, counting)
+        tape, loss = self._loss(np.random.default_rng(3))
+        seeds = [np.ones((3, 1))] + list(np.eye(3)[:, :, None]) + [np.ones((3, 1))]
+        grads = [tape.backward(loss, seed)["w"] for seed in seeds]
+        assert built == {"_d_elu": 2, "_d_leaky_relu": 1}  # two elu nodes, one leaky_relu node
+        assert grads[0].tobytes() == grads[-1].tobytes()
+        for seed, grad in zip(seeds, grads):
+            fresh_tape, fresh_loss = self._loss(np.random.default_rng(3))
+            assert grad.tobytes() == fresh_tape.backward(fresh_loss, seed)["w"].tobytes()
+
+    def test_matmul_checks_the_shape_of_a_given_product(self):
+        a, b = T.as_tensor(np.ones((3, 2))), T.as_tensor(np.ones((2, 4)))
+        assert T.matmul(a, b, product=a.data @ b.data).shape == (3, 4)
+        with pytest.raises(ContractError, match="product"):
+            T.matmul(a, b, product=np.ones((4, 3)))
 
 
 def _random_matrix(rng, shape):

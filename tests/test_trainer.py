@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hgmeta import trainer
 from hgmeta.data import Dataset, Splits
 from hgmeta.errors import ContractError, TrainingError
 from hgmeta.hypergraph import Hypergraph
@@ -11,12 +12,14 @@ from hgmeta.mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
 from hgmeta.rng import stream
 from hgmeta.tensor import Tape
 from hgmeta.trainer import (
+    PREDICT_MODES,
     ScheduleSpec,
     TrainSettings,
     external_update,
     intermediate_update,
     internal_update,
     lr,
+    evaluate,
     meta_gradient,
     predict,
     train,
@@ -79,11 +82,13 @@ def reference_per_sample_grads(g, X, y, hgnn, ids, branch, num_classes=2):
 
 
 class TestIntermediateUpdate:
+    @pytest.mark.bitwise
     def test_zero_lr_keeps_parameters_bitwise(self):
         g, X, y, hgnn, mwn, ids, tasks = width2_instance()
         w_hat, cache = intermediate_update(g, X, y, 2, hgnn, mwn, ids, tasks, lam1=0.0)
         np.testing.assert_array_equal(w_hat.flatten(), hgnn.flatten())
 
+    @pytest.mark.bitwise
     def test_zero_head_step_bitwise_equals_unweighted_average_step(self):
         g, X, y, hgnn, mwn, ids, tasks = width2_instance()
         lam1 = 0.05
@@ -94,6 +99,7 @@ class TestIntermediateUpdate:
         expected = hgnn.flatten() - lam1 * (0.5 * (g1 + g2)).sum(axis=0)
         np.testing.assert_array_equal(w_hat.flatten(), expected)
 
+    @pytest.mark.bitwise
     def test_hand_rolled_weighted_step(self):
         g, X, y, hgnn, mwn, ids, tasks = width2_instance(seed=2)
         rng = np.random.default_rng(5)
@@ -131,6 +137,7 @@ class TestMetaGradient:
         assert report.analytic_norm > 0
         assert report.max_rel_err <= 1e-3
 
+    @pytest.mark.bitwise
     def test_complementary_mode_is_the_alpha_term_bitwise(self):
         g, X, y, hgnn, mwn, ids, tasks = width2_instance(seed=6)
         rng = np.random.default_rng(7)
@@ -213,6 +220,7 @@ class TestTrainLoop:
                 if not np.isnan(a):
                     assert 0.0 < a < 1.0
 
+    @pytest.mark.bitwise
     def test_full_iteration_matches_hand_rolled_reference(self):
         ds = random_toy_dataset(nodes=8, seed=4)
         settings = quick_settings(1, hidden=2, layers=1, k=2)
@@ -343,6 +351,20 @@ class TestPredict:
         ss_labels, ss_scores = predict(state, ds, ids, "ss")
         np.testing.assert_array_equal(blend_labels, ss_labels)
         np.testing.assert_allclose(blend_scores, ss_scores, rtol=1e-12)
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("seed", [14, 15])
+    def test_evaluate_equals_predict_in_every_mode(self, seed):
+        ds = random_toy_dataset(nodes=12, seed=seed)
+        state, metrics = train(ds, quick_settings(3, seed=seed))
+        ids = np.asarray(ds.splits.test)
+        truth = ds.labels[ids]
+        assert evaluate(state, ds) == metrics
+        scores = trainer._scores(state, ds, ids, PREDICT_MODES)
+        for mode in PREDICT_MODES:
+            labels, expected = predict(state, ds, ids, mode)
+            assert scores[mode].tobytes() == expected.tobytes()
+            assert metrics[f"test_acc_{mode}"] == float((labels == truth).mean())
 
     def test_unknown_mode_rejected(self):
         ds = random_toy_dataset(nodes=9, seed=13)
