@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Commands: ``train``, ``eval``, ``analyze-overlap``, ``emit-losses``,
-``grad-check``. Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numeric training failure, 5 gradient-check tolerance breach.
+``grad-check``. Exit codes: 0 success, 2 configuration error (an artifact
+path whose directory does not exist among them), 3 data error (a failed
+output write among them), 4 numeric training failure, 5 gradient-check
+tolerance breach.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,15 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_TRAINING = 4
 EXIT_TOLERANCE = 5
+
+
+@contextmanager
+def _writing(path):
+    """Guards the writes of one output file: an OSError becomes a DataError naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError("output-write", f"cannot write {path}: {exc}") from exc
 
 
 def _resolve_dataset(cfg: RunConfig) -> Dataset:
@@ -62,11 +74,16 @@ def _check_compat(artifact: RunArtifact, ds: Dataset) -> None:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
+    output_dir = Path(cfg.output).parent
+    if not output_dir.is_dir():
+        raise ConfigError(f"output directory {output_dir} does not exist")
     ds = _resolve_dataset(cfg)
     if args.save_dataset:
-        save_dataset(ds, args.save_dataset)
+        with _writing(args.save_dataset):
+            save_dataset(ds, args.save_dataset)
     state, metrics = train(ds, cfg.settings)
-    save_run_artifact(cfg.output, cfg.echo, state, metrics)
+    with _writing(cfg.output):
+        save_run_artifact(cfg.output, cfg.echo, state, metrics)
     for mode in ("ss", "fs", "blend"):
         print(f"test_acc_{mode}={metrics[f'test_acc_{mode}']:.6f}")
     for c, a in enumerate(metrics["final_mean_alpha"]):
@@ -116,7 +133,7 @@ def cmd_analyze_overlap(args) -> int:
     for level, count in enumerate(counts):
         print(f"level{level}: {int(count)} nodes")
     if args.csv:
-        with Path(args.csv).open("w", newline="") as fh:
+        with _writing(args.csv), Path(args.csv).open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["node_id", "p", "level"])
             for v in range(g.num_nodes):
@@ -130,7 +147,7 @@ def cmd_emit_losses(args) -> int:
     _check_compat(artifact, ds)
     train_ids = np.asarray(ds.splits.train, dtype=np.int64)
     out = branch_losses(ds.graph, ds.features, ds.labels, artifact.hgnn, train_ids)
-    with Path(args.losses_csv).open("w", newline="") as fh:
+    with _writing(args.losses_csv), Path(args.losses_csv).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node_id", "loss_ss", "loss_fs"])
         for i, v in enumerate(train_ids):
@@ -138,7 +155,7 @@ def cmd_emit_losses(args) -> int:
     print(f"losses_csv={args.losses_csv} rows={train_ids.size}")
     if args.history_csv:
         k = artifact.partition.k
-        with Path(args.history_csv).open("w", newline="") as fh:
+        with _writing(args.history_csv), Path(args.history_csv).open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "train_loss", "meta_loss"] + [f"mean_alpha_task{c}" for c in range(k)])
             for rec in artifact.history:

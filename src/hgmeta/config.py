@@ -66,10 +66,26 @@ def _take(section: dict, defaults: dict, where: str) -> dict:
 
 def _number(section: dict, key: str, where: str, kind: type):
     """``kind(section[key])``; a value that does not convert is a ConfigError."""
+    if kind is int:
+        return _integer(section[key], f"{where}.{key}")
     try:
         return kind(section[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}.{key} must be a number, got {section[key]!r}") from exc
+
+
+def _integer(value, where: str) -> int:
+    """``int(value)``, refusing what ``int`` would truncate or reinterpret.
+
+    A bool or a number with a fractional part is a ConfigError, as is a
+    value that does not convert; an integral float such as 5.0 is accepted.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where} must be an integer, got {value!r}") from exc
 
 
 def _require(cond: bool, message: str) -> None:
@@ -99,14 +115,14 @@ def parse_config(doc: dict) -> RunConfig:
         _require(set(dataset) == {"synthetic"}, "dataset.synthetic takes no sibling keys")
         synth = _take(dataset["synthetic"], _SYNTH_DEFAULTS, "dataset.synthetic")
         _require(synth["bias"] in BIAS_KINDS, f"dataset.synthetic.bias must be one of {BIAS_KINDS}")
+        ints = {key: _number(synth, key, "dataset.synthetic", int) for key in ("nodes", "classes", "hyperedges", "dim")}
+        _require(isinstance(synth["size_range"], list), "dataset.synthetic.size_range must be an array")
+        size_range = [_integer(v, "dataset.synthetic.size_range") for v in synth["size_range"]]
         try:
             synthetic = SyntheticSpec(
-                nodes=int(synth["nodes"]),
-                classes=int(synth["classes"]),
-                hyperedges=int(synth["hyperedges"]),
-                size_range=tuple(int(v) for v in synth["size_range"]),
+                **ints,
+                size_range=tuple(size_range),
                 homophily=float(synth["homophily"]),
-                dim=int(synth["dim"]),
                 noise=float(synth["noise"]),
                 signal=float(synth["signal"]),
                 bias=str(synth["bias"]),
@@ -117,7 +133,7 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(f"dataset.synthetic: {exc}") from exc
         synth_echo = {
             **synth,
-            "size_range": [int(v) for v in synth["size_range"]],
+            "size_range": size_range,
             "split_fractions": [float(v) for v in synth["split_fractions"]],
         }
 
@@ -159,7 +175,7 @@ def parse_config(doc: dict) -> RunConfig:
     _require(train["optimizer"] in ("gd", "adam"), "train.optimizer must be 'gd' or 'adam'")
 
     seed = doc.get("seed", 0)
-    _require(isinstance(seed, int), "seed must be an integer")
+    _require(isinstance(seed, int) and not isinstance(seed, bool), "seed must be an integer")
     output = doc.get("output", "run.json")
     _require(isinstance(output, str), "output must be a string path")
 

@@ -171,7 +171,8 @@ def load_dataset(path) -> Dataset:
     split_lists = {}
     for split_name in SPLIT_NAMES:
         ids = raw_splits[split_name]
-        if not isinstance(ids, list) or any(not isinstance(v, int) for v in ids):
+        # JSON true/false load as bools, which are ints to isinstance
+        if not isinstance(ids, list) or any(not isinstance(v, int) or isinstance(v, bool) for v in ids):
             raise DataError("split-parse", f"splits.json {split_name} must be an integer array")
         split_lists[split_name] = tuple(ids)
     ds = Dataset(

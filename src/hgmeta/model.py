@@ -14,23 +14,23 @@ differ only in where the coefficients come from:
 Weight matrices are shared between branches; the attention vectors are only
 consumed by the feature branch.
 
-Layer 0 aggregates the raw input features, which do not change between
-steps. When they arrive as an untracked, frozen array (see ``tensor.frozen``;
-``Dataset.features`` is one), their hyperedge means are computed once per
-graph and features array and reused by every later forward pass, taped or
-not. The structural coefficients are likewise computed once per graph.
-A pass over both branches (``build_branch_graphs``, ``_forward_branches``)
-computes the layer-0 products ``X @ W0`` and ``means(X) @ W0`` of an
-untracked input once; on a tape each branch still records its own two
-layer-0 ``matmul`` nodes with those values, so the record sequence and every
-gradient are those of two separate branches.
+Layer 0 reads the raw input features, a constant that never receives a
+gradient. One forward (``_forward_t``) serves every caller: it computes the
+layer-0 hyperedge means and the products ``X @ W0`` and ``means(X) @ W0``
+once for all the branches it runs, and on a tape each branch still records
+its own two layer-0 ``matmul`` nodes with those values, so the record
+sequence and every gradient are those of separate branches. ``forward`` and
+``build_branch_graph`` are its one-branch cases. Values derived from frozen
+arrays (see ``tensor.frozen``) follow the one cache rule of
+``tensor.derived``: the structural coefficients live as long as the graph,
+and the layer-0 means as long as both the graph and frozen features
+(``Dataset.features`` is frozen).
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -164,7 +164,7 @@ def aggregate_hyperedges(g: Hypergraph, node_feats: Array) -> Array:
     """Stage-1 aggregation: mean member feature per hyperedge."""
     if node_feats.shape[0] != g.num_nodes:
         raise ContractError("node_feats must have one row per node")
-    return _aggregate_t(g, T.as_tensor(node_feats)).data
+    return _edge_means_t(g, T.as_tensor(node_feats)).data
 
 
 def fs_coefficients(g: Hypergraph, node_proj: Array, edge_proj: Array, a: Array) -> Array:
@@ -187,45 +187,29 @@ def node_update(g: Hypergraph, node_feats: Array, edge_feats: Array, coeffs: Arr
     return (T.elu(out) if activate else out).data
 
 
-def _aggregate_t(g: Hypergraph, h: Tensor) -> Tensor:
-    if h.idx is None and T.frozen(h.data):
-        return Tensor(_input_edge_means(g, h.data), h.tape, None)
-    return _edge_means_t(g, h)
-
-
 def _edge_means_t(g: Hypergraph, h: Tensor) -> Tensor:
     arrays = g.incidence_arrays()
     gathered = T.gather_rows(h, arrays["member_nodes"])
     return T.segment_mean(gathered, arrays["member_edges"], g.num_hyperedges)
 
 
-# weakrefs to the graph's frozen member_nodes and to the features, and their
-# read-only hyperedge means, of the last call
-_input_means_slot: list[tuple[weakref.ref, weakref.ref, Array]] = []
+def _input_edge_means(g: Hypergraph, X: Array) -> Array:
+    """Read-only hyperedge means of the input features, built once per frozen pair.
 
-
-def _input_edge_means(g: Hypergraph, x: Array) -> Array:
-    """Hyperedge means of frozen input features, kept for the last pair.
-
-    The slot holds the graph (through its frozen ``member_nodes``) and the
-    features only weakly and empties when either is freed, so dropping a
-    dataset, or only its graph, frees the means too.
+    They are kept by ``tensor.derived`` for as long as both the graph's
+    frozen ``member_nodes`` and a frozen ``X`` live, so dropping a dataset,
+    or only its graph, frees them too. Any other ``X`` gets fresh means,
+    with the bits of ``_edge_means_t``.
     """
     arrays = g.incidence_arrays()
     members = arrays["member_nodes"]
-    if _input_means_slot:
-        graph_ref, x_ref, means = _input_means_slot[0]
-        if graph_ref() is members and x_ref() is x:
-            return means
-    means = T.gathered_segment_mean(x, members, arrays["member_edges"], g.num_hyperedges)
-    means.setflags(write=False)
 
-    def forget(dead: weakref.ref) -> None:
-        if _input_means_slot and any(ref is dead for ref in _input_means_slot[0][:2]):
-            _input_means_slot.clear()
+    def build() -> Array:
+        means = T.gathered_segment_mean(X, members, arrays["member_edges"], g.num_hyperedges)
+        means.setflags(write=False)
+        return means
 
-    _input_means_slot[:] = [(weakref.ref(members, forget), weakref.ref(x, forget), means)]
-    return means
+    return T.derived((members, X), "edge_means", build)
 
 
 def _fs_coefficients_t(g: Hypergraph, node_proj: Tensor, edge_proj: Tensor, a: Tensor) -> Tensor:
@@ -245,62 +229,50 @@ def _node_update_t(g: Hypergraph, hw: Tensor, ew: Tensor, coeff_col: Tensor) -> 
     return T.add(hw, T.segment_sum(messages, arrays["pair_nodes"], g.num_nodes))
 
 
-@dataclass(frozen=True)
-class _Layer0:
-    """Layer-0 inputs and products of a constant input, shared by both branches.
-
-    ``hw`` is ``x @ W0`` and ``ew`` is ``edge_feats @ W0``. Each branch still
-    records its own two layer-0 ``matmul`` nodes, with these values.
-    """
-
-    x: Tensor
-    edge_feats: Tensor
-    hw: Array
-    ew: Array
-
-
-def _layer0_products(g: Hypergraph, x: Tensor, w0: Tensor) -> _Layer0 | None:
-    """The layer-0 products of ``x``, or None when ``x`` is tracked."""
-    if x.idx is not None:
-        return None
-    edge_feats = _aggregate_t(g, x)
-    w0 = Tensor(w0.data)  # untracked, so the products record nothing
-    return _Layer0(x, edge_feats, T.matmul(x, w0).data, T.matmul(edge_feats, w0).data)
-
-
 def _forward_t(
     g: Hypergraph,
-    x: Tensor,
+    X: Array,
     weights: list[Tensor],
     attn: list[Tensor],
-    branch: str,
+    branches: Sequence[str],
     dropout_masks: list[Array] | None = None,
-    layer0: _Layer0 | None = None,
-) -> Tensor:
-    if branch not in BRANCHES:
-        raise ContractError(f"unknown branch {branch!r}")
-    tape = x.tape
-    if branch == "ss":
-        coeff = T.as_tensor(T.column(ss_coefficients(g)), tape)
-    h = x
+) -> Iterator[Tensor]:
+    """The last hidden layer of each branch for the constant input ``X``, yielded in turn.
+
+    ``X @ W0`` and ``means(X) @ W0`` are computed once for all branches, and
+    each branch records its own two layer-0 ``matmul`` nodes with those
+    values. A caller that records a branch's loss head before asking for the
+    next branch gets the record sequence, and so every gradient, of separate
+    passes.
+    """
+    unknown = [branch for branch in branches if branch not in BRANCHES]
+    if unknown:
+        raise ContractError(f"unknown branch {unknown[0]!r}")
+    x = T.as_tensor(X)
+    if x.shape[0] != g.num_nodes:
+        raise ContractError("X must have one row per node")
+    # both are finite already, so they are wrapped without another scan; an
+    # untracked W0 makes the shared products record nothing
+    means, w0 = Tensor(_input_edge_means(g, x.data)), Tensor(weights[0].data)
+    x_w0, means_w0 = T.matmul(x, w0).data, T.matmul(means, w0).data
     last = len(weights) - 1
-    for t, (w, a) in enumerate(zip(weights, attn)):
-        if t == 0 and layer0 is not None:
-            edge_feats = layer0.edge_feats
-            hw = T.matmul(h, w, product=layer0.hw)
-            ew = T.matmul(edge_feats, w, product=layer0.ew)
-        else:
-            edge_feats = _aggregate_t(g, h)
-            hw = T.matmul(h, w)
-            ew = T.matmul(edge_feats, w)
-        if branch == "fs":
-            coeff = _fs_coefficients_t(g, hw, ew, a)
-        h = _node_update_t(g, hw, ew, coeff)
-        if t < last:
-            h = T.elu(h)
-            if dropout_masks is not None:
-                h = T.mul(h, T.as_tensor(dropout_masks[t], tape))
-    return h
+    for branch in branches:
+        if branch == "ss":
+            coeff = T.as_tensor(T.column(ss_coefficients(g)))
+        for t, (w, a) in enumerate(zip(weights, attn)):
+            if t == 0:
+                hw, ew = T.matmul(x, w, x_w0), T.matmul(means, w, means_w0)
+            else:
+                edge_feats = _edge_means_t(g, h)
+                hw, ew = T.matmul(h, w), T.matmul(edge_feats, w)
+            if branch == "fs":
+                coeff = _fs_coefficients_t(g, hw, ew, a)
+            h = _node_update_t(g, hw, ew, coeff)
+            if t < last:
+                h = T.elu(h)
+                if dropout_masks is not None:
+                    h = T.mul(h, T.as_tensor(dropout_masks[t]))
+        yield h
 
 
 def forward(g: Hypergraph, X: Array, params: HGNNParams, branch: str, eval_ids) -> Array:
@@ -311,14 +283,10 @@ def forward(g: Hypergraph, X: Array, params: HGNNParams, branch: str, eval_ids) 
 
 def _forward_branches(g: Hypergraph, X: Array, params: HGNNParams, branches: Sequence[str], eval_ids) -> list[Array]:
     """Untaped logits rows for eval_ids of each branch, with one layer-0 projection."""
-    if X.shape[0] != g.num_nodes:
-        raise ContractError("X must have one row per node")
-    x = T.as_tensor(X)
     weights = [T.as_tensor(w) for w in params.weights]
     attn = [T.as_tensor(a) for a in params.attn]
-    layer0 = _layer0_products(g, x, weights[0])
     ids = np.asarray(eval_ids, dtype=np.int64)
-    return [_forward_t(g, x, weights, attn, branch, layer0=layer0).data[ids] for branch in branches]
+    return [hidden.data[ids] for hidden in _forward_t(g, X, weights, attn, branches)]
 
 
 def ce_loss(logits_row: Array, onehot: Array) -> float:
@@ -349,27 +317,10 @@ def build_branch_graph(
     weights: list[Tensor],
     attn: list[Tensor],
     dropout_masks: list[Array] | None = None,
-    layer0: _Layer0 | None = None,
 ) -> BranchGraph:
-    """Taped forward to per-sample CE losses for eval_ids on one branch.
-
-    ``y_onehot`` must carry one row per eval id. Parameters are passed as
-    tape tensors so both branches of one step can share a single tape (and
-    therefore accumulate gradients into the same shared weights).
-    ``layer0``, from ``build_branch_graphs``, carries this tape's constant
-    ``X`` and its layer-0 products.
-    """
-    eval_ids = np.asarray(eval_ids, dtype=np.int64)
-    if y_onehot.shape[0] != eval_ids.size:
-        raise ContractError("one-hot labels must align with eval_ids")
-    x = tape.constant(X) if layer0 is None else layer0.x
-    hidden = _forward_t(g, x, weights, attn, branch, dropout_masks, layer0)
-    logits = T.gather_rows(hidden, eval_ids)
-    logp = T.row_log_softmax(logits)
-    picked = T.row_sum(T.mul(logp, tape.constant(y_onehot)))
-    loss_vec = T.scale(picked, -1.0)
-    mean_loss = T.scale(T.sum_all(loss_vec), 1.0 / max(eval_ids.size, 1))
-    return BranchGraph(tape=tape, branch=branch, loss_vec=loss_vec, logits=logits, mean_loss=mean_loss)
+    """``build_branch_graphs`` for one branch."""
+    (graph,) = build_branch_graphs(g, X, y_onehot, eval_ids, tape, weights, attn, dropout_masks, (branch,))
+    return graph
 
 
 def build_branch_graphs(
@@ -381,19 +332,28 @@ def build_branch_graphs(
     weights: list[Tensor],
     attn: list[Tensor],
     dropout_masks: list[Array] | None = None,
-) -> tuple[BranchGraph, BranchGraph]:
-    """``build_branch_graph`` for ss, then fs, on one tape.
+    branches: Sequence[str] = BRANCHES,
+) -> list[BranchGraph]:
+    """Taped forward to per-sample CE losses for eval_ids, one graph per branch.
 
-    ``X @ W0`` and the layer-0 hyperedge means times ``W0`` are computed
-    once for both branches. Each branch records the same nodes, in the same
+    ``y_onehot`` must carry one row per eval id. Parameters are passed as
+    tape tensors so the branches share one tape, and therefore accumulate
+    gradients into the same shared weights. The layer-0 products are computed
+    once for all branches; each branch records the same nodes, in the same
     order and with the same backward closures, as on its own.
     """
-    layer0 = _layer0_products(g, tape.constant(X), weights[0])
-    graph_ss, graph_fs = (
-        build_branch_graph(g, X, y_onehot, eval_ids, branch, tape, weights, attn, dropout_masks, layer0)
-        for branch in BRANCHES
-    )
-    return graph_ss, graph_fs
+    eval_ids = np.asarray(eval_ids, dtype=np.int64)
+    if y_onehot.shape[0] != eval_ids.size:
+        raise ContractError("one-hot labels must align with eval_ids")
+    labels = tape.constant(y_onehot)
+    graphs = []
+    for branch, hidden in zip(branches, _forward_t(g, X, weights, attn, branches, dropout_masks)):
+        logits = T.gather_rows(hidden, eval_ids)
+        picked = T.row_sum(T.mul(T.row_log_softmax(logits), labels))
+        loss_vec = T.scale(picked, -1.0)
+        mean_loss = T.scale(T.sum_all(loss_vec), 1.0 / max(eval_ids.size, 1))
+        graphs.append(BranchGraph(tape=tape, branch=branch, loss_vec=loss_vec, logits=logits, mean_loss=mean_loss))
+    return graphs
 
 
 def branch_losses(g: Hypergraph, X: Array, y: Array, params: HGNNParams, ids) -> ForwardOutput:

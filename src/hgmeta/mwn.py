@@ -1,11 +1,14 @@
 """Multi-task weight net mapping per-sample branch losses to (alpha, beta).
 
 A shared hidden layer reads the two losses; one small head per overlap level
-produces the blend weights for samples of that level. In the default
-complementary mode a head emits a single logit and beta = 1 - alpha.
-Independent mode gives each head two outputs passed through separate
-sigmoids. Both modes share one analytic meta-gradient: a seeded backward pass
-through (alpha, beta) in ``weighted_alpha_theta_grad``.
+produces the blend weights for samples of that level. The two output modes
+differ only in how many columns a head has. In the default complementary
+mode a head emits a single logit, alpha is its sigmoid and beta = 1 - alpha.
+In independent mode a head emits two logits, and alpha and beta are their
+sigmoids. ``alpha_beta_graph`` builds the heads once and runs one loop over
+the output columns for both modes. Both modes share one analytic
+meta-gradient: a seeded backward pass through (alpha, beta) in
+``weighted_alpha_theta_grad``.
 
 Heads are zero-initialized so training starts with alpha = beta = 0.5.
 """
@@ -137,29 +140,17 @@ def alpha_beta_graph(
     mask = np.zeros((n, params.k))
     mask[np.arange(n), tasks] = 1.0
     mask_t = tape.constant(mask)
+    heads = [T.add(T.matmul(hidden, ptensors[f"head{c}_w"]), ptensors[f"head{c}_b"]) for c in range(params.k)]
+    # column j of every head side by side, then each sample's own task's entry
+    outputs = []
+    for j in range(heads[0].shape[1]):
+        raw = T.slice_cols(heads[0], j, j + 1)
+        for head in heads[1:]:
+            raw = T.concat_cols(raw, T.slice_cols(head, j, j + 1))
+        outputs.append(T.sigmoid(T.row_sum(T.mul(raw, mask_t))))
     if params.mode == "complementary":
-        raw_cols = [
-            T.add(T.matmul(hidden, ptensors[f"head{c}_w"]), ptensors[f"head{c}_b"])
-            for c in range(params.k)
-        ]
-        raw_all = raw_cols[0]
-        for col in raw_cols[1:]:
-            raw_all = T.concat_cols(raw_all, col)
-        raw = T.row_sum(T.mul(raw_all, mask_t))
-        alpha = T.sigmoid(raw)
-        beta = T.add(T.scale(alpha, -1.0), tape.constant(np.ones((n, 1))))
-        return alpha, beta
-    cols_a, cols_b = [], []
-    for c in range(params.k):
-        raw_c = T.add(T.matmul(hidden, ptensors[f"head{c}_w"]), ptensors[f"head{c}_b"])
-        cols_a.append(T.slice_cols(raw_c, 0, 1))
-        cols_b.append(T.slice_cols(raw_c, 1, 2))
-    raw_a, raw_b = cols_a[0], cols_b[0]
-    for ca, cb in zip(cols_a[1:], cols_b[1:]):
-        raw_a = T.concat_cols(raw_a, ca)
-        raw_b = T.concat_cols(raw_b, cb)
-    alpha = T.sigmoid(T.row_sum(T.mul(raw_a, mask_t)))
-    beta = T.sigmoid(T.row_sum(T.mul(raw_b, mask_t)))
+        outputs.append(T.add(T.scale(outputs[0], -1.0), tape.constant(np.ones((n, 1)))))
+    alpha, beta = outputs
     return alpha, beta
 
 

@@ -32,11 +32,6 @@ class Partition:
             raise ContractError("k must match the number of centroids")
 
 
-def _assign(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # argmin returns the first minimum, which implements ties-to-lower-index
-    return np.abs(values[:, None] - centroids[None, :]).argmin(axis=1)
-
-
 def _optimal_contiguous_means(ordered: np.ndarray, k: int) -> np.ndarray:
     """Cluster means of the SSE-optimal split of sorted values into k runs."""
     n = ordered.size
@@ -83,12 +78,12 @@ def kmeans_1d(values, k: int) -> Partition:
     k = min(k, np.unique(values).size)
 
     centroids = _optimal_contiguous_means(np.sort(values), k)
-    labels = _assign(values, centroids)
+    labels = assign_levels(values, centroids)
     for c in range(k):
         members = values[labels == c]
         if members.size:
             centroids[c] = members.mean()
-    labels = _assign(values, centroids)
+    labels = assign_levels(values, centroids)
 
     # ascending order, then merge degenerate duplicate centroids
     order = np.argsort(centroids, kind="stable")

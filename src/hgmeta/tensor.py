@@ -15,6 +15,12 @@ NumericsError, naming the operation and its output shape, instead of letting
 non-finite values propagate. Inputs are scanned as they become tensors; a
 frozen array (see ``frozen``) is scanned once and its verdict kept.
 
+Every cache in the package follows one rule, ``derived``: a value built from
+one or more frozen arrays is kept while all of them live, held weakly, and
+is dropped when any of them dies. The finiteness verdicts, the run indexes
+below, a graph's structural coefficients and the layer-0 hyperedge means of
+the input features (keyed on the graph and the features) are kept this way.
+
 ``matmul`` accepts a product computed ahead (the layer-0 projections that
 both branches share). The elementwise derivative factors of ``elu`` and
 ``leaky_relu`` are built once with a tracked node and reused by every
@@ -271,8 +277,15 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
+    """Columns ``start:stop`` of ``a``; a slice of every column is ``a`` itself.
+
+    So a gradient reaches ``a`` as its consumers give it, without a copy
+    that could change how a later product sums it.
+    """
     if not 0 <= start < stop <= a.shape[1]:
         raise ContractError(f"slice_cols [{start}:{stop}] out of range for {a.shape}")
+    if stop - start == a.shape[1]:
+        return a
     shape = a.shape
 
     def grad(g: Array):
@@ -415,32 +428,34 @@ def frozen(a: Array) -> bool:
     return isinstance(a, bytes)
 
 
-# (id of a frozen array, kind of value) -> (weakref to the array, the value)
-_derived: dict[tuple[int, str], tuple[weakref.ref, object]] = {}
+# (ids of the frozen key arrays, kind of value) -> (weakrefs to the arrays, the value)
+_derived: dict[tuple[tuple[int, ...], str], tuple[tuple[weakref.ref, ...], object]] = {}
 
 
-def derived(key: Array, kind: str, build: Callable[[], object]):
-    """``build()``, kept under ``kind`` for as long as ``key`` lives, if ``key`` is frozen.
+def derived(keys: Array | tuple[Array, ...], kind: str, build: Callable[[], object]):
+    """``build()``, kept under ``kind`` while every array of ``keys`` lives, if all are frozen.
 
-    A frozen array (see ``frozen``) cannot change, so a value derived from it
-    stays valid while the array lives and is kept no longer: the cache holds
-    the array only weakly, and the value must not refer to it. Any other
-    ``key`` gets a fresh ``build()`` on every call.
+    A frozen array (see ``frozen``) cannot change, so a value derived from
+    frozen arrays stays valid while they live and is kept no longer: the
+    cache holds them only weakly, drops the value when any of them dies, and
+    the value must not refer to them. If any key is not frozen, every call
+    gets a fresh ``build()``.
     """
-    if not frozen(key):
+    keys = keys if isinstance(keys, tuple) else (keys,)
+    if not all(map(frozen, keys)):
         return build()
-    slot = (id(key), kind)
+    slot = (tuple(map(id, keys)), kind)
     hit = _derived.get(slot)
-    if hit is not None and hit[0]() is key:
+    if hit is not None and all(ref() is key for ref, key in zip(hit[0], keys)):
         return hit[1]
 
     def forget(dead: weakref.ref) -> None:
         entry = _derived.get(slot)
-        if entry is not None and entry[0] is dead:
+        if entry is not None and any(ref is dead for ref in entry[0]):
             del _derived[slot]
 
     value = build()
-    _derived[slot] = (weakref.ref(key, forget), value)
+    _derived[slot] = (tuple(weakref.ref(key, forget) for key in keys), value)
     return value
 
 

@@ -95,6 +95,72 @@ class TestTrainCommand:
         assert cli.main(["train", str(cfg)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section,value,key",
+        [
+            ("model", {"layers": 2, "hidden": 8.9}, "model.hidden"),
+            ("model", {"layers": True, "hidden": 6}, "model.layers"),
+            ("partition", {"k": 2.5}, "partition.k"),
+            ("mwn", {"hidden": True}, "mwn.hidden"),
+            ("train", {"steps": 3.5}, "train.steps"),
+            ("train", {"steps": 3, "batch": 5.5}, "train.batch"),
+            ("train", {"steps": 3, "batch": True}, "train.batch"),
+            ("seed", True, "seed"),
+            ("dataset", {"synthetic": {"nodes": 24.5, "hyperedges": 14}}, "dataset.synthetic.nodes"),
+            ("dataset", {"synthetic": {"nodes": 24, "dim": True}}, "dataset.synthetic.dim"),
+            ("dataset", {"synthetic": {"nodes": 24, "size_range": [2, 4.5]}}, "dataset.synthetic.size_range"),
+        ],
+        ids=[
+            "hidden-fraction",
+            "layers-bool",
+            "k-fraction",
+            "mwn-hidden-bool",
+            "steps-fraction",
+            "batch-fraction",
+            "batch-bool",
+            "seed-bool",
+            "nodes-fraction",
+            "dim-bool",
+            "size-range-fraction",
+        ],
+    )
+    def test_integer_key_rejects_bools_and_fractions_before_training(
+        self, tmp_path, capsys, monkeypatch, section, value, key
+    ):
+        monkeypatch.setattr(cli, "train", _no_training)
+        cfg = tiny_config(tmp_path, **{section: value})
+        assert cli.main(["train", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_integral_floats_stay_valid_with_the_echo_unchanged(self, tmp_path):
+        doc = json.loads(tiny_config(tmp_path).read_text())
+        whole = {**doc, "model": {"layers": 2.0, "hidden": 6.0}, "train": {"steps": 3.0, "batch": 5.0}}
+        cfg, ref = parse_config(whole), parse_config({**doc, "train": {"steps": 3, "batch": 5.0}})
+        settings = cfg.settings
+        assert (settings.layers, settings.hidden, settings.steps, settings.batch_size) == (2, 6, 3, 5)
+        assert json.dumps(cfg.echo) == json.dumps(ref.echo)
+
+    def test_missing_output_directory_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", _no_training)
+        missing = tmp_path / "nonexistent_dir"
+        cfg = tiny_config(tmp_path, output=str(missing / "run.json"))
+        assert cli.main(["train", str(cfg)]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_unwritable_artifact_exits_3_naming_the_path(self, tmp_path, capsys):
+        target = tmp_path / "run.json"
+        target.mkdir()  # a directory where the artifact file should go
+        cfg = tiny_config(tmp_path)
+        assert cli.main(["train", str(cfg)]) == 3
+        assert f"cannot write {target}" in capsys.readouterr().err
+
+    def test_unwritable_save_dataset_exits_3_naming_the_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", _no_training)
+        target = tmp_path / "ds"
+        target.write_text("")  # a file where the dataset directory should go
+        assert cli.main(["train", str(tiny_config(tmp_path)), "--save-dataset", str(target)]) == 3
+        assert f"cannot write {target}" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_numeric_blowup_exits_4(self, tmp_path):
         cfg = tiny_config(
@@ -114,6 +180,10 @@ class TestTrainCommand:
         cfg = tiny_config(tmp_path)
         assert cli.main(["train", str(cfg), "--save-dataset", str(tmp_path / "ds")]) == 0
         assert (tmp_path / "ds" / "hyperedges.txt").exists()
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("training ran")
 
 
 def test_documented_example_config_parses():
@@ -240,6 +310,13 @@ class TestAnalyzeOverlap:
         assert lines[0] == "node_id,p,level"
         assert len(lines) == 8
 
+    def test_unwritable_csv_exits_3_naming_the_path(self, tmp_path, capsys):
+        root = write_toy_dataset(tmp_path / "toy")
+        target = tmp_path / "overlap.csv"
+        target.mkdir()
+        assert cli.main(["analyze-overlap", str(root), "--csv", str(target)]) == 3
+        assert f"cannot write {target}" in capsys.readouterr().err
+
     def test_levels_cover_range_on_spread_synthetic(self, tmp_path, capsys):
         ds = generate_synthetic(
             SyntheticSpec(nodes=60, classes=2, hyperedges=70, size_range=(2, 6)), seed=3
@@ -295,6 +372,27 @@ class TestEmitLosses:
         assert rc == 0
         history = (tmp_path / "h.csv").read_text().splitlines()
         assert len(history) == 1 + 3
+
+    @pytest.mark.parametrize("which", ["losses", "history"])
+    def test_unwritable_csv_exits_3_naming_the_path(self, tmp_path, capsys, which):
+        cfg = tiny_config(tmp_path)
+        assert cli.main(["train", str(cfg)]) == 0
+        paths = {"losses": tmp_path / "l.csv", "history": tmp_path / "h.csv"}
+        paths[which].mkdir()
+        capsys.readouterr()
+        rc = cli.main(
+            [
+                "emit-losses",
+                str(tmp_path / "run.json"),
+                "--regen",
+                "--losses-csv",
+                str(paths["losses"]),
+                "--history-csv",
+                str(paths["history"]),
+            ]
+        )
+        assert rc == 3
+        assert f"cannot write {paths[which]}" in capsys.readouterr().err
 
     def test_config_echo_without_seed_exits_3(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)

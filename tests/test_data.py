@@ -66,6 +66,13 @@ class TestLoad:
             load_dataset(root)
         assert err.value.code == "split-overlap"
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_json_bool_in_a_split_is_not_a_node_id(self, tmp_path, flag):
+        root = write_toy_dataset(tmp_path / "toy", splits={"train": [0, flag], "meta": [3], "test": [5]})
+        with pytest.raises(DataError) as err:
+            load_dataset(root)
+        assert err.value.code == "split-parse"
+
     def test_split_index_out_of_range(self, tmp_path):
         root = write_toy_dataset(tmp_path / "toy", splits={"train": [0], "meta": [1], "test": [9]})
         with pytest.raises(DataError) as err:

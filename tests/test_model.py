@@ -223,7 +223,7 @@ class TestForward:
 
 
 class TestInputMeansCache:
-    """Layer-0 hyperedge means of frozen features are computed once per pair."""
+    """Layer-0 hyperedge means of frozen features are computed once per graph and features pair."""
 
     @staticmethod
     def _instance(seed=21):
@@ -234,19 +234,34 @@ class TestInputMeansCache:
         assert T.frozen(X)
         return g, X, random_params([5, 4, 3], seed=seed)
 
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """A weakref to every layer-0 means array built, in order."""
+        made, build = [], T.gathered_segment_mean
+
+        def counting(*args):
+            means = build(*args)
+            made.append(weakref.ref(means))
+            return means
+
+        monkeypatch.setattr(T, "gathered_segment_mean", counting)
+        return made
+
     @pytest.mark.parametrize("branch", ["ss", "fs"])
-    def test_read_only_features_reuse_their_means_with_the_same_bits(self, branch):
+    def test_read_only_features_reuse_their_means_with_the_same_bits(self, branch, builds):
         g, X, params = self._instance()
         ids = range(g.num_nodes)
         first = forward(g, X, params, branch, ids)
-        means = model._input_means_slot[0][2]
         second = forward(g, X, params, branch, ids)
-        assert model._input_means_slot[0][2] is means
-        assert not means.flags.writeable
+        assert len(builds) == 1
+        assert not builds[0]().flags.writeable
         np.testing.assert_array_equal(first, second)
         writeable = X.copy()
         np.testing.assert_array_equal(forward(g, writeable, params, branch, ids), first)
-        assert model._input_means_slot[0][1]() is X
+        np.testing.assert_array_equal(forward(g, writeable, params, branch, ids), first)
+        assert len(builds) == 3  # fresh means on every pass over a writeable array
+        forward(g, X, params, branch, ids)
+        assert len(builds) == 3  # and the frozen features' means are still held
 
     def test_taped_gradients_match_writeable_features_bitwise(self):
         g, X, params = self._instance(seed=22)
@@ -262,15 +277,16 @@ class TestInputMeansCache:
             for name, value in results[0].items():
                 np.testing.assert_array_equal(grads[name], value)
 
-    def test_view_of_writeable_array_is_not_cached(self):
+    def test_view_of_writeable_array_is_not_cached(self, builds):
         g, X, params = self._instance(seed=23)
         base = X.copy()
         view = base[:]
         view.setflags(write=False)
         forward(g, X, params, "ss", [0])
-        cached = model._input_means_slot[0][2]
         forward(g, view, params, "ss", [0])
-        assert model._input_means_slot[0][2] is cached
+        forward(g, view, params, "ss", [0])
+        forward(g, X, params, "ss", [0])
+        assert len(builds) == 3
 
     @pytest.mark.parametrize("branch", ["ss", "fs"])
     def test_owner_edited_between_passes_gives_fresh_means(self, branch):
@@ -286,31 +302,30 @@ class TestInputMeansCache:
         np.testing.assert_array_equal(after, forward(g, X.copy(), params, branch, ids))
         assert not np.array_equal(after, before)
 
-    def test_dropped_graph_is_not_kept_alive_by_its_features(self):
+    def test_dropped_graph_is_not_kept_alive_by_its_features(self, builds):
         g, X, params = self._instance(seed=26)
         was_enabled = gc.isenabled()
         gc.disable()
         try:
             forward(g, X, params, "fs", [0])
-            assert model._input_means_slot[0][1]() is X
             members_ref = weakref.ref(g.incidence_arrays()["member_nodes"])
+            assert builds[0]() is not None
             del g
-            assert members_ref() is None
-            assert model._input_means_slot == []
+            assert members_ref() is None and builds[0]() is None
         finally:
             if was_enabled:
                 gc.enable()
 
-    def test_dropped_features_free_their_means_without_the_cyclic_collector(self):
+    def test_dropped_features_free_their_means_without_the_cyclic_collector(self, builds):
         g, X, params = self._instance(seed=24)
         was_enabled = gc.isenabled()
         gc.disable()
         try:
             forward(g, X, params, "fs", [0])
-            x_ref, means_ref = weakref.ref(X), weakref.ref(model._input_means_slot[0][2])
+            x_ref = weakref.ref(X)
+            assert builds[0]() is not None
             del X
-            assert x_ref() is None and means_ref() is None
-            assert model._input_means_slot == []
+            assert x_ref() is None and builds[0]() is None
         finally:
             if was_enabled:
                 gc.enable()
@@ -372,10 +387,9 @@ class TestSharedLayer0:
         both = model._forward_branches(g, X, params, model.BRANCHES, ids)
         ss_hw, ss_ew, fs_hw, fs_ew = outputs
         assert fs_hw.data is ss_hw.data and fs_ew.data is ss_ew.data
-        weights, attn = [T.as_tensor(w) for w in params.weights], [T.as_tensor(a) for a in params.attn]
         for branch, logits in zip(model.BRANCHES, both):
-            alone = model._forward_t(g, T.as_tensor(X), weights, attn, branch)  # its own layer-0 products
-            assert logits.tobytes() == alone.data[ids].tobytes()
+            alone = forward(g, X, params, branch, ids)  # its own layer-0 products
+            assert logits.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "writeable"])
     @pytest.mark.parametrize("dropout", [False, True], ids=["plain", "dropout"])

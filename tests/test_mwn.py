@@ -167,3 +167,74 @@ class TestWeightedAlphaGrad:
                     expected[name] += beta_coeffs[j] * g.d_beta[name]
         for name in expected:
             np.testing.assert_allclose(combined[name], expected[name], rtol=1e-10, atol=1e-12)
+
+
+def per_mode_alpha_beta_graph(tape, losses, tasks, params, ptensors):
+    """Reference: ``alpha_beta_graph`` as it was with one head-building branch per output mode."""
+    n = losses.shape[0]
+    tasks = np.asarray(tasks, dtype=np.int64)
+    if params.log1p_inputs:
+        losses = T.log1p(losses)
+    hidden = T.elu(T.add(T.matmul(losses, ptensors["shared_w"]), ptensors["shared_b"]))
+    mask = np.zeros((n, params.k))
+    mask[np.arange(n), tasks] = 1.0
+    mask_t = tape.constant(mask)
+    if params.mode == "complementary":
+        raw_cols = [
+            T.add(T.matmul(hidden, ptensors[f"head{c}_w"]), ptensors[f"head{c}_b"])
+            for c in range(params.k)
+        ]
+        raw_all = raw_cols[0]
+        for col in raw_cols[1:]:
+            raw_all = T.concat_cols(raw_all, col)
+        alpha = T.sigmoid(T.row_sum(T.mul(raw_all, mask_t)))
+        beta = T.add(T.scale(alpha, -1.0), tape.constant(np.ones((n, 1))))
+        return alpha, beta
+    cols_a, cols_b = [], []
+    for c in range(params.k):
+        raw_c = T.add(T.matmul(hidden, ptensors[f"head{c}_w"]), ptensors[f"head{c}_b"])
+        cols_a.append(T.slice_cols(raw_c, 0, 1))
+        cols_b.append(T.slice_cols(raw_c, 1, 2))
+    raw_a, raw_b = cols_a[0], cols_b[0]
+    for ca, cb in zip(cols_a[1:], cols_b[1:]):
+        raw_a = T.concat_cols(raw_a, ca)
+        raw_b = T.concat_cols(raw_b, cb)
+    alpha = T.sigmoid(T.row_sum(T.mul(raw_a, mask_t)))
+    beta = T.sigmoid(T.row_sum(T.mul(raw_b, mask_t)))
+    return alpha, beta
+
+
+@pytest.mark.bitwise
+class TestOneHeadPath:
+    """The one loop over output columns gives the per-mode head code's bits."""
+
+    @staticmethod
+    def _instance(k: int, mode: str, log1p: bool):
+        params = fresh_params(k=k, hidden=7, mode=mode, seed=10 * k, randomize_heads=True, log1p=log1p)
+        rng = np.random.default_rng(k)
+        n = 23
+        # every task present, and exact zeros among the losses and coefficients
+        l1, l2 = rng.uniform(0, 6, n), rng.uniform(0, 6, n)
+        l1[:2] = 0.0
+        tasks = np.r_[np.arange(k), rng.integers(0, k, n - k)]
+        coeffs, beta_coeffs = rng.normal(size=n), rng.normal(size=n)
+        coeffs[3] = beta_coeffs[4] = 0.0
+        return params, l1, l2, tasks, coeffs, beta_coeffs
+
+    @pytest.mark.parametrize("log1p", [False, True], ids=["raw", "log1p"])
+    @pytest.mark.parametrize("mode", ["complementary", "independent"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_alpha_beta_and_theta_gradient_equal_the_per_mode_heads_byte_for_byte(self, monkeypatch, k, mode, log1p):
+        params, l1, l2, tasks, coeffs, beta_coeffs = self._instance(k, mode, log1p)
+        results = []
+        for graph in (mwn_mod.alpha_beta_graph, per_mode_alpha_beta_graph):
+            monkeypatch.setattr(mwn_mod, "alpha_beta_graph", graph)
+            alpha, beta = mwn_forward_batch(l1, l2, tasks, params)
+            grads = weighted_alpha_theta_grad(l1, l2, tasks, params, coeffs, beta_coeffs)
+            results.append((alpha, beta, grads))
+        (alpha, beta, grads), (ref_alpha, ref_beta, ref_grads) = results
+        assert alpha.tobytes() == ref_alpha.tobytes()
+        assert beta.tobytes() == ref_beta.tobytes()
+        assert list(grads) == list(ref_grads)
+        for name, value in ref_grads.items():
+            assert grads[name].tobytes() == value.tobytes(), name

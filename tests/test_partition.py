@@ -145,6 +145,11 @@ class TestAssignLevels:
         assert assign_levels(np.zeros(0), [1.0, 2.0]).shape == (0,)
 
 
+def _nearest(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """The Lloyd loop's own assignment: the first nearest centroid, so ties go to the lower index."""
+    return np.abs(values[:, None] - centroids[None, :]).argmin(axis=1)
+
+
 def lloyd_from_optimum(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Reference: Lloyd iterations from the DP optimum until the centroids stop moving.
 
@@ -155,7 +160,7 @@ def lloyd_from_optimum(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     values = np.asarray(values, dtype=np.float64)
     k = min(k, np.unique(values).size)
     centroids = partition._optimal_contiguous_means(np.sort(values), k)
-    labels = partition._assign(values, centroids)
+    labels = _nearest(values, centroids)
     prev_sse = float(((values - centroids[labels]) ** 2).sum())
     for _ in range(100):
         new_centroids = centroids.copy()
@@ -165,7 +170,7 @@ def lloyd_from_optimum(values, k: int) -> tuple[np.ndarray, np.ndarray]:
                 new_centroids[c] = members.mean()
         movement = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
-        labels = partition._assign(values, centroids)
+        labels = _nearest(values, centroids)
         sse = float(((values - centroids[labels]) ** 2).sum())
         assert sse <= prev_sse + 1e-12 * max(1.0, prev_sse)
         prev_sse = sse

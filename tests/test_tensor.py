@@ -85,6 +85,14 @@ class TestBasicGradients:
 
 
 class TestPrimitiveValues:
+    def test_slice_of_every_column_is_the_tensor_itself(self):
+        tape = Tape()
+        a = tape.param("a", np.arange(6.0).reshape(3, 2))
+        records = len(tape._records)
+        assert T.slice_cols(a, 0, 2) is a
+        assert len(tape._records) == records
+        np.testing.assert_array_equal(T.slice_cols(a, 1, 2).data, [[1.0], [3.0], [5.0]])
+
     def test_segment_softmax_singleton(self):
         out = T.segment_softmax(T.as_tensor([[0.37]]), [0])
         assert out.data[0, 0] == 1.0
@@ -346,10 +354,10 @@ class TestRunIndexCache:
         over_readonly_view = np.frombuffer(memoryview(ids).toreadonly(), dtype=np.int64)
         for array in (ids, view, owner, over_bytearray, over_readonly_view):
             assert not T.frozen(array)
-            before = len(builds)
+            before, entries = len(builds), set(T._derived)
             self._use_every_primitive(array, 3)
             assert len(builds) - before == 5
-            assert (id(array), "run_index") not in T._derived
+            assert set(T._derived) <= entries  # nothing is kept for it
 
     def test_owner_made_writeable_again_gives_fresh_sums(self):
         ids = np.array([0, 0, 1, 1, 1])
@@ -370,15 +378,63 @@ class TestRunIndexCache:
             arrays = g.incidence_arrays()
             self._use_every_primitive(arrays["pair_nodes"], g.num_nodes)
             self._use_every_primitive(arrays["member_edges"], g.num_hyperedges)
-            keys = [(id(arrays[name]), "run_index") for name in ("pair_nodes", "member_edges")]
-            held = [T._derived[key][1] for key in keys]
+            names = ("pair_nodes", "member_edges")
+            held = [T._run_index(arrays[name]) for name in names]
+            # cached: the entries hold these indexes, which die only with them
+            assert all(T._run_index(arrays[name]) is index for name, index in zip(names, held))
             refs = [weakref.ref(index.unique) for index in held] + [weakref.ref(arrays["pair_nodes"])]
             del g, arrays, held
             assert all(ref() is None for ref in refs)
-            assert not any(key in T._derived for key in keys)
         finally:
             if was_enabled:
                 gc.enable()
+
+
+class TestDerivedEntries:
+    """``derived`` keeps a value while every one of its frozen keys lives."""
+
+    @staticmethod
+    def _frozen(*values):
+        return np.frombuffer(np.array(values, dtype=np.float64).tobytes())
+
+    @staticmethod
+    def _builder(built: list):
+        def build():
+            value = np.zeros(3)
+            built.append(weakref.ref(value))
+            return value
+
+        return build
+
+    @pytest.mark.parametrize("dies", [0, 1], ids=["first-key-dies", "second-key-dies"])
+    def test_entry_with_two_keys_is_freed_when_either_key_dies(self, dies):
+        built = []
+        build = self._builder(built)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            keys = [self._frozen(1.0, 2.0), self._frozen(3.0)]
+            value = T.derived(tuple(keys), "pair", build)
+            assert T.derived(tuple(keys), "pair", build) is value
+            assert T.derived(keys[0], "pair", build) is not value  # one key alone is another entry
+            assert len(built) == 2
+            survivor, dead = keys[1 - dies], weakref.ref(keys[dies])
+            del value, keys
+            assert dead() is None
+            assert built[0]() is None  # the pair's entry went with its key
+            assert (built[1]() is None) == (dies == 0)  # the single-key entry lives with its key
+            T.derived((survivor,), "other", build)
+            assert len(built) == 3
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_a_key_that_is_not_frozen_gives_a_fresh_value_every_call(self):
+        built = []
+        build = self._builder(built)
+        frozen, writeable = self._frozen(1.0), np.array([2.0])
+        values = [T.derived((frozen, writeable), "pair", build) for _ in range(2)]
+        assert values[0] is not values[1] and len(built) == 2
 
 
 @pytest.mark.bitwise
