@@ -166,6 +166,11 @@ def cmd_emit_losses(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    # the toy draws hyperedges of at least two nodes, and a zero-width layer has nothing to check
+    least_sizes = (("--nodes", args.nodes, 2), ("--hidden", args.hidden, 1), ("--mwn-hidden", args.mwn_hidden, 1))
+    for flag, value, least in least_sizes:
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     report = hgnn_gradient_check(nodes=args.nodes, hidden=args.hidden, seed=args.seed)
     print(f"hgnn_ss_max_rel_err={report['ss']:.3e}")
     print(f"hgnn_fs_max_rel_err={report['fs']:.3e}")

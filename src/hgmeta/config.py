@@ -65,27 +65,35 @@ def _take(section: dict, defaults: dict, where: str) -> dict:
 
 
 def _number(section: dict, key: str, where: str, kind: type):
-    """``kind(section[key])``; a value that does not convert is a ConfigError."""
-    if kind is int:
-        return _integer(section[key], f"{where}.{key}")
-    try:
-        return kind(section[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}.{key} must be a number, got {section[key]!r}") from exc
+    """``section[key]`` as an int or a float; see ``_integer`` and ``_float``."""
+    convert = _integer if kind is int else _float
+    return convert(section[key], f"{where}.{key}")
 
 
 def _integer(value, where: str) -> int:
-    """``int(value)``, refusing what ``int`` would truncate or reinterpret.
+    """``int(value)`` of a JSON number, refusing what ``int`` would truncate or reinterpret.
 
-    A bool or a number with a fractional part is a ConfigError, as is a
-    value that does not convert; an integral float such as 5.0 is accepted.
+    A bool, a string, a number with a fractional part or any other value is
+    a ConfigError; an integral float such as 5.0 is accepted.
     """
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value, where: str) -> float:
+    """``float(value)`` of a JSON number; a bool, a string or any other value is a ConfigError."""
+    if not _is_number(value):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where} must be an integer, got {value!r}") from exc
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+
+
+def _is_number(value) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -116,26 +124,25 @@ def parse_config(doc: dict) -> RunConfig:
         synth = _take(dataset["synthetic"], _SYNTH_DEFAULTS, "dataset.synthetic")
         _require(synth["bias"] in BIAS_KINDS, f"dataset.synthetic.bias must be one of {BIAS_KINDS}")
         ints = {key: _number(synth, key, "dataset.synthetic", int) for key in ("nodes", "classes", "hyperedges", "dim")}
-        _require(isinstance(synth["size_range"], list), "dataset.synthetic.size_range must be an array")
+        floats = {
+            key: _number(synth, key, "dataset.synthetic", float)
+            for key in ("homophily", "noise", "signal", "bias_fraction")
+        }
+        for key in ("size_range", "split_fractions"):
+            _require(isinstance(synth[key], list), f"dataset.synthetic.{key} must be an array")
         size_range = [_integer(v, "dataset.synthetic.size_range") for v in synth["size_range"]]
+        split_fractions = [_float(v, "dataset.synthetic.split_fractions") for v in synth["split_fractions"]]
         try:
             synthetic = SyntheticSpec(
                 **ints,
+                **floats,
                 size_range=tuple(size_range),
-                homophily=float(synth["homophily"]),
-                noise=float(synth["noise"]),
-                signal=float(synth["signal"]),
                 bias=str(synth["bias"]),
-                bias_fraction=float(synth["bias_fraction"]),
-                split_fractions=tuple(float(v) for v in synth["split_fractions"]),
+                split_fractions=tuple(split_fractions),
             ).validated()
         except (ContractError, TypeError, ValueError) as exc:
             raise ConfigError(f"dataset.synthetic: {exc}") from exc
-        synth_echo = {
-            **synth,
-            "size_range": size_range,
-            "split_fractions": [float(v) for v in synth["split_fractions"]],
-        }
+        synth_echo = {**synth, "size_range": size_range, "split_fractions": split_fractions}
 
     model = _take(doc.get("model", {}), _MODEL_DEFAULTS, "model")
     layers, hidden = (_number(model, key, "model", int) for key in ("layers", "hidden"))

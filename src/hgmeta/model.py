@@ -300,10 +300,10 @@ def ce_loss(logits_row: Array, onehot: Array) -> float:
     return float(lse - (onehot * logits_row).sum())
 
 
-def register_params(tape: Tape, params: HGNNParams, prefix: str = "") -> tuple[list[Tensor], list[Tensor]]:
+def register_params(tape: Tape, params: HGNNParams) -> tuple[list[Tensor], list[Tensor]]:
     """Register all layer parameters on a tape; returns (weights, attn) tensors."""
-    weights = [tape.param(f"{prefix}w{t}", w) for t, w in enumerate(params.weights)]
-    attn = [tape.param(f"{prefix}a{t}", a) for t, a in enumerate(params.attn)]
+    weights = [tape.param(f"w{t}", w) for t, w in enumerate(params.weights)]
+    attn = [tape.param(f"a{t}", a) for t, a in enumerate(params.attn)]
     return weights, attn
 
 
@@ -356,13 +356,26 @@ def build_branch_graphs(
     return graphs
 
 
-def branch_losses(g: Hypergraph, X: Array, y: Array, params: HGNNParams, ids) -> ForwardOutput:
-    """Per-sample losses for both branches with shared weights (no tape)."""
+def taped_losses(
+    g: Hypergraph,
+    X: Array,
+    y: Array,
+    ids,
+    params: HGNNParams,
+    dropout_masks: list[Array] | None = None,
+    branches: Sequence[str] = BRANCHES,
+) -> tuple[Tape, list[BranchGraph]]:
+    """A fresh tape with ``params`` and the CE loss graphs of ``branches`` for ``ids``, labelled by ``y[ids]``."""
     ids = np.asarray(ids, dtype=np.int64)
     onehot = one_hot(np.asarray(y, dtype=np.int64)[ids], params.out_dim)
     tape = Tape()
     weights, attn = register_params(tape, params)
-    ss, fs = build_branch_graphs(g, X, onehot, ids, tape, weights, attn)
+    return tape, build_branch_graphs(g, X, onehot, ids, tape, weights, attn, dropout_masks, branches)
+
+
+def branch_losses(g: Hypergraph, X: Array, y: Array, params: HGNNParams, ids) -> ForwardOutput:
+    """Per-sample logits and losses for both branches with shared weights."""
+    _, (ss, fs) = taped_losses(g, X, y, ids, params)
     return ForwardOutput(
         logits_ss=ss.logits.data,
         logits_fs=fs.logits.data,

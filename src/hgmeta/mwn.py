@@ -111,8 +111,8 @@ class MWNParams:
         )
 
 
-def register_mwn(tape: Tape, params: MWNParams, prefix: str = "") -> dict[str, Tensor]:
-    return {name: tape.param(prefix + name, arr) for name, arr in params.param_items()}
+def register_mwn(tape: Tape, params: MWNParams) -> dict[str, Tensor]:
+    return {name: tape.param(name, arr) for name, arr in params.param_items()}
 
 
 def _check_tasks(tasks: Array, k: int) -> Array:
@@ -154,6 +154,15 @@ def alpha_beta_graph(
     return alpha, beta
 
 
+def _taped_alpha_beta(l1: Array, l2: Array, tasks, params: MWNParams) -> tuple[Tape, Tensor, Tensor]:
+    """A fresh tape holding Theta and the (alpha, beta) columns for the loss arrays."""
+    tape = Tape()
+    ptensors = register_mwn(tape, params)
+    losses = tape.constant(np.stack([l1, l2], axis=1))
+    alpha, beta = alpha_beta_graph(tape, losses, tasks, params, ptensors)
+    return tape, alpha, beta
+
+
 def mwn_forward_batch(l1, l2, tasks, params: MWNParams) -> tuple[Array, Array]:
     """Vectorized (alpha, beta) values for aligned loss arrays and task labels."""
     l1 = np.asarray(l1, dtype=np.float64).ravel()
@@ -162,10 +171,7 @@ def mwn_forward_batch(l1, l2, tasks, params: MWNParams) -> tuple[Array, Array]:
         raise ContractError("l1 and l2 must align")
     if np.any(l1 < 0) or np.any(l2 < 0) or not (np.all(np.isfinite(l1)) and np.all(np.isfinite(l2))):
         raise ContractError("losses must be finite and nonnegative")
-    tape = Tape()
-    ptensors = register_mwn(tape, params)
-    losses = tape.constant(np.stack([l1, l2], axis=1))
-    alpha, beta = alpha_beta_graph(tape, losses, tasks, params, ptensors)
+    _, alpha, beta = _taped_alpha_beta(l1, l2, tasks, params)
     return alpha.data[:, 0].copy(), beta.data[:, 0].copy()
 
 
@@ -184,8 +190,5 @@ def weighted_alpha_theta_grad(l1, l2, tasks, params: MWNParams, coeffs, beta_coe
     beta_coeffs = np.asarray(beta_coeffs, dtype=np.float64).ravel()
     if not (l1.shape == l2.shape == coeffs.shape == beta_coeffs.shape):
         raise ContractError("losses and coefficients must align")
-    tape = Tape()
-    ptensors = register_mwn(tape, params)
-    losses = tape.constant(np.stack([l1, l2], axis=1))
-    alpha, beta = alpha_beta_graph(tape, losses, tasks, params, ptensors)
+    tape, alpha, beta = _taped_alpha_beta(l1, l2, tasks, params)
     return tape.backward(T.concat_cols(alpha, beta), np.stack([coeffs, beta_coeffs], axis=1))

@@ -17,9 +17,13 @@ weight-net parameters Theta:
 3. commit step: recompute (alpha, beta) under the new Theta and apply them
    to the cached per-sample gradients, still evaluated at w.
 
-Per-sample gradients are materialized as an (n, P) matrix per branch, which
-is the memory bottleneck at scale but keeps step 2 a pair of matrix
-products. All reductions are fixed-order, so runs are bit-reproducible.
+Probe and commit apply one rule to gradient rows cached per branch. A
+trained weight net needs one row per sample, an (n, P) matrix per branch:
+the memory bottleneck at scale, but step 2 is then two matrix products. A
+pinned alpha is shared by every sample and factors out, so each branch
+caches one row, its ones-seeded sum, and step 2 is skipped. The rule adds
+one weighted row at a time, so it holds (P,) buffers, never an (n, P)
+temporary. All reductions are fixed-order, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -34,14 +38,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, NumericsError, TrainingError
 from .hypergraph import Hypergraph
-from .model import (
-    BRANCHES,
-    HGNNParams,
-    _forward_branches,
-    build_branch_graphs,
-    one_hot,
-    register_params,
-)
+from .model import BRANCHES, HGNNParams, _forward_branches, taped_losses
 from .mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
 from .partition import Partition, assign_levels, kmeans_1d
 from .rng import stream
@@ -151,8 +148,9 @@ class TrainState:
 class StepCache:
     """Per-step quantities shared by the three updates.
 
-    Per-sample gradient matrices are only materialized when the weight net
-    actually trains; pinned-alpha runs carry the cheaper branch sums instead.
+    ``grads1`` and ``grads2`` hold the branch gradients as (rows, P) rows:
+    one per sample when the weight net trains, or one ones-seeded sum when
+    alpha is pinned, since a weight every sample shares factors out.
     """
 
     ids: Array
@@ -162,18 +160,19 @@ class StepCache:
     alpha: Array
     beta: Array
     w_vec: Array
-    grads1: Array | None = None  # (n, P), per-sample structural-branch gradients
-    grads2: Array | None = None  # (n, P), feature branch
-    grad_sum1: Array | None = None  # (P,), column sums of grads1
-    grad_sum2: Array | None = None
+    grads1: Array  # structural branch
+    grads2: Array  # feature branch
 
 
 def _flatten_grads(grads: dict[str, Array], params: HGNNParams | MWNParams) -> Array:
     return np.concatenate([grads[name].ravel() for name, _ in params.param_items()])
 
 
-def _per_sample_grads(graph, tape: Tape, params: HGNNParams) -> Array:
+def _grad_rows(graph, tape: Tape, params: HGNNParams, per_sample: bool) -> Array:
+    """Gradient rows of ``graph``'s loss column: one per sample, or their one sum."""
     n = graph.loss_vec.shape[0]
+    if not per_sample:
+        return _flatten_grads(tape.backward(graph.loss_vec, np.ones((n, 1))), params)[None, :]
     rows = np.empty((n, params.flatten().size))
     seed = np.zeros((n, 1))
     for j in range(n):
@@ -183,14 +182,29 @@ def _per_sample_grads(graph, tape: Tape, params: HGNNParams) -> Array:
     return rows
 
 
+def _blend_weights(l1: Array, l2: Array, tasks: Array, mwn: MWNParams, pin_alpha: float | None) -> tuple[Array, Array]:
+    """Per-sample (alpha, beta): the weight net's, or the pinned alpha and its complement."""
+    if pin_alpha is None:
+        return mwn_forward_batch(l1, l2, tasks, mwn)
+    alpha = np.full(l1.size, float(pin_alpha))
+    return alpha, 1.0 - alpha
+
+
 def _weighted_grad_sum(alpha: Array, beta: Array, cache: StepCache, weight_decay: float) -> Array:
-    if cache.grads1 is not None:
-        total = (alpha[:, None] * cache.grads1 + beta[:, None] * cache.grads2).sum(axis=0)
-    else:
-        # constant weights factor out of the per-sample sum
-        total = alpha[0] * cache.grad_sum1 + beta[0] * cache.grad_sum2
+    """sum_j (alpha_j g1_j + beta_j g2_j) over the cached rows, plus weight decay.
+
+    Adding row by row into +0.0 is what ``.sum(axis=0)`` of the weighted
+    matrix does, so the bits match it. One pinned row takes alpha[0], beta[0].
+    """
+    p = cache.grads1.shape[1]
+    total, row, term2 = np.zeros(p), np.empty(p), np.empty(p)
+    for a, b, g1, g2 in zip(alpha, beta, cache.grads1, cache.grads2):
+        np.multiply(a, g1, out=row)
+        np.multiply(b, g2, out=term2)
+        row += term2
+        total += row
     if weight_decay:
-        total = total + weight_decay * cache.w_vec
+        total += weight_decay * cache.w_vec
     return total
 
 
@@ -208,7 +222,6 @@ def intermediate_update(
     g: Hypergraph,
     X: Array,
     y: Array,
-    num_classes: int,
     hgnn: HGNNParams,
     mwn: MWNParams,
     ids: Array,
@@ -218,61 +231,43 @@ def intermediate_update(
     weight_decay: float = 0.0,
     dropout_masks: list[Array] | None = None,
 ) -> tuple[HGNNParams, StepCache]:
-    """Step 1: per-sample losses/gradients at w and the probe parameters w_hat."""
-    ids = np.asarray(ids, dtype=np.int64)
-    onehot = one_hot(np.asarray(y, dtype=np.int64)[ids], num_classes)
-    tape = Tape()
-    weights, attn = register_params(tape, hgnn)
-    graph_ss, graph_fs = build_branch_graphs(g, X, onehot, ids, tape, weights, attn, dropout_masks)
+    """Step 1: per-sample losses and gradient rows at w, and the probe parameters w_hat."""
+    tape, (graph_ss, graph_fs) = taped_losses(g, X, y, ids, hgnn, dropout_masks)
+    # only a weight net that trains needs each sample's own gradients
+    per_sample = pin_alpha is None
     l1 = graph_ss.loss_vec.data[:, 0].copy()
     l2 = graph_fs.loss_vec.data[:, 0].copy()
+    grads1 = _grad_rows(graph_ss, tape, hgnn, per_sample)
+    grads2 = _grad_rows(graph_fs, tape, hgnn, per_sample)
+    tasks = np.asarray(tasks, dtype=np.int64)
+    alpha, beta = _blend_weights(l1, l2, tasks, mwn, pin_alpha)
     cache = StepCache(
-        ids=ids,
-        tasks=np.asarray(tasks, dtype=np.int64),
+        ids=np.asarray(ids, dtype=np.int64),
+        tasks=tasks,
         l1=l1,
         l2=l2,
-        alpha=np.zeros(0),
-        beta=np.zeros(0),
+        alpha=alpha,
+        beta=beta,
         w_vec=hgnn.flatten(),
+        grads1=grads1,
+        grads2=grads2,
     )
-    if pin_alpha is None:
-        cache.grads1 = _per_sample_grads(graph_ss, tape, hgnn)
-        cache.grads2 = _per_sample_grads(graph_fs, tape, hgnn)
-        cache.alpha, cache.beta = mwn_forward_batch(l1, l2, tasks, mwn)
-    else:
-        ones = np.ones((ids.size, 1))
-        cache.grad_sum1 = _flatten_grads(tape.backward(graph_ss.loss_vec, ones), hgnn)
-        cache.grad_sum2 = _flatten_grads(tape.backward(graph_fs.loss_vec, ones), hgnn)
-        cache.alpha = np.full(ids.size, float(pin_alpha))
-        cache.beta = 1.0 - cache.alpha
-    alpha, beta = cache.alpha, cache.beta
     w_hat_vec = cache.w_vec - lam1 * _weighted_grad_sum(alpha, beta, cache, weight_decay)
     if not np.all(np.isfinite(w_hat_vec)):
         raise NumericsError("non-finite probe parameters")
     return hgnn.with_vec(w_hat_vec), cache
 
 
-def _meta_loss_graph(g, X, y_onehot, meta_ids, params: HGNNParams):
-    tape = Tape()
-    weights, attn = register_params(tape, params)
-    graph_ss, graph_fs = build_branch_graphs(g, X, y_onehot, meta_ids, tape, weights, attn)
-    total = T.add(graph_ss.mean_loss, graph_fs.mean_loss)
-    return tape, total
-
-
-def meta_loss_value(g, X, y, num_classes, meta_ids, params: HGNNParams) -> float:
+def meta_loss_value(g, X, y, meta_ids, params: HGNNParams) -> float:
     """Mean over the meta split of the summed branch losses."""
-    meta_ids = np.asarray(meta_ids, dtype=np.int64)
-    onehot = one_hot(np.asarray(y, dtype=np.int64)[meta_ids], num_classes)
-    _, total = _meta_loss_graph(g, X, onehot, meta_ids, params)
-    return float(total.data[0, 0])
+    _, (graph_ss, graph_fs) = taped_losses(g, X, y, meta_ids, params)
+    return float(T.add(graph_ss.mean_loss, graph_fs.mean_loss).data[0, 0])
 
 
 def meta_gradient(
     g: Hypergraph,
     X: Array,
     y: Array,
-    num_classes: int,
     w_hat: HGNNParams,
     cache: StepCache,
     meta_ids: Array,
@@ -287,11 +282,10 @@ def meta_gradient(
     training sample j. Weight decay moves w_hat by a term that does not
     depend on Theta, so it drops out of d_theta.
     """
-    meta_ids = np.asarray(meta_ids, dtype=np.int64)
-    onehot = one_hot(np.asarray(y, dtype=np.int64)[meta_ids], num_classes)
-    if cache.grads1 is None:
+    if cache.grads1.shape[0] != cache.ids.size:
         raise ContractError("meta_gradient needs per-sample gradients (not a pinned-alpha cache)")
-    tape, total = _meta_loss_graph(g, X, onehot, meta_ids, w_hat)
+    tape, (graph_ss, graph_fs) = taped_losses(g, X, y, meta_ids, w_hat)
+    total = T.add(graph_ss.mean_loss, graph_fs.mean_loss)
     meta_loss = float(total.data[0, 0])
     g_meta = _flatten_grads(tape.backward(total), w_hat)
     if mwn.mode == "complementary":
@@ -329,11 +323,7 @@ def external_update(
     Gradients stay evaluated at the pre-step w. Returns the new parameters,
     the recomputed alpha, and the applied gradient vector.
     """
-    if pin_alpha is None:
-        alpha, beta = mwn_forward_batch(cache.l1, cache.l2, cache.tasks, mwn_new)
-    else:
-        alpha = np.full(cache.ids.size, float(pin_alpha))
-        beta = 1.0 - alpha
+    alpha, beta = _blend_weights(cache.l1, cache.l2, cache.tasks, mwn_new, pin_alpha)
     grad = _weighted_grad_sum(alpha, beta, cache, weight_decay)
     if adam is None:
         w_vec = cache.w_vec - lam1 * grad
@@ -445,18 +435,15 @@ def _one_step(state: TrainState, dataset, settings: TrainSettings, t: int, train
         ids, tasks = train_ids, state.train_tasks
     masks = _dropout_masks(settings, g.num_nodes, batch_rng)
     w_hat, cache = intermediate_update(
-        g, X, y, dataset.num_classes, state.hgnn, state.mwn, ids, tasks,
-        lam1, settings.pin_alpha, settings.weight_decay, masks,
+        g, X, y, state.hgnn, state.mwn, ids, tasks, lam1, settings.pin_alpha, settings.weight_decay, masks
     )
     if settings.pin_alpha is None:
-        d_theta, meta_loss, _ = meta_gradient(
-            g, X, y, dataset.num_classes, w_hat, cache, meta_ids, state.mwn, lam1
-        )
+        d_theta, meta_loss, _ = meta_gradient(g, X, y, w_hat, cache, meta_ids, state.mwn, lam1)
         state.mwn = internal_update(state.mwn, d_theta, lam2)
     else:
         # pinned weights never update Theta; only the meta loss is reported
         d_theta = np.zeros(0)
-        meta_loss = meta_loss_value(g, X, y, dataset.num_classes, meta_ids, w_hat)
+        meta_loss = meta_loss_value(g, X, y, meta_ids, w_hat)
     state.hgnn, alpha_new, grad_w = external_update(
         cache, state.hgnn, state.mwn, lam1, settings.pin_alpha, settings.weight_decay, state.adam
     )

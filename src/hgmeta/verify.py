@@ -16,10 +16,10 @@ import numpy as np
 
 from .data import Dataset, Splits
 from .hypergraph import Hypergraph
-from .model import HGNNParams, build_branch_graph, one_hot, register_params
+from .model import HGNNParams, taped_losses
 from .mwn import MWNParams, mwn_forward_batch
 from .rng import stream
-from .tensor import Array, Tape, central_difference, finite_diff_check
+from .tensor import Array, central_difference, finite_diff_check
 from .trainer import (
     _weighted_grad_sum,
     intermediate_update,
@@ -74,7 +74,6 @@ def hgnn_gradient_check(
     """Max relative backward-vs-numeric error per branch on a random toy."""
     ds = random_toy_dataset(nodes=nodes, classes=classes, seed=seed)
     ids = np.asarray(ds.splits.train + ds.splits.meta, dtype=np.int64)
-    onehot = one_hot(ds.labels[ids], ds.num_classes)
     template = HGNNParams.init(
         [ds.features.shape[1], hidden, ds.num_classes],
         stream(seed, "init-w"),
@@ -88,9 +87,7 @@ def hgnn_gradient_check(
                 weights=[params[f"w{t}"] for t in range(template.num_layers)],
                 attn=[params[f"a{t}"] for t in range(template.num_layers)],
             )
-            tape = Tape()
-            weights, attn = register_params(tape, hp)
-            graph = build_branch_graph(ds.graph, ds.features, onehot, ids, branch, tape, weights, attn)
+            tape, (graph,) = taped_losses(ds.graph, ds.features, ds.labels, ids, hp, branches=(branch,))
             return tape, graph.mean_loss
 
         report[branch] = finite_diff_check(build, dict(template.param_items()), eps=eps)
@@ -129,20 +126,14 @@ def meta_gradient_check(
     # random heads so the gradient is not trivially zero
     mwn = mwn.with_vec(mwn.flatten() + 0.3 * rng.normal(size=mwn.flatten().size))
 
-    w_hat, cache = intermediate_update(
-        ds.graph, ds.features, ds.labels, ds.num_classes, hgnn, mwn, train_ids, tasks, lam1
-    )
-    analytic, _, _ = meta_gradient(
-        ds.graph, ds.features, ds.labels, ds.num_classes, w_hat, cache, meta_ids, mwn, lam1
-    )
+    w_hat, cache = intermediate_update(ds.graph, ds.features, ds.labels, hgnn, mwn, train_ids, tasks, lam1)
+    analytic, _, _ = meta_gradient(ds.graph, ds.features, ds.labels, w_hat, cache, meta_ids, mwn, lam1)
 
     def loss_at(theta_vec: Array) -> float:
         probe_mwn = mwn.with_vec(theta_vec)
         alpha, beta = mwn_forward_batch(cache.l1, cache.l2, cache.tasks, probe_mwn)
         w_vec = cache.w_vec - lam1 * _weighted_grad_sum(alpha, beta, cache, 0.0)
-        return meta_loss_value(
-            ds.graph, ds.features, ds.labels, ds.num_classes, meta_ids, hgnn.with_vec(w_vec)
-        )
+        return meta_loss_value(ds.graph, ds.features, ds.labels, meta_ids, hgnn.with_vec(w_vec))
 
     numeric = central_difference(loss_at, mwn.flatten(), eps)
     errs = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(numeric))

@@ -96,14 +96,14 @@ def test_criterion_4_meta_gradient_fidelity():
 def test_criterion_5_degenerate_identities():
     g, X, y, hgnn, mwn, ids, tasks = width2_instance(seed=0)
     # lam1 = 0: probe parameters unchanged, meta gradient exactly zero
-    w_hat, cache = intermediate_update(g, X, y, 2, hgnn, mwn, ids, tasks, lam1=0.0)
-    d_theta, _, _ = meta_gradient(g, X, y, 2, w_hat, cache, np.array([0, 3]), mwn, lam1=0.0)
+    w_hat, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1=0.0)
+    d_theta, _, _ = meta_gradient(g, X, y, w_hat, cache, np.array([0, 3]), mwn, lam1=0.0)
     frozen = np.array_equal(w_hat.flatten(), hgnn.flatten()) and np.all(d_theta == 0.0)
 
     # zero-initialized head: alpha = beta = 0.5 and the probe step is bitwise
     # the unweighted average-loss gradient step (width-2 hand reference)
     lam1 = 0.05
-    w_hat, cache = intermediate_update(g, X, y, 2, hgnn, mwn, ids, tasks, lam1=lam1)
+    w_hat, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1=lam1)
     balanced = np.all(cache.alpha == 0.5) and np.all(cache.beta == 0.5)
     g1 = reference_per_sample_grads(g, X, y, hgnn, ids, "ss")
     g2 = reference_per_sample_grads(g, X, y, hgnn, ids, "fs")

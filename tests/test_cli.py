@@ -109,6 +109,9 @@ class TestTrainCommand:
             ("dataset", {"synthetic": {"nodes": 24.5, "hyperedges": 14}}, "dataset.synthetic.nodes"),
             ("dataset", {"synthetic": {"nodes": 24, "dim": True}}, "dataset.synthetic.dim"),
             ("dataset", {"synthetic": {"nodes": 24, "size_range": [2, 4.5]}}, "dataset.synthetic.size_range"),
+            ("model", {"layers": 2, "hidden": "8"}, "model.hidden"),
+            ("train", {"steps": 3, "batch": "8"}, "train.batch"),
+            ("dataset", {"synthetic": {"nodes": 24, "size_range": ["2", 4]}}, "dataset.synthetic.size_range"),
         ],
         ids=[
             "hidden-fraction",
@@ -122,6 +125,9 @@ class TestTrainCommand:
             "nodes-fraction",
             "dim-bool",
             "size-range-fraction",
+            "hidden-string",
+            "batch-string",
+            "size-range-string",
         ],
     )
     def test_integer_key_rejects_bools_and_fractions_before_training(
@@ -131,6 +137,58 @@ class TestTrainCommand:
         cfg = tiny_config(tmp_path, **{section: value})
         assert cli.main(["train", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,value,key",
+        [
+            ("model", {"layers": 2, "hidden": 6, "weight_decay": True}, "model.weight_decay"),
+            ("model", {"layers": 2, "hidden": 6, "dropout": "0.1"}, "model.dropout"),
+            ("schedules", {"c1": True}, "schedules.c1"),
+            ("schedules", {"m_hat": "10"}, "schedules.m_hat"),
+            ("train", {"steps": 3, "pin_alpha": True}, "train.pin_alpha"),
+            ("train", {"steps": 3, "pin_alpha": False}, "train.pin_alpha"),
+            ("train", {"steps": 3, "pin_alpha": "0.5"}, "train.pin_alpha"),
+            ("dataset", {"synthetic": {"nodes": 24, "homophily": True}}, "dataset.synthetic.homophily"),
+            ("dataset", {"synthetic": {"nodes": 24, "noise": "0.4"}}, "dataset.synthetic.noise"),
+            (
+                "dataset",
+                {"synthetic": {"nodes": 24, "split_fractions": ["0.2", 0.2, 0.6]}},
+                "dataset.synthetic.split_fractions",
+            ),
+        ],
+        ids=[
+            "weight-decay-bool",
+            "dropout-string",
+            "c1-bool",
+            "m-hat-string",
+            "pin-alpha-true",
+            "pin-alpha-false",
+            "pin-alpha-string",
+            "homophily-bool",
+            "noise-string",
+            "split-fraction-string",
+        ],
+    )
+    def test_float_key_rejects_bools_and_strings_before_training(
+        self, tmp_path, capsys, monkeypatch, section, value, key
+    ):
+        monkeypatch.setattr(cli, "train", _no_training)
+        cfg = tiny_config(tmp_path, **{section: value})
+        assert cli.main(["train", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_float_keys_take_json_integers_with_the_echo_unchanged(self):
+        doc = {
+            "dataset": {"synthetic": {"homophily": 1, "noise": 0, "split_fractions": [1, 0, 0]}},
+            "model": {"dropout": 0, "weight_decay": 1},
+            "schedules": {"c1": 1, "c2": 0, "m_hat": 3},
+            "train": {"pin_alpha": 1},
+        }
+        cfg = parse_config(doc)
+        assert (cfg.settings.weight_decay, cfg.settings.pin_alpha, cfg.settings.schedule1.c) == (1.0, 1.0, 1.0)
+        assert cfg.synthetic.homophily == 1.0 and cfg.synthetic.split_fractions == (1.0, 0.0, 0.0)
+        assert cfg.echo["train"]["pin_alpha"] == 1 and cfg.echo["dataset"]["synthetic"]["homophily"] == 1
+        assert cfg.echo["schedules"] == {"kind": "inverse-sqrt", "c1": 1.0, "c2": 0.0, "m_hat": 3.0}
 
     def test_integral_floats_stay_valid_with_the_echo_unchanged(self, tmp_path):
         doc = json.loads(tiny_config(tmp_path).read_text())
@@ -413,6 +471,24 @@ class TestGradCheck:
         assert "result=ok" in out
         assert "complementary_meta_max_rel_err=" in out
         assert "independent_meta_max_rel_err=" in out
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--nodes", "1"), ("--nodes", "0"), ("--nodes", "-3"), ("--hidden", "0"), ("--mwn-hidden", "0")],
+    )
+    def test_sizes_it_cannot_check_exit_2_before_any_check(self, monkeypatch, capsys, flag, value):
+        def no_check(**kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli, "hgnn_gradient_check", no_check)
+        monkeypatch.setattr(cli, "meta_gradient_check", no_check)
+        assert cli.main(["grad-check", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and "result=" not in captured.out
+
+    def test_smallest_checkable_sizes_run(self, capsys):
+        assert cli.main(["grad-check", "--nodes", "2", "--hidden", "1", "--mwn-hidden", "1"]) == 0
+        assert "result=ok" in capsys.readouterr().out
 
     def test_zero_lam1_reports_exact_zero_meta_gradient(self, capsys):
         assert cli.main(["grad-check", "--nodes", "6", "--hidden", "3", "--lam1", "0.0"]) == 0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -81,18 +83,27 @@ def reference_per_sample_grads(g, X, y, hgnn, ids, branch, num_classes=2):
     return np.vstack(rows)
 
 
+def reference_branch_sum(g, X, y, hgnn, ids, branch, num_classes=2):
+    """Independent re-derivation of a branch's gradient sum: one ones-seeded backward."""
+    tape = Tape()
+    weights, attn = register_params(tape, hgnn)
+    graph = build_branch_graph(g, X, one_hot(y[ids], num_classes), ids, branch, tape, weights, attn)
+    grads = tape.backward(graph.loss_vec, np.ones((ids.size, 1)))
+    return np.concatenate([grads[name].ravel() for name, _ in hgnn.param_items()])
+
+
 class TestIntermediateUpdate:
     @pytest.mark.bitwise
     def test_zero_lr_keeps_parameters_bitwise(self):
         g, X, y, hgnn, mwn, ids, tasks = width2_instance()
-        w_hat, cache = intermediate_update(g, X, y, 2, hgnn, mwn, ids, tasks, lam1=0.0)
+        w_hat, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1=0.0)
         np.testing.assert_array_equal(w_hat.flatten(), hgnn.flatten())
 
     @pytest.mark.bitwise
     def test_zero_head_step_bitwise_equals_unweighted_average_step(self):
         g, X, y, hgnn, mwn, ids, tasks = width2_instance()
         lam1 = 0.05
-        w_hat, cache = intermediate_update(g, X, y, 2, hgnn, mwn, ids, tasks, lam1=lam1)
+        w_hat, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1=lam1)
         assert np.all(cache.alpha == 0.5) and np.all(cache.beta == 0.5)
         g1 = reference_per_sample_grads(g, X, y, hgnn, ids, "ss")
         g2 = reference_per_sample_grads(g, X, y, hgnn, ids, "fs")
@@ -105,7 +116,7 @@ class TestIntermediateUpdate:
         rng = np.random.default_rng(5)
         mwn = mwn.with_vec(mwn.flatten() + rng.normal(size=mwn.flatten().size))
         lam1 = 0.03
-        w_hat, cache = intermediate_update(g, X, y, 2, hgnn, mwn, ids, tasks, lam1=lam1)
+        w_hat, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1=lam1)
         g1 = reference_per_sample_grads(g, X, y, hgnn, ids, "ss")
         g2 = reference_per_sample_grads(g, X, y, hgnn, ids, "fs")
         alpha, beta = mwn_forward_batch(cache.l1, cache.l2, tasks, mwn)
@@ -116,7 +127,7 @@ class TestIntermediateUpdate:
 
     def test_pinned_alpha_overrides_the_net(self):
         g, X, y, hgnn, mwn, ids, tasks = width2_instance(seed=3)
-        _, cache = intermediate_update(g, X, y, 2, hgnn, mwn, ids, tasks, lam1=0.01, pin_alpha=1.0)
+        _, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1=0.01, pin_alpha=1.0)
         assert np.all(cache.alpha == 1.0) and np.all(cache.beta == 0.0)
 
 
@@ -124,8 +135,8 @@ class TestMetaGradient:
     def test_zero_lr_gives_exactly_zero(self):
         g, X, y, hgnn, mwn, ids, tasks = width2_instance(seed=4)
         meta_ids = np.array([0, 3])
-        w_hat, cache = intermediate_update(g, X, y, 2, hgnn, mwn, ids, tasks, lam1=0.0)
-        d_theta, _, _ = meta_gradient(g, X, y, 2, w_hat, cache, meta_ids, mwn, lam1=0.0)
+        w_hat, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1=0.0)
+        d_theta, _, _ = meta_gradient(g, X, y, w_hat, cache, meta_ids, mwn, lam1=0.0)
         assert np.all(d_theta == 0.0)
 
     def test_matches_finite_difference_oracle(self):
@@ -143,8 +154,8 @@ class TestMetaGradient:
         rng = np.random.default_rng(7)
         mwn = mwn.with_vec(mwn.flatten() + 0.3 * rng.normal(size=mwn.flatten().size))
         lam1, meta_ids = 0.05, np.array([1, 2])
-        w_hat, cache = intermediate_update(g, X, y, 2, hgnn, mwn, ids, tasks, lam1=lam1)
-        d_theta, _, gbar = meta_gradient(g, X, y, 2, w_hat, cache, meta_ids, mwn, lam1=lam1)
+        w_hat, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1=lam1)
+        d_theta, _, gbar = meta_gradient(g, X, y, w_hat, cache, meta_ids, mwn, lam1=lam1)
         grads = weighted_alpha_theta_grad(cache.l1, cache.l2, cache.tasks, mwn, gbar)
         expected = -lam1 * np.concatenate([grads[name].ravel() for name, _ in mwn.param_items()])
         np.testing.assert_array_equal(d_theta, expected)
@@ -162,16 +173,133 @@ class TestParameterUpdates:
     def test_external_update_with_unchanged_theta_commits_w_hat(self):
         g, X, y, hgnn, mwn, ids, tasks = width2_instance(seed=8)
         lam1 = 0.04
-        w_hat, cache = intermediate_update(g, X, y, 2, hgnn, mwn, ids, tasks, lam1=lam1)
+        w_hat, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1=lam1)
         committed, alpha2, _ = external_update(cache, hgnn, mwn, lam1)
         np.testing.assert_array_equal(committed.flatten(), w_hat.flatten())
         np.testing.assert_array_equal(alpha2, cache.alpha)
 
     def test_external_update_zero_lr_keeps_w(self):
         g, X, y, hgnn, mwn, ids, tasks = width2_instance(seed=9)
-        _, cache = intermediate_update(g, X, y, 2, hgnn, mwn, ids, tasks, lam1=0.0)
+        _, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1=0.0)
         committed, _, _ = external_update(cache, hgnn, mwn, 0.0)
         np.testing.assert_array_equal(committed.flatten(), hgnn.flatten())
+
+
+class TestPinnedStep:
+    """A pinned step applies one shared weight to the two branch sums."""
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01], ids=["no-decay", "decay"])
+    @pytest.mark.parametrize("optimizer", ["gd", "adam"])
+    @pytest.mark.parametrize("pin", [0.0, 0.3, 1.0])
+    def test_probe_and_commit_equal_the_weighted_branch_sums_byte_for_byte(self, pin, optimizer, weight_decay):
+        ds = random_toy_dataset(nodes=12, seed=21)
+        settings = quick_settings(1, pin_alpha=pin, optimizer=optimizer, weight_decay=weight_decay)
+        state, _ = train(ds, settings)
+
+        g, X, y, c = ds.graph, ds.features, ds.labels, ds.num_classes
+        train_ids = np.asarray(ds.splits.train)
+        dims = [X.shape[1], settings.hidden, c]
+        hgnn0 = HGNNParams.init(dims, stream(0, "init-w"), stream(0, "init-a"))
+        mwn0 = MWNParams.init(state.partition.k, hidden=settings.mwn_hidden, rng=stream(0, "init-mwn"))
+        lam1 = lr(settings.schedule1, 1)
+        alpha = np.full(train_ids.size, pin)
+        beta = 1.0 - alpha
+        grad = alpha[0] * reference_branch_sum(g, X, y, hgnn0, train_ids, "ss", c) + beta[0] * reference_branch_sum(
+            g, X, y, hgnn0, train_ids, "fs", c
+        )
+        if weight_decay:
+            grad = grad + weight_decay * hgnn0.flatten()
+        expected_probe = hgnn0.flatten() - lam1 * grad
+        if optimizer == "gd":
+            expected_w = expected_probe
+        else:
+            m_hat = ((1 - 0.9) * grad) / (1 - 0.9)
+            v_hat = ((1 - 0.999) * grad * grad) / (1 - 0.999)
+            expected_w = hgnn0.flatten() - lam1 * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+        w_hat, cache = intermediate_update(g, X, y, hgnn0, mwn0, train_ids, state.train_tasks, lam1, pin, weight_decay)
+        assert w_hat.flatten().tobytes() == expected_probe.tobytes()
+        assert state.hgnn.flatten().tobytes() == expected_w.tobytes()
+        assert cache.alpha.tobytes() == alpha.tobytes() and cache.beta.tobytes() == beta.tobytes()
+        # Theta never moves on a pinned run
+        assert state.mwn.flatten().tobytes() == mwn0.flatten().tobytes()
+
+    def test_meta_gradient_refuses_a_pinned_cache(self):
+        g, X, y, hgnn, mwn, ids, tasks = width2_instance(seed=10)
+        w_hat, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1=0.01, pin_alpha=0.3)
+        with pytest.raises(ContractError, match="per-sample gradients"):
+            meta_gradient(g, X, y, w_hat, cache, np.array([0, 3]), mwn, lam1=0.01)
+
+
+def _gradient_cache(grads1, grads2, w_vec):
+    n = grads1.shape[0]
+    return trainer.StepCache(
+        ids=np.arange(n),
+        tasks=np.zeros(n, dtype=np.int64),
+        l1=np.zeros(n),
+        l2=np.zeros(n),
+        alpha=np.zeros(n),
+        beta=np.zeros(n),
+        w_vec=w_vec,
+        grads1=grads1,
+        grads2=grads2,
+    )
+
+
+class TestWeightedGradSum:
+    @staticmethod
+    def _with_signed_zeros(rng, shape):
+        out = rng.normal(size=shape)
+        flat = out.reshape(-1)
+        picks = rng.choice(flat.size, size=min(flat.size, max(2, flat.size // 7)), replace=False)
+        flat[picks[::2]] = 0.0
+        flat[picks[1::2]] = -0.0
+        return out
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize(
+        "n,p",
+        [(1, 2), (2, 3), (3, 17), (5, 4099), (40, 1350), (64, 1001), (131, 64), (542, 40), (4, 92_302)],
+    )
+    def test_row_sum_equals_the_column_sum_of_the_weighted_matrix_byte_for_byte(self, n, p):
+        rng = np.random.default_rng(n * 100_003 + p)
+        grads1, grads2 = self._with_signed_zeros(rng, (n, p)), self._with_signed_zeros(rng, (n, p))
+        alpha, beta = self._with_signed_zeros(rng, n), self._with_signed_zeros(rng, n)
+        # every product in the first column is -0.0; numpy's sum starts at +0.0, so it reads +0.0
+        grads1[:, 0], grads2[:, 0] = np.copysign(0.0, -alpha), np.copysign(0.0, -beta)
+        grads1[:, 1] = grads2[:, 1] = -0.0
+        w_vec = rng.normal(size=p)
+        cache = _gradient_cache(grads1, grads2, w_vec)
+        expected = (alpha[:, None] * grads1 + beta[:, None] * grads2).sum(axis=0)
+        assert trainer._weighted_grad_sum(alpha, beta, cache, 0.0).tobytes() == expected.tobytes()
+        decayed = expected + 0.01 * w_vec
+        assert trainer._weighted_grad_sum(alpha, beta, cache, 0.01).tobytes() == decayed.tobytes()
+
+    def test_one_row_takes_the_first_weights(self):
+        rng = np.random.default_rng(3)
+        row1, row2 = rng.normal(size=(1, 9)), rng.normal(size=(1, 9))
+        alpha = np.full(5, 0.3)
+        cache = _gradient_cache(row1, row2, np.zeros(9))
+        np.testing.assert_array_equal(
+            trainer._weighted_grad_sum(alpha, 1.0 - alpha, cache, 0.0), 0.3 * row1[0] + (1.0 - 0.3) * row2[0]
+        )
+
+    def test_peak_memory_stays_a_few_rows_wide(self):
+        n, p = 64, 92_302
+        rng = np.random.default_rng(0)
+        # both branches may share one matrix: the sum's memory does not depend on the values
+        grads = rng.normal(size=(n, p))
+        alpha = rng.random(n)
+        cache = _gradient_cache(grads, grads, np.zeros(p))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            trainer._weighted_grad_sum(alpha, 1.0 - alpha, cache, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry < 4 * p * 8
 
 
 def quick_settings(steps, **kwargs):
@@ -241,12 +369,12 @@ class TestTrainLoop:
         g1 = reference_per_sample_grads(ds.graph, ds.features, ds.labels, hgnn0, train_ids, "ss", ds.num_classes)
         g2 = reference_per_sample_grads(ds.graph, ds.features, ds.labels, hgnn0, train_ids, "fs", ds.num_classes)
         w_hat, cache = intermediate_update(
-            ds.graph, ds.features, ds.labels, ds.num_classes, hgnn0, mwn0, train_ids, tasks, lam1
+            ds.graph, ds.features, ds.labels, hgnn0, mwn0, train_ids, tasks, lam1
         )
         np.testing.assert_array_equal(cache.grads1, g1)
         np.testing.assert_array_equal(cache.grads2, g2)
         d_theta, _, _ = meta_gradient(
-            ds.graph, ds.features, ds.labels, ds.num_classes, w_hat, cache, meta_ids, mwn0, lam1
+            ds.graph, ds.features, ds.labels, w_hat, cache, meta_ids, mwn0, lam1
         )
         mwn1 = internal_update(mwn0, d_theta, lam2)
         np.testing.assert_array_equal(state.mwn.flatten(), mwn1.flatten())
