@@ -323,7 +323,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
         features=np.frombuffer(features.tobytes(), dtype=np.float64).reshape(features.shape),
         labels=labels.astype(np.int64),
         splits=splits,
-        num_classes=c,
+        # the class count the four-file layout carries, as load_dataset infers it
+        num_classes=int(labels.max()) + 1,
         name=f"synthetic-{seed}",
     )
     return _validate_dataset(ds)

@@ -28,6 +28,18 @@ backward pass through it, so the repeated seeded passes of the per-sample
 gradients do not rebuild them; ``segment_mean`` divides by each segment's
 count before it spreads the gradient over the segment's rows.
 
+``Tape.backward`` also takes a stack of seeds and sweeps the records once
+per seed, in blocks of ``_GRAD_BLOCK`` seeds. A ``matmul`` of an untracked
+constant by a parameter (the layer-0 ``X @ W0`` and ``means @ W0``) parks
+each seed's output gradient in a column block of a stash, and the block's
+weight gradients come from one wide product ``const.T @ stash`` instead of
+one narrow product per seed. OpenBLAS gives the wide product's slices the
+narrow products' bits only where both take the same kernel path, which
+depends on the shape, so ``_block_reproduces`` checks each (operand shape,
+width, block) once on a pseudo-random probe; a shape that fails keeps the
+narrow products. Either way every seed's gradient has the bits of a
+backward pass on that seed alone.
+
 Grouped sums (the backward of ``gather_rows``, ``segment_sum``,
 ``segment_mean`` and both sums of ``segment_softmax``) associate exactly as
 ``np.add.reduceat`` over the stably sorted rows does: each group's first row
@@ -38,6 +50,7 @@ with plain vectorized adds instead, and the run index of a frozen id array
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -67,12 +80,14 @@ class Tape:
 
     Records are appended in execution order, so the reversed list is a valid
     reverse-topological order; each record is visited exactly once per
-    backward call and gradients accumulate additively.
+    backward sweep and gradients accumulate additively.
     """
 
     def __init__(self):
         self._next_idx = 0
         self._records: list[tuple[int, tuple[int | None, ...], Callable[[Array], Sequence[Array | None]]]] = []
+        # output idx of a matmul with an untracked left operand -> that operand
+        self._consts: dict[int, Array] = {}
         # (idx, shape) only: holding the Tensors would make a cycle through Tensor.tape
         self._params: dict[str, tuple[int, tuple[int, ...]]] = {}
 
@@ -97,41 +112,152 @@ class Tape:
     def param_names(self) -> list[str]:
         return list(self._params)
 
-    def record(self, value: Array, inputs: Sequence[Tensor], grad_fn: Callable[[Array], Sequence[Array | None]]) -> Tensor:
+    def record(
+        self,
+        value: Array,
+        inputs: Sequence[Tensor],
+        grad_fn: Callable[[Array], Sequence[Array | None]],
+        const: Array | None = None,
+    ) -> Tensor:
+        """Append a node; ``const`` marks a ``const @ inputs[1]`` product with an untracked left operand."""
         out = Tensor(value, self, self._new_idx())
         self._records.append((out.idx, tuple(t.idx for t in inputs), grad_fn))
+        if const is not None:
+            self._consts[out.idx] = const
         return out
 
-    def backward(self, output: Tensor, seed: Array | None = None) -> dict[str, Array]:
+    def backward(
+        self, output: Tensor, seed: Array | None = None, out: dict[str, Array] | None = None
+    ) -> dict[str, Array]:
         """Gradients of ``output`` w.r.t. every registered parameter.
 
         Without a seed the output must be scalar; a seed array of the
         output's shape differentiates the corresponding weighted sum of
-        output entries (used internally for per-row gradients).
+        output entries. A stack of seeds, shape ``(s, *output.shape)``,
+        gives every parameter an ``(s, *shape)`` stack of gradients, each
+        with the bits of a backward pass on that seed alone; ``out``, when
+        given, holds those stacks and is filled in place.
         """
         if output.tape is not self:
             raise ContractError("output does not belong to this tape")
         if seed is None:
             if output.shape != (1, 1):
                 raise ContractError(f"backward without seed needs a scalar, got shape {output.shape}")
-            seed = np.ones((1, 1))
+            seeds = np.ones((1, 1))
         else:
-            seed = np.asarray(seed, dtype=np.float64)
-            if seed.shape != output.shape:
-                raise ContractError("seed shape must match output shape")
+            seeds = np.asarray(seed, dtype=np.float64)
+            if seeds.ndim not in (2, 3) or seeds.shape[-2:] != output.shape:
+                raise ContractError(
+                    f"seed of shape {seeds.shape} for an output of shape {output.shape}: "
+                    f"expected {output.shape} or (seeds, *{output.shape})"
+                )
         if output.idx is None:
             raise ContractError("cannot differentiate an untracked constant")
-        grads: dict[int, Array] = {output.idx: seed}
-        for out_idx, in_idxs, grad_fn in reversed(self._records):
-            g = grads.pop(out_idx, None)
-            if g is None:
+        stacked = seeds.ndim == 3
+        seeds = seeds if stacked else seeds[None]
+        if out is None:
+            out = {name: np.empty((seeds.shape[0], *shape)) for name, (_, shape) in self._params.items()}
+        else:
+            for name, (_, shape) in self._params.items():
+                given = out[name].shape if name in out else None
+                if given != (seeds.shape[0], *shape):
+                    raise ContractError(f"out[{name!r}] has shape {given}, expected {(seeds.shape[0], *shape)}")
+        self._sweep_stack(output.idx, seeds, out)
+        return out if stacked else {name: grads[0] for name, grads in out.items()}
+
+    def _sweep_stack(self, root: int, seeds: Array, out: dict[str, Array]) -> None:
+        """One reverse sweep per seed, in blocks of up to ``_GRAD_BLOCK`` seeds.
+
+        Within a block, the layer-0 records (a ``matmul`` of an untracked
+        constant by a parameter) put each seed's output gradient into a
+        column block of one stash per record, and the block's weight
+        gradients come from one product ``const.T @ stash``. Each seed's
+        column slice then joins its parameter's gradient in the order one
+        sweep would add it. A record takes this path only where
+        ``_block_reproduces`` found that product to give the one-seed
+        products' bits; elsewhere its own closure runs, as with one seed.
+        """
+        params = {idx: name for name, (idx, _) in self._params.items()}
+        records = [(*record, self._consts.get(record[0])) for record in reversed(self._records)]
+        width = max(1, min(_GRAD_BLOCK, seeds.shape[0]))
+        stashes: dict[int, tuple[Array, Array] | None] = {}  # record output idx -> (const, stash)
+        for start in range(0, seeds.shape[0], width):
+            block = enumerate(seeds[start : start + width])
+            swept = [_sweep(records, root, seed, column, width, params, stashes) for column, seed in block]
+            products = {key: entry[0].T @ entry[1] for key, entry in stashes.items() if entry is not None}
+            for i, (grads, terms) in enumerate(swept, start):
+                for idx, name in params.items():
+                    value = grads.get(idx)
+                    for term in terms.get(idx, ()):
+                        if isinstance(term, tuple):
+                            key, lo, hi = term
+                            term = products[key][:, lo:hi]
+                        value = term if value is None else value + term
+                    out[name][i] = 0.0 if value is None else value
+
+
+def _sweep(records: list, root: int, seed: Array, column: int, width: int, params: dict, stashes: dict):
+    """One seed's reverse sweep; returns its gradients and the terms that wait for a block product.
+
+    ``records`` are a tape's records in reverse order, each with its
+    constant left operand or None. Once a parameter receives a stashed
+    term, its later terms are listed after it, in the order they arrive;
+    its gradient is then its sum so far plus those terms, added in turn.
+    """
+    grads: dict[int, Array] = {root: seed}
+    terms: dict[int, list] = {}
+    for out_idx, in_idxs, grad_fn, const in records:
+        g = grads.pop(out_idx, None)
+        if g is None:
+            continue
+        if const is not None and g.flags.c_contiguous:
+            if out_idx not in stashes:
+                ok = (
+                    width > 1
+                    and in_idxs[1] in params
+                    and const.flags.c_contiguous
+                    and _block_reproduces(*const.shape, g.shape[1], width)
+                )
+                stashes[out_idx] = (const, np.zeros((const.shape[0], width * g.shape[1]))) if ok else None
+            entry = stashes[out_idx]
+            if entry is not None:
+                k, w = g.shape[1], in_idxs[1]
+                entry[1][:, column * k : (column + 1) * k] = g
+                terms.setdefault(w, []).append((out_idx, column * k, (column + 1) * k))
                 continue
-            for idx, gi in zip(in_idxs, grad_fn(g)):
-                if idx is None or gi is None:
-                    continue
-                acc = grads.get(idx)
-                grads[idx] = gi if acc is None else acc + gi
-        return {name: grads.get(idx, np.zeros(shape)) for name, (idx, shape) in self._params.items()}
+        for idx, gi in zip(in_idxs, grad_fn(g)):
+            if idx is None or gi is None:
+                continue
+            if idx in terms:
+                terms[idx].append(gi)
+                continue
+            acc = grads.get(idx)
+            grads[idx] = gi if acc is None else acc + gi
+    return grads, terms
+
+
+# seeds per block of a stacked backward: one stash column block each
+_GRAD_BLOCK = 4
+
+
+@functools.lru_cache(maxsize=None)
+def _block_reproduces(rows: int, cols: int, k: int, width: int) -> bool:
+    """Whether ``const.T @ stash`` gives the one-seed products' bits at this shape.
+
+    ``const`` is (rows, cols) and ``stash`` (rows, width * k), both
+    C-contiguous. Whether OpenBLAS computes each k-column slice of the wide
+    product as it computes that slice alone depends on the kernel path it
+    picks for each shape, not on the values, so one fixed pseudo-random
+    probe per shape decides.
+    """
+    rng = np.random.default_rng((rows, cols, k, width))
+    const = rng.standard_normal((rows, cols))
+    stash = rng.standard_normal((rows, width * k))
+    wide = const.T @ stash
+    return all(
+        (const.T @ stash[:, lo : lo + k].copy()).tobytes() == wide[:, lo : lo + k].tobytes()
+        for lo in range(0, width * k, k)
+    )
 
 
 def _validated(value) -> Array:
@@ -160,12 +286,12 @@ def _tape_of(*tensors: Tensor) -> Tape | None:
     return tape
 
 
-def _emit(op: str, value: Array, inputs: Sequence[Tensor], grad_fn) -> Tensor:
+def _emit(op: str, value: Array, inputs: Sequence[Tensor], grad_fn, const: Array | None = None) -> Tensor:
     _finite(op, value)
     tape = _tape_of(*inputs)
     if tape is None or all(t.idx is None for t in inputs):
         return Tensor(value, tape, None)
-    return tape.record(value, inputs, grad_fn)
+    return tape.record(value, inputs, grad_fn, const)
 
 
 def as_tensor(value, tape: Tape | None = None) -> Tensor:
@@ -206,7 +332,7 @@ def matmul(a: Tensor, b: Tensor, product: Array | None = None) -> Tensor:
     def grad(g: Array):
         return (g @ bv.T if grad_a else None), (av.T @ g if grad_b else None)
 
-    return _emit("matmul", product, (a, b), grad)
+    return _emit("matmul", product, (a, b), grad, av if grad_b and not grad_a else None)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

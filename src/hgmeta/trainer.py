@@ -24,6 +24,13 @@ pinned alpha is shared by every sample and factors out, so each branch
 caches one row, its ones-seeded sum, and step 2 is skipped. The rule adds
 one weighted row at a time, so it holds (P,) buffers, never an (n, P)
 temporary. All reductions are fixed-order, so runs are bit-reproducible.
+
+Each branch's rows come from one stacked ``Tape.backward`` call that
+writes them in place: n unit seeds, or one ones seed when pinned. The tape
+sweeps the seeds in blocks and computes a block's layer-0 weight gradients
+as one wide product where a one-time check shows that it keeps the bits of
+the per-seed products (see ``tensor``), so a row is byte-identical to a
+backward pass on its sample alone.
 """
 
 from __future__ import annotations
@@ -169,16 +176,19 @@ def _flatten_grads(grads: dict[str, Array], params: HGNNParams | MWNParams) -> A
 
 
 def _grad_rows(graph, tape: Tape, params: HGNNParams, per_sample: bool) -> Array:
-    """Gradient rows of ``graph``'s loss column: one per sample, or their one sum."""
+    """Gradient rows of ``graph``'s loss column: one per sample, or their one sum.
+
+    One stacked backward call fills the rows in place: unit seeds for the
+    per-sample rows, a ones seed for the sum.
+    """
     n = graph.loss_vec.shape[0]
-    if not per_sample:
-        return _flatten_grads(tape.backward(graph.loss_vec, np.ones((n, 1))), params)[None, :]
-    rows = np.empty((n, params.flatten().size))
-    seed = np.zeros((n, 1))
-    for j in range(n):
-        seed[j, 0] = 1.0
-        rows[j] = _flatten_grads(tape.backward(graph.loss_vec, seed), params)
-        seed[j, 0] = 0.0
+    seeds = np.eye(n).reshape(n, n, 1) if per_sample else np.ones((1, n, 1))
+    rows = np.empty((seeds.shape[0], params.flatten().size))
+    views, offset = {}, 0
+    for name, arr in params.param_items():
+        views[name] = rows[:, offset : offset + arr.size].reshape(-1, *arr.shape)
+        offset += arr.size
+    tape.backward(graph.loss_vec, seeds, out=views)
     return rows
 
 

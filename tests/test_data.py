@@ -118,6 +118,13 @@ class TestRoundTrip:
         for fname in ("hyperedges.txt", "features.csv", "labels.csv", "splits.json"):
             assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
+    def test_roundtrip_keeps_the_class_count_when_the_top_class_draws_no_node(self, tmp_path):
+        # three classes requested, labels {0, 1} drawn: the count is the one the layout carries
+        ds = generate_synthetic(SyntheticSpec(nodes=15, hyperedges=8, size_range=(1, 4), dim=4), seed=217)
+        assert ds.num_classes == 2 and set(ds.labels) == {0, 1}
+        save_dataset(ds, tmp_path / "d")
+        assert load_dataset(tmp_path / "d") == ds
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_roundtrip_property_over_random_synthetics(self, tmp_path_factory, seed):

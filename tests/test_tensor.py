@@ -534,6 +534,53 @@ class TestFinitenessScan:
             T.as_tensor(X)
 
 
+class TestStackedSeeds:
+    """A stack of seeds, shape (s, *output.shape), gives (s, *shape) gradient stacks."""
+
+    SHAPES = {"u": (7, 5), "w": (5, 3), "v": (3, 5)}
+
+    @staticmethod
+    def _loss(rng):
+        """A (4, 3) output; w gets two ``const @ w`` terms (the layer-0 kind) between tracked ones."""
+        tape = Tape()
+        u, w, v = (tape.param(name, rng.uniform(-1.0, 1.0, shape)) for name, shape in TestStackedSeeds.SHAPES.items())
+        consts = [T.as_tensor(rng.uniform(-1.0, 1.0, (7, 5))) for _ in range(2)]
+        h = T.matmul(T.elu(u), w)
+        for const in consts:
+            h = T.add(h, T.matmul(const, w))
+        h = T.segment_mean(T.elu(h), np.array([0, 1, 2, 3, 0, 1, 2]), 4)
+        return tape, T.add(h, T.matmul(T.elu(T.matmul(h, v)), w))
+
+    @pytest.mark.bitwise
+    def test_each_seed_keeps_the_bits_of_its_own_pass(self):
+        rng = np.random.default_rng(11)
+        tape, out = self._loss(rng)
+        seeds = rng.uniform(-1.0, 1.0, (6, 4, 3))  # one full block of four and a partial one
+        stacked = tape.backward(out, seeds)
+        assert {name: grads.shape for name, grads in stacked.items()} == {
+            name: (6, *shape) for name, shape in self.SHAPES.items()
+        }
+        for i, seed in enumerate(seeds):
+            for name, grad in tape.backward(out, seed).items():
+                assert stacked[name][i].tobytes() == grad.tobytes()
+
+    def test_out_is_filled_in_place(self):
+        tape, out = self._loss(np.random.default_rng(12))
+        seeds = np.ones((2, 4, 3))
+        given = {name: np.empty((2, *shape)) for name, shape in self.SHAPES.items()}
+        assert tape.backward(out, seeds, out=given) is given
+        np.testing.assert_array_equal(given["w"][0], tape.backward(out, seeds[0])["w"])
+        with pytest.raises(ContractError, match=r"out\['v'\]"):
+            tape.backward(out, seeds, out={**given, "v": np.empty((3, 5))})
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 1), (3, 4), (2, 4, 1), (2, 3, 4), (1, 2, 4, 3), ()])
+    def test_seed_of_a_wrong_shape_names_both_shapes(self, shape):
+        tape, out = self._loss(np.random.default_rng(13))
+        with pytest.raises(ContractError) as err:
+            tape.backward(out, np.ones(shape))
+        assert str(shape) in str(err.value) and "(4, 3)" in str(err.value)
+
+
 @pytest.mark.bitwise
 class TestDerivativeFactors:
     """Elementwise derivative factors are built once per node and reused by every backward pass."""

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hgmeta import tensor as T
 from hgmeta import trainer
-from hgmeta.data import Dataset, Splits
+from hgmeta.data import Dataset, Splits, SyntheticSpec, generate_synthetic
 from hgmeta.errors import ContractError, TrainingError
 from hgmeta.hypergraph import Hypergraph
-from hgmeta.model import HGNNParams, build_branch_graph, one_hot, register_params
+from hgmeta.model import HGNNParams, build_branch_graph, one_hot, register_params, taped_losses
 from hgmeta.mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
 from hgmeta.rng import stream
 from hgmeta.tensor import Tape
@@ -27,6 +34,8 @@ from hgmeta.trainer import (
     train,
 )
 from hgmeta.verify import meta_gradient_check, random_toy_dataset
+
+from conftest import random_hypergraph
 
 
 class TestSchedule:
@@ -90,6 +99,95 @@ def reference_branch_sum(g, X, y, hgnn, ids, branch, num_classes=2):
     graph = build_branch_graph(g, X, one_hot(y[ids], num_classes), ids, branch, tape, weights, attn)
     grads = tape.backward(graph.loss_vec, np.ones((ids.size, 1)))
     return np.concatenate([grads[name].ravel() for name, _ in hgnn.param_items()])
+
+
+def one_seed_rows(tape, graph, params) -> np.ndarray:
+    """Reference per-sample rows: ``tape.backward`` called with one unit seed at a time."""
+    n = graph.loss_vec.shape[0]
+    rows = []
+    for j in range(n):
+        seed = np.zeros((n, 1))
+        seed[j, 0] = 1.0
+        grads = tape.backward(graph.loss_vec, seed)
+        rows.append(np.concatenate([grads[name].ravel() for name, _ in params.param_items()]))
+    return np.vstack(rows)
+
+
+def assert_stacked_rows_match(g, X, y, ids, hgnn, masks=None):
+    """Both branches' stacked per-sample rows carry the bytes of one-seed backward calls."""
+    tape, graphs = taped_losses(g, X, y, ids, hgnn, masks)
+    for graph in graphs:
+        rows = trainer._grad_rows(graph, tape, hgnn, per_sample=True)
+        assert rows.tobytes() == one_seed_rows(tape, graph, hgnn).tobytes(), graph.branch
+
+
+@pytest.fixture
+def block_verdicts(monkeypatch):
+    """Every (shape, verdict) that the stacked backward asks ``_block_reproduces`` for."""
+    seen, check = [], T._block_reproduces
+
+    def recording(*shape):
+        seen.append((shape, check(*shape)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(T, "_block_reproduces", recording)
+    return seen
+
+
+@pytest.mark.bitwise
+class TestStackedGradRows:
+    """One stacked backward call per branch gives each sample's row the bits of its own pass."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        samples=st.integers(1, 11),
+        hidden=st.integers(1, 64),
+        layers=st.integers(1, 3),
+        dropout=st.booleans(),
+    )
+    def test_rows_over_random_graphs(self, seed, samples, hidden, layers, dropout):
+        rng = np.random.default_rng(seed)
+        g = random_hypergraph(rng, max_nodes=40)
+        dim, classes = int(rng.integers(1, 20)), int(rng.integers(2, 5))
+        X, y = rng.normal(size=(g.num_nodes, dim)), rng.integers(0, classes, size=g.num_nodes)
+        hgnn = HGNNParams.init([dim] + [hidden] * (layers - 1) + [classes], rng, rng)
+        masks = [(rng.random((g.num_nodes, hidden)) < 0.5) / 0.5 for _ in range(layers - 1)] if dropout else None
+        ids = rng.choice(g.num_nodes, size=min(samples, g.num_nodes), replace=False)
+        assert_stacked_rows_match(g, X, y, ids, hgnn, masks)
+
+    @staticmethod
+    def _synthetic_rows(spec, samples):
+        ds = generate_synthetic(spec, 0)
+        hgnn = HGNNParams.init([spec.dim, 64, ds.num_classes], stream(0, "init-w"), stream(0, "init-a"))
+        ids = np.asarray(ds.splits.train[:samples])
+        assert_stacked_rows_match(ds.graph, ds.features, ds.labels, ids, hgnn)
+
+    def test_desk_shape_runs_its_layer_0_products_in_blocks(self, block_verdicts):
+        self._synthetic_rows(SyntheticSpec(), 10)
+        assert block_verdicts and all(verdict for _, verdict in block_verdicts)
+
+    def test_shape_that_fails_the_block_check_keeps_one_seed_products(self, block_verdicts):
+        # 677 nodes x 16 features x 64 hidden fails the check on OpenBLAS 0.3.31 (Haswell kernels)
+        self._synthetic_rows(SyntheticSpec(nodes=677, hyperedges=300), 10)
+        assert ((677, 16, 64, T._GRAD_BLOCK), False) in block_verdicts
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_coraca_width_in_a_fresh_process(self, threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(trainer.__file__).parents[1])}
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1]); from test_trainer import TestStackedGradRows, SyntheticSpec; "
+            "TestStackedGradRows._synthetic_rows(SyntheticSpec(nodes=2708, hyperedges=1072, dim=1433, classes=7), 6)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(Path(__file__).parent)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
 
 
 class TestIntermediateUpdate:
