@@ -259,6 +259,17 @@ class SyntheticSpec:
         return self
 
 
+def _untaken(positions, taken: np.ndarray):
+    """The nodes at ``positions`` among those not in ``taken``, sorted and distinct.
+
+    Equal to ``np.setdiff1d(np.arange(n), taken)[positions]`` for any n above
+    them, without building that array: ``taken[j] - j`` nodes outside
+    ``taken`` precede ``taken[j]``, so a position moves up by one for every
+    such count at or below it.
+    """
+    return positions + np.searchsorted(taken - np.arange(taken.size), positions, side="right")
+
+
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     """Deterministic planted-community dataset for the given seed."""
     spec = spec.validated()
@@ -274,7 +285,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
 
     lo, hi = spec.size_range
     edges: list[list[int]] = []
-    all_nodes = np.arange(n)
     for _ in range(spec.hyperedges):
         size = int(rng_edges.integers(lo, hi + 1))
         anchor = int(rng_edges.integers(0, c))
@@ -283,9 +293,9 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
         take_class = min(from_class, pool.size, size)
         members = list(rng_edges.choice(pool, size=take_class, replace=False)) if take_class else []
         if len(members) < size:
-            remaining = np.setdiff1d(all_nodes, np.asarray(members, dtype=np.int64), assume_unique=False)
-            extra = rng_edges.choice(remaining, size=size - len(members), replace=False)
-            members.extend(int(v) for v in extra)
+            taken = np.sort(np.asarray(members, dtype=np.int64))
+            picks = rng_edges.choice(n - taken.size, size=size - len(members), replace=False)
+            members.extend(int(v) for v in _untaken(picks, taken))
         edges.append(sorted(int(v) for v in members))
 
     means = np.zeros((c, spec.dim))
@@ -296,10 +306,9 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
         for e, members in enumerate(edges):
             current = list(members)
             for slot in range(len(current)):
-                if rng_bias.random() < spec.bias_fraction:
-                    candidates = np.setdiff1d(all_nodes, np.asarray(current, dtype=np.int64))
-                    if candidates.size:
-                        current[slot] = int(rng_bias.choice(candidates))
+                if rng_bias.random() < spec.bias_fraction and len(current) < n:
+                    taken = np.sort(np.asarray(current, dtype=np.int64))
+                    current[slot] = int(_untaken(rng_bias.choice(n - taken.size), taken))
             edges[e] = sorted(current)
     elif spec.bias == "feature":
         flip = rng_bias.random(n) < spec.bias_fraction

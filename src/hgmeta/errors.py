@@ -32,9 +32,14 @@ class ConfigError(HgmetaError):
 
 
 class TrainingError(HgmetaError):
-    """Training aborted (non-finite loss, gradient, or parameter)."""
+    """Training aborted (non-finite loss, gradient, or parameter).
 
-    def __init__(self, message: str, step: int, state=None):
-        super().__init__(f"step {step}: {message}")
+    ``phase`` names where: ``probe``, ``meta`` or ``commit`` of step
+    ``step``, or the ``evaluate`` that follows the last step.
+    """
+
+    def __init__(self, message: str, step: int, phase: str, state=None):
+        super().__init__(f"step {step}, {phase}: {message}")
         self.step = step
+        self.phase = phase
         self.state = state

@@ -29,16 +29,11 @@ gradients do not rebuild them; ``segment_mean`` divides by each segment's
 count before it spreads the gradient over the segment's rows.
 
 ``Tape.backward`` also takes a stack of seeds and sweeps the records once
-per seed, in blocks of ``_GRAD_BLOCK`` seeds. A ``matmul`` of an untracked
-constant by a parameter (the layer-0 ``X @ W0`` and ``means @ W0``) parks
-each seed's output gradient in a column block of a stash, and the block's
-weight gradients come from one wide product ``const.T @ stash`` instead of
-one narrow product per seed. OpenBLAS gives the wide product's slices the
-narrow products' bits only where both take the same kernel path, which
-depends on the shape, so ``_block_reproduces`` checks each (operand shape,
-width, block) once on a pseudo-random probe; a shape that fails keeps the
-narrow products. Either way every seed's gradient has the bits of a
-backward pass on that seed alone.
+per seed. The weight gradient of a ``matmul`` of an untracked constant by a
+parameter (the layer-0 ``X @ W0`` and ``means @ W0``) is taken over the rows
+where its output gradient is nonzero, when they are at most one in eight:
+one sample's gradient is nonzero only over its receptive field, a small
+share of a large graph (see ``_live_rows_product``).
 
 Grouped sums (the backward of ``gather_rows``, ``segment_sum``,
 ``segment_mean`` and both sums of ``segment_softmax``) associate exactly as
@@ -50,7 +45,6 @@ with plain vectorized adds instead, and the run index of a frozen id array
 
 from __future__ import annotations
 
-import functools
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -86,8 +80,6 @@ class Tape:
     def __init__(self):
         self._next_idx = 0
         self._records: list[tuple[int, tuple[int | None, ...], Callable[[Array], Sequence[Array | None]]]] = []
-        # output idx of a matmul with an untracked left operand -> that operand
-        self._consts: dict[int, Array] = {}
         # (idx, shape) only: holding the Tensors would make a cycle through Tensor.tape
         self._params: dict[str, tuple[int, tuple[int, ...]]] = {}
 
@@ -112,18 +104,9 @@ class Tape:
     def param_names(self) -> list[str]:
         return list(self._params)
 
-    def record(
-        self,
-        value: Array,
-        inputs: Sequence[Tensor],
-        grad_fn: Callable[[Array], Sequence[Array | None]],
-        const: Array | None = None,
-    ) -> Tensor:
-        """Append a node; ``const`` marks a ``const @ inputs[1]`` product with an untracked left operand."""
+    def record(self, value: Array, inputs: Sequence[Tensor], grad_fn: Callable[[Array], Sequence[Array | None]]) -> Tensor:
         out = Tensor(value, self, self._new_idx())
         self._records.append((out.idx, tuple(t.idx for t in inputs), grad_fn))
-        if const is not None:
-            self._consts[out.idx] = const
         return out
 
     def backward(
@@ -166,98 +149,22 @@ class Tape:
         return out if stacked else {name: grads[0] for name, grads in out.items()}
 
     def _sweep_stack(self, root: int, seeds: Array, out: dict[str, Array]) -> None:
-        """One reverse sweep per seed, in blocks of up to ``_GRAD_BLOCK`` seeds.
-
-        Within a block, the layer-0 records (a ``matmul`` of an untracked
-        constant by a parameter) put each seed's output gradient into a
-        column block of one stash per record, and the block's weight
-        gradients come from one product ``const.T @ stash``. Each seed's
-        column slice then joins its parameter's gradient in the order one
-        sweep would add it. A record takes this path only where
-        ``_block_reproduces`` found that product to give the one-seed
-        products' bits; elsewhere its own closure runs, as with one seed.
-        """
+        """One reverse sweep per seed, writing seed i's gradients into ``out[name][i]``."""
         params = {idx: name for name, (idx, _) in self._params.items()}
-        records = [(*record, self._consts.get(record[0])) for record in reversed(self._records)]
-        width = max(1, min(_GRAD_BLOCK, seeds.shape[0]))
-        stashes: dict[int, tuple[Array, Array] | None] = {}  # record output idx -> (const, stash)
-        for start in range(0, seeds.shape[0], width):
-            block = enumerate(seeds[start : start + width])
-            swept = [_sweep(records, root, seed, column, width, params, stashes) for column, seed in block]
-            products = {key: entry[0].T @ entry[1] for key, entry in stashes.items() if entry is not None}
-            for i, (grads, terms) in enumerate(swept, start):
-                for idx, name in params.items():
-                    value = grads.get(idx)
-                    for term in terms.get(idx, ()):
-                        if isinstance(term, tuple):
-                            key, lo, hi = term
-                            term = products[key][:, lo:hi]
-                        value = term if value is None else value + term
-                    out[name][i] = 0.0 if value is None else value
-
-
-def _sweep(records: list, root: int, seed: Array, column: int, width: int, params: dict, stashes: dict):
-    """One seed's reverse sweep; returns its gradients and the terms that wait for a block product.
-
-    ``records`` are a tape's records in reverse order, each with its
-    constant left operand or None. Once a parameter receives a stashed
-    term, its later terms are listed after it, in the order they arrive;
-    its gradient is then its sum so far plus those terms, added in turn.
-    """
-    grads: dict[int, Array] = {root: seed}
-    terms: dict[int, list] = {}
-    for out_idx, in_idxs, grad_fn, const in records:
-        g = grads.pop(out_idx, None)
-        if g is None:
-            continue
-        if const is not None and g.flags.c_contiguous:
-            if out_idx not in stashes:
-                ok = (
-                    width > 1
-                    and in_idxs[1] in params
-                    and const.flags.c_contiguous
-                    and _block_reproduces(*const.shape, g.shape[1], width)
-                )
-                stashes[out_idx] = (const, np.zeros((const.shape[0], width * g.shape[1]))) if ok else None
-            entry = stashes[out_idx]
-            if entry is not None:
-                k, w = g.shape[1], in_idxs[1]
-                entry[1][:, column * k : (column + 1) * k] = g
-                terms.setdefault(w, []).append((out_idx, column * k, (column + 1) * k))
-                continue
-        for idx, gi in zip(in_idxs, grad_fn(g)):
-            if idx is None or gi is None:
-                continue
-            if idx in terms:
-                terms[idx].append(gi)
-                continue
-            acc = grads.get(idx)
-            grads[idx] = gi if acc is None else acc + gi
-    return grads, terms
-
-
-# seeds per block of a stacked backward: one stash column block each
-_GRAD_BLOCK = 4
-
-
-@functools.lru_cache(maxsize=None)
-def _block_reproduces(rows: int, cols: int, k: int, width: int) -> bool:
-    """Whether ``const.T @ stash`` gives the one-seed products' bits at this shape.
-
-    ``const`` is (rows, cols) and ``stash`` (rows, width * k), both
-    C-contiguous. Whether OpenBLAS computes each k-column slice of the wide
-    product as it computes that slice alone depends on the kernel path it
-    picks for each shape, not on the values, so one fixed pseudo-random
-    probe per shape decides.
-    """
-    rng = np.random.default_rng((rows, cols, k, width))
-    const = rng.standard_normal((rows, cols))
-    stash = rng.standard_normal((rows, width * k))
-    wide = const.T @ stash
-    return all(
-        (const.T @ stash[:, lo : lo + k].copy()).tobytes() == wide[:, lo : lo + k].tobytes()
-        for lo in range(0, width * k, k)
-    )
+        records = self._records[::-1]
+        for i, seed in enumerate(seeds):
+            grads: dict[int, Array] = {root: seed}
+            for out_idx, in_idxs, grad_fn in records:
+                g = grads.pop(out_idx, None)
+                if g is None:
+                    continue
+                for idx, gi in zip(in_idxs, grad_fn(g)):
+                    if idx is None or gi is None:
+                        continue
+                    acc = grads.get(idx)
+                    grads[idx] = gi if acc is None else acc + gi
+            for idx, name in params.items():
+                out[name][i] = grads.get(idx, 0.0)
 
 
 def _validated(value) -> Array:
@@ -286,12 +193,12 @@ def _tape_of(*tensors: Tensor) -> Tape | None:
     return tape
 
 
-def _emit(op: str, value: Array, inputs: Sequence[Tensor], grad_fn, const: Array | None = None) -> Tensor:
+def _emit(op: str, value: Array, inputs: Sequence[Tensor], grad_fn) -> Tensor:
     _finite(op, value)
     tape = _tape_of(*inputs)
     if tape is None or all(t.idx is None for t in inputs):
         return Tensor(value, tape, None)
-    return tape.record(value, inputs, grad_fn, const)
+    return tape.record(value, inputs, grad_fn)
 
 
 def as_tensor(value, tape: Tape | None = None) -> Tensor:
@@ -330,9 +237,35 @@ def matmul(a: Tensor, b: Tensor, product: Array | None = None) -> Tensor:
     grad_a, grad_b = a.idx is not None, b.idx is not None
 
     def grad(g: Array):
-        return (g @ bv.T if grad_a else None), (av.T @ g if grad_b else None)
+        if not grad_a:
+            return None, _live_rows_product(av, g)
+        return g @ bv.T, (av.T @ g if grad_b else None)
 
-    return _emit("matmul", product, (a, b), grad, av if grad_b and not grad_a else None)
+    return _emit("matmul", product, (a, b), grad)
+
+
+# a weight gradient over at most this share of live rows gathers them first
+_LIVE_ROWS = 1 / 8
+
+
+def _live_rows_product(av: Array, g: Array) -> Array:
+    """``av.T @ g`` over the rows where ``g`` is nonzero, the weight gradient of ``av @ w``.
+
+    A row of ``g`` that is zero adds nothing, and one sample's layer-0
+    gradient is zero outside its receptive field, a small share of a large
+    graph's rows. Gathering the live rows pays off when they are few (with
+    none, the product over no rows is +0.0); with more than ``_LIVE_ROWS``
+    of them, the full product runs. The gathered product sums the same
+    nonzero terms in the same order, so it keeps the full product's bits
+    unless BLAS splits the full product's inner dimension into blocks,
+    which it does only for large operands (OpenBLAS 0.3.31 on x86_64: from
+    about 400 rows of 1433 columns, or 1072 rows of 16); there the two
+    differ at rounding level.
+    """
+    live = np.flatnonzero(g.any(axis=1))
+    if live.size > _LIVE_ROWS * g.shape[0]:
+        return av.T @ g
+    return av[live].T @ g[live]
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

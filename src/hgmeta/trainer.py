@@ -27,15 +27,17 @@ temporary. All reductions are fixed-order, so runs are bit-reproducible.
 
 Each branch's rows come from one stacked ``Tape.backward`` call that
 writes them in place: n unit seeds, or one ones seed when pinned. The tape
-sweeps the seeds in blocks and computes a block's layer-0 weight gradients
-as one wide product where a one-time check shows that it keeps the bits of
-the per-seed products (see ``tensor``), so a row is byte-identical to a
-backward pass on its sample alone.
+sweeps the records once per seed, so a row is byte-identical to a backward
+pass on its sample alone. A unit seed's layer-0 weight gradients multiply
+only the rows of its receptive field, where its gradient is nonzero (see
+``tensor``); a ones seed over a training split reaches too many rows for
+that to pay, and runs the full products.
 """
 
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Sequence
@@ -377,8 +379,9 @@ def _mean_alpha_per_task(alpha: Array, tasks: Array, k: int) -> list[float]:
 def train(dataset, settings: TrainSettings):
     """Full run per the three-step loop; returns (state, metrics).
 
-    On a numeric failure mid-run the TrainingError carries the state with
-    every completed step's history preserved.
+    A numeric failure raises a TrainingError that names the step and the
+    phase, and carries the state with every completed step's history
+    preserved.
     """
     g, X, y = dataset.graph, dataset.features, dataset.labels
     train_ids = np.asarray(dataset.splits.train, dtype=np.int64)
@@ -424,14 +427,21 @@ def train(dataset, settings: TrainSettings):
 
     for t in range(1, settings.steps + 1):
         started = perf_counter()
-        try:
-            _one_step(state, dataset, settings, t, train_ids, meta_ids, batch_rng)
-        except NumericsError as exc:
-            raise TrainingError(str(exc), step=t, state=state) from exc
+        _one_step(state, dataset, settings, t, train_ids, meta_ids, batch_rng)
         state.step = t
         state.step_seconds.append(perf_counter() - started)
-    metrics = evaluate(state, dataset)
+    with _phase(state, state.step, "evaluate"):
+        metrics = evaluate(state, dataset)
     return state, metrics
+
+
+@contextmanager
+def _phase(state: TrainState, step: int, name: str):
+    """Raises a NumericsError from the block as a TrainingError naming ``step`` and ``name``."""
+    try:
+        yield
+    except NumericsError as exc:
+        raise TrainingError(str(exc), step=step, phase=name, state=state) from exc
 
 
 def _one_step(state: TrainState, dataset, settings: TrainSettings, t: int, train_ids, meta_ids, batch_rng):
@@ -444,19 +454,22 @@ def _one_step(state: TrainState, dataset, settings: TrainSettings, t: int, train
     else:
         ids, tasks = train_ids, state.train_tasks
     masks = _dropout_masks(settings, g.num_nodes, batch_rng)
-    w_hat, cache = intermediate_update(
-        g, X, y, state.hgnn, state.mwn, ids, tasks, lam1, settings.pin_alpha, settings.weight_decay, masks
-    )
-    if settings.pin_alpha is None:
-        d_theta, meta_loss, _ = meta_gradient(g, X, y, w_hat, cache, meta_ids, state.mwn, lam1)
-        state.mwn = internal_update(state.mwn, d_theta, lam2)
-    else:
-        # pinned weights never update Theta; only the meta loss is reported
-        d_theta = np.zeros(0)
-        meta_loss = meta_loss_value(g, X, y, meta_ids, w_hat)
-    state.hgnn, alpha_new, grad_w = external_update(
-        cache, state.hgnn, state.mwn, lam1, settings.pin_alpha, settings.weight_decay, state.adam
-    )
+    with _phase(state, t, "probe"):
+        w_hat, cache = intermediate_update(
+            g, X, y, state.hgnn, state.mwn, ids, tasks, lam1, settings.pin_alpha, settings.weight_decay, masks
+        )
+    with _phase(state, t, "meta"):
+        if settings.pin_alpha is None:
+            d_theta, meta_loss, _ = meta_gradient(g, X, y, w_hat, cache, meta_ids, state.mwn, lam1)
+            state.mwn = internal_update(state.mwn, d_theta, lam2)
+        else:
+            # pinned weights never update Theta; only the meta loss is reported
+            d_theta = np.zeros(0)
+            meta_loss = meta_loss_value(g, X, y, meta_ids, w_hat)
+    with _phase(state, t, "commit"):
+        state.hgnn, alpha_new, grad_w = external_update(
+            cache, state.hgnn, state.mwn, lam1, settings.pin_alpha, settings.weight_decay, state.adam
+        )
     train_loss = float((cache.alpha * cache.l1 + cache.beta * cache.l2).mean())
     state.history.append(
         StepRecord(

@@ -227,6 +227,15 @@ class TestTrainCommand:
         )
         assert cli.main(["train", str(cfg)]) == 4
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_numeric_failure_in_the_final_evaluate_exits_4(self, tmp_path, capsys):
+        # no training step runs; the hyperedge means of the evaluation forward overflow
+        synthetic = {"nodes": 24, "classes": 2, "hyperedges": 10, "dim": 4, "signal": 1.7e308, "noise": 0.0}
+        cfg = tiny_config(tmp_path, dataset={"synthetic": synthetic}, train={"steps": 0})
+        assert cli.main(["train", str(cfg)]) == 4
+        assert "training error: step 0, evaluate: " in capsys.readouterr().err
+        assert not (tmp_path / "run.json").exists()
+
     def test_missing_dataset_dir_exits_3(self, tmp_path):
         doc = json.loads(tiny_config(tmp_path).read_text())
         doc["dataset"] = {"path": str(tmp_path / "nope")}

@@ -12,6 +12,7 @@ from hgmeta.data import (
     Dataset,
     Splits,
     SyntheticSpec,
+    _untaken,
     generate_synthetic,
     impure_hyperedge_fraction,
     load_dataset,
@@ -181,6 +182,19 @@ class TestSynthetic:
         assert a.splits == b.splits
         assert np.array_equal(a.labels, b.labels)
         assert not np.array_equal(a.features, b.features)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80))
+    def test_untaken_draws_equal_draws_from_the_set_difference(self, seed, n):
+        # the generator draws a position among the untaken nodes; it must equal a draw from the nodes themselves
+        rng = np.random.default_rng(seed)
+        taken = np.sort(rng.choice(n, size=int(rng.integers(0, n)), replace=False))
+        remaining = np.setdiff1d(np.arange(n), taken)
+        k = int(rng.integers(1, remaining.size + 1))
+        positions, nodes = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        expected = nodes.choice(remaining, size=k, replace=False)
+        assert _untaken(positions.choice(remaining.size, size=k, replace=False), taken).tolist() == expected.tolist()
+        assert int(_untaken(positions.choice(remaining.size), taken)) == int(nodes.choice(remaining))
 
     def test_infeasible_size_range_rejected(self):
         with pytest.raises(ContractError, match="size range"):

@@ -555,7 +555,7 @@ class TestStackedSeeds:
     def test_each_seed_keeps_the_bits_of_its_own_pass(self):
         rng = np.random.default_rng(11)
         tape, out = self._loss(rng)
-        seeds = rng.uniform(-1.0, 1.0, (6, 4, 3))  # one full block of four and a partial one
+        seeds = rng.uniform(-1.0, 1.0, (6, 4, 3))
         stacked = tape.backward(out, seeds)
         assert {name: grads.shape for name, grads in stacked.items()} == {
             name: (6, *shape) for name, shape in self.SHAPES.items()
@@ -579,6 +579,48 @@ class TestStackedSeeds:
         with pytest.raises(ContractError) as err:
             tape.backward(out, np.ones(shape))
         assert str(shape) in str(err.value) and "(4, 3)" in str(err.value)
+
+
+class TestLiveRowsProduct:
+    """The weight gradient of ``const @ w`` over the live rows of its output gradient."""
+
+    @staticmethod
+    def _gradient(rng, rows, k, live):
+        g = np.zeros((rows, k))
+        g[rng.choice(rows, size=live, replace=False)] = rng.uniform(-1.0, 1.0, (live, k))
+        return g
+
+    @pytest.mark.parametrize("share", [0.002, 0.02, 0.12])
+    def test_gathered_product_is_the_full_one_to_rounding_at_coraca_shape(self, share):
+        rng = np.random.default_rng(int(share * 1000))
+        av = rng.uniform(-1.0, 1.0, (2708, 1433))
+        g = self._gradient(rng, 2708, 64, round(share * 2708))
+        assert np.count_nonzero(g.any(axis=1)) <= T._LIVE_ROWS * 2708
+        full = av.T @ g
+        np.testing.assert_allclose(T._live_rows_product(av, g), full, rtol=0, atol=1e-13 * np.abs(full).max())
+
+    @pytest.mark.bitwise
+    def test_without_live_rows_the_gradient_is_positive_zeros(self):
+        av = np.random.default_rng(5).uniform(-1.0, 1.0, (40, 6))
+        av[3] = np.nan  # never read
+        for g in (np.zeros((40, 3)), np.full((40, 3), -0.0)):
+            out = T._live_rows_product(av, g)
+            assert out.shape == (6, 3)
+            assert out.tobytes() == np.zeros((6, 3)).tobytes()
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("live", [338, 339])
+    def test_one_live_row_in_eight_is_the_crossover(self, live):
+        rng = np.random.default_rng(6)
+        av = rng.uniform(-1.0, 1.0, (8 * 338, 16))
+        g = self._gradient(rng, 8 * 338, 64, live)
+        rows = np.flatnonzero(g.any(axis=1))
+        gathers = live == 338
+        expected = av[rows].T @ g[rows] if gathers else av.T @ g
+        assert T._live_rows_product(av, g).tobytes() == expected.tobytes()
+        # a gathered product never reads a dead row
+        av[np.setdiff1d(np.arange(8 * 338), rows)] = np.nan
+        assert np.isfinite(T._live_rows_product(av, g)).all() == gathers
 
 
 @pytest.mark.bitwise

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from hgmeta import tensor as T
 from hgmeta import trainer
 from hgmeta.data import Dataset, Splits, SyntheticSpec, generate_synthetic
-from hgmeta.errors import ContractError, TrainingError
+from hgmeta.errors import ContractError, NumericsError, TrainingError
 from hgmeta.hypergraph import Hypergraph
-from hgmeta.model import HGNNParams, build_branch_graph, one_hot, register_params, taped_losses
+from hgmeta.model import HGNNParams, branch_losses, build_branch_graph, one_hot, register_params, taped_losses
 from hgmeta.mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
 from hgmeta.rng import stream
 from hgmeta.tensor import Tape
@@ -121,19 +121,6 @@ def assert_stacked_rows_match(g, X, y, ids, hgnn, masks=None):
         assert rows.tobytes() == one_seed_rows(tape, graph, hgnn).tobytes(), graph.branch
 
 
-@pytest.fixture
-def block_verdicts(monkeypatch):
-    """Every (shape, verdict) that the stacked backward asks ``_block_reproduces`` for."""
-    seen, check = [], T._block_reproduces
-
-    def recording(*shape):
-        seen.append((shape, check(*shape)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(T, "_block_reproduces", recording)
-    return seen
-
-
 @pytest.mark.bitwise
 class TestStackedGradRows:
     """One stacked backward call per branch gives each sample's row the bits of its own pass."""
@@ -163,15 +150,6 @@ class TestStackedGradRows:
         ids = np.asarray(ds.splits.train[:samples])
         assert_stacked_rows_match(ds.graph, ds.features, ds.labels, ids, hgnn)
 
-    def test_desk_shape_runs_its_layer_0_products_in_blocks(self, block_verdicts):
-        self._synthetic_rows(SyntheticSpec(), 10)
-        assert block_verdicts and all(verdict for _, verdict in block_verdicts)
-
-    def test_shape_that_fails_the_block_check_keeps_one_seed_products(self, block_verdicts):
-        # 677 nodes x 16 features x 64 hidden fails the check on OpenBLAS 0.3.31 (Haswell kernels)
-        self._synthetic_rows(SyntheticSpec(nodes=677, hyperedges=300), 10)
-        assert ((677, 16, 64, T._GRAD_BLOCK), False) in block_verdicts
-
     @pytest.mark.slow
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_coraca_width_in_a_fresh_process(self, threads):
@@ -188,6 +166,86 @@ class TestStackedGradRows:
             timeout=600,
         )
         assert done.returncode == 0, done.stderr[-2000:]
+
+
+CORACA_SPEC = SyntheticSpec(nodes=2708, hyperedges=1072, dim=1433, classes=7)
+
+
+@pytest.fixture(scope="module")
+def shaped_datasets():
+    """The desk dataset and the Cora-CA-shaped one, each generated once for this module."""
+    return {"desk": generate_synthetic(SyntheticSpec(), 0), "coraca": generate_synthetic(CORACA_SPEC, 0)}
+
+
+@pytest.fixture
+def layer0_products(monkeypatch):
+    """(rows, live share, equals ``av.T @ g`` byte for byte) of every constant-by-parameter weight gradient."""
+    seen, product = [], T._live_rows_product
+
+    def recording(av, g):
+        out = product(av, g)
+        seen.append((av.shape[0], np.count_nonzero(g.any(axis=1)) / g.shape[0], out.tobytes() == (av.T @ g).tobytes()))
+        return out
+
+    monkeypatch.setattr(T, "_live_rows_product", recording)
+    return seen
+
+
+class TestLiveRowsProducts:
+    """Which layer-0 weight gradients gather their live rows, and what one sample's gradient is then."""
+
+    @staticmethod
+    def _taped(ds, ids):
+        hgnn = HGNNParams.init([ds.features.shape[1], 64, ds.num_classes], stream(0, "init-w"), stream(0, "init-a"))
+        return (*taped_losses(ds.graph, ds.features, ds.labels, np.asarray(ids), hgnn), hgnn)
+
+    def test_per_sample_seeds_gather_the_live_rows(self, shaped_datasets, layer0_products):
+        for name, ds in shaped_datasets.items():
+            layer0_products.clear()
+            tape, graphs, hgnn = self._taped(ds, ds.splits.train[:6])
+            for graph in graphs:
+                trainer._grad_rows(graph, tape, hgnn, per_sample=True)
+            # one X and one hyperedge-means product per sample and branch
+            x_shares = [share for rows, share, _ in layer0_products if rows == ds.graph.num_nodes]
+            assert len(layer0_products) == 24 and len(x_shares) == 12
+            if name == "coraca":
+                # every sample's receptive field is a small share of the graph: every product gathers
+                assert max(share for _, share, _ in layer0_products) <= T._LIVE_ROWS
+            else:
+                # on the 200-node desk graph most samples' X rows gather; the hyperedge means mostly do not
+                assert np.median(x_shares) <= T._LIVE_ROWS
+
+    @pytest.mark.bitwise
+    def test_ones_seed_and_meta_backward_run_the_full_product(self, shaped_datasets, layer0_products):
+        for ds in shaped_datasets.values():
+            # the ones seed over the whole training split, as a pinned step takes it
+            tape, graphs, hgnn = self._taped(ds, ds.splits.train)
+            for graph in graphs:
+                trainer._grad_rows(graph, tape, hgnn, per_sample=False)
+            tape, (ss, fs), _ = self._taped(ds, ds.splits.meta)
+            tape.backward(T.add(ss.mean_loss, fs.mean_loss))
+        assert len(layer0_products) == 2 * 2 * 4
+        assert all(share > T._LIVE_ROWS and same for _, share, same in layer0_products)
+
+    def test_one_samples_gradient_matches_central_differences(self, layer0_products):
+        # a chain of 3-node hyperedges: the layer-0 gradient of one sample lives on at most
+        # 5 of the 120 nodes and 4 of the 59 hyperedges
+        g = Hypergraph(120, [[i, i + 1, i + 2] for i in range(0, 118, 2)])
+        rng = np.random.default_rng(31)
+        X, y = rng.normal(size=(120, 3)), rng.integers(0, 2, size=120)
+        hgnn = HGNNParams.init([3, 4, 2], rng, rng)
+        ids = np.array([7, 60, 111])
+        tape, graphs = taped_losses(g, X, y, ids, hgnn)
+        for graph in graphs:
+            rows = trainer._grad_rows(graph, tape, hgnn, per_sample=True)
+
+            def loss_at(vec, branch=graph.branch):
+                out = branch_losses(g, X, y, hgnn.with_vec(vec), ids)
+                return (out.loss_ss if branch == "ss" else out.loss_fs)[1]
+
+            numeric = T.central_difference(loss_at, hgnn.flatten(), 1e-5)
+            np.testing.assert_allclose(rows[1], numeric, rtol=1e-6, atol=1e-9)
+        assert layer0_products and all(0.0 < share <= T._LIVE_ROWS for _, share, _ in layer0_products)
 
 
 class TestIntermediateUpdate:
@@ -494,6 +552,44 @@ class TestTrainLoop:
             train(bad, quick_settings(3))
         assert excinfo.value.step >= 1
         assert excinfo.value.state is not None
+        assert str(excinfo.value).startswith(f"step {excinfo.value.step}, {excinfo.value.phase}: ")
+
+    @pytest.mark.parametrize(
+        "failing,phase,pin",
+        [
+            ("intermediate_update", "probe", None),
+            ("meta_gradient", "meta", None),
+            ("internal_update", "meta", None),
+            ("meta_loss_value", "meta", 0.5),
+            ("external_update", "commit", None),
+            ("evaluate", "evaluate", None),
+        ],
+    )
+    def test_training_error_names_the_phase_that_failed(self, monkeypatch, failing, phase, pin):
+        def fail(*args, **kwargs):
+            raise NumericsError("planted")
+
+        monkeypatch.setattr(trainer, failing, fail)
+        with pytest.raises(TrainingError) as excinfo:
+            train(random_toy_dataset(nodes=9, seed=5), quick_settings(2, pin_alpha=pin))
+        step = 2 if phase == "evaluate" else 1
+        assert (excinfo.value.step, excinfo.value.phase, str(excinfo.value)) == (step, phase, f"step {step}, {phase}: planted")
+        assert len(excinfo.value.state.history) == step - 1 + (phase == "evaluate")
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_numeric_failure_in_the_final_evaluate_is_a_training_error(self):
+        ds = random_toy_dataset(nodes=9, seed=5)
+        # every hyperedge mean of two or more members overflows
+        huge = Dataset(
+            graph=ds.graph,
+            features=np.full(ds.features.shape, 1.7e308),
+            labels=ds.labels,
+            splits=ds.splits,
+            num_classes=ds.num_classes,
+        )
+        with pytest.raises(TrainingError, match=r"^step 0, evaluate: segment_mean produced non-finite values") as excinfo:
+            train(huge, quick_settings(0))
+        assert excinfo.value.state.step == 0
 
     def test_determinism_across_runs(self):
         ds = random_toy_dataset(nodes=10, seed=6)
