@@ -25,7 +25,7 @@ from .model import branch_losses
 from .mwn import OUTPUT_MODES
 from .partition import assign_levels, kmeans_1d
 from .trainer import predict, train
-from .verify import HGNN_TOLERANCE, META_TOLERANCE, hgnn_gradient_check, meta_gradient_check
+from .verify import HGNN_TOLERANCE, META_TOLERANCE, hgnn_gradient_check, meta_gradient_check, per_sample_row_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -174,7 +174,9 @@ def cmd_grad_check(args) -> int:
     report = hgnn_gradient_check(nodes=args.nodes, hidden=args.hidden, seed=args.seed)
     print(f"hgnn_ss_max_rel_err={report['ss']:.3e}")
     print(f"hgnn_fs_max_rel_err={report['fs']:.3e}")
-    ok = report["ss"] <= HGNN_TOLERANCE and report["fs"] <= HGNN_TOLERANCE
+    rows = per_sample_row_check(hidden=args.hidden, seed=args.seed)
+    print(f"per_sample_row_max_rel_err={max(rows.values()):.3e}")
+    ok = max(*report.values(), *rows.values()) <= HGNN_TOLERANCE
     for mode in OUTPUT_MODES:
         meta = meta_gradient_check(
             nodes=args.nodes,

@@ -12,7 +12,16 @@ class ContractError(HgmetaError):
 
 
 class NumericsError(HgmetaError):
-    """A tensor operation produced NaN/Inf or was fed non-finite data."""
+    """A tensor operation produced NaN/Inf or was fed non-finite data.
+
+    ``op`` and ``shape`` name the primitive and the shape of the output it
+    produced; both are None for a failure that no primitive's output shows.
+    """
+
+    def __init__(self, message: str, op: str | None = None, shape: tuple[int, ...] | None = None):
+        super().__init__(message)
+        self.op = op
+        self.shape = shape
 
 
 class OracleError(HgmetaError):
@@ -35,11 +44,24 @@ class TrainingError(HgmetaError):
     """Training aborted (non-finite loss, gradient, or parameter).
 
     ``phase`` names where: ``probe``, ``meta`` or ``commit`` of step
-    ``step``, or the ``evaluate`` that follows the last step.
+    ``step``, or the ``evaluate`` that follows the last step. ``primitive``
+    and ``shape`` name the tensor primitive whose output was not finite, and
+    that output's shape; both are None when a check of the trainer's own
+    failed instead.
     """
 
-    def __init__(self, message: str, step: int, phase: str, state=None):
+    def __init__(
+        self,
+        message: str,
+        step: int,
+        phase: str,
+        state=None,
+        primitive: str | None = None,
+        shape: tuple[int, ...] | None = None,
+    ):
         super().__init__(f"step {step}, {phase}: {message}")
         self.step = step
         self.phase = phase
         self.state = state
+        self.primitive = primitive
+        self.shape = shape

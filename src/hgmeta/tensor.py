@@ -29,11 +29,23 @@ gradients do not rebuild them; ``segment_mean`` divides by each segment's
 count before it spreads the gradient over the segment's rows.
 
 ``Tape.backward`` also takes a stack of seeds and sweeps the records once
-per seed. The weight gradient of a ``matmul`` of an untracked constant by a
-parameter (the layer-0 ``X @ W0`` and ``means @ W0``) is taken over the rows
-where its output gradient is nonzero, when they are at most one in eight:
-one sample's gradient is nonzero only over its receptive field, a small
-share of a large graph (see ``_live_rows_product``).
+per seed. One sample's gradient is nonzero only over its receptive field, a
+small share of a large graph's rows, so a sweep carries a gradient as
+``(rows, values)`` while its rows are at most ``_LIVE_ROWS`` (one in eight)
+of its tensor's rows. Only the seed is scanned for them; from there each
+record's row rule, kept next to its dense rule, derives the rows it passes
+on from the rows it gets and the op's index arrays, and works on those rows
+alone. Row-local ops keep their rows, segment reductions spread them over
+their segments' runs, grouped sums sum the touched runs, and a ``matmul``
+multiplies only the carried rows, for its weight gradient too. Ops without
+a row rule (``sum_all``, a row-broadcast ``add``, ``slice_cols``, ``sub``,
+``sigmoid``, ``log1p``) get the gradient dense. Every row rule but
+``matmul``'s gives the dense rule's values on its rows, but for the sign of
+a zero; a product over the
+carried rows alone can round differently from the full one, so per-sample
+gradients differ from a dense sweep's at rounding level. A ones seed over a
+training split, or a scalar loss, starts dense and keeps the dense rules'
+bits.
 
 Grouped sums (the backward of ``gather_rows``, ``segment_sum``,
 ``segment_mean`` and both sums of ``segment_softmax``) associate exactly as
@@ -79,7 +91,8 @@ class Tape:
 
     def __init__(self):
         self._next_idx = 0
-        self._records: list[tuple[int, tuple[int | None, ...], Callable[[Array], Sequence[Array | None]]]] = []
+        # (out, inputs, dense rule, row rule or None, out rows, input rows)
+        self._records: list[tuple[int, tuple[int | None, ...], GradFn, RowFn | None, int, tuple[int, ...]]] = []
         # (idx, shape) only: holding the Tensors would make a cycle through Tensor.tape
         self._params: dict[str, tuple[int, tuple[int, ...]]] = {}
 
@@ -104,9 +117,11 @@ class Tape:
     def param_names(self) -> list[str]:
         return list(self._params)
 
-    def record(self, value: Array, inputs: Sequence[Tensor], grad_fn: Callable[[Array], Sequence[Array | None]]) -> Tensor:
+    def record(self, value: Array, inputs: Sequence[Tensor], grad_fn: GradFn, row_fn: RowFn | None = None) -> Tensor:
+        """Append a node: its backward rule on a dense gradient and, where it has one, on carried rows."""
         out = Tensor(value, self, self._new_idx())
-        self._records.append((out.idx, tuple(t.idx for t in inputs), grad_fn))
+        in_rows = tuple(t.shape[0] for t in inputs)
+        self._records.append((out.idx, tuple(t.idx for t in inputs), grad_fn, row_fn, value.shape[0], in_rows))
         return out
 
     def backward(
@@ -149,22 +164,86 @@ class Tape:
         return out if stacked else {name: grads[0] for name, grads in out.items()}
 
     def _sweep_stack(self, root: int, seeds: Array, out: dict[str, Array]) -> None:
-        """One reverse sweep per seed, writing seed i's gradients into ``out[name][i]``."""
+        """One reverse sweep per seed, writing seed i's gradients into ``out[name][i]``.
+
+        A seed whose nonzero rows are at most ``_LIVE_ROWS`` of its rows
+        starts out carried as ``(rows, values)``; it is the only array the
+        sweep scans. Each record with a row rule maps carried rows to
+        carried rows, and the rest run their dense rule (see ``_add``).
+        """
         params = {idx: name for name, (idx, _) in self._params.items()}
         records = self._records[::-1]
         for i, seed in enumerate(seeds):
-            grads: dict[int, Array] = {root: seed}
-            for out_idx, in_idxs, grad_fn in records:
+            live = np.flatnonzero(seed.any(axis=1))
+            grads: dict[int, Grad] = {root: (live, seed[live]) if live.size <= _LIVE_ROWS * seed.shape[0] else seed}
+            for out_idx, in_idxs, grad_fn, row_fn, rows, in_rows in records:
                 g = grads.pop(out_idx, None)
                 if g is None:
                     continue
-                for idx, gi in zip(in_idxs, grad_fn(g)):
-                    if idx is None or gi is None:
-                        continue
-                    acc = grads.get(idx)
-                    grads[idx] = gi if acc is None else acc + gi
+                if type(g) is not tuple:
+                    in_grads = grad_fn(g)
+                elif row_fn is None:
+                    in_grads = grad_fn(_dense(g, rows))
+                else:
+                    in_grads = row_fn(*g)
+                for idx, gi, num_rows in zip(in_idxs, in_grads, in_rows):
+                    if idx is not None and gi is not None:
+                        grads[idx] = _add(grads.get(idx), gi, num_rows)
             for idx, name in params.items():
-                out[name][i] = grads.get(idx, 0.0)
+                g = grads.get(idx, 0.0)
+                out[name][i] = _dense(g, out[name].shape[1]) if type(g) is tuple else g
+
+
+# a gradient is carried as (rows, values) while its live rows are at most this share of its tensor's rows
+_LIVE_ROWS = 1 / 8
+
+# a gradient: dense, or carried as (ascending distinct rows, their values)
+Grad = Array | tuple[Array, Array]
+GradFn = Callable[[Array], Sequence[Grad | None]]
+RowFn = Callable[[Array, Array], Sequence[Grad | None]]
+
+
+def _dense(g: tuple[Array, Array], num_rows: int) -> Array:
+    rows, values = g
+    full = np.zeros((num_rows, values.shape[1]))
+    full[rows] = values
+    return full
+
+
+def _distinct(x: Array) -> Array:
+    """The ascending distinct values of ``x``; ``np.unique`` without its overhead on a few values."""
+    x = np.sort(x)
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
+def _add(acc: Grad | None, g: Grad, num_rows: int) -> Grad:
+    """``acc + g`` for a tensor of ``num_rows`` rows; a carried sum past ``_LIVE_ROWS`` of them is made dense.
+
+    Two carried gradients add over the union of their rows; a carried one
+    adds its rows into a copy of a dense one. Each row of the sum is the
+    dense sum's row, but for the sign of a zero.
+    """
+    if acc is None:
+        total = g
+    elif type(acc) is not tuple and type(g) is not tuple:
+        return acc + g
+    elif type(acc) is tuple and type(g) is tuple:
+        rows = _distinct(np.concatenate((acc[0], g[0])))
+        values = np.zeros((rows.size, g[1].shape[1]))
+        values[np.searchsorted(rows, acc[0])] = acc[1]
+        values[np.searchsorted(rows, g[0])] += g[1]
+        total = (rows, values)
+    else:
+        (rows, values), total = (acc, g) if type(acc) is tuple else (g, acc)
+        total = total.copy()
+        total[rows] += values
+        return total
+    if type(total) is tuple and total[0].size > _LIVE_ROWS * num_rows:
+        return _dense(total, num_rows)
+    return total
 
 
 def _validated(value) -> Array:
@@ -179,7 +258,7 @@ def _validated(value) -> Array:
 
 def _finite(op: str, a: Array) -> Array:
     if not np.all(np.isfinite(a)):
-        raise NumericsError(f"{op} produced non-finite values, shape {a.shape}")
+        raise NumericsError(f"{op} produced non-finite values, shape {a.shape}", op=op, shape=a.shape)
     return a
 
 
@@ -193,12 +272,12 @@ def _tape_of(*tensors: Tensor) -> Tape | None:
     return tape
 
 
-def _emit(op: str, value: Array, inputs: Sequence[Tensor], grad_fn) -> Tensor:
+def _emit(op: str, value: Array, inputs: Sequence[Tensor], grad_fn: GradFn, row_fn: RowFn | None = None) -> Tensor:
     _finite(op, value)
     tape = _tape_of(*inputs)
     if tape is None or all(t.idx is None for t in inputs):
         return Tensor(value, tape, None)
-    return tape.record(value, inputs, grad_fn)
+    return tape.record(value, inputs, grad_fn, row_fn)
 
 
 def as_tensor(value, tape: Tape | None = None) -> Tensor:
@@ -237,35 +316,12 @@ def matmul(a: Tensor, b: Tensor, product: Array | None = None) -> Tensor:
     grad_a, grad_b = a.idx is not None, b.idx is not None
 
     def grad(g: Array):
-        if not grad_a:
-            return None, _live_rows_product(av, g)
-        return g @ bv.T, (av.T @ g if grad_b else None)
+        return (g @ bv.T if grad_a else None), (av.T @ g if grad_b else None)
 
-    return _emit("matmul", product, (a, b), grad)
+    def row_grad(rows: Array, g: Array):
+        return ((rows, g @ bv.T) if grad_a else None), (av[rows].T @ g if grad_b else None)
 
-
-# a weight gradient over at most this share of live rows gathers them first
-_LIVE_ROWS = 1 / 8
-
-
-def _live_rows_product(av: Array, g: Array) -> Array:
-    """``av.T @ g`` over the rows where ``g`` is nonzero, the weight gradient of ``av @ w``.
-
-    A row of ``g`` that is zero adds nothing, and one sample's layer-0
-    gradient is zero outside its receptive field, a small share of a large
-    graph's rows. Gathering the live rows pays off when they are few (with
-    none, the product over no rows is +0.0); with more than ``_LIVE_ROWS``
-    of them, the full product runs. The gathered product sums the same
-    nonzero terms in the same order, so it keeps the full product's bits
-    unless BLAS splits the full product's inner dimension into blocks,
-    which it does only for large operands (OpenBLAS 0.3.31 on x86_64: from
-    about 400 rows of 1433 columns, or 1072 rows of 16); there the two
-    differ at rounding level.
-    """
-    live = np.flatnonzero(g.any(axis=1))
-    if live.size > _LIVE_ROWS * g.shape[0]:
-        return av.T @ g
-    return av[live].T @ g[live]
+    return _emit("matmul", product, (a, b), grad, row_grad)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -277,7 +333,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         gb = g.sum(axis=0, keepdims=True) if row_broadcast else g
         return g, gb
 
-    return _emit("add", a.data + b.data, (a, b), grad)
+    def row_grad(rows: Array, g: Array):
+        return (rows, g), (rows, g)
+
+    return _emit("add", a.data + b.data, (a, b), grad, None if row_broadcast else row_grad)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -299,7 +358,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def grad(g: Array):
         return (g * bv if grad_a else None), (g * av if grad_b else None)
 
-    return _emit("mul", av * bv, (a, b), grad)
+    def row_grad(rows: Array, g: Array):
+        return ((rows, g * bv[rows]) if grad_a else None), ((rows, g * av[rows]) if grad_b else None)
+
+    return _emit("mul", av * bv, (a, b), grad, row_grad)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -308,7 +370,10 @@ def scale(a: Tensor, c: float) -> Tensor:
     def grad(g: Array):
         return (g * c,)
 
-    return _emit("scale", a.data * c, (a,), grad)
+    def row_grad(rows: Array, g: Array):
+        return ((rows, g * c),)
+
+    return _emit("scale", a.data * c, (a,), grad, row_grad)
 
 
 def scale_rows(a: Tensor, c: Tensor) -> Tensor:
@@ -321,7 +386,13 @@ def scale_rows(a: Tensor, c: Tensor) -> Tensor:
     def grad(g: Array):
         return (g * cv if grad_a else None), ((g * av).sum(axis=1, keepdims=True) if grad_c else None)
 
-    return _emit("scale_rows", av * cv, (a, c), grad)
+    def row_grad(rows: Array, g: Array):
+        return (
+            (rows, g * cv[rows]) if grad_a else None,
+            (rows, (g * av[rows]).sum(axis=1, keepdims=True)) if grad_c else None,
+        )
+
+    return _emit("scale_rows", av * cv, (a, c), grad, row_grad)
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -332,7 +403,10 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     def grad(g: Array):
         return g[:, :na], g[:, na:]
 
-    return _emit("concat_cols", np.concatenate([a.data, b.data], axis=1), (a, b), grad)
+    def row_grad(rows: Array, g: Array):
+        return (rows, g[:, :na]), (rows, g[:, na:])
+
+    return _emit("concat_cols", np.concatenate([a.data, b.data], axis=1), (a, b), grad, row_grad)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -383,9 +457,16 @@ class _RunIndex:
     tree level. Sums equal reduceat's byte for byte (checked against NumPy
     2.4), and a max is exact in any order. The tree is spelled out here, so
     the sums do not depend on how a NumPy build implements reduceat.
+
+    For a carried gradient (see ``Tape._sweep_stack``) the index also lays
+    out a few runs whole, a row per run (``touched``, ``positions``), so that
+    ``_block_sums`` adds each touched run in this same tree.
     """
 
-    __slots__ = ("unique", "counts", "_blocks", "_combined", "_tails", "_levels", "_size", "_heads", "_roots", "_rows")
+    __slots__ = (
+        "unique", "counts", "_order", "_starts", "_run_at", "_rank",
+        "_blocks", "_combined", "_tails", "_levels", "_size", "_heads", "_roots", "_rows",
+    )
 
     def __init__(self, ids: Array):
         order = np.argsort(ids, kind="stable")
@@ -393,6 +474,12 @@ class _RunIndex:
         starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]]) if ids.size else order[:0]
         self.unique = sorted_ids[starts]
         self.counts = np.diff(np.r_[starts, ids.size])
+        # each position's run and its rank in the run, for the row rules' layouts
+        self._order, self._starts = order, starts
+        self._run_at = np.empty(ids.size, dtype=np.int64)
+        self._run_at[order] = np.repeat(np.arange(starts.size), self.counts)
+        self._rank = np.empty(ids.size, dtype=np.int64)
+        self._rank[order] = np.arange(ids.size) - np.repeat(starts, self.counts)
         runs = starts.size
         # cut each run's rest into leaves; tree nodes are numbered as made, the runs' roots first
         base, length, node = starts + 1, self.counts - 1, np.arange(runs)
@@ -437,6 +524,38 @@ class _RunIndex:
         # without splits every leaf is a root, and the ascending roots are 0 .. runs - 1
         self._roots = slot[by_root] if splits else slice(0, runs)
 
+    def touched(self, rows: Array, g: Array) -> tuple[Array, Array]:
+        """The runs holding positions ``rows``, and ``g``, the values there, laid out over them.
+
+        Returns the ascending run numbers and a (runs, longest, d) block whose
+        row k holds run k in run order: ``g`` at ``rows``, -0.0 at the run's
+        other positions and past its end. -0.0 added to any value leaves it
+        unchanged, so the block sums like the runs with their other rows zero
+        (see ``_block_sums``).
+        """
+        run_at = self._run_at[rows]
+        runs = _distinct(run_at)
+        block = np.full((runs.size, self.counts[runs].max(initial=1), g.shape[1]), -0.0)
+        block[np.searchsorted(runs, run_at), self._rank[rows]] = g
+        return runs, block
+
+    def runs_of(self, ids: Array) -> tuple[Array, Array]:
+        """Run numbers of those of the ascending ``ids`` that have rows, and where they are in ``ids``."""
+        runs = np.searchsorted(self.unique, ids)
+        found = np.flatnonzero(self.unique.take(runs, mode="clip") == ids) if self.unique.size else runs[:0]
+        return runs[found], found
+
+    def positions(self, runs: Array) -> tuple[Array, Array]:
+        """Positions of ``runs`` laid out as in ``touched``, and which of them lie inside a run.
+
+        Row k holds run k's positions in run order; past its end it repeats
+        a position of some run, which ``inside`` marks False.
+        """
+        counts = self.counts[runs]
+        inside = np.arange(counts.max(initial=1)) < counts[:, None]
+        at = np.minimum(self._starts[runs][:, None] + np.arange(inside.shape[1]), self._order.size - 1)
+        return self._order[at], inside
+
     def sum_into(self, values: Array, num_rows: int, take: Array | None = None) -> Array:
         """Per-id sums of ``values`` rows (of ``values[take]`` rows when given) in a (num_rows, d) array."""
         return self._reduce(np.add, -0.0, np.zeros((num_rows, values.shape[1])), values, take)
@@ -469,6 +588,33 @@ class _RunIndex:
 def _accumulate(op, acc: Array, x: Array) -> None:
     part = acc[: x.shape[0]]
     op(part, x, out=part)
+
+
+def _block_sums(block: Array, counts: Array) -> Array:
+    """Sums of the runs laid out in ``block`` (see ``_RunIndex.touched``), with ``np.add.reduceat``'s bits.
+
+    Run k is ``block[k, :counts[k]]``. Runs of at most 8 rows, the common
+    case, add their rest in sequence from -0.0 and then their first row, as
+    ``_RunIndex`` does, and the -0.0 past a run's end changes nothing. A
+    longer run takes reduceat's blocks of 8, so the runs take a
+    ``_RunIndex`` of their own.
+    """
+    if block.shape[1] > 8:
+        inside = np.arange(block.shape[1]) < counts[:, None]
+        return _RunIndex(np.repeat(np.arange(counts.size), counts)).sum_into(block[inside], counts.size)
+    rest = np.full((block.shape[0], block.shape[2]), -0.0)
+    for j in range(1, block.shape[1]):
+        rest += block[:, j]
+    return block[:, 0] + rest
+
+
+def _spread_segments(index: _RunIndex, segments: Array, g: Array) -> tuple[Array, Array]:
+    """The carried gradient of a segment reduction's rows: each of ``segments``' rows of ``g`` over its run."""
+    runs, found = index.runs_of(segments)
+    positions, inside = index.positions(runs)
+    positions = positions[inside]
+    ascending = np.argsort(positions)
+    return positions[ascending], np.repeat(g[found], index.counts[runs], axis=0)[ascending]
 
 
 def frozen(a: Array) -> bool:
@@ -525,15 +671,24 @@ def _run_index(ids: Array) -> _RunIndex:
 
 def gather_rows(a: Tensor, ids) -> Tensor:
     ids = _row_ids(ids, a.shape[0])
-    rows = a.shape[0]
-    index: list[_RunIndex] = []  # looked up lazily, only if a backward pass runs
+    num_rows = a.shape[0]
+    looked_up: list[_RunIndex] = []  # only if a backward pass runs
+
+    def run_index() -> _RunIndex:
+        if not looked_up:
+            looked_up.append(_run_index(ids))
+        return looked_up[0]
 
     def grad(g: Array):
-        if not index:
-            index.append(_run_index(ids))
-        return (index[0].sum_into(g, rows),)
+        return (run_index().sum_into(g, num_rows),)
 
-    return _emit("gather_rows", a.data[ids], (a,), grad)
+    def row_grad(rows: Array, g: Array):
+        # the touched rows of ``a``, each summed over its whole run
+        index = run_index()
+        runs, block = index.touched(rows, g)
+        return ((index.unique[runs], _block_sums(block, index.counts[runs])),)
+
+    return _emit("gather_rows", a.data[ids], (a,), grad, row_grad)
 
 
 def _row_ids(ids, num_rows: int) -> Array:
@@ -551,7 +706,10 @@ def row_sum(a: Tensor) -> Tensor:
     def grad(g: Array):
         return (np.repeat(g, cols, axis=1),)
 
-    return _emit("row_sum", a.data.sum(axis=1, keepdims=True), (a,), grad)
+    def row_grad(rows: Array, g: Array):
+        return ((rows, np.repeat(g, cols, axis=1)),)
+
+    return _emit("row_sum", a.data.sum(axis=1, keepdims=True), (a,), grad, row_grad)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -577,7 +735,10 @@ def elu(a: Tensor) -> Tensor:
     def grad(g: Array):
         return (g * factor,)
 
-    return _emit("elu", out, (a,), grad)
+    def row_grad(rows: Array, g: Array):
+        return ((rows, g * factor[rows]),)
+
+    return _emit("elu", out, (a,), grad, row_grad)
 
 
 def _d_leaky_relu(x: Array, slope: float) -> Array:
@@ -592,7 +753,10 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     def grad(g: Array):
         return (g * factor,)
 
-    return _emit("leaky_relu", out, (a,), grad)
+    def row_grad(rows: Array, g: Array):
+        return ((rows, g * factor[rows]),)
+
+    return _emit("leaky_relu", out, (a,), grad, row_grad)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -630,7 +794,10 @@ def row_log_softmax(a: Tensor) -> Tensor:
     def grad(g: Array):
         return (g - softmax * g.sum(axis=1, keepdims=True),)
 
-    return _emit("row_log_softmax", out, (a,), grad)
+    def row_grad(rows: Array, g: Array):
+        return ((rows, g - softmax[rows] * g.sum(axis=1, keepdims=True)),)
+
+    return _emit("row_log_softmax", out, (a,), grad, row_grad)
 
 
 def _segment_ids(ids, num_segments: int, count: int) -> Array:
@@ -644,12 +811,16 @@ def _segment_ids(ids, num_segments: int, count: int) -> Array:
 
 def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     ids = _segment_ids(segment_ids, num_segments, values.shape[0])
-    out = _run_index(ids).sum_into(values.data, num_segments)
+    index = _run_index(ids)
+    out = index.sum_into(values.data, num_segments)
 
     def grad(g: Array):
         return (g[ids],)
 
-    return _emit("segment_sum", out, (values,), grad)
+    def row_grad(rows: Array, g: Array):
+        return (_spread_segments(index, rows, g),)
+
+    return _emit("segment_sum", out, (values,), grad, row_grad)
 
 
 def _segment_counts(index: _RunIndex, num_segments: int) -> Array:
@@ -671,7 +842,10 @@ def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
         # each row's quotient is the same division as g[ids] / counts[ids], done once per segment
         return ((g / counts)[ids],)
 
-    return _emit("segment_mean", out, (values,), grad)
+    def row_grad(rows: Array, g: Array):
+        return (_spread_segments(index, rows, g / counts[rows]),)
+
+    return _emit("segment_mean", out, (values,), grad, row_grad)
 
 
 # column block of gathered_segment_mean, the width of a typical hidden layer
@@ -715,7 +889,18 @@ def segment_softmax(scores: Tensor, segment_ids) -> Tensor:
         weighted = index.sum_into(g * out, num_segments)
         return (out * (g - weighted[ids]),)
 
-    return _emit("segment_softmax", out, (scores,), grad)
+    def row_grad(rows: Array, g: Array):
+        # every row of a touched segment, with its sum over the whole segment
+        runs, block = index.touched(rows, g)
+        positions, inside = index.positions(runs)
+        share = out[positions]
+        weighted = _block_sums(block * share, index.counts[runs])
+        grads = (share * (block - weighted[:, None]))[inside]
+        positions = positions[inside]
+        ascending = np.argsort(positions)
+        return ((positions[ascending], grads[ascending]),)
+
+    return _emit("segment_softmax", out, (scores,), grad, row_grad)
 
 
 # ---------------------------------------------------------------------------

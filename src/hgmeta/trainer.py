@@ -28,10 +28,15 @@ temporary. All reductions are fixed-order, so runs are bit-reproducible.
 Each branch's rows come from one stacked ``Tape.backward`` call that
 writes them in place: n unit seeds, or one ones seed when pinned. The tape
 sweeps the records once per seed, so a row is byte-identical to a backward
-pass on its sample alone. A unit seed's layer-0 weight gradients multiply
-only the rows of its receptive field, where its gradient is nonzero (see
-``tensor``); a ones seed over a training split reaches too many rows for
-that to pay, and runs the full products.
+pass on its sample alone. A unit seed's sweep carries its gradient as the
+rows of the sample's receptive field, where it is nonzero, and every record
+works on those rows alone (see ``tensor``), so a row can differ from a
+dense sweep's at rounding level; a ones seed over a training split reaches
+too many rows for that to pay, and runs the dense rules.
+
+A step that fails leaves the state as the step before left it: the new
+weight net and the Adam moments are stored only once the new classifier is
+found finite.
 """
 
 from __future__ import annotations
@@ -333,22 +338,25 @@ def external_update(
     """Step 3: reweight the cached gradients under the new Theta and commit.
 
     Gradients stay evaluated at the pre-step w. Returns the new parameters,
-    the recomputed alpha, and the applied gradient vector.
+    the recomputed alpha, and the applied gradient vector. ``adam`` moves
+    only when the new parameters are finite.
     """
     alpha, beta = _blend_weights(cache.l1, cache.l2, cache.tasks, mwn_new, pin_alpha)
     grad = _weighted_grad_sum(alpha, beta, cache, weight_decay)
     if adam is None:
         w_vec = cache.w_vec - lam1 * grad
     else:
-        adam.count += 1
+        count = adam.count + 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        adam.m = b1 * adam.m + (1 - b1) * grad
-        adam.v = b2 * adam.v + (1 - b2) * grad * grad
-        m_hat = adam.m / (1 - b1**adam.count)
-        v_hat = adam.v / (1 - b2**adam.count)
+        m = b1 * adam.m + (1 - b1) * grad
+        v = b2 * adam.v + (1 - b2) * grad * grad
+        m_hat = m / (1 - b1**count)
+        v_hat = v / (1 - b2**count)
         w_vec = cache.w_vec - lam1 * m_hat / (np.sqrt(v_hat) + eps)
     if not np.all(np.isfinite(w_vec)):
         raise NumericsError("non-finite classifier parameters after update")
+    if adam is not None:
+        adam.count, adam.m, adam.v = count, m, v
     return hgnn.with_vec(w_vec), alpha, grad
 
 
@@ -379,9 +387,9 @@ def _mean_alpha_per_task(alpha: Array, tasks: Array, k: int) -> list[float]:
 def train(dataset, settings: TrainSettings):
     """Full run per the three-step loop; returns (state, metrics).
 
-    A numeric failure raises a TrainingError that names the step and the
-    phase, and carries the state with every completed step's history
-    preserved.
+    A numeric failure raises a TrainingError that names the step, the phase
+    and, where a primitive's output was not finite, the primitive and the
+    shape. It carries the state as the last completed step left it.
     """
     g, X, y = dataset.graph, dataset.features, dataset.labels
     train_ids = np.asarray(dataset.splits.train, dtype=np.int64)
@@ -441,7 +449,7 @@ def _phase(state: TrainState, step: int, name: str):
     try:
         yield
     except NumericsError as exc:
-        raise TrainingError(str(exc), step=step, phase=name, state=state) from exc
+        raise TrainingError(str(exc), step, name, state, primitive=exc.op, shape=exc.shape) from exc
 
 
 def _one_step(state: TrainState, dataset, settings: TrainSettings, t: int, train_ids, meta_ids, batch_rng):
@@ -461,15 +469,17 @@ def _one_step(state: TrainState, dataset, settings: TrainSettings, t: int, train
     with _phase(state, t, "meta"):
         if settings.pin_alpha is None:
             d_theta, meta_loss, _ = meta_gradient(g, X, y, w_hat, cache, meta_ids, state.mwn, lam1)
-            state.mwn = internal_update(state.mwn, d_theta, lam2)
+            mwn = internal_update(state.mwn, d_theta, lam2)
         else:
             # pinned weights never update Theta; only the meta loss is reported
-            d_theta = np.zeros(0)
+            d_theta, mwn = np.zeros(0), state.mwn
             meta_loss = meta_loss_value(g, X, y, meta_ids, w_hat)
     with _phase(state, t, "commit"):
         state.hgnn, alpha_new, grad_w = external_update(
-            cache, state.hgnn, state.mwn, lam1, settings.pin_alpha, settings.weight_decay, state.adam
+            cache, state.hgnn, mwn, lam1, settings.pin_alpha, settings.weight_decay, state.adam
         )
+    # the new weight net is kept only with the classifier it committed
+    state.mwn = mwn
     train_loss = float((cache.alpha * cache.l1 + cache.beta * cache.l2).mean())
     state.history.append(
         StepRecord(

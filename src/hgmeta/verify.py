@@ -1,11 +1,12 @@
 """Gradient verification at toy scale.
 
-Two checks: the taped backward pass of each classifier branch against
-central finite differences over every parameter coordinate, and the analytic
-Theta-gradient of the weight-net update, in either output mode, against
-finite differences pushed through one probe step (perturb Theta, rebuild the
-probe parameters from the cached per-sample gradients, re-evaluate the meta
-loss).
+Three checks against central finite differences: the taped backward pass
+of each classifier branch over every parameter coordinate; one sample's
+gradient row of each branch on a graph large enough that the tape carries it
+as rows (see ``tensor``); and the analytic Theta-gradient of the weight-net
+update, in either output mode, pushed through one probe step (perturb Theta,
+rebuild the probe parameters from the cached per-sample gradients,
+re-evaluate the meta loss).
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ import numpy as np
 
 from .data import Dataset, Splits
 from .hypergraph import Hypergraph
-from .model import HGNNParams, taped_losses
+from .model import BRANCHES, HGNNParams, branch_losses, taped_losses
 from .mwn import MWNParams, mwn_forward_batch
 from .rng import stream
 from .tensor import Array, central_difference, finite_diff_check
 from .trainer import (
+    _grad_rows,
     _weighted_grad_sum,
     intermediate_update,
     meta_gradient,
@@ -91,6 +93,36 @@ def hgnn_gradient_check(
             return tape, graph.mean_loss
 
         report[branch] = finite_diff_check(build, dict(template.param_items()), eps=eps)
+    return report
+
+
+def per_sample_row_check(hidden: int = 4, seed: int = 0, eps: float = 1e-5) -> dict[str, float]:
+    """Max error of one sample's gradient row per branch against central differences.
+
+    The graph is a chain of 120 nodes in 59 hyperedges of 3, and the loss
+    column has 15 samples. One sample's gradient then lives on at most 5
+    nodes and 4 hyperedges, so every record of its backward sweep takes its
+    row rule. The error is relative to the row's largest entry: a row has
+    many entries near zero, where central differences carry more noise than
+    a per-coordinate relative error could tell from a fault.
+    """
+    g = Hypergraph(120, [[i, i + 1, i + 2] for i in range(0, 118, 2)])
+    rng = stream(seed, "row-check")
+    X, y = rng.normal(size=(120, 3)), rng.integers(0, 2, size=120)
+    hgnn = HGNNParams.init([3, hidden, 2], stream(seed, "init-w"), stream(seed, "init-a"))
+    ids = np.linspace(7, 111, 15).astype(np.int64)
+    sample = ids.size // 2
+    tape, graphs = taped_losses(g, X, y, ids, hgnn)
+    report = {}
+    for branch, graph in zip(BRANCHES, graphs):
+        row = _grad_rows(graph, tape, hgnn, per_sample=True)[sample]
+
+        def loss_at(vec: Array, branch=branch) -> float:
+            out = branch_losses(g, X, y, hgnn.with_vec(vec), ids)
+            return float((out.loss_ss if branch == "ss" else out.loss_fs)[sample])
+
+        numeric = central_difference(loss_at, hgnn.flatten(), eps)
+        report[branch] = float(np.abs(row - numeric).max() / max(1e-8, np.abs(numeric).max()))
     return report
 
 

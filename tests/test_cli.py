@@ -11,6 +11,7 @@ from hgmeta import trainer as trainer_mod
 from hgmeta.artifact import load_run_artifact, save_run_artifact, state_from_artifact
 from hgmeta.config import parse_config
 from hgmeta.data import SyntheticSpec, generate_synthetic, save_dataset
+from hgmeta.errors import TrainingError
 from hgmeta.mwn import weighted_alpha_theta_grad
 from hgmeta.trainer import TrainSettings, ScheduleSpec, train
 
@@ -235,6 +236,28 @@ class TestTrainCommand:
         assert cli.main(["train", str(cfg)]) == 4
         assert "training error: step 0, evaluate: " in capsys.readouterr().err
         assert not (tmp_path / "run.json").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_numeric_failure_names_its_primitive_and_shape_in_fields(self, tmp_path, capsys, monkeypatch):
+        synthetic = {"nodes": 24, "classes": 2, "hyperedges": 10, "dim": 4, "signal": 1.7e308, "noise": 0.0}
+        cfg = tiny_config(tmp_path, dataset={"synthetic": synthetic}, train={"steps": 0})
+        raised = []
+
+        def recording(*args, **kwargs):
+            try:
+                return train(*args, **kwargs)
+            except TrainingError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(cli, "train", recording)
+        assert cli.main(["train", str(cfg)]) == 4
+        # the hyperedge means of the 4 input features overflow; the output names them as before
+        (exc,) = raised
+        assert (exc.primitive, exc.shape) == ("segment_mean", (10, 4))
+        assert capsys.readouterr().err == (
+            "training error: step 0, evaluate: segment_mean produced non-finite values, shape (10, 4)\n"
+        )
 
     def test_missing_dataset_dir_exits_3(self, tmp_path):
         doc = json.loads(tiny_config(tmp_path).read_text())
@@ -478,6 +501,7 @@ class TestGradCheck:
         assert cli.main(["grad-check", "--nodes", "6", "--hidden", "3", "--mwn-hidden", "4"]) == 0
         out = capsys.readouterr().out
         assert "result=ok" in out
+        assert "per_sample_row_max_rel_err=" in out
         assert "complementary_meta_max_rel_err=" in out
         assert "independent_meta_max_rel_err=" in out
 
@@ -514,6 +538,17 @@ class TestGradCheck:
         out = capsys.readouterr().out
         assert rc == 5
         assert "result=tolerance-breach" in out
+
+    def test_corrupted_row_rule_exits_5(self, monkeypatch, capsys):
+        # negative control: only a carried gradient sums runs this way, so only the per-sample row check sees it
+        block_sums = T._block_sums
+        monkeypatch.setattr(T, "_block_sums", lambda block, counts: 0.5 * block_sums(block, counts))
+        rc = cli.main(["grad-check", "--nodes", "6", "--hidden", "3", "--mwn-hidden", "4"])
+        out = capsys.readouterr().out
+        assert rc == 5 and "result=tolerance-breach" in out
+        errors = dict(line.split("=") for line in out.splitlines() if "_err=" in line)
+        assert float(errors.pop("per_sample_row_max_rel_err")) > 1e-2
+        assert all(float(err) < 1e-4 for err in errors.values())
 
     def test_corrupted_backward_exits_5(self, monkeypatch, capsys):
         # negative control: break one derivative and the check must fail

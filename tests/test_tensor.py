@@ -469,10 +469,10 @@ class TestUntrackedOperands:
         trained = f"p{1 - constant}"
         assert list(partial) == [trained]
         np.testing.assert_array_equal(partial[trained], full[trained])
-        # the op's own record returns None in the constant's slot
-        _, _, grad_fn = next(rec for rec in tape._records if rec[0] == out.idx)
-        op_grads = grad_fn(np.ones(out.shape))
-        assert op_grads[constant] is None and op_grads[1 - constant] is not None
+        # the op's own record returns None in the constant's slot, from its dense rule and its row rule
+        _, _, grad_fn, row_fn, *_ = next(rec for rec in tape._records if rec[0] == out.idx)
+        for op_grads in (grad_fn(np.ones(out.shape)), row_fn(np.array([1, 3]), np.ones((2, out.shape[1])))):
+            assert op_grads[constant] is None and op_grads[1 - constant] is not None
 
 
 class _CountingNumpy:
@@ -582,13 +582,19 @@ class TestStackedSeeds:
 
 
 class TestLiveRowsProduct:
-    """The weight gradient of ``const @ w`` over the live rows of its output gradient."""
+    """The weight gradient of ``const @ w`` over the carried rows of its output gradient."""
 
     @staticmethod
     def _gradient(rng, rows, k, live):
         g = np.zeros((rows, k))
         g[rng.choice(rows, size=live, replace=False)] = rng.uniform(-1.0, 1.0, (live, k))
         return g
+
+    @staticmethod
+    def _taped(av, k):
+        """``av @ w`` for a (cols, k) parameter w, whose gradient does not depend on its value."""
+        tape = Tape()
+        return tape, T.matmul(T.as_tensor(av), tape.param("w", np.zeros((av.shape[1], k))))
 
     @pytest.mark.parametrize("share", [0.002, 0.02, 0.12])
     def test_gathered_product_is_the_full_one_to_rounding_at_coraca_shape(self, share):
@@ -597,16 +603,18 @@ class TestLiveRowsProduct:
         g = self._gradient(rng, 2708, 64, round(share * 2708))
         assert np.count_nonzero(g.any(axis=1)) <= T._LIVE_ROWS * 2708
         full = av.T @ g
-        np.testing.assert_allclose(T._live_rows_product(av, g), full, rtol=0, atol=1e-13 * np.abs(full).max())
+        tape, out = self._taped(av, 64)
+        np.testing.assert_allclose(tape.backward(out, g)["w"], full, rtol=0, atol=1e-13 * np.abs(full).max())
 
     @pytest.mark.bitwise
     def test_without_live_rows_the_gradient_is_positive_zeros(self):
         av = np.random.default_rng(5).uniform(-1.0, 1.0, (40, 6))
+        tape, out = self._taped(av, 3)
         av[3] = np.nan  # never read
         for g in (np.zeros((40, 3)), np.full((40, 3), -0.0)):
-            out = T._live_rows_product(av, g)
-            assert out.shape == (6, 3)
-            assert out.tobytes() == np.zeros((6, 3)).tobytes()
+            grad = tape.backward(out, g)["w"]
+            assert grad.shape == (6, 3)
+            assert grad.tobytes() == np.zeros((6, 3)).tobytes()
 
     @pytest.mark.bitwise
     @pytest.mark.parametrize("live", [338, 339])
@@ -617,10 +625,83 @@ class TestLiveRowsProduct:
         rows = np.flatnonzero(g.any(axis=1))
         gathers = live == 338
         expected = av[rows].T @ g[rows] if gathers else av.T @ g
-        assert T._live_rows_product(av, g).tobytes() == expected.tobytes()
+        tape, out = self._taped(av, 64)
+        assert tape.backward(out, g)["w"].tobytes() == expected.tobytes()
         # a gathered product never reads a dead row
         av[np.setdiff1d(np.arange(8 * 338), rows)] = np.nan
-        assert np.isfinite(T._live_rows_product(av, g)).all() == gathers
+        assert np.isfinite(tape.backward(out, g)["w"]).all() == gathers
+
+
+def _carried_seed(rng, shape):
+    """A seed with one live row in eight, as many as a carried gradient may have."""
+    seed = np.zeros(shape)
+    live = rng.choice(shape[0], size=max(shape[0] // 8, 1), replace=False)
+    seed[live] = rng.normal(size=(live.size, shape[1]))
+    return seed
+
+
+@pytest.mark.bitwise
+class TestRowRules:
+    """A gradient carried as (rows, values) through each row rule, against the dense rules."""
+
+    # a (40, 3) tracked input u, and the op under test applied to it
+    OPS = {
+        "add": lambda u, rng: T.add(u, T.elu(u)),
+        "mul": lambda u, rng: T.mul(u, T.as_tensor(rng.normal(size=(40, 3)))),
+        "scale": lambda u, rng: T.scale(u, -1.5),
+        "scale_rows": lambda u, rng: T.scale_rows(u, T.row_sum(T.elu(u))),
+        "concat_cols": lambda u, rng: T.concat_cols(u, T.elu(u)),
+        "elu": lambda u, rng: T.elu(u),
+        "leaky_relu": lambda u, rng: T.leaky_relu(u, 0.2),
+        "row_sum": lambda u, rng: T.row_sum(u),
+        "row_log_softmax": lambda u, rng: T.row_log_softmax(u),
+        "gather_rows": lambda u, rng: T.gather_rows(u, rng.integers(0, 40, size=90)),
+        "segment_sum": lambda u, rng: T.segment_sum(u, rng.integers(0, 48, size=40), 48),
+        "segment_mean": lambda u, rng: T.segment_mean(u, rng.permutation(np.r_[np.arange(24), rng.integers(0, 24, 16)]), 24),
+        "segment_softmax": lambda u, rng: T.segment_softmax(T.row_sum(u), rng.integers(0, 5, size=40)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_row_rule_keeps_the_dense_values(self, name, monkeypatch):
+        for trial in range(5):
+            rng = np.random.default_rng(trial)
+            tape = Tape()
+            u = tape.param("u", rng.normal(size=(40, 3)))
+            out = T.elu(self.OPS[name](u, np.random.default_rng(100 + trial)))
+            seed = _carried_seed(rng, out.shape)
+            carried = tape.backward(out, seed)["u"]
+            with monkeypatch.context() as dense:
+                dense.setattr(T, "_LIVE_ROWS", 0.0)
+                np.testing.assert_array_equal(carried, tape.backward(out, seed)["u"])
+
+    def test_touched_runs_sum_as_the_dense_rows_do(self):
+        """A touched run with three or more live rows sums over its whole run in reduceat's tree."""
+        rng = np.random.default_rng(35)
+        lengths = set()
+        for trial in range(60):
+            ids, num_rows = _random_runs(rng)
+            if not ids.size:
+                continue
+            index = T._RunIndex(ids)
+            # odd trials touch only runs of at most 8 rows, which _block_sums adds without a run index
+            groups = index.unique[index.counts <= 8] if trial % 2 else index.unique
+            if not groups.size:
+                continue
+            live = []
+            for group in rng.choice(groups, size=min(4, groups.size), replace=False):
+                members = np.flatnonzero(ids == group)
+                live.append(rng.choice(members, size=min(members.size, int(rng.integers(3, 12))), replace=False))
+                if live[-1].size >= 3:
+                    lengths.add(int(np.searchsorted([8, 129], members.size)))
+            rows = np.unique(np.concatenate(live))
+            g = rng.normal(size=(rows.size, 3))
+            runs, block = index.touched(rows, g)
+            dense = np.zeros((ids.size, 3))
+            dense[rows] = g
+            expected = index.sum_into(dense, num_rows)[index.unique[runs]]
+            assert T._block_sums(block, index.counts[runs]).tobytes() == expected.tobytes()
+        # runs of at most 8 rows, of 9 to 129 rows, and longer ones, each with three or more live rows
+        assert lengths == {0, 1, 2}
 
 
 @pytest.mark.bitwise

@@ -179,20 +179,57 @@ def shaped_datasets():
 
 @pytest.fixture
 def layer0_products(monkeypatch):
-    """(rows, live share, equals ``av.T @ g`` byte for byte) of every constant-by-parameter weight gradient."""
-    seen, product = [], T._live_rows_product
+    """(rows of the constant, share of them multiplied, rule taken) of every constant-by-parameter weight gradient.
 
-    def recording(av, g):
-        out = product(av, g)
-        seen.append((av.shape[0], np.count_nonzero(g.any(axis=1)) / g.shape[0], out.tobytes() == (av.T @ g).tobytes()))
+    The rule is ``"rows"`` for the row rule, which multiplies the carried
+    rows only, or ``"dense"``, whose product is checked to be ``av.T @ g``
+    byte for byte.
+    """
+    seen, matmul = [], T.matmul
+
+    def recording(a, b, product=None):
+        out = matmul(a, b, product)
+        if a.idx is None and b.idx is not None:
+            av, tape = a.data, out.tape
+            out_idx, inputs, grad_fn, row_fn, *sizes = tape._records[-1]
+
+            def dense(g):
+                grads = grad_fn(g)
+                assert grads[1].tobytes() == (av.T @ g).tobytes()
+                seen.append((av.shape[0], 1.0, "dense"))
+                return grads
+
+            def rows(live, g):
+                seen.append((av.shape[0], live.size / av.shape[0], "rows"))
+                return row_fn(live, g)
+
+            tape._records[-1] = (out_idx, inputs, dense, rows, *sizes)
         return out
 
-    monkeypatch.setattr(T, "_live_rows_product", recording)
+    monkeypatch.setattr(T, "matmul", recording)
     return seen
 
 
+def count_rules(tape: Tape) -> dict[str, int]:
+    """Wrap every record's rules on ``tape``; the returned dict counts the calls of each kind."""
+    calls = {"dense": 0, "rows": 0}
+
+    def counting(kind, rule):
+        def counted(*args):
+            calls[kind] += 1
+            return rule(*args)
+
+        return counted
+
+    tape._records = [
+        (out_idx, inputs, counting("dense", grad_fn), row_fn and counting("rows", row_fn), *sizes)
+        for out_idx, inputs, grad_fn, row_fn, *sizes in tape._records
+    ]
+    return calls
+
+
 class TestLiveRowsProducts:
-    """Which layer-0 weight gradients gather their live rows, and what one sample's gradient is then."""
+    """Which layer-0 weight gradients take the row rule, and what one sample's gradient is then."""
 
     @staticmethod
     def _taped(ds, ids):
@@ -202,40 +239,50 @@ class TestLiveRowsProducts:
     def test_per_sample_seeds_gather_the_live_rows(self, shaped_datasets, layer0_products):
         for name, ds in shaped_datasets.items():
             layer0_products.clear()
-            tape, graphs, hgnn = self._taped(ds, ds.splits.train[:6])
+            tape, graphs, hgnn = self._taped(ds, ds.splits.train[:16])
+            calls = count_rules(tape)
             for graph in graphs:
                 trainer._grad_rows(graph, tape, hgnn, per_sample=True)
             # one X and one hyperedge-means product per sample and branch
             x_shares = [share for rows, share, _ in layer0_products if rows == ds.graph.num_nodes]
-            assert len(layer0_products) == 24 and len(x_shares) == 12
+            assert len(layer0_products) == 64 and len(x_shares) == 32
             if name == "coraca":
-                # every sample's receptive field is a small share of the graph: every product gathers
-                assert max(share for _, share, _ in layer0_products) <= T._LIVE_ROWS
+                # every sample's receptive field is a small share of the graph: every record takes its row rule
+                assert all(rule == "rows" and share <= T._LIVE_ROWS for _, share, rule in layer0_products)
+                assert calls["dense"] == 0
             else:
-                # on the 200-node desk graph most samples' X rows gather; the hyperedge means mostly do not
+                # on the 200-node desk graph most samples' X rows are carried; the hyperedge means mostly are not
                 assert np.median(x_shares) <= T._LIVE_ROWS
+                assert calls["rows"] > calls["dense"]
 
     @pytest.mark.bitwise
-    def test_ones_seed_and_meta_backward_run_the_full_product(self, shaped_datasets, layer0_products):
+    def test_ones_seed_and_meta_backward_never_take_the_row_path(self, shaped_datasets, layer0_products):
         for ds in shaped_datasets.values():
             # the ones seed over the whole training split, as a pinned step takes it
             tape, graphs, hgnn = self._taped(ds, ds.splits.train)
+            calls = count_rules(tape)
             for graph in graphs:
                 trainer._grad_rows(graph, tape, hgnn, per_sample=False)
             tape, (ss, fs), _ = self._taped(ds, ds.splits.meta)
-            tape.backward(T.add(ss.mean_loss, fs.mean_loss))
+            meta_loss = T.add(ss.mean_loss, fs.mean_loss)
+            meta_calls = count_rules(tape)
+            tape.backward(meta_loss)
+            assert calls["rows"] == meta_calls["rows"] == 0
+            assert calls["dense"] > 0 and meta_calls["dense"] > 0
         assert len(layer0_products) == 2 * 2 * 4
-        assert all(share > T._LIVE_ROWS and same for _, share, same in layer0_products)
+        assert all(rule == "dense" for _, _, rule in layer0_products)
 
     def test_one_samples_gradient_matches_central_differences(self, layer0_products):
-        # a chain of 3-node hyperedges: the layer-0 gradient of one sample lives on at most
+        # a chain of 3-node hyperedges: the gradient of one sample lives on at most
         # 5 of the 120 nodes and 4 of the 59 hyperedges
         g = Hypergraph(120, [[i, i + 1, i + 2] for i in range(0, 118, 2)])
         rng = np.random.default_rng(31)
         X, y = rng.normal(size=(120, 3)), rng.integers(0, 2, size=120)
         hgnn = HGNNParams.init([3, 4, 2], rng, rng)
-        ids = np.array([7, 60, 111])
+        # at least 8 samples, so that one sample's unit seed is carried from the loss column on
+        ids = np.linspace(7, 111, 15).astype(np.int64)
         tape, graphs = taped_losses(g, X, y, ids, hgnn)
+        calls = count_rules(tape)
         for graph in graphs:
             rows = trainer._grad_rows(graph, tape, hgnn, per_sample=True)
 
@@ -245,7 +292,54 @@ class TestLiveRowsProducts:
 
             numeric = T.central_difference(loss_at, hgnn.flatten(), 1e-5)
             np.testing.assert_allclose(rows[1], numeric, rtol=1e-6, atol=1e-9)
+        assert calls["dense"] == 0 and calls["rows"] > 0
         assert layer0_products and all(0.0 < share <= T._LIVE_ROWS for _, share, _ in layer0_products)
+
+
+def _sparse_hypergraph(rng) -> Hypergraph:
+    """60 to 200 nodes in n / 4 to n / 2 hyperedges of 1 to 6 nodes: small receptive fields, isolated nodes too."""
+    n = int(rng.integers(60, 201))
+    edges = [
+        sorted(int(v) for v in rng.choice(n, size=int(rng.integers(1, 7)), replace=False))
+        for _ in range(int(rng.integers(n // 4, n // 2)))
+    ]
+    return Hypergraph(n, edges)
+
+
+class TestRowPath:
+    """Per-sample rows from carried gradients agree with the dense sweep to rounding."""
+
+    # of the row's largest entry: the products over carried rows round like the full ones, but not always alike
+    TOLERANCE = 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        samples=st.integers(8, 24),
+        hidden=st.integers(1, 64),
+        layers=st.integers(1, 3),
+        dropout=st.booleans(),
+    )
+    def test_rows_match_the_dense_sweep(self, seed, samples, hidden, layers, dropout):
+        rng = np.random.default_rng(seed)
+        g = _sparse_hypergraph(rng)
+        dim, classes = int(rng.integers(1, 20)), int(rng.integers(2, 5))
+        X, y = rng.normal(size=(g.num_nodes, dim)), rng.integers(0, classes, size=g.num_nodes)
+        hgnn = HGNNParams.init([dim] + [hidden] * (layers - 1) + [classes], rng, rng)
+        masks = [(rng.random((g.num_nodes, hidden)) < 0.5) / 0.5 for _ in range(layers - 1)] if dropout else None
+        # a batch of the nodes, as a batched step draws it
+        ids = np.sort(rng.choice(g.num_nodes, size=samples, replace=False))
+        tape, graphs = taped_losses(g, X, y, ids, hgnn, masks)
+        calls = count_rules(tape)
+        for graph in graphs:
+            carried = trainer._grad_rows(graph, tape, hgnn, per_sample=True)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(T, "_LIVE_ROWS", 0.0)
+                dense = trainer._grad_rows(graph, tape, hgnn, per_sample=True)
+            bound = self.TOLERANCE * np.abs(dense).max(axis=1, keepdims=True)
+            assert np.all(np.abs(carried - dense) <= bound), graph.branch
+        # at least 8 samples: every unit seed is carried from the loss column on
+        assert calls["rows"] >= 2 * samples
 
 
 class TestIntermediateUpdate:
@@ -590,6 +684,35 @@ class TestTrainLoop:
         with pytest.raises(TrainingError, match=r"^step 0, evaluate: segment_mean produced non-finite values") as excinfo:
             train(huge, quick_settings(0))
         assert excinfo.value.state.step == 0
+        assert (excinfo.value.primitive, excinfo.value.shape) == ("segment_mean", (ds.graph.num_hyperedges, 5))
+
+    @pytest.mark.parametrize("optimizer", ["gd", "adam"])
+    @pytest.mark.parametrize("failing_step", [1, 2])
+    def test_failed_commit_leaves_the_state_of_the_step_before(self, monkeypatch, optimizer, failing_step):
+        ds = random_toy_dataset(nodes=9, seed=5)
+        before, _ = train(ds, quick_settings(failing_step - 1, optimizer=optimizer))
+        commit, calls = trainer.external_update, []
+
+        def overflowing(cache, hgnn, mwn_new, lam1, *args):
+            calls.append(lam1)
+            # an infinite rate: the Adam moments are computed, then the new classifier is not finite
+            with np.errstate(invalid="ignore"):
+                return commit(cache, hgnn, mwn_new, np.inf if len(calls) == failing_step else lam1, *args)
+
+        monkeypatch.setattr(trainer, "external_update", overflowing)
+        with pytest.raises(TrainingError) as excinfo:
+            train(ds, quick_settings(3, optimizer=optimizer))
+        # a check of the trainer's own failed, not a primitive
+        assert (excinfo.value.step, excinfo.value.phase) == (failing_step, "commit")
+        assert excinfo.value.primitive is None and excinfo.value.shape is None
+        state = excinfo.value.state
+        assert state.step == failing_step - 1 and len(state.history) == failing_step - 1
+        assert state.hgnn.flatten().tobytes() == before.hgnn.flatten().tobytes()
+        assert state.mwn.flatten().tobytes() == before.mwn.flatten().tobytes()
+        if optimizer == "adam":
+            assert state.adam.count == before.adam.count == failing_step - 1
+            assert state.adam.m.tobytes() == before.adam.m.tobytes()
+            assert state.adam.v.tobytes() == before.adam.v.tobytes()
 
     def test_determinism_across_runs(self):
         ds = random_toy_dataset(nodes=10, seed=6)
