@@ -32,20 +32,23 @@ count before it spreads the gradient over the segment's rows.
 per seed. One sample's gradient is nonzero only over its receptive field, a
 small share of a large graph's rows, so a sweep carries a gradient as
 ``(rows, values)`` while its rows are at most ``_LIVE_ROWS`` (one in eight)
-of its tensor's rows. Only the seed is scanned for them; from there each
-record's row rule, kept next to its dense rule, derives the rows it passes
-on from the rows it gets and the op's index arrays, and works on those rows
-alone. Row-local ops keep their rows, segment reductions spread them over
-their segments' runs, grouped sums sum the touched runs, and a ``matmul``
-multiplies only the carried rows, for its weight gradient too. Ops without
-a row rule (``sum_all``, a row-broadcast ``add``, ``slice_cols``, ``sub``,
-``sigmoid``, ``log1p``) get the gradient dense. Every row rule but
-``matmul``'s gives the dense rule's values on its rows, but for the sign of
-a zero; a product over the
-carried rows alone can round differently from the full one, so per-sample
-gradients differ from a dense sweep's at rounding level. A ones seed over a
-training split, or a scalar loss, starts dense and keeps the dense rules'
-bits.
+of its tensor's rows, or one row of a tensor of fewer than 8 rows, such as
+one sample's loss in a small batch (see ``_carries``). Only an explicit
+seed is scanned for them; from there each record's row rule, kept next to
+its dense rule, derives the rows it passes on from the rows it gets and the
+op's index arrays, and works on those rows alone. Row-local ops keep their
+rows, segment reductions spread them over their segments' runs, grouped
+sums sum the touched runs, laid out ragged so that they never take more
+than the ids' rows, and a ``matmul`` multiplies only the carried rows, for
+its weight gradient too. Ops without a row rule (``sum_all``, a
+row-broadcast ``add``, ``slice_cols``, ``sub``, ``sigmoid``, ``log1p``) get
+the gradient dense. Every row rule but ``matmul``'s gives the dense rule's
+values on its rows, but for the sign of a zero; a product over the carried
+rows alone can round differently from the full one, so per-sample gradients
+differ from a dense sweep's at rounding level. A ones seed over a training
+split of two or more nodes lights more than one row in eight of its loss
+column, and a scalar loss backpropagated without a seed is swept dense:
+both keep the dense rules' bits.
 
 Grouped sums (the backward of ``gather_rows``, ``segment_sum``,
 ``segment_mean`` and both sums of ``segment_softmax``) associate exactly as
@@ -129,9 +132,10 @@ class Tape:
     ) -> dict[str, Array]:
         """Gradients of ``output`` w.r.t. every registered parameter.
 
-        Without a seed the output must be scalar; a seed array of the
-        output's shape differentiates the corresponding weighted sum of
-        output entries. A stack of seeds, shape ``(s, *output.shape)``,
+        Without a seed the output must be scalar, and the loss it holds is
+        swept dense (see ``_sweep_stack``); a seed array of the output's
+        shape differentiates the corresponding weighted sum of output
+        entries. A stack of seeds, shape ``(s, *output.shape)``,
         gives every parameter an ``(s, *shape)`` stack of gradients, each
         with the bits of a backward pass on that seed alone; ``out``, when
         given, holds those stacks and is filled in place.
@@ -160,22 +164,27 @@ class Tape:
                 given = out[name].shape if name in out else None
                 if given != (seeds.shape[0], *shape):
                     raise ContractError(f"out[{name!r}] has shape {given}, expected {(seeds.shape[0], *shape)}")
-        self._sweep_stack(output.idx, seeds, out)
+        self._sweep_stack(output.idx, seeds, out, scan=seed is not None)
         return out if stacked else {name: grads[0] for name, grads in out.items()}
 
-    def _sweep_stack(self, root: int, seeds: Array, out: dict[str, Array]) -> None:
+    def _sweep_stack(self, root: int, seeds: Array, out: dict[str, Array], scan: bool) -> None:
         """One reverse sweep per seed, writing seed i's gradients into ``out[name][i]``.
 
-        A seed whose nonzero rows are at most ``_LIVE_ROWS`` of its rows
-        starts out carried as ``(rows, values)``; it is the only array the
-        sweep scans. Each record with a row rule maps carried rows to
-        carried rows, and the rest run their dense rule (see ``_add``).
+        With ``scan``, a seed whose nonzero rows may be carried (see
+        ``_carries``) starts out carried as ``(rows, values)``; the seeds
+        are the only arrays the sweep scans. Without it, the seed is a
+        scalar loss's, whose gradient reaches the whole graph, and starts
+        dense. Each record with a row rule maps carried rows to carried
+        rows, and the rest run their dense rule (see ``_add``).
         """
         params = {idx: name for name, (idx, _) in self._params.items()}
         records = self._records[::-1]
         for i, seed in enumerate(seeds):
-            live = np.flatnonzero(seed.any(axis=1))
-            grads: dict[int, Grad] = {root: (live, seed[live]) if live.size <= _LIVE_ROWS * seed.shape[0] else seed}
+            grads: dict[int, Grad] = {root: seed}
+            if scan:
+                live = np.flatnonzero(seed.any(axis=1))
+                if _carries(live.size, seed.shape[0]):
+                    grads[root] = (live, seed[live])
             for out_idx, in_idxs, grad_fn, row_fn, rows, in_rows in records:
                 g = grads.pop(out_idx, None)
                 if g is None:
@@ -196,6 +205,18 @@ class Tape:
 
 # a gradient is carried as (rows, values) while its live rows are at most this share of its tensor's rows
 _LIVE_ROWS = 1 / 8
+
+
+def _carries(live: int, num_rows: int) -> bool:
+    """Whether a gradient over ``live`` of a tensor's ``num_rows`` rows is carried as (rows, values).
+
+    It is while ``live`` is at most ``_LIVE_ROWS`` of the rows, a tensor of
+    fewer than 8 rows counting as 8. So one row of a small tensor is
+    carried, and one sample's loss in a batch of any size reaches the
+    graph's tensors carried.
+    """
+    return live <= _LIVE_ROWS * max(num_rows, 8)
+
 
 # a gradient: dense, or carried as (ascending distinct rows, their values)
 Grad = Array | tuple[Array, Array]
@@ -220,7 +241,7 @@ def _distinct(x: Array) -> Array:
 
 
 def _add(acc: Grad | None, g: Grad, num_rows: int) -> Grad:
-    """``acc + g`` for a tensor of ``num_rows`` rows; a carried sum past ``_LIVE_ROWS`` of them is made dense.
+    """``acc + g`` for a tensor of ``num_rows`` rows; a carried sum that ``_carries`` refuses is made dense.
 
     Two carried gradients add over the union of their rows; a carried one
     adds its rows into a copy of a dense one. Each row of the sum is the
@@ -241,7 +262,7 @@ def _add(acc: Grad | None, g: Grad, num_rows: int) -> Grad:
         total = total.copy()
         total[rows] += values
         return total
-    if type(total) is tuple and total[0].size > _LIVE_ROWS * num_rows:
+    if type(total) is tuple and not _carries(total[0].size, num_rows):
         return _dense(total, num_rows)
     return total
 
@@ -459,8 +480,8 @@ class _RunIndex:
     the sums do not depend on how a NumPy build implements reduceat.
 
     For a carried gradient (see ``Tape._sweep_stack``) the index also lays
-    out a few runs whole, a row per run (``touched``, ``positions``), so that
-    ``_block_sums`` adds each touched run in this same tree.
+    out a few runs whole, run after run (``layout``, ``touched``), so that
+    ``_run_sums`` adds each touched run in this same tree.
     """
 
     __slots__ = (
@@ -524,37 +545,34 @@ class _RunIndex:
         # without splits every leaf is a root, and the ascending roots are 0 .. runs - 1
         self._roots = slot[by_root] if splits else slice(0, runs)
 
-    def touched(self, rows: Array, g: Array) -> tuple[Array, Array]:
-        """The runs holding positions ``rows``, and ``g``, the values there, laid out over them.
+    def layout(self, runs: Array) -> Array:
+        """The positions of ``runs``, run after run and each in run order.
 
-        Returns the ascending run numbers and a (runs, longest, d) block whose
-        row k holds run k in run order: ``g`` at ``rows``, -0.0 at the run's
-        other positions and past its end. -0.0 added to any value leaves it
-        unchanged, so the block sums like the runs with their other rows zero
-        (see ``_block_sums``).
+        The layout is ragged, as long as the runs together, so never longer
+        than the ids, however long one run is.
+        """
+        counts = self.counts[runs]
+        return self._order[np.arange(counts.sum()) + np.repeat(self._starts[runs] - np.cumsum(counts) + counts, counts)]
+
+    def touched(self, rows: Array, g: Array) -> tuple[Array, Array]:
+        """The ascending runs holding positions ``rows``, and ``g`` laid out over them as ``layout`` lays them.
+
+        The values hold ``g`` at ``rows`` and zeros at the runs' other
+        positions, as a dense gradient does.
         """
         run_at = self._run_at[rows]
         runs = _distinct(run_at)
-        block = np.full((runs.size, self.counts[runs].max(initial=1), g.shape[1]), -0.0)
-        block[np.searchsorted(runs, run_at), self._rank[rows]] = g
-        return runs, block
+        counts = self.counts[runs]
+        starts = np.cumsum(counts) - counts
+        values = np.zeros((counts.sum(), g.shape[1]))
+        values[starts[np.searchsorted(runs, run_at)] + self._rank[rows]] = g
+        return runs, values
 
     def runs_of(self, ids: Array) -> tuple[Array, Array]:
         """Run numbers of those of the ascending ``ids`` that have rows, and where they are in ``ids``."""
         runs = np.searchsorted(self.unique, ids)
         found = np.flatnonzero(self.unique.take(runs, mode="clip") == ids) if self.unique.size else runs[:0]
         return runs[found], found
-
-    def positions(self, runs: Array) -> tuple[Array, Array]:
-        """Positions of ``runs`` laid out as in ``touched``, and which of them lie inside a run.
-
-        Row k holds run k's positions in run order; past its end it repeats
-        a position of some run, which ``inside`` marks False.
-        """
-        counts = self.counts[runs]
-        inside = np.arange(counts.max(initial=1)) < counts[:, None]
-        at = np.minimum(self._starts[runs][:, None] + np.arange(inside.shape[1]), self._order.size - 1)
-        return self._order[at], inside
 
     def sum_into(self, values: Array, num_rows: int, take: Array | None = None) -> Array:
         """Per-id sums of ``values`` rows (of ``values[take]`` rows when given) in a (num_rows, d) array."""
@@ -590,31 +608,40 @@ def _accumulate(op, acc: Array, x: Array) -> None:
     op(part, x, out=part)
 
 
-def _block_sums(block: Array, counts: Array) -> Array:
-    """Sums of the runs laid out in ``block`` (see ``_RunIndex.touched``), with ``np.add.reduceat``'s bits.
+def _run_sums(values: Array, counts: Array) -> Array:
+    """Sums of runs of ``counts`` rows laid out in ``values`` (see ``_RunIndex.layout``), with ``np.add.reduceat``'s bits.
 
-    Run k is ``block[k, :counts[k]]``. Runs of at most 8 rows, the common
-    case, add their rest in sequence from -0.0 and then their first row, as
-    ``_RunIndex`` does, and the -0.0 past a run's end changes nothing. A
-    longer run takes reduceat's blocks of 8, so the runs take a
+    Runs of at most 8 rows, the common case, are padded with -0.0 to the
+    longest, a row per run, which adds nothing, and add their rest in
+    sequence from -0.0 and then their first row, as ``_RunIndex`` does. A
+    longer run takes reduceat's blocks of 8, so the runs then take a
     ``_RunIndex`` of their own.
     """
-    if block.shape[1] > 8:
-        inside = np.arange(block.shape[1]) < counts[:, None]
-        return _RunIndex(np.repeat(np.arange(counts.size), counts)).sum_into(block[inside], counts.size)
-    rest = np.full((block.shape[0], block.shape[2]), -0.0)
-    for j in range(1, block.shape[1]):
+    longest = counts.max(initial=1)
+    if longest > 8:
+        return _RunIndex(np.repeat(np.arange(counts.size), counts)).sum_into(values, counts.size)
+    if longest == 1:
+        # r0 + -0.0 is r0
+        return values
+    block = np.full((counts.size, longest, values.shape[1]), -0.0)
+    block[np.arange(longest) < counts[:, None]] = values
+    # -0.0 + r1 is r1
+    rest = block[:, 1].copy()
+    for j in range(2, longest):
         rest += block[:, j]
     return block[:, 0] + rest
+
+
+def _ascending(rows: Array, values: Array) -> tuple[Array, Array]:
+    """The carried gradient of ``values`` at the distinct ``rows``, put in ascending row order."""
+    order = np.argsort(rows)
+    return rows[order], values[order]
 
 
 def _spread_segments(index: _RunIndex, segments: Array, g: Array) -> tuple[Array, Array]:
     """The carried gradient of a segment reduction's rows: each of ``segments``' rows of ``g`` over its run."""
     runs, found = index.runs_of(segments)
-    positions, inside = index.positions(runs)
-    positions = positions[inside]
-    ascending = np.argsort(positions)
-    return positions[ascending], np.repeat(g[found], index.counts[runs], axis=0)[ascending]
+    return _ascending(index.layout(runs), np.repeat(g[found], index.counts[runs], axis=0))
 
 
 def frozen(a: Array) -> bool:
@@ -685,8 +712,8 @@ def gather_rows(a: Tensor, ids) -> Tensor:
     def row_grad(rows: Array, g: Array):
         # the touched rows of ``a``, each summed over its whole run
         index = run_index()
-        runs, block = index.touched(rows, g)
-        return ((index.unique[runs], _block_sums(block, index.counts[runs])),)
+        runs, values = index.touched(rows, g)
+        return ((index.unique[runs], _run_sums(values, index.counts[runs])),)
 
     return _emit("gather_rows", a.data[ids], (a,), grad, row_grad)
 
@@ -891,14 +918,11 @@ def segment_softmax(scores: Tensor, segment_ids) -> Tensor:
 
     def row_grad(rows: Array, g: Array):
         # every row of a touched segment, with its sum over the whole segment
-        runs, block = index.touched(rows, g)
-        positions, inside = index.positions(runs)
+        runs, values = index.touched(rows, g)
+        positions, counts = index.layout(runs), index.counts[runs]
         share = out[positions]
-        weighted = _block_sums(block * share, index.counts[runs])
-        grads = (share * (block - weighted[:, None]))[inside]
-        positions = positions[inside]
-        ascending = np.argsort(positions)
-        return ((positions[ascending], grads[ascending]),)
+        weighted = _run_sums(values * share, counts)
+        return (_ascending(positions, share * (values - np.repeat(weighted, counts, axis=0))),)
 
     return _emit("segment_softmax", out, (scores,), grad, row_grad)
 

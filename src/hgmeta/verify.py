@@ -96,21 +96,22 @@ def hgnn_gradient_check(
     return report
 
 
-def per_sample_row_check(hidden: int = 4, seed: int = 0, eps: float = 1e-5) -> dict[str, float]:
+def per_sample_row_check(hidden: int = 4, seed: int = 0, eps: float = 1e-5, samples: int = 15) -> dict[str, float]:
     """Max error of one sample's gradient row per branch against central differences.
 
     The graph is a chain of 120 nodes in 59 hyperedges of 3, and the loss
-    column has 15 samples. One sample's gradient then lives on at most 5
-    nodes and 4 hyperedges, so every record of its backward sweep takes its
-    row rule. The error is relative to the row's largest entry: a row has
-    many entries near zero, where central differences carry more noise than
-    a per-coordinate relative error could tell from a fault.
+    column has ``samples`` samples spread along it. One sample's gradient
+    then lives on at most 5 nodes and 4 hyperedges, so every record of its
+    backward sweep takes its row rule. The error is relative to the row's
+    largest entry: a row has many entries near zero, where central
+    differences carry more noise than a per-coordinate relative error could
+    tell from a fault.
     """
     g = Hypergraph(120, [[i, i + 1, i + 2] for i in range(0, 118, 2)])
     rng = stream(seed, "row-check")
     X, y = rng.normal(size=(120, 3)), rng.integers(0, 2, size=120)
     hgnn = HGNNParams.init([3, hidden, 2], stream(seed, "init-w"), stream(seed, "init-a"))
-    ids = np.linspace(7, 111, 15).astype(np.int64)
+    ids = np.linspace(7, 111, samples).astype(np.int64)
     sample = ids.size // 2
     tape, graphs = taped_losses(g, X, y, ids, hgnn)
     report = {}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hgmeta.hypergraph import Hypergraph
+from hgmeta.tensor import Tape
 
 
 def overlap_toy() -> Hypergraph:
@@ -24,6 +25,24 @@ def random_hypergraph(rng: np.random.Generator, max_nodes: int = 50, allow_isola
         size = int(rng.integers(1, min(n, 6) + 1))
         edges.append(sorted(int(v) for v in rng.choice(n, size=size, replace=False)))
     return Hypergraph(n, edges)
+
+
+def count_rules(tape: Tape) -> dict[str, int]:
+    """Wrap every record's rules on ``tape``; the returned dict counts the calls of each kind."""
+    calls = {"dense": 0, "rows": 0}
+
+    def counting(kind, rule):
+        def counted(*args):
+            calls[kind] += 1
+            return rule(*args)
+
+        return counted
+
+    tape._records = [
+        (out_idx, inputs, counting("dense", grad_fn), row_fn and counting("rows", row_fn), *sizes)
+        for out_idx, inputs, grad_fn, row_fn, *sizes in tape._records
+    ]
+    return calls
 
 
 @pytest.fixture

@@ -541,8 +541,8 @@ class TestGradCheck:
 
     def test_corrupted_row_rule_exits_5(self, monkeypatch, capsys):
         # negative control: only a carried gradient sums runs this way, so only the per-sample row check sees it
-        block_sums = T._block_sums
-        monkeypatch.setattr(T, "_block_sums", lambda block, counts: 0.5 * block_sums(block, counts))
+        run_sums = T._run_sums
+        monkeypatch.setattr(T, "_run_sums", lambda values, counts: 0.5 * run_sums(values, counts))
         rc = cli.main(["grad-check", "--nodes", "6", "--hidden", "3", "--mwn-hidden", "4"])
         out = capsys.readouterr().out
         assert rc == 5 and "result=tolerance-breach" in out

@@ -11,6 +11,8 @@ from hgmeta.errors import ContractError, NumericsError, OracleError
 from hgmeta.hypergraph import Hypergraph
 from hgmeta.tensor import Tape, finite_diff_check
 
+from conftest import count_rules
+
 
 def _param_tape(**arrays):
     tape = Tape()
@@ -674,6 +676,17 @@ class TestRowRules:
                 dense.setattr(T, "_LIVE_ROWS", 0.0)
                 np.testing.assert_array_equal(carried, tape.backward(out, seed)["u"])
 
+    def test_a_scalar_loss_without_a_seed_is_swept_dense(self):
+        tape = Tape()
+        u = tape.param("u", np.random.default_rng(37).normal(size=(60, 3)))
+        loss = T.scale(T.sum_all(T.row_sum(T.gather_rows(u, [3, 41]))), 0.5)
+        calls = count_rules(tape)
+        unseeded = tape.backward(loss)["u"]
+        assert calls == {"dense": 4, "rows": 0}
+        # the same loss with its seed given: the seed is scanned, and its one row carried up to sum_all
+        assert tape.backward(loss, np.ones((1, 1)))["u"].tobytes() == unseeded.tobytes()
+        assert calls == {"dense": 7, "rows": 1}
+
     def test_touched_runs_sum_as_the_dense_rows_do(self):
         """A touched run with three or more live rows sums over its whole run in reduceat's tree."""
         rng = np.random.default_rng(35)
@@ -683,7 +696,7 @@ class TestRowRules:
             if not ids.size:
                 continue
             index = T._RunIndex(ids)
-            # odd trials touch only runs of at most 8 rows, which _block_sums adds without a run index
+            # odd trials touch only runs of at most 8 rows, which _run_sums adds without a run index
             groups = index.unique[index.counts <= 8] if trial % 2 else index.unique
             if not groups.size:
                 continue
@@ -695,13 +708,46 @@ class TestRowRules:
                     lengths.add(int(np.searchsorted([8, 129], members.size)))
             rows = np.unique(np.concatenate(live))
             g = rng.normal(size=(rows.size, 3))
-            runs, block = index.touched(rows, g)
+            runs, values = index.touched(rows, g)
+            positions = index.layout(runs)
             dense = np.zeros((ids.size, 3))
             dense[rows] = g
+            assert positions.tolist() == [p for run in runs for p in np.flatnonzero(ids == index.unique[run])]
+            assert values.tobytes() == dense[positions].tobytes()
             expected = index.sum_into(dense, num_rows)[index.unique[runs]]
-            assert T._block_sums(block, index.counts[runs]).tobytes() == expected.tobytes()
+            assert T._run_sums(values, index.counts[runs]).tobytes() == expected.tobytes()
         # runs of at most 8 rows, of 9 to 129 rows, and longer ones, each with three or more live rows
         assert lengths == {0, 1, 2}
+
+    def test_a_long_run_among_short_ones_takes_only_their_rows(self):
+        """Touched runs are laid out ragged: a hub's long run next to many short ones costs their rows, not runs x longest."""
+        rng = np.random.default_rng(36)
+        # 3000 runs of one to three rows, and one of 2000 rows, shuffled
+        ids = rng.permutation(np.r_[np.repeat(np.arange(3000), rng.integers(1, 4, size=3000)), np.full(2000, 3000)])
+        index = T._RunIndex(ids)
+        rows = np.sort(np.r_[rng.choice(np.flatnonzero(ids < 3000), size=2900, replace=False), np.flatnonzero(ids == 3000)[:5]])
+        g = rng.normal(size=(rows.size, 4))
+        runs, values = index.touched(rows, g)
+        assert index.layout(runs).size == values.shape[0]
+        assert values.shape == (index.counts[runs].sum(), 4) and values.shape[0] <= ids.size
+        assert runs[-1] == 3000
+        dense = np.zeros((ids.size, 4))
+        dense[rows] = g
+        expected = index.sum_into(dense, 3001)[index.unique[runs]]
+        assert T._run_sums(values, index.counts[runs]).tobytes() == expected.tobytes()
+        # through the record: the gather's and the softmax's row rules give the dense values
+        tape = Tape()
+        u = tape.param("u", rng.normal(size=(3001, 4)))
+        for out in (T.gather_rows(u, ids), T.segment_softmax(T.row_sum(T.gather_rows(u, ids)), ids)):
+            # every eighth live row of the short runs, and the long run's
+            live = np.r_[rows[ids[rows] < 3000][::8], rows[ids[rows] == 3000]]
+            assert T._carries(live.size, out.shape[0])
+            seed = np.zeros(out.shape)
+            seed[live] = rng.normal(size=(live.size, out.shape[1]))
+            carried = tape.backward(out, seed)["u"]
+            with pytest.MonkeyPatch.context() as dense_sweep:
+                dense_sweep.setattr(T, "_LIVE_ROWS", 0.0)
+                np.testing.assert_array_equal(carried, tape.backward(out, seed)["u"])
 
 
 @pytest.mark.bitwise

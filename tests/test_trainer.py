@@ -16,7 +16,7 @@ from hgmeta import trainer
 from hgmeta.data import Dataset, Splits, SyntheticSpec, generate_synthetic
 from hgmeta.errors import ContractError, NumericsError, TrainingError
 from hgmeta.hypergraph import Hypergraph
-from hgmeta.model import HGNNParams, branch_losses, build_branch_graph, one_hot, register_params, taped_losses
+from hgmeta.model import HGNNParams, build_branch_graph, one_hot, register_params, taped_losses
 from hgmeta.mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
 from hgmeta.rng import stream
 from hgmeta.tensor import Tape
@@ -33,9 +33,10 @@ from hgmeta.trainer import (
     predict,
     train,
 )
+from hgmeta import verify
 from hgmeta.verify import meta_gradient_check, random_toy_dataset
 
-from conftest import random_hypergraph
+from conftest import count_rules, random_hypergraph
 
 
 class TestSchedule:
@@ -210,24 +211,6 @@ def layer0_products(monkeypatch):
     return seen
 
 
-def count_rules(tape: Tape) -> dict[str, int]:
-    """Wrap every record's rules on ``tape``; the returned dict counts the calls of each kind."""
-    calls = {"dense": 0, "rows": 0}
-
-    def counting(kind, rule):
-        def counted(*args):
-            calls[kind] += 1
-            return rule(*args)
-
-        return counted
-
-    tape._records = [
-        (out_idx, inputs, counting("dense", grad_fn), row_fn and counting("rows", row_fn), *sizes)
-        for out_idx, inputs, grad_fn, row_fn, *sizes in tape._records
-    ]
-    return calls
-
-
 class TestLiveRowsProducts:
     """Which layer-0 weight gradients take the row rule, and what one sample's gradient is then."""
 
@@ -236,16 +219,18 @@ class TestLiveRowsProducts:
         hgnn = HGNNParams.init([ds.features.shape[1], 64, ds.num_classes], stream(0, "init-w"), stream(0, "init-a"))
         return (*taped_losses(ds.graph, ds.features, ds.labels, np.asarray(ids), hgnn), hgnn)
 
-    def test_per_sample_seeds_gather_the_live_rows(self, shaped_datasets, layer0_products):
+    # batches of fewer than 8 samples, whose unit seeds are carried as one row of a small tensor, and a larger one
+    @pytest.mark.parametrize("samples", [1, 6, 16])
+    def test_per_sample_seeds_gather_the_live_rows(self, samples, shaped_datasets, layer0_products):
         for name, ds in shaped_datasets.items():
             layer0_products.clear()
-            tape, graphs, hgnn = self._taped(ds, ds.splits.train[:16])
+            tape, graphs, hgnn = self._taped(ds, ds.splits.train[:samples])
             calls = count_rules(tape)
             for graph in graphs:
                 trainer._grad_rows(graph, tape, hgnn, per_sample=True)
             # one X and one hyperedge-means product per sample and branch
             x_shares = [share for rows, share, _ in layer0_products if rows == ds.graph.num_nodes]
-            assert len(layer0_products) == 64 and len(x_shares) == 32
+            assert len(layer0_products) == 4 * samples and len(x_shares) == 2 * samples
             if name == "coraca":
                 # every sample's receptive field is a small share of the graph: every record takes its row rule
                 assert all(rule == "rows" and share <= T._LIVE_ROWS for _, share, rule in layer0_products)
@@ -272,26 +257,21 @@ class TestLiveRowsProducts:
         assert len(layer0_products) == 2 * 2 * 4
         assert all(rule == "dense" for _, _, rule in layer0_products)
 
-    def test_one_samples_gradient_matches_central_differences(self, layer0_products):
-        # a chain of 3-node hyperedges: the gradient of one sample lives on at most
-        # 5 of the 120 nodes and 4 of the 59 hyperedges
-        g = Hypergraph(120, [[i, i + 1, i + 2] for i in range(0, 118, 2)])
-        rng = np.random.default_rng(31)
-        X, y = rng.normal(size=(120, 3)), rng.integers(0, 2, size=120)
-        hgnn = HGNNParams.init([3, 4, 2], rng, rng)
-        # at least 8 samples, so that one sample's unit seed is carried from the loss column on
-        ids = np.linspace(7, 111, 15).astype(np.int64)
-        tape, graphs = taped_losses(g, X, y, ids, hgnn)
-        calls = count_rules(tape)
-        for graph in graphs:
-            rows = trainer._grad_rows(graph, tape, hgnn, per_sample=True)
+    @pytest.mark.parametrize("samples", [1, 3, 15])
+    def test_one_samples_gradient_matches_central_differences(self, samples, layer0_products, monkeypatch):
+        # the grad-check's chain of 3-node hyperedges: the gradient of one sample lives on
+        # at most 5 of the 120 nodes and 4 of the 59 hyperedges
+        counted = []
 
-            def loss_at(vec, branch=graph.branch):
-                out = branch_losses(g, X, y, hgnn.with_vec(vec), ids)
-                return (out.loss_ss if branch == "ss" else out.loss_fs)[1]
+        def counting_losses(*args, **kwargs):
+            tape, graphs = taped_losses(*args, **kwargs)
+            counted.append(count_rules(tape))
+            return tape, graphs
 
-            numeric = T.central_difference(loss_at, hgnn.flatten(), 1e-5)
-            np.testing.assert_allclose(rows[1], numeric, rtol=1e-6, atol=1e-9)
+        monkeypatch.setattr(verify, "taped_losses", counting_losses)
+        report = verify.per_sample_row_check(hidden=4, seed=31, samples=samples)
+        assert set(report) == {"ss", "fs"} and max(report.values()) <= 1e-7
+        (calls,) = counted
         assert calls["dense"] == 0 and calls["rows"] > 0
         assert layer0_products and all(0.0 < share <= T._LIVE_ROWS for _, share, _ in layer0_products)
 
@@ -315,7 +295,7 @@ class TestRowPath:
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        samples=st.integers(8, 24),
+        samples=st.integers(1, 24),
         hidden=st.integers(1, 64),
         layers=st.integers(1, 3),
         dropout=st.booleans(),
@@ -338,7 +318,7 @@ class TestRowPath:
                 dense = trainer._grad_rows(graph, tape, hgnn, per_sample=True)
             bound = self.TOLERANCE * np.abs(dense).max(axis=1, keepdims=True)
             assert np.all(np.abs(carried - dense) <= bound), graph.branch
-        # at least 8 samples: every unit seed is carried from the loss column on
+        # every unit seed is carried from the loss column on, whatever the batch
         assert calls["rows"] >= 2 * samples
 
 
