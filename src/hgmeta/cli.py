@@ -25,7 +25,14 @@ from .model import branch_losses
 from .mwn import OUTPUT_MODES
 from .partition import assign_levels, kmeans_1d
 from .trainer import predict, train
-from .verify import HGNN_TOLERANCE, META_TOLERANCE, hgnn_gradient_check, meta_gradient_check, per_sample_row_check
+from .verify import (
+    HGNN_TOLERANCE,
+    META_TOLERANCE,
+    hgnn_gradient_check,
+    jvp_check,
+    meta_gradient_check,
+    per_sample_row_check,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -176,7 +183,9 @@ def cmd_grad_check(args) -> int:
     print(f"hgnn_fs_max_rel_err={report['fs']:.3e}")
     rows = per_sample_row_check(hidden=args.hidden, seed=args.seed)
     print(f"per_sample_row_max_rel_err={max(rows.values()):.3e}")
-    ok = max(*report.values(), *rows.values()) <= HGNN_TOLERANCE
+    tangents = jvp_check(nodes=args.nodes, hidden=args.hidden, seed=args.seed)
+    print(f"jvp_max_rel_err={max(tangents.values()):.3e}")
+    ok = max(*report.values(), *rows.values(), *tangents.values()) <= HGNN_TOLERANCE
     for mode in OUTPUT_MODES:
         meta = meta_gradient_check(
             nodes=args.nodes,

@@ -1,9 +1,10 @@
-"""Dense 2-D float64 tensors with reverse-mode differentiation.
+"""Dense 2-D float64 tensors with reverse-mode and forward-mode differentiation.
 
 Everything is a matrix: scalars are (1, 1), vectors are (n, 1) columns.
 Operations run eagerly; when an operand is tracked on a Tape, the op also
-records a backward closure. A Tape owns a registry of named trainable
-parameters and replays its records in reverse to accumulate their gradients.
+records a backward closure and a tangent rule. A Tape owns a registry of
+named trainable parameters, replays its records in reverse to accumulate
+their gradients, or in record order to carry tangents (see ``Tape.jvp``).
 An operand that was untracked when the op ran (a constant such as the input
 features or a label matrix) receives no gradient computation at all: the
 closures of ``matmul``, ``mul`` and ``scale_rows`` return ``None`` for it.
@@ -24,8 +25,8 @@ the input features (keyed on the graph and the features) are kept this way.
 ``matmul`` accepts a product computed ahead (the layer-0 projections that
 both branches share). The elementwise derivative factors of ``elu`` and
 ``leaky_relu`` are built once with a tracked node and reused by every
-backward pass through it, so the repeated seeded passes of the per-sample
-gradients do not rebuild them; ``segment_mean`` divides by each segment's
+backward pass and tangent sweep through it, so repeated sweeps do not
+rebuild them; ``segment_mean`` divides by each segment's
 count before it spreads the gradient over the segment's rows.
 
 ``Tape.backward`` also takes a stack of seeds and sweeps the records once
@@ -49,6 +50,19 @@ differ from a dense sweep's at rounding level. A ones seed over a training
 split of two or more nodes lights more than one row in eight of its loss
 column, and a scalar loss backpropagated without a seed is swept dense:
 both keep the dense rules' bits.
+
+``Tape.jvp`` runs forward mode: one sweep in record order carries the
+tangent of every node along a direction in parameter space, with no forward
+re-run. Each record holds a tangent rule next to its dense rule and its row
+rule. The rule reuses the operand values, dropout masks and derivative
+factors the node already holds. A missing tangent counts as zero: a
+constant, such as the labels, contributes none, and a record none of whose
+inputs has a tangent is skipped. A constant times a node's tangent is
+computed once per sweep however many records multiply the two, as the
+forward computes the layer-0 products once for both branches. So one sweep
+gives ``J t`` for a whole loss column, the dot product of ``t`` with every
+sample's gradient, at about the cost of a forward pass, where the rows
+themselves take one backward sweep per sample.
 
 Grouped sums (the backward of ``gather_rows``, ``segment_sum``,
 ``segment_mean`` and both sums of ``segment_softmax``) associate exactly as
@@ -94,10 +108,12 @@ class Tape:
 
     def __init__(self):
         self._next_idx = 0
-        # (out, inputs, dense rule, row rule or None, out rows, input rows)
-        self._records: list[tuple[int, tuple[int | None, ...], GradFn, RowFn | None, int, tuple[int, ...]]] = []
+        # (out, inputs, dense rule, row rule or None, out rows, input rows, tangent rule)
+        self._records: list[tuple[int, tuple[int | None, ...], GradFn, RowFn | None, int, tuple[int, ...], TangentFn]] = []
         # (idx, shape) only: holding the Tensors would make a cycle through Tensor.tape
         self._params: dict[str, tuple[int, tuple[int, ...]]] = {}
+        # products shared by several tangent rules within one ``jvp`` sweep (see ``matmul``)
+        self._shared: dict[tuple[int, int], Array] = {}
 
     def _new_idx(self) -> int:
         idx = self._next_idx
@@ -120,11 +136,13 @@ class Tape:
     def param_names(self) -> list[str]:
         return list(self._params)
 
-    def record(self, value: Array, inputs: Sequence[Tensor], grad_fn: GradFn, row_fn: RowFn | None = None) -> Tensor:
-        """Append a node: its backward rule on a dense gradient and, where it has one, on carried rows."""
+    def record(
+        self, value: Array, inputs: Sequence[Tensor], grad_fn: GradFn, tangent_fn: TangentFn, row_fn: RowFn | None = None
+    ) -> Tensor:
+        """Append a node with its tangent rule and its backward rules: on a dense gradient and, where it has one, on carried rows."""
         out = Tensor(value, self, self._new_idx())
         in_rows = tuple(t.shape[0] for t in inputs)
-        self._records.append((out.idx, tuple(t.idx for t in inputs), grad_fn, row_fn, value.shape[0], in_rows))
+        self._records.append((out.idx, tuple(t.idx for t in inputs), grad_fn, row_fn, value.shape[0], in_rows, tangent_fn))
         return out
 
     def backward(
@@ -167,6 +185,46 @@ class Tape:
         self._sweep_stack(output.idx, seeds, out, scan=seed is not None)
         return out if stacked else {name: grads[0] for name, grads in out.items()}
 
+    def jvp(self, outputs: Sequence[Tensor], tangents: dict[str, Array]) -> list[Array]:
+        """Tangents of ``outputs`` along the parameter direction ``tangents``, from one forward-mode sweep.
+
+        ``tangents`` maps parameter names to arrays of their shapes; a
+        parameter it leaves out, like every constant, has a zero tangent.
+        The sweep visits the records in the order they were made, with no
+        forward re-run: each record's tangent rule works from what its node
+        already holds (operand values, dropout masks, derivative factors),
+        and a record none of whose inputs has a tangent is skipped. A
+        tangent is dropped once no later record reads it, which holds the
+        sweep's peak to about a third at Cora-CA shape. An output that no
+        tangent reaches gets zeros.
+        """
+        for t in outputs:
+            if t.tape is not self or t.idx is None:
+                raise ContractError("jvp outputs must be tracked on this tape")
+        live: dict[int | None, Array] = {}
+        for name, value in tangents.items():
+            if name not in self._params:
+                raise ContractError(f"tangent for unknown parameter {name!r}")
+            idx, shape = self._params[name]
+            value = np.asarray(value, dtype=np.float64)
+            if value.shape != shape:
+                raise ContractError(f"tangent of {name!r} has shape {value.shape}, expected {shape}")
+            live[idx] = value
+        wanted = {t.idx for t in outputs}
+        last_read = {idx: i for i, (_, in_idxs, *_) in enumerate(self._records) for idx in in_idxs}
+        self._shared.clear()
+        try:
+            for i, (out_idx, in_idxs, *_, tangent_fn) in enumerate(self._records):
+                ts = [live.get(idx) for idx in in_idxs]
+                if any(t is not None for t in ts):
+                    live[out_idx] = tangent_fn(*ts)
+                for idx in in_idxs:
+                    if last_read[idx] == i and idx not in wanted:
+                        live.pop(idx, None)
+        finally:
+            self._shared.clear()
+        return [live[t.idx] if t.idx in live else np.zeros(t.shape) for t in outputs]
+
     def _sweep_stack(self, root: int, seeds: Array, out: dict[str, Array], scan: bool) -> None:
         """One reverse sweep per seed, writing seed i's gradients into ``out[name][i]``.
 
@@ -185,7 +243,7 @@ class Tape:
                 live = np.flatnonzero(seed.any(axis=1))
                 if _carries(live.size, seed.shape[0]):
                     grads[root] = (live, seed[live])
-            for out_idx, in_idxs, grad_fn, row_fn, rows, in_rows in records:
+            for out_idx, in_idxs, grad_fn, row_fn, rows, in_rows, _ in records:
                 g = grads.pop(out_idx, None)
                 if g is None:
                     continue
@@ -222,6 +280,8 @@ def _carries(live: int, num_rows: int) -> bool:
 Grad = Array | tuple[Array, Array]
 GradFn = Callable[[Array], Sequence[Grad | None]]
 RowFn = Callable[[Array, Array], Sequence[Grad | None]]
+# input tangents, None for a zero one (at least one is given) -> output tangent
+TangentFn = Callable[..., Array]
 
 
 def _dense(g: tuple[Array, Array], num_rows: int) -> Array:
@@ -293,12 +353,21 @@ def _tape_of(*tensors: Tensor) -> Tape | None:
     return tape
 
 
-def _emit(op: str, value: Array, inputs: Sequence[Tensor], grad_fn: GradFn, row_fn: RowFn | None = None) -> Tensor:
+def _emit(
+    op: str, value: Array, inputs: Sequence[Tensor], grad_fn: GradFn, tangent_fn: TangentFn, row_fn: RowFn | None = None
+) -> Tensor:
     _finite(op, value)
     tape = _tape_of(*inputs)
     if tape is None or all(t.idx is None for t in inputs):
         return Tensor(value, tape, None)
-    return tape.record(value, inputs, grad_fn, row_fn)
+    return tape.record(value, inputs, grad_fn, tangent_fn, row_fn)
+
+
+def _plus(x: Array | None, y: Array | None) -> Array:
+    """``x + y``, None standing for a zero; at least one is given."""
+    if x is None:
+        return y
+    return x if y is None else x + y
 
 
 def as_tensor(value, tape: Tape | None = None) -> Tensor:
@@ -335,6 +404,9 @@ def matmul(a: Tensor, b: Tensor, product: Array | None = None) -> Tensor:
     elif product.shape != (a.shape[0], b.shape[1]):
         raise ContractError(f"matmul product of shape {product.shape} given for {a.shape} @ {b.shape}")
     grad_a, grad_b = a.idx is not None, b.idx is not None
+    # a constant times a node's tangent is the same for every record that multiplies the two (the
+    # branches' layer-0 products), so one jvp sweep computes it once
+    shared, key = (b.tape._shared, (id(av), b.idx)) if grad_b and not grad_a else (None, None)
 
     def grad(g: Array):
         return (g @ bv.T if grad_a else None), (av.T @ g if grad_b else None)
@@ -342,13 +414,22 @@ def matmul(a: Tensor, b: Tensor, product: Array | None = None) -> Tensor:
     def row_grad(rows: Array, g: Array):
         return ((rows, g @ bv.T) if grad_a else None), (av[rows].T @ g if grad_b else None)
 
-    return _emit("matmul", product, (a, b), grad, row_grad)
+    def tangent(ta: Array | None, tb: Array | None):
+        if shared is None:
+            return _plus(None if ta is None else ta @ bv, None if tb is None else av @ tb)
+        if key not in shared:
+            shared[key] = av @ tb
+        return shared[key]
+
+    return _emit("matmul", product, (a, b), grad, tangent, row_grad)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     row_broadcast = b.shape == (1, a.shape[1]) and a.shape[0] != 1
     if not row_broadcast and a.shape != b.shape:
         raise ContractError(f"add shape mismatch {a.shape} + {b.shape}")
+    # rules keep values, never a Tensor, whose tape would then hold itself in a cycle
+    shape = a.shape
 
     def grad(g: Array):
         gb = g.sum(axis=0, keepdims=True) if row_broadcast else g
@@ -357,7 +438,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def row_grad(rows: Array, g: Array):
         return (rows, g), (rows, g)
 
-    return _emit("add", a.data + b.data, (a, b), grad, None if row_broadcast else row_grad)
+    def tangent(ta: Array | None, tb: Array | None):
+        if ta is None and row_broadcast:
+            return np.broadcast_to(tb, shape)
+        return _plus(ta, tb)
+
+    return _emit("add", a.data + b.data, (a, b), grad, tangent, None if row_broadcast else row_grad)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -367,7 +453,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def grad(g: Array):
         return g, -g
 
-    return _emit("sub", a.data - b.data, (a, b), grad)
+    def tangent(ta: Array | None, tb: Array | None):
+        return _plus(ta, None if tb is None else -tb)
+
+    return _emit("sub", a.data - b.data, (a, b), grad, tangent)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -382,7 +471,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def row_grad(rows: Array, g: Array):
         return ((rows, g * bv[rows]) if grad_a else None), ((rows, g * av[rows]) if grad_b else None)
 
-    return _emit("mul", av * bv, (a, b), grad, row_grad)
+    def tangent(ta: Array | None, tb: Array | None):
+        return _plus(None if ta is None else ta * bv, None if tb is None else av * tb)
+
+    return _emit("mul", av * bv, (a, b), grad, tangent, row_grad)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -394,7 +486,10 @@ def scale(a: Tensor, c: float) -> Tensor:
     def row_grad(rows: Array, g: Array):
         return ((rows, g * c),)
 
-    return _emit("scale", a.data * c, (a,), grad, row_grad)
+    def tangent(ta: Array):
+        return ta * c
+
+    return _emit("scale", a.data * c, (a,), grad, tangent, row_grad)
 
 
 def scale_rows(a: Tensor, c: Tensor) -> Tensor:
@@ -413,13 +508,16 @@ def scale_rows(a: Tensor, c: Tensor) -> Tensor:
             (rows, (g * av[rows]).sum(axis=1, keepdims=True)) if grad_c else None,
         )
 
-    return _emit("scale_rows", av * cv, (a, c), grad, row_grad)
+    def tangent(ta: Array | None, tc: Array | None):
+        return _plus(None if ta is None else ta * cv, None if tc is None else av * tc)
+
+    return _emit("scale_rows", av * cv, (a, c), grad, tangent, row_grad)
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[0] != b.shape[0]:
         raise ContractError(f"concat_cols row mismatch {a.shape} | {b.shape}")
-    na = a.shape[1]
+    na, shape_a, shape_b = a.shape[1], a.shape, b.shape
 
     def grad(g: Array):
         return g[:, :na], g[:, na:]
@@ -427,7 +525,10 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     def row_grad(rows: Array, g: Array):
         return (rows, g[:, :na]), (rows, g[:, na:])
 
-    return _emit("concat_cols", np.concatenate([a.data, b.data], axis=1), (a, b), grad, row_grad)
+    def tangent(ta: Array | None, tb: Array | None):
+        return np.concatenate([np.zeros(shape_a) if ta is None else ta, np.zeros(shape_b) if tb is None else tb], axis=1)
+
+    return _emit("concat_cols", np.concatenate([a.data, b.data], axis=1), (a, b), grad, tangent, row_grad)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -447,7 +548,10 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         full[:, start:stop] = g
         return (full,)
 
-    return _emit("slice_cols", a.data[:, start:stop].copy(), (a,), grad)
+    def tangent(ta: Array):
+        return ta[:, start:stop]
+
+    return _emit("slice_cols", a.data[:, start:stop].copy(), (a,), grad, tangent)
 
 
 class _RunIndex:
@@ -715,7 +819,10 @@ def gather_rows(a: Tensor, ids) -> Tensor:
         runs, values = index.touched(rows, g)
         return ((index.unique[runs], _run_sums(values, index.counts[runs])),)
 
-    return _emit("gather_rows", a.data[ids], (a,), grad, row_grad)
+    def tangent(ta: Array):
+        return ta[ids]
+
+    return _emit("gather_rows", a.data[ids], (a,), grad, tangent, row_grad)
 
 
 def _row_ids(ids, num_rows: int) -> Array:
@@ -736,7 +843,10 @@ def row_sum(a: Tensor) -> Tensor:
     def row_grad(rows: Array, g: Array):
         return ((rows, np.repeat(g, cols, axis=1)),)
 
-    return _emit("row_sum", a.data.sum(axis=1, keepdims=True), (a,), grad, row_grad)
+    def tangent(ta: Array):
+        return ta.sum(axis=1, keepdims=True)
+
+    return _emit("row_sum", a.data.sum(axis=1, keepdims=True), (a,), grad, tangent, row_grad)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -745,7 +855,10 @@ def sum_all(a: Tensor) -> Tensor:
     def grad(g: Array):
         return (np.full(shape, g[0, 0]),)
 
-    return _emit("sum_all", np.full((1, 1), a.data.sum()), (a,), grad)
+    def tangent(ta: Array):
+        return np.full((1, 1), ta.sum())
+
+    return _emit("sum_all", np.full((1, 1), a.data.sum()), (a,), grad, tangent)
 
 
 def _d_elu(x: Array, out: Array) -> Array:
@@ -765,7 +878,10 @@ def elu(a: Tensor) -> Tensor:
     def row_grad(rows: Array, g: Array):
         return ((rows, g * factor[rows]),)
 
-    return _emit("elu", out, (a,), grad, row_grad)
+    def tangent(ta: Array):
+        return ta * factor
+
+    return _emit("elu", out, (a,), grad, tangent, row_grad)
 
 
 def _d_leaky_relu(x: Array, slope: float) -> Array:
@@ -783,7 +899,10 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     def row_grad(rows: Array, g: Array):
         return ((rows, g * factor[rows]),)
 
-    return _emit("leaky_relu", out, (a,), grad, row_grad)
+    def tangent(ta: Array):
+        return ta * factor
+
+    return _emit("leaky_relu", out, (a,), grad, tangent, row_grad)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -797,7 +916,10 @@ def sigmoid(a: Tensor) -> Tensor:
     def grad(g: Array):
         return (g * out * (1.0 - out),)
 
-    return _emit("sigmoid", out, (a,), grad)
+    def tangent(ta: Array):
+        return ta * out * (1.0 - out)
+
+    return _emit("sigmoid", out, (a,), grad, tangent)
 
 
 def log1p(a: Tensor) -> Tensor:
@@ -808,7 +930,10 @@ def log1p(a: Tensor) -> Tensor:
     def grad(g: Array):
         return (g / (1.0 + x),)
 
-    return _emit("log1p", np.log1p(x), (a,), grad)
+    def tangent(ta: Array):
+        return ta / (1.0 + x)
+
+    return _emit("log1p", np.log1p(x), (a,), grad, tangent)
 
 
 def row_log_softmax(a: Tensor) -> Tensor:
@@ -824,7 +949,10 @@ def row_log_softmax(a: Tensor) -> Tensor:
     def row_grad(rows: Array, g: Array):
         return ((rows, g - softmax[rows] * g.sum(axis=1, keepdims=True)),)
 
-    return _emit("row_log_softmax", out, (a,), grad, row_grad)
+    def tangent(ta: Array):
+        return ta - (softmax * ta).sum(axis=1, keepdims=True)
+
+    return _emit("row_log_softmax", out, (a,), grad, tangent, row_grad)
 
 
 def _segment_ids(ids, num_segments: int, count: int) -> Array:
@@ -847,7 +975,10 @@ def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     def row_grad(rows: Array, g: Array):
         return (_spread_segments(index, rows, g),)
 
-    return _emit("segment_sum", out, (values,), grad, row_grad)
+    def tangent(tv: Array):
+        return index.sum_into(tv, num_segments)
+
+    return _emit("segment_sum", out, (values,), grad, tangent, row_grad)
 
 
 def _segment_counts(index: _RunIndex, num_segments: int) -> Array:
@@ -872,7 +1003,10 @@ def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     def row_grad(rows: Array, g: Array):
         return (_spread_segments(index, rows, g / counts[rows]),)
 
-    return _emit("segment_mean", out, (values,), grad, row_grad)
+    def tangent(tv: Array):
+        return index.sum_into(tv, num_segments) / counts
+
+    return _emit("segment_mean", out, (values,), grad, tangent, row_grad)
 
 
 # column block of gathered_segment_mean, the width of a typical hidden layer
@@ -924,7 +1058,10 @@ def segment_softmax(scores: Tensor, segment_ids) -> Tensor:
         weighted = _run_sums(values * share, counts)
         return (_ascending(positions, share * (values - np.repeat(weighted, counts, axis=0))),)
 
-    return _emit("segment_softmax", out, (scores,), grad, row_grad)
+    def tangent(ts: Array):
+        return out * (ts - index.sum_into(out * ts, num_segments)[ids])
+
+    return _emit("segment_softmax", out, (scores,), grad, tangent, row_grad)
 
 
 # ---------------------------------------------------------------------------

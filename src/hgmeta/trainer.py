@@ -1,38 +1,36 @@
 """Joint training of the classifier and the loss-weighting net.
 
 Each iteration runs three steps on the shared weight vector w and the
-weight-net parameters Theta:
+weight-net parameters Theta, with g1_j and g2_j the gradients at w of
+sample j's loss in each branch:
 
-1. probe step: per-sample losses and gradients for both branches at w give
-   an intermediate w_hat = w - lr1 * sum_j (alpha_j g1_j + beta_j g2_j) with
-   (alpha, beta) from the current Theta;
+1. probe step: the per-sample losses of both branches at w give (alpha,
+   beta) from the current Theta, and the intermediate
+   w_hat = w - lr1 * sum_j (alpha_j g1_j + beta_j g2_j) takes one backward
+   pass per branch on the probe tape, seeded with the alpha column and the
+   beta column: no g_j is formed;
 2. weight-net step: Theta moves along the analytic gradient of the meta-set
    loss at w_hat. Because w_hat is linear in each alpha_j and beta_j, that
    gradient is exactly
    -lr1 * sum_j (gbar1_j * d(alpha_j)/d(Theta) + gbar2_j * d(beta_j)/d(Theta))
    with gbar1_j = g_meta . g1_j and gbar2_j = g_meta . g2_j, so no
-   second-order differentiation is needed. In complementary mode
+   second-order differentiation is needed. Both columns are the tangents of
+   the two loss columns along g_meta, from one forward-mode sweep
+   (``Tape.jvp``) over the kept probe tape. In complementary mode
    beta_j = 1 - alpha_j and the sum folds into one term with
-   gbar_j = g_meta . (g1_j - g2_j);
-3. commit step: recompute (alpha, beta) under the new Theta and apply them
-   to the cached per-sample gradients, still evaluated at w.
+   gbar_j = gbar1_j - gbar2_j;
+3. commit step: recompute (alpha, beta) under the new Theta and reseed the
+   probe tape's two backward passes with them, so the gradients are still
+   evaluated at w.
 
-Probe and commit apply one rule to gradient rows cached per branch. A
-trained weight net needs one row per sample, an (n, P) matrix per branch:
-the memory bottleneck at scale, but step 2 is then two matrix products. A
-pinned alpha is shared by every sample and factors out, so each branch
-caches one row, its ones-seeded sum, and step 2 is skipped. The rule adds
-one weighted row at a time, so it holds (P,) buffers, never an (n, P)
-temporary. All reductions are fixed-order, so runs are bit-reproducible.
-
-Each branch's rows come from one stacked ``Tape.backward`` call that
-writes them in place: n unit seeds, or one ones seed when pinned. The tape
-sweeps the records once per seed, so a row is byte-identical to a backward
-pass on its sample alone. A unit seed's sweep carries its gradient as the
-rows of the sample's receptive field, where it is nonzero, and every record
-works on those rows alone (see ``tensor``), so a row can differ from a
-dense sweep's at rounding level; a ones seed over a training split reaches
-too many rows for that to pay, and runs the dense rules.
+A weight-net step thus costs a fixed number of sweeps over the graph,
+whatever n_train is, and holds O(P) of gradients, never an (n, P) matrix.
+The per-sample rows (``_grad_rows`` with unit seeds) stay as the reference
+that tests compare against. A pinned alpha is shared by every sample and
+factors out: each branch keeps one row, its ones-seeded sum, the probe tape
+is dropped, step 2 is skipped, and probe and commit add the weighted rows
+(``_weighted_grad_sum``). All reductions are fixed-order, so runs are
+bit-reproducible.
 
 A step that fails leaves the state as the step before left it: the new
 weight net and the Adam moments are stored only once the new classifier is
@@ -52,7 +50,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, NumericsError, TrainingError
 from .hypergraph import Hypergraph
-from .model import BRANCHES, HGNNParams, _forward_branches, taped_losses
+from .model import BRANCHES, BranchGraph, HGNNParams, _forward_branches, taped_losses
 from .mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
 from .partition import Partition, assign_levels, kmeans_1d
 from .rng import stream
@@ -162,9 +160,11 @@ class TrainState:
 class StepCache:
     """Per-step quantities shared by the three updates.
 
-    ``grads1`` and ``grads2`` hold the branch gradients as (rows, P) rows:
-    one per sample when the weight net trains, or one ones-seeded sum when
-    alpha is pinned, since a weight every sample shares factors out.
+    When the weight net trains, ``graphs`` holds the probe tape's two loss
+    graphs, which probe and commit reseed and the meta step sweeps forward.
+    When alpha is pinned, ``grads1`` and ``grads2`` hold each branch's one
+    ones-seeded gradient row, (1, P), since a weight every sample shares
+    factors out, and ``graphs`` is None.
     """
 
     ids: Array
@@ -174,22 +174,27 @@ class StepCache:
     alpha: Array
     beta: Array
     w_vec: Array
-    grads1: Array  # structural branch
-    grads2: Array  # feature branch
+    grads1: Array | None  # structural branch
+    grads2: Array | None  # feature branch
+    graphs: tuple[BranchGraph, BranchGraph] | None = None
 
 
 def _flatten_grads(grads: dict[str, Array], params: HGNNParams | MWNParams) -> Array:
     return np.concatenate([grads[name].ravel() for name, _ in params.param_items()])
 
 
-def _grad_rows(graph, tape: Tape, params: HGNNParams, per_sample: bool) -> Array:
+def _grad_rows(graph: BranchGraph, tape: Tape, params: HGNNParams, per_sample: bool) -> Array:
     """Gradient rows of ``graph``'s loss column: one per sample, or their one sum.
 
-    One stacked backward call fills the rows in place: unit seeds for the
-    per-sample rows, a ones seed for the sum.
+    Unit seeds give the per-sample rows, the reference the weight-net step
+    is checked against; a ones seed gives the sum a pinned step keeps.
     """
     n = graph.loss_vec.shape[0]
-    seeds = np.eye(n).reshape(n, n, 1) if per_sample else np.ones((1, n, 1))
+    return _seeded_rows(graph, tape, params, np.eye(n).reshape(n, n, 1) if per_sample else np.ones((1, n, 1)))
+
+
+def _seeded_rows(graph: BranchGraph, tape: Tape, params: HGNNParams, seeds: Array) -> Array:
+    """One flat gradient row per seed of the (s, n, 1) stack, filled in place by one backward call."""
     rows = np.empty((seeds.shape[0], params.flatten().size))
     views, offset = {}, 0
     for name, arr in params.param_items():
@@ -205,6 +210,22 @@ def _blend_weights(l1: Array, l2: Array, tasks: Array, mwn: MWNParams, pin_alpha
         return mwn_forward_batch(l1, l2, tasks, mwn)
     alpha = np.full(l1.size, float(pin_alpha))
     return alpha, 1.0 - alpha
+
+
+def _step_gradient(alpha: Array, beta: Array, cache: StepCache, params: HGNNParams, weight_decay: float) -> Array:
+    """sum_j (alpha_j g1_j + beta_j g2_j) plus weight decay, the gradient probe and commit apply.
+
+    With the probe tape kept, each branch's term is one backward pass seeded
+    with its weight column; a pinned cache adds its rows.
+    """
+    if cache.graphs is None:
+        return _weighted_grad_sum(alpha, beta, cache, weight_decay)
+    (ss, fs), n = cache.graphs, alpha.size
+    total = _seeded_rows(ss, ss.tape, params, alpha.reshape(1, n, 1))[0]
+    total += _seeded_rows(fs, fs.tape, params, beta.reshape(1, n, 1))[0]
+    if weight_decay:
+        total += weight_decay * cache.w_vec
+    return total
 
 
 def _weighted_grad_sum(alpha: Array, beta: Array, cache: StepCache, weight_decay: float) -> Array:
@@ -248,14 +269,16 @@ def intermediate_update(
     weight_decay: float = 0.0,
     dropout_masks: list[Array] | None = None,
 ) -> tuple[HGNNParams, StepCache]:
-    """Step 1: per-sample losses and gradient rows at w, and the probe parameters w_hat."""
+    """Step 1: per-sample losses at w, the probe tape or the pinned rows, and the probe parameters w_hat."""
     tape, (graph_ss, graph_fs) = taped_losses(g, X, y, ids, hgnn, dropout_masks)
-    # only a weight net that trains needs each sample's own gradients
-    per_sample = pin_alpha is None
     l1 = graph_ss.loss_vec.data[:, 0].copy()
     l2 = graph_fs.loss_vec.data[:, 0].copy()
-    grads1 = _grad_rows(graph_ss, tape, hgnn, per_sample)
-    grads2 = _grad_rows(graph_fs, tape, hgnn, per_sample)
+    if pin_alpha is None:
+        grads1 = grads2 = None
+    else:
+        # the tape is not kept: each branch keeps its one ones-seeded row
+        grads1 = _grad_rows(graph_ss, tape, hgnn, per_sample=False)
+        grads2 = _grad_rows(graph_fs, tape, hgnn, per_sample=False)
     tasks = np.asarray(tasks, dtype=np.int64)
     alpha, beta = _blend_weights(l1, l2, tasks, mwn, pin_alpha)
     cache = StepCache(
@@ -268,8 +291,9 @@ def intermediate_update(
         w_vec=hgnn.flatten(),
         grads1=grads1,
         grads2=grads2,
+        graphs=(graph_ss, graph_fs) if pin_alpha is None else None,
     )
-    w_hat_vec = cache.w_vec - lam1 * _weighted_grad_sum(alpha, beta, cache, weight_decay)
+    w_hat_vec = cache.w_vec - lam1 * _step_gradient(alpha, beta, cache, hgnn, weight_decay)
     if not np.all(np.isfinite(w_hat_vec)):
         raise NumericsError("non-finite probe parameters")
     return hgnn.with_vec(w_hat_vec), cache
@@ -296,21 +320,24 @@ def meta_gradient(
     Returns (d_theta, meta_loss, gbar) where d_theta is flat in
     MWNParams.param_items() order and gbar[j] is the inner product of the
     meta-loss gradient at w_hat with the branch-gradient difference of
-    training sample j. Weight decay moves w_hat by a term that does not
-    depend on Theta, so it drops out of d_theta.
+    training sample j. Those inner products are the tangents of the probe's
+    two loss columns along the meta-loss gradient, one ``Tape.jvp`` sweep.
+    Weight decay moves w_hat by a term that does not depend on Theta, so it
+    drops out of d_theta.
     """
-    if cache.grads1.shape[0] != cache.ids.size:
-        raise ContractError("meta_gradient needs per-sample gradients (not a pinned-alpha cache)")
+    if cache.graphs is None:
+        raise ContractError("meta_gradient needs the probe tape of per-sample gradients, not a pinned-alpha cache")
     tape, (graph_ss, graph_fs) = taped_losses(g, X, y, meta_ids, w_hat)
     total = T.add(graph_ss.mean_loss, graph_fs.mean_loss)
     meta_loss = float(total.data[0, 0])
-    g_meta = _flatten_grads(tape.backward(total), w_hat)
+    # the probe tape registers the parameters under the meta tape's names
+    probe_ss, probe_fs = cache.graphs
+    tangent1, tangent2 = probe_ss.tape.jvp((probe_ss.loss_vec, probe_fs.loss_vec), tape.backward(total))
+    gbar1, gbar2 = tangent1[:, 0], tangent2[:, 0]
+    gbar = gbar1 - gbar2
     if mwn.mode == "complementary":
-        gbar = (cache.grads1 - cache.grads2) @ g_meta
         grad_dict = weighted_alpha_theta_grad(cache.l1, cache.l2, cache.tasks, mwn, gbar)
     else:
-        gbar1, gbar2 = cache.grads1 @ g_meta, cache.grads2 @ g_meta
-        gbar = gbar1 - gbar2
         grad_dict = weighted_alpha_theta_grad(cache.l1, cache.l2, cache.tasks, mwn, gbar1, gbar2)
     d_theta = -lam1 * _flatten_grads(grad_dict, mwn)
     return d_theta, meta_loss, gbar
@@ -335,14 +362,15 @@ def external_update(
     weight_decay: float = 0.0,
     adam: AdamState | None = None,
 ) -> tuple[HGNNParams, Array, Array]:
-    """Step 3: reweight the cached gradients under the new Theta and commit.
+    """Step 3: reweight the gradients under the new Theta and commit.
 
-    Gradients stay evaluated at the pre-step w. Returns the new parameters,
-    the recomputed alpha, and the applied gradient vector. ``adam`` moves
-    only when the new parameters are finite.
+    The probe tape is reseeded with the new weights (a pinned cache reweights
+    its rows), so gradients stay evaluated at the pre-step w. Returns the new
+    parameters, the recomputed alpha, and the applied gradient vector.
+    ``adam`` moves only when the new parameters are finite.
     """
     alpha, beta = _blend_weights(cache.l1, cache.l2, cache.tasks, mwn_new, pin_alpha)
-    grad = _weighted_grad_sum(alpha, beta, cache, weight_decay)
+    grad = _step_gradient(alpha, beta, cache, hgnn, weight_decay)
     if adam is None:
         w_vec = cache.w_vec - lam1 * grad
     else:

@@ -1,12 +1,15 @@
 """Gradient verification at toy scale.
 
-Three checks against central finite differences: the taped backward pass
+Four checks against central finite differences: the taped backward pass
 of each classifier branch over every parameter coordinate; one sample's
 gradient row of each branch on a graph large enough that the tape carries it
-as rows (see ``tensor``); and the analytic Theta-gradient of the weight-net
-update, in either output mode, pushed through one probe step (perturb Theta,
-rebuild the probe parameters from the cached per-sample gradients,
-re-evaluate the meta loss).
+as rows (see ``tensor``); the forward-mode tangent of each branch's loss
+column along a random parameter direction (``Tape.jvp``, which gives the
+meta step its signal gbar); and the analytic Theta-gradient of the
+weight-net update, in either output mode, pushed through one probe step
+(perturb Theta, rebuild the probe parameters by the probe's own rule, one
+backward pass per branch on the kept probe tape seeded with the blend
+weights, and re-evaluate the meta loss).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .rng import stream
 from .tensor import Array, central_difference, finite_diff_check
 from .trainer import (
     _grad_rows,
-    _weighted_grad_sum,
+    _step_gradient,
     intermediate_update,
     meta_gradient,
     meta_loss_value,
@@ -127,6 +130,32 @@ def per_sample_row_check(hidden: int = 4, seed: int = 0, eps: float = 1e-5, samp
     return report
 
 
+def jvp_check(nodes: int = 8, hidden: int = 4, seed: int = 0, eps: float = 1e-5) -> dict[str, float]:
+    """Max error of each branch's loss-column tangent along a random direction against central differences.
+
+    The tangent of sample j's loss is the derivative of that loss along the
+    direction, taken numerically on the toy's train and meta ids. The error
+    is relative to the column's largest entry, as in ``per_sample_row_check``.
+    """
+    ds = random_toy_dataset(nodes=nodes, seed=seed)
+    ids = np.asarray(ds.splits.train + ds.splits.meta, dtype=np.int64)
+    hgnn = HGNNParams.init([ds.features.shape[1], hidden, ds.num_classes], stream(seed, "init-w"), stream(seed, "init-a"))
+    w = hgnn.flatten()
+    direction = stream(seed, "jvp-check").normal(size=w.size)
+    tape, graphs = taped_losses(ds.graph, ds.features, ds.labels, ids, hgnn)
+    tangents = tape.jvp([graph.loss_vec for graph in graphs], dict(hgnn.with_vec(direction).param_items()))
+    report = {}
+    for branch, tangent in zip(BRANCHES, tangents):
+
+        def loss_at(step: Array, j: int, branch=branch) -> float:
+            out = branch_losses(ds.graph, ds.features, ds.labels, hgnn.with_vec(w + step[0] * direction), ids)
+            return float((out.loss_ss if branch == "ss" else out.loss_fs)[j])
+
+        numeric = np.array([central_difference(lambda s, j=j: loss_at(s, j), np.zeros(1), eps)[0] for j in range(ids.size)])
+        report[branch] = float(np.abs(tangent[:, 0] - numeric).max() / max(1e-8, np.abs(numeric).max()))
+    return report
+
+
 @dataclass
 class MetaCheckReport:
     max_rel_err: float
@@ -165,7 +194,7 @@ def meta_gradient_check(
     def loss_at(theta_vec: Array) -> float:
         probe_mwn = mwn.with_vec(theta_vec)
         alpha, beta = mwn_forward_batch(cache.l1, cache.l2, cache.tasks, probe_mwn)
-        w_vec = cache.w_vec - lam1 * _weighted_grad_sum(alpha, beta, cache, 0.0)
+        w_vec = cache.w_vec - lam1 * _step_gradient(alpha, beta, cache, hgnn, 0.0)
         return meta_loss_value(ds.graph, ds.features, ds.labels, meta_ids, hgnn.with_vec(w_vec))
 
     numeric = central_difference(loss_at, mwn.flatten(), eps)

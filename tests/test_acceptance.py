@@ -23,7 +23,7 @@ from hgmeta.verify import meta_gradient_check
 
 from conftest import random_hypergraph
 from test_data import write_toy_dataset
-from test_trainer import reference_per_sample_grads, width2_instance
+from test_trainer import STEP_TOLERANCE, reference_per_sample_grads, step_error, width2_instance
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -100,17 +100,17 @@ def test_criterion_5_degenerate_identities():
     d_theta, _, _ = meta_gradient(g, X, y, w_hat, cache, np.array([0, 3]), mwn, lam1=0.0)
     frozen = np.array_equal(w_hat.flatten(), hgnn.flatten()) and np.all(d_theta == 0.0)
 
-    # zero-initialized head: alpha = beta = 0.5 and the probe step is bitwise
-    # the unweighted average-loss gradient step (width-2 hand reference)
+    # zero-initialized head: alpha = beta = 0.5 and the probe step is the
+    # unweighted average-loss gradient step (width-2 hand reference), to
+    # rounding: the probe's seeded backward passes sum in another order
     lam1 = 0.05
     w_hat, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1=lam1)
     balanced = np.all(cache.alpha == 0.5) and np.all(cache.beta == 0.5)
     g1 = reference_per_sample_grads(g, X, y, hgnn, ids, "ss")
     g2 = reference_per_sample_grads(g, X, y, hgnn, ids, "fs")
-    reference = hgnn.flatten() - lam1 * (0.5 * (g1 + g2)).sum(axis=0)
-    bitwise = np.array_equal(w_hat.flatten(), reference)
-    ok = frozen and balanced and bitwise
-    _report(5, ok, f"lam1=0 frozen: {frozen}, alpha=beta=0.5: {balanced}, bitwise avg step: {bitwise}")
+    err = step_error(w_hat.flatten(), hgnn.flatten(), lam1, cache.alpha, cache.beta, g1, g2)
+    ok = frozen and balanced and err <= STEP_TOLERANCE
+    _report(5, ok, f"lam1=0 frozen: {frozen}, alpha=beta=0.5: {balanced}, avg step error {err:.1e}")
 
 
 def test_criterion_6_desk_scale_learning():

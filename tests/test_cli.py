@@ -550,6 +550,26 @@ class TestGradCheck:
         assert float(errors.pop("per_sample_row_max_rel_err")) > 1e-2
         assert all(float(err) < 1e-4 for err in errors.values())
 
+    def test_corrupted_tangent_rule_exits_5(self, monkeypatch, capsys):
+        # negative control: elu's tangent rule loses its derivative factor, its backward rules keep it
+        elu = T.elu
+
+        def without_factor(a):
+            out = elu(a)
+            if out.idx is not None:
+                *record, _ = out.tape._records[-1]
+                out.tape._records[-1] = (*record, lambda ta: ta)
+            return out
+
+        monkeypatch.setattr(T, "elu", without_factor)
+        rc = cli.main(["grad-check", "--nodes", "6", "--hidden", "3", "--mwn-hidden", "4"])
+        out = capsys.readouterr().out
+        assert rc == 5 and "result=tolerance-breach" in out
+        errors = dict(line.split("=") for line in out.splitlines() if "_err=" in line)
+        assert float(errors["jvp_max_rel_err"]) > 1e-2
+        # the backward passes are untouched; the meta gradient takes its signal from the tangents
+        assert all(float(errors[name]) < 1e-4 for name in ("hgnn_ss_max_rel_err", "hgnn_fs_max_rel_err", "per_sample_row_max_rel_err"))
+
     def test_corrupted_backward_exits_5(self, monkeypatch, capsys):
         # negative control: break one derivative and the check must fail
         monkeypatch.setattr(T, "_d_elu", lambda x, out: np.where(x > 0.0, 1.0, 0.5 * (out + 1.0)))

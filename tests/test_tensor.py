@@ -583,6 +583,154 @@ class TestStackedSeeds:
         assert str(shape) in str(err.value) and "(4, 3)" in str(err.value)
 
 
+def _const(rng, shape):
+    return T.as_tensor(rng.normal(size=shape))
+
+
+class TestTangentRules:
+    """Each primitive's tangent rule is the adjoint of its dense rule: ``v . jvp(t) == vjp(v) . t``."""
+
+    # primitive -> (shapes of its tracked inputs, the op on them); a "const" case leaves one operand untracked
+    CASES = {
+        "matmul": ({"a": (5, 4), "b": (4, 3)}, lambda t, rng: T.matmul(t["a"], t["b"])),
+        "matmul-const": ({"b": (4, 3)}, lambda t, rng: T.matmul(_const(rng, (5, 4)), t["b"])),
+        "add": ({"a": (5, 3), "b": (5, 3)}, lambda t, rng: T.add(t["a"], t["b"])),
+        "add-row-broadcast": ({"a": (5, 3), "b": (1, 3)}, lambda t, rng: T.add(t["a"], t["b"])),
+        "sub": ({"a": (5, 3), "b": (5, 3)}, lambda t, rng: T.sub(t["a"], t["b"])),
+        "mul": ({"a": (5, 3), "b": (5, 3)}, lambda t, rng: T.mul(t["a"], t["b"])),
+        "mul-const": ({"a": (5, 3)}, lambda t, rng: T.mul(t["a"], _const(rng, (5, 3)))),
+        "scale": ({"a": (5, 3)}, lambda t, rng: T.scale(t["a"], -1.7)),
+        "scale_rows": ({"a": (5, 3), "c": (5, 1)}, lambda t, rng: T.scale_rows(t["a"], t["c"])),
+        "concat_cols": ({"a": (5, 2), "b": (5, 3)}, lambda t, rng: T.concat_cols(t["a"], t["b"])),
+        "slice_cols": ({"a": (5, 4)}, lambda t, rng: T.slice_cols(t["a"], 1, 3)),
+        "gather_rows": ({"a": (6, 3)}, lambda t, rng: T.gather_rows(t["a"], rng.integers(0, 6, size=9))),
+        "row_sum": ({"a": (5, 3)}, lambda t, rng: T.row_sum(t["a"])),
+        "sum_all": ({"a": (5, 3)}, lambda t, rng: T.sum_all(t["a"])),
+        "elu": ({"a": (5, 3)}, lambda t, rng: T.elu(t["a"])),
+        "leaky_relu": ({"a": (5, 3)}, lambda t, rng: T.leaky_relu(t["a"], 0.2)),
+        "sigmoid": ({"a": (5, 3)}, lambda t, rng: T.sigmoid(t["a"])),
+        "log1p": ({"a": (5, 3)}, lambda t, rng: T.log1p(t["a"])),
+        "row_log_softmax": ({"a": (5, 4)}, lambda t, rng: T.row_log_softmax(t["a"])),
+        "segment_sum": ({"a": (8, 3)}, lambda t, rng: T.segment_sum(t["a"], rng.integers(0, 4, size=8), 4)),
+        "segment_mean": ({"a": (8, 3)}, lambda t, rng: T.segment_mean(t["a"], rng.permutation(np.r_[0:4, 0:4]), 4)),
+        "segment_softmax": ({"a": (8, 1)}, lambda t, rng: T.segment_softmax(t["a"], rng.integers(0, 3, size=8))),
+    }
+    TOLERANCE = 1e-12
+
+    def test_every_primitive_has_a_case(self):
+        primitives = {name.split("-")[0] for name in self.CASES}
+        assert len(primitives) == 19 and all(callable(getattr(T, name)) for name in primitives)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_tangent_is_the_adjoint_of_the_backward_rule(self, name):
+        shapes, op = self.CASES[name]
+        for trial in range(4):
+            rng = np.random.default_rng(trial)
+            tape = Tape()
+            # log1p needs entries above -1
+            inputs = {key: tape.param(key, rng.uniform(-0.9, 2.0, shape)) for key, shape in shapes.items()}
+            out = op(inputs, np.random.default_rng(50 + trial))
+            v = rng.normal(size=out.shape)
+            vjp = tape.backward(out, v)
+            # every subset of the inputs carries a tangent, the others count as zero
+            for given in [list(shapes)] + ([[key] for key in shapes] if len(shapes) > 1 else []):
+                t = {key: rng.normal(size=shapes[key]) for key in given}
+                (jvp,) = tape.jvp([out], t)
+                assert jvp.shape == out.shape
+                lhs, rhs = float((v * jvp).sum()), sum(float((vjp[key] * t[key]).sum()) for key in given)
+                scale = max(float((np.abs(v) * np.abs(jvp)).sum()), sum(float((np.abs(vjp[k]) * np.abs(t[k])).sum()) for k in given))
+                assert abs(lhs - rhs) <= self.TOLERANCE * scale, (given, lhs, rhs)
+
+
+    def test_tapes_of_every_primitive_are_freed_without_the_cyclic_collector(self):
+        # a rule that held a Tensor would hold its tape: a cycle through Tensor.tape
+        def taped(name):
+            shapes, op = self.CASES[name]
+            rng = np.random.default_rng(0)
+            tape = Tape()
+            out = op({key: tape.param(key, rng.uniform(-0.9, 2.0, shape)) for key, shape in shapes.items()}, rng)
+            tape.backward(out, np.ones(out.shape))
+            tape.jvp([out], {key: np.ones(shape) for key, shape in shapes.items()})
+            return weakref.ref(tape)
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert [name for name in self.CASES if taped(name)() is not None] == []
+        finally:
+            if was_enabled:
+                gc.enable()
+
+
+class TestJvp:
+    """One forward-mode sweep over the records of a tape."""
+
+    @staticmethod
+    def _tape(rng):
+        tape = Tape()
+        w, v = tape.param("w", rng.normal(size=(4, 3))), tape.param("v", rng.normal(size=(3, 2)))
+        x = _const(rng, (6, 4))
+        h = T.elu(T.matmul(x, w))
+        labels = tape.constant(rng.normal(size=(6, 2)))
+        out = T.row_sum(T.mul(T.matmul(h, v), labels))
+        return tape, out, h
+
+    def test_tangent_is_the_directional_derivative(self):
+        rng = np.random.default_rng(3)
+        tape, out, _ = self._tape(rng)
+        t = {"w": rng.normal(size=(4, 3)), "v": rng.normal(size=(3, 2))}
+        (tangent,) = tape.jvp([out], t)
+        # one backward pass per row of the column: J t row by row
+        rows = [sum(float((g * t[k]).sum()) for k, g in tape.backward(out, np.eye(6)[:, [j]]).items()) for j in range(6)]
+        np.testing.assert_allclose(tangent[:, 0], rows, rtol=1e-12)
+
+    def test_an_output_no_tangent_reaches_reads_zeros(self):
+        rng = np.random.default_rng(4)
+        tape, out, h = self._tape(rng)
+        # h reads only w; a tangent on v alone does not reach it
+        tangent_out, tangent_h = tape.jvp([out, h], {"v": rng.normal(size=(3, 2))})
+        assert np.any(tangent_out != 0.0)
+        assert tangent_h.shape == h.shape and not np.any(tangent_h)
+
+    def test_rejects_unknown_names_wrong_shapes_and_foreign_outputs(self):
+        rng = np.random.default_rng(5)
+        tape, out, _ = self._tape(rng)
+        with pytest.raises(ContractError, match="unknown parameter 'u'"):
+            tape.jvp([out], {"u": np.ones((4, 3))})
+        with pytest.raises(ContractError, match=r"\(3, 4\), expected \(4, 3\)"):
+            tape.jvp([out], {"w": np.ones((3, 4))})
+        other, other_out, _ = self._tape(rng)
+        with pytest.raises(ContractError, match="this tape"):
+            tape.jvp([other_out], {"w": np.ones((4, 3))})
+
+    def test_a_constant_times_a_tangent_is_computed_once_per_sweep(self):
+        """Two records multiplying one constant by one parameter share the product's tangent."""
+        rng = np.random.default_rng(6)
+        made = []
+
+        class Counting(dict):
+            def __setitem__(self, key, value):
+                made.append(key)
+                super().__setitem__(key, value)
+
+        tape = Tape()
+        tape._shared = Counting()
+        w = tape.param("w", rng.normal(size=(4, 3)))
+        x = _const(rng, (6, 4))
+        product = x.data @ w.data
+        first, second = T.matmul(x, w, product), T.matmul(x, w, product)
+        out = T.add(T.elu(first), T.sigmoid(second))
+        t = {"w": rng.normal(size=(4, 3))}
+        for _ in range(2):
+            (tangent,) = tape.jvp([out], t)
+            assert len(tape._shared) == 0
+        assert len(made) == 2  # once in each sweep
+        alone = Tape()
+        w2 = alone.param("w", w.data)
+        expected = T.add(T.elu(T.matmul(x, w2)), T.sigmoid(T.matmul(x, w2)))
+        np.testing.assert_array_equal(tangent, alone.jvp([expected], t)[0])
+
+
 class TestLiveRowsProduct:
     """The weight gradient of ``const @ w`` over the carried rows of its output gradient."""
 
