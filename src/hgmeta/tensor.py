@@ -30,32 +30,13 @@ rebuild them; ``segment_mean`` divides by each segment's
 count before it spreads the gradient over the segment's rows.
 
 ``Tape.backward`` also takes a stack of seeds and sweeps the records once
-per seed. One sample's gradient is nonzero only over its receptive field, a
-small share of a large graph's rows, so a sweep carries a gradient as
-``(rows, values)`` while its rows are at most ``_LIVE_ROWS`` (one in eight)
-of its tensor's rows, or one row of a tensor of fewer than 8 rows, such as
-one sample's loss in a small batch (see ``_carries``). Only an explicit
-seed is scanned for them; from there each record's row rule, kept next to
-its dense rule, derives the rows it passes on from the rows it gets and the
-op's index arrays, and works on those rows alone. Row-local ops keep their
-rows, segment reductions spread them over their segments' runs, grouped
-sums sum the touched runs, laid out ragged so that they never take more
-than the ids' rows, and a ``matmul`` multiplies only the carried rows, for
-its weight gradient too. Ops without a row rule (``sum_all``, a
-row-broadcast ``add``, ``slice_cols``, ``sub``, ``sigmoid``, ``log1p``) get
-the gradient dense. Every row rule but ``matmul``'s gives the dense rule's
-values on its rows, but for the sign of a zero; a product over the carried
-rows alone can round differently from the full one, so per-sample gradients
-differ from a dense sweep's at rounding level. A ones seed over a training
-split of two or more nodes lights more than one row in eight of its loss
-column, and a scalar loss backpropagated without a seed is swept dense:
-both keep the dense rules' bits.
+per seed, each sweep with the bits of a backward pass on that seed alone.
 
 ``Tape.jvp`` runs forward mode: one sweep in record order carries the
 tangent of every node along a direction in parameter space, with no forward
-re-run. Each record holds a tangent rule next to its dense rule and its row
-rule. The rule reuses the operand values, dropout masks and derivative
-factors the node already holds. A missing tangent counts as zero: a
+re-run. Each record holds a tangent rule next to its backward rule. The
+rule reuses the operand values, dropout masks and derivative factors the
+node already holds. A missing tangent counts as zero: a
 constant, such as the labels, contributes none, and a record none of whose
 inputs has a tangent is skipped. A constant times a node's tangent is
 computed once per sweep however many records multiply the two, as the
@@ -108,8 +89,8 @@ class Tape:
 
     def __init__(self):
         self._next_idx = 0
-        # (out, inputs, dense rule, row rule or None, out rows, input rows, tangent rule)
-        self._records: list[tuple[int, tuple[int | None, ...], GradFn, RowFn | None, int, tuple[int, ...], TangentFn]] = []
+        # (out, inputs, backward rule, tangent rule)
+        self._records: list[tuple[int, tuple[int | None, ...], GradFn, TangentFn]] = []
         # (idx, shape) only: holding the Tensors would make a cycle through Tensor.tape
         self._params: dict[str, tuple[int, tuple[int, ...]]] = {}
         # products shared by several tangent rules within one ``jvp`` sweep (see ``matmul``)
@@ -136,13 +117,10 @@ class Tape:
     def param_names(self) -> list[str]:
         return list(self._params)
 
-    def record(
-        self, value: Array, inputs: Sequence[Tensor], grad_fn: GradFn, tangent_fn: TangentFn, row_fn: RowFn | None = None
-    ) -> Tensor:
-        """Append a node with its tangent rule and its backward rules: on a dense gradient and, where it has one, on carried rows."""
+    def record(self, value: Array, inputs: Sequence[Tensor], grad_fn: GradFn, tangent_fn: TangentFn) -> Tensor:
+        """Append a node with its backward rule and its tangent rule."""
         out = Tensor(value, self, self._new_idx())
-        in_rows = tuple(t.shape[0] for t in inputs)
-        self._records.append((out.idx, tuple(t.idx for t in inputs), grad_fn, row_fn, value.shape[0], in_rows, tangent_fn))
+        self._records.append((out.idx, tuple(t.idx for t in inputs), grad_fn, tangent_fn))
         return out
 
     def backward(
@@ -150,10 +128,9 @@ class Tape:
     ) -> dict[str, Array]:
         """Gradients of ``output`` w.r.t. every registered parameter.
 
-        Without a seed the output must be scalar, and the loss it holds is
-        swept dense (see ``_sweep_stack``); a seed array of the output's
-        shape differentiates the corresponding weighted sum of output
-        entries. A stack of seeds, shape ``(s, *output.shape)``,
+        Without a seed the output must be scalar; a seed array of the
+        output's shape differentiates the corresponding weighted sum of
+        output entries. A stack of seeds, shape ``(s, *output.shape)``,
         gives every parameter an ``(s, *shape)`` stack of gradients, each
         with the bits of a backward pass on that seed alone; ``out``, when
         given, holds those stacks and is filled in place.
@@ -182,7 +159,7 @@ class Tape:
                 given = out[name].shape if name in out else None
                 if given != (seeds.shape[0], *shape):
                     raise ContractError(f"out[{name!r}] has shape {given}, expected {(seeds.shape[0], *shape)}")
-        self._sweep_stack(output.idx, seeds, out, scan=seed is not None)
+        self._sweep_stack(output.idx, seeds, out)
         return out if stacked else {name: grads[0] for name, grads in out.items()}
 
     def jvp(self, outputs: Sequence[Tensor], tangents: dict[str, Array]) -> list[Array]:
@@ -214,7 +191,7 @@ class Tape:
         last_read = {idx: i for i, (_, in_idxs, *_) in enumerate(self._records) for idx in in_idxs}
         self._shared.clear()
         try:
-            for i, (out_idx, in_idxs, *_, tangent_fn) in enumerate(self._records):
+            for i, (out_idx, in_idxs, _, tangent_fn) in enumerate(self._records):
                 ts = [live.get(idx) for idx in in_idxs]
                 if any(t is not None for t in ts):
                     live[out_idx] = tangent_fn(*ts)
@@ -225,106 +202,26 @@ class Tape:
             self._shared.clear()
         return [live[t.idx] if t.idx in live else np.zeros(t.shape) for t in outputs]
 
-    def _sweep_stack(self, root: int, seeds: Array, out: dict[str, Array], scan: bool) -> None:
-        """One reverse sweep per seed, writing seed i's gradients into ``out[name][i]``.
-
-        With ``scan``, a seed whose nonzero rows may be carried (see
-        ``_carries``) starts out carried as ``(rows, values)``; the seeds
-        are the only arrays the sweep scans. Without it, the seed is a
-        scalar loss's, whose gradient reaches the whole graph, and starts
-        dense. Each record with a row rule maps carried rows to carried
-        rows, and the rest run their dense rule (see ``_add``).
-        """
+    def _sweep_stack(self, root: int, seeds: Array, out: dict[str, Array]) -> None:
+        """One reverse sweep per seed, writing seed i's gradients into ``out[name][i]``."""
         params = {idx: name for name, (idx, _) in self._params.items()}
         records = self._records[::-1]
         for i, seed in enumerate(seeds):
-            grads: dict[int, Grad] = {root: seed}
-            if scan:
-                live = np.flatnonzero(seed.any(axis=1))
-                if _carries(live.size, seed.shape[0]):
-                    grads[root] = (live, seed[live])
-            for out_idx, in_idxs, grad_fn, row_fn, rows, in_rows, _ in records:
+            grads: dict[int, Array] = {root: seed}
+            for out_idx, in_idxs, grad_fn, _ in records:
                 g = grads.pop(out_idx, None)
                 if g is None:
                     continue
-                if type(g) is not tuple:
-                    in_grads = grad_fn(g)
-                elif row_fn is None:
-                    in_grads = grad_fn(_dense(g, rows))
-                else:
-                    in_grads = row_fn(*g)
-                for idx, gi, num_rows in zip(in_idxs, in_grads, in_rows):
+                for idx, gi in zip(in_idxs, grad_fn(g)):
                     if idx is not None and gi is not None:
-                        grads[idx] = _add(grads.get(idx), gi, num_rows)
+                        grads[idx] = gi if idx not in grads else grads[idx] + gi
             for idx, name in params.items():
-                g = grads.get(idx, 0.0)
-                out[name][i] = _dense(g, out[name].shape[1]) if type(g) is tuple else g
+                out[name][i] = grads.get(idx, 0.0)
 
 
-# a gradient is carried as (rows, values) while its live rows are at most this share of its tensor's rows
-_LIVE_ROWS = 1 / 8
-
-
-def _carries(live: int, num_rows: int) -> bool:
-    """Whether a gradient over ``live`` of a tensor's ``num_rows`` rows is carried as (rows, values).
-
-    It is while ``live`` is at most ``_LIVE_ROWS`` of the rows, a tensor of
-    fewer than 8 rows counting as 8. So one row of a small tensor is
-    carried, and one sample's loss in a batch of any size reaches the
-    graph's tensors carried.
-    """
-    return live <= _LIVE_ROWS * max(num_rows, 8)
-
-
-# a gradient: dense, or carried as (ascending distinct rows, their values)
-Grad = Array | tuple[Array, Array]
-GradFn = Callable[[Array], Sequence[Grad | None]]
-RowFn = Callable[[Array, Array], Sequence[Grad | None]]
+GradFn = Callable[[Array], Sequence[Array | None]]
 # input tangents, None for a zero one (at least one is given) -> output tangent
 TangentFn = Callable[..., Array]
-
-
-def _dense(g: tuple[Array, Array], num_rows: int) -> Array:
-    rows, values = g
-    full = np.zeros((num_rows, values.shape[1]))
-    full[rows] = values
-    return full
-
-
-def _distinct(x: Array) -> Array:
-    """The ascending distinct values of ``x``; ``np.unique`` without its overhead on a few values."""
-    x = np.sort(x)
-    keep = np.empty(x.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep]
-
-
-def _add(acc: Grad | None, g: Grad, num_rows: int) -> Grad:
-    """``acc + g`` for a tensor of ``num_rows`` rows; a carried sum that ``_carries`` refuses is made dense.
-
-    Two carried gradients add over the union of their rows; a carried one
-    adds its rows into a copy of a dense one. Each row of the sum is the
-    dense sum's row, but for the sign of a zero.
-    """
-    if acc is None:
-        total = g
-    elif type(acc) is not tuple and type(g) is not tuple:
-        return acc + g
-    elif type(acc) is tuple and type(g) is tuple:
-        rows = _distinct(np.concatenate((acc[0], g[0])))
-        values = np.zeros((rows.size, g[1].shape[1]))
-        values[np.searchsorted(rows, acc[0])] = acc[1]
-        values[np.searchsorted(rows, g[0])] += g[1]
-        total = (rows, values)
-    else:
-        (rows, values), total = (acc, g) if type(acc) is tuple else (g, acc)
-        total = total.copy()
-        total[rows] += values
-        return total
-    if type(total) is tuple and not _carries(total[0].size, num_rows):
-        return _dense(total, num_rows)
-    return total
 
 
 def _validated(value) -> Array:
@@ -353,14 +250,12 @@ def _tape_of(*tensors: Tensor) -> Tape | None:
     return tape
 
 
-def _emit(
-    op: str, value: Array, inputs: Sequence[Tensor], grad_fn: GradFn, tangent_fn: TangentFn, row_fn: RowFn | None = None
-) -> Tensor:
+def _emit(op: str, value: Array, inputs: Sequence[Tensor], grad_fn: GradFn, tangent_fn: TangentFn) -> Tensor:
     _finite(op, value)
     tape = _tape_of(*inputs)
     if tape is None or all(t.idx is None for t in inputs):
         return Tensor(value, tape, None)
-    return tape.record(value, inputs, grad_fn, tangent_fn, row_fn)
+    return tape.record(value, inputs, grad_fn, tangent_fn)
 
 
 def _plus(x: Array | None, y: Array | None) -> Array:
@@ -411,9 +306,6 @@ def matmul(a: Tensor, b: Tensor, product: Array | None = None) -> Tensor:
     def grad(g: Array):
         return (g @ bv.T if grad_a else None), (av.T @ g if grad_b else None)
 
-    def row_grad(rows: Array, g: Array):
-        return ((rows, g @ bv.T) if grad_a else None), (av[rows].T @ g if grad_b else None)
-
     def tangent(ta: Array | None, tb: Array | None):
         if shared is None:
             return _plus(None if ta is None else ta @ bv, None if tb is None else av @ tb)
@@ -421,7 +313,7 @@ def matmul(a: Tensor, b: Tensor, product: Array | None = None) -> Tensor:
             shared[key] = av @ tb
         return shared[key]
 
-    return _emit("matmul", product, (a, b), grad, tangent, row_grad)
+    return _emit("matmul", product, (a, b), grad, tangent)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -435,15 +327,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         gb = g.sum(axis=0, keepdims=True) if row_broadcast else g
         return g, gb
 
-    def row_grad(rows: Array, g: Array):
-        return (rows, g), (rows, g)
-
     def tangent(ta: Array | None, tb: Array | None):
         if ta is None and row_broadcast:
             return np.broadcast_to(tb, shape)
         return _plus(ta, tb)
 
-    return _emit("add", a.data + b.data, (a, b), grad, tangent, None if row_broadcast else row_grad)
+    return _emit("add", a.data + b.data, (a, b), grad, tangent)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -468,13 +357,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def grad(g: Array):
         return (g * bv if grad_a else None), (g * av if grad_b else None)
 
-    def row_grad(rows: Array, g: Array):
-        return ((rows, g * bv[rows]) if grad_a else None), ((rows, g * av[rows]) if grad_b else None)
-
     def tangent(ta: Array | None, tb: Array | None):
         return _plus(None if ta is None else ta * bv, None if tb is None else av * tb)
 
-    return _emit("mul", av * bv, (a, b), grad, tangent, row_grad)
+    return _emit("mul", av * bv, (a, b), grad, tangent)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -483,13 +369,10 @@ def scale(a: Tensor, c: float) -> Tensor:
     def grad(g: Array):
         return (g * c,)
 
-    def row_grad(rows: Array, g: Array):
-        return ((rows, g * c),)
-
     def tangent(ta: Array):
         return ta * c
 
-    return _emit("scale", a.data * c, (a,), grad, tangent, row_grad)
+    return _emit("scale", a.data * c, (a,), grad, tangent)
 
 
 def scale_rows(a: Tensor, c: Tensor) -> Tensor:
@@ -502,16 +385,10 @@ def scale_rows(a: Tensor, c: Tensor) -> Tensor:
     def grad(g: Array):
         return (g * cv if grad_a else None), ((g * av).sum(axis=1, keepdims=True) if grad_c else None)
 
-    def row_grad(rows: Array, g: Array):
-        return (
-            (rows, g * cv[rows]) if grad_a else None,
-            (rows, (g * av[rows]).sum(axis=1, keepdims=True)) if grad_c else None,
-        )
-
     def tangent(ta: Array | None, tc: Array | None):
         return _plus(None if ta is None else ta * cv, None if tc is None else av * tc)
 
-    return _emit("scale_rows", av * cv, (a, c), grad, tangent, row_grad)
+    return _emit("scale_rows", av * cv, (a, c), grad, tangent)
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -522,13 +399,10 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     def grad(g: Array):
         return g[:, :na], g[:, na:]
 
-    def row_grad(rows: Array, g: Array):
-        return (rows, g[:, :na]), (rows, g[:, na:])
-
     def tangent(ta: Array | None, tb: Array | None):
         return np.concatenate([np.zeros(shape_a) if ta is None else ta, np.zeros(shape_b) if tb is None else tb], axis=1)
 
-    return _emit("concat_cols", np.concatenate([a.data, b.data], axis=1), (a, b), grad, tangent, row_grad)
+    return _emit("concat_cols", np.concatenate([a.data, b.data], axis=1), (a, b), grad, tangent)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -582,16 +456,9 @@ class _RunIndex:
     tree level. Sums equal reduceat's byte for byte (checked against NumPy
     2.4), and a max is exact in any order. The tree is spelled out here, so
     the sums do not depend on how a NumPy build implements reduceat.
-
-    For a carried gradient (see ``Tape._sweep_stack``) the index also lays
-    out a few runs whole, run after run (``layout``, ``touched``), so that
-    ``_run_sums`` adds each touched run in this same tree.
     """
 
-    __slots__ = (
-        "unique", "counts", "_order", "_starts", "_run_at", "_rank",
-        "_blocks", "_combined", "_tails", "_levels", "_size", "_heads", "_roots", "_rows",
-    )
+    __slots__ = ("unique", "counts", "_blocks", "_combined", "_tails", "_levels", "_size", "_heads", "_roots", "_rows")
 
     def __init__(self, ids: Array):
         order = np.argsort(ids, kind="stable")
@@ -599,12 +466,6 @@ class _RunIndex:
         starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]]) if ids.size else order[:0]
         self.unique = sorted_ids[starts]
         self.counts = np.diff(np.r_[starts, ids.size])
-        # each position's run and its rank in the run, for the row rules' layouts
-        self._order, self._starts = order, starts
-        self._run_at = np.empty(ids.size, dtype=np.int64)
-        self._run_at[order] = np.repeat(np.arange(starts.size), self.counts)
-        self._rank = np.empty(ids.size, dtype=np.int64)
-        self._rank[order] = np.arange(ids.size) - np.repeat(starts, self.counts)
         runs = starts.size
         # cut each run's rest into leaves; tree nodes are numbered as made, the runs' roots first
         base, length, node = starts + 1, self.counts - 1, np.arange(runs)
@@ -649,35 +510,6 @@ class _RunIndex:
         # without splits every leaf is a root, and the ascending roots are 0 .. runs - 1
         self._roots = slot[by_root] if splits else slice(0, runs)
 
-    def layout(self, runs: Array) -> Array:
-        """The positions of ``runs``, run after run and each in run order.
-
-        The layout is ragged, as long as the runs together, so never longer
-        than the ids, however long one run is.
-        """
-        counts = self.counts[runs]
-        return self._order[np.arange(counts.sum()) + np.repeat(self._starts[runs] - np.cumsum(counts) + counts, counts)]
-
-    def touched(self, rows: Array, g: Array) -> tuple[Array, Array]:
-        """The ascending runs holding positions ``rows``, and ``g`` laid out over them as ``layout`` lays them.
-
-        The values hold ``g`` at ``rows`` and zeros at the runs' other
-        positions, as a dense gradient does.
-        """
-        run_at = self._run_at[rows]
-        runs = _distinct(run_at)
-        counts = self.counts[runs]
-        starts = np.cumsum(counts) - counts
-        values = np.zeros((counts.sum(), g.shape[1]))
-        values[starts[np.searchsorted(runs, run_at)] + self._rank[rows]] = g
-        return runs, values
-
-    def runs_of(self, ids: Array) -> tuple[Array, Array]:
-        """Run numbers of those of the ascending ``ids`` that have rows, and where they are in ``ids``."""
-        runs = np.searchsorted(self.unique, ids)
-        found = np.flatnonzero(self.unique.take(runs, mode="clip") == ids) if self.unique.size else runs[:0]
-        return runs[found], found
-
     def sum_into(self, values: Array, num_rows: int, take: Array | None = None) -> Array:
         """Per-id sums of ``values`` rows (of ``values[take]`` rows when given) in a (num_rows, d) array."""
         return self._reduce(np.add, -0.0, np.zeros((num_rows, values.shape[1])), values, take)
@@ -710,42 +542,6 @@ class _RunIndex:
 def _accumulate(op, acc: Array, x: Array) -> None:
     part = acc[: x.shape[0]]
     op(part, x, out=part)
-
-
-def _run_sums(values: Array, counts: Array) -> Array:
-    """Sums of runs of ``counts`` rows laid out in ``values`` (see ``_RunIndex.layout``), with ``np.add.reduceat``'s bits.
-
-    Runs of at most 8 rows, the common case, are padded with -0.0 to the
-    longest, a row per run, which adds nothing, and add their rest in
-    sequence from -0.0 and then their first row, as ``_RunIndex`` does. A
-    longer run takes reduceat's blocks of 8, so the runs then take a
-    ``_RunIndex`` of their own.
-    """
-    longest = counts.max(initial=1)
-    if longest > 8:
-        return _RunIndex(np.repeat(np.arange(counts.size), counts)).sum_into(values, counts.size)
-    if longest == 1:
-        # r0 + -0.0 is r0
-        return values
-    block = np.full((counts.size, longest, values.shape[1]), -0.0)
-    block[np.arange(longest) < counts[:, None]] = values
-    # -0.0 + r1 is r1
-    rest = block[:, 1].copy()
-    for j in range(2, longest):
-        rest += block[:, j]
-    return block[:, 0] + rest
-
-
-def _ascending(rows: Array, values: Array) -> tuple[Array, Array]:
-    """The carried gradient of ``values`` at the distinct ``rows``, put in ascending row order."""
-    order = np.argsort(rows)
-    return rows[order], values[order]
-
-
-def _spread_segments(index: _RunIndex, segments: Array, g: Array) -> tuple[Array, Array]:
-    """The carried gradient of a segment reduction's rows: each of ``segments``' rows of ``g`` over its run."""
-    runs, found = index.runs_of(segments)
-    return _ascending(index.layout(runs), np.repeat(g[found], index.counts[runs], axis=0))
 
 
 def frozen(a: Array) -> bool:
@@ -813,16 +609,10 @@ def gather_rows(a: Tensor, ids) -> Tensor:
     def grad(g: Array):
         return (run_index().sum_into(g, num_rows),)
 
-    def row_grad(rows: Array, g: Array):
-        # the touched rows of ``a``, each summed over its whole run
-        index = run_index()
-        runs, values = index.touched(rows, g)
-        return ((index.unique[runs], _run_sums(values, index.counts[runs])),)
-
     def tangent(ta: Array):
         return ta[ids]
 
-    return _emit("gather_rows", a.data[ids], (a,), grad, tangent, row_grad)
+    return _emit("gather_rows", a.data[ids], (a,), grad, tangent)
 
 
 def _row_ids(ids, num_rows: int) -> Array:
@@ -840,13 +630,10 @@ def row_sum(a: Tensor) -> Tensor:
     def grad(g: Array):
         return (np.repeat(g, cols, axis=1),)
 
-    def row_grad(rows: Array, g: Array):
-        return ((rows, np.repeat(g, cols, axis=1)),)
-
     def tangent(ta: Array):
         return ta.sum(axis=1, keepdims=True)
 
-    return _emit("row_sum", a.data.sum(axis=1, keepdims=True), (a,), grad, tangent, row_grad)
+    return _emit("row_sum", a.data.sum(axis=1, keepdims=True), (a,), grad, tangent)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -875,13 +662,10 @@ def elu(a: Tensor) -> Tensor:
     def grad(g: Array):
         return (g * factor,)
 
-    def row_grad(rows: Array, g: Array):
-        return ((rows, g * factor[rows]),)
-
     def tangent(ta: Array):
         return ta * factor
 
-    return _emit("elu", out, (a,), grad, tangent, row_grad)
+    return _emit("elu", out, (a,), grad, tangent)
 
 
 def _d_leaky_relu(x: Array, slope: float) -> Array:
@@ -896,13 +680,10 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     def grad(g: Array):
         return (g * factor,)
 
-    def row_grad(rows: Array, g: Array):
-        return ((rows, g * factor[rows]),)
-
     def tangent(ta: Array):
         return ta * factor
 
-    return _emit("leaky_relu", out, (a,), grad, tangent, row_grad)
+    return _emit("leaky_relu", out, (a,), grad, tangent)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -946,13 +727,10 @@ def row_log_softmax(a: Tensor) -> Tensor:
     def grad(g: Array):
         return (g - softmax * g.sum(axis=1, keepdims=True),)
 
-    def row_grad(rows: Array, g: Array):
-        return ((rows, g - softmax[rows] * g.sum(axis=1, keepdims=True)),)
-
     def tangent(ta: Array):
         return ta - (softmax * ta).sum(axis=1, keepdims=True)
 
-    return _emit("row_log_softmax", out, (a,), grad, tangent, row_grad)
+    return _emit("row_log_softmax", out, (a,), grad, tangent)
 
 
 def _segment_ids(ids, num_segments: int, count: int) -> Array:
@@ -972,13 +750,10 @@ def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     def grad(g: Array):
         return (g[ids],)
 
-    def row_grad(rows: Array, g: Array):
-        return (_spread_segments(index, rows, g),)
-
     def tangent(tv: Array):
         return index.sum_into(tv, num_segments)
 
-    return _emit("segment_sum", out, (values,), grad, tangent, row_grad)
+    return _emit("segment_sum", out, (values,), grad, tangent)
 
 
 def _segment_counts(index: _RunIndex, num_segments: int) -> Array:
@@ -1000,13 +775,10 @@ def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
         # each row's quotient is the same division as g[ids] / counts[ids], done once per segment
         return ((g / counts)[ids],)
 
-    def row_grad(rows: Array, g: Array):
-        return (_spread_segments(index, rows, g / counts[rows]),)
-
     def tangent(tv: Array):
         return index.sum_into(tv, num_segments) / counts
 
-    return _emit("segment_mean", out, (values,), grad, tangent, row_grad)
+    return _emit("segment_mean", out, (values,), grad, tangent)
 
 
 # column block of gathered_segment_mean, the width of a typical hidden layer
@@ -1050,18 +822,10 @@ def segment_softmax(scores: Tensor, segment_ids) -> Tensor:
         weighted = index.sum_into(g * out, num_segments)
         return (out * (g - weighted[ids]),)
 
-    def row_grad(rows: Array, g: Array):
-        # every row of a touched segment, with its sum over the whole segment
-        runs, values = index.touched(rows, g)
-        positions, counts = index.layout(runs), index.counts[runs]
-        share = out[positions]
-        weighted = _run_sums(values * share, counts)
-        return (_ascending(positions, share * (values - np.repeat(weighted, counts, axis=0))),)
-
     def tangent(ts: Array):
         return out * (ts - index.sum_into(out * ts, num_segments)[ids])
 
-    return _emit("segment_softmax", out, (scores,), grad, tangent, row_grad)
+    return _emit("segment_softmax", out, (scores,), grad, tangent)
 
 
 # ---------------------------------------------------------------------------

@@ -326,7 +326,7 @@ def meta_gradient(
     drops out of d_theta.
     """
     if cache.graphs is None:
-        raise ContractError("meta_gradient needs the probe tape of per-sample gradients, not a pinned-alpha cache")
+        raise ContractError("meta_gradient needs the probe tape of a weight-net step, not a pinned-alpha cache")
     tape, (graph_ss, graph_fs) = taped_losses(g, X, y, meta_ids, w_hat)
     total = T.add(graph_ss.mean_loss, graph_fs.mean_loss)
     meta_loss = float(total.data[0, 0])

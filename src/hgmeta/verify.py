@@ -2,14 +2,14 @@
 
 Four checks against central finite differences: the taped backward pass
 of each classifier branch over every parameter coordinate; one sample's
-gradient row of each branch on a graph large enough that the tape carries it
-as rows (see ``tensor``); the forward-mode tangent of each branch's loss
-column along a random parameter direction (``Tape.jvp``, which gives the
-meta step its signal gbar); and the analytic Theta-gradient of the
-weight-net update, in either output mode, pushed through one probe step
-(perturb Theta, rebuild the probe parameters by the probe's own rule, one
-backward pass per branch on the kept probe tape seeded with the blend
-weights, and re-evaluate the meta loss).
+gradient row of each branch, taken as the weight-net step's reference
+rows are (``_grad_rows`` with unit seeds); the forward-mode tangent of
+each branch's loss column along a random parameter direction
+(``Tape.jvp``, which gives the meta step its signal gbar); and the analytic
+Theta-gradient of the weight-net update, in either output mode, pushed
+through one probe step (perturb Theta, rebuild the probe parameters by the
+probe's own rule, one backward pass per branch on the kept probe tape
+seeded with the blend weights, and re-evaluate the meta loss).
 """
 
 from __future__ import annotations
@@ -103,10 +103,9 @@ def per_sample_row_check(hidden: int = 4, seed: int = 0, eps: float = 1e-5, samp
     """Max error of one sample's gradient row per branch against central differences.
 
     The graph is a chain of 120 nodes in 59 hyperedges of 3, and the loss
-    column has ``samples`` samples spread along it. One sample's gradient
-    then lives on at most 5 nodes and 4 hyperedges, so every record of its
-    backward sweep takes its row rule. The error is relative to the row's
-    largest entry: a row has many entries near zero, where central
+    column has ``samples`` samples spread along it, so one sample's gradient
+    lives on at most 5 nodes and 4 hyperedges. The error is relative to the
+    row's largest entry: a row has many entries near zero, where central
     differences carry more noise than a per-coordinate relative error could
     tell from a fault.
     """

@@ -8,6 +8,7 @@ import pytest
 from hgmeta import cli
 from hgmeta import tensor as T
 from hgmeta import trainer as trainer_mod
+from hgmeta import verify as verify_mod
 from hgmeta.artifact import load_run_artifact, save_run_artifact, state_from_artifact
 from hgmeta.config import parse_config
 from hgmeta.data import SyntheticSpec, generate_synthetic, save_dataset
@@ -539,10 +540,10 @@ class TestGradCheck:
         assert rc == 5
         assert "result=tolerance-breach" in out
 
-    def test_corrupted_row_rule_exits_5(self, monkeypatch, capsys):
-        # negative control: only a carried gradient sums runs this way, so only the per-sample row check sees it
-        run_sums = T._run_sums
-        monkeypatch.setattr(T, "_run_sums", lambda values, counts: 0.5 * run_sums(values, counts))
+    def test_corrupted_per_sample_row_exits_5(self, monkeypatch, capsys):
+        # negative control: only the per-sample row check reads the rows of verify's _grad_rows
+        grad_rows = verify_mod._grad_rows
+        monkeypatch.setattr(verify_mod, "_grad_rows", lambda *args, **kwargs: 0.5 * grad_rows(*args, **kwargs))
         rc = cli.main(["grad-check", "--nodes", "6", "--hidden", "3", "--mwn-hidden", "4"])
         out = capsys.readouterr().out
         assert rc == 5 and "result=tolerance-breach" in out

@@ -11,8 +11,6 @@ from hgmeta.errors import ContractError, NumericsError, OracleError
 from hgmeta.hypergraph import Hypergraph
 from hgmeta.tensor import Tape, finite_diff_check
 
-from conftest import count_rules
-
 
 def _param_tape(**arrays):
     tape = Tape()
@@ -62,6 +60,16 @@ class TestBasicGradients:
         g1 = tape.backward(l1)["w"]
         g2 = tape.backward(l2)["w"]
         np.testing.assert_allclose(g_combined, a * g1 + b * g2, rtol=1e-12)
+
+    @pytest.mark.bitwise
+    def test_fan_in_adds_in_reverse_record_order(self):
+        # u feeds elu, mul and scale: its gradient is scale's term, plus mul's, plus elu's, in that order
+        u = np.random.default_rng(4).uniform(-1.0, 1.0, (3, 2))
+        tape, ts = _param_tape(u=u)
+        loss = T.sum_all(T.add(T.mul(ts["u"], T.elu(ts["u"])), T.scale(ts["u"], 0.3)))
+        h = T.elu(T.as_tensor(u)).data
+        expected = (np.full(u.shape, 0.3) + h) + u * T._d_elu(u, h)
+        assert tape.backward(loss)["u"].tobytes() == expected.tobytes()
 
     def test_repeated_backward_calls_are_independent(self):
         tape, ts = _param_tape(w=np.array([[1.0, 2.0]]))
@@ -471,10 +479,10 @@ class TestUntrackedOperands:
         trained = f"p{1 - constant}"
         assert list(partial) == [trained]
         np.testing.assert_array_equal(partial[trained], full[trained])
-        # the op's own record returns None in the constant's slot, from its dense rule and its row rule
-        _, _, grad_fn, row_fn, *_ = next(rec for rec in tape._records if rec[0] == out.idx)
-        for op_grads in (grad_fn(np.ones(out.shape)), row_fn(np.array([1, 3]), np.ones((2, out.shape[1])))):
-            assert op_grads[constant] is None and op_grads[1 - constant] is not None
+        # the op's own record returns None in the constant's slot
+        _, _, grad_fn, _ = next(rec for rec in tape._records if rec[0] == out.idx)
+        op_grads = grad_fn(np.ones(out.shape))
+        assert op_grads[constant] is None and op_grads[1 - constant] is not None
 
 
 class _CountingNumpy:
@@ -729,173 +737,6 @@ class TestJvp:
         w2 = alone.param("w", w.data)
         expected = T.add(T.elu(T.matmul(x, w2)), T.sigmoid(T.matmul(x, w2)))
         np.testing.assert_array_equal(tangent, alone.jvp([expected], t)[0])
-
-
-class TestLiveRowsProduct:
-    """The weight gradient of ``const @ w`` over the carried rows of its output gradient."""
-
-    @staticmethod
-    def _gradient(rng, rows, k, live):
-        g = np.zeros((rows, k))
-        g[rng.choice(rows, size=live, replace=False)] = rng.uniform(-1.0, 1.0, (live, k))
-        return g
-
-    @staticmethod
-    def _taped(av, k):
-        """``av @ w`` for a (cols, k) parameter w, whose gradient does not depend on its value."""
-        tape = Tape()
-        return tape, T.matmul(T.as_tensor(av), tape.param("w", np.zeros((av.shape[1], k))))
-
-    @pytest.mark.parametrize("share", [0.002, 0.02, 0.12])
-    def test_gathered_product_is_the_full_one_to_rounding_at_coraca_shape(self, share):
-        rng = np.random.default_rng(int(share * 1000))
-        av = rng.uniform(-1.0, 1.0, (2708, 1433))
-        g = self._gradient(rng, 2708, 64, round(share * 2708))
-        assert np.count_nonzero(g.any(axis=1)) <= T._LIVE_ROWS * 2708
-        full = av.T @ g
-        tape, out = self._taped(av, 64)
-        np.testing.assert_allclose(tape.backward(out, g)["w"], full, rtol=0, atol=1e-13 * np.abs(full).max())
-
-    @pytest.mark.bitwise
-    def test_without_live_rows_the_gradient_is_positive_zeros(self):
-        av = np.random.default_rng(5).uniform(-1.0, 1.0, (40, 6))
-        tape, out = self._taped(av, 3)
-        av[3] = np.nan  # never read
-        for g in (np.zeros((40, 3)), np.full((40, 3), -0.0)):
-            grad = tape.backward(out, g)["w"]
-            assert grad.shape == (6, 3)
-            assert grad.tobytes() == np.zeros((6, 3)).tobytes()
-
-    @pytest.mark.bitwise
-    @pytest.mark.parametrize("live", [338, 339])
-    def test_one_live_row_in_eight_is_the_crossover(self, live):
-        rng = np.random.default_rng(6)
-        av = rng.uniform(-1.0, 1.0, (8 * 338, 16))
-        g = self._gradient(rng, 8 * 338, 64, live)
-        rows = np.flatnonzero(g.any(axis=1))
-        gathers = live == 338
-        expected = av[rows].T @ g[rows] if gathers else av.T @ g
-        tape, out = self._taped(av, 64)
-        assert tape.backward(out, g)["w"].tobytes() == expected.tobytes()
-        # a gathered product never reads a dead row
-        av[np.setdiff1d(np.arange(8 * 338), rows)] = np.nan
-        assert np.isfinite(tape.backward(out, g)["w"]).all() == gathers
-
-
-def _carried_seed(rng, shape):
-    """A seed with one live row in eight, as many as a carried gradient may have."""
-    seed = np.zeros(shape)
-    live = rng.choice(shape[0], size=max(shape[0] // 8, 1), replace=False)
-    seed[live] = rng.normal(size=(live.size, shape[1]))
-    return seed
-
-
-@pytest.mark.bitwise
-class TestRowRules:
-    """A gradient carried as (rows, values) through each row rule, against the dense rules."""
-
-    # a (40, 3) tracked input u, and the op under test applied to it
-    OPS = {
-        "add": lambda u, rng: T.add(u, T.elu(u)),
-        "mul": lambda u, rng: T.mul(u, T.as_tensor(rng.normal(size=(40, 3)))),
-        "scale": lambda u, rng: T.scale(u, -1.5),
-        "scale_rows": lambda u, rng: T.scale_rows(u, T.row_sum(T.elu(u))),
-        "concat_cols": lambda u, rng: T.concat_cols(u, T.elu(u)),
-        "elu": lambda u, rng: T.elu(u),
-        "leaky_relu": lambda u, rng: T.leaky_relu(u, 0.2),
-        "row_sum": lambda u, rng: T.row_sum(u),
-        "row_log_softmax": lambda u, rng: T.row_log_softmax(u),
-        "gather_rows": lambda u, rng: T.gather_rows(u, rng.integers(0, 40, size=90)),
-        "segment_sum": lambda u, rng: T.segment_sum(u, rng.integers(0, 48, size=40), 48),
-        "segment_mean": lambda u, rng: T.segment_mean(u, rng.permutation(np.r_[np.arange(24), rng.integers(0, 24, 16)]), 24),
-        "segment_softmax": lambda u, rng: T.segment_softmax(T.row_sum(u), rng.integers(0, 5, size=40)),
-    }
-
-    @pytest.mark.parametrize("name", sorted(OPS))
-    def test_row_rule_keeps_the_dense_values(self, name, monkeypatch):
-        for trial in range(5):
-            rng = np.random.default_rng(trial)
-            tape = Tape()
-            u = tape.param("u", rng.normal(size=(40, 3)))
-            out = T.elu(self.OPS[name](u, np.random.default_rng(100 + trial)))
-            seed = _carried_seed(rng, out.shape)
-            carried = tape.backward(out, seed)["u"]
-            with monkeypatch.context() as dense:
-                dense.setattr(T, "_LIVE_ROWS", 0.0)
-                np.testing.assert_array_equal(carried, tape.backward(out, seed)["u"])
-
-    def test_a_scalar_loss_without_a_seed_is_swept_dense(self):
-        tape = Tape()
-        u = tape.param("u", np.random.default_rng(37).normal(size=(60, 3)))
-        loss = T.scale(T.sum_all(T.row_sum(T.gather_rows(u, [3, 41]))), 0.5)
-        calls = count_rules(tape)
-        unseeded = tape.backward(loss)["u"]
-        assert calls == {"dense": 4, "rows": 0}
-        # the same loss with its seed given: the seed is scanned, and its one row carried up to sum_all
-        assert tape.backward(loss, np.ones((1, 1)))["u"].tobytes() == unseeded.tobytes()
-        assert calls == {"dense": 7, "rows": 1}
-
-    def test_touched_runs_sum_as_the_dense_rows_do(self):
-        """A touched run with three or more live rows sums over its whole run in reduceat's tree."""
-        rng = np.random.default_rng(35)
-        lengths = set()
-        for trial in range(60):
-            ids, num_rows = _random_runs(rng)
-            if not ids.size:
-                continue
-            index = T._RunIndex(ids)
-            # odd trials touch only runs of at most 8 rows, which _run_sums adds without a run index
-            groups = index.unique[index.counts <= 8] if trial % 2 else index.unique
-            if not groups.size:
-                continue
-            live = []
-            for group in rng.choice(groups, size=min(4, groups.size), replace=False):
-                members = np.flatnonzero(ids == group)
-                live.append(rng.choice(members, size=min(members.size, int(rng.integers(3, 12))), replace=False))
-                if live[-1].size >= 3:
-                    lengths.add(int(np.searchsorted([8, 129], members.size)))
-            rows = np.unique(np.concatenate(live))
-            g = rng.normal(size=(rows.size, 3))
-            runs, values = index.touched(rows, g)
-            positions = index.layout(runs)
-            dense = np.zeros((ids.size, 3))
-            dense[rows] = g
-            assert positions.tolist() == [p for run in runs for p in np.flatnonzero(ids == index.unique[run])]
-            assert values.tobytes() == dense[positions].tobytes()
-            expected = index.sum_into(dense, num_rows)[index.unique[runs]]
-            assert T._run_sums(values, index.counts[runs]).tobytes() == expected.tobytes()
-        # runs of at most 8 rows, of 9 to 129 rows, and longer ones, each with three or more live rows
-        assert lengths == {0, 1, 2}
-
-    def test_a_long_run_among_short_ones_takes_only_their_rows(self):
-        """Touched runs are laid out ragged: a hub's long run next to many short ones costs their rows, not runs x longest."""
-        rng = np.random.default_rng(36)
-        # 3000 runs of one to three rows, and one of 2000 rows, shuffled
-        ids = rng.permutation(np.r_[np.repeat(np.arange(3000), rng.integers(1, 4, size=3000)), np.full(2000, 3000)])
-        index = T._RunIndex(ids)
-        rows = np.sort(np.r_[rng.choice(np.flatnonzero(ids < 3000), size=2900, replace=False), np.flatnonzero(ids == 3000)[:5]])
-        g = rng.normal(size=(rows.size, 4))
-        runs, values = index.touched(rows, g)
-        assert index.layout(runs).size == values.shape[0]
-        assert values.shape == (index.counts[runs].sum(), 4) and values.shape[0] <= ids.size
-        assert runs[-1] == 3000
-        dense = np.zeros((ids.size, 4))
-        dense[rows] = g
-        expected = index.sum_into(dense, 3001)[index.unique[runs]]
-        assert T._run_sums(values, index.counts[runs]).tobytes() == expected.tobytes()
-        # through the record: the gather's and the softmax's row rules give the dense values
-        tape = Tape()
-        u = tape.param("u", rng.normal(size=(3001, 4)))
-        for out in (T.gather_rows(u, ids), T.segment_softmax(T.row_sum(T.gather_rows(u, ids)), ids)):
-            # every eighth live row of the short runs, and the long run's
-            live = np.r_[rows[ids[rows] < 3000][::8], rows[ids[rows] == 3000]]
-            assert T._carries(live.size, out.shape[0])
-            seed = np.zeros(out.shape)
-            seed[live] = rng.normal(size=(live.size, out.shape[1]))
-            carried = tape.backward(out, seed)["u"]
-            with pytest.MonkeyPatch.context() as dense_sweep:
-                dense_sweep.setattr(T, "_LIVE_ROWS", 0.0)
-                np.testing.assert_array_equal(carried, tape.backward(out, seed)["u"])
 
 
 @pytest.mark.bitwise

@@ -36,7 +36,7 @@ from hgmeta.trainer import (
 from hgmeta import verify
 from hgmeta.verify import meta_gradient_check, random_toy_dataset
 
-from conftest import count_rules, random_hypergraph
+from conftest import random_hypergraph
 
 
 class TestSchedule:
@@ -169,157 +169,11 @@ class TestStackedGradRows:
         assert done.returncode == 0, done.stderr[-2000:]
 
 
-CORACA_SPEC = SyntheticSpec(nodes=2708, hyperedges=1072, dim=1433, classes=7)
-
-
-@pytest.fixture(scope="module")
-def shaped_datasets():
-    """The desk dataset and the Cora-CA-shaped one, each generated once for this module."""
-    return {"desk": generate_synthetic(SyntheticSpec(), 0), "coraca": generate_synthetic(CORACA_SPEC, 0)}
-
-
-@pytest.fixture
-def layer0_products(monkeypatch):
-    """(rows of the constant, share of them multiplied, rule taken) of every constant-by-parameter weight gradient.
-
-    The rule is ``"rows"`` for the row rule, which multiplies the carried
-    rows only, or ``"dense"``, whose product is checked to be ``av.T @ g``
-    byte for byte.
-    """
-    seen, matmul = [], T.matmul
-
-    def recording(a, b, product=None):
-        out = matmul(a, b, product)
-        if a.idx is None and b.idx is not None:
-            av, tape = a.data, out.tape
-            out_idx, inputs, grad_fn, row_fn, *sizes = tape._records[-1]
-
-            def dense(g):
-                grads = grad_fn(g)
-                assert grads[1].tobytes() == (av.T @ g).tobytes()
-                seen.append((av.shape[0], 1.0, "dense"))
-                return grads
-
-            def rows(live, g):
-                seen.append((av.shape[0], live.size / av.shape[0], "rows"))
-                return row_fn(live, g)
-
-            tape._records[-1] = (out_idx, inputs, dense, rows, *sizes)
-        return out
-
-    monkeypatch.setattr(T, "matmul", recording)
-    return seen
-
-
-class TestLiveRowsProducts:
-    """Which layer-0 weight gradients take the row rule, and what one sample's gradient is then."""
-
-    @staticmethod
-    def _taped(ds, ids):
-        hgnn = HGNNParams.init([ds.features.shape[1], 64, ds.num_classes], stream(0, "init-w"), stream(0, "init-a"))
-        return (*taped_losses(ds.graph, ds.features, ds.labels, np.asarray(ids), hgnn), hgnn)
-
-    # batches of fewer than 8 samples, whose unit seeds are carried as one row of a small tensor, and a larger one
-    @pytest.mark.parametrize("samples", [1, 6, 16])
-    def test_per_sample_seeds_gather_the_live_rows(self, samples, shaped_datasets, layer0_products):
-        for name, ds in shaped_datasets.items():
-            layer0_products.clear()
-            tape, graphs, hgnn = self._taped(ds, ds.splits.train[:samples])
-            calls = count_rules(tape)
-            for graph in graphs:
-                trainer._grad_rows(graph, tape, hgnn, per_sample=True)
-            # one X and one hyperedge-means product per sample and branch
-            x_shares = [share for rows, share, _ in layer0_products if rows == ds.graph.num_nodes]
-            assert len(layer0_products) == 4 * samples and len(x_shares) == 2 * samples
-            if name == "coraca":
-                # every sample's receptive field is a small share of the graph: every record takes its row rule
-                assert all(rule == "rows" and share <= T._LIVE_ROWS for _, share, rule in layer0_products)
-                assert calls["dense"] == 0
-            else:
-                # on the 200-node desk graph most samples' X rows are carried; the hyperedge means mostly are not
-                assert np.median(x_shares) <= T._LIVE_ROWS
-                assert calls["rows"] > calls["dense"]
-
-    @pytest.mark.bitwise
-    def test_ones_seed_and_meta_backward_never_take_the_row_path(self, shaped_datasets, layer0_products):
-        for ds in shaped_datasets.values():
-            # the ones seed over the whole training split, as a pinned step takes it
-            tape, graphs, hgnn = self._taped(ds, ds.splits.train)
-            calls = count_rules(tape)
-            for graph in graphs:
-                trainer._grad_rows(graph, tape, hgnn, per_sample=False)
-            tape, (ss, fs), _ = self._taped(ds, ds.splits.meta)
-            meta_loss = T.add(ss.mean_loss, fs.mean_loss)
-            meta_calls = count_rules(tape)
-            tape.backward(meta_loss)
-            assert calls["rows"] == meta_calls["rows"] == 0
-            assert calls["dense"] > 0 and meta_calls["dense"] > 0
-        assert len(layer0_products) == 2 * 2 * 4
-        assert all(rule == "dense" for _, _, rule in layer0_products)
-
+class TestPerSampleRowCheck:
     @pytest.mark.parametrize("samples", [1, 3, 15])
-    def test_one_samples_gradient_matches_central_differences(self, samples, layer0_products, monkeypatch):
-        # the grad-check's chain of 3-node hyperedges: the gradient of one sample lives on
-        # at most 5 of the 120 nodes and 4 of the 59 hyperedges
-        counted = []
-
-        def counting_losses(*args, **kwargs):
-            tape, graphs = taped_losses(*args, **kwargs)
-            counted.append(count_rules(tape))
-            return tape, graphs
-
-        monkeypatch.setattr(verify, "taped_losses", counting_losses)
+    def test_one_samples_gradient_matches_central_differences(self, samples):
         report = verify.per_sample_row_check(hidden=4, seed=31, samples=samples)
         assert set(report) == {"ss", "fs"} and max(report.values()) <= 1e-7
-        (calls,) = counted
-        assert calls["dense"] == 0 and calls["rows"] > 0
-        assert layer0_products and all(0.0 < share <= T._LIVE_ROWS for _, share, _ in layer0_products)
-
-
-def _sparse_hypergraph(rng) -> Hypergraph:
-    """60 to 200 nodes in n / 4 to n / 2 hyperedges of 1 to 6 nodes: small receptive fields, isolated nodes too."""
-    n = int(rng.integers(60, 201))
-    edges = [
-        sorted(int(v) for v in rng.choice(n, size=int(rng.integers(1, 7)), replace=False))
-        for _ in range(int(rng.integers(n // 4, n // 2)))
-    ]
-    return Hypergraph(n, edges)
-
-
-class TestRowPath:
-    """Per-sample rows from carried gradients agree with the dense sweep to rounding."""
-
-    # of the row's largest entry: the products over carried rows round like the full ones, but not always alike
-    TOLERANCE = 1e-12
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        samples=st.integers(1, 24),
-        hidden=st.integers(1, 64),
-        layers=st.integers(1, 3),
-        dropout=st.booleans(),
-    )
-    def test_rows_match_the_dense_sweep(self, seed, samples, hidden, layers, dropout):
-        rng = np.random.default_rng(seed)
-        g = _sparse_hypergraph(rng)
-        dim, classes = int(rng.integers(1, 20)), int(rng.integers(2, 5))
-        X, y = rng.normal(size=(g.num_nodes, dim)), rng.integers(0, classes, size=g.num_nodes)
-        hgnn = HGNNParams.init([dim] + [hidden] * (layers - 1) + [classes], rng, rng)
-        masks = [(rng.random((g.num_nodes, hidden)) < 0.5) / 0.5 for _ in range(layers - 1)] if dropout else None
-        # a batch of the nodes, as a batched step draws it
-        ids = np.sort(rng.choice(g.num_nodes, size=samples, replace=False))
-        tape, graphs = taped_losses(g, X, y, ids, hgnn, masks)
-        calls = count_rules(tape)
-        for graph in graphs:
-            carried = trainer._grad_rows(graph, tape, hgnn, per_sample=True)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(T, "_LIVE_ROWS", 0.0)
-                dense = trainer._grad_rows(graph, tape, hgnn, per_sample=True)
-            bound = self.TOLERANCE * np.abs(dense).max(axis=1, keepdims=True)
-            assert np.all(np.abs(carried - dense) <= bound), graph.branch
-        # every unit seed is carried from the loss column on, whatever the batch
-        assert calls["rows"] >= 2 * samples
 
 
 # of each entry's scale: a seeded backward pass adds the samples' terms in another order than a sum of their rows
@@ -388,7 +242,7 @@ class TestAgainstPerSampleRows:
     GBAR_TOLERANCE = 1e-10
     THETA_TOLERANCE = 1e-10
 
-    @pytest.mark.parametrize("batch", [False, True], ids=["full", "batch"])
+    @pytest.mark.parametrize("batch", [None, 7, 1], ids=["full", "batch", "one"])
     @pytest.mark.parametrize("dropout", [False, True], ids=["no-dropout", "dropout"])
     @pytest.mark.parametrize("mode", ["complementary", "independent"])
     def test_step_matches_the_rows(self, mode, dropout, batch, monkeypatch):
@@ -397,7 +251,7 @@ class TestAgainstPerSampleRows:
         rng = np.random.default_rng(17)
         ids = np.asarray(ds.splits.train)
         if batch:
-            ids = np.sort(rng.choice(ids, size=7, replace=False))
+            ids = np.sort(rng.choice(ids, size=batch, replace=False))
         tasks = rng.integers(0, 2, size=ids.size)
         hgnn = HGNNParams.init([6, 8, ds.num_classes], stream(1, "init-w"), stream(1, "init-a"))
         mwn = MWNParams.init(2, hidden=8, mode=mode, rng=stream(1, "init-mwn"))
@@ -571,7 +425,7 @@ class TestPinnedStep:
     def test_meta_gradient_refuses_a_pinned_cache(self):
         g, X, y, hgnn, mwn, ids, tasks = width2_instance(seed=10)
         w_hat, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1=0.01, pin_alpha=0.3)
-        with pytest.raises(ContractError, match="per-sample gradients"):
+        with pytest.raises(ContractError, match="probe tape of a weight-net step"):
             meta_gradient(g, X, y, w_hat, cache, np.array([0, 3]), mwn, lam1=0.01)
 
 
