@@ -71,6 +71,16 @@ class TestBasicGradients:
         expected = (np.full(u.shape, 0.3) + h) + u * T._d_elu(u, h)
         assert tape.backward(loss)["u"].tobytes() == expected.tobytes()
 
+    @pytest.mark.bitwise
+    def test_a_scalar_loss_seeded_with_ones_keeps_the_unseeded_bits(self):
+        tape = Tape()
+        u = tape.param("u", np.random.default_rng(37).normal(size=(60, 3)))
+        loss = T.scale(T.sum_all(T.row_sum(T.gather_rows(u, [3, 41]))), 0.5)
+        unseeded = tape.backward(loss)["u"]
+        assert np.count_nonzero(unseeded.any(axis=1)) == 2
+        assert tape.backward(loss, np.ones((1, 1)))["u"].tobytes() == unseeded.tobytes()
+        assert tape.backward(loss, np.ones((1, 1, 1)))["u"][0].tobytes() == unseeded.tobytes()
+
     def test_repeated_backward_calls_are_independent(self):
         tape, ts = _param_tape(w=np.array([[1.0, 2.0]]))
         loss = T.sum_all(ts["w"])
@@ -292,6 +302,28 @@ class TestGroupedSums:
         weighted = np.zeros(num_segments)
         weighted[unique] = np.add.reduceat((upstream * out)[order, 0], starts)
         return out, out * (upstream - weighted[ids][:, None])
+
+    def test_a_hub_run_among_short_ones_sums_as_reduceat(self):
+        """One run of 2000 rows among 3000 of one to three: split levels next to thousands of tail-only leaves."""
+        rng = np.random.default_rng(36)
+        ids = rng.permutation(np.r_[np.repeat(np.arange(3000), rng.integers(1, 4, size=3000)), np.full(2000, 3000)])
+        values = _signed_zero_values(rng, ids.size, 4)
+        assert T._RunIndex(ids).sum_into(values, 3001).tobytes() == _reduceat_sum(ids, values, 3001).tobytes()
+        # a sparse seed, as one sample's gradient is: every eighth row of the short runs, and a few of the hub's
+        live = np.r_[np.flatnonzero(ids < 3000)[::8], np.flatnonzero(ids == 3000)[:5]]
+        seed = np.zeros((ids.size, 4))
+        seed[live] = rng.normal(size=(live.size, 4))
+        tape = Tape()
+        u = tape.param("u", rng.normal(size=(3001, 4)))
+        grad = tape.backward(T.gather_rows(u, ids), seed)["u"]
+        assert grad.tobytes() == _reduceat_sum(ids, seed, 3001).tobytes()
+        scores = rng.normal(size=(ids.size, 1)) * 3.0
+        tape = Tape()
+        soft = T.segment_softmax(tape.param("s", scores), ids)
+        d_scores = tape.backward(soft, seed[:, :1])["s"]
+        ref_out, ref_grad = self._reduceat_softmax(scores[:, 0], ids, seed[:, :1])
+        assert soft.data.tobytes() == ref_out.tobytes()
+        assert d_scores.tobytes() == ref_grad.tobytes()
 
     def test_gathered_segment_mean_equals_taped_composition(self):
         rng = np.random.default_rng(34)
@@ -737,6 +769,39 @@ class TestJvp:
         w2 = alone.param("w", w.data)
         expected = T.add(T.elu(T.matmul(x, w2)), T.sigmoid(T.matmul(x, w2)))
         np.testing.assert_array_equal(tangent, alone.jvp([expected], t)[0])
+
+
+class TestUnitSeeds:
+    """A stack of unit seeds, as the per-sample reference rows take it, through each primitive."""
+
+    TOLERANCE = 1e-12
+
+    @pytest.mark.parametrize("name", sorted(TestTangentRules.CASES))
+    def test_unit_seed_rows_are_the_jacobian_the_tangent_rules_give(self, name):
+        shapes, op = TestTangentRules.CASES[name]
+        rng = np.random.default_rng(8)
+        tape = Tape()
+        inputs = {key: tape.param(key, rng.uniform(-0.9, 2.0, shape)) for key, shape in shapes.items()}
+        # elu on top: every seed passes a derivative factor that all the sweeps share
+        out = T.elu(op(inputs, np.random.default_rng(58)))
+        m = out.data.size
+        rows = tape.backward(out, np.eye(m).reshape(m, *out.shape))
+        for key, shape in shapes.items():
+            jacobian = rows[key].reshape(m, -1)
+            assert np.any(jacobian)
+            columns = []
+            for j in range(jacobian.shape[1]):
+                t = np.zeros(jacobian.shape[1])
+                t[j] = 1.0
+                (tangent,) = tape.jvp([out], {key: t.reshape(shape)})
+                columns.append(tangent.ravel())
+            np.testing.assert_allclose(
+                jacobian, np.stack(columns, axis=1), rtol=0, atol=self.TOLERANCE * np.abs(jacobian).max()
+            )
+        # each unit seed of the stack keeps the bits of its own pass
+        for i in rng.choice(m, size=min(m, 3), replace=False):
+            alone = tape.backward(out, np.eye(m)[i].reshape(out.shape))
+            assert all(rows[key][i].tobytes() == alone[key].tobytes() for key in shapes)
 
 
 @pytest.mark.bitwise

@@ -176,6 +176,54 @@ class TestPerSampleRowCheck:
         assert set(report) == {"ss", "fs"} and max(report.values()) <= 1e-7
 
 
+@pytest.fixture(scope="module")
+def shaped_datasets():
+    """The desk dataset and the Cora-CA-shaped one, each generated once for this module."""
+    coraca = SyntheticSpec(nodes=2708, hyperedges=1072, dim=1433, classes=7)
+    return {"desk": generate_synthetic(SyntheticSpec(), 0), "coraca": generate_synthetic(coraca, 0)}
+
+
+class TestReferenceRowsAtScale:
+    """The per-sample reference rows on the desk graph and at Cora-CA shape, against what a step computes."""
+
+    # of |G| @ |t| and of the rows' absolute sum: rounding in any summation order is proportional to them
+    TOLERANCE = 1e-12
+
+    @staticmethod
+    def _taped(ds, ids):
+        hgnn = HGNNParams.init([ds.features.shape[1], 64, ds.num_classes], stream(0, "init-w"), stream(0, "init-a"))
+        return (*taped_losses(ds.graph, ds.features, ds.labels, np.asarray(ids), hgnn), hgnn)
+
+    @pytest.mark.parametrize("samples", [1, 6, 16])
+    def test_rows_along_a_direction_are_the_tangent_of_the_loss_column(self, samples, shaped_datasets):
+        # the meta step takes g_meta . g_j from one tangent sweep; the rows are its reference
+        for ds in shaped_datasets.values():
+            tape, graphs, hgnn = self._taped(ds, ds.splits.train[:samples])
+            rng = np.random.default_rng(samples)
+            t = rng.normal(size=hgnn.flatten().size)
+            tangents, offset = {}, 0
+            for name, arr in hgnn.param_items():
+                tangents[name] = t[offset : offset + arr.size].reshape(arr.shape)
+                offset += arr.size
+            for graph in graphs:
+                rows = trainer._grad_rows(graph, tape, hgnn, per_sample=True)
+                assert rows.shape == (samples, t.size) and np.all(np.any(rows, axis=1))
+                (tangent,) = tape.jvp([graph.loss_vec], tangents)
+                bound = self.TOLERANCE * (np.abs(rows) @ np.abs(t))
+                assert np.all(np.abs(rows @ t - tangent[:, 0]) <= bound), graph.branch
+
+    def test_ones_seed_is_the_sum_of_the_per_sample_rows(self, shaped_datasets):
+        # the whole training split on the desk graph, as a pinned step seeds it; 16 samples at Cora-CA shape
+        for name, ds in shaped_datasets.items():
+            ids = ds.splits.train if name == "desk" else ds.splits.train[:16]
+            tape, graphs, hgnn = self._taped(ds, ids)
+            for graph in graphs:
+                rows = trainer._grad_rows(graph, tape, hgnn, per_sample=True)
+                (total,) = trainer._grad_rows(graph, tape, hgnn, per_sample=False)
+                bound = self.TOLERANCE * np.abs(rows).sum(axis=0)
+                assert np.all(np.abs(total - rows.sum(axis=0)) <= bound), (name, graph.branch)
+
+
 # of each entry's scale: a seeded backward pass adds the samples' terms in another order than a sum of their rows
 STEP_TOLERANCE = 1e-12
 
