@@ -16,15 +16,16 @@ consumed by the feature branch.
 
 Layer 0 reads the raw input features, a constant that never receives a
 gradient. One forward (``_forward_t``) serves every caller: it computes the
-layer-0 hyperedge means and the products ``X @ W0`` and ``means(X) @ W0``
-once for all the branches it runs, and on a tape each branch still records
-its own two layer-0 ``matmul`` nodes with those values, so the record
-sequence and every gradient are those of separate branches. ``forward`` and
-``build_branch_graph`` are its one-branch cases. Values derived from frozen
-arrays (see ``tensor.frozen``) follow the one cache rule of
-``tensor.derived``: the structural coefficients live as long as the graph,
-and the layer-0 means as long as both the graph and frozen features
-(``Dataset.features`` is frozen).
+layer-0 hyperedge means and records the products ``X @ W0`` and
+``means(X) @ W0`` once for all the branches it runs, and every branch reads
+those two nodes. A backward sweep seeded at both branches' losses thus adds
+what reaches each node and multiplies by ``X.T`` once; a sweep seeded at one
+branch reaches only that branch's records, so its gradient has the bits of a
+one-branch tape. ``forward`` and ``build_branch_graph`` are its one-branch
+cases. Values derived from frozen arrays (see ``tensor.frozen``) follow the
+one cache rule of ``tensor.derived``: the structural coefficients live as
+long as the graph, and the layer-0 means as long as both the graph and
+frozen features (``Dataset.features`` is frozen).
 """
 
 from __future__ import annotations
@@ -239,11 +240,8 @@ def _forward_t(
 ) -> Iterator[Tensor]:
     """The last hidden layer of each branch for the constant input ``X``, yielded in turn.
 
-    ``X @ W0`` and ``means(X) @ W0`` are computed once for all branches, and
-    each branch records its own two layer-0 ``matmul`` nodes with those
-    values. A caller that records a branch's loss head before asking for the
-    next branch gets the record sequence, and so every gradient, of separate
-    passes.
+    ``X @ W0`` and ``means(X) @ W0`` are recorded once, before any branch,
+    and every branch reads those two nodes.
     """
     unknown = [branch for branch in branches if branch not in BRANCHES]
     if unknown:
@@ -251,17 +249,16 @@ def _forward_t(
     x = T.as_tensor(X)
     if x.shape[0] != g.num_nodes:
         raise ContractError("X must have one row per node")
-    # both are finite already, so they are wrapped without another scan; an
-    # untracked W0 makes the shared products record nothing
-    means, w0 = Tensor(_input_edge_means(g, x.data)), Tensor(weights[0].data)
-    x_w0, means_w0 = T.matmul(x, w0).data, T.matmul(means, w0).data
+    # finite already, so it is wrapped without another scan
+    means = Tensor(_input_edge_means(g, x.data))
+    x_w0, means_w0 = T.matmul(x, weights[0]), T.matmul(means, weights[0])
     last = len(weights) - 1
     for branch in branches:
         if branch == "ss":
             coeff = T.as_tensor(T.column(ss_coefficients(g)))
         for t, (w, a) in enumerate(zip(weights, attn)):
             if t == 0:
-                hw, ew = T.matmul(x, w, x_w0), T.matmul(means, w, means_w0)
+                hw, ew = x_w0, means_w0
             else:
                 edge_feats = _edge_means_t(g, h)
                 hw, ew = T.matmul(h, w), T.matmul(edge_feats, w)
@@ -338,9 +335,8 @@ def build_branch_graphs(
 
     ``y_onehot`` must carry one row per eval id. Parameters are passed as
     tape tensors so the branches share one tape, and therefore accumulate
-    gradients into the same shared weights. The layer-0 products are computed
-    once for all branches; each branch records the same nodes, in the same
-    order and with the same backward closures, as on its own.
+    gradients into the same shared weights. The branches read one pair of
+    layer-0 product nodes, recorded before either branch.
     """
     eval_ids = np.asarray(eval_ids, dtype=np.int64)
     if y_onehot.shape[0] != eval_ids.size:

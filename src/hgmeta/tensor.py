@@ -22,15 +22,17 @@ is dropped when any of them dies. The finiteness verdicts, the run indexes
 below, a graph's structural coefficients and the layer-0 hyperedge means of
 the input features (keyed on the graph and the features) are kept this way.
 
-``matmul`` accepts a product computed ahead (the layer-0 projections that
-both branches share). The elementwise derivative factors of ``elu`` and
-``leaky_relu`` are built once with a tracked node and reused by every
-backward pass and tangent sweep through it, so repeated sweeps do not
-rebuild them; ``segment_mean`` divides by each segment's
-count before it spreads the gradient over the segment's rows.
+The elementwise derivative factors of ``elu`` and ``leaky_relu`` are built
+once with a tracked node and reused by every backward pass and tangent sweep
+through it, so repeated sweeps do not rebuild them; ``segment_mean`` divides
+by each segment's count before it spreads the gradient over the segment's
+rows.
 
-``Tape.backward`` also takes a stack of seeds and sweeps the records once
-per seed, each sweep with the bits of a backward pass on that seed alone.
+``Tape.backward`` sweeps the records once from one seeded output or from
+several. Reverse mode is linear in its seed, so one sweep seeded at two loss
+columns gives the sum of the two single-root sweeps, and a record that both
+reach (such as a layer-0 product that both classifier branches read) runs
+its backward rule once, on the sum of what reaches it.
 
 ``Tape.jvp`` runs forward mode: one sweep in record order carries the
 tangent of every node along a direction in parameter space, with no forward
@@ -38,9 +40,7 @@ re-run. Each record holds a tangent rule next to its backward rule. The
 rule reuses the operand values, dropout masks and derivative factors the
 node already holds. A missing tangent counts as zero: a
 constant, such as the labels, contributes none, and a record none of whose
-inputs has a tangent is skipped. A constant times a node's tangent is
-computed once per sweep however many records multiply the two, as the
-forward computes the layer-0 products once for both branches. So one sweep
+inputs has a tangent is skipped. So one sweep
 gives ``J t`` for a whole loss column, the dot product of ``t`` with every
 sample's gradient, at about the cost of a forward pass, where the rows
 themselves take one backward sweep per sample.
@@ -93,8 +93,6 @@ class Tape:
         self._records: list[tuple[int, tuple[int | None, ...], GradFn, TangentFn]] = []
         # (idx, shape) only: holding the Tensors would make a cycle through Tensor.tape
         self._params: dict[str, tuple[int, tuple[int, ...]]] = {}
-        # products shared by several tangent rules within one ``jvp`` sweep (see ``matmul``)
-        self._shared: dict[tuple[int, int], Array] = {}
 
     def _new_idx(self) -> int:
         idx = self._next_idx
@@ -124,43 +122,48 @@ class Tape:
         return out
 
     def backward(
-        self, output: Tensor, seed: Array | None = None, out: dict[str, Array] | None = None
+        self, output: Tensor | Sequence[tuple[Tensor, Array | None]], seed: Array | None = None
     ) -> dict[str, Array]:
-        """Gradients of ``output`` w.r.t. every registered parameter.
+        """Gradients of the seeded outputs w.r.t. every registered parameter, from one reverse sweep.
 
-        Without a seed the output must be scalar; a seed array of the
+        ``output`` is one tensor with its ``seed``, or a sequence of
+        ``(output, seed)`` pairs, the roots of the sweep. A seed array of its
         output's shape differentiates the corresponding weighted sum of
-        output entries. A stack of seeds, shape ``(s, *output.shape)``,
-        gives every parameter an ``(s, *shape)`` stack of gradients, each
-        with the bits of a backward pass on that seed alone; ``out``, when
-        given, holds those stacks and is filled in place.
+        output entries; without a seed the output must be scalar. Several
+        roots give the gradient of the sum of their weighted sums, and seeds
+        of one output add up.
         """
-        if output.tape is not self:
-            raise ContractError("output does not belong to this tape")
-        if seed is None:
-            if output.shape != (1, 1):
-                raise ContractError(f"backward without seed needs a scalar, got shape {output.shape}")
-            seeds = np.ones((1, 1))
-        else:
-            seeds = np.asarray(seed, dtype=np.float64)
-            if seeds.ndim not in (2, 3) or seeds.shape[-2:] != output.shape:
-                raise ContractError(
-                    f"seed of shape {seeds.shape} for an output of shape {output.shape}: "
-                    f"expected {output.shape} or (seeds, *{output.shape})"
-                )
-        if output.idx is None:
-            raise ContractError("cannot differentiate an untracked constant")
-        stacked = seeds.ndim == 3
-        seeds = seeds if stacked else seeds[None]
-        if out is None:
-            out = {name: np.empty((seeds.shape[0], *shape)) for name, (_, shape) in self._params.items()}
-        else:
-            for name, (_, shape) in self._params.items():
-                given = out[name].shape if name in out else None
-                if given != (seeds.shape[0], *shape):
-                    raise ContractError(f"out[{name!r}] has shape {given}, expected {(seeds.shape[0], *shape)}")
-        self._sweep_stack(output.idx, seeds, out)
-        return out if stacked else {name: grads[0] for name, grads in out.items()}
+        roots = [(output, seed)] if isinstance(output, Tensor) else output
+        if seed is not None and not isinstance(output, Tensor):
+            raise ContractError("several roots carry their seeds in their (output, seed) pairs")
+        grads: dict[int, Array] = {}
+        for root, root_seed in roots:
+            if root.tape is not self:
+                raise ContractError("output does not belong to this tape")
+            if root_seed is None:
+                if root.shape != (1, 1):
+                    raise ContractError(f"backward without seed needs a scalar, got shape {root.shape}")
+                root_seed = np.ones((1, 1))
+            else:
+                root_seed = np.asarray(root_seed, dtype=np.float64)
+                if root_seed.shape != root.shape:
+                    raise ContractError(
+                        f"seed of shape {root_seed.shape} for an output of shape {root.shape}: expected {root.shape}"
+                    )
+            if root.idx is None:
+                raise ContractError("cannot differentiate an untracked constant")
+            grads[root.idx] = root_seed if root.idx not in grads else grads[root.idx] + root_seed
+        for out_idx, in_idxs, grad_fn, _ in reversed(self._records):
+            g = grads.pop(out_idx, None)
+            if g is None:
+                continue
+            for idx, gi in zip(in_idxs, grad_fn(g)):
+                if idx is not None and gi is not None:
+                    grads[idx] = gi if idx not in grads else grads[idx] + gi
+        # copies: a rule may hand one array to several inputs, and a parameter root's gradient is its seed
+        return {
+            name: grads[idx].copy() if idx in grads else np.zeros(shape) for name, (idx, shape) in self._params.items()
+        }
 
     def jvp(self, outputs: Sequence[Tensor], tangents: dict[str, Array]) -> list[Array]:
         """Tangents of ``outputs`` along the parameter direction ``tangents``, from one forward-mode sweep.
@@ -189,34 +192,14 @@ class Tape:
             live[idx] = value
         wanted = {t.idx for t in outputs}
         last_read = {idx: i for i, (_, in_idxs, *_) in enumerate(self._records) for idx in in_idxs}
-        self._shared.clear()
-        try:
-            for i, (out_idx, in_idxs, _, tangent_fn) in enumerate(self._records):
-                ts = [live.get(idx) for idx in in_idxs]
-                if any(t is not None for t in ts):
-                    live[out_idx] = tangent_fn(*ts)
-                for idx in in_idxs:
-                    if last_read[idx] == i and idx not in wanted:
-                        live.pop(idx, None)
-        finally:
-            self._shared.clear()
+        for i, (out_idx, in_idxs, _, tangent_fn) in enumerate(self._records):
+            ts = [live.get(idx) for idx in in_idxs]
+            if any(t is not None for t in ts):
+                live[out_idx] = tangent_fn(*ts)
+            for idx in in_idxs:
+                if last_read[idx] == i and idx not in wanted:
+                    live.pop(idx, None)
         return [live[t.idx] if t.idx in live else np.zeros(t.shape) for t in outputs]
-
-    def _sweep_stack(self, root: int, seeds: Array, out: dict[str, Array]) -> None:
-        """One reverse sweep per seed, writing seed i's gradients into ``out[name][i]``."""
-        params = {idx: name for name, (idx, _) in self._params.items()}
-        records = self._records[::-1]
-        for i, seed in enumerate(seeds):
-            grads: dict[int, Array] = {root: seed}
-            for out_idx, in_idxs, grad_fn, _ in records:
-                g = grads.pop(out_idx, None)
-                if g is None:
-                    continue
-                for idx, gi in zip(in_idxs, grad_fn(g)):
-                    if idx is not None and gi is not None:
-                        grads[idx] = gi if idx not in grads else grads[idx] + gi
-            for idx, name in params.items():
-                out[name][i] = grads.get(idx, 0.0)
 
 
 GradFn = Callable[[Array], Sequence[Array | None]]
@@ -284,36 +267,19 @@ def column(values) -> Array:
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor, product: Array | None = None) -> Tensor:
-    """``a @ b``; ``product``, when given, is that value already computed.
-
-    A product shared by several nodes (the layer-0 projections of both
-    branches) is computed once, while each node still records its own
-    backward closure.
-    """
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ContractError(f"matmul shape mismatch {a.shape} @ {b.shape}")
     av, bv = a.data, b.data
-    if product is None:
-        product = av @ bv
-    elif product.shape != (a.shape[0], b.shape[1]):
-        raise ContractError(f"matmul product of shape {product.shape} given for {a.shape} @ {b.shape}")
     grad_a, grad_b = a.idx is not None, b.idx is not None
-    # a constant times a node's tangent is the same for every record that multiplies the two (the
-    # branches' layer-0 products), so one jvp sweep computes it once
-    shared, key = (b.tape._shared, (id(av), b.idx)) if grad_b and not grad_a else (None, None)
 
     def grad(g: Array):
         return (g @ bv.T if grad_a else None), (av.T @ g if grad_b else None)
 
     def tangent(ta: Array | None, tb: Array | None):
-        if shared is None:
-            return _plus(None if ta is None else ta @ bv, None if tb is None else av @ tb)
-        if key not in shared:
-            shared[key] = av @ tb
-        return shared[key]
+        return _plus(None if ta is None else ta @ bv, None if tb is None else av @ tb)
 
-    return _emit("matmul", product, (a, b), grad, tangent)
+    return _emit("matmul", av @ bv, (a, b), grad, tangent)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -7,8 +7,8 @@ sample j's loss in each branch:
 1. probe step: the per-sample losses of both branches at w give (alpha,
    beta) from the current Theta, and the intermediate
    w_hat = w - lr1 * sum_j (alpha_j g1_j + beta_j g2_j) takes one backward
-   pass per branch on the probe tape, seeded with the alpha column and the
-   beta column: no g_j is formed;
+   sweep of the probe tape, seeded with the alpha column at the structural
+   loss column and the beta column at the feature one: no g_j is formed;
 2. weight-net step: Theta moves along the analytic gradient of the meta-set
    loss at w_hat. Because w_hat is linear in each alpha_j and beta_j, that
    gradient is exactly
@@ -20,17 +20,16 @@ sample j's loss in each branch:
    beta_j = 1 - alpha_j and the sum folds into one term with
    gbar_j = gbar1_j - gbar2_j;
 3. commit step: recompute (alpha, beta) under the new Theta and reseed the
-   probe tape's two backward passes with them, so the gradients are still
-   evaluated at w.
+   probe tape's sweep with them, so the gradients are still evaluated at w.
 
 A weight-net step thus costs a fixed number of sweeps over the graph,
 whatever n_train is, and holds O(P) of gradients, never an (n, P) matrix.
-The per-sample rows (``_grad_rows`` with unit seeds) stay as the reference
-that tests compare against. A pinned alpha is shared by every sample and
-factors out: each branch keeps one row, its ones-seeded sum, the probe tape
-is dropped, step 2 is skipped, and probe and commit add the weighted rows
-(``_weighted_grad_sum``). All reductions are fixed-order, so runs are
-bit-reproducible.
+The per-sample rows (``_grad_rows``, one unit-seeded sweep per sample) stay
+as the reference that tests compare against. A pinned alpha is the constant
+seed (alpha, 1 - alpha) of the same sweep. It cannot change between probe
+and commit, so the probe's gradient serves both: the probe tape is dropped
+after the probe and step 2 is skipped. All reductions are fixed-order, so
+runs are bit-reproducible.
 
 A step that fails leaves the state as the step before left it: the new
 weight net and the Adam moments are stored only once the new classifier is
@@ -162,9 +161,9 @@ class StepCache:
 
     When the weight net trains, ``graphs`` holds the probe tape's two loss
     graphs, which probe and commit reseed and the meta step sweeps forward.
-    When alpha is pinned, ``grads1`` and ``grads2`` hold each branch's one
-    ones-seeded gradient row, (1, P), since a weight every sample shares
-    factors out, and ``graphs`` is None.
+    When alpha is pinned, ``graphs`` is None and ``grad`` holds the probe's
+    step gradient, which the commit applies again. ``grads1`` and ``grads2``
+    are never set; ``perfbench`` still reads them.
     """
 
     ids: Array
@@ -174,34 +173,23 @@ class StepCache:
     alpha: Array
     beta: Array
     w_vec: Array
-    grads1: Array | None  # structural branch
-    grads2: Array | None  # feature branch
+    grads1: Array | None = None
+    grads2: Array | None = None
     graphs: tuple[BranchGraph, BranchGraph] | None = None
+    grad: Array | None = None
 
 
 def _flatten_grads(grads: dict[str, Array], params: HGNNParams | MWNParams) -> Array:
     return np.concatenate([grads[name].ravel() for name, _ in params.param_items()])
 
 
-def _grad_rows(graph: BranchGraph, tape: Tape, params: HGNNParams, per_sample: bool) -> Array:
-    """Gradient rows of ``graph``'s loss column: one per sample, or their one sum.
+def _grad_rows(graph: BranchGraph, tape: Tape, params: HGNNParams) -> Array:
+    """One gradient row per sample of ``graph``'s loss column, each from a unit-seeded sweep.
 
-    Unit seeds give the per-sample rows, the reference the weight-net step
-    is checked against; a ones seed gives the sum a pinned step keeps.
+    These are the reference the weight-net step is checked against.
     """
-    n = graph.loss_vec.shape[0]
-    return _seeded_rows(graph, tape, params, np.eye(n).reshape(n, n, 1) if per_sample else np.ones((1, n, 1)))
-
-
-def _seeded_rows(graph: BranchGraph, tape: Tape, params: HGNNParams, seeds: Array) -> Array:
-    """One flat gradient row per seed of the (s, n, 1) stack, filled in place by one backward call."""
-    rows = np.empty((seeds.shape[0], params.flatten().size))
-    views, offset = {}, 0
-    for name, arr in params.param_items():
-        views[name] = rows[:, offset : offset + arr.size].reshape(-1, *arr.shape)
-        offset += arr.size
-    tape.backward(graph.loss_vec, seeds, out=views)
-    return rows
+    seeds = np.eye(graph.loss_vec.shape[0])[:, :, None]
+    return np.stack([_flatten_grads(tape.backward(graph.loss_vec, seed), params) for seed in seeds])
 
 
 def _blend_weights(l1: Array, l2: Array, tasks: Array, mwn: MWNParams, pin_alpha: float | None) -> tuple[Array, Array]:
@@ -215,32 +203,12 @@ def _blend_weights(l1: Array, l2: Array, tasks: Array, mwn: MWNParams, pin_alpha
 def _step_gradient(alpha: Array, beta: Array, cache: StepCache, params: HGNNParams, weight_decay: float) -> Array:
     """sum_j (alpha_j g1_j + beta_j g2_j) plus weight decay, the gradient probe and commit apply.
 
-    With the probe tape kept, each branch's term is one backward pass seeded
-    with its weight column; a pinned cache adds its rows.
+    One backward sweep of the probe tape, seeded with the alpha column at
+    the structural loss column and the beta column at the feature one.
     """
-    if cache.graphs is None:
-        return _weighted_grad_sum(alpha, beta, cache, weight_decay)
-    (ss, fs), n = cache.graphs, alpha.size
-    total = _seeded_rows(ss, ss.tape, params, alpha.reshape(1, n, 1))[0]
-    total += _seeded_rows(fs, fs.tape, params, beta.reshape(1, n, 1))[0]
-    if weight_decay:
-        total += weight_decay * cache.w_vec
-    return total
-
-
-def _weighted_grad_sum(alpha: Array, beta: Array, cache: StepCache, weight_decay: float) -> Array:
-    """sum_j (alpha_j g1_j + beta_j g2_j) over the cached rows, plus weight decay.
-
-    Adding row by row into +0.0 is what ``.sum(axis=0)`` of the weighted
-    matrix does, so the bits match it. One pinned row takes alpha[0], beta[0].
-    """
-    p = cache.grads1.shape[1]
-    total, row, term2 = np.zeros(p), np.empty(p), np.empty(p)
-    for a, b, g1, g2 in zip(alpha, beta, cache.grads1, cache.grads2):
-        np.multiply(a, g1, out=row)
-        np.multiply(b, g2, out=term2)
-        row += term2
-        total += row
+    ss, fs = cache.graphs
+    grads = ss.tape.backward([(ss.loss_vec, alpha[:, None]), (fs.loss_vec, beta[:, None])])
+    total = _flatten_grads(grads, params)
     if weight_decay:
         total += weight_decay * cache.w_vec
     return total
@@ -269,16 +237,13 @@ def intermediate_update(
     weight_decay: float = 0.0,
     dropout_masks: list[Array] | None = None,
 ) -> tuple[HGNNParams, StepCache]:
-    """Step 1: per-sample losses at w, the probe tape or the pinned rows, and the probe parameters w_hat."""
-    tape, (graph_ss, graph_fs) = taped_losses(g, X, y, ids, hgnn, dropout_masks)
+    """Step 1: per-sample losses at w, the probe tape, and the probe parameters w_hat.
+
+    A pinned cache keeps the step gradient in place of the probe tape.
+    """
+    _, (graph_ss, graph_fs) = taped_losses(g, X, y, ids, hgnn, dropout_masks)
     l1 = graph_ss.loss_vec.data[:, 0].copy()
     l2 = graph_fs.loss_vec.data[:, 0].copy()
-    if pin_alpha is None:
-        grads1 = grads2 = None
-    else:
-        # the tape is not kept: each branch keeps its one ones-seeded row
-        grads1 = _grad_rows(graph_ss, tape, hgnn, per_sample=False)
-        grads2 = _grad_rows(graph_fs, tape, hgnn, per_sample=False)
     tasks = np.asarray(tasks, dtype=np.int64)
     alpha, beta = _blend_weights(l1, l2, tasks, mwn, pin_alpha)
     cache = StepCache(
@@ -289,11 +254,12 @@ def intermediate_update(
         alpha=alpha,
         beta=beta,
         w_vec=hgnn.flatten(),
-        grads1=grads1,
-        grads2=grads2,
-        graphs=(graph_ss, graph_fs) if pin_alpha is None else None,
+        graphs=(graph_ss, graph_fs),
     )
-    w_hat_vec = cache.w_vec - lam1 * _step_gradient(alpha, beta, cache, hgnn, weight_decay)
+    grad = _step_gradient(alpha, beta, cache, hgnn, weight_decay)
+    if pin_alpha is not None:
+        cache.graphs, cache.grad = None, grad
+    w_hat_vec = cache.w_vec - lam1 * grad
     if not np.all(np.isfinite(w_hat_vec)):
         raise NumericsError("non-finite probe parameters")
     return hgnn.with_vec(w_hat_vec), cache
@@ -364,13 +330,14 @@ def external_update(
 ) -> tuple[HGNNParams, Array, Array]:
     """Step 3: reweight the gradients under the new Theta and commit.
 
-    The probe tape is reseeded with the new weights (a pinned cache reweights
-    its rows), so gradients stay evaluated at the pre-step w. Returns the new
-    parameters, the recomputed alpha, and the applied gradient vector.
-    ``adam`` moves only when the new parameters are finite.
+    The probe tape is reseeded with the new weights, so gradients stay
+    evaluated at the pre-step w; a pinned cache applies the probe's gradient
+    again, since its alpha cannot change. Returns the new parameters, the
+    recomputed alpha, and the applied gradient vector. ``adam`` moves only
+    when the new parameters are finite.
     """
     alpha, beta = _blend_weights(cache.l1, cache.l2, cache.tasks, mwn_new, pin_alpha)
-    grad = _step_gradient(alpha, beta, cache, hgnn, weight_decay)
+    grad = cache.grad if cache.graphs is None else _step_gradient(alpha, beta, cache, hgnn, weight_decay)
     if adam is None:
         w_vec = cache.w_vec - lam1 * grad
     else:

@@ -8,8 +8,8 @@ each branch's loss column along a random parameter direction
 (``Tape.jvp``, which gives the meta step its signal gbar); and the analytic
 Theta-gradient of the weight-net update, in either output mode, pushed
 through one probe step (perturb Theta, rebuild the probe parameters by the
-probe's own rule, one backward pass per branch on the kept probe tape
-seeded with the blend weights, and re-evaluate the meta loss).
+probe's own rule, one backward sweep of the kept probe tape seeded with the
+blend weights at both loss columns, and re-evaluate the meta loss).
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def per_sample_row_check(hidden: int = 4, seed: int = 0, eps: float = 1e-5, samp
     tape, graphs = taped_losses(g, X, y, ids, hgnn)
     report = {}
     for branch, graph in zip(BRANCHES, graphs):
-        row = _grad_rows(graph, tape, hgnn, per_sample=True)[sample]
+        row = _grad_rows(graph, tape, hgnn)[sample]
 
         def loss_at(vec: Array, branch=branch) -> float:
             out = branch_losses(g, X, y, hgnn.with_vec(vec), ids)

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hgmeta import model
+from hgmeta import model, trainer
 from hgmeta import tensor as T
 from hgmeta.data import SyntheticSpec, generate_synthetic
 from hgmeta.hypergraph import Hypergraph
@@ -15,7 +21,6 @@ from hgmeta.model import (
     aggregate_hyperedges,
     branch_losses,
     build_branch_graph,
-    build_branch_graphs,
     ce_loss,
     forward,
     fs_coefficients,
@@ -23,12 +28,14 @@ from hgmeta.model import (
     one_hot,
     register_params,
     ss_coefficients,
+    taped_losses,
 )
 from hgmeta.rng import stream
 from hgmeta.tensor import Tape
 from hgmeta.verify import hgnn_gradient_check
 
 from conftest import random_hypergraph
+from test_trainer import reference_per_sample_grads
 
 
 def pair_edge() -> Hypergraph:
@@ -333,7 +340,11 @@ class TestInputMeansCache:
 
 @pytest.mark.bitwise
 class TestSharedLayer0:
-    """Both branches of a pass share the layer-0 products of the constant input."""
+    """Both branches of a pass read one pair of layer-0 product nodes of the constant input."""
+
+    # of the largest entry of |A| + |B| in each parameter: the joint sweep adds the two
+    # branches' gradients before a product, where the single-root sweeps add after it
+    JOINT_TOLERANCE = 1e-12
 
     @staticmethod
     def _instance(seed: int, layers: int, frozen: bool):
@@ -345,71 +356,101 @@ class TestSharedLayer0:
             X = np.frombuffer(X.tobytes()).reshape(n, 5)
         masks = [(rng.random((n, 4)) < 0.7) / 0.7 for _ in range(layers - 1)]
         ids = np.sort(rng.choice(n, size=min(n, 6), replace=False))
-        onehot = one_hot(rng.integers(0, 3, size=ids.size), 3)
-        return g, X, random_params([5] + [4] * (layers - 1) + [3], seed=seed), masks, ids, onehot
-
-    @staticmethod
-    def _graphs(g, X, params, masks, ids, onehot, shared: bool):
-        tape = Tape()
-        weights, attn = register_params(tape, params)
-        if shared:
-            graphs = build_branch_graphs(g, X, onehot, ids, tape, weights, attn, masks)
-        else:
-            graphs = tuple(build_branch_graph(g, X, onehot, ids, b, tape, weights, attn, masks) for b in ("ss", "fs"))
-        return tape, graphs
-
-    @staticmethod
-    def _layer0_outputs(monkeypatch, w0: np.ndarray) -> list:
-        """Records the output of every matmul node of a branch with ``w0`` on its right."""
-        outputs, matmul = [], T.matmul
-
-        def recording(a, b, product=None):
-            out = matmul(a, b, product)
-            if b.data is w0 and (b.idx is not None or product is not None):
-                outputs.append(out)
-            return out
-
-        monkeypatch.setattr(T, "matmul", recording)
-        return outputs
+        y = rng.integers(0, 3, size=n)
+        return g, X, y, random_params([5] + [4] * (layers - 1) + [3], seed=seed), masks, ids
 
     @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "writeable"])
-    def test_taped_branches_share_the_values_and_record_their_own_nodes(self, monkeypatch, frozen):
-        g, X, params, masks, ids, onehot = self._instance(31, 2, frozen)
-        outputs = self._layer0_outputs(monkeypatch, params.weights[0])
-        self._graphs(g, X, params, masks, ids, onehot, shared=True)
-        ss_hw, ss_ew, fs_hw, fs_ew = outputs
-        assert fs_hw.data is ss_hw.data and fs_ew.data is ss_ew.data
-        assert len({ss_hw.idx, ss_ew.idx, fs_hw.idx, fs_ew.idx}) == 4
+    def test_taped_branches_read_two_layer0_nodes_on_w0(self, frozen):
+        g, X, y, params, masks, ids = self._instance(31, 2, frozen)
+        tape, (ss, fs) = taped_losses(g, X, y, ids, params, masks)
+        w0 = tape._params["w0"][0]
+        layer0 = [i for i, (_, in_idxs, *_) in enumerate(tape._records) if w0 in in_idxs]
+        assert layer0 == [0, 1] and all(tape._records[i][1] == (None, w0) for i in layer0)
+        ran = []
+        for i in layer0:
+            out, in_idxs, grad_fn, tangent_fn = tape._records[i]
+            tape._records[i] = (out, in_idxs, lambda g, i=i, fn=grad_fn: ran.append(i) or fn(g), tangent_fn)
+        seed = np.ones((ids.size, 1))
+        # each branch reaches both nodes, and a joint sweep runs each node's rule once
+        for roots in ([(ss.loss_vec, seed)], [(fs.loss_vec, seed)], [(ss.loss_vec, seed), (fs.loss_vec, seed)]):
+            ran.clear()
+            tape.backward(roots)
+            assert ran == [1, 0]
 
-    def test_untaped_branches_share_the_values_with_the_bits_of_one_branch(self, monkeypatch):
-        g, X, params, _, ids, _ = self._instance(32, 3, frozen=True)
-        outputs = self._layer0_outputs(monkeypatch, params.weights[0])
+    def test_untaped_branches_have_the_bits_of_one_branch(self):
+        g, X, _, params, _, ids = self._instance(32, 3, frozen=True)
         both = model._forward_branches(g, X, params, model.BRANCHES, ids)
-        ss_hw, ss_ew, fs_hw, fs_ew = outputs
-        assert fs_hw.data is ss_hw.data and fs_ew.data is ss_ew.data
         for branch, logits in zip(model.BRANCHES, both):
-            alone = forward(g, X, params, branch, ids)  # its own layer-0 products
-            assert logits.tobytes() == alone.tobytes()
+            assert logits.tobytes() == forward(g, X, params, branch, ids).tobytes()
 
     @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "writeable"])
     @pytest.mark.parametrize("dropout", [False, True], ids=["plain", "dropout"])
     @pytest.mark.parametrize("layers", [2, 3])
-    def test_backward_equals_separate_products_byte_for_byte(self, layers, dropout, frozen):
-        g, X, params, masks, ids, onehot = self._instance(33 + layers, layers, frozen)
-        masks = masks if dropout else None
-        shared_tape, shared = self._graphs(g, X, params, masks, ids, onehot, shared=True)
-        own_tape, own = self._graphs(g, X, params, masks, ids, onehot, shared=False)
-        assert [rec[:2] for rec in shared_tape._records] == [rec[:2] for rec in own_tape._records]
-        seeds = [np.ones((ids.size, 1))] + list(np.eye(ids.size)[:, :, None])
-        for a, b in zip(shared, own):
-            assert a.loss_vec.data.tobytes() == b.loss_vec.data.tobytes()
-            for seed in seeds:
-                _assert_same_bytes(shared_tape.backward(a.loss_vec, seed), own_tape.backward(b.loss_vec, seed))
-        # the meta loss: both branches' gradients meet at the shared weights
-        summed = [
-            tape.backward(T.add(ss.mean_loss, fs.mean_loss)) for tape, (ss, fs) in ((shared_tape, shared), (own_tape, own))
-        ]
-        _assert_same_bytes(*summed)
+    def test_joint_sweep_is_the_sum_of_single_root_sweeps(self, layers, dropout, frozen):
+        g, X, y, params, masks, ids = self._instance(33 + layers, layers, frozen)
+        tape, (ss, fs) = taped_losses(g, X, y, ids, params, masks if dropout else None)
+        rng = np.random.default_rng(layers)
+        a, b = rng.uniform(0.0, 1.0, (2, ids.size, 1))
+        joint = tape.backward([(ss.loss_vec, a), (fs.loss_vec, b)])
+        alone = tape.backward(ss.loss_vec, a), tape.backward(fs.loss_vec, b)
+        for name, value in joint.items():
+            summed = alone[0][name] + alone[1][name]
+            scale = (np.abs(alone[0][name]) + np.abs(alone[1][name])).max()
+            assert np.abs(value - summed).max() <= self.JOINT_TOLERANCE * scale, name
+        # a zero seed at one root leaves the other root's bits, as a pinned alpha of 1 or 0 seeds them
+        ones, zeros = np.ones((ids.size, 1)), np.zeros((ids.size, 1))
+        _assert_same_bytes(tape.backward([(ss.loss_vec, ones), (fs.loss_vec, zeros)]), tape.backward(ss.loss_vec, ones))
+        _assert_same_bytes(tape.backward([(ss.loss_vec, zeros), (fs.loss_vec, ones)]), tape.backward(fs.loss_vec, ones))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        samples=st.integers(1, 11),
+        hidden=st.integers(1, 64),
+        layers=st.integers(1, 3),
+        dropout=st.booleans(),
+    )
+    def test_reference_rows_have_the_bits_of_one_branch_tapes(self, seed, samples, hidden, layers, dropout):
+        rng = np.random.default_rng(seed)
+        g = random_hypergraph(rng, max_nodes=40)
+        dim, classes = int(rng.integers(1, 20)), int(rng.integers(2, 5))
+        X, y = rng.normal(size=(g.num_nodes, dim)), rng.integers(0, classes, size=g.num_nodes)
+        hgnn = HGNNParams.init([dim] + [hidden] * (layers - 1) + [classes], rng, rng)
+        masks = [(rng.random((g.num_nodes, hidden)) < 0.5) / 0.5 for _ in range(layers - 1)] if dropout else None
+        ids = rng.choice(g.num_nodes, size=min(samples, g.num_nodes), replace=False)
+        assert_reference_rows_match(g, X, y, ids, hgnn, masks)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_reference_rows_at_coraca_width_in_a_fresh_process(self, threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(model.__file__).parents[1])}
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1]); from test_model import coraca_reference_rows_match; "
+            "coraca_reference_rows_match(6)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(Path(__file__).parent)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+
+
+def assert_reference_rows_match(g, X, y, ids, hgnn, masks=None):
+    """Each branch's ``_grad_rows`` on the two-branch tape carry the bytes of one-branch tapes, one per sample."""
+    tape, graphs = taped_losses(g, X, y, ids, hgnn, masks)
+    for graph in graphs:
+        rows = trainer._grad_rows(graph, tape, hgnn)
+        expected = reference_per_sample_grads(g, X, y, hgnn, ids, graph.branch, hgnn.out_dim, masks)
+        assert rows.tobytes() == expected.tobytes(), graph.branch
+
+
+def coraca_reference_rows_match(samples: int) -> None:
+    ds = generate_synthetic(SyntheticSpec(nodes=2708, hyperedges=1072, dim=1433, classes=7), 0)
+    hgnn = HGNNParams.init([1433, 64, ds.num_classes], stream(0, "init-w"), stream(0, "init-a"))
+    assert_reference_rows_match(ds.graph, ds.features, ds.labels, np.asarray(ds.splits.train[:samples]), hgnn)
 
 
 def _assert_same_bytes(grads: dict, expected: dict) -> None:
