@@ -612,6 +612,55 @@ class TestSeveralRoots:
         with pytest.raises(ContractError, match="pairs"):
             tape.backward([(out, np.ones((4, 3)))], np.ones((4, 3)))
 
+    @pytest.mark.parametrize("second", ["other-tape", "constant"])
+    def test_a_second_root_off_the_tape_is_refused(self, second):
+        rng = np.random.default_rng(16)
+        tape, out = self._out(rng)
+        stray = self._out(rng)[1] if second == "other-tape" else _const(rng, (4, 3))
+        # a constant belongs to no tape
+        with pytest.raises(ContractError, match="does not belong"):
+            tape.backward([(out, np.ones((4, 3))), (stray, np.ones((4, 3)))])
+
+    @pytest.mark.bitwise
+    def test_one_root_in_a_sequence_keeps_the_bits_of_the_lone_root(self):
+        rng = np.random.default_rng(17)
+        tape, out = self._out(rng)
+        seed = rng.normal(size=(4, 3))
+        assert tape.backward([(out, seed)])["w"].tobytes() == tape.backward(out, seed)["w"].tobytes()
+        loss = T.sum_all(T.elu(out))
+        assert tape.backward([(loss, None)])["w"].tobytes() == tape.backward(loss)["w"].tobytes()
+
+    @staticmethod
+    def _with_signed_zeros(rng, shape):
+        out = rng.normal(size=shape)
+        flat = out.reshape(-1)
+        picks = rng.choice(flat.size, size=min(flat.size, max(2, flat.size // 7)), replace=False)
+        flat[picks[::2]] = 0.0
+        flat[picks[1::2]] = -0.0
+        return out
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize(
+        "n,p",
+        [(1, 2), (2, 3), (3, 17), (5, 4099), (40, 1350), (64, 1001), (131, 64), (542, 40), (4, 92_302)],
+    )
+    def test_column_seeds_weigh_the_rows_of_two_roots(self, n, p):
+        # roots A @ w and B @ w have the per-sample gradient rows A and B; seeds alpha and beta weigh them
+        rng = np.random.default_rng(n * 100_003 + p)
+        rows1, rows2 = self._with_signed_zeros(rng, (n, p)), self._with_signed_zeros(rng, (n, p))
+        seeds = rng.normal(size=(n, 2))
+        seeds[1::3, 0], seeds[2::3, 1] = -0.0, 0.0
+        alpha, beta = seeds[:, :1], seeds[:, 1:]
+        tape = Tape()
+        w = tape.param("w", rng.normal(size=(p, 1)))
+        first, second = T.matmul(T.as_tensor(rows1), w), T.matmul(T.as_tensor(rows2), w)
+        got = tape.backward([(first, alpha), (second, beta)])["w"]
+        # reverse record order: the second root's term comes first
+        assert got.tobytes() == (rows2.T @ beta + rows1.T @ alpha).tobytes()
+        weighted_rows = (alpha * rows1 + beta * rows2).sum(axis=0)[:, None]
+        scale = np.abs(rows1).T @ np.abs(alpha) + np.abs(rows2).T @ np.abs(beta)
+        assert np.all(np.abs(got - weighted_rows) <= 1e-12 * max(float(scale.max()), 1.0))
+
 
 def _const(rng, shape):
     return T.as_tensor(rng.normal(size=shape))

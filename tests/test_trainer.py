@@ -431,6 +431,31 @@ class TestPinnedStep:
             meta_gradient(g, X, y, w_hat, cache, np.array([0, 3]), mwn, lam1=0.01)
 
 
+class TestStepSweeps:
+    """Each step gradient is one backward sweep of the probe tape, seeded at both loss columns."""
+
+    @pytest.mark.parametrize("pin", [None, 0.3], ids=["weight-net", "pinned"])
+    def test_probe_and_commit_sweep_once_per_gradient(self, pin, monkeypatch):
+        g, X, y, hgnn, mwn, ids, tasks = width2_instance(seed=11)
+        sweep, roots = Tape.backward, []
+
+        def counting(tape, output, seed=None):
+            roots.append(output if isinstance(output, list) else [(output, seed)])
+            return sweep(tape, output, seed)
+
+        monkeypatch.setattr(Tape, "backward", counting)
+        _, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1=0.01, pin_alpha=pin)
+        assert len(roots) == 1
+        [(first, alpha), (second, beta)] = roots[0]
+        assert first.shape == second.shape == (ids.size, 1) and first is not second
+        assert alpha.tobytes() == cache.alpha[:, None].tobytes() and beta.tobytes() == cache.beta[:, None].tobytes()
+        # the new weights reseed the probe tape; a pinned commit reuses the probe's gradient
+        _, _, grad = external_update(cache, hgnn, mwn, 0.01, pin)
+        assert len(roots) == (1 if pin is not None else 2)
+        if pin is not None:
+            assert grad is cache.grad
+
+
 def quick_settings(steps, **kwargs):
     defaults = dict(
         steps=steps,
