@@ -22,16 +22,19 @@ those two nodes. A backward sweep seeded at both branches' losses thus adds
 what reaches each node and multiplies by ``X.T`` once; a sweep seeded at one
 branch reaches only that branch's records, so its gradient has the bits of a
 one-branch tape. ``forward`` and ``build_branch_graph`` are its one-branch
-cases. Values derived from frozen arrays (see ``tensor.frozen``) follow the
-one cache rule of ``tensor.derived``: the structural coefficients live as
-long as the graph, and the layer-0 means as long as both the graph and
-frozen features (``Dataset.features`` is frozen).
+cases. ``taped_forward`` keeps a taped forward without loss heads, and
+``TapedForward.losses`` adds heads for any ids to it, so one forward can
+serve more than one id set. Values derived from frozen arrays (see
+``tensor.frozen``) follow the one cache rule of ``tensor.derived``: the
+structural coefficients live as long as the graph, and the layer-0 means as
+long as both the graph and frozen features (``Dataset.features`` is
+frozen).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -135,6 +138,27 @@ class BranchGraph:
     loss_vec: Tensor
     logits: Tensor
     mean_loss: Tensor
+
+
+@dataclass
+class TapedForward:
+    """A taped forward at ``params``: their tape and the last hidden layer of each of ``branches``.
+
+    ``losses`` adds loss heads for any ids to the tape, as often as asked. A
+    sweep seeded at some heads skips the records of the others, so its
+    gradient has the bits of a tape that holds only those heads.
+    """
+
+    params: HGNNParams
+    tape: Tape
+    branches: tuple[str, ...]
+    hidden: list[Tensor]
+
+    def losses(self, y: Array, ids) -> list[BranchGraph]:
+        """The CE loss graphs of every branch for ``ids``, labelled by ``y[ids]``."""
+        ids = np.asarray(ids, dtype=np.int64)
+        onehot = one_hot(np.asarray(y, dtype=np.int64)[ids], self.params.out_dim)
+        return loss_heads(self.tape, self.hidden, onehot, ids, self.branches)
 
 
 def ss_coefficients(g: Hypergraph) -> Array:
@@ -338,18 +362,43 @@ def build_branch_graphs(
     gradients into the same shared weights. The branches read one pair of
     layer-0 product nodes, recorded before either branch.
     """
+    hidden = _forward_t(g, X, weights, attn, branches, dropout_masks)
+    return loss_heads(tape, hidden, y_onehot, eval_ids, branches)
+
+
+def loss_heads(
+    tape: Tape, hidden: Iterable[Tensor], y_onehot: Array, eval_ids, branches: Sequence[str]
+) -> list[BranchGraph]:
+    """Per-sample CE losses for eval_ids on each branch's last hidden layer, recorded on ``tape``.
+
+    ``y_onehot`` must carry one row per eval id.
+    """
     eval_ids = np.asarray(eval_ids, dtype=np.int64)
     if y_onehot.shape[0] != eval_ids.size:
         raise ContractError("one-hot labels must align with eval_ids")
     labels = tape.constant(y_onehot)
     graphs = []
-    for branch, hidden in zip(branches, _forward_t(g, X, weights, attn, branches, dropout_masks)):
-        logits = T.gather_rows(hidden, eval_ids)
+    for branch, h in zip(branches, hidden):
+        logits = T.gather_rows(h, eval_ids)
         picked = T.row_sum(T.mul(T.row_log_softmax(logits), labels))
         loss_vec = T.scale(picked, -1.0)
         mean_loss = T.scale(T.sum_all(loss_vec), 1.0 / max(eval_ids.size, 1))
         graphs.append(BranchGraph(tape=tape, branch=branch, loss_vec=loss_vec, logits=logits, mean_loss=mean_loss))
     return graphs
+
+
+def taped_forward(
+    g: Hypergraph,
+    X: Array,
+    params: HGNNParams,
+    dropout_masks: list[Array] | None = None,
+    branches: Sequence[str] = BRANCHES,
+) -> TapedForward:
+    """A fresh tape with ``params`` and the forward of ``branches`` on it, without loss heads."""
+    tape = Tape()
+    weights, attn = register_params(tape, params)
+    hidden = list(_forward_t(g, X, weights, attn, branches, dropout_masks))
+    return TapedForward(params=params, tape=tape, branches=tuple(branches), hidden=hidden)
 
 
 def taped_losses(
@@ -362,11 +411,8 @@ def taped_losses(
     branches: Sequence[str] = BRANCHES,
 ) -> tuple[Tape, list[BranchGraph]]:
     """A fresh tape with ``params`` and the CE loss graphs of ``branches`` for ``ids``, labelled by ``y[ids]``."""
-    ids = np.asarray(ids, dtype=np.int64)
-    onehot = one_hot(np.asarray(y, dtype=np.int64)[ids], params.out_dim)
-    tape = Tape()
-    weights, attn = register_params(tape, params)
-    return tape, build_branch_graphs(g, X, onehot, ids, tape, weights, attn, dropout_masks, branches)
+    forward = taped_forward(g, X, params, dropout_masks, branches)
+    return forward.tape, forward.losses(y, ids)
 
 
 def branch_losses(g: Hypergraph, X: Array, y: Array, params: HGNNParams, ids) -> ForwardOutput:

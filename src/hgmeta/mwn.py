@@ -179,8 +179,8 @@ def weighted_alpha_theta_grad(l1, l2, tasks, params: MWNParams, coeffs, beta_coe
     """Gradient of sum_j (coeffs[j] * alpha_j + beta_coeffs[j] * beta_j) w.r.t. Theta.
 
     This realizes the per-sample chain rule of the analytic meta-update in a
-    single seeded backward pass; coefficients are treated as constants and
-    ``beta_coeffs`` defaults to zero.
+    single backward sweep seeded at both columns; coefficients are treated
+    as constants and ``beta_coeffs`` defaults to zero.
     """
     l1 = np.asarray(l1, dtype=np.float64).ravel()
     l2 = np.asarray(l2, dtype=np.float64).ravel()
@@ -191,4 +191,4 @@ def weighted_alpha_theta_grad(l1, l2, tasks, params: MWNParams, coeffs, beta_coe
     if not (l1.shape == l2.shape == coeffs.shape == beta_coeffs.shape):
         raise ContractError("losses and coefficients must align")
     tape, alpha, beta = _taped_alpha_beta(l1, l2, tasks, params)
-    return tape.backward(T.concat_cols(alpha, beta), np.stack([coeffs, beta_coeffs], axis=1))
+    return tape.backward([(alpha, coeffs[:, None]), (beta, beta_coeffs[:, None])])

@@ -28,8 +28,14 @@ The per-sample rows (``_grad_rows``, one unit-seeded sweep per sample) stay
 as the reference that tests compare against. A pinned alpha is the constant
 seed (alpha, 1 - alpha) of the same sweep. It cannot change between probe
 and commit, so the probe's gradient serves both: the probe tape is dropped
-after the probe and step 2 is skipped. All reductions are fixed-order, so
-runs are bit-reproducible.
+after the probe and step 2 only reports the meta loss at w_hat, from a taped
+forward there. Under plain gradient descent the commit computes w_hat again,
+bit for bit, so ``train`` keeps that forward and the next probe adds its
+loss heads to it instead of recording its own: a pinned step makes one
+taped forward and one backward sweep. The forward is deterministic and a
+sweep skips the records no seed reaches, so a reused forward gives the bits
+of a fresh one. All reductions are fixed-order, so runs are
+bit-reproducible.
 
 A step that fails leaves the state as the step before left it: the new
 weight net and the Adam moments are stored only once the new classifier is
@@ -49,7 +55,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, NumericsError, TrainingError
 from .hypergraph import Hypergraph
-from .model import BRANCHES, BranchGraph, HGNNParams, _forward_branches, taped_losses
+from .model import BRANCHES, BranchGraph, HGNNParams, TapedForward, _forward_branches, taped_forward, taped_losses
 from .mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
 from .partition import Partition, assign_levels, kmeans_1d
 from .rng import stream
@@ -236,12 +242,19 @@ def intermediate_update(
     pin_alpha: float | None = None,
     weight_decay: float = 0.0,
     dropout_masks: list[Array] | None = None,
+    forward: TapedForward | None = None,
 ) -> tuple[HGNNParams, StepCache]:
     """Step 1: per-sample losses at w, the probe tape, and the probe parameters w_hat.
 
-    A pinned cache keeps the step gradient in place of the probe tape.
+    The probe tape is ``forward`` with the loss heads of ``ids`` added, when
+    it was taped at these parameters bit for bit and the probe has no
+    dropout masks; otherwise it is a fresh forward. A pinned cache keeps the
+    step gradient in place of the probe tape.
     """
-    _, (graph_ss, graph_fs) = taped_losses(g, X, y, ids, hgnn, dropout_masks)
+    w_vec = hgnn.flatten()
+    if forward is None or dropout_masks is not None or not np.array_equal(forward.params.flatten(), w_vec):
+        forward = taped_forward(g, X, hgnn, dropout_masks)
+    graph_ss, graph_fs = forward.losses(y, ids)
     l1 = graph_ss.loss_vec.data[:, 0].copy()
     l2 = graph_fs.loss_vec.data[:, 0].copy()
     tasks = np.asarray(tasks, dtype=np.int64)
@@ -253,7 +266,7 @@ def intermediate_update(
         l2=l2,
         alpha=alpha,
         beta=beta,
-        w_vec=hgnn.flatten(),
+        w_vec=w_vec,
         graphs=(graph_ss, graph_fs),
     )
     grad = _step_gradient(alpha, beta, cache, hgnn, weight_decay)
@@ -265,10 +278,15 @@ def intermediate_update(
     return hgnn.with_vec(w_hat_vec), cache
 
 
-def meta_loss_value(g, X, y, meta_ids, params: HGNNParams) -> float:
-    """Mean over the meta split of the summed branch losses."""
-    _, (graph_ss, graph_fs) = taped_losses(g, X, y, meta_ids, params)
-    return float(T.add(graph_ss.mean_loss, graph_fs.mean_loss).data[0, 0])
+def meta_loss_value(g, X, y, meta_ids, params: HGNNParams) -> tuple[float, TapedForward]:
+    """Mean over the meta split of the summed branch losses, and the taped forward at ``params`` it used.
+
+    A pinned step under plain gradient descent commits ``params`` exactly,
+    so ``train`` hands the forward to the next probe.
+    """
+    forward = taped_forward(g, X, params)
+    graph_ss, graph_fs = forward.losses(y, meta_ids)
+    return float(T.add(graph_ss.mean_loss, graph_fs.mean_loss).data[0, 0]), forward
 
 
 def meta_gradient(
@@ -427,12 +445,16 @@ def train(dataset, settings: TrainSettings):
         adam=adam,
     )
     batch_rng = stream(settings.seed, "batch")
+    # at most one forward, taped at the committed parameters, for the next
+    # probe; a list, so that the step can drop it before it tapes another
+    kept: list[TapedForward] = []
 
     for t in range(1, settings.steps + 1):
         started = perf_counter()
-        _one_step(state, dataset, settings, t, train_ids, meta_ids, batch_rng)
+        _one_step(state, dataset, settings, t, train_ids, meta_ids, batch_rng, kept)
         state.step = t
         state.step_seconds.append(perf_counter() - started)
+    kept.clear()
     with _phase(state, state.step, "evaluate"):
         metrics = evaluate(state, dataset)
     return state, metrics
@@ -447,7 +469,9 @@ def _phase(state: TrainState, step: int, name: str):
         raise TrainingError(str(exc), step, name, state, primitive=exc.op, shape=exc.shape) from exc
 
 
-def _one_step(state: TrainState, dataset, settings: TrainSettings, t: int, train_ids, meta_ids, batch_rng):
+def _one_step(
+    state: TrainState, dataset, settings: TrainSettings, t: int, train_ids, meta_ids, batch_rng, kept: list[TapedForward]
+):
     g, X, y = dataset.graph, dataset.features, dataset.labels
     lam1, lam2 = lr(state.schedule1, t), lr(state.schedule2, t)
     if settings.batch_size is not None and settings.batch_size < train_ids.size:
@@ -459,8 +483,10 @@ def _one_step(state: TrainState, dataset, settings: TrainSettings, t: int, train
     masks = _dropout_masks(settings, g.num_nodes, batch_rng)
     with _phase(state, t, "probe"):
         w_hat, cache = intermediate_update(
-            g, X, y, state.hgnn, state.mwn, ids, tasks, lam1, settings.pin_alpha, settings.weight_decay, masks
+            g, X, y, state.hgnn, state.mwn, ids, tasks, lam1, settings.pin_alpha, settings.weight_decay, masks,
+            forward=kept.pop() if kept else None,
         )
+    forward = None
     with _phase(state, t, "meta"):
         if settings.pin_alpha is None:
             d_theta, meta_loss, _ = meta_gradient(g, X, y, w_hat, cache, meta_ids, state.mwn, lam1)
@@ -468,11 +494,14 @@ def _one_step(state: TrainState, dataset, settings: TrainSettings, t: int, train
         else:
             # pinned weights never update Theta; only the meta loss is reported
             d_theta, mwn = np.zeros(0), state.mwn
-            meta_loss = meta_loss_value(g, X, y, meta_ids, w_hat)
+            meta_loss, forward = meta_loss_value(g, X, y, meta_ids, w_hat)
     with _phase(state, t, "commit"):
         state.hgnn, alpha_new, grad_w = external_update(
             cache, state.hgnn, mwn, lam1, settings.pin_alpha, settings.weight_decay, state.adam
         )
+    # the next probe can reuse the forward at w_hat only if w_hat was committed and it draws no dropout masks
+    if forward is not None and settings.dropout <= 0.0 and np.array_equal(state.hgnn.flatten(), w_hat.flatten()):
+        kept.append(forward)
     # the new weight net is kept only with the classifier it committed
     state.mwn = mwn
     train_loss = float((cache.alpha * cache.l1 + cache.beta * cache.l2).mean())

@@ -194,7 +194,7 @@ def meta_gradient_check(
         probe_mwn = mwn.with_vec(theta_vec)
         alpha, beta = mwn_forward_batch(cache.l1, cache.l2, cache.tasks, probe_mwn)
         w_vec = cache.w_vec - lam1 * _step_gradient(alpha, beta, cache, hgnn, 0.0)
-        return meta_loss_value(ds.graph, ds.features, ds.labels, meta_ids, hgnn.with_vec(w_vec))
+        return meta_loss_value(ds.graph, ds.features, ds.labels, meta_ids, hgnn.with_vec(w_vec))[0]
 
     numeric = central_difference(loss_at, mwn.flatten(), eps)
     errs = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(numeric))

@@ -402,6 +402,23 @@ class TestSharedLayer0:
         _assert_same_bytes(tape.backward([(ss.loss_vec, ones), (fs.loss_vec, zeros)]), tape.backward(ss.loss_vec, ones))
         _assert_same_bytes(tape.backward([(ss.loss_vec, zeros), (fs.loss_vec, ones)]), tape.backward(fs.loss_vec, ones))
 
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_heads_added_to_a_kept_forward_have_the_bits_of_a_fresh_tape(self, layers):
+        g, X, y, params, _, ids = self._instance(36 + layers, layers, frozen=True)
+        kept = model.taped_forward(g, X, params)
+        # heads of another id set first, as the meta loss leaves them before the next probe
+        kept.losses(y, np.arange(g.num_nodes)[::2])
+        reused = kept.losses(y, ids)
+        tape, fresh = taped_losses(g, X, y, ids, params)
+        a, b = np.random.default_rng(layers).uniform(0.0, 1.0, (2, ids.size, 1))
+        for old, new in zip(fresh, reused):
+            assert old.loss_vec.data.tobytes() == new.loss_vec.data.tobytes()
+        _assert_same_bytes(
+            kept.tape.backward([(reused[0].loss_vec, a), (reused[1].loss_vec, b)]),
+            tape.backward([(fresh[0].loss_vec, a), (fresh[1].loss_vec, b)]),
+        )
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

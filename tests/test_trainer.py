@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from hgmeta import model
 from hgmeta import tensor as T
 from hgmeta import trainer
 from hgmeta.data import Dataset, Splits, SyntheticSpec, generate_synthetic
@@ -17,6 +20,7 @@ from hgmeta.tensor import Tape
 from hgmeta.trainer import (
     PREDICT_MODES,
     ScheduleSpec,
+    StepRecord,
     TrainSettings,
     external_update,
     intermediate_update,
@@ -24,6 +28,7 @@ from hgmeta.trainer import (
     lr,
     evaluate,
     meta_gradient,
+    meta_loss_value,
     predict,
     train,
 )
@@ -454,6 +459,122 @@ class TestStepSweeps:
         assert len(roots) == (1 if pin is not None else 2)
         if pin is not None:
             assert grad is cache.grad
+
+
+# (settings, whether the next probe can reuse the forward a step tapes at w_hat)
+REUSE_CASES = {
+    "pin-1": (dict(pin_alpha=1.0), True),
+    "pin-0.3": (dict(pin_alpha=0.3), True),
+    "pin-0-decay": (dict(pin_alpha=0.0, weight_decay=0.01), True),
+    "pin-1-batch": (dict(pin_alpha=1.0, batch_size=2), True),
+    "pin-1-adam": (dict(pin_alpha=1.0, optimizer="adam"), False),
+    "pin-1-dropout": (dict(pin_alpha=1.0, dropout=0.3), False),
+    "weight-net": (dict(), False),
+}
+
+
+def fresh_forward_replay(ds, settings):
+    """``train``'s steps again, phase by phase, each probe on a fresh forward: (hgnn, mwn, history)."""
+    start, _ = train(ds, dataclasses.replace(settings, steps=0))
+    g, X, y = ds.graph, ds.features, ds.labels
+    train_ids, meta_ids = np.asarray(ds.splits.train), np.asarray(ds.splits.meta)
+    hgnn, mwn, pin, decay = start.hgnn, start.mwn, settings.pin_alpha, settings.weight_decay
+    batch_rng = stream(settings.seed, "batch")
+    history = []
+    for t in range(1, settings.steps + 1):
+        lam1, lam2 = lr(settings.schedule1, t), lr(settings.schedule2, t)
+        ids, tasks = train_ids, start.train_tasks
+        if settings.batch_size is not None and settings.batch_size < train_ids.size:
+            pick = np.sort(batch_rng.choice(train_ids.size, size=settings.batch_size, replace=False))
+            ids, tasks = train_ids[pick], start.train_tasks[pick]
+        masks = trainer._dropout_masks(settings, g.num_nodes, batch_rng)
+        w_hat, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1, pin, decay, masks)
+        if pin is None:
+            d_theta, meta_loss, _ = meta_gradient(g, X, y, w_hat, cache, meta_ids, mwn, lam1)
+            mwn = internal_update(mwn, d_theta, lam2)
+        else:
+            d_theta = np.zeros(0)
+            meta_loss, _ = meta_loss_value(g, X, y, meta_ids, w_hat)
+        hgnn, _, grad = external_update(cache, hgnn, mwn, lam1, pin, decay, start.adam)
+        history.append(
+            StepRecord(
+                step=t,
+                lr1=float(lam1),
+                lr2=float(lam2),
+                train_loss=float((cache.alpha * cache.l1 + cache.beta * cache.l2).mean()),
+                meta_loss=meta_loss,
+                mean_alpha=trainer._mean_alpha_per_task(cache.alpha, cache.tasks, start.partition.k),
+                grad_w_norm=float(np.linalg.norm(grad)),
+                grad_theta_norm=float(np.linalg.norm(d_theta)),
+            )
+        )
+    return hgnn, mwn, history
+
+
+class TestReusedForward:
+    """A pinned step under plain gradient descent commits w_hat, and the next probe reuses its meta-loss forward."""
+
+    STEPS = 4
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("case", list(REUSE_CASES))
+    def test_train_equals_a_replay_on_fresh_forwards(self, case):
+        ds = random_toy_dataset(nodes=12, seed=23)
+        settings = quick_settings(self.STEPS, **REUSE_CASES[case][0])
+        state, _ = train(ds, settings)
+        hgnn, mwn, history = fresh_forward_replay(ds, settings)
+        assert state.hgnn.flatten().tobytes() == hgnn.flatten().tobytes()
+        assert state.mwn.flatten().tobytes() == mwn.flatten().tobytes()
+        assert [r.to_dict() for r in state.history] == [r.to_dict() for r in history]
+
+    @pytest.mark.parametrize("case", list(REUSE_CASES))
+    def test_a_reusing_run_tapes_one_forward_per_step_and_keeps_no_tape_past_it(self, case, monkeypatch):
+        kwargs, reuses = REUSE_CASES[case]
+        forwards, tapes, reused = [], [], []
+        forward_t, tape_init, probe, evaluate_ = model._forward_t, Tape.__init__, trainer.intermediate_update, trainer.evaluate
+
+        def counting_forward_t(*args, **kwargs):
+            forwards.append(None)
+            return forward_t(*args, **kwargs)
+
+        def noting_tape_init(tape):
+            tape_init(tape)
+            tapes.append(weakref.ref(tape))
+
+        def live_tapes():
+            return [tape for tape in (ref() for ref in tapes) if tape is not None]
+
+        def checked_probe(*args, forward=None, **kwargs):
+            # between steps only the kept forward's tape lives, and only when it can be reused
+            live = live_tapes()
+            if forward is None:
+                assert live == [] and (not reuses or not reused)
+            else:
+                assert reuses and live == [forward.tape]
+            reused.append(forward is not None)
+            return probe(*args, forward=forward, **kwargs)
+
+        def checked_evaluate(*args):
+            assert live_tapes() == []
+            taped.append(len(forwards))
+            return evaluate_(*args)
+
+        taped = []
+        monkeypatch.setattr(model, "_forward_t", counting_forward_t)
+        monkeypatch.setattr(Tape, "__init__", noting_tape_init)
+        monkeypatch.setattr(trainer, "intermediate_update", checked_probe)
+        monkeypatch.setattr(trainer, "evaluate", checked_evaluate)
+        train(random_toy_dataset(nodes=12, seed=23), quick_settings(self.STEPS, **kwargs))
+        assert taped == [self.STEPS + 1 if reuses else 2 * self.STEPS]
+        assert reused == [False] + [reuses] * (self.STEPS - 1)
+
+    def test_a_forward_at_other_parameters_is_not_reused(self):
+        g, X, y, hgnn, mwn, ids, tasks = width2_instance(seed=12)
+        _, stale = meta_loss_value(g, X, y, ids, hgnn.with_vec(hgnn.flatten() + 1e-3))
+        fresh = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, 0.01)[1]
+        _, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, 0.01, forward=stale)
+        assert cache.graphs[0].tape is not stale.tape
+        assert cache.l1.tobytes() == fresh.l1.tobytes() and cache.l2.tobytes() == fresh.l2.tobytes()
 
 
 def quick_settings(steps, **kwargs):
