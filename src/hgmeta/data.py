@@ -53,10 +53,6 @@ class Dataset:
     num_classes: int
     name: str = "dataset"
 
-    @property
-    def labeled_mask(self) -> np.ndarray:
-        return self.labels >= 0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented

@@ -21,20 +21,22 @@ layer-0 hyperedge means and records the products ``X @ W0`` and
 those two nodes. A backward sweep seeded at both branches' losses thus adds
 what reaches each node and multiplies by ``X.T`` once; a sweep seeded at one
 branch reaches only that branch's records, so its gradient has the bits of a
-one-branch tape. ``forward`` and ``build_branch_graph`` are its one-branch
-cases. ``taped_forward`` keeps a taped forward without loss heads, and
-``TapedForward.losses`` adds heads for any ids to it, so one forward can
-serve more than one id set. Values derived from frozen arrays (see
-``tensor.frozen``) follow the one cache rule of ``tensor.derived``: the
-structural coefficients live as long as the graph, and the layer-0 means as
-long as both the graph and frozen features (``Dataset.features`` is
-frozen).
+one-branch tape. ``forward`` is its untaped one-branch case.
+``taped_forward(...).losses(...)`` is the one way to tape the classifier:
+``taped_forward`` registers the parameters on a fresh tape and records the
+forward without loss heads, and ``TapedForward.losses`` adds the CE heads
+for any ids to it, so one forward can serve more than one id set.
+
+Values derived from frozen arrays (see ``tensor.frozen``) follow the one
+cache rule of ``tensor.derived``: the structural coefficients live as long
+as the graph, and the layer-0 means as long as both the graph and frozen
+features (``Dataset.features`` is frozen).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -155,10 +157,17 @@ class TapedForward:
     hidden: list[Tensor]
 
     def losses(self, y: Array, ids) -> list[BranchGraph]:
-        """The CE loss graphs of every branch for ``ids``, labelled by ``y[ids]``."""
+        """The per-sample CE loss graph of every branch for ``ids``, labelled by ``y[ids]``."""
         ids = np.asarray(ids, dtype=np.int64)
-        onehot = one_hot(np.asarray(y, dtype=np.int64)[ids], self.params.out_dim)
-        return loss_heads(self.tape, self.hidden, onehot, ids, self.branches)
+        labels = self.tape.constant(one_hot(np.asarray(y, dtype=np.int64)[ids], self.params.out_dim))
+        graphs = []
+        for branch, h in zip(self.branches, self.hidden):
+            logits = T.gather_rows(h, ids)
+            picked = T.row_sum(T.mul(T.row_log_softmax(logits), labels))
+            loss_vec = T.scale(picked, -1.0)
+            mean_loss = T.scale(T.sum_all(loss_vec), 1.0 / max(ids.size, 1))
+            graphs.append(BranchGraph(tape=self.tape, branch=branch, loss_vec=loss_vec, logits=logits, mean_loss=mean_loss))
+        return graphs
 
 
 def ss_coefficients(g: Hypergraph) -> Array:
@@ -321,70 +330,15 @@ def ce_loss(logits_row: Array, onehot: Array) -> float:
     return float(lse - (onehot * logits_row).sum())
 
 
-def register_params(tape: Tape, params: HGNNParams) -> tuple[list[Tensor], list[Tensor]]:
-    """Register all layer parameters on a tape; returns (weights, attn) tensors."""
-    weights = [tape.param(f"w{t}", w) for t, w in enumerate(params.weights)]
-    attn = [tape.param(f"a{t}", a) for t, a in enumerate(params.attn)]
-    return weights, attn
-
-
 def build_branch_graph(
-    g: Hypergraph,
-    X: Array,
-    y_onehot: Array,
-    eval_ids,
-    branch: str,
-    tape: Tape,
-    weights: list[Tensor],
-    attn: list[Tensor],
-    dropout_masks: list[Array] | None = None,
+    g: Hypergraph, X: Array, y: Array, ids, params: HGNNParams, branch: str, dropout_masks: list[Array] | None = None
 ) -> BranchGraph:
-    """``build_branch_graphs`` for one branch."""
-    (graph,) = build_branch_graphs(g, X, y_onehot, eval_ids, tape, weights, attn, dropout_masks, (branch,))
-    return graph
+    """The loss graph of one branch for ``ids``, on a fresh ``taped_forward`` of that branch.
 
-
-def build_branch_graphs(
-    g: Hypergraph,
-    X: Array,
-    y_onehot: Array,
-    eval_ids,
-    tape: Tape,
-    weights: list[Tensor],
-    attn: list[Tensor],
-    dropout_masks: list[Array] | None = None,
-    branches: Sequence[str] = BRANCHES,
-) -> list[BranchGraph]:
-    """Taped forward to per-sample CE losses for eval_ids, one graph per branch.
-
-    ``y_onehot`` must carry one row per eval id. Parameters are passed as
-    tape tensors so the branches share one tape, and therefore accumulate
-    gradients into the same shared weights. The branches read one pair of
-    layer-0 product nodes, recorded before either branch.
+    Nothing in the package calls it: the benchmark's layer table still wraps
+    it by name, so it stays until that table drops it.
     """
-    hidden = _forward_t(g, X, weights, attn, branches, dropout_masks)
-    return loss_heads(tape, hidden, y_onehot, eval_ids, branches)
-
-
-def loss_heads(
-    tape: Tape, hidden: Iterable[Tensor], y_onehot: Array, eval_ids, branches: Sequence[str]
-) -> list[BranchGraph]:
-    """Per-sample CE losses for eval_ids on each branch's last hidden layer, recorded on ``tape``.
-
-    ``y_onehot`` must carry one row per eval id.
-    """
-    eval_ids = np.asarray(eval_ids, dtype=np.int64)
-    if y_onehot.shape[0] != eval_ids.size:
-        raise ContractError("one-hot labels must align with eval_ids")
-    labels = tape.constant(y_onehot)
-    graphs = []
-    for branch, h in zip(branches, hidden):
-        logits = T.gather_rows(h, eval_ids)
-        picked = T.row_sum(T.mul(T.row_log_softmax(logits), labels))
-        loss_vec = T.scale(picked, -1.0)
-        mean_loss = T.scale(T.sum_all(loss_vec), 1.0 / max(eval_ids.size, 1))
-        graphs.append(BranchGraph(tape=tape, branch=branch, loss_vec=loss_vec, logits=logits, mean_loss=mean_loss))
-    return graphs
+    return taped_forward(g, X, params, dropout_masks, (branch,)).losses(y, ids)[0]
 
 
 def taped_forward(
@@ -394,30 +348,21 @@ def taped_forward(
     dropout_masks: list[Array] | None = None,
     branches: Sequence[str] = BRANCHES,
 ) -> TapedForward:
-    """A fresh tape with ``params`` and the forward of ``branches`` on it, without loss heads."""
+    """A fresh tape with ``params`` registered and the forward of ``branches`` on it, without loss heads.
+
+    The branches share the parameter tensors, so their gradients accumulate
+    into the same weights, and they read one pair of layer-0 product nodes.
+    """
     tape = Tape()
-    weights, attn = register_params(tape, params)
+    weights = [tape.param(f"w{t}", w) for t, w in enumerate(params.weights)]
+    attn = [tape.param(f"a{t}", a) for t, a in enumerate(params.attn)]
     hidden = list(_forward_t(g, X, weights, attn, branches, dropout_masks))
     return TapedForward(params=params, tape=tape, branches=tuple(branches), hidden=hidden)
 
 
-def taped_losses(
-    g: Hypergraph,
-    X: Array,
-    y: Array,
-    ids,
-    params: HGNNParams,
-    dropout_masks: list[Array] | None = None,
-    branches: Sequence[str] = BRANCHES,
-) -> tuple[Tape, list[BranchGraph]]:
-    """A fresh tape with ``params`` and the CE loss graphs of ``branches`` for ``ids``, labelled by ``y[ids]``."""
-    forward = taped_forward(g, X, params, dropout_masks, branches)
-    return forward.tape, forward.losses(y, ids)
-
-
 def branch_losses(g: Hypergraph, X: Array, y: Array, params: HGNNParams, ids) -> ForwardOutput:
     """Per-sample logits and losses for both branches with shared weights."""
-    _, (ss, fs) = taped_losses(g, X, y, ids, params)
+    ss, fs = taped_forward(g, X, params).losses(y, ids)
     return ForwardOutput(
         logits_ss=ss.logits.data,
         logits_fs=fs.logits.data,

@@ -111,10 +111,6 @@ class Tape:
         """A tracked leaf that never receives a gradient."""
         return Tensor(_validated(value), self, None)
 
-    @property
-    def param_names(self) -> list[str]:
-        return list(self._params)
-
     def record(self, value: Array, inputs: Sequence[Tensor], grad_fn: GradFn, tangent_fn: TangentFn) -> Tensor:
         """Append a node with its backward rule and its tangent rule."""
         out = Tensor(value, self, self._new_idx())
@@ -248,11 +244,11 @@ def _plus(x: Array | None, y: Array | None) -> Array:
     return x if y is None else x + y
 
 
-def as_tensor(value, tape: Tape | None = None) -> Tensor:
+def as_tensor(value) -> Tensor:
+    """``value`` itself if it is a Tensor, else an untracked constant of it."""
     if isinstance(value, Tensor):
         return value
-    a = _validated(value)
-    return Tensor(a, tape, None)
+    return Tensor(_validated(value))
 
 
 def column(values) -> Array:

@@ -55,11 +55,11 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, NumericsError, TrainingError
 from .hypergraph import Hypergraph
-from .model import BRANCHES, BranchGraph, HGNNParams, TapedForward, _forward_branches, taped_forward, taped_losses
+from .model import BRANCHES, BranchGraph, HGNNParams, TapedForward, _forward_branches, taped_forward
 from .mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
 from .partition import Partition, assign_levels, kmeans_1d
 from .rng import stream
-from .tensor import Array, Tape
+from .tensor import Array
 
 logger = logging.getLogger(__name__)
 
@@ -168,8 +168,9 @@ class StepCache:
     When the weight net trains, ``graphs`` holds the probe tape's two loss
     graphs, which probe and commit reseed and the meta step sweeps forward.
     When alpha is pinned, ``graphs`` is None and ``grad`` holds the probe's
-    step gradient, which the commit applies again. ``grads1`` and ``grads2``
-    are never set; ``perfbench`` still reads them.
+    step gradient: the commit applies ``alpha`` and ``grad`` again, so the
+    probe alone decides a step's mode. ``grads1`` and ``grads2`` are never
+    set; ``perfbench`` still reads them.
     """
 
     ids: Array
@@ -189,21 +190,13 @@ def _flatten_grads(grads: dict[str, Array], params: HGNNParams | MWNParams) -> A
     return np.concatenate([grads[name].ravel() for name, _ in params.param_items()])
 
 
-def _grad_rows(graph: BranchGraph, tape: Tape, params: HGNNParams) -> Array:
-    """One gradient row per sample of ``graph``'s loss column, each from a unit-seeded sweep.
+def _grad_rows(graph: BranchGraph, params: HGNNParams) -> Array:
+    """One gradient row per sample of ``graph``'s loss column, each from a unit-seeded sweep of its tape.
 
     These are the reference the weight-net step is checked against.
     """
     seeds = np.eye(graph.loss_vec.shape[0])[:, :, None]
-    return np.stack([_flatten_grads(tape.backward(graph.loss_vec, seed), params) for seed in seeds])
-
-
-def _blend_weights(l1: Array, l2: Array, tasks: Array, mwn: MWNParams, pin_alpha: float | None) -> tuple[Array, Array]:
-    """Per-sample (alpha, beta): the weight net's, or the pinned alpha and its complement."""
-    if pin_alpha is None:
-        return mwn_forward_batch(l1, l2, tasks, mwn)
-    alpha = np.full(l1.size, float(pin_alpha))
-    return alpha, 1.0 - alpha
+    return np.stack([_flatten_grads(graph.tape.backward(graph.loss_vec, seed), params) for seed in seeds])
 
 
 def _step_gradient(alpha: Array, beta: Array, cache: StepCache, params: HGNNParams, weight_decay: float) -> Array:
@@ -248,8 +241,10 @@ def intermediate_update(
 
     The probe tape is ``forward`` with the loss heads of ``ids`` added, when
     it was taped at these parameters bit for bit and the probe has no
-    dropout masks; otherwise it is a fresh forward. A pinned cache keeps the
-    step gradient in place of the probe tape.
+    dropout masks; otherwise it is a fresh forward. The step's mode is
+    decided here, once: with ``pin_alpha`` set, (alpha, beta) are the pinned
+    alpha and its complement, and the cache keeps the step gradient in place
+    of the probe tape, for the commit to apply again.
     """
     w_vec = hgnn.flatten()
     if forward is None or dropout_masks is not None or not np.array_equal(forward.params.flatten(), w_vec):
@@ -258,7 +253,11 @@ def intermediate_update(
     l1 = graph_ss.loss_vec.data[:, 0].copy()
     l2 = graph_fs.loss_vec.data[:, 0].copy()
     tasks = np.asarray(tasks, dtype=np.int64)
-    alpha, beta = _blend_weights(l1, l2, tasks, mwn, pin_alpha)
+    if pin_alpha is None:
+        alpha, beta = mwn_forward_batch(l1, l2, tasks, mwn)
+    else:
+        alpha = np.full(l1.size, float(pin_alpha))
+        beta = 1.0 - alpha
     cache = StepCache(
         ids=np.asarray(ids, dtype=np.int64),
         tasks=tasks,
@@ -311,12 +310,12 @@ def meta_gradient(
     """
     if cache.graphs is None:
         raise ContractError("meta_gradient needs the probe tape of a weight-net step, not a pinned-alpha cache")
-    tape, (graph_ss, graph_fs) = taped_losses(g, X, y, meta_ids, w_hat)
+    graph_ss, graph_fs = taped_forward(g, X, w_hat).losses(y, meta_ids)
     total = T.add(graph_ss.mean_loss, graph_fs.mean_loss)
     meta_loss = float(total.data[0, 0])
     # the probe tape registers the parameters under the meta tape's names
     probe_ss, probe_fs = cache.graphs
-    tangent1, tangent2 = probe_ss.tape.jvp((probe_ss.loss_vec, probe_fs.loss_vec), tape.backward(total))
+    tangent1, tangent2 = probe_ss.tape.jvp((probe_ss.loss_vec, probe_fs.loss_vec), graph_ss.tape.backward(total))
     gbar1, gbar2 = tangent1[:, 0], tangent2[:, 0]
     gbar = gbar1 - gbar2
     if mwn.mode == "complementary":
@@ -342,20 +341,23 @@ def external_update(
     hgnn: HGNNParams,
     mwn_new: MWNParams,
     lam1: float,
-    pin_alpha: float | None = None,
     weight_decay: float = 0.0,
     adam: AdamState | None = None,
 ) -> tuple[HGNNParams, Array, Array]:
     """Step 3: reweight the gradients under the new Theta and commit.
 
     The probe tape is reseeded with the new weights, so gradients stay
-    evaluated at the pre-step w; a pinned cache applies the probe's gradient
-    again, since its alpha cannot change. Returns the new parameters, the
-    recomputed alpha, and the applied gradient vector. ``adam`` moves only
-    when the new parameters are finite.
+    evaluated at the pre-step w. A pinned cache (no probe tape) commits the
+    probe's alpha and gradient again, since its alpha cannot change; its
+    gradient already holds the weight decay. Returns the new parameters, the
+    alpha they were committed with, and the applied gradient vector.
+    ``adam`` moves only when the new parameters are finite.
     """
-    alpha, beta = _blend_weights(cache.l1, cache.l2, cache.tasks, mwn_new, pin_alpha)
-    grad = cache.grad if cache.graphs is None else _step_gradient(alpha, beta, cache, hgnn, weight_decay)
+    if cache.graphs is None:
+        alpha, grad = cache.alpha, cache.grad
+    else:
+        alpha, beta = mwn_forward_batch(cache.l1, cache.l2, cache.tasks, mwn_new)
+        grad = _step_gradient(alpha, beta, cache, hgnn, weight_decay)
     if adam is None:
         w_vec = cache.w_vec - lam1 * grad
     else:
@@ -497,7 +499,7 @@ def _one_step(
             meta_loss, forward = meta_loss_value(g, X, y, meta_ids, w_hat)
     with _phase(state, t, "commit"):
         state.hgnn, alpha_new, grad_w = external_update(
-            cache, state.hgnn, mwn, lam1, settings.pin_alpha, settings.weight_decay, state.adam
+            cache, state.hgnn, mwn, lam1, settings.weight_decay, state.adam
         )
     # the next probe can reuse the forward at w_hat only if w_hat was committed and it draws no dropout masks
     if forward is not None and settings.dropout <= 0.0 and np.array_equal(state.hgnn.flatten(), w_hat.flatten()):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset, Splits
 from .hypergraph import Hypergraph
-from .model import BRANCHES, HGNNParams, branch_losses, taped_losses
+from .model import BRANCHES, HGNNParams, branch_losses, taped_forward
 from .mwn import MWNParams, mwn_forward_batch
 from .rng import stream
 from .tensor import Array, central_difference, finite_diff_check
@@ -92,8 +92,8 @@ def hgnn_gradient_check(
                 weights=[params[f"w{t}"] for t in range(template.num_layers)],
                 attn=[params[f"a{t}"] for t in range(template.num_layers)],
             )
-            tape, (graph,) = taped_losses(ds.graph, ds.features, ds.labels, ids, hp, branches=(branch,))
-            return tape, graph.mean_loss
+            (graph,) = taped_forward(ds.graph, ds.features, hp, branches=(branch,)).losses(ds.labels, ids)
+            return graph.tape, graph.mean_loss
 
         report[branch] = finite_diff_check(build, dict(template.param_items()), eps=eps)
     return report
@@ -115,10 +115,9 @@ def per_sample_row_check(hidden: int = 4, seed: int = 0, eps: float = 1e-5, samp
     hgnn = HGNNParams.init([3, hidden, 2], stream(seed, "init-w"), stream(seed, "init-a"))
     ids = np.linspace(7, 111, samples).astype(np.int64)
     sample = ids.size // 2
-    tape, graphs = taped_losses(g, X, y, ids, hgnn)
     report = {}
-    for branch, graph in zip(BRANCHES, graphs):
-        row = _grad_rows(graph, tape, hgnn)[sample]
+    for branch, graph in zip(BRANCHES, taped_forward(g, X, hgnn).losses(y, ids)):
+        row = _grad_rows(graph, hgnn)[sample]
 
         def loss_at(vec: Array, branch=branch) -> float:
             out = branch_losses(g, X, y, hgnn.with_vec(vec), ids)
@@ -141,8 +140,9 @@ def jvp_check(nodes: int = 8, hidden: int = 4, seed: int = 0, eps: float = 1e-5)
     hgnn = HGNNParams.init([ds.features.shape[1], hidden, ds.num_classes], stream(seed, "init-w"), stream(seed, "init-a"))
     w = hgnn.flatten()
     direction = stream(seed, "jvp-check").normal(size=w.size)
-    tape, graphs = taped_losses(ds.graph, ds.features, ds.labels, ids, hgnn)
-    tangents = tape.jvp([graph.loss_vec for graph in graphs], dict(hgnn.with_vec(direction).param_items()))
+    forward = taped_forward(ds.graph, ds.features, hgnn)
+    graphs = forward.losses(ds.labels, ids)
+    tangents = forward.tape.jvp([graph.loss_vec for graph in graphs], dict(hgnn.with_vec(direction).param_items()))
     report = {}
     for branch, tangent in zip(BRANCHES, tangents):
 

@@ -5,13 +5,16 @@ with a timing wrapper, its step clock wraps ``trainer.intermediate_update``
 and its speed probes wrap ``trainer.meta_loss_value`` and ``Tape.backward``.
 A rename in the library would otherwise pass these tests and only crash the
 benchmark, and a step that stopped calling them would silently drop the
-step clock or the probe sites.
+step clock or the probe sites. A weight-net step must not call
+``meta_loss_value`` either: each call adds speed-probe sites to the step.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
+
+import pytest
 
 from hgmeta import trainer
 from hgmeta.tensor import Tape
@@ -40,9 +43,28 @@ def test_probe_cache_keeps_the_gradient_fields_the_benchmark_reads():
     assert {"grads1", "grads2"} <= names
 
 
-def test_a_pinned_step_calls_each_wrapped_site_once_through_the_module(monkeypatch):
+# per step: the settings, and the calls of each wrapped site they make
+STEP_CALLS = {
+    "pinned": (
+        dict(pin_alpha=1.0),
+        {"intermediate_update": 1, "meta_loss_value": 1, "external_update": 1, "backward": 1},
+    ),
+    "weight-net-complementary": (
+        dict(mwn_mode="complementary"),
+        {"intermediate_update": 1, "meta_gradient": 1, "internal_update": 1, "external_update": 1, "backward": 4},
+    ),
+    "weight-net-independent": (
+        dict(mwn_mode="independent"),
+        {"intermediate_update": 1, "meta_gradient": 1, "internal_update": 1, "external_update": 1, "backward": 4},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(STEP_CALLS))
+def test_a_step_calls_each_wrapped_site_through_the_module(name, monkeypatch):
     calls = {}
-    for owner, attr in [(trainer, "intermediate_update"), (trainer, "meta_loss_value"), (Tape, "backward")]:
+    sites = ["intermediate_update", "meta_gradient", "meta_loss_value", "internal_update", "external_update"]
+    for owner, attr in [(trainer, site) for site in sites] + [(Tape, "backward")]:
         original = getattr(owner, attr)
 
         def counted(*args, _attr=attr, _original=original, **kwargs):
@@ -50,7 +72,8 @@ def test_a_pinned_step_calls_each_wrapped_site_once_through_the_module(monkeypat
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, counted)
+    overrides, per_step = STEP_CALLS[name]
     steps = 3
-    settings = TrainSettings(steps=steps, hidden=8, k=2, mwn_hidden=8, pin_alpha=1.0)
+    settings = TrainSettings(steps=steps, hidden=8, k=2, mwn_hidden=8, **overrides)
     train(random_toy_dataset(nodes=12, seed=23), settings)
-    assert calls == {"intermediate_update": steps, "meta_loss_value": steps, "backward": steps}
+    assert calls == {site: steps * count for site, count in per_step.items()}

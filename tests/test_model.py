@@ -20,18 +20,15 @@ from hgmeta.model import (
     HGNNParams,
     aggregate_hyperedges,
     branch_losses,
-    build_branch_graph,
     ce_loss,
     forward,
     fs_coefficients,
     node_update,
     one_hot,
-    register_params,
     ss_coefficients,
-    taped_losses,
+    taped_forward,
 )
 from hgmeta.rng import stream
-from hgmeta.tensor import Tape
 from hgmeta.verify import hgnn_gradient_check
 
 from conftest import random_hypergraph
@@ -272,14 +269,12 @@ class TestInputMeansCache:
 
     def test_taped_gradients_match_writeable_features_bitwise(self):
         g, X, params = self._instance(seed=22)
-        onehot = one_hot(np.arange(g.num_nodes) % 3, 3)
+        y = np.arange(g.num_nodes) % 3
         ids = np.arange(g.num_nodes)
         results = []
         for feats in (X, X.copy(), X):
-            tape = Tape()
-            weights, attn = register_params(tape, params)
-            ss, fs = (build_branch_graph(g, feats, onehot, ids, b, tape, weights, attn) for b in ("ss", "fs"))
-            results.append(tape.backward(T.add(ss.mean_loss, fs.mean_loss)))
+            ss, fs = taped_forward(g, feats, params).losses(y, ids)
+            results.append(ss.tape.backward(T.add(ss.mean_loss, fs.mean_loss)))
         for grads in results[1:]:
             for name, value in results[0].items():
                 np.testing.assert_array_equal(grads[name], value)
@@ -362,7 +357,8 @@ class TestSharedLayer0:
     @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "writeable"])
     def test_taped_branches_read_two_layer0_nodes_on_w0(self, frozen):
         g, X, y, params, masks, ids = self._instance(31, 2, frozen)
-        tape, (ss, fs) = taped_losses(g, X, y, ids, params, masks)
+        ss, fs = taped_forward(g, X, params, masks).losses(y, ids)
+        tape = ss.tape
         w0 = tape._params["w0"][0]
         layer0 = [i for i, (_, in_idxs, *_) in enumerate(tape._records) if w0 in in_idxs]
         assert layer0 == [0, 1] and all(tape._records[i][1] == (None, w0) for i in layer0)
@@ -388,7 +384,8 @@ class TestSharedLayer0:
     @pytest.mark.parametrize("layers", [2, 3])
     def test_joint_sweep_is_the_sum_of_single_root_sweeps(self, layers, dropout, frozen):
         g, X, y, params, masks, ids = self._instance(33 + layers, layers, frozen)
-        tape, (ss, fs) = taped_losses(g, X, y, ids, params, masks if dropout else None)
+        ss, fs = taped_forward(g, X, params, masks if dropout else None).losses(y, ids)
+        tape = ss.tape
         rng = np.random.default_rng(layers)
         a, b = rng.uniform(0.0, 1.0, (2, ids.size, 1))
         joint = tape.backward([(ss.loss_vec, a), (fs.loss_vec, b)])
@@ -406,17 +403,17 @@ class TestSharedLayer0:
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_heads_added_to_a_kept_forward_have_the_bits_of_a_fresh_tape(self, layers):
         g, X, y, params, _, ids = self._instance(36 + layers, layers, frozen=True)
-        kept = model.taped_forward(g, X, params)
+        kept = taped_forward(g, X, params)
         # heads of another id set first, as the meta loss leaves them before the next probe
         kept.losses(y, np.arange(g.num_nodes)[::2])
         reused = kept.losses(y, ids)
-        tape, fresh = taped_losses(g, X, y, ids, params)
+        fresh = taped_forward(g, X, params).losses(y, ids)
         a, b = np.random.default_rng(layers).uniform(0.0, 1.0, (2, ids.size, 1))
         for old, new in zip(fresh, reused):
             assert old.loss_vec.data.tobytes() == new.loss_vec.data.tobytes()
         _assert_same_bytes(
             kept.tape.backward([(reused[0].loss_vec, a), (reused[1].loss_vec, b)]),
-            tape.backward([(fresh[0].loss_vec, a), (fresh[1].loss_vec, b)]),
+            fresh[0].tape.backward([(fresh[0].loss_vec, a), (fresh[1].loss_vec, b)]),
         )
 
     @settings(max_examples=40, deadline=None)
@@ -457,10 +454,9 @@ class TestSharedLayer0:
 
 def assert_reference_rows_match(g, X, y, ids, hgnn, masks=None):
     """Each branch's ``_grad_rows`` on the two-branch tape carry the bytes of one-branch tapes, one per sample."""
-    tape, graphs = taped_losses(g, X, y, ids, hgnn, masks)
-    for graph in graphs:
-        rows = trainer._grad_rows(graph, tape, hgnn)
-        expected = reference_per_sample_grads(g, X, y, hgnn, ids, graph.branch, hgnn.out_dim, masks)
+    for graph in taped_forward(g, X, hgnn, masks).losses(y, ids):
+        rows = trainer._grad_rows(graph, hgnn)
+        expected = reference_per_sample_grads(g, X, y, hgnn, ids, graph.branch, masks)
         assert rows.tobytes() == expected.tobytes(), graph.branch
 
 
@@ -547,9 +543,7 @@ class TestGradients:
         X = rng.normal(size=(7, 5))
         y = rng.integers(0, 3, size=7)
         params = random_params([5, 4, 3], seed=17)
-        tape = Tape()
-        weights, attn = register_params(tape, params)
-        graph = build_branch_graph(toy, X, one_hot(y, 3), np.arange(7), "ss", tape, weights, attn)
-        grads = tape.backward(graph.mean_loss)
+        (graph,) = taped_forward(toy, X, params, branches=("ss",)).losses(y, np.arange(7))
+        grads = graph.tape.backward(graph.mean_loss)
         assert np.all(grads["a0"] == 0.0) and np.all(grads["a1"] == 0.0)
         assert np.abs(grads["w0"]).max() > 0

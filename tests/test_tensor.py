@@ -495,7 +495,7 @@ class TestUntrackedOperands:
     def _taped(op, arrays, constant):
         tape = Tape()
         operands = [
-            T.as_tensor(arr, tape) if i == constant else tape.param(f"p{i}", arr) for i, arr in enumerate(arrays)
+            tape.constant(arr) if i == constant else tape.param(f"p{i}", arr) for i, arr in enumerate(arrays)
         ]
         out = op(*operands)
         return tape, out, tape.backward(T.sum_all(T.sigmoid(out)))
@@ -922,13 +922,13 @@ def _build_lsm(params):
     onehot = np.zeros((3, 4))
     onehot[[0, 1, 2], [1, 0, 3]] = 1.0
     logp = T.row_log_softmax(ts["a"])
-    return tape, T.scale(T.sum_all(T.mul(logp, T.as_tensor(onehot, tape))), -1.0)
+    return tape, T.scale(T.sum_all(T.mul(logp, tape.constant(onehot))), -1.0)
 
 
 @_case("log1p_row_sum")
 def _build_log1p(params):
     tape, ts = _param_tape(**params)
-    shifted = T.add(ts["a"], T.as_tensor(np.full((1, ts["a"].shape[1]), 2.0), tape))
+    shifted = T.add(ts["a"], tape.constant(np.full((1, ts["a"].shape[1]), 2.0)))
     return tape, T.sum_all(T.row_sum(T.log1p(shifted)))
 
 
@@ -982,10 +982,10 @@ class TestFiniteDiffCheck:
 
         def build(params):
             tape, ts = _param_tape(**params)
-            hidden = T.elu(T.add(T.matmul(T.as_tensor(x, tape), ts["w1"]), ts["b1"]))
+            hidden = T.elu(T.add(T.matmul(tape.constant(x), ts["w1"]), ts["b1"]))
             logits = T.matmul(hidden, ts["w2"])
             logp = T.row_log_softmax(logits)
-            return tape, T.scale(T.sum_all(T.mul(logp, T.as_tensor(onehot, tape))), -1.0 / 6)
+            return tape, T.scale(T.sum_all(T.mul(logp, tape.constant(onehot))), -1.0 / 6)
 
         params = {
             "w1": rng.uniform(-1, 1, (3, 4)),

@@ -13,7 +13,7 @@ from hgmeta import trainer
 from hgmeta.data import Dataset, Splits, SyntheticSpec, generate_synthetic
 from hgmeta.errors import ContractError, NumericsError, TrainingError
 from hgmeta.hypergraph import Hypergraph
-from hgmeta.model import HGNNParams, build_branch_graph, one_hot, register_params, taped_losses
+from hgmeta.model import HGNNParams, taped_forward
 from hgmeta.mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
 from hgmeta.rng import stream
 from hgmeta.tensor import Tape
@@ -75,27 +75,22 @@ def width2_instance(seed=0):
     return g, X, y, hgnn, mwn, ids, tasks
 
 
-def reference_per_sample_grads(g, X, y, hgnn, ids, branch, num_classes=2, masks=None):
+def reference_per_sample_grads(g, X, y, hgnn, ids, branch, masks=None):
     """Independent re-derivation: one backward per sample, each on a fresh one-branch tape."""
-    onehot = one_hot(y[ids], num_classes)
     rows = []
     for j in range(ids.size):
-        tape = Tape()
-        weights, attn = register_params(tape, hgnn)
-        graph = build_branch_graph(g, X, onehot, ids, branch, tape, weights, attn, masks)
+        (graph,) = taped_forward(g, X, hgnn, masks, (branch,)).losses(y, ids)
         seed_vec = np.zeros((ids.size, 1))
         seed_vec[j, 0] = 1.0
-        grads = tape.backward(graph.loss_vec, seed_vec)
+        grads = graph.tape.backward(graph.loss_vec, seed_vec)
         rows.append(np.concatenate([grads[name].ravel() for name, _ in hgnn.param_items()]))
     return np.vstack(rows)
 
 
-def reference_branch_sum(g, X, y, hgnn, ids, branch, num_classes=2):
-    """Independent re-derivation of a branch's gradient sum: one ones-seeded backward."""
-    tape = Tape()
-    weights, attn = register_params(tape, hgnn)
-    graph = build_branch_graph(g, X, one_hot(y[ids], num_classes), ids, branch, tape, weights, attn)
-    grads = tape.backward(graph.loss_vec, np.ones((ids.size, 1)))
+def reference_branch_sum(g, X, y, hgnn, ids, branch):
+    """Independent re-derivation of a branch's gradient sum: one ones-seeded backward on a one-branch tape."""
+    (graph,) = taped_forward(g, X, hgnn, branches=(branch,)).losses(y, ids)
+    grads = graph.tape.backward(graph.loss_vec, np.ones((ids.size, 1)))
     return np.concatenate([grads[name].ravel() for name, _ in hgnn.param_items()])
 
 
@@ -122,13 +117,13 @@ class TestReferenceRowsAtScale:
     @staticmethod
     def _taped(ds, ids):
         hgnn = HGNNParams.init([ds.features.shape[1], 64, ds.num_classes], stream(0, "init-w"), stream(0, "init-a"))
-        return (*taped_losses(ds.graph, ds.features, ds.labels, np.asarray(ids), hgnn), hgnn)
+        return taped_forward(ds.graph, ds.features, hgnn).losses(ds.labels, np.asarray(ids)), hgnn
 
     @pytest.mark.parametrize("samples", [1, 6, 16])
     def test_rows_along_a_direction_are_the_tangent_of_the_loss_column(self, samples, shaped_datasets):
         # the meta step takes g_meta . g_j from one tangent sweep; the rows are its reference
         for ds in shaped_datasets.values():
-            tape, graphs, hgnn = self._taped(ds, ds.splits.train[:samples])
+            graphs, hgnn = self._taped(ds, ds.splits.train[:samples])
             rng = np.random.default_rng(samples)
             t = rng.normal(size=hgnn.flatten().size)
             tangents, offset = {}, 0
@@ -136,9 +131,9 @@ class TestReferenceRowsAtScale:
                 tangents[name] = t[offset : offset + arr.size].reshape(arr.shape)
                 offset += arr.size
             for graph in graphs:
-                rows = trainer._grad_rows(graph, tape, hgnn)
+                rows = trainer._grad_rows(graph, hgnn)
                 assert rows.shape == (samples, t.size) and np.all(np.any(rows, axis=1))
-                (tangent,) = tape.jvp([graph.loss_vec], tangents)
+                (tangent,) = graph.tape.jvp([graph.loss_vec], tangents)
                 bound = self.TOLERANCE * (np.abs(rows) @ np.abs(t))
                 assert np.all(np.abs(rows @ t - tangent[:, 0]) <= bound), graph.branch
 
@@ -146,10 +141,10 @@ class TestReferenceRowsAtScale:
         # the whole training split on the desk graph, as a pinned step seeds it; 16 samples at Cora-CA shape
         for name, ds in shaped_datasets.items():
             ids = ds.splits.train if name == "desk" else ds.splits.train[:16]
-            tape, graphs, hgnn = self._taped(ds, ids)
+            graphs, hgnn = self._taped(ds, ids)
             for graph in graphs:
-                rows = trainer._grad_rows(graph, tape, hgnn)
-                total = trainer._flatten_grads(tape.backward(graph.loss_vec, np.ones((len(ids), 1))), hgnn)
+                rows = trainer._grad_rows(graph, hgnn)
+                total = trainer._flatten_grads(graph.tape.backward(graph.loss_vec, np.ones((len(ids), 1))), hgnn)
                 bound = self.TOLERANCE * np.abs(rows).sum(axis=0)
                 assert np.all(np.abs(total - rows.sum(axis=0)) <= bound), (name, graph.branch)
 
@@ -238,8 +233,7 @@ class TestAgainstPerSampleRows:
         lam1, lam2, decay = 0.05, 0.5, 0.01
         w = hgnn.flatten()
 
-        tape, graphs = taped_losses(g, X, y, ids, hgnn, masks)
-        rows1, rows2 = (trainer._grad_rows(graph, tape, hgnn) for graph in graphs)
+        rows1, rows2 = (trainer._grad_rows(graph, hgnn) for graph in taped_forward(g, X, hgnn, masks).losses(y, ids))
 
         w_hat, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1, None, decay, masks)
         assert cache.grads1 is None and cache.grads2 is None
@@ -250,8 +244,8 @@ class TestAgainstPerSampleRows:
         monkeypatch.setattr(trainer, "weighted_alpha_theta_grad", lambda *args: seen.append(args[4:]) or theta_grad(*args))
         meta_ids = np.asarray(ds.splits.meta)
         d_theta, _, gbar = meta_gradient(g, X, y, w_hat, cache, meta_ids, mwn, lam1)
-        meta_tape, (ss, fs) = taped_losses(g, X, y, meta_ids, w_hat)
-        g_meta = trainer._flatten_grads(meta_tape.backward(T.add(ss.mean_loss, fs.mean_loss)), w_hat)
+        ss, fs = taped_forward(g, X, w_hat).losses(y, meta_ids)
+        g_meta = trainer._flatten_grads(ss.tape.backward(T.add(ss.mean_loss, fs.mean_loss)), w_hat)
         reference = {"gbar": (rows1 - rows2) @ g_meta, "gbar1": rows1 @ g_meta, "gbar2": rows2 @ g_meta}
         bounds = {
             "gbar": self.GBAR_TOLERANCE * ((np.abs(rows1) + np.abs(rows2)) @ np.abs(g_meta)),
@@ -268,7 +262,7 @@ class TestAgainstPerSampleRows:
         assert np.abs(d_theta - expected_theta).max() <= self.THETA_TOLERANCE * np.abs(expected_theta).max()
 
         mwn_new = internal_update(mwn, d_theta, lam2)
-        committed, alpha_new, _ = external_update(cache, hgnn, mwn_new, lam1, None, decay)
+        committed, alpha_new, _ = external_update(cache, hgnn, mwn_new, lam1, decay)
         beta_new = mwn_forward_batch(cache.l1, cache.l2, cache.tasks, mwn_new)[1]
         assert step_error(committed.flatten(), w, lam1, alpha_new, beta_new, rows1, rows2, decay) <= STEP_TOLERANCE
 
@@ -287,7 +281,7 @@ class TestStepMemory:
             if pin_alpha is None:
                 d_theta, _, _ = meta_gradient(g, X, y, w_hat, cache, np.asarray(ds.splits.meta), mwn, 0.01)
                 mwn = internal_update(mwn, d_theta, 0.5)
-            external_update(cache, hgnn, mwn, 0.01, pin_alpha)
+            external_update(cache, hgnn, mwn, 0.01)
             del w_hat, cache
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -408,9 +402,9 @@ class TestPinnedStep:
     @pytest.mark.parametrize("pin", [0.0, 1.0])
     def test_probe_and_commit_equal_the_weighted_branch_sums_byte_for_byte(self, pin, optimizer, weight_decay):
         ds, train_ids, hgnn0, lam1, w_hat, _, state = self._run(pin, optimizer, weight_decay)
-        g, X, y, c = ds.graph, ds.features, ds.labels, ds.num_classes
-        grad = pin * reference_branch_sum(g, X, y, hgnn0, train_ids, "ss", c) + (1.0 - pin) * reference_branch_sum(
-            g, X, y, hgnn0, train_ids, "fs", c
+        g, X, y = ds.graph, ds.features, ds.labels
+        grad = pin * reference_branch_sum(g, X, y, hgnn0, train_ids, "ss") + (1.0 - pin) * reference_branch_sum(
+            g, X, y, hgnn0, train_ids, "fs"
         )
         if weight_decay:
             grad = grad + weight_decay * hgnn0.flatten()
@@ -422,8 +416,8 @@ class TestPinnedStep:
     def test_a_blended_pin_equals_the_weighted_rows_to_rounding(self, optimizer, weight_decay):
         # one sweep seeded (0.3, 0.7) adds the weighted terms, where 0.3 * sum_j g1_j scales a sum
         ds, train_ids, hgnn0, lam1, w_hat, cache, state = self._run(0.3, optimizer, weight_decay)
-        g, X, y, c = ds.graph, ds.features, ds.labels, ds.num_classes
-        g1, g2 = (reference_per_sample_grads(g, X, y, hgnn0, train_ids, branch, c) for branch in ("ss", "fs"))
+        g, X, y = ds.graph, ds.features, ds.labels
+        g1, g2 = (reference_per_sample_grads(g, X, y, hgnn0, train_ids, branch) for branch in ("ss", "fs"))
         w = hgnn0.flatten()
         assert step_error(w_hat.flatten(), w, lam1, cache.alpha, cache.beta, g1, g2, weight_decay) <= STEP_TOLERANCE
         assert cache.graphs is None
@@ -455,10 +449,10 @@ class TestStepSweeps:
         assert first.shape == second.shape == (ids.size, 1) and first is not second
         assert alpha.tobytes() == cache.alpha[:, None].tobytes() and beta.tobytes() == cache.beta[:, None].tobytes()
         # the new weights reseed the probe tape; a pinned commit reuses the probe's gradient
-        _, _, grad = external_update(cache, hgnn, mwn, 0.01, pin)
+        _, alpha, grad = external_update(cache, hgnn, mwn, 0.01)
         assert len(roots) == (1 if pin is not None else 2)
         if pin is not None:
-            assert grad is cache.grad
+            assert grad is cache.grad and alpha is cache.alpha
 
 
 # (settings, whether the next probe can reuse the forward a step tapes at w_hat)
@@ -495,7 +489,7 @@ def fresh_forward_replay(ds, settings):
         else:
             d_theta = np.zeros(0)
             meta_loss, _ = meta_loss_value(g, X, y, meta_ids, w_hat)
-        hgnn, _, grad = external_update(cache, hgnn, mwn, lam1, pin, decay, start.adam)
+        hgnn, _, grad = external_update(cache, hgnn, mwn, lam1, decay, start.adam)
         history.append(
             StepRecord(
                 step=t,
@@ -641,8 +635,8 @@ class TestTrainLoop:
         mwn0 = MWNParams.init(partition.k, hidden=8, rng=stream(0, "init-mwn"))
         lam1 = lr(settings.schedule1, 1)
         lam2 = lr(settings.schedule2, 1)
-        g1 = reference_per_sample_grads(ds.graph, ds.features, ds.labels, hgnn0, train_ids, "ss", ds.num_classes)
-        g2 = reference_per_sample_grads(ds.graph, ds.features, ds.labels, hgnn0, train_ids, "fs", ds.num_classes)
+        g1 = reference_per_sample_grads(ds.graph, ds.features, ds.labels, hgnn0, train_ids, "ss")
+        g2 = reference_per_sample_grads(ds.graph, ds.features, ds.labels, hgnn0, train_ids, "fs")
         w_hat, cache = intermediate_update(
             ds.graph, ds.features, ds.labels, hgnn0, mwn0, train_ids, tasks, lam1
         )
