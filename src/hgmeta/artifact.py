@@ -164,15 +164,6 @@ def _step_record(rec: dict) -> StepRecord:
 
 def state_from_artifact(artifact: RunArtifact) -> TrainState:
     """Rebuild a TrainState sufficient for prediction and evaluation."""
-    settings = artifact.config.settings
-    state = TrainState(
-        hgnn=artifact.hgnn,
-        mwn=artifact.mwn,
-        partition=artifact.partition,
-        schedule1=settings.schedule1,
-        schedule2=settings.schedule2,
-        seed=artifact.config.seed,
-        step=len(artifact.history),
-    )
+    state = TrainState(hgnn=artifact.hgnn, mwn=artifact.mwn, partition=artifact.partition, step=len(artifact.history))
     state.history.extend(_step_record(rec) for rec in artifact.history)
     return state

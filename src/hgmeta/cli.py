@@ -23,8 +23,7 @@ from .data import Dataset, generate_synthetic, load_dataset, save_dataset
 from .errors import ConfigError, DataError, HgmetaError, TrainingError
 from .model import branch_losses
 from .mwn import OUTPUT_MODES
-from .partition import assign_levels, kmeans_1d
-from .trainer import predict, train
+from .trainer import fit_levels, predict, train
 from .verify import (
     HGNN_TOLERANCE,
     META_TOLERANCE,
@@ -53,7 +52,7 @@ def _writing(path):
 def _resolve_dataset(cfg: RunConfig) -> Dataset:
     if cfg.dataset_path is not None:
         return load_dataset(cfg.dataset_path)
-    return generate_synthetic(cfg.synthetic, cfg.seed)
+    return generate_synthetic(cfg.synthetic, cfg.settings.seed)
 
 
 def _dataset_for_artifact(artifact: RunArtifact, dataset_dir: str | None, regen: bool) -> Dataset:
@@ -124,19 +123,13 @@ def cmd_analyze_overlap(args) -> int:
     ds = load_dataset(args.dataset)
     g = ds.graph
     vec = g.overlap_vector(range(g.num_nodes))
-    valid_values = vec.values[vec.valid]
-    if valid_values.size:
-        part = kmeans_1d(valid_values, args.k)
-        centroids = part.centroids
-    else:
-        centroids = np.array([1.0])
-    levels = assign_levels(vec.values, centroids)
+    partition, levels = fit_levels(vec, args.k)
     print("node_id p level")
     for v in range(g.num_nodes):
         p_str = f"{vec.values[v]:.6f}" if vec.valid[v] else "undefined"
         print(f"{v} {p_str} {levels[v]}")
-    print(f"centroids={[round(float(m), 6) for m in centroids]}")
-    counts = np.bincount(levels, minlength=centroids.size)
+    print(f"centroids={[round(float(m), 6) for m in partition.centroids]}")
+    counts = np.bincount(levels, minlength=partition.k)
     for level, count in enumerate(counts):
         print(f"level{level}: {int(count)} nodes")
     if args.csv:

@@ -3,12 +3,21 @@
 Every default is materialized into the echoed config embedded in the run
 artifact, so an artifact alone is enough to rerun the experiment. Unknown
 keys anywhere in the document are rejected.
+
+Each section, merged over its defaults, is itself its echo, and the
+settings are read from it. Integer and float settings echo typed, as the
+int or float they convert to (``"hidden": 6.0`` echoes ``6`` and
+``"c1": 1`` echoes ``1.0``). The keys that echo exactly as written are the
+generator's scalar settings, ``train.batch`` and ``train.pin_alpha``. Every
+float setting must be finite: NaN and Infinity, which Python's ``json``
+reads, are rejected.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .data import BIAS_KINDS, SyntheticSpec
@@ -26,18 +35,9 @@ _TRAIN_DEFAULTS = {
     "pin_alpha": None,
     "optimizer": "gd",
 }
+# JSON has no tuples, so the pairs and triples of the generator echo as arrays
 _SYNTH_DEFAULTS = {
-    "nodes": 200,
-    "classes": 3,
-    "hyperedges": 150,
-    "size_range": [3, 6],
-    "homophily": 0.9,
-    "dim": 16,
-    "noise": 0.5,
-    "signal": 1.0,
-    "bias": "none",
-    "bias_fraction": 0.0,
-    "split_fractions": [0.2, 0.2, 0.6],
+    f.name: list(f.default) if isinstance(f.default, tuple) else f.default for f in fields(SyntheticSpec)
 }
 
 
@@ -48,19 +48,23 @@ class RunConfig:
     dataset_path: str | None
     synthetic: SyntheticSpec | None
     settings: TrainSettings
-    k: int
-    seed: int
     output: str
     echo: dict
 
 
-def _take(section: dict, defaults: dict, where: str) -> dict:
+def _take(section: dict, defaults: dict, where: str, ints=(), floats=()) -> dict:
+    """``section`` merged over ``defaults``: the section's echo.
+
+    The ``ints`` and ``floats`` keys are converted in place, in that order.
+    """
     _require(isinstance(section, dict), f"{where} must be a JSON object")
     unknown = set(section) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(section)
+    merged = {**defaults, **section}
+    for keys, convert in ((ints, _integer), (floats, _float)):
+        for key in keys:
+            merged[key] = convert(merged[key], f"{where}.{key}")
     return merged
 
 
@@ -82,13 +86,20 @@ def _integer(value, where: str) -> int:
 
 
 def _float(value, where: str) -> float:
-    """``float(value)`` of a JSON number; a bool, a string or any other value is a ConfigError."""
+    """``float(value)`` of a finite JSON number.
+
+    A bool, a string, NaN, an infinity (``json`` reads ``1e400`` as one) or
+    any other value is a ConfigError.
+    """
     if not _is_number(value):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
-        return float(value)
+        converted = float(value)
     except OverflowError as exc:
         raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+    if not math.isfinite(converted):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return converted
 
 
 def _is_number(value) -> bool:
@@ -118,11 +129,12 @@ def parse_config(doc: dict) -> RunConfig:
         _require(isinstance(dataset["path"], str), "dataset.path must be a string")
         _require(set(dataset) == {"path"}, "dataset.path takes no sibling keys")
         dataset_path = dataset["path"]
-        synth_echo = None
+        dataset_echo = {"path": dataset_path}
     else:
         _require(set(dataset) == {"synthetic"}, "dataset.synthetic takes no sibling keys")
         synth = _take(dataset["synthetic"], _SYNTH_DEFAULTS, "dataset.synthetic")
         _require(synth["bias"] in BIAS_KINDS, f"dataset.synthetic.bias must be one of {BIAS_KINDS}")
+        # the scalars echo as written; the spec takes them converted
         ints = {key: _number(synth, key, "dataset.synthetic", int) for key in ("nodes", "classes", "hyperedges", "dim")}
         floats = {
             key: _number(synth, key, "dataset.synthetic", float)
@@ -130,49 +142,39 @@ def parse_config(doc: dict) -> RunConfig:
         }
         for key in ("size_range", "split_fractions"):
             _require(isinstance(synth[key], list), f"dataset.synthetic.{key} must be an array")
-        size_range = [_integer(v, "dataset.synthetic.size_range") for v in synth["size_range"]]
-        split_fractions = [_float(v, "dataset.synthetic.split_fractions") for v in synth["split_fractions"]]
+        synth["size_range"] = [_integer(v, "dataset.synthetic.size_range") for v in synth["size_range"]]
+        synth["split_fractions"] = [_float(v, "dataset.synthetic.split_fractions") for v in synth["split_fractions"]]
+        tuples = {key: tuple(synth[key]) for key in ("size_range", "split_fractions")}
         try:
-            synthetic = SyntheticSpec(
-                **ints,
-                **floats,
-                size_range=tuple(size_range),
-                bias=str(synth["bias"]),
-                split_fractions=tuple(split_fractions),
-            ).validated()
+            synthetic = SyntheticSpec(**{**synth, **ints, **floats, **tuples}).validated()
         except (ContractError, TypeError, ValueError) as exc:
             raise ConfigError(f"dataset.synthetic: {exc}") from exc
-        synth_echo = {**synth, "size_range": size_range, "split_fractions": split_fractions}
+        dataset_echo = {"synthetic": synth}
 
-    model = _take(doc.get("model", {}), _MODEL_DEFAULTS, "model")
-    layers, hidden = (_number(model, key, "model", int) for key in ("layers", "hidden"))
-    dropout, weight_decay = (_number(model, key, "model", float) for key in ("dropout", "weight_decay"))
-    _require(layers >= 1, "model.layers must be >= 1")
-    _require(hidden >= 1, "model.hidden must be >= 1")
-    _require(0.0 <= dropout < 1.0, "model.dropout must lie in [0, 1)")
-    _require(weight_decay >= 0.0, "model.weight_decay must be >= 0")
+    model = _take(doc.get("model", {}), _MODEL_DEFAULTS, "model", ("layers", "hidden"), ("dropout", "weight_decay"))
+    _require(model["layers"] >= 1, "model.layers must be >= 1")
+    _require(model["hidden"] >= 1, "model.hidden must be >= 1")
+    _require(0.0 <= model["dropout"] < 1.0, "model.dropout must lie in [0, 1)")
+    _require(model["weight_decay"] >= 0.0, "model.weight_decay must be >= 0")
 
-    part = _take(doc.get("partition", {}), {"k": 3}, "partition")
-    k = _number(part, "k", "partition", int)
-    _require(k >= 1, "partition.k must be >= 1")
+    part = _take(doc.get("partition", {}), {"k": 3}, "partition", ("k",))
+    _require(part["k"] >= 1, "partition.k must be >= 1")
 
-    mwn = _take(doc.get("mwn", {}), _MWN_DEFAULTS, "mwn")
-    mwn_hidden = _number(mwn, "hidden", "mwn", int)
+    mwn = _take(doc.get("mwn", {}), _MWN_DEFAULTS, "mwn", ("hidden",))
     _require(mwn["output_mode"] in OUTPUT_MODES, f"mwn.output_mode must be one of {OUTPUT_MODES}")
-    _require(mwn_hidden >= 1, "mwn.hidden must be >= 1")
+    _require(mwn["hidden"] >= 1, "mwn.hidden must be >= 1")
     _require(isinstance(mwn["log1p"], bool), "mwn.log1p must be a boolean")
 
-    sched = _take(doc.get("schedules", {}), _SCHEDULE_DEFAULTS, "schedules")
-    c1, c2, m_hat = (_number(sched, key, "schedules", float) for key in ("c1", "c2", "m_hat"))
+    sched = _take(doc.get("schedules", {}), _SCHEDULE_DEFAULTS, "schedules", floats=("c1", "c2", "m_hat"))
     _require(sched["kind"] in SCHEDULE_KINDS, f"schedules.kind must be one of {SCHEDULE_KINDS}")
-    _require(c1 >= 0 and c2 >= 0, "schedule constants must be >= 0")
-    _require(m_hat > 0, "schedules.m_hat must be > 0")
+    _require(sched["c1"] >= 0 and sched["c2"] >= 0, "schedule constants must be >= 0")
+    _require(sched["m_hat"] > 0, "schedules.m_hat must be > 0")
 
-    train = _take(doc.get("train", {}), _TRAIN_DEFAULTS, "train")
-    steps = _number(train, "steps", "train", int)
+    train = _take(doc.get("train", {}), _TRAIN_DEFAULTS, "train", ("steps",))
+    # batch and pin_alpha echo as written
     batch = None if train["batch"] is None else _number(train, "batch", "train", int)
     pin_alpha = None if train["pin_alpha"] is None else _number(train, "pin_alpha", "train", float)
-    _require(steps >= 0, "train.steps must be >= 0")
+    _require(train["steps"] >= 0, "train.steps must be >= 0")
     _require(batch is None or batch >= 1, "train.batch must be null or a positive integer")
     _require(
         train["meta_source"] in ("meta-split", "test-split"),
@@ -187,58 +189,34 @@ def parse_config(doc: dict) -> RunConfig:
     _require(isinstance(output, str), "output must be a string path")
 
     settings = TrainSettings(
-        steps=steps,
-        schedule1=ScheduleSpec(kind=sched["kind"], c=c1, m_hat=m_hat),
-        schedule2=ScheduleSpec(kind=sched["kind"], c=c2, m_hat=m_hat),
-        layers=layers,
-        hidden=hidden,
-        k=k,
-        mwn_hidden=mwn_hidden,
-        mwn_mode=str(mwn["output_mode"]),
-        mwn_log1p=bool(mwn["log1p"]),
-        seed=int(seed),
+        steps=train["steps"],
+        schedule1=ScheduleSpec(kind=sched["kind"], c=sched["c1"], m_hat=sched["m_hat"]),
+        schedule2=ScheduleSpec(kind=sched["kind"], c=sched["c2"], m_hat=sched["m_hat"]),
+        layers=model["layers"],
+        hidden=model["hidden"],
+        k=part["k"],
+        mwn_hidden=mwn["hidden"],
+        mwn_mode=mwn["output_mode"],
+        mwn_log1p=mwn["log1p"],
+        seed=seed,
         batch_size=batch,
-        meta_source=str(train["meta_source"]),
+        meta_source=train["meta_source"],
         pin_alpha=pin_alpha,
-        optimizer=str(train["optimizer"]),
-        weight_decay=weight_decay,
-        dropout=dropout,
+        optimizer=train["optimizer"],
+        weight_decay=model["weight_decay"],
+        dropout=model["dropout"],
     )
-
     echo = {
-        "dataset": {"path": dataset_path} if dataset_path is not None else {"synthetic": synth_echo},
-        "model": {"layers": layers, "hidden": hidden, "dropout": dropout, "weight_decay": weight_decay},
-        "partition": {"k": k},
-        "mwn": {
-            "hidden": mwn_hidden,
-            "output_mode": mwn["output_mode"],
-            "log1p": bool(mwn["log1p"]),
-        },
-        "schedules": {
-            "kind": sched["kind"],
-            "c1": c1,
-            "c2": c2,
-            "m_hat": m_hat,
-        },
-        "train": {
-            "steps": steps,
-            "batch": train["batch"],
-            "meta_source": train["meta_source"],
-            "pin_alpha": train["pin_alpha"],
-            "optimizer": train["optimizer"],
-        },
-        "seed": int(seed),
+        "dataset": dataset_echo,
+        "model": model,
+        "partition": part,
+        "mwn": mwn,
+        "schedules": sched,
+        "train": train,
+        "seed": seed,
         "output": output,
     }
-    return RunConfig(
-        dataset_path=dataset_path,
-        synthetic=synthetic,
-        settings=settings,
-        k=k,
-        seed=int(seed),
-        output=output,
-        echo=echo,
-    )
+    return RunConfig(dataset_path=dataset_path, synthetic=synthetic, settings=settings, output=output, echo=echo)
 
 
 def load_config(path) -> RunConfig:

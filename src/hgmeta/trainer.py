@@ -54,7 +54,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, NumericsError, TrainingError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, OverlapVector
 from .model import BRANCHES, BranchGraph, HGNNParams, TapedForward, _forward_branches, taped_forward
 from .mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
 from .partition import Partition, assign_levels, kmeans_1d
@@ -150,9 +150,6 @@ class TrainState:
     hgnn: HGNNParams
     mwn: MWNParams
     partition: Partition
-    schedule1: ScheduleSpec
-    schedule2: ScheduleSpec
-    seed: int
     step: int = 0
     history: list[StepRecord] = field(default_factory=list)
     train_tasks: Array | None = None
@@ -173,7 +170,6 @@ class StepCache:
     set; ``perfbench`` still reads them.
     """
 
-    ids: Array
     tasks: Array
     l1: Array
     l2: Array
@@ -259,7 +255,6 @@ def intermediate_update(
         alpha = np.full(l1.size, float(pin_alpha))
         beta = 1.0 - alpha
     cache = StepCache(
-        ids=np.asarray(ids, dtype=np.int64),
         tasks=tasks,
         l1=l1,
         l2=l2,
@@ -376,13 +371,16 @@ def external_update(
 
 
 def fit_overlap_partition(g: Hypergraph, train_ids: Sequence[int], k: int) -> tuple[Partition, Array]:
-    """Overlap values on the training nodes, clustered into levels.
+    """Overlap values on the training nodes, clustered into levels by ``fit_levels``."""
+    return fit_levels(g.overlap_vector(np.asarray(train_ids, dtype=np.int64)), k)
+
+
+def fit_levels(vec: OverlapVector, k: int) -> tuple[Partition, Array]:
+    """The overlap values of ``vec`` clustered into at most ``k`` levels, and the level of each.
 
     Nodes with an empty egonet are excluded from the fit and land in level 0
-    when assigned. Returns the partition and the per-training-node levels.
+    when assigned. With no node to fit, there is one level, at 1.0.
     """
-    train_ids = np.asarray(train_ids, dtype=np.int64)
-    vec = g.overlap_vector(train_ids)
     valid_values = vec.values[vec.valid]
     if valid_values.size:
         partition = kmeans_1d(valid_values, k)
@@ -436,16 +434,7 @@ def train(dataset, settings: TrainSettings):
     if meta_ids.size == 0:
         raise ContractError("meta split is empty")
 
-    state = TrainState(
-        hgnn=hgnn,
-        mwn=mwn,
-        partition=partition,
-        schedule1=settings.schedule1,
-        schedule2=settings.schedule2,
-        seed=settings.seed,
-        train_tasks=train_tasks,
-        adam=adam,
-    )
+    state = TrainState(hgnn=hgnn, mwn=mwn, partition=partition, train_tasks=train_tasks, adam=adam)
     batch_rng = stream(settings.seed, "batch")
     # at most one forward, taped at the committed parameters, for the next
     # probe; a list, so that the step can drop it before it tapes another
@@ -475,7 +464,7 @@ def _one_step(
     state: TrainState, dataset, settings: TrainSettings, t: int, train_ids, meta_ids, batch_rng, kept: list[TapedForward]
 ):
     g, X, y = dataset.graph, dataset.features, dataset.labels
-    lam1, lam2 = lr(state.schedule1, t), lr(state.schedule2, t)
+    lam1, lam2 = lr(settings.schedule1, t), lr(settings.schedule2, t)
     if settings.batch_size is not None and settings.batch_size < train_ids.size:
         pick = batch_rng.choice(train_ids.size, size=settings.batch_size, replace=False)
         pick.sort()

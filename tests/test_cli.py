@@ -179,18 +179,87 @@ class TestTrainCommand:
         assert cli.main(["train", str(cfg)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.bitwise
     def test_float_keys_take_json_integers_with_the_echo_unchanged(self):
+        # the generator's scalars, train.batch and train.pin_alpha echo as written; the rest echo typed
         doc = {
-            "dataset": {"synthetic": {"homophily": 1, "noise": 0, "split_fractions": [1, 0, 0]}},
-            "model": {"dropout": 0, "weight_decay": 1},
+            "dataset": {
+                "synthetic": {
+                    "nodes": 24.0,
+                    "homophily": 1,
+                    "noise": 0,
+                    "size_range": [2.0, 4],
+                    "split_fractions": [1, 0, 0],
+                }
+            },
+            "model": {"hidden": 6.0, "dropout": 0, "weight_decay": 1},
             "schedules": {"c1": 1, "c2": 0, "m_hat": 3},
-            "train": {"pin_alpha": 1},
+            "train": {"batch": 5.0, "pin_alpha": 1},
         }
         cfg = parse_config(doc)
-        assert (cfg.settings.weight_decay, cfg.settings.pin_alpha, cfg.settings.schedule1.c) == (1.0, 1.0, 1.0)
+        settings = cfg.settings
+        assert (settings.hidden, settings.batch_size, settings.weight_decay, settings.pin_alpha) == (6, 5, 1.0, 1.0)
+        assert (type(settings.hidden), type(settings.batch_size), type(settings.pin_alpha)) == (int, int, float)
+        assert (settings.schedule1.c, settings.schedule2.c, settings.schedule1.m_hat) == (1.0, 0.0, 3.0)
+        assert cfg.synthetic.nodes == 24 and type(cfg.synthetic.nodes) is int
         assert cfg.synthetic.homophily == 1.0 and cfg.synthetic.split_fractions == (1.0, 0.0, 0.0)
-        assert cfg.echo["train"]["pin_alpha"] == 1 and cfg.echo["dataset"]["synthetic"]["homophily"] == 1
-        assert cfg.echo["schedules"] == {"kind": "inverse-sqrt", "c1": 1.0, "c2": 0.0, "m_hat": 3.0}
+        echo = {section: json.dumps(cfg.echo[section], sort_keys=True) for section in cfg.echo}
+        assert echo["dataset"] == (
+            '{"synthetic": {"bias": "none", "bias_fraction": 0.0, "classes": 3, "dim": 16, "homophily": 1, '
+            '"hyperedges": 150, "nodes": 24.0, "noise": 0, "signal": 1.0, "size_range": [2, 4], '
+            '"split_fractions": [1.0, 0.0, 0.0]}}'
+        )
+        assert echo["model"] == '{"dropout": 0.0, "hidden": 6, "layers": 2, "weight_decay": 1.0}'
+        assert echo["schedules"] == '{"c1": 1.0, "c2": 0.0, "kind": "inverse-sqrt", "m_hat": 3.0}'
+        assert echo["train"] == (
+            '{"batch": 5.0, "meta_source": "meta-split", "optimizer": "gd", "pin_alpha": 1, "steps": 200}'
+        )
+
+    def test_an_empty_synthetic_section_gives_the_library_defaults(self):
+        cfg = parse_config({"dataset": {"synthetic": {}}})
+        assert cfg.settings == TrainSettings(steps=200)
+        assert cfg.synthetic == SyntheticSpec()
+
+    @pytest.mark.parametrize(
+        "section,value,key",
+        [
+            ("dataset", {"synthetic": {"nodes": 24, "noise": float("inf")}}, "dataset.synthetic.noise"),
+            (
+                "dataset",
+                {"synthetic": {"nodes": 24, "split_fractions": [0.2, float("nan"), 0.6]}},
+                "dataset.synthetic.split_fractions",
+            ),
+            ("model", {"layers": 2, "hidden": 6, "weight_decay": float("inf")}, "model.weight_decay"),
+            ("model", {"layers": 2, "hidden": 6, "dropout": float("nan")}, "model.dropout"),
+            ("schedules", {"m_hat": float("inf")}, "schedules.m_hat"),
+            ("schedules", {"c1": float("-inf")}, "schedules.c1"),
+            ("train", {"steps": 3, "pin_alpha": float("nan")}, "train.pin_alpha"),
+        ],
+        ids=[
+            "noise-infinity",
+            "split-fraction-nan",
+            "weight-decay-infinity",
+            "dropout-nan",
+            "m-hat-infinity",
+            "c1-minus-infinity",
+            "pin-alpha-nan",
+        ],
+    )
+    def test_float_key_rejects_nan_and_infinity_before_training(
+        self, tmp_path, capsys, monkeypatch, section, value, key
+    ):
+        monkeypatch.setattr(cli, "train", _no_training)
+        cfg = tiny_config(tmp_path, **{section: value})
+        assert cli.main(["train", str(cfg)]) == 2
+        assert f"config error: {key} must be a finite number" in capsys.readouterr().err
+
+    def test_a_float_key_written_past_the_float_range_is_rejected_before_training(self, tmp_path, capsys, monkeypatch):
+        # json reads 1e400 as infinity
+        monkeypatch.setattr(cli, "train", _no_training)
+        cfg = tiny_config(tmp_path, schedules={"m_hat": "M_HAT"})
+        cfg.write_text(cfg.read_text().replace('"M_HAT"', "1e400"))
+        assert cli.main(["train", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: schedules.m_hat must be a finite number, got inf\n"
 
     def test_integral_floats_stay_valid_with_the_echo_unchanged(self, tmp_path):
         doc = json.loads(tiny_config(tmp_path).read_text())
@@ -335,6 +404,16 @@ class TestEvalCommand:
         assert cli.main(["train", str(cfg)]) == 0
         assert cli.main(["eval", str(tmp_path / "run.json")]) == 3
 
+    def test_an_artifact_whose_echo_holds_infinity_exits_3(self, tmp_path, capsys):
+        assert cli.main(["train", str(tiny_config(tmp_path, train={"steps": 0}))]) == 0
+        doc = json.loads((tmp_path / "run.json").read_text())
+        doc["config"]["schedules"]["m_hat"] = float("inf")
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["eval", str(tmp_path / "bad.json"), "--regen"]) == 3
+        err = capsys.readouterr().err
+        assert "artifact-schema" in err and "schedules.m_hat must be a finite number" in err
+
     @pytest.mark.parametrize(
         "mangle",
         [
@@ -392,6 +471,19 @@ class TestAnalyzeOverlap:
         out = capsys.readouterr().out
         assert "centroids=[1.0]" in out
         assert "level0: 3 nodes" in out
+
+    def test_without_hyperedges_every_node_is_undefined_at_one_level(self, tmp_path, capsys):
+        root = tmp_path / "edgeless"
+        root.mkdir()
+        (root / "hyperedges.txt").write_text("")
+        (root / "features.csv").write_text("\n".join(["1.0"] * 3) + "\n")
+        (root / "labels.csv").write_text("0,0\n1,0\n2,1\n")
+        (root / "splits.json").write_text(json.dumps({"train": [0], "meta": [1], "test": [2]}))
+        assert cli.main(["analyze-overlap", str(root), "--csv", str(tmp_path / "overlap.csv")]) == 0
+        assert capsys.readouterr().out == (
+            "node_id p level\n0 undefined 0\n1 undefined 0\n2 undefined 0\ncentroids=[1.0]\nlevel0: 3 nodes\n"
+        )
+        assert (tmp_path / "overlap.csv").read_text().splitlines() == ["node_id,p,level", "0,,0", "1,,0", "2,,0"]
 
     def test_csv_output(self, tmp_path, capsys):
         root = write_toy_dataset(tmp_path / "toy")
