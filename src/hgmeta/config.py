@@ -10,7 +10,8 @@ int or float they convert to (``"hidden": 6.0`` echoes ``6`` and
 ``"c1": 1`` echoes ``1.0``). The keys that echo exactly as written are the
 generator's scalar settings, ``train.batch`` and ``train.pin_alpha``. Every
 float setting must be finite: NaN and Infinity, which Python's ``json``
-reads, are rejected.
+reads, are rejected. The seed must lie in ``[0, 2**64)``, the 64 bits that
+``rng.stream`` reads.
 """
 
 from __future__ import annotations
@@ -185,6 +186,8 @@ def parse_config(doc: dict) -> RunConfig:
 
     seed = doc.get("seed", 0)
     _require(isinstance(seed, int) and not isinstance(seed, bool), "seed must be an integer")
+    # the random streams read 64 bits of the seed: -1 would train as 2**64 - 1
+    _require(0 <= seed < 2**64, f"seed must lie in [0, 2**64), got {seed}")
     output = doc.get("output", "run.json")
     _require(isinstance(output, str), "output must be a string path")
 

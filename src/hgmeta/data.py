@@ -4,18 +4,26 @@ On-disk layout of a dataset directory (all plain text, UTF-8):
 
 * ``hyperedges.txt``  one hyperedge per line, whitespace-separated 0-based
   node ids; blank lines are ignored;
-* ``features.csv``    one row per node, comma-separated decimals; the row
-  count defines the node count;
+* ``features.csv``    one row per node, comma-separated tokens that
+  ``float()`` accepts; blank (empty or whitespace-only) lines are skipped;
+  the row count defines the node count;
 * ``labels.csv``      lines ``node_id,class_id``; unlabeled nodes omitted;
 * ``splits.json``     object with integer arrays "train", "meta", "test".
 
+Two readers parse ``features.csv`` to the same bits. NumPy's C reader
+(``_read_features``) reads it in blocks of rows. ``_read_features_by_line``,
+one ``float()`` per token, is the reference: it defines the grammar and
+every error, and it re-reads any file the C reader rejects.
+
 Validation failures raise DataError with a machine-readable code so the CLI
-can map them to a stable exit status.
+can map them to a stable exit status; a file that is not UTF-8 is a parse
+error of that file.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,6 +100,80 @@ def _validate_dataset(ds: Dataset) -> Dataset:
     return ds
 
 
+# rows per np.loadtxt call in _read_features. Through glibc's mmap threshold
+# the block shape sets the peak RSS of a Cora-CA-sized run: one call over the
+# whole file, or one call per line, raised it by 8-10%.
+_FEATURE_BLOCK_ROWS = 256
+
+
+def _read_features(path: Path) -> np.ndarray:
+    """The frozen float64 features of ``features.csv``, parsed by NumPy's C reader.
+
+    The C tokenizer converts each token with the correctly rounded routine
+    that ``float()`` uses, so every bit matches ``_read_features_by_line``.
+    It accepts a subset of that reader's grammar. A file it rejects (a bad
+    token, a ragged row, a whitespace-only line, bytes that are not UTF-8 or
+    no rows at all) is re-read by ``_read_features_by_line``, which accepts
+    what ``float()`` accepts and gives every error with its line number.
+    """
+    blocks: list[np.ndarray] = []
+    try:
+        with path.open(encoding="utf-8") as fh, warnings.catch_warnings():
+            # loadtxt warns at the end of the file and on each skipped blank line
+            warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data", UserWarning)
+            while True:
+                block = np.loadtxt(
+                    fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2, max_rows=_FEATURE_BLOCK_ROWS
+                )
+                if block.shape[0] == 0:
+                    break
+                if blocks and block.shape[1] != blocks[0].shape[1]:
+                    raise ValueError("feature rows have differing lengths")
+                blocks.append(block)
+    except ValueError:
+        blocks = []
+    if not blocks:
+        return _read_features_by_line(path)
+    # bytes.join copies each block's buffer straight into the one frozen buffer
+    return np.frombuffer(b"".join(blocks), dtype=np.float64).reshape(-1, blocks[0].shape[1])
+
+
+def _read_features_by_line(path: Path) -> np.ndarray:
+    """The reference feature reader: it defines the grammar and every error.
+
+    Streamed into the float64 bytes of one row at a time: the whole text
+    and a Python float per value would peak at several times the size of
+    the features. Joining the rows once gives the frozen features without
+    a second full-size array.
+    """
+    feature_rows: list[bytes] = []
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    feature_rows.append(np.fromiter(map(float, line.split(",")), dtype=np.float64).tobytes())
+                except ValueError as exc:
+                    raise DataError("feature-parse", f"features.csv line {lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError("feature-parse", f"features.csv is not UTF-8: {exc}") from exc
+    if not feature_rows:
+        raise DataError("feature-parse", "features.csv is empty")
+    n, row_bytes = len(feature_rows), len(feature_rows[0])
+    if any(len(row) != row_bytes for row in feature_rows):
+        raise DataError("ragged-features", "feature rows have differing lengths")
+    return np.frombuffer(b"".join(feature_rows), dtype=np.float64).reshape(n, -1)
+
+
+def _read_text(root: Path, fname: str, code: str) -> str:
+    """The UTF-8 text of ``root / fname``; bytes that are not UTF-8 raise DataError ``code``."""
+    try:
+        return (root / fname).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(code, f"{fname} is not UTF-8: {exc}") from exc
+
+
 def load_dataset(path) -> Dataset:
     """Read and validate the four-file layout rooted at ``path``."""
     root = Path(path)
@@ -99,29 +181,11 @@ def load_dataset(path) -> Dataset:
         if not (root / fname).is_file():
             raise DataError("missing-file", str(root / fname))
 
-    # streamed into the float64 bytes of one row at a time: the whole text
-    # and a Python float per value would peak at several times the size of
-    # the features. Joining the rows once gives the frozen features without
-    # a second full-size array.
-    feature_rows: list[bytes] = []
-    with (root / "features.csv").open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                feature_rows.append(np.fromiter(map(float, line.split(",")), dtype=np.float64).tobytes())
-            except ValueError as exc:
-                raise DataError("feature-parse", f"features.csv line {lineno}: {exc}") from exc
-    if not feature_rows:
-        raise DataError("feature-parse", "features.csv is empty")
-    n, row_bytes = len(feature_rows), len(feature_rows[0])
-    if any(len(row) != row_bytes for row in feature_rows):
-        raise DataError("ragged-features", "feature rows have differing lengths")
-    features = np.frombuffer(b"".join(feature_rows), dtype=np.float64).reshape(n, -1)
-    del feature_rows
+    features = _read_features(root / "features.csv")
+    n = features.shape[0]
 
     edges: list[list[int]] = []
-    for lineno, line in enumerate((root / "hyperedges.txt").read_text().splitlines(), 1):
+    for lineno, line in enumerate(_read_text(root, "hyperedges.txt", "hyperedge-parse").splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -139,7 +203,7 @@ def load_dataset(path) -> Dataset:
         raise DataError("hyperedge-invalid", str(exc)) from exc
 
     labels = np.full(n, -1, dtype=np.int64)
-    for lineno, line in enumerate((root / "labels.csv").read_text().splitlines(), 1):
+    for lineno, line in enumerate(_read_text(root, "labels.csv", "label-parse").splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -159,7 +223,7 @@ def load_dataset(path) -> Dataset:
     num_classes = int(labels.max()) + 1
 
     try:
-        raw_splits = json.loads((root / "splits.json").read_text())
+        raw_splits = json.loads(_read_text(root, "splits.json", "split-parse"))
     except json.JSONDecodeError as exc:
         raise DataError("split-parse", f"splits.json: {exc}") from exc
     if not isinstance(raw_splits, dict) or set(raw_splits) != set(SPLIT_NAMES):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,16 +334,49 @@ class TestTrainCommand:
         )
 
     def test_missing_dataset_dir_exits_3(self, tmp_path):
-        doc = json.loads(tiny_config(tmp_path).read_text())
-        doc["dataset"] = {"path": str(tmp_path / "nope")}
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(doc))
-        assert cli.main(["train", str(cfg)]) == 3
+        assert cli.main(["train", str(_config_reading(tmp_path, tmp_path / "nope"))]) == 3
+
+    @pytest.mark.parametrize("fname,code", [("features.csv", "feature-parse"), ("hyperedges.txt", "hyperedge-parse")])
+    def test_a_dataset_file_that_is_not_utf8_exits_3_without_a_traceback(self, tmp_path, fname, code):
+        cfg = _config_reading(tmp_path, _not_utf8_toy(tmp_path, fname))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "hgmeta.cli", "train", str(cfg)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 3
+        assert done.stderr.startswith(f"data error: {code}: {fname} is not UTF-8: ")
+        assert "Traceback" not in done.stderr
+
+    def test_seed_outside_64_bits_exits_2_naming_seed(self, tmp_path, capsys):
+        for seed in (-1, 2**64):
+            cfg = tiny_config(tmp_path, seed=seed)
+            assert cli.main(["train", str(cfg)]) == 2
+            assert capsys.readouterr().err == f"config error: seed must lie in [0, 2**64), got {seed}\n"
+
+    def test_seeds_at_the_ends_of_64_bits_are_accepted(self):
+        for seed in (0, 2**64 - 1):
+            assert parse_config({"dataset": {"path": "unused"}, "seed": seed}).settings.seed == seed
 
     def test_save_dataset_flag_dumps_files(self, tmp_path):
         cfg = tiny_config(tmp_path)
         assert cli.main(["train", str(cfg), "--save-dataset", str(tmp_path / "ds")]) == 0
         assert (tmp_path / "ds" / "hyperedges.txt").exists()
+
+
+def _not_utf8_toy(tmp_path, fname):
+    """The toy dataset directory with a byte that is not UTF-8 at the start of ``fname``."""
+    root = write_toy_dataset(tmp_path / "toy")
+    (root / fname).write_bytes(b"\xff" + (root / fname).read_bytes())
+    return root
+
+
+def _config_reading(tmp_path, root):
+    """``tiny_config`` with the dataset read from the directory ``root``."""
+    doc = json.loads(tiny_config(tmp_path).read_text())
+    doc["dataset"] = {"path": str(root)}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    return cfg
 
 
 def _no_training(*args, **kwargs):
@@ -413,6 +450,17 @@ class TestEvalCommand:
         assert cli.main(["eval", str(tmp_path / "bad.json"), "--regen"]) == 3
         err = capsys.readouterr().err
         assert "artifact-schema" in err and "schedules.m_hat must be a finite number" in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_an_artifact_whose_echo_holds_a_seed_outside_64_bits_exits_3(self, tmp_path, capsys, seed):
+        assert cli.main(["train", str(tiny_config(tmp_path, train={"steps": 0}))]) == 0
+        doc = json.loads((tmp_path / "run.json").read_text())
+        doc["config"]["seed"] = seed
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["eval", str(tmp_path / "bad.json"), "--regen"]) == 3
+        err = capsys.readouterr().err
+        assert "artifact-schema" in err and "seed must lie in [0, 2**64)" in err
 
     @pytest.mark.parametrize(
         "mangle",

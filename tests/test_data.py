@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgmeta import data
 from hgmeta import tensor as T
 from hgmeta.data import (
     Dataset,
@@ -133,6 +139,185 @@ class TestRoundTrip:
         root = tmp_path_factory.mktemp("rt")
         save_dataset(ds, root)
         assert load_dataset(root) == ds
+
+
+def _rows(count: int, width: int = 2, bad: dict | None = None) -> str:
+    """``count`` rows of ``width`` distinct decimals; ``bad`` maps 1-based line numbers to replacement lines."""
+    lines = [",".join(f"{r}.{c}5" for c in range(width)) for r in range(count)]
+    for lineno, line in (bad or {}).items():
+        lines[lineno - 1] = line
+    return "\n".join(lines) + "\n"
+
+
+# features.csv texts (or bytes) that the C reader must read to the reference
+# reader's bits, or reject to the reference reader's error
+FEATURE_CORPUS = {
+    "plain": "1.5,2\n-3,4e-3\n",
+    "underscore-digits": "1,2\n1_0,2_5\n3,4\n",
+    "non-ascii-digits": "1,2\n\u0661,\u0662.\u0665\n3,4\n",
+    "whitespace-only-lines": "1,2\n   \n3,4\n\t\n5,6\n",
+    "empty-line-in-a-block": "1,2\n\n3,4\n",
+    "crlf": "1,2\r\n3,4\r\n",
+    "no-final-newline": "1,2\n3,4",
+    "one-column": "1\n2\n3\n",
+    "nan-and-minus-infinity": "nan,1\n-Infinity,2\n",
+    "overflow-to-infinity": "1e999,2\n",
+    "padded-tokens": " 1 , 2\t\n+3,-0\n",
+    "rounding-and-subnormals": "0.1000000000000000055511151231257827,5e-324\n2.2250738585072011e-308,1e23\n",
+    "empty-field": "1,,2\n",
+    "trailing-comma": "1,2,\n",
+    "hash": "1,2\n#3,4\n",
+    "hash-after-a-value": "1,2 # note\n",
+    "quoted-values": '"1","2"\n',
+    "empty-file": "",
+    "all-blank-file": "\n  \n\t\n",
+    "ragged-inside-a-block": "1,2\n3\n5,6\n",
+    "ragged-across-blocks": _rows(data._FEATURE_BLOCK_ROWS) + _rows(44, width=3),
+    "ragged-in-a-later-block": _rows(300, bad={280: "1,2,3"}),
+    "ragged-then-bad-token": "1,2\n3\n4,x\n",
+    "bad-token-past-line-256": _rows(300, bad={10: "", 290: "1.0,x"}),
+    "bad-token-in-the-last-row": _rows(513, bad={513: "1.0,2.0.0"}),
+    "not-utf8": b"1,2\n\xff3,4\n",
+}
+
+
+def _outcome(read, path):
+    """``read(path)``'s features bytes and shape, or its DataError code and message."""
+    try:
+        features = read(path)
+    except DataError as exc:
+        return ("error", exc.code, str(exc))
+    return ("features", features.shape, features.tobytes(), T.frozen(features))
+
+
+@pytest.mark.bitwise
+class TestFeatureReaders:
+    @pytest.mark.parametrize("case", sorted(FEATURE_CORPUS))
+    def test_c_reader_matches_the_reference_reader(self, tmp_path, case):
+        text = FEATURE_CORPUS[case]
+        path = tmp_path / "features.csv"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(data._read_features, path)
+            want = _outcome(data._read_features_by_line, path)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "case,expected",
+        [
+            ("underscore-digits", [[1, 2], [10, 25], [3, 4]]),
+            ("non-ascii-digits", [[1, 2], [1, 2.5], [3, 4]]),
+            ("whitespace-only-lines", [[1, 2], [3, 4], [5, 6]]),
+            ("crlf", [[1, 2], [3, 4]]),
+            ("one-column", [[1], [2], [3]]),
+        ],
+    )
+    def test_the_reference_grammar_is_what_float_accepts(self, tmp_path, case, expected):
+        path = tmp_path / "features.csv"
+        path.write_text(FEATURE_CORPUS[case], encoding="utf-8", newline="")
+        np.testing.assert_array_equal(data._read_features(path), np.array(expected, dtype=np.float64))
+
+    @pytest.mark.parametrize(
+        "case,code,message",
+        [
+            ("empty-field", "feature-parse", "features.csv line 1: could not convert string to float: ''"),
+            ("hash", "feature-parse", "features.csv line 2: could not convert string to float: '#3'"),
+            ("empty-file", "feature-parse", "features.csv is empty"),
+            ("all-blank-file", "feature-parse", "features.csv is empty"),
+            ("ragged-across-blocks", "ragged-features", "feature rows have differing lengths"),
+            ("ragged-then-bad-token", "feature-parse", "features.csv line 3: could not convert string to float: 'x\\n'"),
+            ("bad-token-past-line-256", "feature-parse", "features.csv line 290: could not convert string to float: 'x\\n'"),
+        ],
+    )
+    def test_errors_name_the_reference_line(self, tmp_path, case, code, message):
+        path = tmp_path / "features.csv"
+        path.write_text(FEATURE_CORPUS[case], encoding="utf-8", newline="")
+        with pytest.raises(DataError) as err:
+            data._read_features(path)
+        assert (err.value.code, str(err.value)) == (code, f"{code}: {message}")
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.text(alphabet="0123456789.,-+e_ \t\r\n#\"nai\u0661", max_size=40))
+    def test_c_reader_matches_the_reference_reader_on_random_texts(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "features.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(data._read_features, path) == _outcome(data._read_features_by_line, path)
+
+    def test_non_finite_values_reach_the_finiteness_check(self, tmp_path):
+        root = write_toy_dataset(tmp_path / "toy", feature_rows=["nan,1", "-Infinity,2"] + ["1,2"] * 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as err:
+                load_dataset(root)
+        assert err.value.code == "feature-nonfinite"
+
+    @pytest.mark.parametrize("case", ["plain", "empty-line-in-a-block", "crlf", "no-final-newline", "one-column"])
+    def test_valid_files_never_reach_the_reference_reader(self, tmp_path, monkeypatch, case):
+        path = tmp_path / "features.csv"
+        path.write_text(FEATURE_CORPUS[case], encoding="utf-8", newline="")
+        expected = data._read_features_by_line(path)
+        monkeypatch.setattr(data, "_read_features_by_line", _reference_reader_reached)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert data._read_features(path).tobytes() == expected.tobytes()
+
+
+def _reference_reader_reached(path):
+    raise AssertionError(f"the reference reader re-read {path}")
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("nodes,dim", [(600, 1433), (512, 8)], ids=["three-wide-blocks", "two-full-blocks"])
+def test_multi_block_round_trip_keeps_every_feature_bit(tmp_path, monkeypatch, nodes, dim):
+    assert nodes >= 2 * data._FEATURE_BLOCK_ROWS
+    ds = generate_synthetic(SyntheticSpec(nodes=nodes, hyperedges=40, dim=dim), seed=3)
+    save_dataset(ds, tmp_path / "d")
+    monkeypatch.setattr(data, "_read_features_by_line", _reference_reader_reached)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = load_dataset(tmp_path / "d")
+    assert loaded.features.shape == (nodes, dim)
+    assert loaded.features.tobytes() == ds.features.tobytes()
+    assert T.frozen(loaded.features)
+
+
+class TestEncoding:
+    @pytest.mark.parametrize(
+        "fname,code",
+        [
+            ("features.csv", "feature-parse"),
+            ("hyperedges.txt", "hyperedge-parse"),
+            ("labels.csv", "label-parse"),
+            ("splits.json", "split-parse"),
+        ],
+    )
+    @pytest.mark.parametrize("where", ["first-byte", "later-line"])
+    def test_bytes_that_are_not_utf8_raise_the_files_parse_code(self, tmp_path, fname, code, where):
+        root = write_toy_dataset(tmp_path / "toy")
+        raw = (root / fname).read_bytes()
+        (root / fname).write_bytes(b"\xff" + raw if where == "first-byte" else raw + b"\n\xfe\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as err:
+                load_dataset(root)
+        assert err.value.code == code
+        assert f"{fname} is not UTF-8" in str(err.value)
+
+    def test_files_are_read_as_utf8_whatever_the_locale(self, tmp_path):
+        # U+0661 ARABIC-INDIC DIGIT ONE is not ASCII, the encoding of the POSIX locale without UTF-8 mode
+        root = write_toy_dataset(tmp_path / "toy", feature_rows=["\u0661,2,3"] + ["0.5,0.5,0.5"] * 6)
+        env = {**os.environ, "LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": str(Path(data.__file__).parents[1])}
+        script = "import sys; from hgmeta.data import load_dataset; print(load_dataset(sys.argv[1]).features[0].tolist())"
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-c", script, str(root)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (done.returncode, done.stdout) == (0, "[1.0, 2.0, 3.0]\n"), done.stderr[-2000:]
 
 
 class TestSynthetic:
