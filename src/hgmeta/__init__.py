@@ -1,10 +1,10 @@
 """Overlap-aware hypergraph node classification with meta-learned loss weighting."""
 
 from .data import Dataset, Splits, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
-from .hypergraph import Hypergraph, OverlapVector, overlap_vector, overlapness
-from .model import HGNNParams, ForwardOutput, branch_losses, ce_loss, forward
+from .hypergraph import Hypergraph, OverlapVector
+from .model import HGNNParams, ForwardOutput, branch_losses, forward
 from .mwn import MWNParams
-from .partition import Partition, assign_level, assign_levels, kmeans_1d
+from .partition import Partition, assign_levels, kmeans_1d
 from .tensor import Tape, Tensor, finite_diff_check
 from .trainer import ScheduleSpec, TrainSettings, TrainState, evaluate, lr, predict, train
 
@@ -25,10 +25,8 @@ __all__ = [
     "Tensor",
     "TrainSettings",
     "TrainState",
-    "assign_level",
     "assign_levels",
     "branch_losses",
-    "ce_loss",
     "evaluate",
     "finite_diff_check",
     "forward",
@@ -36,8 +34,6 @@ __all__ = [
     "kmeans_1d",
     "load_dataset",
     "lr",
-    "overlap_vector",
-    "overlapness",
     "predict",
     "save_dataset",
     "train",

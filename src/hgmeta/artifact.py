@@ -88,8 +88,8 @@ def save_run_artifact(path, config_echo: dict, state: TrainState, metrics: dict)
 def load_run_artifact(path) -> RunArtifact:
     """Read and decode an artifact; any malformed content raises DataError."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, or an int past the digit limit
         raise DataError("artifact-parse", f"{path}: {exc}") from exc
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != FORMAT:
@@ -139,6 +139,9 @@ def _decode(doc: dict) -> RunArtifact:
     # training echoes every default, so a valid echo is its own echo
     if config.echo != doc["config"]:
         raise DataError("artifact-schema", "config is not a complete config echo")
+    layers = config.settings.layers
+    if hgnn.num_layers != layers:
+        raise DataError("artifact-schema", f"checkpoint has {hgnn.num_layers} layers, model.layers is {layers}")
     return RunArtifact(
         config=config,
         partition=partition,

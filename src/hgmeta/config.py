@@ -224,9 +224,11 @@ def parse_config(doc: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        doc = json.loads(Path(path).read_text())
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or an int past the digit limit
+        raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     return parse_config(doc)

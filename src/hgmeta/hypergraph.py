@@ -211,14 +211,6 @@ class Hypergraph:
             raise IndexError(f"hyperedge id {e} outside [0, {self.num_hyperedges})")
 
 
-def overlapness(g: Hypergraph, v: int) -> float | None:
-    return g.overlapness(v)
-
-
-def overlap_vector(g: Hypergraph, nodes: Sequence[int]) -> OverlapVector:
-    return g.overlap_vector(nodes)
-
-
 # member slots whose distinct (node, member) pairs one overlap_vector block sorts
 _UNION_BLOCK = 1 << 20
 

@@ -21,7 +21,8 @@ layer-0 hyperedge means and records the products ``X @ W0`` and
 those two nodes. A backward sweep seeded at both branches' losses thus adds
 what reaches each node and multiplies by ``X.T`` once; a sweep seeded at one
 branch reaches only that branch's records, so its gradient has the bits of a
-one-branch tape. ``forward`` is its untaped one-branch case.
+one-branch tape. ``forward`` is its untaped case, for any of the branches,
+and the rows of each branch have the bits of a one-branch pass.
 ``taped_forward(...).losses(...)`` is the one way to tape the classifier:
 ``taped_forward`` registers the parameters on a fresh tape and records the
 forward without loss heads, and ``TapedForward.losses`` adds the CE heads
@@ -61,6 +62,8 @@ class HGNNParams:
     attn: list[Array]
 
     def __post_init__(self):
+        if not self.weights:
+            raise ContractError("need at least one layer")
         if len(self.weights) != len(self.attn):
             raise ContractError("one attention vector per layer is required")
         for t, (w, a) in enumerate(zip(self.weights, self.attn)):
@@ -194,33 +197,6 @@ def ss_coefficients(g: Hypergraph) -> Array:
     return T.derived(arrays["pair_nodes"], "ss_coefficients", build)
 
 
-def aggregate_hyperedges(g: Hypergraph, node_feats: Array) -> Array:
-    """Stage-1 aggregation: mean member feature per hyperedge."""
-    if node_feats.shape[0] != g.num_nodes:
-        raise ContractError("node_feats must have one row per node")
-    return _edge_means_t(g, T.as_tensor(node_feats)).data
-
-
-def fs_coefficients(g: Hypergraph, node_proj: Array, edge_proj: Array, a: Array) -> Array:
-    """Feature coefficients per incidence pair, softmaxed per node."""
-    if a.shape != (node_proj.shape[1] + edge_proj.shape[1], 1):
-        raise ContractError("attention vector length must match the concatenated projections")
-    out = _fs_coefficients_t(g, T.as_tensor(node_proj), T.as_tensor(edge_proj), T.as_tensor(a))
-    return out.data[:, 0]
-
-
-def node_update(g: Hypergraph, node_feats: Array, edge_feats: Array, coeffs: Array, w: Array, activate: bool = True) -> Array:
-    """Stage-2 update: sigma(x_i w + sum_e coeff_ie * x_e w)."""
-    w = T.as_tensor(w)
-    out = _node_update_t(
-        g,
-        T.matmul(T.as_tensor(node_feats), w),
-        T.matmul(T.as_tensor(edge_feats), w),
-        T.as_tensor(T.column(coeffs)),
-    )
-    return (T.elu(out) if activate else out).data
-
-
 def _edge_means_t(g: Hypergraph, h: Tensor) -> Tensor:
     arrays = g.incidence_arrays()
     gathered = T.gather_rows(h, arrays["member_nodes"])
@@ -305,29 +281,12 @@ def _forward_t(
         yield h
 
 
-def forward(g: Hypergraph, X: Array, params: HGNNParams, branch: str, eval_ids) -> Array:
-    """Untaped forward pass; returns logits rows for eval_ids."""
-    (logits,) = _forward_branches(g, X, params, (branch,), eval_ids)
-    return logits
-
-
-def _forward_branches(g: Hypergraph, X: Array, params: HGNNParams, branches: Sequence[str], eval_ids) -> list[Array]:
-    """Untaped logits rows for eval_ids of each branch, with one layer-0 projection."""
+def forward(g: Hypergraph, X: Array, params: HGNNParams, eval_ids, branches: Sequence[str] = BRANCHES) -> list[Array]:
+    """Untaped logits rows for ``eval_ids`` of each of ``branches``, with one layer-0 projection."""
     weights = [T.as_tensor(w) for w in params.weights]
     attn = [T.as_tensor(a) for a in params.attn]
     ids = np.asarray(eval_ids, dtype=np.int64)
     return [hidden.data[ids] for hidden in _forward_t(g, X, weights, attn, branches)]
-
-
-def ce_loss(logits_row: Array, onehot: Array) -> float:
-    """Cross entropy of one logits row against a one-hot label (log-sum-exp form)."""
-    logits_row = np.asarray(logits_row, dtype=np.float64).ravel()
-    onehot = np.asarray(onehot, dtype=np.float64).ravel()
-    if logits_row.shape != onehot.shape:
-        raise ContractError("logits and one-hot label must have the same length")
-    m = logits_row.max()
-    lse = m + np.log(np.exp(logits_row - m).sum())
-    return float(lse - (onehot * logits_row).sum())
 
 
 def build_branch_graph(

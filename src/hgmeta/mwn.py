@@ -5,10 +5,10 @@ produces the blend weights for samples of that level. The two output modes
 differ only in how many columns a head has. In the default complementary
 mode a head emits a single logit, alpha is its sigmoid and beta = 1 - alpha.
 In independent mode a head emits two logits, and alpha and beta are their
-sigmoids. ``alpha_beta_graph`` builds the heads once and runs one loop over
-the output columns for both modes. Both modes share one analytic
-meta-gradient: a seeded backward pass through (alpha, beta) in
-``weighted_alpha_theta_grad``.
+sigmoids. ``alpha_beta_graph`` registers Theta on the tape it is given,
+builds the heads once and runs one loop over the output columns for both
+modes. Both modes share one analytic meta-gradient: a seeded backward pass
+through (alpha, beta) in ``weighted_alpha_theta_grad``.
 
 Heads are zero-initialized so training starts with alpha = beta = 0.5.
 """
@@ -111,10 +111,6 @@ class MWNParams:
         )
 
 
-def register_mwn(tape: Tape, params: MWNParams) -> dict[str, Tensor]:
-    return {name: tape.param(name, arr) for name, arr in params.param_items()}
-
-
 def _check_tasks(tasks: Array, k: int) -> Array:
     tasks = np.asarray(tasks, dtype=np.int64)
     if tasks.size and (tasks.min() < 0 or tasks.max() >= k):
@@ -122,18 +118,16 @@ def _check_tasks(tasks: Array, k: int) -> Array:
     return tasks
 
 
-def alpha_beta_graph(
-    tape: Tape,
-    losses: Tensor,
-    tasks,
-    params: MWNParams,
-    ptensors: dict[str, Tensor],
-) -> tuple[Tensor, Tensor]:
-    """Taped (alpha, beta) columns for an (n, 2) loss tensor and task labels."""
+def alpha_beta_graph(tape: Tape, losses: Tensor, tasks, params: MWNParams) -> tuple[Tensor, Tensor]:
+    """Taped (alpha, beta) columns for an (n, 2) loss tensor and task labels.
+
+    Theta is registered on ``tape`` under its ``param_items`` names.
+    """
     n = losses.shape[0]
     if losses.shape[1] != 2:
         raise ContractError("losses tensor must have two columns (l1, l2)")
     tasks = _check_tasks(tasks, params.k)
+    ptensors = {name: tape.param(name, arr) for name, arr in params.param_items()}
     if params.log1p_inputs:
         losses = T.log1p(losses)
     hidden = T.elu(T.add(T.matmul(losses, ptensors["shared_w"]), ptensors["shared_b"]))
@@ -157,9 +151,8 @@ def alpha_beta_graph(
 def _taped_alpha_beta(l1: Array, l2: Array, tasks, params: MWNParams) -> tuple[Tape, Tensor, Tensor]:
     """A fresh tape holding Theta and the (alpha, beta) columns for the loss arrays."""
     tape = Tape()
-    ptensors = register_mwn(tape, params)
     losses = tape.constant(np.stack([l1, l2], axis=1))
-    alpha, beta = alpha_beta_graph(tape, losses, tasks, params, ptensors)
+    alpha, beta = alpha_beta_graph(tape, losses, tasks, params)
     return tape, alpha, beta
 
 

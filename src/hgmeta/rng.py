@@ -2,8 +2,10 @@
 
 Every source of randomness in a run pulls from one of a fixed set of named
 streams so that individual components are reproducible in isolation.
-Stream names in use: ``init-w``, ``init-a``, ``init-mwn``, ``synth``,
-``batch``.
+Stream names in use: ``init-w``, ``init-a``, ``init-mwn`` and ``batch``
+(training); ``synth-labels``, ``synth-edges``, ``synth-features``,
+``synth-bias`` and ``synth-splits`` (the synthetic generator); ``toy``,
+``row-check``, ``jvp-check`` and ``meta-check`` (``verify``).
 """
 
 from __future__ import annotations

@@ -55,7 +55,8 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, NumericsError, TrainingError
 from .hypergraph import Hypergraph, OverlapVector
-from .model import BRANCHES, BranchGraph, HGNNParams, TapedForward, _forward_branches, taped_forward
+from . import model
+from .model import BRANCHES, BranchGraph, HGNNParams, TapedForward, taped_forward
 from .mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
 from .partition import Partition, assign_levels, kmeans_1d
 from .rng import stream
@@ -541,7 +542,7 @@ def _scores(state: TrainState, dataset, ids: Array, modes: Sequence[str]) -> dic
     """``predict``'s scores for each of ``modes``, running each branch it needs once."""
     g = dataset.graph
     branches = BRANCHES if "blend" in modes else tuple(modes)
-    logits = _forward_branches(g, dataset.features, state.hgnn, branches, ids)
+    logits = model.forward(g, dataset.features, state.hgnn, ids, branches)
     scores = {branch: _softmax_rows(rows) for branch, rows in zip(branches, logits)}
     if "blend" in modes:
         alpha_bar = final_alpha_per_task(state)

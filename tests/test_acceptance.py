@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from hgmeta import cli
+from hgmeta import tensor as T
 from hgmeta.data import SyntheticSpec, generate_synthetic, load_dataset
-from hgmeta.model import fs_coefficients, ss_coefficients
+from hgmeta.model import _fs_coefficients_t, ss_coefficients
 from hgmeta.trainer import ScheduleSpec, TrainSettings, intermediate_update, meta_gradient, train
 from hgmeta.verify import meta_gradient_check
 
@@ -60,9 +61,9 @@ def test_criterion_2_attention_normalization():
             if ss[i] != 1.0 / (degree[v] * d_e):
                 ss_exact = False
         if g.nnz:
-            node_proj = rng.normal(size=(g.num_nodes, 3))
-            edge_proj = rng.normal(size=(g.num_hyperedges, 3))
-            coeffs = fs_coefficients(g, node_proj, edge_proj, rng.normal(size=(6, 1)))
+            node_proj = T.as_tensor(rng.normal(size=(g.num_nodes, 3)))
+            edge_proj = T.as_tensor(rng.normal(size=(g.num_hyperedges, 3)))
+            coeffs = _fs_coefficients_t(g, node_proj, edge_proj, T.as_tensor(rng.normal(size=(6, 1)))).data[:, 0]
             sums = np.bincount(arrays["pair_nodes"], weights=coeffs, minlength=g.num_nodes)
             covered = arrays["node_degrees"] > 0
             worst_sum_err = max(worst_sum_err, float(np.abs(sums[covered] - 1.0).max()))

@@ -7,6 +7,8 @@ A rename in the library would otherwise pass these tests and only crash the
 benchmark, and a step that stopped calling them would silently drop the
 step clock or the probe sites. A weight-net step must not call
 ``meta_loss_value`` either: each call adds speed-probe sites to the step.
+Evaluation and prediction must run the classifier through ``model.forward``,
+which the layer table times, or ``model.forward_s`` reads 0.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from hgmeta import trainer
+from hgmeta import model, trainer
 from hgmeta.tensor import Tape
 from hgmeta.trainer import TrainSettings, train
 from hgmeta.verify import random_toy_dataset
@@ -77,3 +79,22 @@ def test_a_step_calls_each_wrapped_site_through_the_module(name, monkeypatch):
     settings = TrainSettings(steps=steps, hidden=8, k=2, mwn_hidden=8, **overrides)
     train(random_toy_dataset(nodes=12, seed=23), settings)
     assert calls == {site: steps * count for site, count in per_step.items()}
+
+
+def test_evaluate_and_each_predict_call_the_wrapped_forward_once(monkeypatch):
+    dataset = random_toy_dataset(nodes=12, seed=23)
+    state, _ = train(dataset, TrainSettings(steps=1, hidden=8, k=2, mwn_hidden=8))
+    calls = []
+    original = model.forward
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", counted)
+    trainer.evaluate(state, dataset)
+    assert len(calls) == 1
+    for mode in trainer.PREDICT_MODES:
+        calls.clear()
+        trainer.predict(state, dataset, dataset.splits.test, mode)
+        assert len(calls) == 1, mode

@@ -53,6 +53,20 @@ def config_echo(**doc):
     return parse_config({"dataset": {"path": "unused"}, **doc}).echo
 
 
+# a byte that is not UTF-8 first, and a seed past Python's int-string limit of 4300 digits
+UNREADABLE_JSON = {
+    "not-utf8": lambda raw: b"\xff" + raw,
+    "5000-digit-int": lambda raw: raw.replace(b'"seed": 7', b'"seed": ' + b"9" * 5000),
+}
+
+
+def _cli_process(*args):
+    """``python -m hgmeta.cli`` with ``args``, run in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    command = [sys.executable, "-m", "hgmeta.cli", *map(str, args)]
+    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestTrainCommand:
     def test_train_succeeds_and_writes_artifact(self, tmp_path, capsys):
         rc = cli.main(["train", str(tiny_config(tmp_path))])
@@ -338,13 +352,18 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("fname,code", [("features.csv", "feature-parse"), ("hyperedges.txt", "hyperedge-parse")])
     def test_a_dataset_file_that_is_not_utf8_exits_3_without_a_traceback(self, tmp_path, fname, code):
-        cfg = _config_reading(tmp_path, _not_utf8_toy(tmp_path, fname))
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        done = subprocess.run(
-            [sys.executable, "-m", "hgmeta.cli", "train", str(cfg)], env=env, capture_output=True, text=True, timeout=120
-        )
+        done = _cli_process("train", _config_reading(tmp_path, _not_utf8_toy(tmp_path, fname)))
         assert done.returncode == 3
         assert done.stderr.startswith(f"data error: {code}: {fname} is not UTF-8: ")
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("defect", list(UNREADABLE_JSON))
+    def test_a_config_that_json_cannot_read_exits_2_without_a_traceback(self, tmp_path, defect):
+        cfg = tiny_config(tmp_path)
+        cfg.write_bytes(UNREADABLE_JSON[defect](cfg.read_bytes()))
+        done = _cli_process("train", cfg)
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"config error: config {cfg} is not valid UTF-8 JSON: ")
         assert "Traceback" not in done.stderr
 
     def test_seed_outside_64_bits_exits_2_naming_seed(self, tmp_path, capsys):
@@ -462,11 +481,23 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "artifact-schema" in err and "seed must lie in [0, 2**64)" in err
 
+    @pytest.mark.parametrize("defect", list(UNREADABLE_JSON))
+    def test_an_artifact_that_json_cannot_read_exits_3_without_a_traceback(self, tmp_path, defect):
+        assert cli.main(["train", str(tiny_config(tmp_path, train={"steps": 0}))]) == 0
+        run = tmp_path / "run.json"
+        run.write_bytes(UNREADABLE_JSON[defect](run.read_bytes()))
+        done = _cli_process("eval", run, "--regen")
+        assert done.returncode == 3
+        assert done.stderr.startswith(f"data error: artifact-parse: {run}: ")
+        assert "Traceback" not in done.stderr
+
     @pytest.mark.parametrize(
         "mangle",
         [
             "format-only",
             "drop-checkpoint",
+            "no-classifier-layers",
+            "layers-unlike-the-echo",
             "history-not-a-list",
             "bad-mwn-mode",
             "schedules-not-an-object",
@@ -483,6 +514,10 @@ class TestEvalCommand:
             doc = {"format": doc["format"]}
         elif mangle == "drop-checkpoint":
             del doc["checkpoint"]
+        elif mangle == "no-classifier-layers":
+            doc["checkpoint"]["hgnn"] = {}
+        elif mangle == "layers-unlike-the-echo":
+            doc["config"]["model"]["layers"] = 3
         elif mangle == "history-not-a-list":
             doc["history"] = 3
         elif mangle == "bad-mwn-mode":

@@ -15,19 +15,9 @@ from hypothesis import strategies as st
 from hgmeta import model, trainer
 from hgmeta import tensor as T
 from hgmeta.data import SyntheticSpec, generate_synthetic
+from hgmeta.errors import ContractError
 from hgmeta.hypergraph import Hypergraph
-from hgmeta.model import (
-    HGNNParams,
-    aggregate_hyperedges,
-    branch_losses,
-    ce_loss,
-    forward,
-    fs_coefficients,
-    node_update,
-    one_hot,
-    ss_coefficients,
-    taped_forward,
-)
+from hgmeta.model import HGNNParams, branch_losses, forward, ss_coefficients, taped_forward
 from hgmeta.rng import stream
 from hgmeta.verify import hgnn_gradient_check
 
@@ -41,6 +31,12 @@ def pair_edge() -> Hypergraph:
 
 def random_params(dims, seed=0):
     return HGNNParams.init(dims, stream(seed, "init-w"), stream(seed, "init-a"))
+
+
+class TestHGNNParams:
+    def test_zero_layers_are_rejected(self):
+        with pytest.raises(ContractError, match="at least one layer"):
+            HGNNParams(weights=[], attn=[])
 
 
 class TestSSCoefficients:
@@ -87,7 +83,7 @@ class TestSSCoefficients:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            forward(ds.graph, ds.features, params, "ss", [0])
+            forward(ds.graph, ds.features, params, [0], ("ss",))
             assert ss_coefficients(ds.graph) is ss_coefficients(ds.graph)
             pair_nodes_ref = weakref.ref(ds.graph.incidence_arrays()["pair_nodes"])
             del ds
@@ -101,16 +97,15 @@ class TestAggregateHyperedges:
     def test_identical_members_passthrough(self):
         g = pair_edge()
         feats = np.array([[2.0, -1.0], [2.0, -1.0]])
-        np.testing.assert_array_equal(aggregate_hyperedges(g, feats), [[2.0, -1.0]])
+        np.testing.assert_array_equal(model._edge_means_t(g, T.as_tensor(feats)).data, [[2.0, -1.0]])
 
     def test_two_member_mean(self):
         g = pair_edge()
         feats = np.array([[0.0], [2.0]])
-        np.testing.assert_array_equal(aggregate_hyperedges(g, feats), [[1.0]])
+        np.testing.assert_array_equal(model._edge_means_t(g, T.as_tensor(feats)).data, [[1.0]])
 
     def test_hub_toy_one_hot_means(self, toy):
-        feats = np.eye(7)
-        out = aggregate_hyperedges(toy, feats)
+        out = model._edge_means_t(toy, T.as_tensor(np.eye(7))).data
         expected = np.zeros((3, 7))
         for e, members in enumerate(toy.edges()):
             expected[e, list(members)] = 0.25
@@ -121,18 +116,18 @@ class TestFSCoefficients:
     def test_singleton_softmax_is_one(self):
         g = pair_edge()
         rng = np.random.default_rng(0)
-        node_proj, edge_proj = rng.normal(size=(2, 3)), rng.normal(size=(1, 3))
-        coeffs = fs_coefficients(g, node_proj, edge_proj, rng.normal(size=(6, 1)))
-        np.testing.assert_array_equal(coeffs, [1.0, 1.0])
+        node_proj, edge_proj, a = (T.as_tensor(rng.normal(size=shape)) for shape in [(2, 3), (1, 3), (6, 1)])
+        coeffs = model._fs_coefficients_t(g, node_proj, edge_proj, a)
+        np.testing.assert_array_equal(coeffs.data, [[1.0], [1.0]])
 
     def test_zero_attention_vector_gives_uniform(self, toy):
         rng = np.random.default_rng(1)
-        node_proj = rng.normal(size=(7, 4))
-        edge_proj = rng.normal(size=(3, 4))
-        coeffs = fs_coefficients(toy, node_proj, edge_proj, np.zeros((8, 1)))
+        node_proj = T.as_tensor(rng.normal(size=(7, 4)))
+        edge_proj = T.as_tensor(rng.normal(size=(3, 4)))
+        coeffs = model._fs_coefficients_t(toy, node_proj, edge_proj, T.as_tensor(np.zeros((8, 1))))
         arrays = toy.incidence_arrays()
         expected = 1.0 / arrays["node_degrees"][arrays["pair_nodes"]]
-        np.testing.assert_allclose(coeffs, expected, rtol=1e-12)
+        np.testing.assert_allclose(coeffs.data[:, 0], expected, rtol=1e-12)
 
     def test_sums_to_one_per_node(self):
         rng = np.random.default_rng(2)
@@ -140,21 +135,27 @@ class TestFSCoefficients:
             g = random_hypergraph(rng, max_nodes=25)
             if g.nnz == 0:
                 continue
-            node_proj = rng.normal(size=(g.num_nodes, 3))
-            edge_proj = rng.normal(size=(g.num_hyperedges, 3))
-            coeffs = fs_coefficients(g, node_proj, edge_proj, rng.normal(size=(6, 1)))
+            node_proj = T.as_tensor(rng.normal(size=(g.num_nodes, 3)))
+            edge_proj = T.as_tensor(rng.normal(size=(g.num_hyperedges, 3)))
+            coeffs = model._fs_coefficients_t(g, node_proj, edge_proj, T.as_tensor(rng.normal(size=(6, 1)))).data[:, 0]
             arrays = g.incidence_arrays()
             sums = np.bincount(arrays["pair_nodes"], weights=coeffs, minlength=g.num_nodes)
             covered = arrays["node_degrees"] > 0
             np.testing.assert_allclose(sums[covered], 1.0, atol=1e-9)
 
 
+def _node_update(g: Hypergraph, feats, coeffs, w) -> T.Tensor:
+    """The stage-2 update of ``feats`` projected by ``w``, with the stage-1 means of ``feats``."""
+    x, w = T.as_tensor(feats), T.as_tensor(w)
+    edge_feats = model._edge_means_t(g, x)
+    return model._node_update_t(g, T.matmul(x, w), T.matmul(edge_feats, w), T.as_tensor(T.column(coeffs)))
+
+
 class TestNodeUpdate:
     def test_no_incident_edges_reduces_to_self_term(self):
         g = Hypergraph(3, [[0, 1]])
         feats = np.array([[1.0], [2.0], [-3.0]])
-        edge_feats = aggregate_hyperedges(g, feats)
-        out = node_update(g, feats, edge_feats, np.zeros(2), np.eye(1))
+        out = T.elu(_node_update(g, feats, np.zeros(2), np.eye(1))).data
         # zero coefficients kill the message term everywhere; elu keeps positives
         assert out[0, 0] == 1.0
         assert out[2, 0] == pytest.approx(np.expm1(-3.0))
@@ -162,8 +163,8 @@ class TestNodeUpdate:
     def test_pair_edge_identity_weight_hand_value(self):
         g = pair_edge()
         feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-        edge_feats = aggregate_hyperedges(g, feats)  # [[0.5, 0.5]]
-        out = node_update(g, feats, edge_feats, np.ones(2), np.eye(2))
+        # the hyperedge mean is [[0.5, 0.5]]
+        out = T.elu(_node_update(g, feats, np.ones(2), np.eye(2))).data
         np.testing.assert_allclose(out, [[1.5, 0.5], [0.5, 1.5]], rtol=1e-15)
 
 
@@ -173,34 +174,37 @@ class TestForward:
         params = params.with_vec(np.zeros(params.flatten().size))
         X = np.random.default_rng(0).normal(size=(7, 5))
         for branch in ("ss", "fs"):
-            np.testing.assert_array_equal(forward(toy, X, params, branch, range(7)), np.zeros((7, 3)))
+            np.testing.assert_array_equal(forward(toy, X, params, range(7), (branch,))[0], np.zeros((7, 3)))
 
     def test_one_layer_matches_node_update(self):
         g = pair_edge()
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         params = HGNNParams(weights=[np.eye(2)], attn=[np.zeros((4, 1))])
-        logits = forward(g, X, params, "ss", [0, 1])
+        logits = forward(g, X, params, [0, 1], ("ss",))[0]
         # output layer is linear, ss coefficient is exactly 1
         np.testing.assert_allclose(logits, [[1.5, 0.5], [0.5, 1.5]], rtol=1e-15)
 
     @pytest.mark.parametrize("branch", ["ss", "fs"])
     def test_three_layers_match_chain_of_stage_helpers(self, branch):
-        # forward is built from the same stage helpers, so the public chain
+        # forward is built from the stage helpers, so the chain
         # aggregate -> project -> coefficients -> update reproduces it bit for bit
         rng = np.random.default_rng(18)
         for trial in range(20):
             g = random_hypergraph(rng, max_nodes=30)
             X = rng.normal(size=(g.num_nodes, 5))
             params = random_params([5, 4, 6, 3], seed=trial)
-            h = X
+            h = T.as_tensor(X)
             for t, (w, a) in enumerate(zip(params.weights, params.attn)):
-                edge_feats = aggregate_hyperedges(g, h)
+                w = T.as_tensor(w)
+                hw, ew = T.matmul(h, w), T.matmul(model._edge_means_t(g, h), w)
                 if branch == "ss":
-                    coeffs = ss_coefficients(g)
+                    coeff = T.as_tensor(T.column(ss_coefficients(g)))
                 else:
-                    coeffs = fs_coefficients(g, h @ w, edge_feats @ w, a)
-                h = node_update(g, h, edge_feats, coeffs, w, activate=t < params.num_layers - 1)
-            np.testing.assert_array_equal(forward(g, X, params, branch, range(g.num_nodes)), h)
+                    coeff = model._fs_coefficients_t(g, hw, ew, T.as_tensor(a))
+                h = model._node_update_t(g, hw, ew, coeff)
+                if t < params.num_layers - 1:
+                    h = T.elu(h)
+            np.testing.assert_array_equal(forward(g, X, params, range(g.num_nodes), (branch,))[0], h.data)
 
     def test_hyperedge_permutation_invariance(self, toy):
         params = random_params([5, 4, 3], seed=3)
@@ -208,8 +212,8 @@ class TestForward:
         perm = [2, 0, 1]
         permuted = Hypergraph(7, [toy.edge_to_nodes(e) for e in perm])
         for branch in ("ss", "fs"):
-            a = forward(toy, X, params, branch, range(7))
-            b = forward(permuted, X, params, branch, range(7))
+            a = forward(toy, X, params, range(7), (branch,))[0]
+            b = forward(permuted, X, params, range(7), (branch,))[0]
             np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_node_permutation_equivariance(self, toy):
@@ -221,8 +225,8 @@ class TestForward:
         X_perm = np.empty_like(X)
         X_perm[perm] = X
         for branch in ("ss", "fs"):
-            base = forward(toy, X, params, branch, range(7))
-            moved = forward(remapped, X_perm, params, branch, perm)
+            base = forward(toy, X, params, range(7), (branch,))[0]
+            moved = forward(remapped, X_perm, params, perm, (branch,))[0]
             np.testing.assert_allclose(moved, base, rtol=1e-12)
 
 
@@ -255,16 +259,16 @@ class TestInputMeansCache:
     def test_read_only_features_reuse_their_means_with_the_same_bits(self, branch, builds):
         g, X, params = self._instance()
         ids = range(g.num_nodes)
-        first = forward(g, X, params, branch, ids)
-        second = forward(g, X, params, branch, ids)
+        first = forward(g, X, params, ids, (branch,))[0]
+        second = forward(g, X, params, ids, (branch,))[0]
         assert len(builds) == 1
         assert not builds[0]().flags.writeable
         np.testing.assert_array_equal(first, second)
         writeable = X.copy()
-        np.testing.assert_array_equal(forward(g, writeable, params, branch, ids), first)
-        np.testing.assert_array_equal(forward(g, writeable, params, branch, ids), first)
+        np.testing.assert_array_equal(forward(g, writeable, params, ids, (branch,))[0], first)
+        np.testing.assert_array_equal(forward(g, writeable, params, ids, (branch,))[0], first)
         assert len(builds) == 3  # fresh means on every pass over a writeable array
-        forward(g, X, params, branch, ids)
+        forward(g, X, params, ids, (branch,))
         assert len(builds) == 3  # and the frozen features' means are still held
 
     def test_taped_gradients_match_writeable_features_bitwise(self):
@@ -284,10 +288,10 @@ class TestInputMeansCache:
         base = X.copy()
         view = base[:]
         view.setflags(write=False)
-        forward(g, X, params, "ss", [0])
-        forward(g, view, params, "ss", [0])
-        forward(g, view, params, "ss", [0])
-        forward(g, X, params, "ss", [0])
+        forward(g, X, params, [0], ("ss",))
+        forward(g, view, params, [0], ("ss",))
+        forward(g, view, params, [0], ("ss",))
+        forward(g, X, params, [0], ("ss",))
         assert len(builds) == 3
 
     @pytest.mark.parametrize("branch", ["ss", "fs"])
@@ -296,12 +300,12 @@ class TestInputMeansCache:
         X = frozen_x.copy()
         X.setflags(write=False)  # owns its memory, so it can be made writeable again
         ids = range(g.num_nodes)
-        before = forward(g, X, params, branch, ids)
+        before = forward(g, X, params, ids, (branch,))[0]
         X.setflags(write=True)
         X *= -1.5
         X.setflags(write=False)
-        after = forward(g, X, params, branch, ids)
-        np.testing.assert_array_equal(after, forward(g, X.copy(), params, branch, ids))
+        after = forward(g, X, params, ids, (branch,))[0]
+        np.testing.assert_array_equal(after, forward(g, X.copy(), params, ids, (branch,))[0])
         assert not np.array_equal(after, before)
 
     def test_dropped_graph_is_not_kept_alive_by_its_features(self, builds):
@@ -309,7 +313,7 @@ class TestInputMeansCache:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            forward(g, X, params, "fs", [0])
+            forward(g, X, params, [0], ("fs",))
             members_ref = weakref.ref(g.incidence_arrays()["member_nodes"])
             assert builds[0]() is not None
             del g
@@ -323,7 +327,7 @@ class TestInputMeansCache:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            forward(g, X, params, "fs", [0])
+            forward(g, X, params, [0], ("fs",))
             x_ref = weakref.ref(X)
             assert builds[0]() is not None
             del X
@@ -375,9 +379,9 @@ class TestSharedLayer0:
 
     def test_untaped_branches_have_the_bits_of_one_branch(self):
         g, X, _, params, _, ids = self._instance(32, 3, frozen=True)
-        both = model._forward_branches(g, X, params, model.BRANCHES, ids)
+        both = forward(g, X, params, ids)
         for branch, logits in zip(model.BRANCHES, both):
-            assert logits.tobytes() == forward(g, X, params, branch, ids).tobytes()
+            assert logits.tobytes() == forward(g, X, params, ids, (branch,))[0].tobytes()
 
     @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "writeable"])
     @pytest.mark.parametrize("dropout", [False, True], ids=["plain", "dropout"])
@@ -473,22 +477,38 @@ def _assert_same_bytes(grads: dict, expected: dict) -> None:
 
 
 class TestCELoss:
-    def test_uniform_logits(self):
-        assert ce_loss(np.zeros(4), [1, 0, 0, 0]) == pytest.approx(np.log(4.0), rel=1e-12)
+    """The CE head of ``TapedForward.losses``, read through ``branch_losses``."""
+
+    @staticmethod
+    def _pair_edge_losses(scale: float):
+        # one linear layer on a pair edge: both branches' coefficients are exactly 1,
+        # so node 0 has logits scale * [1.5, 0.5] (see test_one_layer_matches_node_update)
+        params = HGNNParams(weights=[scale * np.eye(2)], attn=[np.zeros((4, 1))])
+        out = branch_losses(pair_edge(), np.eye(2), np.array([0, 1]), params, [0])
+        return out.loss_ss[0], out.loss_fs[0]
+
+    def test_uniform_logits(self, toy):
+        params = HGNNParams(weights=[np.zeros((5, 4))], attn=[np.zeros((8, 1))])
+        out = branch_losses(toy, np.ones((7, 5)), np.arange(7) % 4, params, np.arange(7))
+        np.testing.assert_allclose(out.loss_ss, np.log(4.0), rtol=1e-12)
+        np.testing.assert_allclose(out.loss_fs, np.log(4.0), rtol=1e-12)
 
     def test_two_class_margin_value(self):
-        assert ce_loss(np.array([1.0, 0.0]), [1.0, 0.0]) == pytest.approx(np.log1p(np.exp(-1.0)), rel=1e-12)
+        for loss in self._pair_edge_losses(1.0):
+            assert loss == pytest.approx(np.log1p(np.exp(-1.0)), rel=1e-12)
 
     def test_large_margin_drives_loss_to_zero(self):
-        assert ce_loss(np.array([50.0, 0.0]), [1.0, 0.0]) < 1e-20
+        for loss in self._pair_edge_losses(50.0):
+            assert loss < 1e-20
 
     def test_losses_are_nonnegative(self):
         rng = np.random.default_rng(9)
-        for _ in range(100):
+        for trial in range(30):
+            g = random_hypergraph(rng, max_nodes=20)
             c = int(rng.integers(2, 6))
-            logits = rng.normal(size=c)
-            y = one_hot(np.array([rng.integers(0, c)]), c)[0]
-            assert ce_loss(logits, y) >= 0.0
+            X, y = rng.normal(size=(g.num_nodes, 3)), rng.integers(0, c, g.num_nodes)
+            out = branch_losses(g, X, y, random_params([3, 4, c], seed=trial), np.arange(g.num_nodes))
+            assert np.all(out.loss_ss >= 0.0) and np.all(out.loss_fs >= 0.0)
 
 
 class TestBranchLosses:

@@ -29,9 +29,8 @@ def sample_grad(l1: float, l2: float, task: int, params: MWNParams) -> SimpleNam
     w.r.t. the two losses.
     """
     tape = Tape()
-    ptensors = mwn_mod.register_mwn(tape, params)
     losses = tape.param("inputs", np.array([[float(l1), float(l2)]]))
-    alpha, beta = mwn_mod.alpha_beta_graph(tape, losses, [task], params, ptensors)
+    alpha, beta = mwn_mod.alpha_beta_graph(tape, losses, [task], params)
     d_alpha, d_beta = tape.backward(alpha), tape.backward(beta)
     return SimpleNamespace(
         d_alpha={k: v for k, v in d_alpha.items() if k != "inputs"},
@@ -124,9 +123,8 @@ class TestGradients:
                 log1p_inputs=log1p,
             )
             tape = Tape()
-            ptensors = mwn_mod.register_mwn(tape, probe)
             losses = tape.constant(np.array([[l1, l2]]))
-            alpha, beta = mwn_mod.alpha_beta_graph(tape, losses, [task], probe, ptensors)
+            alpha, beta = mwn_mod.alpha_beta_graph(tape, losses, [task], probe)
             return tape, T.add(T.scale(alpha, 2.0), beta)  # mixes both outputs
 
         err = finite_diff_check(build, dict(params.param_items()), eps=1e-5)
@@ -169,10 +167,11 @@ class TestWeightedAlphaGrad:
             np.testing.assert_allclose(combined[name], expected[name], rtol=1e-10, atol=1e-12)
 
 
-def per_mode_alpha_beta_graph(tape, losses, tasks, params, ptensors):
+def per_mode_alpha_beta_graph(tape, losses, tasks, params):
     """Reference: ``alpha_beta_graph`` as it was with one head-building branch per output mode."""
     n = losses.shape[0]
     tasks = np.asarray(tasks, dtype=np.int64)
+    ptensors = {name: tape.param(name, arr) for name, arr in params.param_items()}
     if params.log1p_inputs:
         losses = T.log1p(losses)
     hidden = T.elu(T.add(T.matmul(losses, ptensors["shared_w"]), ptensors["shared_b"]))

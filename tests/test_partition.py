@@ -6,7 +6,7 @@ import pytest
 from hgmeta.errors import ContractError
 from hgmeta import partition
 from hgmeta.data import SyntheticSpec, generate_synthetic
-from hgmeta.partition import Partition, assign_level, assign_levels, kmeans_1d
+from hgmeta.partition import Partition, assign_levels, kmeans_1d
 
 
 def brute_force_two_means(values: np.ndarray) -> float:
@@ -92,18 +92,18 @@ class TestKmeans:
 class TestAssignLevel:
     def test_hub_overlap_level(self):
         # 12/7 sits closest to the middle centroid
-        assert assign_level(12 / 7, [1.0, 1.7, 3.0]) == 1
+        assert assign_levels([12 / 7], [1.0, 1.7, 3.0])[0] == 1
 
     def test_midway_tie_goes_to_lower_index(self):
-        assert assign_level(2.0, [1.0, 3.0]) == 0
+        assert assign_levels([2.0], [1.0, 3.0])[0] == 0
 
     def test_undefined_maps_to_level_zero(self):
-        assert assign_level(None, [1.0, 2.0, 3.0]) == 0
-        assert assign_level(float("nan"), [1.0, 2.0, 3.0]) == 0
+        assert assign_levels([None], [1.0, 2.0, 3.0])[0] == 0
+        assert assign_levels([float("nan")], [1.0, 2.0, 3.0])[0] == 0
 
     def test_rejects_empty_centroids(self):
         with pytest.raises(ContractError):
-            assign_level(1.0, [])
+            assign_levels([1.0], [])
 
 
 def _loop_level(p, centroids) -> int:

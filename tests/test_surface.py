@@ -1,0 +1,47 @@
+"""The public surface: what ``hgmeta`` exports, and the README's import of it."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+import hgmeta
+from hgmeta import hypergraph, model, mwn, partition
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in hgmeta.__all__ if not hasattr(hgmeta, name)] == []
+
+
+def test_the_readme_library_import_block_runs():
+    section = README.read_text(encoding="utf-8").split("## Library entry points\n", 1)[1]
+    block = re.match(r"\s*```python\n(.*?)```", section, re.S).group(1)
+    assert block.startswith("from hgmeta import (")
+    exec(compile(block, str(README), "exec"), {})
+
+
+@pytest.mark.parametrize("name", ["ce_loss", "overlapness", "overlap_vector", "assign_level"])
+def test_removed_exports_are_gone(name):
+    assert not hasattr(hgmeta, name)
+
+
+@pytest.mark.parametrize(
+    "owner,name",
+    [
+        (model, "ce_loss"),
+        (model, "aggregate_hyperedges"),
+        (model, "fs_coefficients"),
+        (model, "node_update"),
+        (model, "_forward_branches"),
+        (mwn, "register_mwn"),
+        (hypergraph, "overlapness"),
+        (hypergraph, "overlap_vector"),
+        (partition, "assign_level"),
+    ],
+)
+def test_removed_module_functions_are_gone(owner, name):
+    assert not hasattr(owner, name)

@@ -781,7 +781,7 @@ class TestPredict:
 
         ids = np.asarray(ds.splits.test)
         labels, scores = predict(state, ds, ids, "ss")
-        np.testing.assert_array_equal(labels, forward(ds.graph, ds.features, state.hgnn, "ss", ids).argmax(axis=1))
+        np.testing.assert_array_equal(labels, forward(ds.graph, ds.features, state.hgnn, ids, ("ss",))[0].argmax(axis=1))
         np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-12)
 
     def test_alpha_one_blend_equals_ss(self):
