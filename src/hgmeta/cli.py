@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -166,6 +167,11 @@ def cmd_emit_losses(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    # the random streams read 64 bits of the seed: -1 would check as 2**64 - 1
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError(f"--seed must lie in [0, 2**64), got {args.seed}")
+    if not math.isfinite(args.lam1):
+        raise ConfigError(f"--lam1 must be finite, got {args.lam1}")
     # the toy draws hyperedges of at least two nodes, and a zero-width layer has nothing to check
     least_sizes = (("--nodes", args.nodes, 2), ("--hidden", args.hidden, 1), ("--mwn-hidden", args.mwn_hidden, 1))
     for flag, value, least in least_sizes:

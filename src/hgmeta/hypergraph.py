@@ -33,6 +33,56 @@ class OverlapVector:
         return int(self.values.shape[0])
 
 
+@dataclass(frozen=True)
+class ReceptiveField:
+    """The nodes within ``hops`` hops of ``ids``, and the hyperedges that touch them, relabelled 0, 1, ...
+
+    ``nodes`` and ``edges`` hold their graph ids in ascending order, so the
+    field's ids keep the graph's order. ``incidence_arrays`` is laid out as
+    the graph's, over the field's ids, so message passing runs on a field as
+    on a graph:
+
+    * every node keeps all of its incidences, in the graph's order, and so
+      its degree; ``pairs`` are their positions among the graph's pairs;
+    * every hyperedge keeps those of its members that lie in the field, in
+      the graph's order. A hyperedge that touches a node within ``hops - 1``
+      hops of ``ids`` keeps all of them. One further out may keep only some,
+      and its ``edge_sizes`` entry counts only those.
+
+    So a forward of up to ``hops + 1`` layers reads, for the rows of
+    ``ids``, what it reads on the whole graph, as long as what depends on a
+    hyperedge's whole membership (the structural coefficients, the layer-0
+    means) is read from the graph, never computed on the field.
+    """
+
+    ids: np.ndarray
+    hops: int
+    nodes: np.ndarray
+    edges: np.ndarray
+    pairs: np.ndarray
+    arrays: dict
+
+    @property
+    def num_nodes(self) -> int:
+        return int(self.nodes.size)
+
+    @property
+    def num_hyperedges(self) -> int:
+        return int(self.edges.size)
+
+    def incidence_arrays(self) -> dict:
+        return self.arrays
+
+    def rows(self, ids) -> np.ndarray:
+        """The field rows of the graph ids ``ids``, each of which must be one of the field's ``ids``."""
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = np.searchsorted(self.nodes, ids)
+        inside = np.isin(ids, self.ids)
+        if not inside.all():
+            raise ContractError(f"node {int(ids[np.argmin(inside)])} is not one of the ids this field was built for")
+        return rows
+
+
 class Hypergraph:
     """Immutable incidence structure over dense 0-based node/edge ids."""
 
@@ -165,6 +215,51 @@ class Hypergraph:
         valid = degrees > 0
         values = np.divide(numerators, unions, out=np.full(ids.size, np.nan), where=valid)
         return OverlapVector(values=values, valid=valid)
+
+    def receptive_field(self, ids: Sequence[int], hops: int) -> ReceptiveField:
+        """The nodes within ``hops`` hops of ``ids`` and the hyperedges that touch them (see ``ReceptiveField``)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.ndim != 1:
+            raise ContractError("ids must be 1-D")
+        outside = (ids < 0) | (ids >= self.num_nodes)
+        if outside.any():
+            self._check_node(int(ids[np.argmax(outside)]))
+        if hops < 0:
+            raise ContractError("hops must be nonnegative")
+        arrays = self.incidence_arrays()
+        degrees, sizes = arrays["node_degrees"], arrays["edge_sizes"]
+        node_starts, member_starts = _running_sums(degrees), _running_sums(sizes)
+        in_field = np.zeros(self.num_nodes, dtype=bool)
+        in_field[ids] = True
+        frontier = np.flatnonzero(in_field)
+        for _ in range(hops):
+            touched = np.unique(arrays["pair_edges"][_ranges(node_starts[frontier], degrees[frontier])])
+            reached = arrays["member_nodes"][_ranges(member_starts[touched], sizes[touched])]
+            frontier = np.unique(reached[~in_field[reached]])
+            in_field[frontier] = True
+        nodes = np.flatnonzero(in_field)
+        pairs = _ranges(node_starts[nodes], degrees[nodes])
+        edges = np.unique(arrays["pair_edges"][pairs])
+        members = arrays["member_nodes"][_ranges(member_starts[edges], sizes[edges])]
+        kept = in_field[members]
+        member_edges = np.repeat(np.arange(edges.size), sizes[edges])[kept]
+        # nodes and edges are ascending, so a graph id's rank among them is its field id
+        field_arrays = {
+            "pair_nodes": np.repeat(np.arange(nodes.size), degrees[nodes]),
+            "pair_edges": np.searchsorted(edges, arrays["pair_edges"][pairs]),
+            "member_edges": member_edges,
+            "member_nodes": np.searchsorted(nodes, members[kept]),
+            "node_degrees": degrees[nodes],
+            "edge_sizes": np.bincount(member_edges, minlength=edges.size),
+        }
+        return ReceptiveField(
+            ids=_frozen_ints(ids),
+            hops=hops,
+            nodes=_frozen_ints(nodes),
+            edges=_frozen_ints(edges),
+            pairs=_frozen_ints(pairs),
+            arrays={name: _frozen_ints(values) for name, values in field_arrays.items()},
+        )
 
     def incidence_arrays(self):
         """Cached numpy views of the incidence structure.

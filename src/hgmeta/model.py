@@ -28,6 +28,16 @@ and the rows of each branch have the bits of a one-branch pass.
 forward without loss heads, and ``TapedForward.losses`` adds the CE heads
 for any ids to it, so one forward can serve more than one id set.
 
+``taped_forward`` can tape the receptive field of a batch
+(``Hypergraph.receptive_field``) in place of the whole graph. Layer 0 then
+records ``X[nodes] @ W0`` and ``means[edges] @ W0`` over the field's rows of
+``X`` and of the graph's layer-0 means, the structural branch reads the
+graph's coefficients at the field's pairs, and dropout masks, drawn at the
+graph's shape, are read at the field's nodes. Every value the batch's loss
+rows read is then the whole graph's, and so are those rows, up to how BLAS
+rounds a product row by the number of rows it multiplies; the sweeps
+multiply fewer rows, so gradients differ at rounding level.
+
 Values derived from frozen arrays (see ``tensor.frozen``) follow the one
 cache rule of ``tensor.derived``: the structural coefficients live as long
 as the graph, and the layer-0 means as long as both the graph and frozen
@@ -43,7 +53,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, ReceptiveField
 from .tensor import Array, Tape, Tensor
 
 BRANCHES = ("ss", "fs")
@@ -151,21 +161,25 @@ class TapedForward:
 
     ``losses`` adds loss heads for any ids to the tape, as often as asked. A
     sweep seeded at some heads skips the records of the others, so its
-    gradient has the bits of a tape that holds only those heads.
+    gradient has the bits of a tape that holds only those heads. A forward
+    taped on a ``field`` holds the field's rows: ``losses`` takes graph ids,
+    which must be among those the field was built for.
     """
 
     params: HGNNParams
     tape: Tape
     branches: tuple[str, ...]
     hidden: list[Tensor]
+    field: ReceptiveField | None = None
 
     def losses(self, y: Array, ids) -> list[BranchGraph]:
         """The per-sample CE loss graph of every branch for ``ids``, labelled by ``y[ids]``."""
         ids = np.asarray(ids, dtype=np.int64)
+        rows = ids if self.field is None else self.field.rows(ids)
         labels = self.tape.constant(one_hot(np.asarray(y, dtype=np.int64)[ids], self.params.out_dim))
         graphs = []
         for branch, h in zip(self.branches, self.hidden):
-            logits = T.gather_rows(h, ids)
+            logits = T.gather_rows(h, rows)
             picked = T.row_sum(T.mul(T.row_log_softmax(logits), labels))
             loss_vec = T.scale(picked, -1.0)
             mean_loss = T.scale(T.sum_all(loss_vec), 1.0 / max(ids.size, 1))
@@ -246,11 +260,15 @@ def _forward_t(
     attn: list[Tensor],
     branches: Sequence[str],
     dropout_masks: list[Array] | None = None,
+    field: ReceptiveField | None = None,
 ) -> Iterator[Tensor]:
     """The last hidden layer of each branch for the constant input ``X``, yielded in turn.
 
     ``X @ W0`` and ``means(X) @ W0`` are recorded once, before any branch,
-    and every branch reads those two nodes.
+    and every branch reads those two nodes. On a ``field`` of ``g``, the
+    rows are the field's: layer 0 reads its rows of ``X``, of the graph's
+    layer-0 means and of the dropout masks, and its pairs of the graph's
+    structural coefficients.
     """
     unknown = [branch for branch in branches if branch not in BRANCHES]
     if unknown:
@@ -258,13 +276,22 @@ def _forward_t(
     x = T.as_tensor(X)
     if x.shape[0] != g.num_nodes:
         raise ContractError("X must have one row per node")
-    # finite already, so it is wrapped without another scan
-    means = Tensor(_input_edge_means(g, x.data))
+    means = _input_edge_means(g, x.data)
+    ss = ss_coefficients(g) if "ss" in branches else None
+    if field is not None:
+        if field.hops < len(weights) - 1:
+            raise ContractError(f"a {len(weights)}-layer forward needs a field of {len(weights) - 1} hops, got {field.hops}")
+        x, means = Tensor(x.data[field.nodes]), means[field.edges]
+        ss = None if ss is None else ss[field.pairs]
+        dropout_masks = None if dropout_masks is None else [mask[field.nodes] for mask in dropout_masks]
+        g = field
+    # the means and the rows of X are finite already, so they are wrapped without another scan
+    means = Tensor(means)
     x_w0, means_w0 = T.matmul(x, weights[0]), T.matmul(means, weights[0])
     last = len(weights) - 1
     for branch in branches:
         if branch == "ss":
-            coeff = T.as_tensor(T.column(ss_coefficients(g)))
+            coeff = T.as_tensor(T.column(ss))
         for t, (w, a) in enumerate(zip(weights, attn)):
             if t == 0:
                 hw, ew = x_w0, means_w0
@@ -306,17 +333,21 @@ def taped_forward(
     params: HGNNParams,
     dropout_masks: list[Array] | None = None,
     branches: Sequence[str] = BRANCHES,
+    field: ReceptiveField | None = None,
 ) -> TapedForward:
     """A fresh tape with ``params`` registered and the forward of ``branches`` on it, without loss heads.
 
     The branches share the parameter tensors, so their gradients accumulate
     into the same weights, and they read one pair of layer-0 product nodes.
+    With a ``field`` of ``g`` (``Hypergraph.receptive_field``) of at least
+    ``layers - 1`` hops, only the field is taped, and ``losses`` takes the
+    field's ids (see the module docstring for the bits this keeps).
     """
     tape = Tape()
     weights = [tape.param(f"w{t}", w) for t, w in enumerate(params.weights)]
     attn = [tape.param(f"a{t}", a) for t, a in enumerate(params.attn)]
-    hidden = list(_forward_t(g, X, weights, attn, branches, dropout_masks))
-    return TapedForward(params=params, tape=tape, branches=tuple(branches), hidden=hidden)
+    hidden = list(_forward_t(g, X, weights, attn, branches, dropout_masks, field))
+    return TapedForward(params=params, tape=tape, branches=tuple(branches), hidden=hidden, field=field)
 
 
 def branch_losses(g: Hypergraph, X: Array, y: Array, params: HGNNParams, ids) -> ForwardOutput:

@@ -22,10 +22,11 @@ sample j's loss in each branch:
 3. commit step: recompute (alpha, beta) under the new Theta and reseed the
    probe tape's sweep with them, so the gradients are still evaluated at w.
 
-A weight-net step thus costs a fixed number of sweeps over the graph,
-whatever n_train is, and holds O(P) of gradients, never an (n, P) matrix.
-The per-sample rows (``_grad_rows``, one unit-seeded sweep per sample) stay
-as the reference that tests compare against. A pinned alpha is the constant
+A weight-net step thus costs a fixed number of sweeps over the graph, or
+over the probe's receptive field when it is small, whatever n_train is,
+and holds O(P) of gradients, never an (n, P) matrix. The per-sample rows
+(``_grad_rows``, one unit-seeded sweep per sample) stay as the reference
+that tests compare against. A pinned alpha is the constant
 seed (alpha, 1 - alpha) of the same sweep. It cannot change between probe
 and commit, so the probe's gradient serves both: the probe tape is dropped
 after the probe and step 2 only reports the meta loss at w_hat, from a taped
@@ -54,7 +55,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, NumericsError, TrainingError
-from .hypergraph import Hypergraph, OverlapVector
+from .hypergraph import Hypergraph, OverlapVector, ReceptiveField
 from . import model
 from .model import BRANCHES, BranchGraph, HGNNParams, TapedForward, taped_forward
 from .mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
@@ -220,6 +221,24 @@ def _dropout_masks(settings: TrainSettings, num_nodes: int, rng: np.random.Gener
     ]
 
 
+# the largest share of the graph's layer-0 rows (nodes plus hyperedges) for which a probe tapes only its field
+_FIELD_SHARE = 0.5
+
+
+def _probe_field(g: Hypergraph, ids: Array, layers: int) -> ReceptiveField | None:
+    """The receptive field of ``ids`` for a ``layers``-layer forward, or None when it is not small.
+
+    A field's layer-0 products multiply fewer rows, and its sweeps run over
+    fewer; but its tape holds copies of its rows of the input features and
+    of the layer-0 means, which the whole graph's tape reads in place, so a
+    field that covers much of the graph holds more memory than the graph.
+    """
+    field = g.receptive_field(ids, layers - 1)
+    if field.num_nodes + field.num_hyperedges <= _FIELD_SHARE * (g.num_nodes + g.num_hyperedges):
+        return field
+    return None
+
+
 def intermediate_update(
     g: Hypergraph,
     X: Array,
@@ -238,14 +257,15 @@ def intermediate_update(
 
     The probe tape is ``forward`` with the loss heads of ``ids`` added, when
     it was taped at these parameters bit for bit and the probe has no
-    dropout masks; otherwise it is a fresh forward. The step's mode is
+    dropout masks; otherwise it is a fresh forward, of the receptive field
+    of ``ids`` when that is small (``_probe_field``). The step's mode is
     decided here, once: with ``pin_alpha`` set, (alpha, beta) are the pinned
     alpha and its complement, and the cache keeps the step gradient in place
     of the probe tape, for the commit to apply again.
     """
     w_vec = hgnn.flatten()
     if forward is None or dropout_masks is not None or not np.array_equal(forward.params.flatten(), w_vec):
-        forward = taped_forward(g, X, hgnn, dropout_masks)
+        forward = taped_forward(g, X, hgnn, dropout_masks, field=_probe_field(g, ids, hgnn.num_layers))
     graph_ss, graph_fs = forward.losses(y, ids)
     l1 = graph_ss.loss_vec.data[:, 0].copy()
     l2 = graph_fs.loss_vec.data[:, 0].copy()

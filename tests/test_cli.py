@@ -695,6 +695,32 @@ class TestGradCheck:
         captured = capsys.readouterr()
         assert flag in captured.err and "result=" not in captured.out
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--seed", "-1"), ("--seed", str(2**64)), ("--lam1", "nan"), ("--lam1", "inf"), ("--lam1", "-inf")],
+    )
+    def test_seeds_and_rates_it_would_misread_exit_2_before_any_check(self, monkeypatch, capsys, flag, value):
+        def no_check(**kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli, "hgnn_gradient_check", no_check)
+        # "--lam1 -inf" would read as a flag
+        assert cli.main(["grad-check", f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and flag in captured.err
+
+    def test_the_largest_seed_reaches_the_checks(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def first_check(**kwargs):
+            raise Reached(kwargs["seed"])
+
+        monkeypatch.setattr(cli, "hgnn_gradient_check", first_check)
+        with pytest.raises(Reached, match=str(2**64 - 1)):
+            cli.main(["grad-check", "--seed", str(2**64 - 1)])
+
     def test_smallest_checkable_sizes_run(self, capsys):
         assert cli.main(["grad-check", "--nodes", "2", "--hidden", "1", "--mwn-hidden", "1"]) == 0
         assert "result=ok" in capsys.readouterr().out

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgmeta import hypergraph
+from hgmeta import tensor as T
 from hgmeta.data import SyntheticSpec, generate_synthetic
 from hgmeta.errors import ContractError
 from hgmeta.hypergraph import Hypergraph
@@ -247,3 +248,64 @@ def test_incidence_arrays_are_read_only(toy):
     arrays = toy.incidence_arrays()
     with pytest.raises(ValueError):
         arrays["pair_nodes"][0] = 99
+
+
+def _field_reference(g: Hypergraph, ids, hops: int) -> tuple[list[int], list[int]]:
+    """The nodes within ``hops`` hops of ``ids`` and the hyperedges that touch them, by sets."""
+    nodes = set(int(v) for v in ids)
+    for _ in range(hops):
+        nodes |= {u for v in nodes for e in g.node_to_edges(v) for u in g.edge_to_nodes(e)}
+    return sorted(nodes), sorted({e for v in nodes for e in g.node_to_edges(v)})
+
+
+class TestReceptiveField:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10_000), hops=st.integers(0, 3), samples=st.integers(0, 8))
+    def test_matches_a_set_walk_with_whole_incidences_in_graph_order(self, seed, hops, samples):
+        rng = np.random.default_rng(seed)
+        g = random_hypergraph(rng)
+        ids = rng.choice(g.num_nodes, size=min(samples, g.num_nodes), replace=False)
+        field = g.receptive_field(ids, hops)
+        nodes, edges = _field_reference(g, ids, hops)
+        assert field.nodes.tolist() == nodes and field.edges.tolist() == edges
+        assert (field.num_nodes, field.num_hyperedges) == (len(nodes), len(edges))
+        arrays, whole = field.incidence_arrays(), g.incidence_arrays()
+        pairs = [(nodes.index(v), edges.index(e)) for v in nodes for e in g.node_to_edges(v)]
+        assert list(zip(arrays["pair_nodes"].tolist(), arrays["pair_edges"].tolist())) == pairs
+        assert whole["pair_nodes"][field.pairs].tolist() == [nodes[v] for v, _ in pairs]
+        assert whole["pair_edges"][field.pairs].tolist() == [edges[e] for _, e in pairs]
+        members = [(edges.index(e), nodes.index(u)) for e in edges for u in g.edge_to_nodes(e) if u in nodes]
+        assert list(zip(arrays["member_edges"].tolist(), arrays["member_nodes"].tolist())) == members
+        assert arrays["node_degrees"].tolist() == [g.node_degree(v) for v in nodes]
+        assert arrays["edge_sizes"].tolist() == [sum(u in nodes for u in g.edge_to_nodes(e)) for e in edges]
+        # a hyperedge that touches a node within hops - 1 hops keeps every member
+        inner, _ = _field_reference(g, ids, hops - 1) if hops else ([], [])
+        for e in {e for v in inner for e in g.node_to_edges(v)}:
+            assert arrays["edge_sizes"][edges.index(e)] == len(g.edge_to_nodes(e))
+        for name, values in [("ids", field.ids), ("nodes", field.nodes), ("pairs", field.pairs), *arrays.items()]:
+            assert values.dtype == np.int64 and T.frozen(values), name
+
+    def test_rows_map_its_ids_and_refuse_any_other_node(self):
+        g = Hypergraph(6, [[0, 1], [1, 2, 3], [4, 5]])
+        field = g.receptive_field([3, 1], hops=1)
+        assert field.nodes.tolist() == [0, 1, 2, 3] and field.edges.tolist() == [0, 1]
+        assert field.rows([1, 3, 1]).tolist() == [1, 3, 1]
+        # node 2 lies in the field, but its rows hold no loss the field was built for
+        for outside in ([2], [1, 4]):
+            with pytest.raises(ContractError, match="not one of the ids"):
+                field.rows(outside)
+
+    def test_zero_hops_keep_the_ids_and_every_hyperedge_they_touch(self):
+        g = Hypergraph(6, [[0, 1], [1, 2, 3], [4, 5]])
+        field = g.receptive_field([1], hops=0)
+        assert field.nodes.tolist() == [1] and field.edges.tolist() == [0, 1]
+        assert field.incidence_arrays()["edge_sizes"].tolist() == [1, 1]
+
+    def test_bad_arguments_are_rejected(self):
+        g = Hypergraph(3, [[0, 1]])
+        with pytest.raises(IndexError, match="node id 3 outside"):
+            g.receptive_field([0, 3], 1)
+        with pytest.raises(ContractError, match="hops"):
+            g.receptive_field([0], -1)
+        with pytest.raises(ContractError, match="1-D"):
+            g.receptive_field([[0]], 1)

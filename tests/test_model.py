@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import weakref
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hgmeta import tensor as T
 from hgmeta.data import SyntheticSpec, generate_synthetic
 from hgmeta.errors import ContractError
 from hgmeta.hypergraph import Hypergraph
-from hgmeta.model import HGNNParams, branch_losses, forward, ss_coefficients, taped_forward
+from hgmeta.model import BRANCHES, HGNNParams, branch_losses, forward, ss_coefficients, taped_forward
 from hgmeta.rng import stream
 from hgmeta.verify import hgnn_gradient_check
 
@@ -454,6 +455,148 @@ class TestSharedLayer0:
             timeout=600,
         )
         assert done.returncode == 0, done.stderr[-2000:]
+
+
+@pytest.fixture(scope="module")
+def coraca():
+    """The Cora-CA-shaped dataset, generated once for this module, and a classifier of hidden width 64."""
+    ds = generate_synthetic(SyntheticSpec(nodes=2708, hyperedges=1072, dim=1433, classes=7), 0)
+    return ds, HGNNParams.init([1433, 64, ds.num_classes], stream(0, "init-w"), stream(0, "init-a"))
+
+
+def field_and_whole_losses(g, X, y, hgnn, ids, masks=None):
+    """The loss graphs of ``ids`` on a tape of their receptive field, and on a whole-graph tape."""
+    field = g.receptive_field(ids, hgnn.num_layers - 1)
+    return taped_forward(g, X, hgnn, masks, field=field).losses(y, ids), taped_forward(g, X, hgnn, masks).losses(y, ids)
+
+
+def random_field_instance(seed, samples, hidden, layers, dropout):
+    rng = np.random.default_rng(seed)
+    g = random_hypergraph(rng, max_nodes=60)
+    dim, classes = int(rng.integers(1, 20)), int(rng.integers(2, 5))
+    X, y = rng.normal(size=(g.num_nodes, dim)), rng.integers(0, classes, size=g.num_nodes)
+    hgnn = HGNNParams.init([dim] + [hidden] * (layers - 1) + [classes], rng, rng)
+    masks = [(rng.random((g.num_nodes, hidden)) < 0.5) / 0.5 for _ in range(layers - 1)] if dropout else None
+    ids = np.sort(rng.choice(g.num_nodes, size=min(samples, g.num_nodes), replace=False))
+    return g, X, y, hgnn, ids, masks, rng
+
+
+# random sparse graphs with 1-3 layers, with and without dropout, and batches of 1-24
+random_fields = given(
+    seed=st.integers(0, 2**32 - 1),
+    samples=st.integers(1, 24),
+    hidden=st.integers(1, 64),
+    layers=st.integers(1, 3),
+    dropout=st.booleans(),
+)
+
+
+@contextmanager
+def rowwise_products():
+    """``tensor.matmul`` with each output row from a product of its own, so no row's bits depend on the others.
+
+    OpenBLAS picks its kernels by the number of rows it multiplies, and
+    some give a row other bits than others do: a field's product can round
+    a row apart from the whole graph's. Measured at Cora-CA shape, the
+    feature branch's (pairs, 128) @ (128, 1) attention product did so on
+    about one batch of 64 in 20, and layer 0 on fields of under 12 rows.
+    With this product, what is left to compare is the field's own build.
+    """
+    matmul = T.matmul
+
+    def rowwise(a, b):
+        out = matmul(a, b)
+        for i, row in enumerate(a.data):
+            out.data[i] = np.dot(row, b.data)
+        return out
+
+    T.matmul = rowwise
+    try:
+        yield
+    finally:
+        T.matmul = matmul
+
+
+class TestReceptiveFieldTape:
+    """A forward taped on the receptive field of a batch, against one taped on the whole graph."""
+
+    # of each array's largest entry: each product of the field's sweeps sums fewer rows
+    TOLERANCE = 1e-12
+
+    @staticmethod
+    def _assert_same_loss_bytes(field, whole):
+        for part, full in zip(field, whole):
+            assert part.logits.data.tobytes() == full.logits.data.tobytes(), part.branch
+            assert part.loss_vec.data.tobytes() == full.loss_vec.data.tobytes(), part.branch
+            assert part.mean_loss.data.tobytes() == full.mean_loss.data.tobytes(), part.branch
+
+    @classmethod
+    def _assert_close(cls, got, expected, name: str):
+        assert np.abs(got - expected).max(initial=0.0) <= cls.TOLERANCE * np.abs(expected).max(initial=0.0), name
+
+    @classmethod
+    def _assert_derivatives_close(cls, field, whole, hgnn, rng):
+        """The step gradient (a sweep seeded at both loss columns) and the tangents of both loss columns."""
+        for part, full in zip(field, whole):
+            cls._assert_close(part.loss_vec.data, full.loss_vec.data, part.branch)
+        a, b = rng.uniform(0.0, 1.0, (2, field[0].loss_vec.shape[0], 1))
+        # one array, as a step applies it: a parameter whose gradient is zero reads rounding noise on one side
+        grads = [
+            trainer._flatten_grads(graphs[0].tape.backward([(graphs[0].loss_vec, a), (graphs[1].loss_vec, b)]), hgnn)
+            for graphs in (field, whole)
+        ]
+        cls._assert_close(*grads, "step gradient")
+        direction = {name: rng.normal(size=arr.shape) for name, arr in hgnn.param_items()}
+        tangents = [graphs[0].tape.jvp((graphs[0].loss_vec, graphs[1].loss_vec), direction) for graphs in (field, whole)]
+        for branch, part, full in zip(BRANCHES, *tangents):
+            cls._assert_close(part, full, f"tangent {branch}")
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("samples", [8, 64])
+    def test_coraca_loss_columns_have_the_whole_graph_bits(self, samples, coraca):
+        ds, hgnn = coraca
+        ids = np.asarray(ds.splits.train[:samples])
+        with rowwise_products():
+            field, whole = field_and_whole_losses(ds.graph, ds.features, ds.labels, hgnn, ids)
+        assert field[0].tape is not whole[0].tape
+        self._assert_same_loss_bytes(field, whole)
+
+    @pytest.mark.bitwise
+    @settings(max_examples=60, deadline=None)
+    @random_fields
+    def test_loss_columns_have_the_whole_graph_bits(self, seed, samples, hidden, layers, dropout):
+        g, X, y, hgnn, ids, masks, _ = random_field_instance(seed, samples, hidden, layers, dropout)
+        with rowwise_products():
+            self._assert_same_loss_bytes(*field_and_whole_losses(g, X, y, hgnn, ids, masks))
+
+    @pytest.mark.parametrize("samples", [8, 64])
+    def test_coraca_derivatives_match_the_whole_graph(self, samples, coraca):
+        ds, hgnn = coraca
+        ids = np.asarray(ds.splits.train[:samples])
+        field, whole = field_and_whole_losses(ds.graph, ds.features, ds.labels, hgnn, ids)
+        self._assert_derivatives_close(field, whole, hgnn, np.random.default_rng(samples))
+
+    @settings(max_examples=60, deadline=None)
+    @random_fields
+    def test_derivatives_match_the_whole_graph(self, seed, samples, hidden, layers, dropout):
+        g, X, y, hgnn, ids, masks, rng = random_field_instance(seed, samples, hidden, layers, dropout)
+        self._assert_derivatives_close(*field_and_whole_losses(g, X, y, hgnn, ids, masks), hgnn, rng)
+
+    def test_losses_refuse_an_id_the_field_was_not_built_for(self):
+        g = Hypergraph(6, [[0, 1], [1, 2, 3], [4, 5]])
+        X, y = np.random.default_rng(0).normal(size=(6, 3)), np.arange(6) % 2
+        forward = taped_forward(g, X, random_params([3, 4, 2]), field=g.receptive_field([1], 1))
+        assert forward.losses(y, [1])[0].loss_vec.shape == (1, 1)
+        # node 4 lies outside the field; node 0 inside it, but its rows are not exact
+        for ids in ([4], [1, 0]):
+            with pytest.raises(ContractError, match="not one of the ids"):
+                forward.losses(y, ids)
+
+    def test_a_field_needs_a_hop_per_layer_after_the_first(self):
+        g = Hypergraph(4, [[0, 1], [1, 2], [2, 3]])
+        X = np.ones((4, 3))
+        with pytest.raises(ContractError, match="needs a field of 2 hops"):
+            taped_forward(g, X, random_params([3, 4, 4, 2]), field=g.receptive_field([0], 1))
 
 
 def assert_reference_rows_match(g, X, y, ids, hgnn, masks=None):

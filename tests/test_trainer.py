@@ -306,9 +306,70 @@ class TestStepMemory:
         # the rows of 128 samples, one branch: 128 * P * 8 bytes
         assert large - small < 0.1 * 128 * p * 8, (small, large)
 
-    def test_pinned_peak_grows_by_less_than_a_tenth_of_the_rows(self):
+    def test_pinned_peak_grows_by_less_than_a_tenth_of_the_rows(self, monkeypatch):
+        # 8 samples tape only their receptive field, 128 the whole graph
+        field_small, _, _ = self._peaks(0.3)
+        # so both sizes take the whole-graph path, for a growth of like against like
+        monkeypatch.setattr(trainer, "_FIELD_SHARE", 0.0)
         small, large, p = self._peaks(0.3)
         assert large - small < 0.1 * 128 * p * 8, (small, large)
+        assert field_small <= small, (field_small, small)
+
+
+class TestProbeField:
+    """A probe tapes the receptive field of a small batch, and its step matches a whole-graph probe's."""
+
+    # of each array's largest entry: each product of the field's sweeps sums fewer rows
+    TOLERANCE = 1e-12
+
+    @staticmethod
+    def _share(g, ids) -> float:
+        field = g.receptive_field(ids, 1)
+        return (field.num_nodes + field.num_hyperedges) / (g.num_nodes + g.num_hyperedges)
+
+    def test_a_small_batch_tapes_its_field_and_a_full_one_the_graph(self, shaped_datasets, monkeypatch):
+        desk, coraca = shaped_datasets["desk"], shaped_datasets["coraca"]
+        cases = [
+            (coraca, coraca.splits.train[:64], 0.28, True),
+            (desk, desk.splits.train, 0.93, False),
+            (coraca, coraca.splits.train, 0.79, False),
+        ]
+        fields = []
+        taped = trainer.taped_forward
+        monkeypatch.setattr(trainer, "taped_forward", lambda *args, field: fields.append(field) or taped(*args, field=field))
+        for ds, ids, share, small in cases:
+            ids = np.asarray(ids)
+            assert self._share(ds.graph, ids) == pytest.approx(share, abs=0.01)
+            hgnn = HGNNParams.init([ds.features.shape[1], 16, ds.num_classes], stream(0, "init-w"), stream(0, "init-a"))
+            mwn = MWNParams.init(1, hidden=8, rng=stream(0, "init-mwn"))
+            tasks = np.zeros(ids.size, dtype=np.int64)
+            intermediate_update(ds.graph, ds.features, ds.labels, hgnn, mwn, ids, tasks, 0.01)
+            assert (fields.pop() is not None) == small
+            assert (trainer._probe_field(ds.graph, ids, 2) is not None) == small
+
+    @pytest.mark.parametrize("samples", [8, 64])
+    def test_step_gradient_and_meta_signal_match_a_whole_graph_probe(self, samples, shaped_datasets, monkeypatch):
+        ds = shaped_datasets["coraca"]
+        g, X, y = ds.graph, ds.features, ds.labels
+        ids, meta_ids = np.asarray(ds.splits.train[:samples]), np.asarray(ds.splits.meta)
+        tasks = np.arange(samples) % 2
+        hgnn = HGNNParams.init([X.shape[1], 64, ds.num_classes], stream(0, "init-w"), stream(0, "init-a"))
+        mwn = MWNParams.init(2, hidden=8, rng=stream(0, "init-mwn"))
+        mwn = mwn.with_vec(mwn.flatten() + 0.3 * np.random.default_rng(samples).normal(size=mwn.flatten().size))
+        assert trainer._probe_field(g, ids, 2) is not None
+
+        def step():
+            w_hat, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, 0.05)
+            d_theta, _, gbar = meta_gradient(g, X, y, w_hat, cache, meta_ids, mwn, 0.05)
+            probe = trainer._step_gradient(cache.alpha, cache.beta, cache, hgnn, 0.0)
+            commit = external_update(cache, hgnn, internal_update(mwn, d_theta, 0.5), 0.05)[2]
+            return {"l1": cache.l1, "l2": cache.l2, "probe": probe, "gbar": gbar, "d_theta": d_theta, "commit": commit}
+
+        field = step()
+        monkeypatch.setattr(trainer, "_FIELD_SHARE", 0.0)
+        whole = step()
+        for name, expected in whole.items():
+            assert np.abs(field[name] - expected).max() <= self.TOLERANCE * np.abs(expected).max(), name
 
 
 class TestMetaGradient:
