@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ContractError, DataError
 from .hypergraph import Hypergraph
 from .rng import stream
+from .tensor import all_finite
 
 REQUIRED_FILES = ("hyperedges.txt", "features.csv", "labels.csv", "splits.json")
 SPLIT_NAMES = ("train", "meta", "test")
@@ -93,7 +94,7 @@ def _validate_dataset(ds: Dataset) -> Dataset:
             seen.add(v)
             if ds.labels[v] < 0:
                 raise DataError("split-unlabeled", f"{split_name} index {v} has no label")
-    if not np.all(np.isfinite(ds.features)):
+    if not all_finite(ds.features):
         raise DataError("feature-nonfinite", "features contain NaN/Inf")
     # validation only reads: the loaders build frozen features themselves,
     # and a caller's own array keeps its flags

@@ -9,7 +9,8 @@ share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -53,6 +54,9 @@ class ReceptiveField:
     ``ids``, what it reads on the whole graph, as long as what depends on a
     hyperedge's whole membership (the structural coefficients, the layer-0
     means) is read from the graph, never computed on the field.
+
+    The incidence arrays are built on first use, so a field whose size
+    alone is asked for costs only its walk.
     """
 
     ids: np.ndarray
@@ -60,7 +64,7 @@ class ReceptiveField:
     nodes: np.ndarray
     edges: np.ndarray
     pairs: np.ndarray
-    arrays: dict
+    graph: Hypergraph = field(repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -71,7 +75,28 @@ class ReceptiveField:
         return int(self.edges.size)
 
     def incidence_arrays(self) -> dict:
-        return self.arrays
+        return self._arrays
+
+    @cached_property
+    def _arrays(self) -> dict:
+        whole = self.graph.incidence_arrays()
+        degrees, sizes = whole["node_degrees"], whole["edge_sizes"]
+        nodes, edges = self.nodes, self.edges
+        in_field = np.zeros(self.graph.num_nodes, dtype=bool)
+        in_field[nodes] = True
+        members = whole["member_nodes"][_ranges(_running_sums(sizes)[edges], sizes[edges])]
+        kept = in_field[members]
+        member_edges = np.repeat(np.arange(edges.size), sizes[edges])[kept]
+        # nodes and edges are ascending, so a graph id's rank among them is its field id
+        arrays = {
+            "pair_nodes": np.repeat(np.arange(nodes.size), degrees[nodes]),
+            "pair_edges": np.searchsorted(edges, whole["pair_edges"][self.pairs]),
+            "member_edges": member_edges,
+            "member_nodes": np.searchsorted(nodes, members[kept]),
+            "node_degrees": degrees[nodes],
+            "edge_sizes": np.bincount(member_edges, minlength=edges.size),
+        }
+        return {name: _frozen_ints(values) for name, values in arrays.items()}
 
     def rows(self, ids) -> np.ndarray:
         """The field rows of the graph ids ``ids``, each of which must be one of the field's ``ids``."""
@@ -217,7 +242,11 @@ class Hypergraph:
         return OverlapVector(values=values, valid=valid)
 
     def receptive_field(self, ids: Sequence[int], hops: int) -> ReceptiveField:
-        """The nodes within ``hops`` hops of ``ids`` and the hyperedges that touch them (see ``ReceptiveField``)."""
+        """The nodes within ``hops`` hops of ``ids`` and the hyperedges that touch them (see ``ReceptiveField``).
+
+        It walks the graph for the field's nodes, hyperedges and pairs; the
+        field's incidence arrays wait for their first use.
+        """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 1:
             raise ContractError("ids must be 1-D")
@@ -239,26 +268,13 @@ class Hypergraph:
             in_field[frontier] = True
         nodes = np.flatnonzero(in_field)
         pairs = _ranges(node_starts[nodes], degrees[nodes])
-        edges = np.unique(arrays["pair_edges"][pairs])
-        members = arrays["member_nodes"][_ranges(member_starts[edges], sizes[edges])]
-        kept = in_field[members]
-        member_edges = np.repeat(np.arange(edges.size), sizes[edges])[kept]
-        # nodes and edges are ascending, so a graph id's rank among them is its field id
-        field_arrays = {
-            "pair_nodes": np.repeat(np.arange(nodes.size), degrees[nodes]),
-            "pair_edges": np.searchsorted(edges, arrays["pair_edges"][pairs]),
-            "member_edges": member_edges,
-            "member_nodes": np.searchsorted(nodes, members[kept]),
-            "node_degrees": degrees[nodes],
-            "edge_sizes": np.bincount(member_edges, minlength=edges.size),
-        }
         return ReceptiveField(
             ids=_frozen_ints(ids),
             hops=hops,
             nodes=_frozen_ints(nodes),
-            edges=_frozen_ints(edges),
+            edges=_frozen_ints(np.unique(arrays["pair_edges"][pairs])),
             pairs=_frozen_ints(pairs),
-            arrays={name: _frozen_ints(values) for name, values in field_arrays.items()},
+            graph=self,
         )
 
     def incidence_arrays(self):

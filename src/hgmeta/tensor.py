@@ -14,7 +14,8 @@ The only implicit broadcast allowed anywhere is a (1, n) row added to an
 All public operations police their outputs for NaN/Inf and raise
 NumericsError, naming the operation and its output shape, instead of letting
 non-finite values propagate. Inputs are scanned as they become tensors; a
-frozen array (see ``frozen``) is scanned once and its verdict kept.
+frozen array (see ``frozen``) is scanned once and its verdict kept
+(``all_finite``), which dataset validation shares.
 
 Every cache in the package follows one rule, ``derived``: a value built from
 one or more frozen arrays is kept while all of them live, held weakly, and
@@ -32,7 +33,10 @@ rows.
 several. Reverse mode is linear in its seed, so one sweep seeded at two loss
 columns gives the sum of the two single-root sweeps, and a record that both
 reach (such as a layer-0 product that both classifier branches read) runs
-its backward rule once, on the sum of what reaches it.
+its backward rule once, on the sum of what reaches it. A root whose seed is
+all zeros is no root: it would add only signed zeros, so the records that
+only it reaches are never visited (a pinned alpha of 1 or 0 sweeps one
+classifier branch).
 
 ``Tape.jvp`` runs forward mode: one sweep in record order carries the
 tangent of every node along a direction in parameter space, with no forward
@@ -127,7 +131,10 @@ class Tape:
         output's shape differentiates the corresponding weighted sum of
         output entries; without a seed the output must be scalar. Several
         roots give the gradient of the sum of their weighted sums, and seeds
-        of one output add up.
+        of one output add up. A root whose seed is all zeros is checked and
+        then left out: what it would add is signed zeros, which change no
+        sum, so the records only it reaches are never visited and a
+        parameter that only it reaches gets zeros.
         """
         roots = [(output, seed)] if isinstance(output, Tensor) else output
         if seed is not None and not isinstance(output, Tensor):
@@ -148,6 +155,8 @@ class Tape:
                     )
             if root.idx is None:
                 raise ContractError("cannot differentiate an untracked constant")
+            if not root_seed.any():
+                continue
             grads[root.idx] = root_seed if root.idx not in grads else grads[root.idx] + root_seed
         for out_idx, in_idxs, grad_fn, _ in reversed(self._records):
             g = grads.pop(out_idx, None)
@@ -203,12 +212,20 @@ GradFn = Callable[[Array], Sequence[Array | None]]
 TangentFn = Callable[..., Array]
 
 
+def all_finite(a: Array) -> bool:
+    """Whether every entry of ``a`` is finite; a frozen array is scanned once (see ``derived``).
+
+    So the input features are scanned when a dataset is validated, and
+    every later tensor made of them reads that verdict.
+    """
+    return derived(a, "finite", lambda: bool(np.all(np.isfinite(a))))
+
+
 def _validated(value) -> Array:
     a = np.asarray(value, dtype=np.float64)
     if a.ndim != 2:
         raise ContractError(f"tensors are 2-D, got ndim={a.ndim}")
-    # a frozen array (the input features) is scanned once, not on every pass
-    if not derived(a, "finite", lambda: bool(np.all(np.isfinite(a)))):
+    if not all_finite(a):
         raise NumericsError("non-finite values in tensor data")
     return a
 

@@ -35,7 +35,8 @@ bit for bit, so ``train`` keeps that forward and the next probe adds its
 loss heads to it instead of recording its own: a pinned step makes one
 taped forward and one backward sweep. The forward is deterministic and a
 sweep skips the records no seed reaches, so a reused forward gives the bits
-of a fresh one. All reductions are fixed-order, so runs are
+of a fresh one. A seed of zeros reaches nothing either, so a pin of 1 or 0
+sweeps one branch. All reductions are fixed-order, so runs are
 bit-reproducible.
 
 A step that fails leaves the state as the step before left it: the new
@@ -201,7 +202,9 @@ def _step_gradient(alpha: Array, beta: Array, cache: StepCache, params: HGNNPara
     """sum_j (alpha_j g1_j + beta_j g2_j) plus weight decay, the gradient probe and commit apply.
 
     One backward sweep of the probe tape, seeded with the alpha column at
-    the structural loss column and the beta column at the feature one.
+    the structural loss column and the beta column at the feature one. A
+    column of zeros (alpha pinned at 0 or 1) is no root, so the sweep visits
+    only the other branch's records.
     """
     ss, fs = cache.graphs
     grads = ss.tape.backward([(ss.loss_vec, alpha[:, None]), (fs.loss_vec, beta[:, None])])
@@ -551,6 +554,8 @@ def predict(state: TrainState, dataset, ids, mode: str = "blend") -> tuple[Array
 
     The blend weighs the structural branch's softmax by the final mean alpha
     of the node's overlap level and the feature branch's by its complement.
+    It runs only the branches it weighs: a branch whose weight is zero for
+    every requested node is not run, with the blend's bits unchanged.
     """
     if mode not in PREDICT_MODES:
         raise ContractError(f"unknown predict mode {mode!r}")
@@ -559,16 +564,27 @@ def predict(state: TrainState, dataset, ids, mode: str = "blend") -> tuple[Array
 
 
 def _scores(state: TrainState, dataset, ids: Array, modes: Sequence[str]) -> dict[str, Array]:
-    """``predict``'s scores for each of ``modes``, running each branch it needs once."""
+    """``predict``'s scores for each of ``modes``, running each branch it needs once.
+
+    The blend needs a branch only where it weighs it: a branch whose weight
+    is zero on every row stands in as zeros. A softmax is finite and
+    nonnegative, so ``0.0 * s`` is +0 either way, and ``1.0 * s + 0.0``
+    has the bits of ``s``.
+    """
     g = dataset.graph
-    branches = BRANCHES if "blend" in modes else tuple(modes)
-    logits = model.forward(g, dataset.features, state.hgnn, ids, branches)
-    scores = {branch: _softmax_rows(rows) for branch, rows in zip(branches, logits)}
+    weights: dict[str, Array] = {}
     if "blend" in modes:
         alpha_bar = final_alpha_per_task(state)
         levels = assign_levels(g.overlap_vector(ids).values, state.partition.centroids)
-        weights = alpha_bar[levels][:, None]
-        scores["blend"] = weights * scores["ss"] + (1.0 - weights) * scores["fs"]
+        alpha = alpha_bar[levels][:, None]
+        weights = {"ss": alpha, "fs": 1.0 - alpha}
+    branches = tuple(branch for branch in BRANCHES if branch in modes or np.any(weights.get(branch, 0.0)))
+    logits = model.forward(g, dataset.features, state.hgnn, ids, branches)
+    scores = {branch: _softmax_rows(rows) for branch, rows in zip(branches, logits)}
+    if weights:
+        unweighed = np.zeros((ids.size, state.hgnn.out_dim))
+        ss, fs = (scores.get(branch, unweighed) for branch in BRANCHES)
+        scores["blend"] = weights["ss"] * ss + weights["fs"] * fs
     return scores
 
 

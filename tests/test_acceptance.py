@@ -196,6 +196,9 @@ DETERMINISM_VARIANTS = {
     "default": {},
     "independent": {"mwn": {"output_mode": "independent"}},
     "pinned-batch": {"train": {"pin_alpha": 0.3, "batch": 10}},
+    # a pinned alpha of 1 or 0 seeds one branch with zeros, which the sweep skips
+    "pinned-ss": {"train": {"pin_alpha": 1.0}},
+    "pinned-fs": {"train": {"pin_alpha": 0.0}},
     "dropout-decay-adam": {"model": {"dropout": 0.3, "weight_decay": 0.01}, "train": {"optimizer": "adam"}},
     "layers3-log1p": {"model": {"layers": 3}, "mwn": {"log1p": True}},
 }

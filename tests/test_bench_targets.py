@@ -16,9 +16,11 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hgmeta import model, trainer
+from hgmeta.partition import assign_levels
 from hgmeta.tensor import Tape
 from hgmeta.trainer import TrainSettings, train
 from hgmeta.verify import random_toy_dataset
@@ -81,20 +83,43 @@ def test_a_step_calls_each_wrapped_site_through_the_module(name, monkeypatch):
     assert calls == {site: steps * count for site, count in per_step.items()}
 
 
-def test_evaluate_and_each_predict_call_the_wrapped_forward_once(monkeypatch):
+# per-level alphas of the final step, and the branches a blend of the test split runs under them
+BLEND_WEIGHTS = {
+    "trained": (None, model.BRANCHES),
+    "all-ss": ([1.0, 1.0], ("ss",)),
+    "all-fs": ([0.0, 0.0], ("fs",)),
+    "mixed": ([1.0, 0.0], model.BRANCHES),
+}
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("weights", list(BLEND_WEIGHTS))
+def test_evaluate_and_each_predict_call_the_wrapped_forward_once(monkeypatch, weights):
     dataset = random_toy_dataset(nodes=12, seed=23)
     state, _ = train(dataset, TrainSettings(steps=1, hidden=8, k=2, mwn_hidden=8))
+    alphas, blend_branches = BLEND_WEIGHTS[weights]
+    if alphas is not None:
+        state.history[-1].mean_alpha = alphas
+    ids = np.asarray(dataset.splits.test)
+    levels = assign_levels(dataset.graph.overlap_vector(ids).values, state.partition.centroids)
+    # so the mixed weights weigh each branch on some row
+    assert set(levels.tolist()) == {0, 1}
+    # the blend formula over both branches
+    ss, fs = (trainer._softmax_rows(rows) for rows in model.forward(dataset.graph, dataset.features, state.hgnn, ids))
+    alpha = trainer.final_alpha_per_task(state)[levels][:, None]
+    formula = alpha * ss + (1.0 - alpha) * fs
     calls = []
     original = model.forward
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(tuple(args[4]))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(model, "forward", counted)
     trainer.evaluate(state, dataset)
-    assert len(calls) == 1
-    for mode in trainer.PREDICT_MODES:
+    assert calls == [model.BRANCHES]
+    for mode, branches in [("ss", ("ss",)), ("fs", ("fs",)), ("blend", blend_branches)]:
         calls.clear()
-        trainer.predict(state, dataset, dataset.splits.test, mode)
-        assert len(calls) == 1, mode
+        _, scores = trainer.predict(state, dataset, ids, mode)
+        assert calls == [branches], mode
+    assert scores.tobytes() == formula.tobytes()

@@ -378,6 +378,30 @@ class TestSharedLayer0:
             tape.backward(roots)
             assert ran == [1, 0]
 
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_a_zero_seeded_root_is_no_root(self, layers):
+        g, X, y, params, masks, ids = self._instance(40 + layers, layers, frozen=True)
+        ss, fs = taped_forward(g, X, params, masks).losses(y, ids)
+        tape = ss.tape
+        ran = []
+        for i, (out, in_idxs, grad_fn, tangent_fn) in enumerate(tape._records):
+            tape._records[i] = (out, in_idxs, lambda g, i=i, fn=grad_fn: ran.append(i) or fn(g), tangent_fn)
+
+        def sweep(roots):
+            ran.clear()
+            grads = tape.backward(roots)
+            return set(ran), grads
+
+        ones, zeros = np.ones((ids.size, 1)), np.zeros((ids.size, 1))
+        for live, dead in ((ss, fs), (fs, ss)):
+            alone, expected = sweep([(live.loss_vec, ones)])
+            exclusive = sweep([(dead.loss_vec, ones)])[0] - alone
+            assert exclusive
+            for zero in (zeros, -zeros):
+                visited, grads = sweep([(live.loss_vec, ones), (dead.loss_vec, zero)])
+                assert visited == alone and not visited & exclusive
+                _assert_same_bytes(grads, expected)
+
     def test_untaped_branches_have_the_bits_of_one_branch(self):
         g, X, _, params, _, ids = self._instance(32, 3, frozen=True)
         both = forward(g, X, params, ids)

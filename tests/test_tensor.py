@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from hgmeta import tensor as T
+from hgmeta.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from hgmeta.errors import ContractError, NumericsError, OracleError
 from hgmeta.hypergraph import Hypergraph
 from hgmeta.tensor import Tape, finite_diff_check
+from hgmeta.trainer import TrainSettings, train
 
 
 def _param_tape(**arrays):
@@ -573,6 +575,17 @@ class TestFinitenessScan:
         X[1, 0] = np.inf
         with pytest.raises(NumericsError):
             T.as_tensor(X)
+
+    @pytest.mark.parametrize("source", ["generated", "loaded"])
+    def test_validation_scans_dataset_features_for_every_later_forward(self, tmp_path, monkeypatch, source):
+        ds = generate_synthetic(SyntheticSpec(nodes=30, hyperedges=20, dim=4, classes=2), seed=0)
+        if source == "loaded":
+            save_dataset(ds, tmp_path)
+            ds = load_dataset(tmp_path)
+        counting = _CountingNumpy(ds.features)
+        monkeypatch.setattr(T, "np", counting)
+        train(ds, TrainSettings(steps=1, hidden=4, mwn_hidden=4))
+        assert counting.scans == 0
 
 
 class TestSeveralRoots:

@@ -12,7 +12,7 @@ from hgmeta import tensor as T
 from hgmeta import trainer
 from hgmeta.data import Dataset, Splits, SyntheticSpec, generate_synthetic
 from hgmeta.errors import ContractError, NumericsError, TrainingError
-from hgmeta.hypergraph import Hypergraph
+from hgmeta.hypergraph import Hypergraph, ReceptiveField
 from hgmeta.model import HGNNParams, taped_forward
 from hgmeta.mwn import MWNParams, mwn_forward_batch, weighted_alpha_theta_grad
 from hgmeta.rng import stream
@@ -346,6 +346,20 @@ class TestProbeField:
             intermediate_update(ds.graph, ds.features, ds.labels, hgnn, mwn, ids, tasks, 0.01)
             assert (fields.pop() is not None) == small
             assert (trainer._probe_field(ds.graph, ids, 2) is not None) == small
+
+    def test_a_field_is_sized_before_its_arrays_are_built(self, shaped_datasets, monkeypatch):
+        ds = shaped_datasets["coraca"]
+        built = []
+        arrays = ReceptiveField.__dict__["_arrays"]
+        monkeypatch.setattr(arrays, "func", lambda field, build=arrays.func: built.append(field) or build(field))
+        hgnn = HGNNParams.init([ds.features.shape[1], 16, ds.num_classes], stream(0, "init-w"), stream(0, "init-a"))
+        mwn = MWNParams.init(1, hidden=8, rng=stream(0, "init-mwn"))
+        # a full batch's field is sized and dropped; a small one's arrays are built once, for its tape
+        for ids, builds in [(ds.splits.train, 0), (ds.splits.train[:64], 1)]:
+            ids = np.asarray(ids)
+            intermediate_update(ds.graph, ds.features, ds.labels, hgnn, mwn, ids, np.zeros(ids.size, dtype=np.int64), 0.01)
+            assert len(built) == builds
+            built.clear()
 
     @pytest.mark.parametrize("samples", [8, 64])
     def test_step_gradient_and_meta_signal_match_a_whole_graph_probe(self, samples, shaped_datasets, monkeypatch):
@@ -887,6 +901,14 @@ class TestPredict:
             labels, expected = predict(state, ds, ids, mode)
             assert scores[mode].tobytes() == expected.tobytes()
             assert metrics[f"test_acc_{mode}"] == float((labels == truth).mean())
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("mode", PREDICT_MODES)
+    def test_zero_ids_give_no_labels_and_no_score_rows(self, mode):
+        ds = random_toy_dataset(nodes=9, seed=13)
+        state, _ = train(ds, quick_settings(1))
+        labels, scores = predict(state, ds, [], mode)
+        assert labels.shape == (0,) and scores.shape == (0, ds.num_classes)
 
     def test_unknown_mode_rejected(self):
         ds = random_toy_dataset(nodes=9, seed=13)
