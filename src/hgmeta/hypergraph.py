@@ -1,17 +1,18 @@
 """Immutable hypergraph with degree, egonet, and neighborhood-overlap queries.
 
-The structure is stored as a dual adjacency: for every node the sorted list
-of incident hyperedge ids, and for every hyperedge the sorted list of member
-node ids. Both sides are built from the same edge list, so they are
-consistent by construction. All queries are pure; instances are safe to
-share across threads.
+A hypergraph is its node-hyperedge incidence, held only as six frozen int64
+arrays (``Hypergraph.incidence_arrays``): every incidence once by hyperedge,
+members ascending, and once by node, hyperedges ascending, with the degree
+of every node and the size of every hyperedge. ``_incidence`` lays them out
+for a graph and for a receptive field alike. All queries are pure;
+instances are safe to share across threads.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,9 +40,10 @@ class ReceptiveField:
     """The nodes within ``hops`` hops of ``ids``, and the hyperedges that touch them, relabelled 0, 1, ...
 
     ``nodes`` and ``edges`` hold their graph ids in ascending order, so the
-    field's ids keep the graph's order. ``incidence_arrays`` is laid out as
-    the graph's, over the field's ids, so message passing runs on a field as
-    on a graph:
+    field's ids keep the graph's order. ``incidence_arrays`` is laid out by
+    the graph's own builder, from the members of the field's hyperedges that
+    lie in the field, relabelled to field ids, so message passing runs on a
+    field as on a graph:
 
     * every node keeps all of its incidences, in the graph's order, and so
       its degree; ``pairs`` are their positions among the graph's pairs;
@@ -79,24 +81,13 @@ class ReceptiveField:
 
     @cached_property
     def _arrays(self) -> dict:
-        whole = self.graph.incidence_arrays()
-        degrees, sizes = whole["node_degrees"], whole["edge_sizes"]
-        nodes, edges = self.nodes, self.edges
-        in_field = np.zeros(self.graph.num_nodes, dtype=bool)
-        in_field[nodes] = True
-        members = whole["member_nodes"][_ranges(_running_sums(sizes)[edges], sizes[edges])]
-        kept = in_field[members]
-        member_edges = np.repeat(np.arange(edges.size), sizes[edges])[kept]
-        # nodes and edges are ascending, so a graph id's rank among them is its field id
-        arrays = {
-            "pair_nodes": np.repeat(np.arange(nodes.size), degrees[nodes]),
-            "pair_edges": np.searchsorted(edges, whole["pair_edges"][self.pairs]),
-            "member_edges": member_edges,
-            "member_nodes": np.searchsorted(nodes, members[kept]),
-            "node_degrees": degrees[nodes],
-            "edge_sizes": np.bincount(member_edges, minlength=edges.size),
-        }
-        return {name: _frozen_ints(values) for name, values in arrays.items()}
+        nodes, edges, whole = self.nodes, self.edges, self.graph.incidence_arrays()
+        sizes = whole["edge_sizes"][edges]
+        members = whole["member_nodes"][_ranges(self.graph._member_starts[edges], sizes)]
+        kept = np.isin(members, nodes)
+        kept_sizes = np.bincount(np.repeat(np.arange(edges.size), sizes)[kept], minlength=edges.size)
+        # nodes are ascending, so a graph id's rank among them is its field id
+        return _incidence(nodes.size, kept_sizes, np.searchsorted(nodes, members[kept]))
 
     def rows(self, ids) -> np.ndarray:
         """The field rows of the graph ids ``ids``, each of which must be one of the field's ``ids``."""
@@ -111,59 +102,57 @@ class ReceptiveField:
 class Hypergraph:
     """Immutable incidence structure over dense 0-based node/edge ids."""
 
-    __slots__ = ("_node_to_edges", "_edge_to_nodes", "_degrees", "_arrays")
+    __slots__ = ("_arrays", "_node_starts", "_member_starts")
 
     def __init__(self, num_nodes: int, edges: Iterable[Iterable[int]]):
         if num_nodes < 0:
             raise ContractError("num_nodes must be nonnegative")
-        edge_to_nodes: list[tuple[int, ...]] = []
-        node_to_edges: list[list[int]] = [[] for _ in range(num_nodes)]
-        for e, members in enumerate(edges):
-            members = list(members)
-            if not members:
+        sizes, members = [], []
+        for e, edge in enumerate(edges):
+            edge = list(edge)
+            if not edge:
                 raise ContractError(f"hyperedge {e} is empty")
-            if len(set(members)) != len(members):
+            if len(set(edge)) != len(edge):
                 raise ContractError(f"hyperedge {e} has duplicate members")
-            for v in members:
+            for v in edge:
                 if not 0 <= v < num_nodes:
                     raise ContractError(f"hyperedge {e} references node {v} outside [0, {num_nodes})")
-                node_to_edges[v].append(e)
-            edge_to_nodes.append(tuple(sorted(members)))
-        self._edge_to_nodes = tuple(edge_to_nodes)
-        self._node_to_edges = tuple(tuple(sorted(es)) for es in node_to_edges)
-        self._degrees = tuple(len(es) for es in self._node_to_edges)
-        self._arrays = None
-        # both sides enumerate the same incidences
-        assert sum(self._degrees) == sum(len(m) for m in self._edge_to_nodes)
+                members.append(operator.index(v))  # a TypeError for 1.5, which int64 would truncate
+            sizes.append(len(edge))
+        self._arrays = _incidence(operator.index(num_nodes), sizes, members)
+        self._node_starts = _frozen_ints(_running_sums(self._arrays["node_degrees"]))
+        self._member_starts = _frozen_ints(_running_sums(self._arrays["edge_sizes"]))
 
     @property
     def num_nodes(self) -> int:
-        return len(self._node_to_edges)
+        return int(self._arrays["node_degrees"].size)
 
     @property
     def num_hyperedges(self) -> int:
-        return len(self._edge_to_nodes)
+        return int(self._arrays["edge_sizes"].size)
 
     @property
     def nnz(self) -> int:
         """Number of (node, hyperedge) incidences."""
-        return sum(self._degrees)
+        return int(self._arrays["member_nodes"].size)
 
     def node_to_edges(self, v: int) -> tuple[int, ...]:
-        self._check_node(v)
-        return self._node_to_edges[v]
+        v = self._check_node(v)
+        return tuple(self._arrays["pair_edges"][self._node_starts[v] : self._node_starts[v + 1]].tolist())
 
     def edge_to_nodes(self, e: int) -> tuple[int, ...]:
-        self._check_edge(e)
-        return self._edge_to_nodes[e]
+        if not 0 <= e < self.num_hyperedges:
+            raise IndexError(f"hyperedge id {e} outside [0, {self.num_hyperedges})")
+        e = operator.index(e)
+        return tuple(self._arrays["member_nodes"][self._member_starts[e] : self._member_starts[e + 1]].tolist())
 
     def edges(self) -> tuple[tuple[int, ...], ...]:
-        return self._edge_to_nodes
+        members, starts = self._arrays["member_nodes"].tolist(), self._member_starts.tolist()
+        return tuple(tuple(members[lo:hi]) for lo, hi in zip(starts[:-1], starts[1:]))
 
     def node_degree(self, v: int) -> int:
         """Number of hyperedges incident to v."""
-        self._check_node(v)
-        return self._degrees[v]
+        return int(self._arrays["node_degrees"][self._check_node(v)])
 
     def hyperedge_avg_degree(self, e: int) -> float:
         """Mean node degree over the members of hyperedge e.
@@ -171,14 +160,12 @@ class Hypergraph:
         The integer sum keeps the value independent of summation order, so
         independent recounts compare bit-for-bit.
         """
-        self._check_edge(e)
-        members = self._edge_to_nodes[e]
-        return sum(self._degrees[v] for v in members) / len(members)
+        members = self.edge_to_nodes(e)
+        return int(self._arrays["node_degrees"][list(members)].sum()) / len(members)
 
     def egonet(self, v: int) -> frozenset[int]:
         """Hyperedges incident to v, as a set."""
-        self._check_node(v)
-        return frozenset(self._node_to_edges[v])
+        return frozenset(self.node_to_edges(v))
 
     def overlapness(self, v: int) -> float | None:
         """Sum of incident hyperedge sizes over the size of their union.
@@ -188,14 +175,13 @@ class Hypergraph:
         numerator. Computed with exact integer arithmetic and converted to
         float at the boundary.
         """
-        self._check_node(v)
-        incident = self._node_to_edges[v]
+        incident = self.node_to_edges(v)
         if not incident:
             return None
         numerator = 0
         union: set[int] = set()
         for e in incident:
-            members = self._edge_to_nodes[e]
+            members = self.edge_to_nodes(e)
             numerator += len(members)
             union.update(members)
         return numerator / len(union)
@@ -209,30 +195,22 @@ class Hypergraph:
         is. Union sizes count the distinct (node, member) pairs of at most
         ``_UNION_BLOCK`` member slots at a time.
         """
-        ids = np.asarray(nodes)
-        if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iub"):
-            raise TypeError("nodes must be a sequence of integer node ids")
-        ids = ids.astype(np.int64)
-        outside = (ids < 0) | (ids >= self.num_nodes)
-        if outside.any():
-            self._check_node(int(ids[np.argmax(outside)]))
-        arrays = self.incidence_arrays()
-        node_degrees, sizes = arrays["node_degrees"], arrays["edge_sizes"]
-        degrees = node_degrees[ids]
+        ids = self.node_ids(nodes)
+        arrays = self._arrays
+        degrees = arrays["node_degrees"][ids]
         # incidences of the requested nodes, node by node, and their member slots
-        incident = arrays["pair_edges"][_ranges(_running_sums(node_degrees)[ids], degrees)]
-        slots = sizes[incident]
+        incident = arrays["pair_edges"][_ranges(self._node_starts[ids], degrees)]
+        slots = arrays["edge_sizes"][incident]
         slot_sums = _running_sums(slots)
         bounds = _running_sums(degrees)  # incidences of ids[i]: bounds[i] to bounds[i + 1]
         numerators = slot_sums[bounds[1:]] - slot_sums[bounds[:-1]]
         # nodes in blocks of about _UNION_BLOCK member slots, cut where a node's first slot starts a new block
         block = slot_sums[bounds[:-1]] // _UNION_BLOCK
         cuts = np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1, [ids.size]))
-        member_starts = _running_sums(sizes)
         unions = np.zeros(ids.size, dtype=np.int64)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             part = slice(bounds[lo], bounds[hi])
-            members = arrays["member_nodes"][_ranges(member_starts[incident[part]], slots[part])]
+            members = arrays["member_nodes"][_ranges(self._member_starts[incident[part]], slots[part])]
             owners = np.repeat(np.repeat(np.arange(lo, hi), degrees[lo:hi]), slots[part])
             pairs = np.sort(owners * self.num_nodes + members)
             distinct = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))] if pairs.size else pairs
@@ -247,27 +225,21 @@ class Hypergraph:
         It walks the graph for the field's nodes, hyperedges and pairs; the
         field's incidence arrays wait for their first use.
         """
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 1:
-            raise ContractError("ids must be 1-D")
-        outside = (ids < 0) | (ids >= self.num_nodes)
-        if outside.any():
-            self._check_node(int(ids[np.argmax(outside)]))
+        ids = self.node_ids(ids)
         if hops < 0:
             raise ContractError("hops must be nonnegative")
-        arrays = self.incidence_arrays()
+        arrays = self._arrays
         degrees, sizes = arrays["node_degrees"], arrays["edge_sizes"]
-        node_starts, member_starts = _running_sums(degrees), _running_sums(sizes)
         in_field = np.zeros(self.num_nodes, dtype=bool)
         in_field[ids] = True
         frontier = np.flatnonzero(in_field)
         for _ in range(hops):
-            touched = np.unique(arrays["pair_edges"][_ranges(node_starts[frontier], degrees[frontier])])
-            reached = arrays["member_nodes"][_ranges(member_starts[touched], sizes[touched])]
+            touched = np.unique(arrays["pair_edges"][_ranges(self._node_starts[frontier], degrees[frontier])])
+            reached = arrays["member_nodes"][_ranges(self._member_starts[touched], sizes[touched])]
             frontier = np.unique(reached[~in_field[reached]])
             in_field[frontier] = True
         nodes = np.flatnonzero(in_field)
-        pairs = _ranges(node_starts[nodes], degrees[nodes])
+        pairs = _ranges(self._node_starts[nodes], degrees[nodes])
         return ReceptiveField(
             ids=_frozen_ints(ids),
             hops=hops,
@@ -277,49 +249,53 @@ class Hypergraph:
             graph=self,
         )
 
-    def incidence_arrays(self):
-        """Cached numpy views of the incidence structure.
+    def node_ids(self, ids: Sequence[int]) -> np.ndarray:
+        """``ids`` as a 1-D int64 array of this graph's node ids; the one check of every id array a query takes.
 
-        Returns a dict with node-major pair arrays (``pair_nodes``,
-        ``pair_edges``: every incidence sorted by node then edge), edge-major
-        member arrays (``member_edges``, ``member_nodes``), and per-node /
-        per-edge degree arrays. All arrays are read-only over immutable
-        ``bytes``, so NumPy cannot make them writeable again: the tape's
-        gather and segment primitives index each of them once and rely on
-        that.
+        ``ContractError`` unless 1-D, ``TypeError`` unless integer (an empty
+        sequence of any dtype passes), ``IndexError`` naming an id outside.
         """
-        if self._arrays is None:
-            degrees = np.asarray(self._degrees, dtype=np.int64)
-            sizes = np.fromiter(map(len, self._edge_to_nodes), dtype=np.int64, count=self.num_hyperedges)
-            arrays = {
-                "pair_nodes": np.repeat(np.arange(self.num_nodes), degrees),
-                "pair_edges": np.fromiter(chain.from_iterable(self._node_to_edges), dtype=np.int64, count=self.nnz),
-                "member_edges": np.repeat(np.arange(self.num_hyperedges), sizes),
-                "member_nodes": np.fromiter(chain.from_iterable(self._edge_to_nodes), dtype=np.int64, count=self.nnz),
-                "node_degrees": degrees,
-                "edge_sizes": sizes,
-            }
-            self._arrays = {name: _frozen_ints(values) for name, values in arrays.items()}
+        ids = np.asarray(ids)
+        if ids.ndim != 1:
+            raise ContractError("ids must be 1-D")
+        if ids.size and ids.dtype.kind not in "iub":
+            raise TypeError("node ids must be integers")
+        ids = ids.astype(np.int64)
+        outside = (ids < 0) | (ids >= self.num_nodes)
+        if outside.any():
+            self._check_node(int(ids[np.argmax(outside)]))
+        return ids
+
+    def incidence_arrays(self) -> dict:
+        """The graph's only store: six int64 arrays, laid out once by ``_incidence``.
+
+        ``pair_nodes`` and ``pair_edges`` hold every incidence sorted by
+        node, then by hyperedge; ``member_edges`` and ``member_nodes`` hold
+        it sorted by hyperedge, then by node; ``node_degrees`` and
+        ``edge_sizes`` count them. All are read-only over immutable
+        ``bytes``, so NumPy cannot make them writeable again: the tape's
+        gather and segment primitives index each of them once and rely on that.
+        """
         return self._arrays
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return self.num_nodes == other.num_nodes and self._edge_to_nodes == other._edge_to_nodes
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.num_nodes, self._edge_to_nodes))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Hypergraph(|V|={self.num_nodes}, |E|={self.num_hyperedges}, nnz={self.nnz})"
 
-    def _check_node(self, v: int) -> None:
+    def _key(self) -> tuple:
+        return self.num_nodes, self._arrays["edge_sizes"].tobytes(), self._arrays["member_nodes"].tobytes()
+
+    def _check_node(self, v: int) -> int:
         if not 0 <= v < self.num_nodes:
             raise IndexError(f"node id {v} outside [0, {self.num_nodes})")
-
-    def _check_edge(self, e: int) -> None:
-        if not 0 <= e < self.num_hyperedges:
-            raise IndexError(f"hyperedge id {e} outside [0, {self.num_hyperedges})")
+        return operator.index(v)
 
 
 # member slots whose distinct (node, member) pairs one overlap_vector block sorts
@@ -337,6 +313,28 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The positions ``starts[i], ..., starts[i] + lengths[i] - 1`` for every i, in order."""
     ends = _running_sums(lengths)
     return np.repeat(starts - ends[:-1], lengths) + np.arange(ends[-1])
+
+
+def _incidence(num_nodes: int, sizes, members) -> dict:
+    """The six frozen incidence arrays of the hyperedges whose ``sizes[e]`` members ``members`` lists edge by edge.
+
+    Members are sorted within each hyperedge; a stable sort of those by
+    node gives the pairs, sorted by node, then by hyperedge.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    member_edges = np.repeat(np.arange(sizes.size), sizes)
+    members = np.asarray(members, dtype=np.int64)
+    member_nodes = members[np.lexsort((members, member_edges))]
+    by_node = np.argsort(member_nodes, kind="stable")
+    arrays = {
+        "pair_nodes": member_nodes[by_node],
+        "pair_edges": member_edges[by_node],
+        "member_edges": member_edges,
+        "member_nodes": member_nodes,
+        "node_degrees": np.bincount(member_nodes, minlength=num_nodes),
+        "edge_sizes": sizes,
+    }
+    return {name: _frozen_ints(values) for name, values in arrays.items()}
 
 
 def _frozen_ints(values) -> np.ndarray:

@@ -17,8 +17,8 @@ sample j's loss in each branch:
    second-order differentiation is needed. Both columns are the tangents of
    the two loss columns along g_meta, from one forward-mode sweep
    (``Tape.jvp``) over the kept probe tape. In complementary mode
-   beta_j = 1 - alpha_j and the sum folds into one term with
-   gbar_j = gbar1_j - gbar2_j;
+   beta_j = 1 - alpha_j is taped, so the one sweep seeded with both columns
+   folds the sum into one term with gbar_j = gbar1_j - gbar2_j;
 3. commit step: recompute (alpha, beta) under the new Theta and reseed the
    probe tape's sweep with them, so the gradients are still evaluated at w.
 
@@ -325,7 +325,9 @@ def meta_gradient(
     training sample j. Those inner products are the tangents of the probe's
     two loss columns along the meta-loss gradient, one ``Tape.jvp`` sweep.
     Weight decay moves w_hat by a term that does not depend on Theta, so it
-    drops out of d_theta.
+    drops out of d_theta. Both output modes seed alpha with gbar1 and beta
+    with gbar2; complementary mode tapes beta = 1 - alpha, so its sweep adds
+    -gbar2 to alpha's seed, and gbar1 + (-gbar2) is gbar1 - gbar2 exactly.
     """
     if cache.graphs is None:
         raise ContractError("meta_gradient needs the probe tape of a weight-net step, not a pinned-alpha cache")
@@ -336,13 +338,9 @@ def meta_gradient(
     probe_ss, probe_fs = cache.graphs
     tangent1, tangent2 = probe_ss.tape.jvp((probe_ss.loss_vec, probe_fs.loss_vec), graph_ss.tape.backward(total))
     gbar1, gbar2 = tangent1[:, 0], tangent2[:, 0]
-    gbar = gbar1 - gbar2
-    if mwn.mode == "complementary":
-        grad_dict = weighted_alpha_theta_grad(cache.l1, cache.l2, cache.tasks, mwn, gbar)
-    else:
-        grad_dict = weighted_alpha_theta_grad(cache.l1, cache.l2, cache.tasks, mwn, gbar1, gbar2)
+    grad_dict = weighted_alpha_theta_grad(cache.l1, cache.l2, cache.tasks, mwn, gbar1, gbar2)
     d_theta = -lam1 * _flatten_grads(grad_dict, mwn)
-    return d_theta, meta_loss, gbar
+    return d_theta, meta_loss, gbar1 - gbar2
 
 
 def internal_update(mwn: MWNParams, d_theta: Array, lam2: float) -> MWNParams:
@@ -556,10 +554,11 @@ def predict(state: TrainState, dataset, ids, mode: str = "blend") -> tuple[Array
     of the node's overlap level and the feature branch's by its complement.
     It runs only the branches it weighs: a branch whose weight is zero for
     every requested node is not run, with the blend's bits unchanged.
+    ``ids`` pass the graph's one id check (``Hypergraph.node_ids``).
     """
     if mode not in PREDICT_MODES:
         raise ContractError(f"unknown predict mode {mode!r}")
-    scores = _scores(state, dataset, np.asarray(ids, dtype=np.int64), (mode,))[mode]
+    scores = _scores(state, dataset, dataset.graph.node_ids(ids), (mode,))[mode]
     return scores.argmax(axis=1), scores
 
 

@@ -731,7 +731,7 @@ class TestGradCheck:
         assert "meta_grad_norm=0.000000e+00" in out
 
     def test_independent_mode_breach_exits_5(self, monkeypatch, capsys):
-        # negative control: drop the beta term, which only independent mode uses
+        # negative control: drop the beta term, which both output modes seed (complementary as beta = 1 - alpha)
         def alpha_term_only(l1, l2, tasks, params, coeffs, beta_coeffs=None):
             return weighted_alpha_theta_grad(l1, l2, tasks, params, coeffs)
 

@@ -27,6 +27,12 @@ class TestConstruction:
         with pytest.raises(ContractError, match="outside"):
             Hypergraph(2, [[0, 2]])
 
+    @pytest.mark.parametrize("edges", [[[0, 1.5]], [[0, 1], [2.0]], [[np.float64(1.0)]]])
+    def test_rejects_non_integer_member(self, edges):
+        # int64 would truncate 1.5 to node 1 and take 2.0 as node 2
+        with pytest.raises(TypeError):
+            Hypergraph(3, edges)
+
     def test_duplicate_hyperedges_are_allowed(self):
         g = Hypergraph(2, [[0, 1], [0, 1]])
         assert g.num_hyperedges == 2
@@ -248,6 +254,77 @@ def test_incidence_arrays_are_read_only(toy):
     arrays = toy.incidence_arrays()
     with pytest.raises(ValueError):
         arrays["pair_nodes"][0] = 99
+
+
+def _reference_arrays(num_nodes: int, edges) -> dict:
+    """The six incidence arrays, from sorted Python lists."""
+    members = [sorted(edge) for edge in edges]
+    pairs = sorted((v, e) for e, edge in enumerate(members) for v in edge)
+    arrays = {
+        "pair_nodes": [v for v, _ in pairs],
+        "pair_edges": [e for _, e in pairs],
+        "member_edges": [e for e, edge in enumerate(members) for _ in edge],
+        "member_nodes": [v for edge in members for v in edge],
+        "node_degrees": [sum(v in edge for edge in members) for v in range(num_nodes)],
+        "edge_sizes": [len(edge) for edge in members],
+    }
+    return {name: np.array(values, dtype=np.int64) for name, values in arrays.items()}
+
+
+@pytest.mark.bitwise
+class TestIncidenceArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equal_a_reference_from_sorted_edge_lists(self, data):
+        n = data.draw(st.integers(0, 12), label="num_nodes")
+        # members in drawn order, so rarely sorted; nodes in no hyperedge stay isolated
+        edge = st.lists(st.integers(0, max(n - 1, 0)), min_size=1, unique=True)
+        edges = data.draw(st.lists(edge, max_size=10 if n else 0), label="edges")
+        repeats = data.draw(st.lists(st.sampled_from(range(len(edges))), max_size=3) if edges else st.just([]))
+        edges += [edges[e][::-1] for e in repeats]
+        g = Hypergraph(n, edges)
+        arrays, reference = g.incidence_arrays(), _reference_arrays(n, edges)
+        assert sorted(arrays) == sorted(reference)
+        for name, expected in reference.items():
+            assert arrays[name].dtype == np.int64 and arrays[name].tobytes() == expected.tobytes(), name
+            assert T.frozen(arrays[name]), name
+
+    def test_member_order_leaves_equality_and_hash(self):
+        g = Hypergraph(5, [[3, 0, 1], [4, 2], [1, 0, 3]])
+        same = Hypergraph(5, [[0, 1, 3], [2, 4], [3, 1, 0]])
+        assert g == same and hash(g) == hash(same)
+        # hyperedge ids, the node count and where one hyperedge ends all count
+        for other in (
+            Hypergraph(5, [[4, 2], [3, 0, 1], [1, 0, 3]]),
+            Hypergraph(6, [[3, 0, 1], [4, 2], [1, 0, 3]]),
+            Hypergraph(5, [[0, 1], [3, 2, 4], [0, 1, 3]]),
+        ):
+            assert g != other
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_queries_return_python_values_and_edges_rebuild_the_graph(self, seed):
+        g = random_hypergraph(np.random.default_rng(seed))
+        edges = g.edges()
+        assert type(edges) is tuple and all(type(m) is tuple and all(type(v) is int for v in m) for m in edges)
+        assert Hypergraph(g.num_nodes, edges) == g
+        for v in range(g.num_nodes):
+            assert all(type(e) is int for e in g.node_to_edges(v)) and type(g.node_degree(v)) is int
+        for e in range(g.num_hyperedges):
+            assert g.edge_to_nodes(e) == edges[e] and type(g.hyperedge_avg_degree(e)) is float
+        assert all(type(n) is int for n in (g.num_nodes, g.num_hyperedges, g.nnz))
+
+
+@pytest.mark.parametrize("query", ["overlap_vector", "receptive_field"])
+def test_one_id_check_for_every_id_array(query):
+    g = Hypergraph(3, [[0, 1]])
+    ask = g.overlap_vector if query == "overlap_vector" else lambda ids: g.receptive_field(ids, 1)
+    with pytest.raises(TypeError):
+        ask([1.7])  # not node 1
+    with pytest.raises(ContractError, match="1-D"):
+        ask([[0]])
+    for bad in (3, -1):
+        with pytest.raises(IndexError, match=f"node id {bad} outside"):
+            ask([0, bad])
 
 
 def _field_reference(g: Hypergraph, ids, hops: int) -> tuple[list[int], list[int]]:

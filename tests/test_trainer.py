@@ -910,6 +910,19 @@ class TestPredict:
         labels, scores = predict(state, ds, [], mode)
         assert labels.shape == (0,) and scores.shape == (0, ds.num_classes)
 
+    @pytest.mark.parametrize("mode", PREDICT_MODES)
+    def test_ids_pass_the_graphs_one_id_check(self, mode):
+        ds = random_toy_dataset(nodes=9, seed=13)
+        state, _ = train(ds, quick_settings(1))
+        # neither truncated to node 1 nor wrapped to the last node
+        with pytest.raises(TypeError):
+            predict(state, ds, [1.7], mode)
+        for bad in (-1, ds.graph.num_nodes):
+            with pytest.raises(IndexError, match=f"node id {bad} outside"):
+                predict(state, ds, [0, bad], mode)
+        with pytest.raises(ContractError, match="1-D"):
+            predict(state, ds, [[0]], mode)
+
     def test_unknown_mode_rejected(self):
         ds = random_toy_dataset(nodes=9, seed=13)
         state, _ = train(ds, quick_settings(0))
