@@ -157,24 +157,28 @@ class BranchGraph:
 
 @dataclass
 class TapedForward:
-    """A taped forward at ``params``: their tape and the last hidden layer of each of ``branches``.
+    """A taped forward at ``params`` on ``graph``: their tape and the last hidden layer of each of ``branches``.
 
     ``losses`` adds loss heads for any ids to the tape, as often as asked. A
     sweep seeded at some heads skips the records of the others, so its
     gradient has the bits of a tape that holds only those heads. A forward
-    taped on a ``field`` holds the field's rows: ``losses`` takes graph ids,
-    which must be among those the field was built for.
+    taped on a ``field`` of ``graph`` holds the field's rows: ``losses``
+    takes graph ids, which must be among those the field was built for.
     """
 
     params: HGNNParams
     tape: Tape
     branches: tuple[str, ...]
     hidden: list[Tensor]
+    graph: Hypergraph
     field: ReceptiveField | None = None
 
     def losses(self, y: Array, ids) -> list[BranchGraph]:
-        """The per-sample CE loss graph of every branch for ``ids``, labelled by ``y[ids]``."""
-        ids = np.asarray(ids, dtype=np.int64)
+        """The per-sample CE loss graph of every branch for ``ids``, labelled by ``y[ids]``.
+
+        ``ids`` pass the graph's one id check (``Hypergraph.node_ids``).
+        """
+        ids = self.graph.node_ids(ids)
         rows = ids if self.field is None else self.field.rows(ids)
         labels = self.tape.constant(one_hot(np.asarray(y, dtype=np.int64)[ids], self.params.out_dim))
         graphs = []
@@ -309,10 +313,13 @@ def _forward_t(
 
 
 def forward(g: Hypergraph, X: Array, params: HGNNParams, eval_ids, branches: Sequence[str] = BRANCHES) -> list[Array]:
-    """Untaped logits rows for ``eval_ids`` of each of ``branches``, with one layer-0 projection."""
+    """Untaped logits rows for ``eval_ids`` of each of ``branches``, with one layer-0 projection.
+
+    ``eval_ids`` pass the graph's one id check (``Hypergraph.node_ids``).
+    """
+    ids = g.node_ids(eval_ids)
     weights = [T.as_tensor(w) for w in params.weights]
     attn = [T.as_tensor(a) for a in params.attn]
-    ids = np.asarray(eval_ids, dtype=np.int64)
     return [hidden.data[ids] for hidden in _forward_t(g, X, weights, attn, branches)]
 
 
@@ -347,7 +354,7 @@ def taped_forward(
     weights = [tape.param(f"w{t}", w) for t, w in enumerate(params.weights)]
     attn = [tape.param(f"a{t}", a) for t, a in enumerate(params.attn)]
     hidden = list(_forward_t(g, X, weights, attn, branches, dropout_masks, field))
-    return TapedForward(params=params, tape=tape, branches=tuple(branches), hidden=hidden, field=field)
+    return TapedForward(params=params, tape=tape, branches=tuple(branches), hidden=hidden, graph=g, field=field)
 
 
 def branch_losses(g: Hypergraph, X: Array, y: Array, params: HGNNParams, ids) -> ForwardOutput:

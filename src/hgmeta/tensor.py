@@ -15,7 +15,10 @@ All public operations police their outputs for NaN/Inf and raise
 NumericsError, naming the operation and its output shape, instead of letting
 non-finite values propagate. Inputs are scanned as they become tensors; a
 frozen array (see ``frozen``) is scanned once and its verdict kept
-(``all_finite``), which dataset validation shares.
+(``all_finite``), which dataset validation shares. The output of a pure copy
+(``gather_rows``, ``concat_cols``, ``slice_cols``) is not scanned again:
+each of its entries is an entry of an operand, and every operand was
+scanned when it was made.
 
 Every cache in the package follows one rule, ``derived``: a value built from
 one or more frozen arrays is kept while all of them live, held weakly, and
@@ -27,7 +30,12 @@ The elementwise derivative factors of ``elu`` and ``leaky_relu`` are built
 once with a tracked node and reused by every backward pass and tangent sweep
 through it, so repeated sweeps do not rebuild them; ``segment_mean`` divides
 by each segment's count before it spreads the gradient over the segment's
-rows.
+rows. ``elu`` selects nothing: its value is ``expm1(min(x, 0)) + max(x, 0)``
+and its factor ``min(out, 0) + 1``. Off zero one term is +0.0 and the other
+is not zero, so these are the bits of the two-sided formula (``x`` where
+``x > 0``, else ``expm1(x)``; factor 1, else ``out + 1``); at x = ±0 both
+terms are +0.0, since NumPy's ``minimum`` and ``maximum`` return 0.0 on a
+tie with it.
 
 ``Tape.backward`` sweeps the records once from one seeded output or from
 several. Reverse mode is linear in its seed, so one sweep seeded at two loss
@@ -218,7 +226,7 @@ def all_finite(a: Array) -> bool:
     So the input features are scanned when a dataset is validated, and
     every later tensor made of them reads that verdict.
     """
-    return derived(a, "finite", lambda: bool(np.all(np.isfinite(a))))
+    return derived(a, "finite", lambda: bool(np.isfinite(a).all()))
 
 
 def _validated(value) -> Array:
@@ -231,7 +239,7 @@ def _validated(value) -> Array:
 
 
 def _finite(op: str, a: Array) -> Array:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericsError(f"{op} produced non-finite values, shape {a.shape}", op=op, shape=a.shape)
     return a
 
@@ -246,8 +254,13 @@ def _tape_of(*tensors: Tensor) -> Tape | None:
     return tape
 
 
+# ops whose every output entry is an entry of an operand, which was scanned when it was made
+_COPIES = frozenset({"gather_rows", "concat_cols", "slice_cols"})
+
+
 def _emit(op: str, value: Array, inputs: Sequence[Tensor], grad_fn: GradFn, tangent_fn: TangentFn) -> Tensor:
-    _finite(op, value)
+    if op not in _COPIES:
+        _finite(op, value)
     tape = _tape_of(*inputs)
     if tape is None or all(t.idx is None for t in inputs):
         return Tensor(value, tape, None)
@@ -435,6 +448,13 @@ class _RunIndex:
     tree level. Sums equal reduceat's byte for byte (checked against NumPy
     2.4), and a max is exact in any order. The tree is spelled out here, so
     the sums do not depend on how a NumPy build implements reduceat.
+
+    When no run has more than 8 rows, as in a graph of low degrees, there is
+    no block and no split, and every leaf is a run's root. The sums then
+    start from the rows of the first tail step, with no scratch filled with
+    the neutral value, and are added onto the heads of the runs that have a
+    tail, which come first: -0.0 + x is x and max(-inf, x) is x, so the bits
+    are those of the general path.
     """
 
     __slots__ = ("unique", "counts", "_blocks", "_combined", "_tails", "_levels", "_size", "_heads", "_roots", "_rows")
@@ -501,19 +521,24 @@ class _RunIndex:
         def rows(positions: Array) -> Array:
             return values[positions if take is None else take[positions]]
 
-        sums = np.full((self._size, values.shape[1]), neutral)
+        head = rows(self._heads)
         if self._blocks:
+            sums = np.full((self._size, values.shape[1]), neutral)
             acc = rows(self._blocks[0])  # (leaves, 8, d): the 8 accumulators of each leaf
             for positions in self._blocks[1:]:
                 _accumulate(op, acc, rows(positions))
             a = [acc[:, k] for k in range(8)]
             sums[self._combined] = op(op(op(a[0], a[1]), op(a[2], a[3])), op(op(a[4], a[5]), op(a[6], a[7])))
-        for positions in self._tails:
-            _accumulate(op, sums, rows(positions))
-        for parents, left, right in self._levels:
-            sums[parents] = op(sums[left], sums[right])
-        head = rows(self._heads)
-        op(head, sums[self._roots], out=head)
+            for positions in self._tails:
+                _accumulate(op, sums, rows(positions))
+            for parents, left, right in self._levels:
+                sums[parents] = op(sums[left], sums[right])
+            op(head, sums[self._roots], out=head)
+        elif self._tails:  # runs of at most 8 rows, see the class docstring
+            sums = rows(self._tails[0])
+            for positions in self._tails[1:]:
+                _accumulate(op, sums, rows(positions))
+            _accumulate(op, head, sums)
         out[self._rows] = head
         return out
 
@@ -594,11 +619,32 @@ def gather_rows(a: Tensor, ids) -> Tensor:
     return _emit("gather_rows", a.data[ids], (a,), grad, tangent)
 
 
+def _int_ids(ids, what: str) -> Array:
+    """``ids`` as int64, refusing a non-empty array of a non-integer dtype before the cast, which would truncate."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iub":
+        raise ContractError(f"{what} ids must be integers, got dtype {ids.dtype}")
+    return ids.astype(np.int64, copy=False)
+
+
+def _extremes(ids: Array) -> tuple[int, int]:
+    """The least and the greatest of the non-empty ``ids``, found once for a frozen array (see ``derived``)."""
+    return derived(ids, "extremes", lambda: (int(ids.min()), int(ids.max())))
+
+
+def _in_range(ids: Array, bound: int) -> bool:
+    """Whether every id lies in [0, bound)."""
+    if not ids.size:
+        return True
+    low, high = _extremes(ids)
+    return low >= 0 and high < bound
+
+
 def _row_ids(ids, num_rows: int) -> Array:
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = _int_ids(ids, "gather_rows")
     if ids.ndim != 1:
         raise ContractError("gather_rows ids must be 1-D")
-    if ids.size and (ids.min() < 0 or ids.max() >= num_rows):
+    if not _in_range(ids, num_rows):
         raise ContractError("gather_rows ids out of range")
     return ids
 
@@ -628,13 +674,17 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def _d_elu(x: Array, out: Array) -> Array:
-    # for x <= 0, out = exp(x) - 1 so the derivative is out + 1
-    return np.where(x > 0.0, 1.0, out + 1.0)
+    # read from out alone: for x <= 0, out = exp(x) - 1 <= 0 and the derivative is out + 1; for x > 0, out > 0
+    factor = np.minimum(out, 0.0)
+    factor += 1.0
+    return factor
 
 
 def elu(a: Tensor) -> Tensor:
     x = a.data
-    out = np.where(x > 0.0, x, np.expm1(np.minimum(x, 0.0)))
+    out = np.minimum(x, 0.0)
+    np.expm1(out, out=out)
+    out += np.maximum(x, 0.0)
     # built with a tracked node, held in place of x, and reused by every backward pass
     factor = _d_elu(x, out) if a.idx is not None else None
 
@@ -713,10 +763,10 @@ def row_log_softmax(a: Tensor) -> Tensor:
 
 
 def _segment_ids(ids, num_segments: int, count: int) -> Array:
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = _int_ids(ids, "segment")
     if ids.ndim != 1 or ids.size != count:
         raise ContractError("segment ids must be 1-D and match the number of rows")
-    if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
+    if not _in_range(ids, num_segments):
         raise ContractError("segment ids out of range")
     return ids
 
@@ -789,8 +839,9 @@ def segment_softmax(scores: Tensor, segment_ids) -> Tensor:
     """Softmax of (k, 1) scores within groups given by segment_ids."""
     if scores.shape[1] != 1:
         raise ContractError("segment_softmax expects a (k, 1) column of scores")
-    num_segments = max(int(np.max(segment_ids)) + 1 if len(np.asarray(segment_ids)) else 0, 1)
-    ids = _segment_ids(segment_ids, num_segments, scores.shape[0])
+    ids = _int_ids(segment_ids, "segment")
+    num_segments = _extremes(ids)[1] + 1 if ids.size else 1
+    ids = _segment_ids(ids, num_segments, scores.shape[0])
     index = _run_index(ids)
     x = scores.data
     e = np.exp(x - index.max_into(x, num_segments)[ids])

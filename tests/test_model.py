@@ -207,6 +207,23 @@ class TestForward:
                     h = T.elu(h)
             np.testing.assert_array_equal(forward(g, X, params, range(g.num_nodes), (branch,))[0], h.data)
 
+    def test_ids_pass_the_graphs_one_id_check(self, toy):
+        params = random_params([5, 4, 3])
+        X = np.random.default_rng(0).normal(size=(7, 5))
+        y = np.arange(7) % 3
+        taped = taped_forward(toy, X, params)
+        field = taped_forward(toy, X, params, field=toy.receptive_field([1, 2], 1))
+        asks = (lambda ids: forward(toy, X, params, ids), lambda ids: taped.losses(y, ids), lambda ids: field.losses(y, ids))
+        for ask in asks:
+            # neither truncated to node 1 nor wrapped to the last node
+            with pytest.raises(TypeError):
+                ask([1.7])
+            for bad in (-1, 7):
+                with pytest.raises(IndexError, match=f"node id {bad} outside"):
+                    ask([1, bad])
+            with pytest.raises(ContractError, match="1-D"):
+                ask([[1]])
+
     def test_hyperedge_permutation_invariance(self, toy):
         params = random_params([5, 4, 3], seed=3)
         X = np.random.default_rng(4).normal(size=(7, 5))

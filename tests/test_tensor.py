@@ -335,6 +335,104 @@ class TestGroupedSums:
         assert T.gathered_segment_mean(values, rows, ids, 12).tobytes() == composed.tobytes()
 
 
+def _short_runs(rng, longest, num_runs):
+    """Ids in random order for ``num_runs`` runs of 1 to ``longest`` rows each, and some ids without rows."""
+    lengths = rng.integers(1, longest + 1, size=num_runs)
+    lengths[: min(num_runs, longest)] = np.arange(1, min(num_runs, longest) + 1)  # every length present
+    num_rows = num_runs + 3
+    return rng.permutation(np.repeat(rng.permutation(num_rows)[:num_runs], lengths)), num_rows
+
+
+def _reduceat_max(ids, values, num_rows):
+    """Per-id maxima by ``np.maximum.reduceat`` over the stably sorted rows; -inf for an id without rows."""
+    out = np.full((num_rows, values.shape[1]), -np.inf)
+    order = np.argsort(ids, kind="stable")
+    if ids.size:
+        starts = np.flatnonzero(np.r_[True, ids[order][1:] != ids[order][:-1]])
+        out[ids[order][starts]] = np.maximum.reduceat(values[order], starts, axis=0)
+    return out
+
+
+@pytest.mark.bitwise
+class TestShortRuns:
+    """An index whose runs have at most 8 rows sums and takes maxima without a scratch, with reduceat's bytes."""
+
+    @staticmethod
+    def _assert_reduceat_bytes(ids, num_rows, rng):
+        index = T._RunIndex(ids)
+        for d in (1, 3, 64):
+            values = _signed_zero_values(rng, ids.size, d)
+            assert index.sum_into(values, num_rows).tobytes() == _reduceat_sum(ids, values, num_rows).tobytes()
+            assert index.max_into(values, num_rows).tobytes() == _reduceat_max(ids, values, num_rows).tobytes()
+            table = _signed_zero_values(rng, 40, d)
+            take = rng.integers(0, 40, size=ids.size)
+            taken = index.sum_into(table, num_rows, take=take)
+            assert taken.tobytes() == _reduceat_sum(ids, table[take], num_rows).tobytes()
+        # only signed zeros: a run without a tail keeps its head's sign, and -0.0 sums stay -0.0
+        zeros = np.where(rng.random((ids.size, 4)) < 0.5, 0.0, -0.0)
+        assert index.sum_into(zeros, num_rows).tobytes() == _reduceat_sum(ids, zeros, num_rows).tobytes()
+        assert index.max_into(zeros, num_rows).tobytes() == _reduceat_max(ids, zeros, num_rows).tobytes()
+
+    @pytest.mark.parametrize("longest", range(1, 9))
+    def test_runs_of_at_most_8_rows_take_the_short_path_with_reduceat_bytes(self, longest):
+        rng = np.random.default_rng(70 + longest)
+        for num_runs in (1, 5, 300):
+            ids, num_rows = _short_runs(rng, longest, num_runs)
+            index = T._RunIndex(ids)
+            assert not index._blocks and not index._levels
+            self._assert_reduceat_bytes(ids, num_rows, rng)
+
+    def test_a_run_of_9_rows_takes_the_block_path_and_one_of_8_does_not(self):
+        rng = np.random.default_rng(79)
+        for longest, blocks in ((8, False), (9, True)):
+            short = np.repeat(np.arange(1, 50), rng.integers(1, 8, size=49))
+            ids = rng.permutation(np.r_[np.repeat(0, longest), short])
+            assert bool(T._RunIndex(ids)._blocks) is blocks
+            self._assert_reduceat_bytes(ids, 52, rng)
+
+    def test_no_ids_and_runs_of_one_row(self):
+        rng = np.random.default_rng(80)
+        self._assert_reduceat_bytes(np.zeros(0, dtype=np.int64), 3, rng)
+        self._assert_reduceat_bytes(rng.permutation(20), 23, rng)
+
+    def test_gathered_segment_mean_over_short_runs(self):
+        rng = np.random.default_rng(81)
+        values = _signed_zero_values(rng, 30, 150)  # more than one column block
+        ids = rng.permutation(np.repeat(np.arange(12), np.r_[np.arange(1, 9), [8, 3, 1, 2]]))
+        rows = rng.integers(0, 30, size=ids.size)
+        counts = np.bincount(ids, minlength=12).astype(np.float64)[:, None]
+        assert not T._RunIndex(ids)._blocks
+        got = T.gathered_segment_mean(values, rows, ids, 12)
+        assert got.tobytes() == (_reduceat_sum(ids, values[rows], 12) / counts).tobytes()
+
+    def test_cora_ca_shaped_incidence_takes_the_short_path(self, monkeypatch):
+        """Node degrees of at most 8 and edge sizes of at most 6: all four run indexes sum without a scratch.
+
+        The benchmark's graph: its structure does not depend on the feature width.
+        """
+        g = generate_synthetic(SyntheticSpec(nodes=2708, hyperedges=1072, dim=7, classes=7), 0).graph
+        arrays = g.incidence_arrays()
+        assert arrays["node_degrees"].max() <= 8 and arrays["edge_sizes"].max() <= 6
+        fills = []
+
+        class Watching:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def full(self, *args, **kwargs):
+                fills.append(args[0])
+                return np.full(*args, **kwargs)
+
+        values = np.ones((arrays["pair_nodes"].size, 3))
+        for name in ("member_nodes", "member_edges", "pair_nodes", "pair_edges"):
+            index = T._run_index(arrays[name])
+            assert not index._blocks and not index._levels and index._tails, name
+            monkeypatch.setattr(T, "np", Watching())
+            index.sum_into(values, g.num_nodes)
+            monkeypatch.setattr(T, "np", np)
+        assert fills == []
+
+
 class TestRunIndexCache:
     """A frozen id array has its run index built once, and held no longer than the array."""
 
@@ -586,6 +684,79 @@ class TestFinitenessScan:
         monkeypatch.setattr(T, "np", counting)
         train(ds, TrainSettings(steps=1, hidden=4, mwn_hidden=4))
         assert counting.scans == 0
+
+
+@pytest.mark.bitwise
+class TestCopiesAreNotScanned:
+    """Pure copies skip the finiteness scan, since each output entry is an operand entry that was scanned."""
+
+    COPIES = {
+        "gather_rows": lambda a, b: T.gather_rows(a, [2, 0, 2, 1]),
+        "concat_cols": T.concat_cols,
+        "slice_cols": lambda a, b: T.slice_cols(a, 1, 3),
+    }
+
+    def test_every_skipped_op_has_a_case(self):
+        assert set(self.COPIES) == T._COPIES
+
+    @pytest.mark.parametrize("op", sorted(COPIES))
+    def test_copies_of_extreme_finite_entries_are_finite_entries_of_their_operands(self, op, monkeypatch):
+        scanned = []
+        original = T._finite
+        monkeypatch.setattr(T, "_finite", lambda name, a: scanned.append(name) or original(name, a))
+        a = np.array([[1.7e308, -1.7e308, 0.0], [-1.7e308, -0.0, 1.7e308], [5e-324, 1.7e308, -1.7e308]])
+        b = -a[:, ::-1].copy()
+        tape = Tape()
+        out = self.COPIES[op](tape.param("a", a), tape.param("b", b))
+        assert scanned == []
+        assert np.isfinite(out.data).all()
+        assert np.isin(out.data, np.r_[a.ravel(), b.ravel()]).all()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_an_overflow_before_a_copy_is_named_where_it_happens(self):
+        big = T.as_tensor(np.full((3, 2), 1.7e308))
+        with pytest.raises(NumericsError, match=r"^mul produced non-finite values, shape \(3, 2\)$") as caught:
+            T.gather_rows(T.mul(big, big), [0, 2])
+        assert (caught.value.op, caught.value.shape) == ("mul", (3, 2))
+
+
+class TestIdDtypes:
+    """Ids of a non-integer dtype are refused before any cast, so none is truncated to a row it does not name."""
+
+    FLOAT_IDS = {
+        "gather_rows": lambda a: T.gather_rows(a, [1.7]),
+        "segment_sum": lambda a: T.segment_sum(a, [0.2, 1.9, 1.0, 0.5], 2),
+        "segment_mean": lambda a: T.segment_mean(a, [0.2, 1.9, 1.0, 0.5], 2),
+        "segment_softmax": lambda a: T.segment_softmax(T.slice_cols(a, 0, 1), [0.2, 1.9, 1.0, 0.5]),
+        "gathered_segment_mean-rows": lambda a: T.gathered_segment_mean(a.data, [0.0, 1.0], [0, 1], 2),
+        "gathered_segment_mean-ids": lambda a: T.gathered_segment_mean(a.data, [0, 1], [0.0, 1.0], 2),
+    }
+
+    @pytest.mark.parametrize("call", sorted(FLOAT_IDS))
+    def test_float_ids_are_refused(self, call):
+        with pytest.raises(ContractError, match="must be integers, got dtype float64"):
+            self.FLOAT_IDS[call](T.as_tensor(np.arange(8.0).reshape(4, 2)))
+
+    def test_integer_bool_and_empty_ids_pass(self):
+        a = T.as_tensor(np.arange(8.0).reshape(4, 2))
+        for ids in (np.array([3, 1], dtype=np.uint8), np.array([3, 1], dtype=np.int32), [3, 1]):
+            np.testing.assert_array_equal(T.gather_rows(a, ids).data, a.data[[3, 1]])
+        np.testing.assert_array_equal(T.gather_rows(a, np.array([False, True])).data, a.data[[0, 1]])
+        assert T.gather_rows(a, np.zeros(0)).shape == (0, 2)
+        assert T.gather_rows(a, []).shape == (0, 2)
+        summed = T.segment_sum(a, np.array([1, 0, 1, 0], dtype=np.uint16), 2)
+        np.testing.assert_array_equal(summed.data, [[8.0, 10.0], [4.0, 6.0]])
+        assert T.segment_softmax(T.as_tensor(np.zeros((0, 1))), np.zeros(0)).shape == (0, 1)
+
+    def test_out_of_range_ids_are_refused_on_every_call_of_a_frozen_array(self):
+        ids = np.frombuffer(np.array([0, 1, 2]).tobytes(), dtype=np.int64)
+        a = T.as_tensor(np.ones((3, 1)))
+        assert T.gather_rows(a, ids).shape == (3, 1)
+        for _ in range(2):
+            with pytest.raises(ContractError, match="gather_rows ids out of range"):
+                T.gather_rows(T.as_tensor(np.ones((2, 1))), ids)
+            with pytest.raises(ContractError, match="segment ids out of range"):
+                T.segment_sum(a, ids, 2)
 
 
 class TestSeveralRoots:
@@ -877,6 +1048,43 @@ class TestDerivativeFactors:
         for seed, grad in zip(seeds, grads):
             fresh_tape, fresh_loss = self._loss(np.random.default_rng(3))
             assert grad.tobytes() == fresh_tape.backward(fresh_loss, seed)["w"].tobytes()
+
+
+def _select_elu(x):
+    """Reference: elu and its factor by the two-sided select, ``x`` where ``x > 0``, else ``expm1(x)``."""
+    out = np.where(x > 0.0, x, np.expm1(np.minimum(x, 0.0)))
+    return out, np.where(x > 0.0, 1.0, out + 1.0)
+
+
+@pytest.mark.bitwise
+class TestEluBits:
+    """``elu`` and its factor, computed without a select, have the bits of the two-sided formula."""
+
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, -1e-17, -1e-8, -36.0, -745.0, -800.0, 1e308, -1e308]
+
+    @classmethod
+    def _inputs(cls):
+        rng = np.random.default_rng(90)
+        magnitudes = 10.0 ** rng.uniform(-200.0, np.log10(300.0), size=10_000)
+        random = np.where(rng.random(10_000) < 0.5, -1.0, 1.0) * magnitudes
+        edges = np.array(cls.EDGES)
+        # the edge values alone, and spread among the random ones at every offset of a vector lane
+        return [edges[:, None], np.r_[np.tile(edges, 8), random].reshape(-1, 8), random[:, None]]
+
+    def test_untaped_elu_equals_the_select(self):
+        for x in self._inputs():
+            assert T.elu(T.as_tensor(x)).data.tobytes() == _select_elu(x)[0].tobytes()
+
+    def test_taped_elu_and_its_factor_equal_the_select(self):
+        for x in self._inputs():
+            want, factor = _select_elu(x)
+            assert T._d_elu(x, want).tobytes() == factor.tobytes()
+            tape = Tape()
+            out = T.elu(tape.param("x", x))
+            assert out.data.tobytes() == want.tobytes()
+            # a unit seed and a unit tangent read the factor itself
+            assert tape.backward(out, np.ones(x.shape))["x"].tobytes() == factor.tobytes()
+            assert tape.jvp([out], {"x": np.ones(x.shape)})[0].tobytes() == factor.tobytes()
 
 
 def _random_matrix(rng, shape):
