@@ -132,7 +132,13 @@ def _decode(doc: dict) -> RunArtifact:
         k=int(part["k"]),
         requested_k=int(part["requested_k"]),
     )
+    if mwn.k != partition.k:
+        raise DataError("artifact-schema", f"mwn_meta.k is {mwn.k}, partition.k is {partition.k}")
     history = [_step_record(rec).to_dict() for rec in doc["history"]]
+    # training records one mean alpha per overlap level, which predict and evaluate index by level
+    unlike = [rec["step"] for rec in history if len(rec["mean_alpha"]) != partition.k]
+    if unlike:
+        raise DataError("artifact-schema", f"step {unlike[0]}: mean_alpha needs partition.k = {partition.k} entries")
     if not isinstance(doc["metrics"], dict):
         raise DataError("artifact-schema", "metrics must be a JSON object")
     config = parse_config(doc["config"])

@@ -398,12 +398,3 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
         name=f"synthetic-{seed}",
     )
     return _validate_dataset(ds)
-
-
-def impure_hyperedge_fraction(ds: Dataset) -> float:
-    """Share of hyperedges whose members span more than one class."""
-    impure = 0
-    for members in ds.graph.edges():
-        if np.unique(ds.labels[list(members)]).size > 1:
-            impure += 1
-    return impure / max(ds.graph.num_hyperedges, 1)

@@ -1,4 +1,4 @@
-"""Immutable hypergraph with degree, egonet, and neighborhood-overlap queries.
+"""Immutable hypergraph with incidence, receptive-field and neighborhood-overlap queries.
 
 A hypergraph is its node-hyperedge incidence, held only as six frozen int64
 arrays (``Hypergraph.incidence_arrays``): every incidence once by hyperedge,
@@ -30,9 +30,6 @@ class OverlapVector:
 
     values: np.ndarray
     valid: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.values.shape[0])
 
 
 @dataclass(frozen=True)
@@ -90,8 +87,11 @@ class ReceptiveField:
         return _incidence(nodes.size, kept_sizes, np.searchsorted(nodes, members[kept]))
 
     def rows(self, ids) -> np.ndarray:
-        """The field rows of the graph ids ``ids``, each of which must be one of the field's ``ids``."""
-        ids = np.asarray(ids, dtype=np.int64)
+        """The field rows of the graph ids ``ids``, each of which must be one of the field's ``ids``.
+
+        ``ids`` pass the graph's one id check first (``Hypergraph.node_ids``).
+        """
+        ids = self.graph.node_ids(ids)
         rows = np.searchsorted(self.nodes, ids)
         inside = np.isin(ids, self.ids)
         if not inside.all():
@@ -131,11 +131,6 @@ class Hypergraph:
     def num_hyperedges(self) -> int:
         return int(self._arrays["edge_sizes"].size)
 
-    @property
-    def nnz(self) -> int:
-        """Number of (node, hyperedge) incidences."""
-        return int(self._arrays["member_nodes"].size)
-
     def node_to_edges(self, v: int) -> tuple[int, ...]:
         v = self._check_node(v)
         return tuple(self._arrays["pair_edges"][self._node_starts[v] : self._node_starts[v + 1]].tolist())
@@ -149,23 +144,6 @@ class Hypergraph:
     def edges(self) -> tuple[tuple[int, ...], ...]:
         members, starts = self._arrays["member_nodes"].tolist(), self._member_starts.tolist()
         return tuple(tuple(members[lo:hi]) for lo, hi in zip(starts[:-1], starts[1:]))
-
-    def node_degree(self, v: int) -> int:
-        """Number of hyperedges incident to v."""
-        return int(self._arrays["node_degrees"][self._check_node(v)])
-
-    def hyperedge_avg_degree(self, e: int) -> float:
-        """Mean node degree over the members of hyperedge e.
-
-        The integer sum keeps the value independent of summation order, so
-        independent recounts compare bit-for-bit.
-        """
-        members = self.edge_to_nodes(e)
-        return int(self._arrays["node_degrees"][list(members)].sum()) / len(members)
-
-    def egonet(self, v: int) -> frozenset[int]:
-        """Hyperedges incident to v, as a set."""
-        return frozenset(self.node_to_edges(v))
 
     def overlapness(self, v: int) -> float | None:
         """Sum of incident hyperedge sizes over the size of their union.
@@ -287,7 +265,7 @@ class Hypergraph:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"Hypergraph(|V|={self.num_nodes}, |E|={self.num_hyperedges}, nnz={self.nnz})"
+        return f"Hypergraph(|V|={self.num_nodes}, |E|={self.num_hyperedges}, nnz={self._arrays['member_nodes'].size})"
 
     def _key(self) -> tuple:
         return self.num_nodes, self._arrays["edge_sizes"].tobytes(), self._arrays["member_nodes"].tobytes()

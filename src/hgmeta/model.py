@@ -136,10 +136,8 @@ class HGNNParams:
 
 @dataclass
 class ForwardOutput:
-    """Evaluated logits and per-sample losses for both branches."""
+    """Per-sample losses of both branches."""
 
-    logits_ss: Array
-    logits_fs: Array
     loss_ss: Array
     loss_fs: Array
 
@@ -180,7 +178,7 @@ class TapedForward:
         """
         ids = self.graph.node_ids(ids)
         rows = ids if self.field is None else self.field.rows(ids)
-        labels = self.tape.constant(one_hot(np.asarray(y, dtype=np.int64)[ids], self.params.out_dim))
+        labels = self.tape.constant(one_hot(np.asarray(y)[ids], self.params.out_dim))
         graphs = []
         for branch, h in zip(self.branches, self.hidden):
             logits = T.gather_rows(h, rows)
@@ -194,8 +192,10 @@ class TapedForward:
 def ss_coefficients(g: Hypergraph) -> Array:
     """Structural coefficients 1/(d_i * d_e) over node-major incidence pairs.
 
-    d_e is an integer degree sum over the members of e divided by its size,
-    so the values match ``Hypergraph.hyperedge_avg_degree`` bit for bit.
+    d_e, the mean degree of the members of e, is their integer degree sum
+    divided by e's size in one correctly rounded division, so it does not
+    depend on summation order and an independent recount matches it bit for
+    bit.
     Every ``ss`` forward pass asks for them, so the read-only result is kept
     for as long as the graph's frozen ``pair_nodes`` array lives (see
     ``tensor.derived``): repeated passes over one graph allocate nothing here,
@@ -285,12 +285,12 @@ def _forward_t(
     if field is not None:
         if field.hops < len(weights) - 1:
             raise ContractError(f"a {len(weights)}-layer forward needs a field of {len(weights) - 1} hops, got {field.hops}")
-        x, means = Tensor(x.data[field.nodes]), means[field.edges]
+        x, means = T._scanned(x.data[field.nodes]), means[field.edges]
         ss = None if ss is None else ss[field.pairs]
         dropout_masks = None if dropout_masks is None else [mask[field.nodes] for mask in dropout_masks]
         g = field
     # the means and the rows of X are finite already, so they are wrapped without another scan
-    means = Tensor(means)
+    means = T._scanned(means)
     x_w0, means_w0 = T.matmul(x, weights[0]), T.matmul(means, weights[0])
     last = len(weights) - 1
     for branch in branches:
@@ -358,20 +358,13 @@ def taped_forward(
 
 
 def branch_losses(g: Hypergraph, X: Array, y: Array, params: HGNNParams, ids) -> ForwardOutput:
-    """Per-sample logits and losses for both branches with shared weights."""
+    """Per-sample losses of both branches with shared weights; ``model.forward`` gives the logits."""
     ss, fs = taped_forward(g, X, params).losses(y, ids)
-    return ForwardOutput(
-        logits_ss=ss.logits.data,
-        logits_fs=fs.logits.data,
-        loss_ss=ss.loss_vec.data[:, 0],
-        loss_fs=fs.loss_vec.data[:, 0],
-    )
+    return ForwardOutput(loss_ss=ss.loss_vec.data[:, 0], loss_fs=fs.loss_vec.data[:, 0])
 
 
 def one_hot(labels: Array, num_classes: int) -> Array:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ContractError("label outside [0, num_classes)")
+    labels = T.checked_ids(labels, "label", num_classes)
     out = np.zeros((labels.size, num_classes))
     out[np.arange(labels.size), labels] = 1.0
     return out

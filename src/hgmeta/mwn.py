@@ -111,13 +111,6 @@ class MWNParams:
         )
 
 
-def _check_tasks(tasks: Array, k: int) -> Array:
-    tasks = np.asarray(tasks, dtype=np.int64)
-    if tasks.size and (tasks.min() < 0 or tasks.max() >= k):
-        raise ContractError(f"task index outside [0, {k})")
-    return tasks
-
-
 def alpha_beta_graph(tape: Tape, losses: Tensor, tasks, params: MWNParams) -> tuple[Tensor, Tensor]:
     """Taped (alpha, beta) columns for an (n, 2) loss tensor and task labels.
 
@@ -126,7 +119,7 @@ def alpha_beta_graph(tape: Tape, losses: Tensor, tasks, params: MWNParams) -> tu
     n = losses.shape[0]
     if losses.shape[1] != 2:
         raise ContractError("losses tensor must have two columns (l1, l2)")
-    tasks = _check_tasks(tasks, params.k)
+    tasks = T.checked_ids(tasks, "task", params.k, n)
     ptensors = {name: tape.param(name, arr) for name, arr in params.param_items()}
     if params.log1p_inputs:
         losses = T.log1p(losses)

@@ -80,11 +80,25 @@ Array = np.ndarray
 
 @dataclass
 class Tensor:
-    """A float64 matrix, optionally tracked on a tape."""
+    """A finite 2-D float64 matrix, optionally tracked on a tape.
+
+    Building one checks ``data``: ``ContractError`` unless 2-D, and
+    ``NumericsError`` unless every entry is finite (``all_finite``, so a
+    frozen array is scanned once). Op outputs, scanned by ``_emit``, and rows
+    of arrays already scanned are wrapped by ``_scanned`` without another scan.
+    """
 
     data: Array
     tape: "Tape | None" = None
     idx: int | None = None
+
+    def __post_init__(self):
+        a = np.asarray(self.data, dtype=np.float64)
+        if a.ndim != 2:
+            raise ContractError(f"tensors are 2-D, got ndim={a.ndim}")
+        if not all_finite(a):
+            raise NumericsError("non-finite values in tensor data")
+        self.data = a
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -115,17 +129,17 @@ class Tape:
         """Register a trainable parameter slot under a unique name."""
         if name in self._params:
             raise ContractError(f"parameter {name!r} already registered")
-        t = Tensor(_validated(value), self, self._new_idx())
+        t = Tensor(value, self, self._new_idx())
         self._params[name] = (t.idx, t.shape)
         return t
 
     def constant(self, value: Array) -> Tensor:
         """A tracked leaf that never receives a gradient."""
-        return Tensor(_validated(value), self, None)
+        return Tensor(value, self, None)
 
     def record(self, value: Array, inputs: Sequence[Tensor], grad_fn: GradFn, tangent_fn: TangentFn) -> Tensor:
         """Append a node with its backward rule and its tangent rule."""
-        out = Tensor(value, self, self._new_idx())
+        out = _scanned(value, self, self._new_idx())
         self._records.append((out.idx, tuple(t.idx for t in inputs), grad_fn, tangent_fn))
         return out
 
@@ -229,13 +243,11 @@ def all_finite(a: Array) -> bool:
     return derived(a, "finite", lambda: bool(np.isfinite(a).all()))
 
 
-def _validated(value) -> Array:
-    a = np.asarray(value, dtype=np.float64)
-    if a.ndim != 2:
-        raise ContractError(f"tensors are 2-D, got ndim={a.ndim}")
-    if not all_finite(a):
-        raise NumericsError("non-finite values in tensor data")
-    return a
+def _scanned(data: Array, tape: Tape | None = None, idx: int | None = None) -> Tensor:
+    """A Tensor of the finite 2-D float64 ``data`` without ``Tensor``'s scan: ``data`` was scanned already."""
+    t = object.__new__(Tensor)
+    t.data, t.tape, t.idx = data, tape, idx
+    return t
 
 
 def _finite(op: str, a: Array) -> Array:
@@ -263,7 +275,7 @@ def _emit(op: str, value: Array, inputs: Sequence[Tensor], grad_fn: GradFn, tang
         _finite(op, value)
     tape = _tape_of(*inputs)
     if tape is None or all(t.idx is None for t in inputs):
-        return Tensor(value, tape, None)
+        return _scanned(value, tape, None)
     return tape.record(value, inputs, grad_fn, tangent_fn)
 
 
@@ -276,9 +288,7 @@ def _plus(x: Array | None, y: Array | None) -> Array:
 
 def as_tensor(value) -> Tensor:
     """``value`` itself if it is a Tensor, else an untracked constant of it."""
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(_validated(value))
+    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def column(values) -> Array:
@@ -601,7 +611,7 @@ def _run_index(ids: Array) -> _RunIndex:
 
 
 def gather_rows(a: Tensor, ids) -> Tensor:
-    ids = _row_ids(ids, a.shape[0])
+    ids = checked_ids(ids, "gather_rows", a.shape[0])
     num_rows = a.shape[0]
     looked_up: list[_RunIndex] = []  # only if a backward pass runs
 
@@ -619,34 +629,31 @@ def gather_rows(a: Tensor, ids) -> Tensor:
     return _emit("gather_rows", a.data[ids], (a,), grad, tangent)
 
 
-def _int_ids(ids, what: str) -> Array:
-    """``ids`` as int64, refusing a non-empty array of a non-integer dtype before the cast, which would truncate."""
+def checked_ids(ids, what: str, bound: int | None, count: int | None = None) -> Array:
+    """``ids`` as a 1-D int64 array in [0, ``bound``), of ``count`` ids when given: the tensor layer's one id check.
+
+    Row and segment ids, task ids and class labels all pass it, and each
+    ``ContractError`` names ``what``. A non-empty array of a non-integer
+    dtype is refused before the cast, which would truncate it; booleans pass
+    as 0 and 1. A ``bound`` of None checks only that no id is negative. The
+    range of a frozen array is found once (``_extremes``).
+    """
     ids = np.asarray(ids)
     if ids.size and ids.dtype.kind not in "iub":
         raise ContractError(f"{what} ids must be integers, got dtype {ids.dtype}")
-    return ids.astype(np.int64, copy=False)
+    ids = ids.astype(np.int64, copy=False)
+    if ids.ndim != 1 or (count is not None and ids.size != count):
+        raise ContractError(f"{what} ids must be 1-D" + ("" if count is None else " and match the number of rows"))
+    if ids.size:
+        low, high = _extremes(ids)
+        if low < 0 or (bound is not None and high >= bound):
+            raise ContractError(f"{what} ids out of range")
+    return ids
 
 
 def _extremes(ids: Array) -> tuple[int, int]:
     """The least and the greatest of the non-empty ``ids``, found once for a frozen array (see ``derived``)."""
     return derived(ids, "extremes", lambda: (int(ids.min()), int(ids.max())))
-
-
-def _in_range(ids: Array, bound: int) -> bool:
-    """Whether every id lies in [0, bound)."""
-    if not ids.size:
-        return True
-    low, high = _extremes(ids)
-    return low >= 0 and high < bound
-
-
-def _row_ids(ids, num_rows: int) -> Array:
-    ids = _int_ids(ids, "gather_rows")
-    if ids.ndim != 1:
-        raise ContractError("gather_rows ids must be 1-D")
-    if not _in_range(ids, num_rows):
-        raise ContractError("gather_rows ids out of range")
-    return ids
 
 
 def row_sum(a: Tensor) -> Tensor:
@@ -762,17 +769,8 @@ def row_log_softmax(a: Tensor) -> Tensor:
     return _emit("row_log_softmax", out, (a,), grad, tangent)
 
 
-def _segment_ids(ids, num_segments: int, count: int) -> Array:
-    ids = _int_ids(ids, "segment")
-    if ids.ndim != 1 or ids.size != count:
-        raise ContractError("segment ids must be 1-D and match the number of rows")
-    if not _in_range(ids, num_segments):
-        raise ContractError("segment ids out of range")
-    return ids
-
-
 def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
-    ids = _segment_ids(segment_ids, num_segments, values.shape[0])
+    ids = checked_ids(segment_ids, "segment", num_segments, values.shape[0])
     index = _run_index(ids)
     out = index.sum_into(values.data, num_segments)
 
@@ -794,7 +792,7 @@ def _segment_counts(index: _RunIndex, num_segments: int) -> Array:
 
 
 def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
-    ids = _segment_ids(segment_ids, num_segments, values.shape[0])
+    ids = checked_ids(segment_ids, "segment", num_segments, values.shape[0])
     index = _run_index(ids)
     counts = _segment_counts(index, num_segments)[:, None]
     out = index.sum_into(values.data, num_segments)
@@ -824,8 +822,8 @@ def gathered_segment_mean(values: Array, rows, segment_ids, num_segments: int) -
     glibc raise its mmap threshold to that size, and later per-step arrays
     below it then stay on the heap and raise the peak RSS of the run.
     """
-    rows = _row_ids(rows, values.shape[0])
-    ids = _segment_ids(segment_ids, num_segments, rows.size)
+    rows = checked_ids(rows, "gather_rows", values.shape[0])
+    ids = checked_ids(segment_ids, "segment", num_segments, rows.size)
     index = _run_index(ids)
     counts = _segment_counts(index, num_segments)[:, None]
     out = np.empty((num_segments, values.shape[1]))
@@ -839,9 +837,8 @@ def segment_softmax(scores: Tensor, segment_ids) -> Tensor:
     """Softmax of (k, 1) scores within groups given by segment_ids."""
     if scores.shape[1] != 1:
         raise ContractError("segment_softmax expects a (k, 1) column of scores")
-    ids = _int_ids(segment_ids, "segment")
+    ids = checked_ids(segment_ids, "segment", None, scores.shape[0])
     num_segments = _extremes(ids)[1] + 1 if ids.size else 1
-    ids = _segment_ids(ids, num_segments, scores.shape[0])
     index = _run_index(ids)
     x = scores.data
     e = np.exp(x - index.max_into(x, num_segments)[ids])

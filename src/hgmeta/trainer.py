@@ -272,7 +272,7 @@ def intermediate_update(
     graph_ss, graph_fs = forward.losses(y, ids)
     l1 = graph_ss.loss_vec.data[:, 0].copy()
     l2 = graph_fs.loss_vec.data[:, 0].copy()
-    tasks = np.asarray(tasks, dtype=np.int64)
+    tasks = T.checked_ids(tasks, "task", mwn.k, l1.size)
     if pin_alpha is None:
         alpha, beta = mwn_forward_batch(l1, l2, tasks, mwn)
     else:

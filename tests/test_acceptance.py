@@ -60,7 +60,7 @@ def test_criterion_2_attention_normalization():
             d_e = sum(degree[u] for u in members) / len(members)
             if ss[i] != 1.0 / (degree[v] * d_e):
                 ss_exact = False
-        if g.nnz:
+        if arrays["member_nodes"].size:
             node_proj = T.as_tensor(rng.normal(size=(g.num_nodes, 3)))
             edge_proj = T.as_tensor(rng.normal(size=(g.num_hyperedges, 3)))
             coeffs = _fs_coefficients_t(g, node_proj, edge_proj, T.as_tensor(rng.normal(size=(6, 1)))).data[:, 0]
@@ -164,7 +164,7 @@ def test_criterion_8_scaling_smoke():
     base = dict(nodes=200, classes=3, homophily=0.9, noise=0.5)
     small = generate_synthetic(SyntheticSpec(**base, hyperedges=150), seed=0)
     big = generate_synthetic(SyntheticSpec(**base, hyperedges=300), seed=0)
-    nnz_ratio = big.graph.nnz / small.graph.nnz
+    nnz_ratio = big.graph.incidence_arrays()["member_nodes"].size / small.graph.incidence_arrays()["member_nodes"].size
     times = {}
     for name, ds in [("small", small), ("big", big)]:
         state, _ = train(ds, TrainSettings(steps=5, seed=0))

@@ -504,12 +504,15 @@ class TestEvalCommand:
             "drop-seed",
             "nodes-not-a-number",
             "unknown-schedule-kind",
+            "mean-alpha-unlike-k",
+            "mwn-k-unlike-partition",
         ],
     )
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, mangle):
         cfg = tiny_config(tmp_path)
         assert cli.main(["train", str(cfg)]) == 0
         doc = json.loads((tmp_path / "run.json").read_text())
+        assert doc["partition"]["k"] == doc["checkpoint"]["mwn_meta"]["k"] == 2
         if mangle == "format-only":
             doc = {"format": doc["format"]}
         elif mangle == "drop-checkpoint":
@@ -528,6 +531,10 @@ class TestEvalCommand:
             del doc["config"]["seed"]
         elif mangle == "nodes-not-a-number":
             doc["config"]["dataset"]["synthetic"]["nodes"] = "many"
+        elif mangle == "mean-alpha-unlike-k":
+            doc["history"][-1]["mean_alpha"] = doc["history"][-1]["mean_alpha"][:1]
+        elif mangle == "mwn-k-unlike-partition":
+            doc["checkpoint"]["mwn_meta"]["k"] = 1
         else:
             doc["config"]["schedules"]["kind"] = "cosine"
         (tmp_path / "bad.json").write_text(json.dumps(doc))

@@ -20,7 +20,6 @@ from hgmeta.data import (
     SyntheticSpec,
     _untaken,
     generate_synthetic,
-    impure_hyperedge_fraction,
     load_dataset,
     save_dataset,
 )
@@ -42,6 +41,15 @@ def write_toy_dataset(root, *, splits=None, label_lines=None, feature_rows=None,
     payload = splits if splits is not None else {"train": [0, 1, 2], "meta": [3, 4], "test": [5, 6]}
     (root / "splits.json").write_text(json.dumps(payload))
     return root
+
+
+def impure_hyperedge_fraction(ds: Dataset) -> float:
+    """Share of hyperedges whose members span more than one class."""
+    impure = 0
+    for members in ds.graph.edges():
+        if np.unique(ds.labels[list(members)]).size > 1:
+            impure += 1
+    return impure / max(ds.graph.num_hyperedges, 1)
 
 
 class TestLoad:

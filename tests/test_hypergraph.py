@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hgmeta import hypergraph
 from hgmeta import tensor as T
+from hgmeta.model import ss_coefficients
 from hgmeta.data import SyntheticSpec, generate_synthetic
 from hgmeta.errors import ContractError
 from hgmeta.hypergraph import Hypergraph
@@ -36,62 +37,74 @@ class TestConstruction:
     def test_duplicate_hyperedges_are_allowed(self):
         g = Hypergraph(2, [[0, 1], [0, 1]])
         assert g.num_hyperedges == 2
-        assert g.node_degree(0) == 2
+        assert g.incidence_arrays()["node_degrees"][0] == 2
 
     def test_nnz_counts_incidences(self, toy):
-        assert toy.nnz == 12
-        assert toy.nnz == sum(toy.node_degree(v) for v in range(toy.num_nodes))
+        arrays = toy.incidence_arrays()
+        assert arrays["member_nodes"].size == arrays["pair_nodes"].size == 12
+        assert arrays["node_degrees"].sum() == arrays["edge_sizes"].sum() == 12
 
 
 class TestDegree:
     def test_hub_node_degree(self, toy):
-        assert toy.node_degree(0) == 3
+        assert toy.incidence_arrays()["node_degrees"][0] == 3
 
     def test_isolated_node_degree(self):
         g = Hypergraph(3, [[0, 1]])
-        assert g.node_degree(2) == 0
+        assert g.incidence_arrays()["node_degrees"][2] == 0
 
     def test_single_membership_degree(self):
         g = Hypergraph(2, [[0, 1]])
-        assert g.node_degree(1) == 1
+        assert g.incidence_arrays()["node_degrees"][1] == 1
 
     def test_out_of_range_raises(self, toy):
-        with pytest.raises(IndexError):
-            toy.node_degree(7)
+        with pytest.raises(IndexError, match="node id 7 outside"):
+            toy.node_to_edges(7)
+
+
+def _ss_at(g: Hypergraph, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """``ss_coefficients`` at the pairs of hyperedge ``e``, 1 / (d_v * d_e), and the degrees d_v of those pairs."""
+    arrays = g.incidence_arrays()
+    at = arrays["pair_edges"] == e
+    return ss_coefficients(g)[at], arrays["node_degrees"][arrays["pair_nodes"][at]]
 
 
 class TestHyperedgeAvgDegree:
+    """The mean member degree d_e of a hyperedge, as ``ss_coefficients`` divides by it."""
+
     def test_single_edge_graph(self):
-        g = Hypergraph(2, [[0, 1]])
-        assert g.hyperedge_avg_degree(0) == 1.0
+        ss, degrees = _ss_at(Hypergraph(2, [[0, 1]]), 0)
+        assert ss.tobytes() == (1.0 / (degrees * 1.0)).tobytes()
 
     def test_mixed_degrees(self):
         # edge {u, v} with d_u = 1 and d_v = 3 averages to 2
-        g = Hypergraph(4, [[0, 1], [1, 2], [1, 3]])
-        assert g.hyperedge_avg_degree(0) == 2.0
+        ss, degrees = _ss_at(Hypergraph(4, [[0, 1], [1, 2], [1, 3]]), 0)
+        assert degrees.tolist() == [1, 3]
+        assert ss.tobytes() == (1.0 / (degrees * 2.0)).tobytes()
 
     def test_triangle_of_pairs(self):
         # three size-2 hyperedges over three nodes, every degree is 2
         g = Hypergraph(3, [[0, 1], [1, 2], [0, 2]])
         for e in range(3):
-            assert g.hyperedge_avg_degree(e) == 2.0
+            ss, degrees = _ss_at(g, e)
+            assert ss.tobytes() == (1.0 / (degrees * 2.0)).tobytes()
 
     def test_out_of_range_raises(self, toy):
-        with pytest.raises(IndexError):
-            toy.hyperedge_avg_degree(3)
+        with pytest.raises(IndexError, match="hyperedge id 3 outside"):
+            toy.edge_to_nodes(3)
 
 
 class TestEgonet:
     def test_hub_egonet(self, toy):
-        assert toy.egonet(0) == frozenset({0, 1, 2})
+        assert frozenset(toy.node_to_edges(0)) == frozenset({0, 1, 2})
 
     def test_isolated_node(self):
         g = Hypergraph(3, [[0, 1]])
-        assert g.egonet(2) == frozenset()
+        assert g.node_to_edges(2) == ()
 
     def test_node_in_all_edges(self):
         g = Hypergraph(3, [[0, 1], [0, 2], [0, 1, 2]])
-        assert g.egonet(0) == frozenset({0, 1, 2})
+        assert frozenset(g.node_to_edges(0)) == frozenset({0, 1, 2})
 
 
 class TestOverlapness:
@@ -161,7 +174,7 @@ class TestOverlapVector:
 
     def test_empty_input(self, toy):
         vec = toy.overlap_vector([])
-        assert len(vec) == 0
+        assert vec.values.shape == vec.valid.shape == (0,)
 
     def test_isolated_slot_is_masked(self):
         g = Hypergraph(3, [[0, 1]])
@@ -308,10 +321,10 @@ class TestIncidenceArrays:
         assert type(edges) is tuple and all(type(m) is tuple and all(type(v) is int for v in m) for m in edges)
         assert Hypergraph(g.num_nodes, edges) == g
         for v in range(g.num_nodes):
-            assert all(type(e) is int for e in g.node_to_edges(v)) and type(g.node_degree(v)) is int
+            assert all(type(e) is int for e in g.node_to_edges(v)) and type(g.overlapness(v)) in (float, type(None))
         for e in range(g.num_hyperedges):
-            assert g.edge_to_nodes(e) == edges[e] and type(g.hyperedge_avg_degree(e)) is float
-        assert all(type(n) is int for n in (g.num_nodes, g.num_hyperedges, g.nnz))
+            assert g.edge_to_nodes(e) == edges[e]
+        assert all(type(n) is int for n in (g.num_nodes, g.num_hyperedges))
 
 
 @pytest.mark.parametrize("query", ["overlap_vector", "receptive_field"])
@@ -353,7 +366,7 @@ class TestReceptiveField:
         assert whole["pair_edges"][field.pairs].tolist() == [edges[e] for _, e in pairs]
         members = [(edges.index(e), nodes.index(u)) for e in edges for u in g.edge_to_nodes(e) if u in nodes]
         assert list(zip(arrays["member_edges"].tolist(), arrays["member_nodes"].tolist())) == members
-        assert arrays["node_degrees"].tolist() == [g.node_degree(v) for v in nodes]
+        assert arrays["node_degrees"].tolist() == [len(g.node_to_edges(v)) for v in nodes]
         assert arrays["edge_sizes"].tolist() == [sum(u in nodes for u in g.edge_to_nodes(e)) for e in edges]
         # a hyperedge that touches a node within hops - 1 hops keeps every member
         inner, _ = _field_reference(g, ids, hops - 1) if hops else ([], [])
@@ -371,6 +384,16 @@ class TestReceptiveField:
         for outside in ([2], [1, 4]):
             with pytest.raises(ContractError, match="not one of the ids"):
                 field.rows(outside)
+
+    def test_rows_pass_the_graphs_one_id_check(self):
+        field = Hypergraph(6, [[0, 1], [1, 2, 3], [4, 5]]).receptive_field([1], hops=1)
+        with pytest.raises(TypeError):
+            field.rows([1.7])  # not node 1
+        with pytest.raises(ContractError, match="1-D"):
+            field.rows([[1]])
+        for bad in (6, -1):
+            with pytest.raises(IndexError, match=f"node id {bad} outside"):
+                field.rows([1, bad])
 
     def test_zero_hops_keep_the_ids_and_every_hyperedge_they_touch(self):
         g = Hypergraph(6, [[0, 1], [1, 2, 3], [4, 5]])

@@ -134,7 +134,7 @@ class TestFSCoefficients:
         rng = np.random.default_rng(2)
         for _ in range(20):
             g = random_hypergraph(rng, max_nodes=25)
-            if g.nnz == 0:
+            if not g.incidence_arrays()["member_nodes"].size:
                 continue
             node_proj = T.as_tensor(rng.normal(size=(g.num_nodes, 3)))
             edge_proj = T.as_tensor(rng.normal(size=(g.num_hyperedges, 3)))
@@ -695,6 +695,15 @@ class TestCELoss:
             assert np.all(out.loss_ss >= 0.0) and np.all(out.loss_fs >= 0.0)
 
 
+def test_one_hot_refuses_labels_it_would_truncate_or_wrap():
+    np.testing.assert_array_equal(model.one_hot(np.array([2, 0], dtype=np.uint8), 3), [[0, 0, 1], [1, 0, 0]])
+    with pytest.raises(ContractError, match="label ids must be integers, got dtype float64"):
+        model.one_hot([1.9, 0.2], 3)
+    for labels in ([3], [-1]):
+        with pytest.raises(ContractError, match="label ids out of range"):
+            model.one_hot(labels, 3)
+
+
 class TestBranchLosses:
     def test_equal_when_coefficient_fields_coincide(self):
         # single pair edge: ss coefficient is exactly 1 and the fs softmax of a
@@ -705,8 +714,14 @@ class TestBranchLosses:
         y = np.array([0, 1])
         params = random_params([3, 4, 2], seed=11)
         out = branch_losses(g, X, y, params, [0, 1])
-        np.testing.assert_array_equal(out.logits_ss, out.logits_fs)
+        logits_ss, logits_fs = forward(g, X, params, [0, 1])
+        np.testing.assert_array_equal(logits_ss, logits_fs)
         np.testing.assert_array_equal(out.loss_ss, out.loss_fs)
+
+    def test_float_labels_are_refused_not_truncated(self, toy):
+        y = np.array([0, 1, 2, 0, 1, 2, 0])
+        with pytest.raises(ContractError, match="label ids must be integers, got dtype float64"):
+            branch_losses(toy, np.ones((7, 5)), y + 0.6, random_params([5, 4, 3]), np.arange(7))
 
     def test_zero_weights_give_log_c_everywhere(self, toy):
         params = random_params([5, 4, 3])
@@ -728,9 +743,10 @@ class TestBranchLosses:
         rng = np.random.default_rng(14)
         X = rng.normal(size=(7, 5))
         y = rng.integers(0, 3, size=7)
-        out = branch_losses(toy, X, y, random_params([5, 4, 3], seed=15), np.arange(7))
+        params = random_params([5, 4, 3], seed=15)
+        out = branch_losses(toy, X, y, params, np.arange(7))
         assert np.all(out.loss_ss >= 0) and np.all(out.loss_fs >= 0)
-        for logits in (out.logits_ss, out.logits_fs):
+        for logits in forward(toy, X, params, np.arange(7)):
             probs = np.exp(logits - logits.max(axis=1, keepdims=True))
             probs /= probs.sum(axis=1, keepdims=True)
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)

@@ -76,6 +76,21 @@ class TestForward:
         with pytest.raises(ContractError):
             mwn_forward_batch([1.0], [1.0], [3], fresh_params(k=3))
 
+    @pytest.mark.parametrize("entry", ["forward", "theta_grad"])
+    def test_tasks_pass_the_tensor_layers_id_check(self, entry):
+        params = fresh_params(k=2)
+        call = {
+            "forward": lambda tasks: mwn_forward_batch([1.0, 2.0], [2.0, 1.0], tasks, params),
+            "theta_grad": lambda tasks: weighted_alpha_theta_grad([1.0, 2.0], [2.0, 1.0], tasks, params, [1.0, 1.0]),
+        }[entry]
+        # neither truncated to tasks [0, 1] nor broadcast over both samples
+        with pytest.raises(ContractError, match="task ids must be integers, got dtype float64"):
+            call([0.7, 1.9])
+        with pytest.raises(ContractError, match="task ids must be 1-D and match the number of rows"):
+            call([1])
+        with pytest.raises(ContractError, match="task ids out of range"):
+            call([0, 2])
+
     def test_negative_loss_rejected(self):
         with pytest.raises(ContractError):
             mwn_forward_batch([-0.1], [1.0], [0], fresh_params())

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import hgmeta
-from hgmeta import hypergraph, model, mwn, partition
+from hgmeta import data, hypergraph, model, mwn, partition
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# a dataclass field without a default is no class attribute, so the fields stand in for the class
+FORWARD_OUTPUT_FIELDS = SimpleNamespace(**model.ForwardOutput.__dataclass_fields__)
 
 
 def test_every_exported_name_resolves():
@@ -41,6 +44,14 @@ def test_removed_exports_are_gone(name):
         (hypergraph, "overlapness"),
         (hypergraph, "overlap_vector"),
         (partition, "assign_level"),
+        (hypergraph.Hypergraph, "node_degree"),
+        (hypergraph.Hypergraph, "hyperedge_avg_degree"),
+        (hypergraph.Hypergraph, "egonet"),
+        (hypergraph.Hypergraph, "nnz"),
+        (hypergraph.OverlapVector, "__len__"),
+        pytest.param(FORWARD_OUTPUT_FIELDS, "logits_ss", id="ForwardOutput-logits_ss"),
+        pytest.param(FORWARD_OUTPUT_FIELDS, "logits_fs", id="ForwardOutput-logits_fs"),
+        (data, "impure_hyperedge_fraction"),
     ],
 )
 def test_removed_module_functions_are_gone(owner, name):

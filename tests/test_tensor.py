@@ -720,6 +720,39 @@ class TestCopiesAreNotScanned:
         assert (caught.value.op, caught.value.shape) == ("mul", (3, 2))
 
 
+class TestTensorScan:
+    """Every way to make a Tensor from data scans it; op outputs, scanned in ``_emit``, are not scanned again."""
+
+    MAKERS = {
+        "Tensor": T.Tensor,
+        "as_tensor": T.as_tensor,
+        "constant": lambda a: Tape().constant(a),
+        "param": lambda a: Tape().param("p", a),
+    }
+
+    @pytest.mark.parametrize("make", sorted(MAKERS))
+    def test_non_finite_or_non_matrix_data_is_refused(self, make):
+        # an unscanned inf would pass the copies, which do not scan their outputs
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(NumericsError, match="non-finite values in tensor data"):
+                self.MAKERS[make](np.array([[bad, 1.0]]))
+        with pytest.raises(ContractError, match="tensors are 2-D, got ndim=1"):
+            self.MAKERS[make](np.ones(2))
+        made = self.MAKERS[make]([[1, 2]])
+        assert made.data.dtype == np.float64 and made.data.tolist() == [[1.0, 2.0]]
+
+    def test_op_outputs_are_not_scanned_again(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        tape = Tape()
+        a, b = tape.param("a", rng.normal(size=(3, 2))), tape.param("b", rng.normal(size=(2, 2)))
+        verdicts = []
+        monkeypatch.setattr(T, "all_finite", lambda values: verdicts.append(values) or True)
+        h = T.elu(T.matmul(a, b))
+        pairs = T.concat_cols(T.gather_rows(h, [2, 0]), T.gather_rows(T.slice_cols(T.mul(h, h), 0, 1), [1, 1]))
+        tape.backward(T.sum_all(T.segment_sum(T.scale(pairs, 2.0), [0, 1], 2)))
+        assert verdicts == []
+
+
 class TestIdDtypes:
     """Ids of a non-integer dtype are refused before any cast, so none is truncated to a row it does not name."""
 

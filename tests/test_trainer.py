@@ -195,6 +195,12 @@ class TestIntermediateUpdate:
         # no per-sample rows are kept
         assert cache.grads1 is None and cache.grads2 is None
 
+    @pytest.mark.parametrize("pin_alpha", [None, 1.0])
+    def test_float_tasks_are_refused_not_truncated(self, pin_alpha):
+        g, X, y, hgnn, mwn, ids, _ = width2_instance()
+        with pytest.raises(ContractError, match="task ids must be integers, got dtype float64"):
+            intermediate_update(g, X, y, hgnn, mwn, ids, np.array([0.2, 0.7, 1.0, 1.9]), 0.01, pin_alpha)
+
     def test_pinned_alpha_overrides_the_net(self):
         g, X, y, hgnn, mwn, ids, tasks = width2_instance(seed=3)
         _, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1=0.01, pin_alpha=1.0)
