@@ -43,6 +43,21 @@ def _encode_named(items) -> dict:
     return {name: encode_array(arr) for name, arr in items}
 
 
+def _decode_params(section, from_named):
+    """``from_named`` of every decoded entry of a checkpoint ``section``; an entry naming no parameter is an error."""
+    if not isinstance(section, dict):
+        raise TypeError(f"a checkpoint section must be a JSON object, got {type(section).__name__}")
+    params = from_named({name: decode_array(obj) for name, obj in section.items()})
+    unknown = sorted(set(section) - {name for name, _ in params.param_items()})
+    if unknown:
+        raise DataError("artifact-schema", f"checkpoint entries {unknown} name no parameter")
+    return params
+
+
+def _mwn_meta(mwn: MWNParams) -> dict:
+    return {"k": mwn.k, "hidden": mwn.hidden, "mode": mwn.mode, "log1p_inputs": mwn.log1p_inputs}
+
+
 @dataclass
 class RunArtifact:
     """Deserialized artifact contents; ``config`` is the parsed config echo."""
@@ -72,12 +87,7 @@ def save_run_artifact(path, config_echo: dict, state: TrainState, metrics: dict)
                 {"name": name, "shape": list(arr.shape)} for name, arr in state.hgnn.param_items()
             ],
             "mwn": _encode_named(state.mwn.param_items()),
-            "mwn_meta": {
-                "k": state.mwn.k,
-                "hidden": state.mwn.hidden,
-                "mode": state.mwn.mode,
-                "log1p_inputs": state.mwn.log1p_inputs,
-            },
+            "mwn_meta": _mwn_meta(state.mwn),
         },
         "metrics": metrics,
         "steps_run": state.step,
@@ -103,32 +113,17 @@ def load_run_artifact(path) -> RunArtifact:
 
 def _decode(doc: dict) -> RunArtifact:
     ck = doc["checkpoint"]
-    weights, attn = [], []
-    layer = 0
-    hg = ck["hgnn"]
-    while f"w{layer}" in hg:
-        weights.append(decode_array(hg[f"w{layer}"]))
-        attn.append(decode_array(hg[f"a{layer}"]))
-        layer += 1
-    hgnn = HGNNParams(weights=weights, attn=attn)
-
+    hgnn = _decode_params(ck["hgnn"], HGNNParams.from_named)
     meta = ck["mwn_meta"]
-    mw = ck["mwn"]
-    head_w = [decode_array(mw[f"head{c}_w"]) for c in range(meta["k"])]
-    head_b = [decode_array(mw[f"head{c}_b"]) for c in range(meta["k"])]
-    mwn = MWNParams(
-        w_shared=decode_array(mw["shared_w"]),
-        b_shared=decode_array(mw["shared_b"]),
-        head_w=head_w,
-        head_b=head_b,
-        mode=meta["mode"],
-        log1p_inputs=meta["log1p_inputs"],
-    )
+    mwn = _decode_params(ck["mwn"], lambda named: MWNParams.from_named(named, meta["mode"], meta["log1p_inputs"]))
+    if meta != _mwn_meta(mwn):
+        raise DataError("artifact-schema", f"mwn_meta is {meta}, the weight net it describes {_mwn_meta(mwn)}")
 
     part = doc["partition"]
+    # labels keep their JSON type, so that the partition's id check refuses a float
     partition = Partition(
         centroids=np.asarray(part["centroids"], dtype=np.float64),
-        labels=np.asarray(part["labels"], dtype=np.int64),
+        labels=np.asarray(part["labels"]),
         k=int(part["k"]),
         requested_k=int(part["requested_k"]),
     )
@@ -148,6 +143,8 @@ def _decode(doc: dict) -> RunArtifact:
     layers = config.settings.layers
     if hgnn.num_layers != layers:
         raise DataError("artifact-schema", f"checkpoint has {hgnn.num_layers} layers, model.layers is {layers}")
+    if partition.requested_k != config.settings.k:  # training asks for the echo's partition.k
+        raise DataError("artifact-schema", f"partition.requested_k is {partition.requested_k}, not {config.settings.k}")
     return RunArtifact(
         config=config,
         partition=partition,

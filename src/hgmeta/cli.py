@@ -24,7 +24,7 @@ from .data import Dataset, generate_synthetic, load_dataset, save_dataset
 from .errors import ConfigError, DataError, HgmetaError, TrainingError
 from .model import branch_losses
 from .mwn import OUTPUT_MODES
-from .trainer import fit_levels, predict, train
+from .trainer import PREDICT_MODES, fit_levels, predict, train
 from .verify import (
     HGNN_TOLERANCE,
     META_TOLERANCE,
@@ -91,7 +91,7 @@ def cmd_train(args) -> int:
     state, metrics = train(ds, cfg.settings)
     with _writing(cfg.output):
         save_run_artifact(cfg.output, cfg.echo, state, metrics)
-    for mode in ("ss", "fs", "blend"):
+    for mode in PREDICT_MODES:
         print(f"test_acc_{mode}={metrics[f'test_acc_{mode}']:.6f}")
     for c, a in enumerate(metrics["final_mean_alpha"]):
         print(f"mean_alpha_task{c}={a:.6f}")
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("artifact")
     p_eval.add_argument("--dataset", default=None)
     p_eval.add_argument("--regen", action="store_true", help="regenerate the synthetic dataset from the artifact config")
-    p_eval.add_argument("--mode", default="blend", choices=["ss", "fs", "blend"])
+    p_eval.add_argument("--mode", default="blend", choices=PREDICT_MODES)
     p_eval.set_defaults(func=cmd_eval)
 
     p_ao = sub.add_parser("analyze-overlap", help="per-node overlap values and levels")

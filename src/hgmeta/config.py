@@ -24,7 +24,7 @@ from pathlib import Path
 from .data import BIAS_KINDS, SyntheticSpec
 from .errors import ConfigError, ContractError
 from .mwn import OUTPUT_MODES
-from .trainer import SCHEDULE_KINDS, ScheduleSpec, TrainSettings
+from .trainer import META_SOURCES, OPTIMIZERS, SCHEDULE_KINDS, ScheduleSpec, TrainSettings
 
 _MODEL_DEFAULTS = {"layers": 2, "hidden": 64, "dropout": 0.0, "weight_decay": 0.0}
 _MWN_DEFAULTS = {"hidden": 100, "output_mode": "complementary", "log1p": False}
@@ -177,12 +177,9 @@ def parse_config(doc: dict) -> RunConfig:
     pin_alpha = None if train["pin_alpha"] is None else _number(train, "pin_alpha", "train", float)
     _require(train["steps"] >= 0, "train.steps must be >= 0")
     _require(batch is None or batch >= 1, "train.batch must be null or a positive integer")
-    _require(
-        train["meta_source"] in ("meta-split", "test-split"),
-        "train.meta_source must be 'meta-split' or 'test-split'",
-    )
+    _require(train["meta_source"] in META_SOURCES, "train.meta_source must be " + " or ".join(map(repr, META_SOURCES)))
     _require(pin_alpha is None or 0.0 <= pin_alpha <= 1.0, "train.pin_alpha must be null or lie in [0, 1]")
-    _require(train["optimizer"] in ("gd", "adam"), "train.optimizer must be 'gd' or 'adam'")
+    _require(train["optimizer"] in OPTIMIZERS, "train.optimizer must be " + " or ".join(map(repr, OPTIMIZERS)))
 
     seed = doc.get("seed", 0)
     _require(isinstance(seed, int) and not isinstance(seed, bool), "seed must be an integer")

@@ -116,22 +116,21 @@ class HGNNParams:
             items.append((f"a{t}", a))
         return items
 
+    @classmethod
+    def from_named(cls, named: dict[str, Array]) -> "HGNNParams":
+        """The parameters whose ``param_items`` are the arrays of ``named``: the inverse of ``dict(param_items())``.
+
+        ``named`` holds two arrays per layer t, ``w{t}`` and ``a{t}``.
+        """
+        layers = range(len(named) // 2)
+        return cls(weights=[named[f"w{t}"] for t in layers], attn=[named[f"a{t}"] for t in layers])
+
     def flatten(self) -> Array:
-        return np.concatenate([arr.ravel() for _, arr in self.param_items()])
+        return T.flatten_items(self.param_items())
 
     def with_vec(self, vec: Array) -> "HGNNParams":
         """Rebuild parameters from a flat vector in param_items() order."""
-        weights, attn, offset = [], [], 0
-        for t in range(self.num_layers):
-            w = self.weights[t]
-            a = self.attn[t]
-            weights.append(vec[offset : offset + w.size].reshape(w.shape).copy())
-            offset += w.size
-            attn.append(vec[offset : offset + a.size].reshape(a.shape).copy())
-            offset += a.size
-        if offset != vec.size:
-            raise ContractError("flat vector size does not match parameter count")
-        return HGNNParams(weights=weights, attn=attn)
+        return HGNNParams.from_named(T.split_items(self.param_items(), vec))
 
 
 @dataclass
@@ -351,9 +350,9 @@ def taped_forward(
     field's ids (see the module docstring for the bits this keeps).
     """
     tape = Tape()
-    weights = [tape.param(f"w{t}", w) for t, w in enumerate(params.weights)]
-    attn = [tape.param(f"a{t}", a) for t, a in enumerate(params.attn)]
-    hidden = list(_forward_t(g, X, weights, attn, branches, dropout_masks, field))
+    # registered under their param_items names, which alternate a layer's weight and attention vector
+    tensors = [tape.param(name, arr) for name, arr in params.param_items()]
+    hidden = list(_forward_t(g, X, tensors[0::2], tensors[1::2], branches, dropout_masks, field))
     return TapedForward(params=params, tape=tape, branches=tuple(branches), hidden=hidden, graph=g, field=field)
 
 

@@ -90,25 +90,27 @@ class MWNParams:
             items.append((f"head{c}_b", self.head_b[c]))
         return items
 
+    @classmethod
+    def from_named(cls, named: dict[str, Array], mode: str = "complementary", log1p_inputs: bool = False) -> "MWNParams":
+        """The weight net whose ``param_items`` are the arrays of ``named``: the inverse of ``dict(param_items())``.
+
+        ``named`` holds the shared layer and two arrays per head c, ``head{c}_w`` and ``head{c}_b``.
+        """
+        heads = range(len(named) // 2 - 1)
+        return cls(
+            w_shared=named["shared_w"],
+            b_shared=named["shared_b"],
+            head_w=[named[f"head{c}_w"] for c in heads],
+            head_b=[named[f"head{c}_b"] for c in heads],
+            mode=mode,
+            log1p_inputs=log1p_inputs,
+        )
+
     def flatten(self) -> Array:
-        return np.concatenate([arr.ravel() for _, arr in self.param_items()])
+        return T.flatten_items(self.param_items())
 
     def with_vec(self, vec: Array) -> "MWNParams":
-        arrays = []
-        offset = 0
-        for _, arr in self.param_items():
-            arrays.append(vec[offset : offset + arr.size].reshape(arr.shape).copy())
-            offset += arr.size
-        if offset != vec.size:
-            raise ContractError("flat vector size does not match parameter count")
-        return MWNParams(
-            w_shared=arrays[0],
-            b_shared=arrays[1],
-            head_w=arrays[2::2],
-            head_b=arrays[3::2],
-            mode=self.mode,
-            log1p_inputs=self.log1p_inputs,
-        )
+        return MWNParams.from_named(T.split_items(self.param_items(), vec), self.mode, self.log1p_inputs)
 
 
 def alpha_beta_graph(tape: Tape, losses: Tensor, tasks, params: MWNParams) -> tuple[Tensor, Tensor]:

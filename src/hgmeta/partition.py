@@ -16,11 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
+from .tensor import checked_ids
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Fitted overlap levels: ascending centroids plus per-value labels."""
+    """Fitted overlap levels: ascending centroids plus per-value labels.
+
+    Building one checks what ``kmeans_1d`` guarantees: k 1-D, finite, strictly ascending centroids,
+    ``1 <= k <= requested_k``, and labels (empty when no node has a hyperedge) kept as ``checked_ids``.
+    """
 
     centroids: np.ndarray
     labels: np.ndarray
@@ -28,8 +33,13 @@ class Partition:
     requested_k: int
 
     def __post_init__(self):
-        if self.k != self.centroids.shape[0]:
+        if self.centroids.ndim != 1 or self.k != self.centroids.shape[0]:
             raise ContractError("k must match the number of centroids")
+        if not np.all(np.isfinite(self.centroids)) or np.any(np.diff(self.centroids) <= 0.0):
+            raise ContractError("centroids must be finite and strictly ascending")
+        if not 1 <= self.k <= self.requested_k:
+            raise ContractError(f"k = {self.k} must lie in [1, requested_k = {self.requested_k}]")
+        object.__setattr__(self, "labels", checked_ids(self.labels, "level", self.k))
 
 
 def _optimal_contiguous_means(ordered: np.ndarray, k: int) -> np.ndarray:

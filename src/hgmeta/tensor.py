@@ -48,14 +48,21 @@ classifier branch).
 
 ``Tape.jvp`` runs forward mode: one sweep in record order carries the
 tangent of every node along a direction in parameter space, with no forward
-re-run. Each record holds a tangent rule next to its backward rule. The
-rule reuses the operand values, dropout masks and derivative factors the
-node already holds. A missing tangent counts as zero: a
-constant, such as the labels, contributes none, and a record none of whose
-inputs has a tangent is skipped. So one sweep
-gives ``J t`` for a whole loss column, the dot product of ``t`` with every
-sample's gradient, at about the cost of a forward pass, where the rows
-themselves take one backward sweep per sample.
+re-run, so it gives ``J t`` for a whole loss column, the dot product of
+``t`` with every sample's gradient, at about the cost of a forward pass.
+Each record's tangent rule reuses what its node holds (operand values,
+dropout masks, derivative factors); a missing tangent counts as zero, and a
+record none of whose inputs has one is skipped. Most rules are derived: a
+linear map's tangent is the map itself (``slice_cols``, ``gather_rows``,
+``row_sum``, ``sum_all``, ``segment_sum`` and ``segment_mean`` each compute
+value and tangent with one local function); a bilinear product takes the
+product rule ``f(ta, b) + f(a, tb)`` (``_bilinear``: ``matmul``, ``mul``,
+``scale_rows``); an elementwise op's diagonal Jacobian is its own
+transpose, so its backward rule is its tangent rule (``_elementwise``:
+``scale``, ``elu``, ``leaky_relu``, ``sigmoid``, ``log1p``). Five are
+written out: ``add`` and ``sub`` broadcast a row and take a tangent on one
+side only, ``concat_cols`` fills zeros for a missing side, and the
+Jacobians of ``row_log_softmax`` and ``segment_softmax`` are not symmetric.
 
 Grouped sums (the backward of ``gather_rows``, ``segment_sum``,
 ``segment_mean`` and both sums of ``segment_softmax``) associate exactly as
@@ -69,7 +76,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -201,6 +208,8 @@ class Tape:
         forward re-run: each record's tangent rule works from what its node
         already holds (operand values, dropout masks, derivative factors),
         and a record none of whose inputs has a tangent is skipped. A
+        linear map's rule is the map, a product's the product rule, and an
+        elementwise op's its backward rule (see the module docstring). A
         tangent is dropped once no later record reads it, which holds the
         sweep's peak to about a third at Cora-CA shape. An output that no
         tangent reaches gets zeros.
@@ -227,6 +236,22 @@ class Tape:
                 if last_read[idx] == i and idx not in wanted:
                     live.pop(idx, None)
         return [live[t.idx] if t.idx in live else np.zeros(t.shape) for t in outputs]
+
+
+def flatten_items(items: Iterable[tuple[str, Array]]) -> Array:
+    """The arrays of ``(name, array)`` pairs, such as ``param_items``, raveled and joined in their order."""
+    return np.concatenate([arr.ravel() for _, arr in items])
+
+
+def split_items(items: Iterable[tuple[str, Array]], vec: Array) -> dict[str, Array]:
+    """``vec`` cut into named copies shaped like the arrays of ``(name, array)`` pairs: ``flatten_items`` undone."""
+    named, offset = {}, 0
+    for name, arr in items:
+        named[name] = vec[offset : offset + arr.size].reshape(arr.shape).copy()
+        offset += arr.size
+    if offset != vec.size:
+        raise ContractError("flat vector size does not match parameter count")
+    return named
 
 
 GradFn = Callable[[Array], Sequence[Array | None]]
@@ -286,6 +311,20 @@ def _plus(x: Array | None, y: Array | None) -> Array:
     return x if y is None else x + y
 
 
+def _bilinear(f: Callable[[Array, Array], Array], av: Array, bv: Array) -> TangentFn:
+    """The product rule of the bilinear ``f`` at (``av``, ``bv``): ``f(ta, bv) + f(av, tb)``, None a zero tangent."""
+
+    def tangent(ta: Array | None, tb: Array | None):
+        return _plus(None if ta is None else f(ta, bv), None if tb is None else f(av, tb))
+
+    return tangent
+
+
+def _elementwise(op: str, value: Array, a: Tensor, rule: Callable[[Array], Array]) -> Tensor:
+    """``_emit`` for an op whose diagonal Jacobian ``rule`` multiplies by: its own transpose, so both rules."""
+    return _emit(op, value, (a,), lambda g: (rule(g),), rule)
+
+
 def as_tensor(value) -> Tensor:
     """``value`` itself if it is a Tensor, else an untracked constant of it."""
     return value if isinstance(value, Tensor) else Tensor(value)
@@ -312,10 +351,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def grad(g: Array):
         return (g @ bv.T if grad_a else None), (av.T @ g if grad_b else None)
 
-    def tangent(ta: Array | None, tb: Array | None):
-        return _plus(None if ta is None else ta @ bv, None if tb is None else av @ tb)
-
-    return _emit("matmul", av @ bv, (a, b), grad, tangent)
+    return _emit("matmul", av @ bv, (a, b), grad, _bilinear(np.matmul, av, bv))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -359,22 +395,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def grad(g: Array):
         return (g * bv if grad_a else None), (g * av if grad_b else None)
 
-    def tangent(ta: Array | None, tb: Array | None):
-        return _plus(None if ta is None else ta * bv, None if tb is None else av * tb)
-
-    return _emit("mul", av * bv, (a, b), grad, tangent)
+    return _emit("mul", av * bv, (a, b), grad, _bilinear(np.multiply, av, bv))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-
-    def grad(g: Array):
-        return (g * c,)
-
-    def tangent(ta: Array):
-        return ta * c
-
-    return _emit("scale", a.data * c, (a,), grad, tangent)
+    return _elementwise("scale", a.data * c, a, lambda g: g * c)
 
 
 def scale_rows(a: Tensor, c: Tensor) -> Tensor:
@@ -387,10 +413,7 @@ def scale_rows(a: Tensor, c: Tensor) -> Tensor:
     def grad(g: Array):
         return (g * cv if grad_a else None), ((g * av).sum(axis=1, keepdims=True) if grad_c else None)
 
-    def tangent(ta: Array | None, tc: Array | None):
-        return _plus(None if ta is None else ta * cv, None if tc is None else av * tc)
-
-    return _emit("scale_rows", av * cv, (a, c), grad, tangent)
+    return _emit("scale_rows", av * cv, (a, c), grad, _bilinear(np.multiply, av, cv))
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -424,10 +447,10 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         full[:, start:stop] = g
         return (full,)
 
-    def tangent(ta: Array):
-        return ta[:, start:stop]
+    def cols(x: Array) -> Array:
+        return x[:, start:stop]
 
-    return _emit("slice_cols", a.data[:, start:stop].copy(), (a,), grad, tangent)
+    return _emit("slice_cols", cols(a.data).copy(), (a,), grad, cols)
 
 
 class _RunIndex:
@@ -623,10 +646,10 @@ def gather_rows(a: Tensor, ids) -> Tensor:
     def grad(g: Array):
         return (run_index().sum_into(g, num_rows),)
 
-    def tangent(ta: Array):
-        return ta[ids]
+    def rows(x: Array) -> Array:
+        return x[ids]
 
-    return _emit("gather_rows", a.data[ids], (a,), grad, tangent)
+    return _emit("gather_rows", rows(a.data), (a,), grad, rows)
 
 
 def checked_ids(ids, what: str, bound: int | None, count: int | None = None) -> Array:
@@ -662,10 +685,10 @@ def row_sum(a: Tensor) -> Tensor:
     def grad(g: Array):
         return (np.repeat(g, cols, axis=1),)
 
-    def tangent(ta: Array):
-        return ta.sum(axis=1, keepdims=True)
+    def total(x: Array) -> Array:
+        return x.sum(axis=1, keepdims=True)
 
-    return _emit("row_sum", a.data.sum(axis=1, keepdims=True), (a,), grad, tangent)
+    return _emit("row_sum", total(a.data), (a,), grad, total)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -674,10 +697,10 @@ def sum_all(a: Tensor) -> Tensor:
     def grad(g: Array):
         return (np.full(shape, g[0, 0]),)
 
-    def tangent(ta: Array):
-        return np.full((1, 1), ta.sum())
+    def total(x: Array) -> Array:
+        return np.full((1, 1), x.sum())
 
-    return _emit("sum_all", np.full((1, 1), a.data.sum()), (a,), grad, tangent)
+    return _emit("sum_all", total(a.data), (a,), grad, total)
 
 
 def _d_elu(x: Array, out: Array) -> Array:
@@ -694,14 +717,7 @@ def elu(a: Tensor) -> Tensor:
     out += np.maximum(x, 0.0)
     # built with a tracked node, held in place of x, and reused by every backward pass
     factor = _d_elu(x, out) if a.idx is not None else None
-
-    def grad(g: Array):
-        return (g * factor,)
-
-    def tangent(ta: Array):
-        return ta * factor
-
-    return _emit("elu", out, (a,), grad, tangent)
+    return _elementwise("elu", out, a, lambda g: g * factor)
 
 
 def _d_leaky_relu(x: Array, slope: float) -> Array:
@@ -712,14 +728,7 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     x = a.data
     out = np.where(x > 0.0, x, slope * x)
     factor = _d_leaky_relu(x, slope) if a.idx is not None else None
-
-    def grad(g: Array):
-        return (g * factor,)
-
-    def tangent(ta: Array):
-        return ta * factor
-
-    return _emit("leaky_relu", out, (a,), grad, tangent)
+    return _elementwise("leaky_relu", out, a, lambda g: g * factor)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -729,28 +738,14 @@ def sigmoid(a: Tensor) -> Tensor:
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-
-    def grad(g: Array):
-        return (g * out * (1.0 - out),)
-
-    def tangent(ta: Array):
-        return ta * out * (1.0 - out)
-
-    return _emit("sigmoid", out, (a,), grad, tangent)
+    return _elementwise("sigmoid", out, a, lambda g: g * out * (1.0 - out))
 
 
 def log1p(a: Tensor) -> Tensor:
     x = a.data
     if np.any(x <= -1.0):
         raise ContractError("log1p domain requires entries > -1")
-
-    def grad(g: Array):
-        return (g / (1.0 + x),)
-
-    def tangent(ta: Array):
-        return ta / (1.0 + x)
-
-    return _emit("log1p", np.log1p(x), (a,), grad, tangent)
+    return _elementwise("log1p", np.log1p(x), a, lambda g: g / (1.0 + x))
 
 
 def row_log_softmax(a: Tensor) -> Tensor:
@@ -772,15 +767,14 @@ def row_log_softmax(a: Tensor) -> Tensor:
 def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     ids = checked_ids(segment_ids, "segment", num_segments, values.shape[0])
     index = _run_index(ids)
-    out = index.sum_into(values.data, num_segments)
 
     def grad(g: Array):
         return (g[ids],)
 
-    def tangent(tv: Array):
-        return index.sum_into(tv, num_segments)
+    def sums(x: Array) -> Array:
+        return index.sum_into(x, num_segments)
 
-    return _emit("segment_sum", out, (values,), grad, tangent)
+    return _emit("segment_sum", sums(values.data), (values,), grad, sums)
 
 
 def _segment_counts(index: _RunIndex, num_segments: int) -> Array:
@@ -795,17 +789,17 @@ def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     ids = checked_ids(segment_ids, "segment", num_segments, values.shape[0])
     index = _run_index(ids)
     counts = _segment_counts(index, num_segments)[:, None]
-    out = index.sum_into(values.data, num_segments)
-    out /= counts
 
     def grad(g: Array):
         # each row's quotient is the same division as g[ids] / counts[ids], done once per segment
         return ((g / counts)[ids],)
 
-    def tangent(tv: Array):
-        return index.sum_into(tv, num_segments) / counts
+    def means(x: Array) -> Array:
+        out = index.sum_into(x, num_segments)
+        out /= counts
+        return out
 
-    return _emit("segment_mean", out, (values,), grad, tangent)
+    return _emit("segment_mean", means(values.data), (values,), grad, means)
 
 
 # column block of gathered_segment_mean, the width of a typical hidden layer

@@ -68,6 +68,8 @@ logger = logging.getLogger(__name__)
 
 SCHEDULE_KINDS = ("constant", "inverse-sqrt")
 PREDICT_MODES = ("ss", "fs", "blend")
+OPTIMIZERS = ("gd", "adam")  # adam moves the commit step only
+META_SOURCES = ("meta-split", "test-split")  # the test split leaks into training, opt-in
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,9 @@ class TrainSettings:
     mwn_log1p: bool = False
     seed: int = 0
     batch_size: int | None = None
-    meta_source: str = "meta-split"  # "meta-split" | "test-split" (leaky, opt-in)
+    meta_source: str = "meta-split"  # one of META_SOURCES
     pin_alpha: float | None = None
-    optimizer: str = "gd"  # "gd" | "adam" (commit step only)
+    optimizer: str = "gd"  # one of OPTIMIZERS
     weight_decay: float = 0.0
     dropout: float = 0.0
 
@@ -127,16 +129,8 @@ class StepRecord:
     grad_theta_norm: float
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "lr1": self.lr1,
-            "lr2": self.lr2,
-            "train_loss": self.train_loss,
-            "meta_loss": self.meta_loss,
-            "mean_alpha": [None if np.isnan(a) else a for a in self.mean_alpha],
-            "grad_w_norm": self.grad_w_norm,
-            "grad_theta_norm": self.grad_theta_norm,
-        }
+        """The fields by name; a level without samples records null, since JSON has no NaN."""
+        return {**vars(self), "mean_alpha": [None if np.isnan(a) else a for a in self.mean_alpha]}
 
 
 @dataclass
@@ -186,7 +180,7 @@ class StepCache:
 
 
 def _flatten_grads(grads: dict[str, Array], params: HGNNParams | MWNParams) -> Array:
-    return np.concatenate([grads[name].ravel() for name, _ in params.param_items()])
+    return T.flatten_items((name, grads[name]) for name, _ in params.param_items())
 
 
 def _grad_rows(graph: BranchGraph, params: HGNNParams) -> Array:
@@ -296,15 +290,22 @@ def intermediate_update(
     return hgnn.with_vec(w_hat_vec), cache
 
 
+def _meta_loss(g, X, y, meta_ids, params: HGNNParams) -> tuple[T.Tensor, TapedForward]:
+    """The meta loss at ``params`` (the two branches' mean losses over ``meta_ids``, summed) and its taped forward."""
+    forward = taped_forward(g, X, params)
+    graph_ss, graph_fs = forward.losses(y, meta_ids)
+    return T.add(graph_ss.mean_loss, graph_fs.mean_loss), forward
+
+
 def meta_loss_value(g, X, y, meta_ids, params: HGNNParams) -> tuple[float, TapedForward]:
     """Mean over the meta split of the summed branch losses, and the taped forward at ``params`` it used.
 
     A pinned step under plain gradient descent commits ``params`` exactly,
-    so ``train`` hands the forward to the next probe.
+    so ``train`` hands the forward to the next probe. A weight-net step
+    tapes the same loss through ``_meta_loss`` and never calls this.
     """
-    forward = taped_forward(g, X, params)
-    graph_ss, graph_fs = forward.losses(y, meta_ids)
-    return float(T.add(graph_ss.mean_loss, graph_fs.mean_loss).data[0, 0]), forward
+    total, forward = _meta_loss(g, X, y, meta_ids, params)
+    return float(total.data[0, 0]), forward
 
 
 def meta_gradient(
@@ -331,12 +332,11 @@ def meta_gradient(
     """
     if cache.graphs is None:
         raise ContractError("meta_gradient needs the probe tape of a weight-net step, not a pinned-alpha cache")
-    graph_ss, graph_fs = taped_forward(g, X, w_hat).losses(y, meta_ids)
-    total = T.add(graph_ss.mean_loss, graph_fs.mean_loss)
+    total, forward = _meta_loss(g, X, y, meta_ids, w_hat)
     meta_loss = float(total.data[0, 0])
     # the probe tape registers the parameters under the meta tape's names
     probe_ss, probe_fs = cache.graphs
-    tangent1, tangent2 = probe_ss.tape.jvp((probe_ss.loss_vec, probe_fs.loss_vec), graph_ss.tape.backward(total))
+    tangent1, tangent2 = probe_ss.tape.jvp((probe_ss.loss_vec, probe_fs.loss_vec), forward.tape.backward(total))
     gbar1, gbar2 = tangent1[:, 0], tangent2[:, 0]
     grad_dict = weighted_alpha_theta_grad(cache.l1, cache.l2, cache.tasks, mwn, gbar1, gbar2)
     d_theta = -lam1 * _flatten_grads(grad_dict, mwn)
@@ -440,19 +440,19 @@ def train(dataset, settings: TrainSettings):
         log1p_inputs=settings.mwn_log1p,
         rng=stream(settings.seed, "init-mwn"),
     )
+    if settings.optimizer not in OPTIMIZERS:
+        raise ContractError(f"unknown optimizer {settings.optimizer!r}")
     adam = None
     if settings.optimizer == "adam":
         p_count = hgnn.flatten().size
         adam = AdamState(m=np.zeros(p_count), v=np.zeros(p_count))
-    elif settings.optimizer != "gd":
-        raise ContractError(f"unknown optimizer {settings.optimizer!r}")
+    if settings.meta_source not in META_SOURCES:
+        raise ContractError(f"unknown meta source {settings.meta_source!r}")
     if settings.meta_source == "meta-split":
         meta_ids = np.asarray(dataset.splits.meta, dtype=np.int64)
-    elif settings.meta_source == "test-split":
+    else:
         logger.warning("meta set drawn from the test split; evaluation leaks into training")
         meta_ids = np.asarray(dataset.splits.test, dtype=np.int64)
-    else:
-        raise ContractError(f"unknown meta source {settings.meta_source!r}")
     if meta_ids.size == 0:
         raise ContractError("meta split is empty")
 

@@ -88,11 +88,8 @@ def hgnn_gradient_check(
     for branch in ("ss", "fs"):
 
         def build(params: dict[str, Array], branch=branch):
-            hp = HGNNParams(
-                weights=[params[f"w{t}"] for t in range(template.num_layers)],
-                attn=[params[f"a{t}"] for t in range(template.num_layers)],
-            )
-            (graph,) = taped_forward(ds.graph, ds.features, hp, branches=(branch,)).losses(ds.labels, ids)
+            forward = taped_forward(ds.graph, ds.features, HGNNParams.from_named(params), branches=(branch,))
+            (graph,) = forward.losses(ds.labels, ids)
             return graph.tape, graph.mean_loss
 
         report[branch] = finite_diff_check(build, dict(template.param_items()), eps=eps)

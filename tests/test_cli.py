@@ -16,7 +16,7 @@ from hgmeta import verify as verify_mod
 from hgmeta.artifact import load_run_artifact, save_run_artifact, state_from_artifact
 from hgmeta.config import parse_config
 from hgmeta.data import SyntheticSpec, generate_synthetic, save_dataset
-from hgmeta.errors import TrainingError
+from hgmeta.errors import ConfigError, TrainingError
 from hgmeta.mwn import weighted_alpha_theta_grad
 from hgmeta.trainer import TrainSettings, ScheduleSpec, train
 
@@ -232,6 +232,20 @@ class TestTrainCommand:
         assert echo["train"] == (
             '{"batch": 5.0, "meta_source": "meta-split", "optimizer": "gd", "pin_alpha": 1, "steps": 200}'
         )
+
+    def test_choices_are_the_trainers_names_with_the_wording_kept(self, capsys):
+        # the trainer states each set of names once; the config and the CLI read them from it
+        assert (trainer_mod.OPTIMIZERS, trainer_mod.META_SOURCES) == (("gd", "adam"), ("meta-split", "test-split"))
+        for key, value, message in [
+            ("optimizer", "sgd", "train.optimizer must be 'gd' or 'adam'"),
+            ("meta_source", "validation", "train.meta_source must be 'meta-split' or 'test-split'"),
+        ]:
+            with pytest.raises(ConfigError) as caught:
+                parse_config({"dataset": {"path": "unused"}, "train": {key: value}})
+            assert str(caught.value) == message
+        with pytest.raises(SystemExit):
+            cli.main(["eval", "run.json", "--mode", "both"])
+        assert "invalid choice: 'both' (choose from 'ss', 'fs', 'blend')" in capsys.readouterr().err
 
     def test_an_empty_synthetic_section_gives_the_library_defaults(self):
         cfg = parse_config({"dataset": {"synthetic": {}}})
@@ -506,6 +520,15 @@ class TestEvalCommand:
             "unknown-schedule-kind",
             "mean-alpha-unlike-k",
             "mwn-k-unlike-partition",
+            "mwn-hidden-unlike-the-net",
+            "nan-centroid",
+            "reversed-centroids",
+            "negative-requested-k",
+            "labels-out-of-range",
+            "requested-k-unlike-the-echo",
+            "hgnn-section-a-list",
+            "undecodable-extra-entry",
+            "unknown-entry",
         ],
     )
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, mangle):
@@ -535,6 +558,25 @@ class TestEvalCommand:
             doc["history"][-1]["mean_alpha"] = doc["history"][-1]["mean_alpha"][:1]
         elif mangle == "mwn-k-unlike-partition":
             doc["checkpoint"]["mwn_meta"]["k"] = 1
+        elif mangle == "mwn-hidden-unlike-the-net":
+            doc["checkpoint"]["mwn_meta"]["hidden"] = 5
+        elif mangle == "nan-centroid":
+            doc["partition"]["centroids"][0] = float("nan")
+        elif mangle == "reversed-centroids":
+            doc["partition"]["centroids"].reverse()
+        elif mangle == "negative-requested-k":
+            doc["partition"]["requested_k"] = -3
+        elif mangle == "labels-out-of-range":
+            assert doc["partition"]["labels"]
+            doc["partition"]["labels"] = [7] * len(doc["partition"]["labels"])
+        elif mangle == "requested-k-unlike-the-echo":
+            doc["partition"]["requested_k"] = 3
+        elif mangle == "hgnn-section-a-list":
+            doc["checkpoint"]["hgnn"] = []
+        elif mangle == "undecodable-extra-entry":
+            doc["checkpoint"]["mwn"]["extra"] = "not an array"
+        elif mangle == "unknown-entry":
+            doc["checkpoint"]["hgnn"]["extra"] = doc["checkpoint"]["hgnn"]["a0"]
         else:
             doc["config"]["schedules"]["kind"] = "cosine"
         (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -609,7 +651,7 @@ class TestEmitLosses:
         state, metrics = train(ds, settings)
         zeroed = state.hgnn.with_vec(np.zeros(state.hgnn.flatten().size))
         state.hgnn = zeroed
-        save_run_artifact(tmp_path / "run.json", config_echo(seed=0), state, metrics)
+        save_run_artifact(tmp_path / "run.json", config_echo(seed=0, partition={"k": 2}), state, metrics)
         rc = cli.main(
             [
                 "emit-losses",
@@ -795,7 +837,7 @@ class TestArtifactRoundTrip:
             schedule1=ScheduleSpec(c=0.02), schedule2=ScheduleSpec(c=0.5),
         )
         state, metrics = train(ds, settings)
-        save_run_artifact(tmp_path / "a.json", config_echo(seed=1), state, metrics)
+        save_run_artifact(tmp_path / "a.json", config_echo(seed=1, partition={"k": 2}), state, metrics)
         artifact = load_run_artifact(tmp_path / "a.json")
         np.testing.assert_array_equal(artifact.hgnn.flatten(), state.hgnn.flatten())
         np.testing.assert_array_equal(artifact.mwn.flatten(), state.mwn.flatten())
@@ -808,5 +850,5 @@ class TestArtifactRoundTrip:
     def test_history_row_count_matches_steps(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(nodes=24, classes=2, hyperedges=12, dim=4), seed=5)
         state, metrics = train(ds, TrainSettings(steps=4, k=2, hidden=5, mwn_hidden=6, seed=2))
-        save_run_artifact(tmp_path / "a.json", config_echo(), state, metrics)
+        save_run_artifact(tmp_path / "a.json", config_echo(partition={"k": 2}), state, metrics)
         assert len(load_run_artifact(tmp_path / "a.json").history) == 4

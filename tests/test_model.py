@@ -34,10 +34,29 @@ def random_params(dims, seed=0):
     return HGNNParams.init(dims, stream(seed, "init-w"), stream(seed, "init-a"))
 
 
+def _layout(params) -> list:
+    """Each parameter's name, shape and bytes, in ``param_items`` order."""
+    return [(name, arr.shape, arr.tobytes()) for name, arr in params.param_items()]
+
+
 class TestHGNNParams:
     def test_zero_layers_are_rejected(self):
         with pytest.raises(ContractError, match="at least one layer"):
             HGNNParams(weights=[], attn=[])
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_named_arrays_and_the_flat_vector_rebuild_the_parameters(self, layers):
+        params = random_params([7, 5, 4, 3][: layers + 1], seed=layers)
+        assert [name for name, _ in params.param_items()] == [f"{kind}{t}" for t in range(layers) for kind in "wa"]
+        for rebuilt in (HGNNParams.from_named(dict(params.param_items())), params.with_vec(params.flatten())):
+            assert _layout(rebuilt) == _layout(params)
+        assert params.flatten().tobytes() == b"".join(arr.tobytes() for _, arr in params.param_items())
+
+    def test_a_flat_vector_of_another_size_is_refused(self):
+        params = random_params([4, 3, 2])
+        with pytest.raises(ContractError, match="flat vector size does not match parameter count"):
+            params.with_vec(np.zeros(params.flatten().size + 1))
 
 
 class TestSSCoefficients:

@@ -40,6 +40,25 @@ def sample_grad(l1: float, l2: float, task: int, params: MWNParams) -> SimpleNam
     )
 
 
+class TestParams:
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("mode", ["complementary", "independent"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_named_arrays_and_the_flat_vector_rebuild_the_weight_net(self, k, mode):
+        params = fresh_params(k=k, hidden=5, mode=mode, seed=k, randomize_heads=True, log1p=k == 2)
+        names = ["shared_w", "shared_b"] + [f"head{c}_{kind}" for c in range(k) for kind in "wb"]
+        assert [name for name, _ in params.param_items()] == names
+        rebuilt = [
+            MWNParams.from_named(dict(params.param_items()), mode, params.log1p_inputs),
+            params.with_vec(params.flatten()),
+        ]
+        for other in rebuilt:
+            assert (other.mode, other.log1p_inputs) == (mode, k == 2)
+            assert [(n, a.shape, a.tobytes()) for n, a in other.param_items()] == [
+                (n, a.shape, a.tobytes()) for n, a in params.param_items()
+            ]
+
+
 class TestForward:
     def test_zero_head_starts_balanced(self):
         params = fresh_params()

@@ -6,7 +6,9 @@ import pytest
 from hgmeta.errors import ContractError
 from hgmeta import partition
 from hgmeta.data import SyntheticSpec, generate_synthetic
+from hgmeta.hypergraph import Hypergraph
 from hgmeta.partition import Partition, assign_levels, kmeans_1d
+from hgmeta.trainer import fit_levels
 
 
 def brute_force_two_means(values: np.ndarray) -> float:
@@ -227,3 +229,73 @@ def test_kmeans_equals_lloyd_loop_from_the_optimum_byte_for_byte():
         assert part.labels.tobytes() == labels.astype(np.int64).tobytes()
         ties += np.unique(values).size < values.size
     assert ties > 1000
+
+
+def _partition(**changes) -> Partition:
+    """A valid two-level partition of four values, with ``changes`` applied."""
+    fields = dict(centroids=np.array([1.0, 1.4]), labels=np.array([0, 1, 1, 0]), k=2, requested_k=3)
+    return Partition(**{**fields, **changes})
+
+
+class TestPartitionInvariants:
+    """A partition holds what ``kmeans_1d`` guarantees, so none read back from an artifact can place nodes
+    at levels that no fit makes: a NaN centroid put every node at level 0."""
+
+    def test_a_valid_partition_keeps_int64_labels(self):
+        part = _partition(labels=np.array([0, 1, 1, 0], dtype=np.int32))
+        assert part.labels.dtype == np.int64 and part.labels.tolist() == [0, 1, 1, 0]
+
+    @pytest.mark.parametrize("empty", [np.zeros(0), np.zeros(0, dtype=np.int64), []])
+    def test_labels_may_be_empty(self, empty):
+        assert _partition(labels=np.asarray(empty)).labels.size == 0
+
+    def test_every_kmeans_partition_passes(self):
+        for values, k in _kmeans_inputs()[::20]:
+            part = kmeans_1d(values, k)
+            again = Partition(part.centroids, part.labels, part.k, part.requested_k)
+            assert again.labels.tobytes() == part.labels.tobytes() and again.labels.dtype == np.int64
+
+    def test_centroids_must_be_one_dimensional(self):
+        with pytest.raises(ContractError, match="number of centroids"):
+            _partition(centroids=np.array([[1.0], [1.4]]))
+
+    def test_k_must_count_the_centroids(self):
+        with pytest.raises(ContractError, match="number of centroids"):
+            _partition(centroids=np.array([1.0, 1.4, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_centroids_must_be_finite(self, bad):
+        with pytest.raises(ContractError, match="finite and strictly ascending"):
+            _partition(centroids=np.array([bad, 1.3977]))
+
+    @pytest.mark.parametrize("centroids", [[1.4, 1.0], [1.0, 1.0]])
+    def test_centroids_must_strictly_ascend(self, centroids):
+        with pytest.raises(ContractError, match="finite and strictly ascending"):
+            _partition(centroids=np.array(centroids))
+
+    @pytest.mark.parametrize("k,requested_k", [(0, 3), (2, 1), (2, -3)])
+    def test_k_must_lie_between_one_and_the_requested_k(self, k, requested_k):
+        centroids = np.array([1.0, 1.4][:k])
+        with pytest.raises(ContractError, match=r"must lie in \[1, requested_k"):
+            _partition(centroids=centroids, labels=np.zeros(0, dtype=np.int64), k=k, requested_k=requested_k)
+
+    @pytest.mark.parametrize("labels", [[0, 2, 1, 0], [7, 7, 7, 7], [0, -1, 1, 0]])
+    def test_labels_must_name_a_level(self, labels):
+        with pytest.raises(ContractError, match="level ids out of range"):
+            _partition(labels=np.array(labels))
+
+    def test_labels_must_be_integers(self):
+        with pytest.raises(ContractError, match="level ids must be integers"):
+            _partition(labels=np.array([0.0, 1.7, 1.0, 0.0]))
+
+    def test_labels_must_be_one_dimensional(self):
+        with pytest.raises(ContractError, match="level ids must be 1-D"):
+            _partition(labels=np.array([[0, 1], [1, 0]]))
+
+    def test_fit_levels_refuses_k_below_one_without_a_valid_node(self):
+        vec = Hypergraph(3, []).overlap_vector([0, 1, 2])
+        assert not vec.valid.any()
+        assert fit_levels(vec, 1)[0].k == 1
+        for k in (0, -2):
+            with pytest.raises(ContractError):
+                fit_levels(vec, k)

@@ -883,6 +883,25 @@ def _const(rng, shape):
     return T.as_tensor(rng.normal(size=shape))
 
 
+def _sum_of(x, y):
+    """``x + y``, None standing for a zero, as the written-out product rules added their terms."""
+    if x is None:
+        return y
+    return x if y is None else x + y
+
+
+def _with_zeros(rng, shape):
+    """Entries in (-0.9, 2.0), log1p's domain, a third of them +0.0 or -0.0."""
+    values = rng.uniform(-0.9, 2.0, shape)
+    zeros = rng.random(shape) < 0.35
+    values[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    return values
+
+
+_GATHERED = np.array([4, 0, 4, 2, 5, 1, 0])
+_SEGMENTS = np.array([2, 0, 3, 0, 1, 2, 3, 1, 0])
+
+
 class TestTangentRules:
     """Each primitive's tangent rule is the adjoint of its dense rule: ``v . jvp(t) == vjp(v) . t``."""
 
@@ -913,9 +932,57 @@ class TestTangentRules:
     }
     TOLERANCE = 1e-12
 
+    # the primitives whose tangent rule is derived from their map, product rule or backward rule ->
+    # (operand shapes, the op on its operands, the tangent rule it wrote out: operand values, then their tangents)
+    WRITTEN_OUT = {
+        "matmul": ([(5, 4), (4, 3)], T.matmul, lambda a, b, ta, tb: _sum_of(
+            None if ta is None else ta @ b, None if tb is None else a @ tb)),
+        "mul": ([(5, 3), (5, 3)], T.mul, lambda a, b, ta, tb: _sum_of(
+            None if ta is None else ta * b, None if tb is None else a * tb)),
+        "scale_rows": ([(5, 3), (5, 1)], T.scale_rows, lambda a, c, ta, tc: _sum_of(
+            None if ta is None else ta * c, None if tc is None else a * tc)),
+        "scale": ([(5, 3)], lambda a: T.scale(a, -1.7), lambda a, ta: ta * -1.7),
+        "elu": ([(5, 3)], T.elu, lambda a, ta: ta * (np.minimum(T.elu(T.as_tensor(a)).data, 0.0) + 1.0)),
+        "leaky_relu": ([(5, 3)], T.leaky_relu, lambda a, ta: ta * np.where(a > 0.0, 1.0, 0.2)),
+        "sigmoid": ([(5, 3)], T.sigmoid, lambda a, ta: ta * (out := T.sigmoid(T.as_tensor(a)).data) * (1.0 - out)),
+        "log1p": ([(5, 3)], T.log1p, lambda a, ta: ta / (1.0 + a)),
+        "slice_cols": ([(5, 4)], lambda a: T.slice_cols(a, 1, 3), lambda a, ta: ta[:, 1:3]),
+        "gather_rows": ([(6, 3)], lambda a: T.gather_rows(a, _GATHERED), lambda a, ta: ta[_GATHERED]),
+        "row_sum": ([(5, 3)], T.row_sum, lambda a, ta: ta.sum(axis=1, keepdims=True)),
+        "sum_all": ([(5, 3)], T.sum_all, lambda a, ta: np.full((1, 1), ta.sum())),
+        "segment_sum": ([(9, 3)], lambda a: T.segment_sum(a, _SEGMENTS, 4),
+                        lambda a, ta: T._RunIndex(_SEGMENTS).sum_into(ta, 4)),
+        "segment_mean": ([(9, 3)], lambda a: T.segment_mean(a, _SEGMENTS, 4),
+                         lambda a, ta: T._RunIndex(_SEGMENTS).sum_into(ta, 4) / np.bincount(_SEGMENTS)[:, None]),
+    }
+
     def test_every_primitive_has_a_case(self):
         primitives = {name.split("-")[0] for name in self.CASES}
         assert len(primitives) == 19 and all(callable(getattr(T, name)) for name in primitives)
+        # the five whose tangent rules are written out, and why, are in the tensor module's docstring
+        written_out = {"add", "sub", "concat_cols", "row_log_softmax", "segment_softmax"}
+        assert set(self.WRITTEN_OUT) == primitives - written_out
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("name", sorted(WRITTEN_OUT))
+    def test_a_derived_rule_keeps_the_bits_of_the_rule_it_replaced(self, name):
+        shapes, op, rule = self.WRITTEN_OUT[name]
+        rng = np.random.default_rng(sum(map(ord, name)))
+        keys = [f"p{i}" for i in range(len(shapes))]
+        # (tracked operands, operands with a tangent): every one; for a product, each alone,
+        # beside a tracked operand without a tangent and beside an untracked one
+        cases = [(keys, keys)]
+        if len(keys) == 2:
+            cases += [(keys, [key]) for key in keys] + [([key], [key]) for key in keys]
+        for trial in range(3):
+            values = [_with_zeros(rng, shape) for shape in shapes]
+            for tracked, given in cases:
+                tape = Tape()
+                operands = [tape.param(k, v) if k in tracked else T.as_tensor(v) for k, v in zip(keys, values)]
+                tangents = {k: _with_zeros(rng, v.shape) for k, v in zip(keys, values) if k in given}
+                (got,) = tape.jvp([op(*operands)], tangents)
+                want = rule(*values, *(tangents.get(k) for k in keys))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (trial, tracked, given)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_tangent_is_the_adjoint_of_the_backward_rule(self, name):

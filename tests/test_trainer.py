@@ -393,6 +393,19 @@ class TestProbeField:
 
 
 class TestMetaGradient:
+    @pytest.mark.bitwise
+    def test_one_taped_meta_loss_serves_the_gradient_and_the_value(self, monkeypatch):
+        g, X, y, hgnn, mwn, ids, tasks = width2_instance(seed=5)
+        meta_ids = np.array([0, 3])
+        w_hat, cache = intermediate_update(g, X, y, hgnn, mwn, ids, tasks, lam1=0.05)
+        taped = []
+        original = trainer._meta_loss
+        monkeypatch.setattr(trainer, "_meta_loss", lambda *args: taped.append(args[-1]) or original(*args))
+        _, meta_loss, _ = meta_gradient(g, X, y, w_hat, cache, meta_ids, mwn, lam1=0.05)
+        value, _ = meta_loss_value(g, X, y, meta_ids, w_hat)
+        assert taped == [w_hat, w_hat]
+        assert np.float64(meta_loss).tobytes() == np.float64(value).tobytes()
+
     def test_zero_lr_gives_exactly_zero(self):
         g, X, y, hgnn, mwn, ids, tasks = width2_instance(seed=4)
         meta_ids = np.array([0, 3])
