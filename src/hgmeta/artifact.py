@@ -5,6 +5,14 @@ overlap partition, the per-step history, final checkpoints for both models,
 and the final metrics. Tensors are stored as base64-encoded little-endian
 float64 buffers, so a reload restores them bit-for-bit and two runs with the
 same configuration and seed produce byte-identical files.
+
+The writer is the schema: ``_document`` states the format once. The reader
+decodes a document into the run's ``TrainState`` and accepts it only if
+``_document`` writes that state back as the document it read. So an entry
+the reader does not read, a number its reads would truncate or reinterpret,
+and a restated value unlike what it restates (``hgnn_layout``, ``mwn_meta``,
+``steps_run``, the config echo) are all refused by one comparison. The
+reader checks by hand only what one section says about another.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, parse_config
+from .config import RunConfig, _integer, parse_config
 from .errors import ConfigError, ContractError, DataError
 from .model import HGNNParams
 from .mwn import MWNParams
@@ -27,72 +35,64 @@ FORMAT = "hgmeta-run-v1"
 
 
 def encode_array(a: np.ndarray) -> dict:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    return {
-        "shape": list(a.shape),
-        "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii"),
-    }
+    a = np.ascontiguousarray(a, dtype="<f8")  # b64encode reads its buffer: no copy of a float64 array
+    return {"shape": list(a.shape), "data": base64.b64encode(a).decode("ascii")}
 
 
 def decode_array(obj: dict) -> np.ndarray:
     raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"]).copy()
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])  # astype copies, so writable
 
 
 def _encode_named(items) -> dict:
     return {name: encode_array(arr) for name, arr in items}
 
 
-def _decode_params(section, from_named):
-    """``from_named`` of every decoded entry of a checkpoint ``section``; an entry naming no parameter is an error."""
+def _decode_named(section) -> dict:
     if not isinstance(section, dict):
         raise TypeError(f"a checkpoint section must be a JSON object, got {type(section).__name__}")
-    params = from_named({name: decode_array(obj) for name, obj in section.items()})
-    unknown = sorted(set(section) - {name for name, _ in params.param_items()})
-    if unknown:
-        raise DataError("artifact-schema", f"checkpoint entries {unknown} name no parameter")
-    return params
-
-
-def _mwn_meta(mwn: MWNParams) -> dict:
-    return {"k": mwn.k, "hidden": mwn.hidden, "mode": mwn.mode, "log1p_inputs": mwn.log1p_inputs}
+    return {name: decode_array(obj) for name, obj in section.items()}
 
 
 @dataclass
 class RunArtifact:
-    """Deserialized artifact contents; ``config`` is the parsed config echo."""
+    """Deserialized artifact contents: the parsed config echo, the decoded run, its history as written, its metrics."""
 
     config: RunConfig
-    partition: Partition
+    state: TrainState
     history: list[dict]
-    hgnn: HGNNParams
-    mwn: MWNParams
     metrics: dict
+    hgnn = property(lambda self: self.state.hgnn)
+    mwn = property(lambda self: self.state.mwn)
+    partition = property(lambda self: self.state.partition)
 
 
-def save_run_artifact(path, config_echo: dict, state: TrainState, metrics: dict) -> None:
-    doc = {
+def _document(config_echo: dict, state: TrainState, metrics: dict) -> dict:
+    """The artifact of a run, as a JSON document: the one statement of the format."""
+    part, hgnn, mwn = state.partition, state.hgnn.param_items(), state.mwn
+    return {
         "format": FORMAT,
         "config": config_echo,
         "partition": {
-            "centroids": [float(c) for c in state.partition.centroids],
-            "labels": [int(v) for v in state.partition.labels],
-            "k": state.partition.k,
-            "requested_k": state.partition.requested_k,
+            "centroids": [float(c) for c in part.centroids],
+            "labels": [int(v) for v in part.labels],
+            "k": part.k,
+            "requested_k": part.requested_k,
         },
         "history": [rec.to_dict() for rec in state.history],
         "checkpoint": {
-            "hgnn": _encode_named(state.hgnn.param_items()),
-            "hgnn_layout": [
-                {"name": name, "shape": list(arr.shape)} for name, arr in state.hgnn.param_items()
-            ],
-            "mwn": _encode_named(state.mwn.param_items()),
-            "mwn_meta": _mwn_meta(state.mwn),
+            "hgnn": _encode_named(hgnn),
+            "hgnn_layout": [{"name": name, "shape": list(arr.shape)} for name, arr in hgnn],
+            "mwn": _encode_named(mwn.param_items()),
+            "mwn_meta": {"k": mwn.k, "hidden": mwn.hidden, "mode": mwn.mode, "log1p_inputs": mwn.log1p_inputs},
         },
         "metrics": metrics,
         "steps_run": state.step,
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def save_run_artifact(path, config_echo: dict, state: TrainState, metrics: dict) -> None:
+    Path(path).write_text(json.dumps(_document(config_echo, state, metrics), sort_keys=True, indent=2) + "\n")
 
 
 def load_run_artifact(path) -> RunArtifact:
@@ -112,64 +112,43 @@ def load_run_artifact(path) -> RunArtifact:
 
 
 def _decode(doc: dict) -> RunArtifact:
-    ck = doc["checkpoint"]
-    hgnn = _decode_params(ck["hgnn"], HGNNParams.from_named)
-    meta = ck["mwn_meta"]
-    mwn = _decode_params(ck["mwn"], lambda named: MWNParams.from_named(named, meta["mode"], meta["log1p_inputs"]))
-    if meta != _mwn_meta(mwn):
-        raise DataError("artifact-schema", f"mwn_meta is {meta}, the weight net it describes {_mwn_meta(mwn)}")
-
-    part = doc["partition"]
-    # labels keep their JSON type, so that the partition's id check refuses a float
-    partition = Partition(
-        centroids=np.asarray(part["centroids"], dtype=np.float64),
-        labels=np.asarray(part["labels"]),
-        k=int(part["k"]),
-        requested_k=int(part["requested_k"]),
+    ck, part = doc["checkpoint"], doc["partition"]
+    history = [StepRecord.from_dict(rec) for rec in doc["history"]]
+    state = TrainState(
+        hgnn=HGNNParams.from_named(_decode_named(ck["hgnn"])),
+        mwn=MWNParams.from_named(_decode_named(ck["mwn"]), ck["mwn_meta"]["mode"], ck["mwn_meta"]["log1p_inputs"]),
+        # labels keep their JSON type, so that the partition's id check refuses a float
+        partition=Partition(
+            centroids=np.asarray(part["centroids"], dtype=np.float64),
+            labels=np.asarray(part["labels"]),
+            k=_integer(part["k"], "partition.k"),
+            requested_k=_integer(part["requested_k"], "partition.requested_k"),
+        ),
+        step=len(history),
+        history=history,
     )
-    if mwn.k != partition.k:
-        raise DataError("artifact-schema", f"mwn_meta.k is {mwn.k}, partition.k is {partition.k}")
-    history = [_step_record(rec).to_dict() for rec in doc["history"]]
-    # training records one mean alpha per overlap level, which predict and evaluate index by level
-    unlike = [rec["step"] for rec in history if len(rec["mean_alpha"]) != partition.k]
-    if unlike:
-        raise DataError("artifact-schema", f"step {unlike[0]}: mean_alpha needs partition.k = {partition.k} entries")
+    config = parse_config(doc["config"])
+    written = _document(config.echo, state, doc["metrics"])
+    if written != doc:
+        unlike = sorted(key for key in written.keys() | doc.keys() if written.get(key) != doc.get(key))
+        raise DataError("artifact-schema", f"{unlike} differ from what the decoded run writes back")
     if not isinstance(doc["metrics"], dict):
         raise DataError("artifact-schema", "metrics must be a JSON object")
-    config = parse_config(doc["config"])
-    # training echoes every default, so a valid echo is its own echo
-    if config.echo != doc["config"]:
-        raise DataError("artifact-schema", "config is not a complete config echo")
-    layers = config.settings.layers
-    if hgnn.num_layers != layers:
-        raise DataError("artifact-schema", f"checkpoint has {hgnn.num_layers} layers, model.layers is {layers}")
-    if partition.requested_k != config.settings.k:  # training asks for the echo's partition.k
-        raise DataError("artifact-schema", f"partition.requested_k is {partition.requested_k}, not {config.settings.k}")
-    return RunArtifact(
-        config=config,
-        partition=partition,
-        history=history,
-        hgnn=hgnn,
-        mwn=mwn,
-        metrics=doc["metrics"],
-    )
-
-
-def _step_record(rec: dict) -> StepRecord:
-    return StepRecord(
-        step=int(rec["step"]),
-        lr1=float(rec["lr1"]),
-        lr2=float(rec["lr2"]),
-        train_loss=float(rec["train_loss"]),
-        meta_loss=float(rec["meta_loss"]),
-        mean_alpha=[float("nan") if a is None else float(a) for a in rec["mean_alpha"]],
-        grad_w_norm=float(rec["grad_w_norm"]),
-        grad_theta_norm=float(rec["grad_theta_norm"]),
-    )
+    k, settings = state.partition.k, config.settings
+    if state.mwn.k != k:
+        raise DataError("artifact-schema", f"mwn_meta.k is {state.mwn.k}, partition.k is {k}")
+    # training records one mean alpha per overlap level, which predict and evaluate index by level
+    unlike = [rec.step for rec in history if len(rec.mean_alpha) != k]
+    if unlike:
+        raise DataError("artifact-schema", f"step {unlike[0]}: mean_alpha needs partition.k = {k} entries")
+    layers = state.hgnn.num_layers
+    if layers != settings.layers:
+        raise DataError("artifact-schema", f"checkpoint has {layers} layers, model.layers is {settings.layers}")
+    if state.partition.requested_k != settings.k:  # training asks for the echo's partition.k
+        raise DataError("artifact-schema", f"partition.requested_k is {state.partition.requested_k}, not {settings.k}")
+    return RunArtifact(config=config, state=state, history=written["history"], metrics=doc["metrics"])
 
 
 def state_from_artifact(artifact: RunArtifact) -> TrainState:
-    """Rebuild a TrainState sufficient for prediction and evaluation."""
-    state = TrainState(hgnn=artifact.hgnn, mwn=artifact.mwn, partition=artifact.partition, step=len(artifact.history))
-    state.history.extend(_step_record(rec) for rec in artifact.history)
-    return state
+    """The decoded run: a TrainState sufficient for prediction and evaluation, shared with ``artifact``."""
+    return artifact.state

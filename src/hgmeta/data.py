@@ -7,7 +7,7 @@ On-disk layout of a dataset directory (all plain text, UTF-8):
 * ``features.csv``    one row per node, comma-separated tokens that
   ``float()`` accepts; blank (empty or whitespace-only) lines are skipped;
   the row count defines the node count;
-* ``labels.csv``      lines ``node_id,class_id``; unlabeled nodes omitted;
+* ``labels.csv``      one ``node_id,class_id`` line per labelled node;
 * ``splits.json``     object with integer arrays "train", "meta", "test".
 
 Two readers parse ``features.csv`` to the same bits. NumPy's C reader
@@ -218,6 +218,8 @@ def load_dataset(path) -> Dataset:
             raise DataError("label-node-range", f"labels.csv line {lineno}: node {v} missing")
         if c < 0:
             raise DataError("label-range", f"labels.csv line {lineno}: negative class id")
+        if labels[v] >= 0:
+            raise DataError("duplicate-label", f"labels.csv line {lineno} labels node {v} again")
         labels[v] = c
     if not np.any(labels >= 0):
         raise DataError("label-parse", "labels.csv defines no labels")

@@ -132,6 +132,20 @@ class StepRecord:
         """The fields by name; a level without samples records null, since JSON has no NaN."""
         return {**vars(self), "mean_alpha": [None if np.isnan(a) else a for a in self.mean_alpha]}
 
+    @classmethod
+    def from_dict(cls, rec: dict) -> StepRecord:
+        """The inverse of ``to_dict``, each field read as its type; a null alpha reads back as NaN."""
+        return cls(
+            step=int(rec["step"]),
+            lr1=float(rec["lr1"]),
+            lr2=float(rec["lr2"]),
+            train_loss=float(rec["train_loss"]),
+            meta_loss=float(rec["meta_loss"]),
+            mean_alpha=[float("nan") if a is None else float(a) for a in rec["mean_alpha"]],
+            grad_w_norm=float(rec["grad_w_norm"]),
+            grad_theta_norm=float(rec["grad_theta_norm"]),
+        )
+
 
 @dataclass
 class AdamState:

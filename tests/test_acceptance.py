@@ -6,11 +6,14 @@ asserts the same condition, with tolerances pinned inline.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import json
 import os
 import re
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,23 +207,93 @@ DETERMINISM_VARIANTS = {
 }
 
 
-@pytest.mark.bitwise
-@pytest.mark.parametrize("variant", list(DETERMINISM_VARIANTS))
-def test_criterion_10_determinism(tmp_path, variant):
+def _criterion_10_config(tmp_path, variant: str, output: str):
     doc = {
         "dataset": {"synthetic": {"nodes": 60, "classes": 3, "hyperedges": 40, "dim": 8}},
         "model": {"hidden": 16},
         "mwn": {"hidden": 20},
         "train": {"steps": 8},
         "seed": 11,
-        "output": str(tmp_path / "run.json"),
+        "output": output,
     }
     for section, keys in DETERMINISM_VARIANTS[variant].items():
         doc[section].update(keys)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("variant", list(DETERMINISM_VARIANTS))
+def test_criterion_10_determinism(tmp_path, variant):
+    cfg = _criterion_10_config(tmp_path, variant, str(tmp_path / "run.json"))
     assert cli.main(["train", str(cfg)]) == 0
     first = (tmp_path / "run.json").read_bytes()
     assert cli.main(["train", str(cfg)]) == 0
     ok = (tmp_path / "run.json").read_bytes() == first
     _report(10, ok, f"{variant}: two runs, {len(first)} artifact bytes, byte-identical: {ok}")
+
+
+def _openblas_config() -> str | None:
+    """The run-time configuration line of NumPy's bundled OpenBLAS, kernel family included; None if there is none."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        get_config = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_config64_", None)
+        if get_config is not None:
+            get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+            return get_config().decode()
+    return None
+
+
+# sha256 of each criterion-10 artifact and of its `train` stdout, written to the
+# relative path run.json so that no directory name enters them. The bits of a
+# product depend on the BLAS kernels, so the pins hold only for the NumPy build
+# and OpenBLAS configuration they were taken on; one and two BLAS threads gave
+# the same hashes there. A change that moves artifact bits on purpose (a
+# re-baseline) updates this table and says so.
+PINNED_NUMPY = "2.4.6"
+PINNED_OPENBLAS = "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"
+PINNED_SHA256 = {
+    "default": (
+        "63b64a8adb05584af145649311952f0c90d5c9f66b020ba9ebec4b8611175bd3",
+        "173ffaea3d611de6386c90a617b7c406937d08e2e7b6e0641edb6bebab8247e3",
+    ),
+    "independent": (
+        "5d0cd654ba1fe6f6563e21ced7e401df9424d2c4fa9198e0e0c8f68e5069079d",
+        "e6681ce0e2596493bd9af2de0c1e6ae84639cb92318ddacb137b4f2b59b8f3c4",
+    ),
+    "pinned-batch": (
+        "180adf979973c7473e44accfcc1fee32617337fa03acbde48426e91080c2c966",
+        "ae4ba4ff2ebf42b4a267e613741654e8bb02a4ad6e6be5159dc0074178ae97e5",
+    ),
+    "pinned-ss": (
+        "e427f110f16dd1255d4e13fa291c4b1e875d5785c64b06330bcfa0095136038f",
+        "4628b5f36288f775434f19576bc6c84b146ddf7c3392d9f5b0163061836d39fd",
+    ),
+    "pinned-fs": (
+        "a170bf87ca355deca59efe6f3c43514a3f6812bef030544f1d7d615016b86c29",
+        "2ba2900674d6f6bc8e60d812cc35381512a490d86a7c4cc218fd8d31999088bd",
+    ),
+    "dropout-decay-adam": (
+        "7e4b69675bd9aba7d63808979640ddabecd45fea9a56494ff2bc9b7d5c6f2d42",
+        "e127348f19830ca8c6073139677c08173783ae7ce2b9b0120d67981ad596e5a0",
+    ),
+    "layers3-log1p": (
+        "1e805d925b4b68bc0ecfcab8c9a2cd9338f26fb24af99718f44a8a8e61e6bfa3",
+        "7212005ac4b442c32ab5f273b0f7d029e6e4b5d25fac24b4bef45517d47393ba",
+    ),
+}
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("variant", list(DETERMINISM_VARIANTS))
+def test_criterion_10_bytes_are_pinned(tmp_path, monkeypatch, capsys, variant):
+    found = (np.__version__, _openblas_config())
+    if found != (PINNED_NUMPY, PINNED_OPENBLAS):
+        pytest.skip(f"the pins hold for NumPy {PINNED_NUMPY} with {PINNED_OPENBLAS!r}; this is {found}")
+    monkeypatch.chdir(tmp_path)
+    cfg = _criterion_10_config(tmp_path, variant, "run.json")
+    capsys.readouterr()
+    assert cli.main(["train", str(cfg)]) == 0
+    artifact = hashlib.sha256((tmp_path / "run.json").read_bytes()).hexdigest()
+    stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (artifact, stdout) == PINNED_SHA256[variant]

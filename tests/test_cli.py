@@ -18,7 +18,7 @@ from hgmeta.config import parse_config
 from hgmeta.data import SyntheticSpec, generate_synthetic, save_dataset
 from hgmeta.errors import ConfigError, TrainingError
 from hgmeta.mwn import weighted_alpha_theta_grad
-from hgmeta.trainer import TrainSettings, ScheduleSpec, train
+from hgmeta.trainer import StepRecord, TrainSettings, ScheduleSpec, train
 
 from test_data import write_toy_dataset
 
@@ -529,6 +529,14 @@ class TestEvalCommand:
             "hgnn-section-a-list",
             "undecodable-extra-entry",
             "unknown-entry",
+            "fractional-k",
+            "fractional-requested-k",
+            "layout-names-no-parameter",
+            "steps-run-unlike-the-history",
+            "lr1-a-string",
+            "fractional-step",
+            "extra-history-key",
+            "extra-top-level-key",
         ],
     )
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, mangle):
@@ -577,6 +585,22 @@ class TestEvalCommand:
             doc["checkpoint"]["mwn"]["extra"] = "not an array"
         elif mangle == "unknown-entry":
             doc["checkpoint"]["hgnn"]["extra"] = doc["checkpoint"]["hgnn"]["a0"]
+        elif mangle == "fractional-k":
+            doc["partition"]["k"] = 2.7
+        elif mangle == "fractional-requested-k":
+            doc["partition"]["requested_k"] = 2.9
+        elif mangle == "layout-names-no-parameter":
+            doc["checkpoint"]["hgnn_layout"][0]["name"] = "zz"
+        elif mangle == "steps-run-unlike-the-history":
+            doc["steps_run"] = 99
+        elif mangle == "lr1-a-string":
+            doc["history"][0]["lr1"] = str(doc["history"][0]["lr1"])
+        elif mangle == "fractional-step":
+            doc["history"][1]["step"] = 2.7
+        elif mangle == "extra-history-key":
+            doc["history"][0]["extra"] = 1
+        elif mangle == "extra-top-level-key":
+            doc["extra"] = 1
         else:
             doc["config"]["schedules"]["kind"] = "cosine"
         (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -846,6 +870,33 @@ class TestArtifactRoundTrip:
         restored = state_from_artifact(artifact)
         assert restored.step == state.step
         assert [r.to_dict() for r in restored.history] == [r.to_dict() for r in state.history]
+
+    def test_integral_float_k_evaluates(self, tmp_path):
+        # the config accepts an integral float for an integer, and so does the artifact
+        assert cli.main(["train", str(tiny_config(tmp_path))]) == 0
+        doc = json.loads((tmp_path / "run.json").read_text())
+        doc["partition"]["k"] = 2.0
+        (tmp_path / "edited.json").write_text(json.dumps(doc))
+        assert cli.main(["eval", str(tmp_path / "edited.json"), "--regen"]) == 0
+
+    def test_step_record_round_trips_a_nan_alpha(self):
+        rec = StepRecord(
+            step=3, lr1=0.02, lr2=0.5, train_loss=1.25, meta_loss=0.75,
+            mean_alpha=[0.4, float("nan")], grad_w_norm=2.0, grad_theta_norm=0.0,
+        )
+        back = StepRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
+        assert back.to_dict()["mean_alpha"] == [0.4, None]
+        # NaN is unequal to itself, so compare as assert_equal does, NaN matching NaN
+        np.testing.assert_equal(vars(back), vars(rec))
+        assert [type(v) for v in vars(back).values()] == [int, float, float, float, float, list, float, float]
+
+    def test_each_history_record_is_decoded_once(self, tmp_path, monkeypatch):
+        assert cli.main(["train", str(tiny_config(tmp_path, train={"steps": 40}))]) == 0
+        decoded = []
+        from_dict = StepRecord.from_dict.__func__
+        monkeypatch.setattr(StepRecord, "from_dict", classmethod(lambda cls, rec: decoded.append(rec) or from_dict(cls, rec)))
+        state = state_from_artifact(load_run_artifact(tmp_path / "run.json"))
+        assert len(decoded) == len(state.history) == 40
 
     def test_history_row_count_matches_steps(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(nodes=24, classes=2, hyperedges=12, dim=4), seed=5)

@@ -106,6 +106,14 @@ class TestLoad:
             load_dataset(root)
         assert err.value.code == "duplicate-member"
 
+    def test_node_labelled_twice(self, tmp_path):
+        # the last line does not silently win: the repeat is refused with its line number
+        root = write_toy_dataset(tmp_path / "toy", label_lines=[f"{v},0" for v in range(7)] + ["0,1"])
+        with pytest.raises(DataError) as err:
+            load_dataset(root)
+        assert err.value.code == "duplicate-label"
+        assert "labels.csv line 8 labels node 0 again" in str(err.value)
+
     def test_hyperedge_referencing_missing_node(self, tmp_path):
         root = write_toy_dataset(tmp_path / "toy", edges=["0 12"])
         with pytest.raises(DataError) as err:
