@@ -7,12 +7,13 @@ float64 buffers, so a reload restores them bit-for-bit and two runs with the
 same configuration and seed produce byte-identical files.
 
 The writer is the schema: ``_document`` states the format once. The reader
-decodes a document into the run's ``TrainState`` and accepts it only if
-``_document`` writes that state back as the document it read. So an entry
-the reader does not read, a number its reads would truncate or reinterpret,
-and a restated value unlike what it restates (``hgnn_layout``, ``mwn_meta``,
-``steps_run``, the config echo) are all refused by one comparison. The
-reader checks by hand only what one section says about another.
+parses the config echo, the one statement of every run setting, decodes the
+rest into the run's ``TrainState`` and accepts it only if ``_document``
+writes that state back as the document it read, a boolean equalling only a
+boolean. So an unread entry, a number its reads would truncate or reinterpret
+and a value unlike what it restates (``hgnn_layout``, ``mwn_meta``,
+``requested_k``, ``steps_run``) are refused by one comparison; by hand the
+reader checks only what one section says about another.
 """
 
 from __future__ import annotations
@@ -112,41 +113,49 @@ def load_run_artifact(path) -> RunArtifact:
 
 
 def _decode(doc: dict) -> RunArtifact:
-    ck, part = doc["checkpoint"], doc["partition"]
+    config = parse_config(doc["config"])
+    settings, ck, part = config.settings, doc["checkpoint"], doc["partition"]
     history = [StepRecord.from_dict(rec) for rec in doc["history"]]
     state = TrainState(
         hgnn=HGNNParams.from_named(_decode_named(ck["hgnn"])),
-        mwn=MWNParams.from_named(_decode_named(ck["mwn"]), ck["mwn_meta"]["mode"], ck["mwn_meta"]["log1p_inputs"]),
+        mwn=MWNParams.from_named(_decode_named(ck["mwn"]), settings.mwn_mode, settings.mwn_log1p),
         # labels keep their JSON type, so that the partition's id check refuses a float
         partition=Partition(
             centroids=np.asarray(part["centroids"], dtype=np.float64),
             labels=np.asarray(part["labels"]),
             k=_integer(part["k"], "partition.k"),
-            requested_k=_integer(part["requested_k"], "partition.requested_k"),
+            requested_k=settings.k,  # training asks for the echo's partition.k
         ),
         step=len(history),
         history=history,
     )
-    config = parse_config(doc["config"])
     written = _document(config.echo, state, doc["metrics"])
-    if written != doc:
-        unlike = sorted(key for key in written.keys() | doc.keys() if written.get(key) != doc.get(key))
+    if not _same(written, doc):
+        unlike = sorted(key for key in written.keys() | doc.keys() if not _same(written.get(key), doc.get(key)))
         raise DataError("artifact-schema", f"{unlike} differ from what the decoded run writes back")
     if not isinstance(doc["metrics"], dict):
         raise DataError("artifact-schema", "metrics must be a JSON object")
-    k, settings = state.partition.k, config.settings
-    if state.mwn.k != k:
-        raise DataError("artifact-schema", f"mwn_meta.k is {state.mwn.k}, partition.k is {k}")
+    k = state.partition.k
+    # the classifier's hidden widths (so its layer count), the weight net's width and its heads, one per level
+    shape = [w.shape[1] for w in state.hgnn.weights[:-1]], state.mwn.hidden, state.mwn.k
+    stated = [settings.hidden] * (settings.layers - 1), settings.mwn_hidden, k
+    if shape != stated:
+        raise DataError("artifact-schema", f"the checkpoint's widths and heads are {shape}, not {stated}")
     # training records one mean alpha per overlap level, which predict and evaluate index by level
     unlike = [rec.step for rec in history if len(rec.mean_alpha) != k]
     if unlike:
         raise DataError("artifact-schema", f"step {unlike[0]}: mean_alpha needs partition.k = {k} entries")
-    layers = state.hgnn.num_layers
-    if layers != settings.layers:
-        raise DataError("artifact-schema", f"checkpoint has {layers} layers, model.layers is {settings.layers}")
-    if state.partition.requested_k != settings.k:  # training asks for the echo's partition.k
-        raise DataError("artifact-schema", f"partition.requested_k is {state.partition.requested_k}, not {settings.k}")
     return RunArtifact(config=config, state=state, history=written["history"], metrics=doc["metrics"])
+
+
+def _same(written, read) -> bool:
+    """``written == read`` for JSON values, except that a boolean equals only a boolean (Python has ``True == 1``)."""
+    if type(written) is dict:
+        same_keys = type(read) is dict and written.keys() == read.keys()
+        return same_keys and all(map(_same, written.values(), map(read.__getitem__, written)))
+    if type(written) is list:
+        return type(read) is list and len(written) == len(read) and all(map(_same, written, read))
+    return written == read and (type(written) is bool) == (type(read) is bool)
 
 
 def state_from_artifact(artifact: RunArtifact) -> TrainState:

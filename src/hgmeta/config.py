@@ -4,6 +4,10 @@ Every default is materialized into the echoed config embedded in the run
 artifact, so an artifact alone is enough to rerun the experiment. Unknown
 keys anywhere in the document are rejected.
 
+The defaults are the library's, read from ``TrainSettings(steps=200)``
+through one table, ``_FIELDS``, which also reads the parsed sections back
+into the run's ``TrainSettings``.
+
 Each section, merged over its defaults, is itself its echo, and the
 settings are read from it. Integer and float settings echo typed, as the
 int or float they convert to (``"hidden": 6.0`` echoes ``6`` and
@@ -26,16 +30,21 @@ from .errors import ConfigError, ContractError
 from .mwn import OUTPUT_MODES
 from .trainer import META_SOURCES, OPTIMIZERS, SCHEDULE_KINDS, ScheduleSpec, TrainSettings
 
-_MODEL_DEFAULTS = {"layers": 2, "hidden": 64, "dropout": 0.0, "weight_decay": 0.0}
-_MWN_DEFAULTS = {"hidden": 100, "output_mode": "complementary", "log1p": False}
-_SCHEDULE_DEFAULTS = {"kind": "inverse-sqrt", "c1": 0.02, "c2": 1.0, "m_hat": 10.0}
-_TRAIN_DEFAULTS = {
-    "steps": 200,
-    "batch": None,
-    "meta_source": "meta-split",
-    "pin_alpha": None,
-    "optimizer": "gd",
+# every setting but the schedules and the seed, by section: its key there and its TrainSettings field
+_FIELDS = {
+    "model": {"layers": "layers", "hidden": "hidden", "dropout": "dropout", "weight_decay": "weight_decay"},
+    "partition": {"k": "k"},
+    "mwn": {"hidden": "mwn_hidden", "output_mode": "mwn_mode", "log1p": "mwn_log1p"},
+    "train": {
+        "steps": "steps", "batch": "batch_size", "meta_source": "meta_source",
+        "pin_alpha": "pin_alpha", "optimizer": "optimizer",
+    },
 }
+# each section's defaults are the library's: the fields of TrainSettings and of its two schedules
+_DEFAULT = TrainSettings(steps=200)
+_DEFAULTS = {section: {key: getattr(_DEFAULT, f) for key, f in keys.items()} for section, keys in _FIELDS.items()}
+_S1, _S2 = _DEFAULT.schedule1, _DEFAULT.schedule2
+_DEFAULTS["schedules"] = {"kind": _S1.kind, "c1": _S1.c, "c2": _S2.c, "m_hat": _S1.m_hat}
 # JSON has no tuples, so the pairs and triples of the generator echo as arrays
 _SYNTH_DEFAULTS = {
     f.name: list(f.default) if isinstance(f.default, tuple) else f.default for f in fields(SyntheticSpec)
@@ -56,7 +65,8 @@ class RunConfig:
 def _take(section: dict, defaults: dict, where: str, ints=(), floats=()) -> dict:
     """``section`` merged over ``defaults``: the section's echo.
 
-    The ``ints`` and ``floats`` keys are converted in place, in that order.
+    The ``ints`` and ``floats`` keys are converted in place, in that order;
+    a null stays null where its default is null.
     """
     _require(isinstance(section, dict), f"{where} must be a JSON object")
     unknown = set(section) - set(defaults)
@@ -65,14 +75,9 @@ def _take(section: dict, defaults: dict, where: str, ints=(), floats=()) -> dict
     merged = {**defaults, **section}
     for keys, convert in ((ints, _integer), (floats, _float)):
         for key in keys:
-            merged[key] = convert(merged[key], f"{where}.{key}")
+            if merged[key] is not None or defaults[key] is not None:
+                merged[key] = convert(merged[key], f"{where}.{key}")
     return merged
-
-
-def _number(section: dict, key: str, where: str, kind: type):
-    """``section[key]`` as an int or a float; see ``_integer`` and ``_float``."""
-    convert = _integer if kind is int else _float
-    return convert(section[key], f"{where}.{key}")
 
 
 def _integer(value, where: str) -> int:
@@ -136,45 +141,42 @@ def parse_config(doc: dict) -> RunConfig:
         synth = _take(dataset["synthetic"], _SYNTH_DEFAULTS, "dataset.synthetic")
         _require(synth["bias"] in BIAS_KINDS, f"dataset.synthetic.bias must be one of {BIAS_KINDS}")
         # the scalars echo as written; the spec takes them converted
-        ints = {key: _number(synth, key, "dataset.synthetic", int) for key in ("nodes", "classes", "hyperedges", "dim")}
-        floats = {
-            key: _number(synth, key, "dataset.synthetic", float)
-            for key in ("homophily", "noise", "signal", "bias_fraction")
-        }
+        ints, floats = ("nodes", "classes", "hyperedges", "dim"), ("homophily", "noise", "signal", "bias_fraction")
+        typed = _take(synth, _SYNTH_DEFAULTS, "dataset.synthetic", ints, floats)
         for key in ("size_range", "split_fractions"):
             _require(isinstance(synth[key], list), f"dataset.synthetic.{key} must be an array")
         synth["size_range"] = [_integer(v, "dataset.synthetic.size_range") for v in synth["size_range"]]
         synth["split_fractions"] = [_float(v, "dataset.synthetic.split_fractions") for v in synth["split_fractions"]]
         tuples = {key: tuple(synth[key]) for key in ("size_range", "split_fractions")}
         try:
-            synthetic = SyntheticSpec(**{**synth, **ints, **floats, **tuples}).validated()
+            synthetic = SyntheticSpec(**{**typed, **tuples}).validated()
         except (ContractError, TypeError, ValueError) as exc:
             raise ConfigError(f"dataset.synthetic: {exc}") from exc
         dataset_echo = {"synthetic": synth}
 
-    model = _take(doc.get("model", {}), _MODEL_DEFAULTS, "model", ("layers", "hidden"), ("dropout", "weight_decay"))
+    model = _take(doc.get("model", {}), _DEFAULTS["model"], "model", ("layers", "hidden"), ("dropout", "weight_decay"))
     _require(model["layers"] >= 1, "model.layers must be >= 1")
     _require(model["hidden"] >= 1, "model.hidden must be >= 1")
     _require(0.0 <= model["dropout"] < 1.0, "model.dropout must lie in [0, 1)")
     _require(model["weight_decay"] >= 0.0, "model.weight_decay must be >= 0")
 
-    part = _take(doc.get("partition", {}), {"k": 3}, "partition", ("k",))
+    part = _take(doc.get("partition", {}), _DEFAULTS["partition"], "partition", ("k",))
     _require(part["k"] >= 1, "partition.k must be >= 1")
 
-    mwn = _take(doc.get("mwn", {}), _MWN_DEFAULTS, "mwn", ("hidden",))
+    mwn = _take(doc.get("mwn", {}), _DEFAULTS["mwn"], "mwn", ("hidden",))
     _require(mwn["output_mode"] in OUTPUT_MODES, f"mwn.output_mode must be one of {OUTPUT_MODES}")
     _require(mwn["hidden"] >= 1, "mwn.hidden must be >= 1")
     _require(isinstance(mwn["log1p"], bool), "mwn.log1p must be a boolean")
 
-    sched = _take(doc.get("schedules", {}), _SCHEDULE_DEFAULTS, "schedules", floats=("c1", "c2", "m_hat"))
+    sched = _take(doc.get("schedules", {}), _DEFAULTS["schedules"], "schedules", floats=("c1", "c2", "m_hat"))
     _require(sched["kind"] in SCHEDULE_KINDS, f"schedules.kind must be one of {SCHEDULE_KINDS}")
     _require(sched["c1"] >= 0 and sched["c2"] >= 0, "schedule constants must be >= 0")
     _require(sched["m_hat"] > 0, "schedules.m_hat must be > 0")
 
-    train = _take(doc.get("train", {}), _TRAIN_DEFAULTS, "train", ("steps",))
-    # batch and pin_alpha echo as written
-    batch = None if train["batch"] is None else _number(train, "batch", "train", int)
-    pin_alpha = None if train["pin_alpha"] is None else _number(train, "pin_alpha", "train", float)
+    train = _take(doc.get("train", {}), _DEFAULTS["train"], "train", ("steps",))
+    # batch and pin_alpha echo as written; the settings take them converted
+    typed_train = _take(train, _DEFAULTS["train"], "train", ("batch",), ("pin_alpha",))
+    batch, pin_alpha = typed_train["batch"], typed_train["pin_alpha"]
     _require(train["steps"] >= 0, "train.steps must be >= 0")
     _require(batch is None or batch >= 1, "train.batch must be null or a positive integer")
     _require(train["meta_source"] in META_SOURCES, "train.meta_source must be " + " or ".join(map(repr, META_SOURCES)))
@@ -188,23 +190,12 @@ def parse_config(doc: dict) -> RunConfig:
     output = doc.get("output", "run.json")
     _require(isinstance(output, str), "output must be a string path")
 
+    sections = {"model": model, "partition": part, "mwn": mwn, "train": typed_train}
     settings = TrainSettings(
-        steps=train["steps"],
         schedule1=ScheduleSpec(kind=sched["kind"], c=sched["c1"], m_hat=sched["m_hat"]),
         schedule2=ScheduleSpec(kind=sched["kind"], c=sched["c2"], m_hat=sched["m_hat"]),
-        layers=model["layers"],
-        hidden=model["hidden"],
-        k=part["k"],
-        mwn_hidden=mwn["hidden"],
-        mwn_mode=mwn["output_mode"],
-        mwn_log1p=mwn["log1p"],
         seed=seed,
-        batch_size=batch,
-        meta_source=train["meta_source"],
-        pin_alpha=pin_alpha,
-        optimizer=train["optimizer"],
-        weight_decay=model["weight_decay"],
-        dropout=model["dropout"],
+        **{field: sections[section][key] for section, keys in _FIELDS.items() for key, field in keys.items()},
     )
     echo = {
         "dataset": dataset_echo,

@@ -207,22 +207,20 @@ class Hypergraph:
         if hops < 0:
             raise ContractError("hops must be nonnegative")
         arrays = self._arrays
-        degrees, sizes = arrays["node_degrees"], arrays["edge_sizes"]
+        pair_nodes, pair_edges = arrays["pair_nodes"], arrays["pair_edges"]
         in_field = np.zeros(self.num_nodes, dtype=bool)
         in_field[ids] = True
-        frontier = np.flatnonzero(in_field)
+        touched = np.zeros(self.num_hyperedges, dtype=bool)
         for _ in range(hops):
-            touched = np.unique(arrays["pair_edges"][_ranges(self._node_starts[frontier], degrees[frontier])])
-            reached = arrays["member_nodes"][_ranges(self._member_starts[touched], sizes[touched])]
-            frontier = np.unique(reached[~in_field[reached]])
-            in_field[frontier] = True
-        nodes = np.flatnonzero(in_field)
-        pairs = _ranges(self._node_starts[nodes], degrees[nodes])
+            touched[pair_edges[in_field[pair_nodes]]] = True
+            in_field[arrays["member_nodes"][touched[arrays["member_edges"]]]] = True
+        pairs = np.flatnonzero(in_field[pair_nodes])
+        touched[pair_edges[pairs]] = True
         return ReceptiveField(
             ids=_frozen_ints(ids),
             hops=hops,
-            nodes=_frozen_ints(nodes),
-            edges=_frozen_ints(np.unique(arrays["pair_edges"][pairs])),
+            nodes=_frozen_ints(np.flatnonzero(in_field)),
+            edges=_frozen_ints(np.flatnonzero(touched)),
             pairs=_frozen_ints(pairs),
             graph=self,
         )

@@ -327,8 +327,8 @@ def build_branch_graph(
 ) -> BranchGraph:
     """The loss graph of one branch for ``ids``, on a fresh ``taped_forward`` of that branch.
 
-    Nothing in the package calls it: the benchmark's layer table still wraps
-    it by name, so it stays until that table drops it.
+    ``verify.hgnn_gradient_check`` builds each of its loss graphs here, and
+    the benchmark's layer table times it by name.
     """
     return taped_forward(g, X, params, dropout_masks, (branch,)).losses(y, ids)[0]
 

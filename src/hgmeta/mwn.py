@@ -138,7 +138,7 @@ def alpha_beta_graph(tape: Tape, losses: Tensor, tasks, params: MWNParams) -> tu
             raw = T.concat_cols(raw, T.slice_cols(head, j, j + 1))
         outputs.append(T.sigmoid(T.row_sum(T.mul(raw, mask_t))))
     if params.mode == "complementary":
-        outputs.append(T.add(T.scale(outputs[0], -1.0), tape.constant(np.ones((n, 1)))))
+        outputs.append(T.sub(tape.constant(np.ones((n, 1))), outputs[0]))
     alpha, beta = outputs
     return alpha, beta
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .data import Dataset, Splits
 from .hypergraph import Hypergraph
 from .model import BRANCHES, HGNNParams, branch_losses, taped_forward
@@ -76,7 +77,7 @@ def hgnn_gradient_check(
     seed: int = 0,
     eps: float = 1e-4,
 ) -> dict[str, float]:
-    """Max relative backward-vs-numeric error per branch on a random toy."""
+    """Max relative backward-vs-numeric error per branch on a random toy, each loss built by ``model.build_branch_graph``."""
     ds = random_toy_dataset(nodes=nodes, classes=classes, seed=seed)
     ids = np.asarray(ds.splits.train + ds.splits.meta, dtype=np.int64)
     template = HGNNParams.init(
@@ -88,8 +89,7 @@ def hgnn_gradient_check(
     for branch in ("ss", "fs"):
 
         def build(params: dict[str, Array], branch=branch):
-            forward = taped_forward(ds.graph, ds.features, HGNNParams.from_named(params), branches=(branch,))
-            (graph,) = forward.losses(ds.labels, ids)
+            graph = model.build_branch_graph(ds.graph, ds.features, ds.labels, ids, HGNNParams.from_named(params), branch)
             return graph.tape, graph.mean_loss
 
         report[branch] = finite_diff_check(build, dict(template.param_items()), eps=eps)

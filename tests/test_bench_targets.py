@@ -8,7 +8,9 @@ benchmark, and a step that stopped calling them would silently drop the
 step clock or the probe sites. A weight-net step must not call
 ``meta_loss_value`` either: each call adds speed-probe sites to the step.
 Evaluation and prediction must run the classifier through ``model.forward``,
-which the layer table times, or ``model.forward_s`` reads 0.
+which the layer table times, or ``model.forward_s`` reads 0. Likewise a
+complementary weight-net pass takes beta through ``tensor.sub``, and the
+gradient check builds its loss graphs through ``model.build_branch_graph``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hgmeta import model, trainer
+from hgmeta import model, tensor, trainer, verify
 from hgmeta.partition import assign_levels
 from hgmeta.tensor import Tape
 from hgmeta.trainer import TrainSettings, train
@@ -123,3 +125,42 @@ def test_evaluate_and_each_predict_call_the_wrapped_forward_once(monkeypatch, we
         _, scores = trainer.predict(state, dataset, ids, mode)
         assert calls == [branches], mode
     assert scores.tobytes() == formula.tobytes()
+
+
+# per step: the settings, and the tensor.sub calls they make
+SUB_CALLS = {
+    "weight-net-complementary": (dict(mwn_mode="complementary"), 3),
+    "weight-net-independent": (dict(mwn_mode="independent"), 0),
+    "pinned": (dict(pin_alpha=1.0), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(SUB_CALLS))
+def test_complementary_beta_is_one_sub_per_weight_net_pass(name, monkeypatch):
+    # probe, meta and commit each take beta = 1 - alpha once; the benchmark times tensor.sub by name
+    calls = []
+    original = tensor.sub
+
+    def counted(a, b):
+        calls.append(b.shape)
+        return original(a, b)
+
+    monkeypatch.setattr(tensor, "sub", counted)
+    overrides, per_step = SUB_CALLS[name]
+    steps = 3
+    train(random_toy_dataset(nodes=12, seed=23), TrainSettings(steps=steps, hidden=8, k=2, mwn_hidden=8, **overrides))
+    assert len(calls) == steps * per_step
+
+
+def test_grad_check_builds_each_branch_through_the_wrapped_name(monkeypatch):
+    calls = []
+    original = model.build_branch_graph
+
+    def counted(*args, **kwargs):
+        calls.append(args[5])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model, "build_branch_graph", counted)
+    verify.hgnn_gradient_check()
+    assert sorted(set(calls)) == sorted(model.BRANCHES)
+    assert calls.count("ss") == calls.count("fs")

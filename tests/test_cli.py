@@ -537,6 +537,14 @@ class TestEvalCommand:
             "fractional-step",
             "extra-history-key",
             "extra-top-level-key",
+            "echo-mode-unlike-the-checkpoint",
+            "echo-log1p-unlike-the-checkpoint",
+            "echo-hidden-unlike-the-checkpoint",
+            "echo-mwn-hidden-unlike-the-checkpoint",
+            "step-a-boolean",
+            "lr1-a-boolean",
+            "labels-booleans",
+            "log1p-inputs-a-number",
         ],
     )
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, mangle):
@@ -601,6 +609,23 @@ class TestEvalCommand:
             doc["history"][0]["extra"] = 1
         elif mangle == "extra-top-level-key":
             doc["extra"] = 1
+        elif mangle == "echo-mode-unlike-the-checkpoint":
+            doc["config"]["mwn"]["output_mode"] = "independent"
+        elif mangle == "echo-log1p-unlike-the-checkpoint":
+            doc["config"]["mwn"]["log1p"] = True
+        elif mangle == "echo-hidden-unlike-the-checkpoint":
+            doc["config"]["model"]["hidden"] = 16
+        elif mangle == "echo-mwn-hidden-unlike-the-checkpoint":
+            doc["config"]["mwn"]["hidden"] = 20
+        elif mangle == "step-a-boolean":
+            assert doc["history"][0]["step"] == 1
+            doc["history"][0]["step"] = True
+        elif mangle == "lr1-a-boolean":
+            doc["history"][0]["lr1"] = True
+        elif mangle == "labels-booleans":
+            doc["partition"]["labels"] = [bool(v) for v in doc["partition"]["labels"]]
+        elif mangle == "log1p-inputs-a-number":
+            doc["checkpoint"]["mwn_meta"]["log1p_inputs"] = 0
         else:
             doc["config"]["schedules"]["kind"] = "cosine"
         (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -675,7 +700,8 @@ class TestEmitLosses:
         state, metrics = train(ds, settings)
         zeroed = state.hgnn.with_vec(np.zeros(state.hgnn.flatten().size))
         state.hgnn = zeroed
-        save_run_artifact(tmp_path / "run.json", config_echo(seed=0, partition={"k": 2}), state, metrics)
+        echo = config_echo(seed=0, partition={"k": 2}, model={"hidden": 4}, mwn={"hidden": 4}, train={"steps": 0})
+        save_run_artifact(tmp_path / "run.json", echo, state, metrics)
         rc = cli.main(
             [
                 "emit-losses",
@@ -861,7 +887,10 @@ class TestArtifactRoundTrip:
             schedule1=ScheduleSpec(c=0.02), schedule2=ScheduleSpec(c=0.5),
         )
         state, metrics = train(ds, settings)
-        save_run_artifact(tmp_path / "a.json", config_echo(seed=1, partition={"k": 2}), state, metrics)
+        echo = config_echo(
+            seed=1, partition={"k": 2}, model={"hidden": 5}, mwn={"hidden": 6}, schedules={"c2": 0.5}, train={"steps": 2}
+        )
+        save_run_artifact(tmp_path / "a.json", echo, state, metrics)
         artifact = load_run_artifact(tmp_path / "a.json")
         np.testing.assert_array_equal(artifact.hgnn.flatten(), state.hgnn.flatten())
         np.testing.assert_array_equal(artifact.mwn.flatten(), state.mwn.flatten())
@@ -901,5 +930,6 @@ class TestArtifactRoundTrip:
     def test_history_row_count_matches_steps(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(nodes=24, classes=2, hyperedges=12, dim=4), seed=5)
         state, metrics = train(ds, TrainSettings(steps=4, k=2, hidden=5, mwn_hidden=6, seed=2))
-        save_run_artifact(tmp_path / "a.json", config_echo(partition={"k": 2}), state, metrics)
+        echo = config_echo(seed=2, partition={"k": 2}, model={"hidden": 5}, mwn={"hidden": 6}, train={"steps": 4})
+        save_run_artifact(tmp_path / "a.json", echo, state, metrics)
         assert len(load_run_artifact(tmp_path / "a.json").history) == 4
