@@ -149,13 +149,13 @@ def _decode(doc: dict) -> RunArtifact:
 
 
 def _same(written, read) -> bool:
-    """``written == read`` for JSON values, except that a boolean equals only a boolean (Python has ``True == 1``)."""
+    """``written == read`` for JSON values as lists compare them: a value, NaN too, is itself; ``True == 1`` is false."""
     if type(written) is dict:
         same_keys = type(read) is dict and written.keys() == read.keys()
         return same_keys and all(map(_same, written.values(), map(read.__getitem__, written)))
     if type(written) is list:
         return type(read) is list and len(written) == len(read) and all(map(_same, written, read))
-    return written == read and (type(written) is bool) == (type(read) is bool)
+    return written is read or written == read and (type(written) is bool) == (type(read) is bool)
 
 
 def state_from_artifact(artifact: RunArtifact) -> TrainState:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -460,6 +461,24 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "mode=ss" in out
         assert "class0: precision=" in out
+
+    def test_an_artifact_with_an_empty_test_split_reloads(self, tmp_path, capsys):
+        cfg = json.loads(tiny_config(tmp_path).read_text())
+        cfg["dataset"]["synthetic"]["split_fractions"] = [0.5, 0.5, 0.0]
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert cli.main(["train", str(tmp_path / "config.json")]) == 0
+        assert math.isnan(json.loads((tmp_path / "run.json").read_text())["metrics"]["test_acc_blend"])
+        capsys.readouterr()
+        assert cli.main(["eval", str(tmp_path / "run.json"), "--regen"]) == 0
+        assert "accuracy=nan" in capsys.readouterr().out
+
+    def test_an_artifact_with_a_nan_loss_in_its_history_reloads(self, tmp_path):
+        assert cli.main(["train", str(tiny_config(tmp_path))]) == 0
+        doc = json.loads((tmp_path / "run.json").read_text())
+        doc["history"][-1]["train_loss"] = doc["history"][-1]["meta_loss"] = float("nan")
+        (tmp_path / "nan.json").write_text(json.dumps(doc))
+        artifact = load_run_artifact(tmp_path / "nan.json")
+        assert math.isnan(artifact.history[-1]["train_loss"])
 
     def test_dimension_mismatch_exits_3(self, tmp_path):
         cfg = tiny_config(tmp_path)
