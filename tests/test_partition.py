@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +50,22 @@ class TestKmeans:
     def test_empty_input_rejected(self):
         with pytest.raises(ContractError):
             kmeans_1d([], k=2)
+
+    @pytest.mark.parametrize("k", [True, False, np.bool_(True), 2.5, 3.0, np.float64(2.0), "3", None])
+    def test_a_k_that_is_not_an_integer_is_refused(self, k):
+        with pytest.raises(ContractError, match="k must be an integer"):
+            kmeans_1d([1.0, 2.0, 4.0], k)
+        no_valid_node = Hypergraph(3, []).overlap_vector([0, 1, 2])
+        with pytest.raises(ContractError, match="k must be an integer"):
+            fit_levels(no_valid_node, k)
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_a_numpy_integer_k_is_an_int(self, k):
+        part = kmeans_1d([1.0, 2.0, 8.0, 9.0], k)
+        assert part.centroids.tolist() == [1.5, 8.5]
+        assert part.requested_k == 2 and type(part.requested_k) is int
+        no_valid_node = Hypergraph(3, []).overlap_vector([0, 1, 2])
+        assert type(fit_levels(no_valid_node, k)[0].requested_k) is int
 
     def test_matches_brute_force_for_k2(self):
         rng = np.random.default_rng(0)
@@ -152,16 +171,54 @@ def _nearest(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.abs(values[:, None] - centroids[None, :]).argmin(axis=1)
 
 
-def lloyd_from_optimum(values, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference: Lloyd iterations from the DP optimum until the centroids stop moving.
+def loop_optimum(ordered: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: the per-end DP loop ``partition`` ran before its one-pass and divide-and-conquer paths.
+
+    For every end j of every level m it evaluates each start of the last run
+    and keeps the first minimum. Returns (run starts, run means) of the
+    SSE-optimal split of the sorted values into k runs.
+    """
+    n = ordered.size
+    prefix = np.concatenate([[0.0], np.cumsum(ordered)])
+    prefix_sq = np.concatenate([[0.0], np.cumsum(ordered**2)])
+
+    def run_costs(starts: np.ndarray, end: int) -> np.ndarray:
+        # SSE of ordered[s..end] for each start s (inclusive bounds)
+        sums = prefix[end + 1] - prefix[starts]
+        sqs = prefix_sq[end + 1] - prefix_sq[starts]
+        counts = end + 1 - starts
+        return sqs - sums * sums / counts
+
+    best = np.full((k + 1, n), np.inf)
+    split_at = np.zeros((k + 1, n), dtype=np.int64)
+    counts = np.arange(1, n + 1)
+    best[1] = prefix_sq[1:] - prefix[1:] ** 2 / counts
+    for m in range(2, k + 1):
+        for j in range(m - 1, n):
+            starts = np.arange(m - 1, j + 1)
+            candidates = best[m - 1][starts - 1] + run_costs(starts, j)
+            pick = int(candidates.argmin())
+            best[m][j] = candidates[pick]
+            split_at[m][j] = starts[pick]
+    run_starts = np.zeros(k, dtype=np.int64)
+    means = np.empty(k)
+    j = n - 1
+    for m in range(k, 0, -1):
+        i = split_at[m][j] if m > 1 else 0
+        run_starts[m - 1] = i
+        means[m - 1] = ordered[i : j + 1].mean()
+        j = i - 1
+    return run_starts, means
+
+
+def lloyd_from(values: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: Lloyd iterations from ``centroids`` until they stop moving.
 
     This is the loop ``kmeans_1d`` ran before it was cut to one re-average
     (max_iter 100, tol 1e-9), with the same ordering and merging afterwards.
     Returns (centroids, labels).
     """
-    values = np.asarray(values, dtype=np.float64)
-    k = min(k, np.unique(values).size)
-    centroids = partition._optimal_contiguous_means(np.sort(values), k)
+    k = centroids.size
     labels = _nearest(values, centroids)
     prev_sse = float(((values - centroids[labels]) ** 2).sum())
     for _ in range(100):
@@ -217,18 +274,130 @@ def _kmeans_inputs():
     return cases
 
 
+# the one-pass bound as shipped; tests below patch it to force one path
+SHIPPED_BOUND = partition._ONE_PASS_MAX
+
+
+def _large_kmeans_inputs():
+    """(values, k) cases above the one-pass bound, up to about 2000 values: uniform, small-integer
+    ratios, rounded values, runs of equal values and log-normal values, and the overlap of every
+    node of the Cora-CA-shaped graph with k from 1 to 5."""
+    rng = np.random.default_rng(43)
+    draws = [
+        lambda n: rng.uniform(0, 5, n),
+        lambda n: rng.integers(1, 9, n) / rng.integers(1, 9, n),
+        lambda n: np.round(rng.uniform(0, 3, n), int(rng.integers(0, 3))),
+        lambda n: np.repeat(rng.uniform(0, 5, n // 20), rng.integers(1, 40, n // 20)),
+        lambda n: rng.lognormal(0, 1, n),
+    ]
+    cases = [(draw(int(rng.integers(129, 2001))), int(rng.integers(1, 6))) for draw in draws for _ in range(4)]
+    g = generate_synthetic(LEVEL_GRAPHS["coraca"], 0).graph
+    vec = g.overlap_vector(range(g.num_nodes))
+    return cases + [(vec.values[vec.valid], k) for k in (1, 2, 3, 4, 5)]
+
+
+def _rounding_tied_kmeans_inputs():
+    """(values, k) cases whose optimal splits tie in exact arithmetic, so that rounding of the
+    candidate expression picks the split: arithmetic progressions with a step that is not a
+    dyadic fraction, and values mirrored around a centre; up to 120 values and above the bound."""
+    rng = np.random.default_rng(45)
+    cases = []
+    for n in [int(rng.integers(2, 121)) for _ in range(300)] + [int(rng.integers(129, 1501)) for _ in range(8)]:
+        if rng.random() < 0.5:
+            values = rng.uniform(-3, 3) + rng.uniform(0.01, 1) * np.arange(n)
+        else:
+            half = rng.uniform(0, 2, n // 2)
+            centre = rng.uniform(0, 3)
+            values = np.concatenate([centre - half, centre + half])
+        cases.append((values, int(rng.integers(2, 6))))
+    return cases
+
+
+@functools.cache
+def _loop_references():
+    """Every input of ``_kmeans_inputs``, ``_large_kmeans_inputs`` and ``_rounding_tied_kmeans_inputs``
+    with its per-end loop run starts, and the centroids and labels of Lloyd's loop from that optimum."""
+    refs = []
+    for values, k in _kmeans_inputs() + _large_kmeans_inputs() + _rounding_tied_kmeans_inputs():
+        ordered = np.sort(values)
+        starts, means = loop_optimum(ordered, min(k, np.unique(values).size))
+        refs.append((values, k, starts, *lloyd_from(values, means)))
+    return refs
+
+
 @pytest.mark.bitwise
-def test_kmeans_equals_lloyd_loop_from_the_optimum_byte_for_byte():
-    cases = _kmeans_inputs()
-    assert len(cases) >= 2000
+@pytest.mark.parametrize("one_pass_max", [SHIPPED_BOUND, 0, 600])
+def test_kmeans_equals_lloyd_loop_from_the_optimum_byte_for_byte(monkeypatch, one_pass_max):
+    """The run starts and the fit equal the per-end loop's on every input: at the shipped bound,
+    by divide and conquer alone (bound 0), and by one pass up to 600 values."""
+    monkeypatch.setattr(partition, "_ONE_PASS_MAX", one_pass_max)
+    refs = _loop_references()
+    assert len(refs) >= 2000 and sum(values.size > SHIPPED_BOUND for values, *_ in refs) >= 25
     ties = 0
-    for values, k in cases:
+    for values, k, starts, centroids, labels in refs:
+        ordered = np.sort(values)
+        assert partition._optimal_run_starts(ordered, starts.size).tobytes() == starts.tobytes()
         part = kmeans_1d(values, k)
-        centroids, labels = lloyd_from_optimum(values, k)
         assert part.centroids.tobytes() == centroids.tobytes()
         assert part.labels.tobytes() == labels.astype(np.int64).tobytes()
         ties += np.unique(values).size < values.size
     assert ties > 1000
+
+
+_edge_rng = np.random.default_rng(47)
+# (values, k) by name; the last two sit at the shipped one-pass bound and one above it
+EDGE_INPUTS = {
+    "one value": (np.array([2.5]), 3),
+    "two values": (np.array([3.0, 1.0]), 2),
+    "k is one": (_edge_rng.uniform(0, 5, 300), 1),
+    "k above the distinct values": (np.repeat([4.0, 1.0, 2.0], 100), 5),
+    "all equal": (np.full(300, 0.75), 4),
+    "two distinct values repeated": (np.tile([2.0, 1.0], 150), 3),
+    "at the bound": (_edge_rng.uniform(0, 5, SHIPPED_BOUND), 3),
+    "one above the bound": (_edge_rng.uniform(0, 5, SHIPPED_BOUND + 1), 3),
+}
+# the fit (centroids, k) of the inputs whose optimum is plain
+EDGE_FITS = {
+    "one value": ([2.5], 1),
+    "two values": ([1.0, 3.0], 2),
+    "k above the distinct values": ([1.0, 2.0, 4.0], 3),
+    "all equal": ([0.75], 1),
+    "two distinct values repeated": ([1.0, 2.0], 2),
+}
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("one_pass_max", [SHIPPED_BOUND, 0, 10**6])
+@pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
+def test_edge_cases_on_both_paths(monkeypatch, name, one_pass_max):
+    """Each edge input as shipped, by divide and conquer alone (bound 0) and by one pass alone."""
+    monkeypatch.setattr(partition, "_ONE_PASS_MAX", one_pass_max)
+    values, k = EDGE_INPUTS[name]
+    ordered = np.sort(values)
+    starts, means = loop_optimum(ordered, min(k, np.unique(values).size))
+    centroids, labels = lloyd_from(values, means)
+    assert partition._optimal_run_starts(ordered, starts.size).tobytes() == starts.tobytes()
+    part = kmeans_1d(values, k)
+    assert part.centroids.tobytes() == centroids.tobytes()
+    assert part.labels.tobytes() == labels.astype(np.int64).tobytes()
+    assert part.requested_k == k
+    if name in EDGE_FITS:
+        expected, levels = EDGE_FITS[name]
+        assert part.centroids.tolist() == expected and part.k == levels
+        np.testing.assert_array_equal(part.centroids[part.labels], values)
+
+
+def test_fit_memory_is_linear_in_the_number_of_values():
+    """20,000 values at k = 5 peak at a few MB: one (n, n) float64 array would be 3.2 GB."""
+    values = np.random.default_rng(53).uniform(0, 5, 20_000)
+    tracemalloc.start()
+    try:
+        part = kmeans_1d(values, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part.k == 5
+    assert peak < 12 * 2**20
 
 
 def _partition(**changes) -> Partition:
