@@ -3,7 +3,8 @@
 Commands: ``train``, ``eval``, ``analyze-overlap``, ``emit-losses``,
 ``grad-check``. Exit codes: 0 success, 2 configuration error (an artifact
 path whose directory does not exist among them), 3 data error (a failed
-output write among them), 4 numeric training failure, 5 gradient-check
+read of a dataset file, a failed output write and a standard output closed
+by its reader among them), 4 numeric training failure, 5 gradient-check
 tolerance breach.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -247,7 +249,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed the pipe early fails here, not at shutdown
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the shutdown flush of what is still buffered goes nowhere instead of failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("data error: standard output was closed before the output was written", file=sys.stderr)
+        return EXIT_DATA
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

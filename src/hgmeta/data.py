@@ -15,17 +15,34 @@ Two readers parse ``features.csv`` to the same bits. NumPy's C reader
 one ``float()`` per token, is the reference: it defines the grammar and
 every error, and it re-reads any file the C reader rejects.
 
+A ``features.csv`` of at least ``2 * _FEATURE_RANGE_MIN_BYTES`` (the
+measured break-even of a second process) is cut into byte ranges just
+after a ``\n``, one per usable core. The calling process parses the first
+range and ``os.fork`` workers the others, each through a pipe, and the rows
+are joined in file order to the bits of one reader. A worker only saves
+time: one that fails in any way has its range re-read by the caller, and a
+range the C reader rejects sends the whole file to the reference reader.
+Where ``os.fork`` or ``os.sched_getaffinity`` is missing, or a second
+Python thread runs, the file is one range.
+
 Validation failures raise DataError with a machine-readable code so the CLI
 can map them to a stable exit status; a file that is not UTF-8 is a parse
-error of that file.
+error of that file, and an OSError while reading one is ``file-read``.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import signal
+import struct
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -101,10 +118,211 @@ def _validate_dataset(ds: Dataset) -> Dataset:
     return ds
 
 
-# rows per np.loadtxt call in _read_features. Through glibc's mmap threshold
+# rows per np.loadtxt call in _range_blocks. Through glibc's mmap threshold
 # the block shape sets the peak RSS of a Cora-CA-sized run: one call over the
 # whole file, or one call per line, raised it by 8-10%.
 _FEATURE_BLOCK_ROWS = 256
+
+# bytes of features.csv below which a range is not worth a worker. In a process
+# holding 150 MB resident on 2 cores (x86_64), two processes lost to one on an
+# 8 MB file (108 against 95 ms, median of 11) and won on every file measured
+# from 12 MB (92 against 143 ms) to 77 MB. The fork, pipe and join are the cost.
+_FEATURE_RANGE_MIN_BYTES = 8 << 20
+
+
+@contextmanager
+def _reading(path: Path):
+    """Guards the reads of one dataset file: an OSError becomes DataError ``file-read`` naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError("file-read", f"cannot read {path}: {exc}") from exc
+
+
+def _range_count(size: int) -> int:
+    """How many byte ranges to parse ``size`` bytes of features in, one per process.
+
+    One per usable core, each at least ``_FEATURE_RANGE_MIN_BYTES``. Only a
+    process with one Python thread forks, and only where it can.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), size // _FEATURE_RANGE_MIN_BYTES))
+
+
+def _feature_ranges(path: Path) -> list[tuple[int, int]]:
+    """The byte ranges ``[start, stop)`` that ``features.csv`` is parsed in, in file order.
+
+    With R = ``_range_count`` of the file's size, range i starts at the first
+    line start at or after i/R of the file. So every range but the last ends
+    just after a ``\n``, and no cut falls inside a UTF-8 sequence or a
+    ``\r\n``. A range that would be empty is dropped.
+    """
+    size = path.stat().st_size
+    count = _range_count(size)
+    cuts = [0]
+    with path.open("rb") as fh:
+        for i in range(1, count):
+            fh.seek(max(cuts[-1], i * size // count - 1))
+            while (chunk := fh.read(1 << 16)) and b"\n" not in chunk:
+                pass
+            if not chunk:
+                break
+            cut = fh.tell() - len(chunk) + chunk.index(b"\n") + 1
+            if cut >= size:
+                break
+            cuts.append(cut)
+    return list(zip(cuts, cuts[1:] + [size]))
+
+
+class _ByteRange(io.RawIOBase):
+    """The bytes ``[start, stop)`` of a file as a raw stream, for a text handle over one range."""
+
+    def __init__(self, path: Path, start: int, stop: int):
+        super().__init__()
+        self._file = path.open("rb", buffering=0)
+        self._file.seek(start)
+        self._left = stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(memoryview(buffer)[: self._left])
+        self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _range_blocks(path: Path, start: int, stop: int) -> tuple[int, list[np.ndarray]]:
+    """The width (0 for no rows) and rows of bytes ``[start, stop)`` of ``features.csv``.
+
+    The rows come in blocks parsed by NumPy's C reader. Raises ValueError
+    where the C reader rejects the range, and on blocks of differing widths.
+    """
+    blocks: list[np.ndarray] = []
+    with io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop)), encoding="utf-8") as fh:
+        with warnings.catch_warnings():
+            # loadtxt warns at the end of the range and on each skipped blank line
+            warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data", UserWarning)
+            while True:
+                block = np.loadtxt(
+                    fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2, max_rows=_FEATURE_BLOCK_ROWS
+                )
+                if block.shape[0] == 0:
+                    return (blocks[0].shape[1] if blocks else 0), blocks
+                if blocks and block.shape[1] != blocks[0].shape[1]:
+                    raise ValueError("feature rows have differing lengths")
+                blocks.append(block)
+
+
+# a worker's payload: the width of its rows (_REJECTED where the C reader
+# rejected its range) and their byte count, then their float64 bytes
+_HEADER = struct.Struct("<qq")
+_REJECTED = -1
+
+
+def _fork_worker(path: Path, start: int, stop: int, other_fds: list[int]) -> tuple[int, BinaryIO] | None:
+    """Parse bytes ``[start, stop)`` of ``path`` in a forked worker.
+
+    Returns the worker's pid and the read end of its pipe, or None when no
+    worker could be started. The worker closes ``other_fds``, the read ends
+    of the workers before it, so it holds only its own pipe's write end.
+    """
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        # Python 3.12 and later warn at a fork in a process with native
+        # threads, as OpenBLAS's pool is. Ignoring the warning also keeps a
+        # warnings-as-errors filter from raising once the worker exists. The
+        # fork is safe: OpenBLAS stops its pool in its own pthread_atfork
+        # handler, and the worker only parses, writes to its pipe and ends in
+        # os._exit.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            for fd in (read_fd, *other_fds):
+                os.close(fd)
+            try:
+                width, blocks = _range_blocks(path, start, stop)
+            except ValueError:
+                width, blocks = _REJECTED, []
+            with open(write_fd, "wb") as out:
+                out.write(_HEADER.pack(width, sum(block.nbytes for block in blocks)))
+                for block in blocks:
+                    out.write(block)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _payload(pipe: BinaryIO) -> tuple[int, list[bytes]] | None:
+    """The width and row bytes a worker wrote to ``pipe``; None for a short payload.
+
+    The rows are read in pieces the size of one block, like the blocks this
+    process parses itself: one piece the size of the range raised the peak
+    RSS of a 12-step Cora-CA-sized run from 137 to 142 MB (medians of 6).
+    """
+    with pipe:
+        header = pipe.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            return None
+        width, nbytes = _HEADER.unpack(header)
+        step = max(width, 1) * 8 * _FEATURE_BLOCK_ROWS
+        rows = [pipe.read(min(step, nbytes - done)) for done in range(0, nbytes, step)]
+    return (width, rows) if sum(map(len, rows)) == nbytes else None
+
+
+def _parse_ranges(path: Path) -> list[tuple[int, list]]:
+    """The width (0 for no rows) and row blocks of each range of ``features.csv``, in file order.
+
+    This process parses the first range and a forked worker each other one.
+    A worker that fails in any way (a non-zero exit, a signal, a short
+    payload, no fork) only costs time: its range is re-read here. Raises
+    ValueError where the C reader rejects a range. Every worker is killed
+    if still running and reaped before this returns or raises.
+    """
+    ranges = _feature_ranges(path)
+    workers: dict[int, tuple[int, BinaryIO]] = {}
+    try:
+        for index, (start, stop) in enumerate(ranges[1:], 1):
+            worker = _fork_worker(path, start, stop, [pipe.fileno() for _, pipe in workers.values()])
+            if worker is not None:
+                workers[index] = worker
+        parts = []
+        for index, (start, stop) in enumerate(ranges):
+            rows = None
+            if index in workers:
+                pid, pipe = workers[index]
+                rows = _payload(pipe)
+                if os.waitpid(pid, 0)[1] != 0:
+                    rows = None
+                del workers[index]
+            if rows is None:
+                rows = _range_blocks(path, start, stop)
+            elif rows[0] == _REJECTED:
+                raise ValueError(f"the C reader rejected bytes {start} to {stop}")
+            parts.append(rows)
+        return parts
+    finally:
+        for pid, pipe in workers.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _read_features(path: Path) -> np.ndarray:
@@ -116,27 +334,22 @@ def _read_features(path: Path) -> np.ndarray:
     token, a ragged row, a whitespace-only line, bytes that are not UTF-8 or
     no rows at all) is re-read by ``_read_features_by_line``, which accepts
     what ``float()`` accepts and gives every error with its line number.
+
+    A file of at least twice ``_FEATURE_RANGE_MIN_BYTES`` is parsed in byte
+    ranges cut at line ends, one per usable core (``_parse_ranges``), and
+    the rows are joined in file order, so the bits are those of one process
+    reading the whole file. Ranges of differing widths are a rejection too.
     """
-    blocks: list[np.ndarray] = []
     try:
-        with path.open(encoding="utf-8") as fh, warnings.catch_warnings():
-            # loadtxt warns at the end of the file and on each skipped blank line
-            warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data", UserWarning)
-            while True:
-                block = np.loadtxt(
-                    fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2, max_rows=_FEATURE_BLOCK_ROWS
-                )
-                if block.shape[0] == 0:
-                    break
-                if blocks and block.shape[1] != blocks[0].shape[1]:
-                    raise ValueError("feature rows have differing lengths")
-                blocks.append(block)
+        parts = _parse_ranges(path)
     except ValueError:
-        blocks = []
-    if not blocks:
+        return _read_features_by_line(path)
+    widths = {width for width, _ in parts if width}
+    if len(widths) != 1:
         return _read_features_by_line(path)
     # bytes.join copies each block's buffer straight into the one frozen buffer
-    return np.frombuffer(b"".join(blocks), dtype=np.float64).reshape(-1, blocks[0].shape[1])
+    rows = b"".join(block for _, blocks in parts for block in blocks)
+    return np.frombuffer(rows, dtype=np.float64).reshape(-1, widths.pop())
 
 
 def _read_features_by_line(path: Path) -> np.ndarray:
@@ -168,9 +381,13 @@ def _read_features_by_line(path: Path) -> np.ndarray:
 
 
 def _read_text(root: Path, fname: str, code: str) -> str:
-    """The UTF-8 text of ``root / fname``; bytes that are not UTF-8 raise DataError ``code``."""
+    """The UTF-8 text of ``root / fname``; bytes that are not UTF-8 raise DataError ``code``.
+
+    An OSError while reading raises DataError ``file-read``.
+    """
     try:
-        return (root / fname).read_text(encoding="utf-8")
+        with _reading(root / fname):
+            return (root / fname).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(code, f"{fname} is not UTF-8: {exc}") from exc
 
@@ -182,7 +399,8 @@ def load_dataset(path) -> Dataset:
         if not (root / fname).is_file():
             raise DataError("missing-file", str(root / fname))
 
-    features = _read_features(root / "features.csv")
+    with _reading(root / "features.csv"):
+        features = _read_features(root / "features.csv")
     n = features.shape[0]
 
     edges: list[list[int]] = []

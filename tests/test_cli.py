@@ -710,6 +710,40 @@ class TestAnalyzeOverlap:
         for level in range(3):
             assert f"level{level}:" in out
 
+    @pytest.mark.parametrize("closed", ["after-the-first-line", "before-any-output"])
+    def test_a_closed_standard_output_exits_3_without_a_traceback(self, tmp_path, closed):
+        if closed == "before-any-output":
+            # seven rows of output wait in stdout's buffer for the flush at the end of the command
+            root = write_toy_dataset(tmp_path / "toy")
+        else:
+            # 100,000 rows of output overfill the pipe, so the command is still writing when the reader leaves
+            root = tmp_path / "wide"
+            root.mkdir()
+            (root / "hyperedges.txt").write_text("0 1 2\n")
+            (root / "features.csv").write_text("1\n" * 100_000)
+            (root / "labels.csv").write_text("0,0\n")
+            (root / "splits.json").write_text(json.dumps({"train": [0], "meta": [], "test": []}))
+        # a block-buffered stdout, as a shell pipe gives one
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        command = [sys.executable, "-m", "hgmeta.cli", "analyze-overlap", str(root)]
+        with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            if closed == "after-the-first-line":
+                assert proc.stdout.readline() == b"node_id p level\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 3, stderr
+        assert stderr == "data error: standard output was closed before the output was written\n"
+
+    @pytest.mark.skipif(not Path("/proc/self/mem").exists(), reason="needs /proc/self/mem, whose first page reads EIO")
+    @pytest.mark.parametrize("fname", ["features.csv", "hyperedges.txt", "labels.csv", "splits.json"])
+    def test_an_io_error_reading_a_dataset_file_exits_3_naming_it(self, tmp_path, capsys, fname):
+        root = write_toy_dataset(tmp_path / "toy")
+        (root / fname).unlink()
+        (root / fname).symlink_to("/proc/self/mem")
+        assert cli.main(["analyze-overlap", str(root)]) == 3
+        assert capsys.readouterr().err == f"data error: file-read: cannot read {root / fname}: [Errno 5] Input/output error\n"
+
 
 class TestEmitLosses:
     def test_zero_weight_checkpoint_gives_log_c(self, tmp_path):

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
+import signal
+import struct
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -197,6 +201,14 @@ FEATURE_CORPUS = {
 }
 
 
+def _write_features(path, text) -> None:
+    """Write a corpus entry as it stands: bytes as they are, text as UTF-8 with its own line ends."""
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8", newline="")
+
+
 def _outcome(read, path):
     """``read(path)``'s features bytes and shape, or its DataError code and message."""
     try:
@@ -210,12 +222,8 @@ def _outcome(read, path):
 class TestFeatureReaders:
     @pytest.mark.parametrize("case", sorted(FEATURE_CORPUS))
     def test_c_reader_matches_the_reference_reader(self, tmp_path, case):
-        text = FEATURE_CORPUS[case]
         path = tmp_path / "features.csv"
-        if isinstance(text, bytes):
-            path.write_bytes(text)
-        else:
-            path.write_text(text, encoding="utf-8", newline="")
+        _write_features(path, FEATURE_CORPUS[case])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _outcome(data._read_features, path)
@@ -288,12 +296,39 @@ def _reference_reader_reached(path):
     raise AssertionError(f"the reference reader re-read {path}")
 
 
+def _split_into(monkeypatch, ranges: int) -> None:
+    """Let a ``features.csv`` of any size be read in up to ``ranges`` byte ranges, one per process."""
+    if ranges > 1 and not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        pytest.skip("reading in ranges needs os.fork and os.sched_getaffinity")
+    monkeypatch.setattr(data, "_FEATURE_RANGE_MIN_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(ranges)))
+    assert data._range_count(10**6) == ranges
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.bitwise
-@pytest.mark.parametrize("nodes,dim", [(600, 1433), (512, 8)], ids=["three-wide-blocks", "two-full-blocks"])
-def test_multi_block_round_trip_keeps_every_feature_bit(tmp_path, monkeypatch, nodes, dim):
+@pytest.mark.parametrize(
+    "nodes,dim,ranges",
+    [(600, 1433, 1), (512, 8, 1), (600, 1433, 2), (600, 1433, 3), (512, 8, 2), (512, 8, 3)],
+    ids=[
+        "three-wide-blocks",
+        "two-full-blocks",
+        "three-wide-blocks-in-2-ranges",
+        "three-wide-blocks-in-3-ranges",
+        "two-full-blocks-in-2-ranges",
+        "two-full-blocks-in-3-ranges",
+    ],
+)
+def test_multi_block_round_trip_keeps_every_feature_bit(tmp_path, monkeypatch, nodes, dim, ranges):
     assert nodes >= 2 * data._FEATURE_BLOCK_ROWS
     ds = generate_synthetic(SyntheticSpec(nodes=nodes, hyperedges=40, dim=dim), seed=3)
     save_dataset(ds, tmp_path / "d")
+    _split_into(monkeypatch, ranges)
+    assert len(data._feature_ranges(tmp_path / "d" / "features.csv")) == ranges
     monkeypatch.setattr(data, "_read_features_by_line", _reference_reader_reached)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -301,6 +336,181 @@ def test_multi_block_round_trip_keeps_every_feature_bit(tmp_path, monkeypatch, n
     assert loaded.features.shape == (nodes, dim)
     assert loaded.features.tobytes() == ds.features.tobytes()
     assert T.frozen(loaded.features)
+    _no_child_left()
+
+
+# features.csv texts whose cut into two ranges falls next to what the name
+# says; a worker reads the second range
+CUT_CORPUS = {
+    "blank-line-before-the-cut": "1,2\n\n3,4\n",
+    "blank-line-after-the-cut": "1,2\n3,4\n\n5,6\n",
+    "whitespace-only-line-in-the-worker": "1,2\n3,4\n  \n5,6\n",
+    "only-blank-lines-in-the-worker": "1,2,3,4,5,6\n\n\n\n\n\n",
+    "crlf-at-the-cut": "1,2\r\n3,4\r\n",
+    "no-final-newline": "1,2\n3,4",
+    "ragged-across-the-cut": "1,2\n3,4\n5\n",
+    "ragged-in-the-worker": "1,2\n3,4\n5,6\n7\n",
+    "bad-token-in-the-worker": "1,2\n3,4\n5,x\n",
+    "underscore-digits-in-the-worker": "1,2\n3,4\n5_0,6\n",
+    "only-blank-lines-before-a-rejected-worker": "\n\n\n\n\n\n1_0,2\n",
+    "not-utf8-in-the-worker": b"1,2\n3,4\n\xff5,6\n",
+}
+
+
+@pytest.mark.bitwise
+class TestFeatureRanges:
+    """The reader in byte ranges, one per forked worker, against the reference reader."""
+
+    @pytest.mark.parametrize("ranges", [2, 3])
+    @pytest.mark.parametrize("case", sorted(FEATURE_CORPUS))
+    def test_ranges_match_the_reference_reader(self, tmp_path, monkeypatch, case, ranges):
+        path = tmp_path / "features.csv"
+        _write_features(path, FEATURE_CORPUS[case])
+        _split_into(monkeypatch, ranges)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(data._read_features, path) == _outcome(data._read_features_by_line, path)
+        _no_child_left()
+
+    @pytest.mark.parametrize("case", sorted(CUT_CORPUS))
+    def test_a_cut_next_to_each_feature_of_the_grammar(self, tmp_path, monkeypatch, case):
+        text = CUT_CORPUS[case]
+        path = tmp_path / "features.csv"
+        _write_features(path, text)
+        _split_into(monkeypatch, 2)
+        (_, cut), (start, stop) = data._feature_ranges(path)
+        raw = path.read_bytes()
+        assert cut == start and stop == len(raw) and raw[cut - 1 : cut] == b"\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(data._read_features, path) == _outcome(data._read_features_by_line, path)
+        _no_child_left()
+
+    def test_every_range_ends_just_after_a_line_end(self, tmp_path, monkeypatch):
+        path = tmp_path / "features.csv"
+        path.write_text(_rows(40, width=3, bad={5: "", 17: "  "}), encoding="utf-8")
+        raw = path.read_bytes()
+        for ranges in range(1, 12):
+            _split_into(monkeypatch, ranges)
+            cuts = data._feature_ranges(path)
+            assert len(cuts) == ranges
+            assert cuts[0][0] == 0 and cuts[-1][1] == len(raw)
+            assert all(stop == start and raw[stop - 1 : stop] == b"\n" for (_, stop), (start, _) in zip(cuts, cuts[1:]))
+
+    def test_a_range_that_would_be_empty_is_dropped(self, tmp_path, monkeypatch):
+        path = tmp_path / "features.csv"
+        path.write_text("1," + "2" * 100 + "\n3,4\n", encoding="utf-8")
+        _split_into(monkeypatch, 3)
+        assert data._feature_ranges(path) == [(0, 103), (103, 107)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.text(alphabet="0123456789.,-+e_ \t\r\n#\"nai\u0661", max_size=40))
+    def test_ranges_match_the_reference_reader_on_random_texts(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "features.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _split_into(monkeypatch, 3)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _outcome(data._read_features, path) == _outcome(data._read_features_by_line, path)
+        _no_child_left()
+
+
+class _LyingHeader(struct.Struct):
+    """A payload header that claims 8 bytes more than the worker writes."""
+
+    def pack(self, width, nbytes):
+        return super().pack(width, nbytes + 8)
+
+
+def _eio(*args):
+    raise OSError(errno.EIO, "Input/output error")
+
+
+# how a worker fails: what it runs in place of its parse, and what the test patches
+WORKER_FAILURES = {
+    "exit-9": (lambda: os._exit(9), None),
+    "sigkill": (lambda: os.kill(os.getpid(), signal.SIGKILL), None),
+    "eio": (_eio, None),
+    "short-payload": (None, ("_HEADER", _LyingHeader(data._HEADER.format))),
+    "no-fork": (None, ("fork", _eio)),
+    "no-pipe": (None, ("pipe", _eio)),
+}
+
+
+class TestFeatureWorkers:
+    """A failed worker costs time only: the caller gives the bits or the error of one reader."""
+
+    @pytest.mark.parametrize("failure", list(WORKER_FAILURES))
+    def test_a_failed_worker_gives_the_serial_bits(self, tmp_path, monkeypatch, failure):
+        ds = generate_synthetic(SyntheticSpec(nodes=600, hyperedges=40, dim=6), seed=4)
+        save_dataset(ds, tmp_path / "d")
+        _split_into(monkeypatch, 3)
+        in_worker, patch = WORKER_FAILURES[failure]
+        if patch is not None:
+            name, value = patch
+            monkeypatch.setattr(data if name == "_HEADER" else os, name, value)
+        caller, parse, read_here = os.getpid(), data._range_blocks, []
+
+        def blocks(path, start, stop):
+            if os.getpid() == caller:
+                read_here.append(start)
+            elif in_worker is not None:
+                in_worker()
+            return parse(path, start, stop)
+
+        monkeypatch.setattr(data, "_range_blocks", blocks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_dataset(tmp_path / "d")
+        assert len(read_here) == 3  # the caller read its own range and re-read both workers'
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        assert T.frozen(loaded.features)
+        _no_child_left()
+
+    @pytest.mark.parametrize("ranges", [1, 3])
+    def test_an_io_error_in_every_process_is_the_serial_data_error(self, tmp_path, monkeypatch, ranges):
+        root = write_toy_dataset(tmp_path / "toy", feature_rows=[f"{v},1,2" for v in range(7)])
+        _split_into(monkeypatch, ranges)
+        monkeypatch.setattr(data, "_range_blocks", _eio)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as err:
+                load_dataset(root)
+        assert str(err.value) == f"file-read: cannot read {root / 'features.csv'}: [Errno 5] Input/output error"
+        _no_child_left()
+
+    def test_an_interrupted_read_kills_and_reaps_every_worker(self, tmp_path, monkeypatch):
+        path = tmp_path / "features.csv"
+        path.write_text(_rows(300), encoding="utf-8")
+        _split_into(monkeypatch, 3)
+        caller, parse = os.getpid(), data._range_blocks
+
+        def blocks(path, start, stop):
+            if os.getpid() != caller:
+                signal.pause()  # a worker that never finishes
+            if start == 0:
+                raise KeyboardInterrupt
+            return parse(path, start, stop)
+
+        monkeypatch.setattr(data, "_range_blocks", blocks)
+        with pytest.raises(KeyboardInterrupt):
+            data._read_features(path)
+        _no_child_left()
+
+    def test_a_second_thread_reads_in_one_range(self, tmp_path, monkeypatch):
+        path = tmp_path / "features.csv"
+        path.write_text(_rows(300), encoding="utf-8")
+        _split_into(monkeypatch, 3)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert data._feature_ranges(path) == [(0, path.stat().st_size)]
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 class TestEncoding:
