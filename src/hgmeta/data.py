@@ -434,8 +434,9 @@ def load_dataset(path) -> Dataset:
             raise DataError("label-parse", f"labels.csv line {lineno}: {exc}") from exc
         if not 0 <= v < n:
             raise DataError("label-node-range", f"labels.csv line {lineno}: node {v} missing")
-        if c < 0:
-            raise DataError("label-range", f"labels.csv line {lineno}: negative class id")
+        # a class id is stored as int64
+        if not 0 <= c < 2**63:
+            raise DataError("label-range", f"labels.csv line {lineno}: class id {c} outside [0, 2**63)")
         if labels[v] >= 0:
             raise DataError("duplicate-label", f"labels.csv line {lineno} labels node {v} again")
         labels[v] = c

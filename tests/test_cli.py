@@ -693,6 +693,11 @@ class TestAnalyzeOverlap:
         assert lines[0] == "node_id,p,level"
         assert len(lines) == 8
 
+    def test_class_id_past_int64_exits_3(self, tmp_path, capsys):
+        labels = ["1,99999999999999999999"] + [f"{v},0" for v in (0, *range(2, 7))]
+        assert cli.main(["analyze-overlap", str(write_toy_dataset(tmp_path / "toy", label_lines=labels))]) == 3
+        assert capsys.readouterr().err.startswith("data error: label-range: labels.csv line 1: class id 999")
+
     def test_unwritable_csv_exits_3_naming_the_path(self, tmp_path, capsys):
         root = write_toy_dataset(tmp_path / "toy")
         target = tmp_path / "overlap.csv"
@@ -873,6 +878,10 @@ class TestGradCheck:
         with pytest.raises(Reached, match=str(2**64 - 1)):
             cli.main(["grad-check", "--seed", str(2**64 - 1)])
 
+    def test_seed_2_passes_at_the_defaults(self, capsys):
+        assert cli.main(["grad-check", "--seed", "2"]) == 0
+        assert "result=ok" in capsys.readouterr().out
+
     def test_smallest_checkable_sizes_run(self, capsys):
         assert cli.main(["grad-check", "--nodes", "2", "--hidden", "1", "--mwn-hidden", "1"]) == 0
         assert "result=ok" in capsys.readouterr().out
@@ -923,6 +932,24 @@ class TestGradCheck:
         assert float(errors["jvp_max_rel_err"]) > 1e-2
         # the backward passes are untouched; the meta gradient takes its signal from the tangents
         assert all(float(errors[name]) < 1e-4 for name in ("hgnn_ss_max_rel_err", "hgnn_fs_max_rel_err", "per_sample_row_max_rel_err"))
+
+    @pytest.mark.parametrize("name,breached", [("a0", "hgnn_fs_max_rel_err"), ("head1_b", "complementary_meta_max_rel_err")])
+    def test_one_parameter_gradient_off_by_one_percent_exits_5(self, monkeypatch, capsys, name, breached):
+        # negative control: one array 1% off reads 1% by its own scale; by the whole gradient's, a0 would read 2.2e-3
+        backward = T.Tape.backward
+
+        def one_scaled(self, *args, **kwargs):
+            grads = backward(self, *args, **kwargs)
+            if name in grads:
+                grads[name] = 1.01 * grads[name]
+            return grads
+
+        monkeypatch.setattr(T.Tape, "backward", one_scaled)
+        rc = cli.main(["grad-check", "--nodes", "6", "--hidden", "3", "--mwn-hidden", "4"])
+        out = capsys.readouterr().out
+        assert rc == 5 and "result=tolerance-breach" in out
+        errors = dict(line.split("=") for line in out.splitlines() if "_err=" in line)
+        assert errors[breached] == "1.000e-02"
 
     def test_corrupted_backward_exits_5(self, monkeypatch, capsys):
         # negative control: break one derivative and the check must fail

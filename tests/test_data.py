@@ -130,6 +130,14 @@ class TestLoad:
             load_dataset(root)
         assert err.value.code == "label-range"
 
+    @pytest.mark.parametrize("class_id", [2**63, 99999999999999999999])
+    def test_class_id_past_int64_is_a_label_range_error_with_its_line(self, tmp_path, class_id):
+        root = write_toy_dataset(tmp_path / "toy", label_lines=[f"{v},0" for v in range(1, 7)] + [f"0,{class_id}"])
+        with pytest.raises(DataError) as err:
+            load_dataset(root)
+        assert err.value.code == "label-range"
+        assert f"labels.csv line 7: class id {class_id}" in str(err.value)
+
 
 class TestRoundTrip:
     def test_save_load_identity(self, tmp_path):

@@ -1324,6 +1324,16 @@ class TestFiniteDiffCheck:
         with pytest.raises((OracleError, ContractError)):
             finite_diff_check(build, {"w": np.array([[-1.0 + 5e-5]])}, eps=1e-4)
 
+    def test_error_is_relative_to_each_blocks_largest_numeric_entry(self):
+        # w's zero derivative differences to 1e-12 and costs nothing; v is 1% off by its own scale of 1e-6
+        analytic, numeric = np.array([2.0, 0.0, 1.01e-6]), np.array([2.0, 1e-12, 1e-6])
+        assert T.max_rel_err(analytic, numeric, [("w", np.zeros(2)), ("v", np.zeros(1))]) == pytest.approx(1e-2)
+        assert T.max_rel_err(analytic, numeric) == pytest.approx(5e-9)
+
+    def test_central_difference_of_an_array_function_has_one_row_per_coordinate(self):
+        rows = T.central_difference(lambda x: np.array([x[0] * x[1], x[0] ** 2, 3.0]), np.array([2.0, 5.0]), 1e-3)
+        np.testing.assert_allclose(rows, [[5.0, 4.0, 0.0], [2.0, 0.0, 0.0]], rtol=1e-9, atol=1e-9)
+
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ContractError):
             finite_diff_check(lambda p: None, {}, eps=0.0)
