@@ -6,14 +6,14 @@ and the final metrics. Tensors are stored as base64-encoded little-endian
 float64 buffers, so a reload restores them bit-for-bit and two runs with the
 same configuration and seed produce byte-identical files.
 
-The writer is the schema: ``_document`` states the format once. The reader
-parses the config echo, the one statement of every run setting, decodes the
-rest into the run's ``TrainState`` and accepts it only if ``_document``
-writes that state back as the document it read, a boolean equalling only a
-boolean. So an unread entry, a number its reads would truncate or reinterpret
-and a value unlike what it restates (``hgnn_layout``, ``mwn_meta``,
-``requested_k``, ``steps_run``) are refused by one comparison; by hand the
-reader checks only what one section says about another.
+The writer is the schema: ``_document`` states the format once, and each
+fact once. The reader parses the config echo, the one statement of every run
+setting, decodes the rest into the run's ``TrainState`` (the level count is
+the number of centroids, the step count the number of history records) and
+accepts it only if ``_document`` writes that state back as the document it
+read, a boolean equalling only a boolean. So an unread entry and a number its
+reads would truncate or reinterpret are refused by one comparison; by hand
+the reader checks only what one section says about another.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, _integer, parse_config
+from .config import RunConfig, parse_config
 from .errors import ConfigError, ContractError, DataError
 from .model import HGNNParams
 from .mwn import MWNParams
@@ -70,25 +70,20 @@ class RunArtifact:
 
 def _document(config_echo: dict, state: TrainState, metrics: dict) -> dict:
     """The artifact of a run, as a JSON document: the one statement of the format."""
-    part, hgnn, mwn = state.partition, state.hgnn.param_items(), state.mwn
+    part = state.partition
     return {
         "format": FORMAT,
         "config": config_echo,
         "partition": {
             "centroids": [float(c) for c in part.centroids],
             "labels": [int(v) for v in part.labels],
-            "k": part.k,
-            "requested_k": part.requested_k,
         },
         "history": [rec.to_dict() for rec in state.history],
         "checkpoint": {
-            "hgnn": _encode_named(hgnn),
-            "hgnn_layout": [{"name": name, "shape": list(arr.shape)} for name, arr in hgnn],
-            "mwn": _encode_named(mwn.param_items()),
-            "mwn_meta": {"k": mwn.k, "hidden": mwn.hidden, "mode": mwn.mode, "log1p_inputs": mwn.log1p_inputs},
+            "hgnn": _encode_named(state.hgnn.param_items()),
+            "mwn": _encode_named(state.mwn.param_items()),
         },
         "metrics": metrics,
-        "steps_run": state.step,
     }
 
 
@@ -116,14 +111,15 @@ def _decode(doc: dict) -> RunArtifact:
     config = parse_config(doc["config"])
     settings, ck, part = config.settings, doc["checkpoint"], doc["partition"]
     history = [StepRecord.from_dict(rec) for rec in doc["history"]]
+    centroids = np.asarray(part["centroids"], dtype=np.float64)
     state = TrainState(
         hgnn=HGNNParams.from_named(_decode_named(ck["hgnn"])),
         mwn=MWNParams.from_named(_decode_named(ck["mwn"]), settings.mwn_mode, settings.mwn_log1p),
         # labels keep their JSON type, so that the partition's id check refuses a float
         partition=Partition(
-            centroids=np.asarray(part["centroids"], dtype=np.float64),
+            centroids=centroids,
             labels=np.asarray(part["labels"]),
-            k=_integer(part["k"], "partition.k"),
+            k=len(centroids),
             requested_k=settings.k,  # training asks for the echo's partition.k
         ),
         step=len(history),

@@ -9,13 +9,11 @@ through one table, ``_FIELDS``, which also reads the parsed sections back
 into the run's ``TrainSettings``.
 
 Each section, merged over its defaults, is itself its echo, and the
-settings are read from it. Integer and float settings echo typed, as the
-int or float they convert to (``"hidden": 6.0`` echoes ``6`` and
-``"c1": 1`` echoes ``1.0``). The keys that echo exactly as written are the
-generator's scalar settings, ``train.batch`` and ``train.pin_alpha``. Every
-float setting must be finite: NaN and Infinity, which Python's ``json``
-reads, are rejected. The seed must lie in ``[0, 2**64)``, the 64 bits that
-``rng.stream`` reads.
+settings are read from it. Every integer and float setting echoes typed, as
+the int or float it converts to (``"nodes": 24.0`` echoes ``24`` and
+``"pin_alpha": 1`` echoes ``1.0``). Every float setting must be finite: NaN
+and Infinity, which Python's ``json`` reads, are rejected. The seed must lie
+in ``[0, 2**64)``, the 64 bits that ``rng.stream`` reads.
 """
 
 from __future__ import annotations
@@ -28,17 +26,14 @@ from pathlib import Path
 from .data import BIAS_KINDS, SyntheticSpec
 from .errors import ConfigError, ContractError
 from .mwn import OUTPUT_MODES
-from .trainer import META_SOURCES, OPTIMIZERS, SCHEDULE_KINDS, ScheduleSpec, TrainSettings
+from .trainer import OPTIMIZERS, SCHEDULE_KINDS, ScheduleSpec, TrainSettings
 
 # every setting but the schedules and the seed, by section: its key there and its TrainSettings field
 _FIELDS = {
     "model": {"layers": "layers", "hidden": "hidden", "dropout": "dropout", "weight_decay": "weight_decay"},
     "partition": {"k": "k"},
     "mwn": {"hidden": "mwn_hidden", "output_mode": "mwn_mode", "log1p": "mwn_log1p"},
-    "train": {
-        "steps": "steps", "batch": "batch_size", "meta_source": "meta_source",
-        "pin_alpha": "pin_alpha", "optimizer": "optimizer",
-    },
+    "train": {"steps": "steps", "batch": "batch_size", "pin_alpha": "pin_alpha", "optimizer": "optimizer"},
 }
 # each section's defaults are the library's: the fields of TrainSettings and of its two schedules
 _DEFAULT = TrainSettings(steps=200)
@@ -138,18 +133,16 @@ def parse_config(doc: dict) -> RunConfig:
         dataset_echo = {"path": dataset_path}
     else:
         _require(set(dataset) == {"synthetic"}, "dataset.synthetic takes no sibling keys")
-        synth = _take(dataset["synthetic"], _SYNTH_DEFAULTS, "dataset.synthetic")
-        _require(synth["bias"] in BIAS_KINDS, f"dataset.synthetic.bias must be one of {BIAS_KINDS}")
-        # the scalars echo as written; the spec takes them converted
         ints, floats = ("nodes", "classes", "hyperedges", "dim"), ("homophily", "noise", "signal", "bias_fraction")
-        typed = _take(synth, _SYNTH_DEFAULTS, "dataset.synthetic", ints, floats)
+        synth = _take(dataset["synthetic"], _SYNTH_DEFAULTS, "dataset.synthetic", ints, floats)
+        _require(synth["bias"] in BIAS_KINDS, f"dataset.synthetic.bias must be one of {BIAS_KINDS}")
         for key in ("size_range", "split_fractions"):
             _require(isinstance(synth[key], list), f"dataset.synthetic.{key} must be an array")
         synth["size_range"] = [_integer(v, "dataset.synthetic.size_range") for v in synth["size_range"]]
         synth["split_fractions"] = [_float(v, "dataset.synthetic.split_fractions") for v in synth["split_fractions"]]
         tuples = {key: tuple(synth[key]) for key in ("size_range", "split_fractions")}
         try:
-            synthetic = SyntheticSpec(**{**typed, **tuples}).validated()
+            synthetic = SyntheticSpec(**{**synth, **tuples}).validated()
         except (ContractError, TypeError, ValueError) as exc:
             raise ConfigError(f"dataset.synthetic: {exc}") from exc
         dataset_echo = {"synthetic": synth}
@@ -173,13 +166,10 @@ def parse_config(doc: dict) -> RunConfig:
     _require(sched["c1"] >= 0 and sched["c2"] >= 0, "schedule constants must be >= 0")
     _require(sched["m_hat"] > 0, "schedules.m_hat must be > 0")
 
-    train = _take(doc.get("train", {}), _DEFAULTS["train"], "train", ("steps",))
-    # batch and pin_alpha echo as written; the settings take them converted
-    typed_train = _take(train, _DEFAULTS["train"], "train", ("batch",), ("pin_alpha",))
-    batch, pin_alpha = typed_train["batch"], typed_train["pin_alpha"]
+    train = _take(doc.get("train", {}), _DEFAULTS["train"], "train", ("steps", "batch"), ("pin_alpha",))
+    batch, pin_alpha = train["batch"], train["pin_alpha"]
     _require(train["steps"] >= 0, "train.steps must be >= 0")
     _require(batch is None or batch >= 1, "train.batch must be null or a positive integer")
-    _require(train["meta_source"] in META_SOURCES, "train.meta_source must be " + " or ".join(map(repr, META_SOURCES)))
     _require(pin_alpha is None or 0.0 <= pin_alpha <= 1.0, "train.pin_alpha must be null or lie in [0, 1]")
     _require(train["optimizer"] in OPTIMIZERS, "train.optimizer must be " + " or ".join(map(repr, OPTIMIZERS)))
 
@@ -190,13 +180,6 @@ def parse_config(doc: dict) -> RunConfig:
     output = doc.get("output", "run.json")
     _require(isinstance(output, str), "output must be a string path")
 
-    sections = {"model": model, "partition": part, "mwn": mwn, "train": typed_train}
-    settings = TrainSettings(
-        schedule1=ScheduleSpec(kind=sched["kind"], c=sched["c1"], m_hat=sched["m_hat"]),
-        schedule2=ScheduleSpec(kind=sched["kind"], c=sched["c2"], m_hat=sched["m_hat"]),
-        seed=seed,
-        **{field: sections[section][key] for section, keys in _FIELDS.items() for key, field in keys.items()},
-    )
     echo = {
         "dataset": dataset_echo,
         "model": model,
@@ -207,6 +190,12 @@ def parse_config(doc: dict) -> RunConfig:
         "seed": seed,
         "output": output,
     }
+    settings = TrainSettings(
+        schedule1=ScheduleSpec(kind=sched["kind"], c=sched["c1"], m_hat=sched["m_hat"]),
+        schedule2=ScheduleSpec(kind=sched["kind"], c=sched["c2"], m_hat=sched["m_hat"]),
+        seed=seed,
+        **{field: echo[section][key] for section, keys in _FIELDS.items() for key, field in keys.items()},
+    )
     return RunConfig(dataset_path=dataset_path, synthetic=synthetic, settings=settings, output=output, echo=echo)
 
 

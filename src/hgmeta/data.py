@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ContractError, DataError
 from .hypergraph import Hypergraph
-from .rng import stream
+from .rng import drawable, stream
 from .tensor import all_finite
 
 REQUIRED_FILES = ("hyperedges.txt", "features.csv", "labels.csv", "splits.json")
@@ -555,6 +555,8 @@ def _untaken(positions, taken: np.ndarray):
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     """Deterministic planted-community dataset for the given seed."""
     spec = spec.validated()
+    drawable((spec.nodes, spec.dim), "the synthetic features")
+    drawable((spec.classes, spec.dim), "the synthetic class means")
     rng_labels = stream(seed, "synth-labels")
     rng_edges = stream(seed, "synth-edges")
     rng_feats = stream(seed, "synth-features")

@@ -54,6 +54,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError
 from .hypergraph import Hypergraph, ReceptiveField
+from .rng import drawable
 from .tensor import Array, Tape, Tensor
 
 BRANCHES = ("ss", "fs")
@@ -102,9 +103,9 @@ class HGNNParams:
         if len(dims) < 2:
             raise ContractError("need at least input and output dims")
         weights, attn = [], []
-        for d_in, d_out in zip(dims[:-1], dims[1:]):
+        for t, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
             bound_w = np.sqrt(6.0 / (d_in + d_out))
-            weights.append(rng_w.uniform(-bound_w, bound_w, size=(d_in, d_out)))
+            weights.append(rng_w.uniform(-bound_w, bound_w, size=drawable((d_in, d_out), f"layer {t}'s weight")))
             bound_a = np.sqrt(6.0 / (2 * d_out + 1))
             attn.append(rng_a.uniform(-bound_a, bound_a, size=(2 * d_out, 1)))
         return cls(weights=weights, attn=attn)

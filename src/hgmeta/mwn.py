@@ -20,6 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError
+from .rng import drawable
 from .tensor import Array, Tape, Tensor
 
 OUTPUT_MODES = ("complementary", "independent")
@@ -75,7 +76,7 @@ class MWNParams:
         bound = np.sqrt(6.0 / (2 + hidden))
         out_cols = 1 if mode == "complementary" else 2
         return cls(
-            w_shared=rng.uniform(-bound, bound, size=(2, hidden)),
+            w_shared=rng.uniform(-bound, bound, size=drawable((2, hidden), "the weight net's shared layer")),
             b_shared=np.zeros((1, hidden)),
             head_w=[np.zeros((hidden, out_cols)) for _ in range(k)],
             head_b=[np.zeros((1, out_cols)) for _ in range(k)],

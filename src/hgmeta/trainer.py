@@ -46,7 +46,6 @@ found finite.
 
 from __future__ import annotations
 
-import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -64,12 +63,9 @@ from .partition import Partition, assign_levels, kmeans_1d
 from .rng import stream
 from .tensor import Array
 
-logger = logging.getLogger(__name__)
-
 SCHEDULE_KINDS = ("constant", "inverse-sqrt")
 PREDICT_MODES = ("ss", "fs", "blend")
 OPTIMIZERS = ("gd", "adam")  # adam moves the commit step only
-META_SOURCES = ("meta-split", "test-split")  # the test split leaks into training, opt-in
 
 
 @dataclass(frozen=True)
@@ -110,7 +106,6 @@ class TrainSettings:
     mwn_log1p: bool = False
     seed: int = 0
     batch_size: int | None = None
-    meta_source: str = "meta-split"  # one of META_SOURCES
     pin_alpha: float | None = None
     optimizer: str = "gd"  # one of OPTIMIZERS
     weight_decay: float = 0.0
@@ -460,13 +455,7 @@ def train(dataset, settings: TrainSettings):
     if settings.optimizer == "adam":
         p_count = hgnn.flatten().size
         adam = AdamState(m=np.zeros(p_count), v=np.zeros(p_count))
-    if settings.meta_source not in META_SOURCES:
-        raise ContractError(f"unknown meta source {settings.meta_source!r}")
-    if settings.meta_source == "meta-split":
-        meta_ids = np.asarray(dataset.splits.meta, dtype=np.int64)
-    else:
-        logger.warning("meta set drawn from the test split; evaluation leaks into training")
-        meta_ids = np.asarray(dataset.splits.test, dtype=np.int64)
+    meta_ids = np.asarray(dataset.splits.meta, dtype=np.int64)
     if meta_ids.size == 0:
         raise ContractError("meta split is empty")
 

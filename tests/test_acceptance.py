@@ -254,31 +254,31 @@ PINNED_NUMPY = "2.4.6"
 PINNED_OPENBLAS = "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"
 PINNED_SHA256 = {
     "default": (
-        "63b64a8adb05584af145649311952f0c90d5c9f66b020ba9ebec4b8611175bd3",
+        "46711f6b4096859e8325733e6fd64090dac7d4c3229ceee7ad00c945bc006a15",
         "173ffaea3d611de6386c90a617b7c406937d08e2e7b6e0641edb6bebab8247e3",
     ),
     "independent": (
-        "5d0cd654ba1fe6f6563e21ced7e401df9424d2c4fa9198e0e0c8f68e5069079d",
+        "59f5f00a86e36e8aa92902501b0793be68acf7a23180f1240b4d9b2ca4e2fe77",
         "e6681ce0e2596493bd9af2de0c1e6ae84639cb92318ddacb137b4f2b59b8f3c4",
     ),
     "pinned-batch": (
-        "180adf979973c7473e44accfcc1fee32617337fa03acbde48426e91080c2c966",
+        "6115642cad46674238e8b2e01be9ee30f3ef7feb0fa1e41024a7fd4e54a082a5",
         "ae4ba4ff2ebf42b4a267e613741654e8bb02a4ad6e6be5159dc0074178ae97e5",
     ),
     "pinned-ss": (
-        "e427f110f16dd1255d4e13fa291c4b1e875d5785c64b06330bcfa0095136038f",
+        "f31c506703597b8adadb2150951480397d857e616e5f274272ac01994c66dc20",
         "4628b5f36288f775434f19576bc6c84b146ddf7c3392d9f5b0163061836d39fd",
     ),
     "pinned-fs": (
-        "a170bf87ca355deca59efe6f3c43514a3f6812bef030544f1d7d615016b86c29",
+        "29ef4f0c94ad5db367f6e407b98ee66004f057cf0d06796e7bf4f72d70952d42",
         "2ba2900674d6f6bc8e60d812cc35381512a490d86a7c4cc218fd8d31999088bd",
     ),
     "dropout-decay-adam": (
-        "7e4b69675bd9aba7d63808979640ddabecd45fea9a56494ff2bc9b7d5c6f2d42",
+        "15a5e0893186ef9df66598230028dc207aabc277a4361ee961f477c4060671c8",
         "e127348f19830ca8c6073139677c08173783ae7ce2b9b0120d67981ad596e5a0",
     ),
     "layers3-log1p": (
-        "1e805d925b4b68bc0ecfcab8c9a2cd9338f26fb24af99718f44a8a8e61e6bfa3",
+        "54bcb3c6f9d57ba09bf7ce0b28791e143332021b6fe6f8a5c4565f62e6147c6a",
         "7212005ac4b442c32ab5f273b0f7d029e6e4b5d25fac24b4bef45517d47393ba",
     ),
 }

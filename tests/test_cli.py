@@ -102,6 +102,27 @@ class TestTrainCommand:
         cfg = tiny_config(tmp_path, dataset={"synthetic": {"nodes": 24, "n_edges": 14}})
         assert cli.main(["train", str(cfg)]) == 2
 
+    def test_a_meta_source_exits_2_naming_the_key(self, tmp_path, capsys):
+        # the weight net trains on the meta split alone; no key chooses its source
+        assert cli.main(["train", str(tiny_config(tmp_path, train={"steps": 3, "meta_source": "meta-split"}))]) == 2
+        assert capsys.readouterr().err == "config error: unknown key(s) in train: ['meta_source']\n"
+
+    @pytest.mark.parametrize(
+        "section,value,shape",
+        [
+            ("model", {"layers": 2, "hidden": 1e14}, "(4, 100000000000000)"),
+            ("model", {"layers": 2, "hidden": 1e20}, "(4, 100000000000000000000)"),
+            ("mwn", {"hidden": 1e20}, "(2, 100000000000000000000)"),
+            ("dataset", {"synthetic": {"nodes": 1e20, "dim": 4}}, "(100000000000000000000, 4)"),
+        ],
+        ids=["hidden-1e14", "hidden-1e20", "mwn-hidden-1e20", "nodes-1e20"],
+    )
+    def test_a_size_past_the_address_space_exits_2_naming_the_shape(self, tmp_path, capsys, section, value, shape):
+        # each shape's array would exceed 128 TiB, so it is refused before anything is allocated
+        assert cli.main(["train", str(tiny_config(tmp_path, **{section: value}))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and shape in err
+
     @pytest.mark.parametrize(
         "section,value,key",
         [
@@ -199,8 +220,8 @@ class TestTrainCommand:
         assert key in capsys.readouterr().err
 
     @pytest.mark.bitwise
-    def test_float_keys_take_json_integers_with_the_echo_unchanged(self):
-        # the generator's scalars, train.batch and train.pin_alpha echo as written; the rest echo typed
+    def test_float_keys_take_json_integers_and_every_number_echoes_typed(self):
+        # an integer setting echoes as the int it converts to, a float setting as the float
         doc = {
             "dataset": {
                 "synthetic": {
@@ -224,26 +245,20 @@ class TestTrainCommand:
         assert cfg.synthetic.homophily == 1.0 and cfg.synthetic.split_fractions == (1.0, 0.0, 0.0)
         echo = {section: json.dumps(cfg.echo[section], sort_keys=True) for section in cfg.echo}
         assert echo["dataset"] == (
-            '{"synthetic": {"bias": "none", "bias_fraction": 0.0, "classes": 3, "dim": 16, "homophily": 1, '
-            '"hyperedges": 150, "nodes": 24.0, "noise": 0, "signal": 1.0, "size_range": [2, 4], '
+            '{"synthetic": {"bias": "none", "bias_fraction": 0.0, "classes": 3, "dim": 16, "homophily": 1.0, '
+            '"hyperedges": 150, "nodes": 24, "noise": 0.0, "signal": 1.0, "size_range": [2, 4], '
             '"split_fractions": [1.0, 0.0, 0.0]}}'
         )
         assert echo["model"] == '{"dropout": 0.0, "hidden": 6, "layers": 2, "weight_decay": 1.0}'
         assert echo["schedules"] == '{"c1": 1.0, "c2": 0.0, "kind": "inverse-sqrt", "m_hat": 3.0}'
-        assert echo["train"] == (
-            '{"batch": 5.0, "meta_source": "meta-split", "optimizer": "gd", "pin_alpha": 1, "steps": 200}'
-        )
+        assert echo["train"] == '{"batch": 5, "optimizer": "gd", "pin_alpha": 1.0, "steps": 200}'
 
     def test_choices_are_the_trainers_names_with_the_wording_kept(self, capsys):
         # the trainer states each set of names once; the config and the CLI read them from it
-        assert (trainer_mod.OPTIMIZERS, trainer_mod.META_SOURCES) == (("gd", "adam"), ("meta-split", "test-split"))
-        for key, value, message in [
-            ("optimizer", "sgd", "train.optimizer must be 'gd' or 'adam'"),
-            ("meta_source", "validation", "train.meta_source must be 'meta-split' or 'test-split'"),
-        ]:
-            with pytest.raises(ConfigError) as caught:
-                parse_config({"dataset": {"path": "unused"}, "train": {key: value}})
-            assert str(caught.value) == message
+        assert trainer_mod.OPTIMIZERS == ("gd", "adam")
+        with pytest.raises(ConfigError) as caught:
+            parse_config({"dataset": {"path": "unused"}, "train": {"optimizer": "sgd"}})
+        assert str(caught.value) == "train.optimizer must be 'gd' or 'adam'"
         with pytest.raises(SystemExit):
             cli.main(["eval", "run.json", "--mode", "both"])
         assert "invalid choice: 'both' (choose from 'ss', 'fs', 'blend')" in capsys.readouterr().err
@@ -532,45 +547,46 @@ class TestEvalCommand:
             "no-classifier-layers",
             "layers-unlike-the-echo",
             "history-not-a-list",
-            "bad-mwn-mode",
+            "echo-mode-unknown",
             "schedules-not-an-object",
             "drop-seed",
             "nodes-not-a-number",
             "unknown-schedule-kind",
             "mean-alpha-unlike-k",
-            "mwn-k-unlike-partition",
-            "mwn-hidden-unlike-the-net",
+            "mwn-heads-unlike-the-centroids",
             "nan-centroid",
             "reversed-centroids",
-            "negative-requested-k",
+            "negative-echo-k",
             "labels-out-of-range",
-            "requested-k-unlike-the-echo",
+            "echo-k-below-the-centroid-count",
             "hgnn-section-a-list",
             "undecodable-extra-entry",
             "unknown-entry",
-            "fractional-k",
-            "fractional-requested-k",
-            "layout-names-no-parameter",
-            "steps-run-unlike-the-history",
+            "fractional-echo-k",
             "lr1-a-string",
             "fractional-step",
             "extra-history-key",
             "extra-top-level-key",
             "echo-mode-unlike-the-checkpoint",
-            "echo-log1p-unlike-the-checkpoint",
             "echo-hidden-unlike-the-checkpoint",
             "echo-mwn-hidden-unlike-the-checkpoint",
             "step-a-boolean",
             "lr1-a-boolean",
             "labels-booleans",
-            "log1p-inputs-a-number",
+            "echo-log1p-a-number",
+            "previous-layout-steps-run",
+            "previous-layout-hgnn-layout",
+            "previous-layout-mwn-meta",
+            "previous-layout-partition-k",
+            "previous-layout-requested-k",
+            "previous-layout-meta-source",
         ],
     )
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, mangle):
         cfg = tiny_config(tmp_path)
         assert cli.main(["train", str(cfg)]) == 0
         doc = json.loads((tmp_path / "run.json").read_text())
-        assert doc["partition"]["k"] == doc["checkpoint"]["mwn_meta"]["k"] == 2
+        assert len(doc["partition"]["centroids"]) == doc["config"]["partition"]["k"] == 2
         if mangle == "format-only":
             doc = {"format": doc["format"]}
         elif mangle == "drop-checkpoint":
@@ -581,8 +597,8 @@ class TestEvalCommand:
             doc["config"]["model"]["layers"] = 3
         elif mangle == "history-not-a-list":
             doc["history"] = 3
-        elif mangle == "bad-mwn-mode":
-            doc["checkpoint"]["mwn_meta"]["mode"] = "sideways"
+        elif mangle == "echo-mode-unknown":
+            doc["config"]["mwn"]["output_mode"] = "sideways"
         elif mangle == "schedules-not-an-object":
             doc["config"]["schedules"] = 3
         elif mangle == "drop-seed":
@@ -591,35 +607,27 @@ class TestEvalCommand:
             doc["config"]["dataset"]["synthetic"]["nodes"] = "many"
         elif mangle == "mean-alpha-unlike-k":
             doc["history"][-1]["mean_alpha"] = doc["history"][-1]["mean_alpha"][:1]
-        elif mangle == "mwn-k-unlike-partition":
-            doc["checkpoint"]["mwn_meta"]["k"] = 1
-        elif mangle == "mwn-hidden-unlike-the-net":
-            doc["checkpoint"]["mwn_meta"]["hidden"] = 5
+        elif mangle == "mwn-heads-unlike-the-centroids":
+            del doc["checkpoint"]["mwn"]["head1_w"], doc["checkpoint"]["mwn"]["head1_b"]
         elif mangle == "nan-centroid":
             doc["partition"]["centroids"][0] = float("nan")
         elif mangle == "reversed-centroids":
             doc["partition"]["centroids"].reverse()
-        elif mangle == "negative-requested-k":
-            doc["partition"]["requested_k"] = -3
+        elif mangle == "negative-echo-k":
+            doc["config"]["partition"]["k"] = -3
         elif mangle == "labels-out-of-range":
             assert doc["partition"]["labels"]
             doc["partition"]["labels"] = [7] * len(doc["partition"]["labels"])
-        elif mangle == "requested-k-unlike-the-echo":
-            doc["partition"]["requested_k"] = 3
+        elif mangle == "echo-k-below-the-centroid-count":
+            doc["config"]["partition"]["k"] = 1
         elif mangle == "hgnn-section-a-list":
             doc["checkpoint"]["hgnn"] = []
         elif mangle == "undecodable-extra-entry":
             doc["checkpoint"]["mwn"]["extra"] = "not an array"
         elif mangle == "unknown-entry":
             doc["checkpoint"]["hgnn"]["extra"] = doc["checkpoint"]["hgnn"]["a0"]
-        elif mangle == "fractional-k":
-            doc["partition"]["k"] = 2.7
-        elif mangle == "fractional-requested-k":
-            doc["partition"]["requested_k"] = 2.9
-        elif mangle == "layout-names-no-parameter":
-            doc["checkpoint"]["hgnn_layout"][0]["name"] = "zz"
-        elif mangle == "steps-run-unlike-the-history":
-            doc["steps_run"] = 99
+        elif mangle == "fractional-echo-k":
+            doc["config"]["partition"]["k"] = 2.7
         elif mangle == "lr1-a-string":
             doc["history"][0]["lr1"] = str(doc["history"][0]["lr1"])
         elif mangle == "fractional-step":
@@ -630,8 +638,6 @@ class TestEvalCommand:
             doc["extra"] = 1
         elif mangle == "echo-mode-unlike-the-checkpoint":
             doc["config"]["mwn"]["output_mode"] = "independent"
-        elif mangle == "echo-log1p-unlike-the-checkpoint":
-            doc["config"]["mwn"]["log1p"] = True
         elif mangle == "echo-hidden-unlike-the-checkpoint":
             doc["config"]["model"]["hidden"] = 16
         elif mangle == "echo-mwn-hidden-unlike-the-checkpoint":
@@ -643,8 +649,21 @@ class TestEvalCommand:
             doc["history"][0]["lr1"] = True
         elif mangle == "labels-booleans":
             doc["partition"]["labels"] = [bool(v) for v in doc["partition"]["labels"]]
-        elif mangle == "log1p-inputs-a-number":
-            doc["checkpoint"]["mwn_meta"]["log1p_inputs"] = 0
+        elif mangle == "echo-log1p-a-number":
+            doc["config"]["mwn"]["log1p"] = 0
+        elif mangle.startswith("previous-layout-"):
+            # earlier versions also wrote these keys, each restating another entry, with these values
+            layout = [{"name": name, "shape": arr["shape"]} for name, arr in doc["checkpoint"]["hgnn"].items()]
+            mwn_meta = {"k": 2, "hidden": 8, "mode": "complementary", "log1p_inputs": False}
+            section, key, value = {
+                "steps-run": (doc, "steps_run", len(doc["history"])),
+                "hgnn-layout": (doc["checkpoint"], "hgnn_layout", layout),
+                "mwn-meta": (doc["checkpoint"], "mwn_meta", mwn_meta),
+                "partition-k": (doc["partition"], "k", 2),
+                "requested-k": (doc["partition"], "requested_k", 2),
+                "meta-source": (doc["config"]["train"], "meta_source", "meta-split"),
+            }[mangle.removeprefix("previous-layout-")]
+            section[key] = value
         else:
             doc["config"]["schedules"]["kind"] = "cosine"
         (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -981,10 +1000,10 @@ class TestArtifactRoundTrip:
         assert [r.to_dict() for r in restored.history] == [r.to_dict() for r in state.history]
 
     def test_integral_float_k_evaluates(self, tmp_path):
-        # the config accepts an integral float for an integer, and so does the artifact
+        # the config accepts an integral float for an integer, and so does the artifact's echo
         assert cli.main(["train", str(tiny_config(tmp_path))]) == 0
         doc = json.loads((tmp_path / "run.json").read_text())
-        doc["partition"]["k"] = 2.0
+        doc["config"]["partition"] = {"k": 2.0}
         (tmp_path / "edited.json").write_text(json.dumps(doc))
         assert cli.main(["eval", str(tmp_path / "edited.json"), "--regen"]) == 0
 

@@ -555,6 +555,18 @@ class TestEncoding:
 
 
 class TestSynthetic:
+    @pytest.mark.parametrize(
+        "spec,shape",
+        [
+            (SyntheticSpec(nodes=10**20), r"features of shape \(100000000000000000000, 16\)"),
+            (SyntheticSpec(classes=2**31, dim=2**31), r"class means of shape \(2147483648, 2147483648\)"),
+        ],
+        ids=["nodes", "classes"],
+    )
+    def test_arrays_past_the_address_space_are_refused_before_any_draw(self, spec, shape):
+        with pytest.raises(ContractError, match=shape):
+            generate_synthetic(spec, seed=0)
+
     def test_same_seed_is_identical(self):
         spec = SyntheticSpec(nodes=40, hyperedges=20)
         assert generate_synthetic(spec, seed=9) == generate_synthetic(spec, seed=9)

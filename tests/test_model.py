@@ -19,7 +19,7 @@ from hgmeta.data import SyntheticSpec, generate_synthetic
 from hgmeta.errors import ContractError
 from hgmeta.hypergraph import Hypergraph
 from hgmeta.model import BRANCHES, HGNNParams, branch_losses, forward, ss_coefficients, taped_forward
-from hgmeta.rng import stream
+from hgmeta.rng import drawable, stream
 from hgmeta.verify import HGNN_TOLERANCE, hgnn_gradient_check
 
 from conftest import random_hypergraph
@@ -52,6 +52,16 @@ class TestHGNNParams:
         for rebuilt in (HGNNParams.from_named(dict(params.param_items())), params.with_vec(params.flatten())):
             assert _layout(rebuilt) == _layout(params)
         assert params.flatten().tobytes() == b"".join(arr.tobytes() for _, arr in params.param_items())
+
+    def test_a_draw_past_the_address_space_is_refused_naming_its_shape(self):
+        # NumPy itself refuses this shape with "array is too big", naming no setting
+        with pytest.raises(ContractError, match=r"layer 0's weight of shape \(16, 576460752303423488\)"):
+            HGNNParams.init([16, 2**59, 3], stream(0, "w"), stream(0, "a"))
+
+    def test_a_draw_of_the_whole_address_space_is_allowed(self):
+        assert drawable((2**44,), "a vector") == (2**44,)
+        with pytest.raises(ContractError, match=r"a vector of shape \(17592186044417,\) would exceed the 128 TiB"):
+            drawable((2**44 + 1,), "a vector")
 
     def test_a_flat_vector_of_another_size_is_refused(self):
         params = random_params([4, 3, 2])

@@ -41,6 +41,10 @@ def sample_grad(l1: float, l2: float, task: int, params: MWNParams) -> SimpleNam
 
 
 class TestParams:
+    def test_a_shared_layer_past_the_address_space_is_refused_naming_its_shape(self):
+        with pytest.raises(ContractError, match=r"the weight net's shared layer of shape \(2, 576460752303423488\)"):
+            MWNParams.init(2, hidden=2**59)
+
     @pytest.mark.bitwise
     @pytest.mark.parametrize("mode", ["complementary", "independent"])
     @pytest.mark.parametrize("k", [1, 2, 3])

@@ -852,13 +852,6 @@ class TestTrainLoop:
         state, _ = train(ds, quick_settings(2, dropout=0.3, weight_decay=0.01))
         assert state.step == 2
 
-    def test_meta_from_test_split_warns_and_runs(self, caplog):
-        ds = random_toy_dataset(nodes=10, seed=14)
-        with caplog.at_level("WARNING"):
-            state, _ = train(ds, quick_settings(2, meta_source="test-split"))
-        assert "test split" in caplog.text
-        assert state.step == 2
-
     def test_log1p_inputs_flag_runs(self):
         ds = random_toy_dataset(nodes=10, seed=15)
         state, _ = train(ds, quick_settings(2, mwn_log1p=True))
