@@ -2,7 +2,8 @@
 
 Commands: ``train``, ``eval``, ``analyze-overlap``, ``emit-losses``,
 ``grad-check``. Exit codes: 0 success, 2 configuration error (an artifact
-path whose directory does not exist among them), 3 data error (a failed
+path whose directory does not exist, and sizes the host's memory cannot
+hold, among them), 3 data error (a failed
 read of a dataset file, a failed output write and a standard output closed
 by its reader among them), 4 numeric training failure, 5 gradient-check
 tolerance breach.
@@ -198,6 +199,7 @@ def cmd_grad_check(args) -> int:
         )
         print(f"{mode}_meta_max_rel_err={meta.max_rel_err:.3e}")
         print(f"{mode}_meta_grad_norm={meta.analytic_norm:.6e}")
+        print(f"{mode}_meta_redifferenced={','.join(meta.redifferenced) or 'none'}")
         ok = ok and meta.max_rel_err <= META_TOLERANCE
         if args.lam1 == 0.0 and meta.analytic_norm != 0.0:
             ok = False
@@ -271,6 +273,10 @@ def main(argv=None) -> int:
         return EXIT_TRAINING
     except HgmetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # a size below rng.drawable's bound that the host still cannot hold
+        print(f"config error: the configured sizes need more memory than this host can give: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -51,8 +51,11 @@ class ReceptiveField:
 
     So a forward of up to ``hops + 1`` layers reads, for the rows of
     ``ids``, what it reads on the whole graph, as long as what depends on a
-    hyperedge's whole membership (the structural coefficients, the layer-0
-    means) is read from the graph, never computed on the field.
+    hyperedge's whole membership is read from the graph, never computed on
+    the field's incidence: the structural coefficients at ``pairs``, and
+    the layer-0 hyperedge means, over the full membership that
+    ``layer0_arrays`` lists, one hop past the field at its outermost
+    hyperedges.
 
     The incidence arrays are built on first use, so a field whose size
     alone is asked for costs only its walk.
@@ -78,13 +81,41 @@ class ReceptiveField:
 
     @cached_property
     def _arrays(self) -> dict:
-        nodes, edges, whole = self.nodes, self.edges, self.graph.incidence_arrays()
-        sizes = whole["edge_sizes"][edges]
-        members = whole["member_nodes"][_ranges(self.graph._member_starts[edges], sizes)]
-        kept = np.isin(members, nodes)
-        kept_sizes = np.bincount(np.repeat(np.arange(edges.size), sizes)[kept], minlength=edges.size)
+        members, member_edges = self._memberships
+        kept = np.isin(members, self.nodes)
+        kept_sizes = np.bincount(member_edges[kept], minlength=self.edges.size)
         # nodes are ascending, so a graph id's rank among them is its field id
-        return _incidence(nodes.size, kept_sizes, np.searchsorted(nodes, members[kept]))
+        return _incidence(self.nodes.size, kept_sizes, np.searchsorted(self.nodes, members[kept]))
+
+    @cached_property
+    def layer0_arrays(self) -> dict:
+        """What layer 0 reads on the field, where each of its hyperedges reads all of its members: four frozen arrays.
+
+        ``rows`` holds the graph ids of the field's nodes and of every
+        member of its hyperedges, ascending: the rows of the input features
+        that layer 0 multiplies. ``node_rows`` is each field node's position
+        among them. ``member_rows`` and ``member_edges`` list every
+        membership of a field hyperedge, hyperedge by hyperedge and members
+        ascending as the graph lists them, as a position among ``rows`` and
+        a field hyperedge id. So a hyperedge's mean over ``member_rows``
+        sums the graph's rows in the graph's order.
+        """
+        members, member_edges = self._memberships
+        rows = np.union1d(self.nodes, members)
+        return {
+            "rows": _frozen_ints(rows),
+            "node_rows": _frozen_ints(np.searchsorted(rows, self.nodes)),
+            "member_rows": _frozen_ints(np.searchsorted(rows, members)),
+            "member_edges": _frozen_ints(member_edges),
+        }
+
+    @cached_property
+    def _memberships(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every member of the field's hyperedges as a graph id, in the graph's order, and its field hyperedge id."""
+        whole = self.graph.incidence_arrays()
+        sizes = whole["edge_sizes"][self.edges]
+        members = whole["member_nodes"][_ranges(self.graph._member_starts[self.edges], sizes)]
+        return members, np.repeat(np.arange(self.edges.size), sizes)
 
     def rows(self, ids) -> np.ndarray:
         """The field rows of the graph ids ``ids``, each of which must be one of the field's ``ids``.

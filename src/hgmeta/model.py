@@ -14,34 +14,48 @@ differ only in where the coefficients come from:
 Weight matrices are shared between branches; the attention vectors are only
 consumed by the feature branch.
 
+Every layer computes its node projection ``h @ w`` and its hyperedge
+projection, the mean over each hyperedge's members of ``h @ w``, in one
+helper (``_projections``). The mean is linear, so it can be taken before
+the product or after it; the helper takes it on the narrower side, which
+depends only on the weight's shape. A layer that narrows (d_out < d_in)
+averages the rows of ``h @ w``, so its hyperedges need no product of their
+own: layer 0 at Cora-CA shape (1433 -> 64) and every hidden layer. A layer
+that widens averages ``h`` and projects the means, which keeps layer 0 at
+desk shape (16 -> 64) at its cost. Both orders agree in exact arithmetic
+and differ at rounding level.
+
 Layer 0 reads the raw input features, a constant that never receives a
-gradient. One forward (``_forward_t``) serves every caller: it computes the
-layer-0 hyperedge means and records the products ``X @ W0`` and
-``means(X) @ W0`` once for all the branches it runs, and every branch reads
-those two nodes. A backward sweep seeded at both branches' losses thus adds
-what reaches each node and multiplies by ``X.T`` once; a sweep seeded at one
-branch reaches only that branch's records, so its gradient has the bits of a
-one-branch tape. ``forward`` is its untaped case, for any of the branches,
-and the rows of each branch have the bits of a one-branch pass.
-``taped_forward(...).losses(...)`` is the one way to tape the classifier:
-``taped_forward`` registers the parameters on a fresh tape and records the
-forward without loss heads, and ``TapedForward.losses`` adds the CE heads
-for any ids to it, so one forward can serve more than one id set.
+gradient. One forward (``_forward_t``) serves every caller: it records
+layer 0's projections once for all the branches it runs, and every branch
+reads them. A backward sweep seeded at both branches' losses thus adds
+what reaches each layer-0 node and multiplies by ``X.T`` once; a sweep
+seeded at one branch reaches only that branch's records, so its gradient
+has the bits of a one-branch tape. ``forward`` is its untaped case, for any
+of the branches, and the rows of each branch have the bits of a one-branch
+pass. ``taped_forward(...).losses(...)`` is the one way to tape the
+classifier: ``taped_forward`` registers the parameters on a fresh tape and
+records the forward without loss heads, and ``TapedForward.losses`` adds
+the CE heads for any ids to it, so one forward can serve more than one id
+set.
 
 ``taped_forward`` can tape the receptive field of a batch
-(``Hypergraph.receptive_field``) in place of the whole graph. Layer 0 then
-records ``X[nodes] @ W0`` and ``means[edges] @ W0`` over the field's rows of
-``X`` and of the graph's layer-0 means, the structural branch reads the
-graph's coefficients at the field's pairs, and dropout masks, drawn at the
-graph's shape, are read at the field's nodes. Every value the batch's loss
-rows read is then the whole graph's, and so are those rows, up to how BLAS
+(``Hypergraph.receptive_field``) in place of the whole graph. A layer-0
+hyperedge reads all of its members, and the field's outermost hyperedges
+have members one hop outside the field, so layer 0 multiplies the rows of
+``X`` at the field's nodes and at every member of its hyperedges
+(``ReceptiveField.layer0_arrays``), and averages each hyperedge over all of
+its members in the graph's order. The structural branch reads the graph's
+coefficients at the field's pairs, and dropout masks, drawn at the graph's
+shape, are read at the field's nodes. Every value the batch's loss rows
+read is then the whole graph's, and so are those rows, up to how BLAS
 rounds a product row by the number of rows it multiplies; the sweeps
 multiply fewer rows, so gradients differ at rounding level.
 
-Values derived from frozen arrays (see ``tensor.frozen``) follow the one
-cache rule of ``tensor.derived``: the structural coefficients live as long
-as the graph, and the layer-0 means as long as both the graph and frozen
-features (``Dataset.features`` is frozen).
+The structural coefficients are derived from a frozen array and follow the
+one cache rule of ``tensor.derived``: they live as long as the graph. No
+value derived from the input features is cached: a widening layer 0
+averages them afresh, untaped, in each forward.
 """
 
 from __future__ import annotations
@@ -215,29 +229,30 @@ def ss_coefficients(g: Hypergraph) -> Array:
     return T.derived(arrays["pair_nodes"], "ss_coefficients", build)
 
 
-def _edge_means_t(g: Hypergraph, h: Tensor) -> Tensor:
-    arrays = g.incidence_arrays()
-    gathered = T.gather_rows(h, arrays["member_nodes"])
-    return T.segment_mean(gathered, arrays["member_edges"], g.num_hyperedges)
+def _projections(
+    h: Tensor, w: Tensor, members: Array, member_edges: Array, num_edges: int, node_rows: Array | None = None
+) -> tuple[Tensor, Tensor]:
+    """A layer's node projection ``h @ w`` and hyperedge projection, each hyperedge's mean of ``h @ w`` over its members.
 
-
-def _input_edge_means(g: Hypergraph, X: Array) -> Array:
-    """Read-only hyperedge means of the input features, built once per frozen pair.
-
-    They are kept by ``tensor.derived`` for as long as both the graph's
-    frozen ``member_nodes`` and a frozen ``X`` live, so dropping a dataset,
-    or only its graph, frees them too. Any other ``X`` gets fresh means,
-    with the bits of ``_edge_means_t``.
+    ``members`` and ``member_edges`` list every membership as a row of ``h``
+    and a hyperedge id; the node projection is at ``node_rows`` of ``h``
+    when given, else at every row. The mean is linear, so it is taken on
+    the narrower side of the product, which depends on ``w``'s shape alone:
+    of ``h @ w`` when the layer narrows (d_out < d_in), so that the
+    hyperedges need no product of their own, and otherwise of ``h``, whose
+    means are then projected. The node projection is computed first.
     """
-    arrays = g.incidence_arrays()
-    members = arrays["member_nodes"]
+    if w.shape[1] < w.shape[0]:
+        hw = T.matmul(h, w)
+        ew = _edge_means_t(hw, members, member_edges, num_edges)
+        return (hw if node_rows is None else T.gather_rows(hw, node_rows)), ew
+    hw = T.matmul(h if node_rows is None else T.gather_rows(h, node_rows), w)
+    return hw, T.matmul(_edge_means_t(h, members, member_edges, num_edges), w)
 
-    def build() -> Array:
-        means = T.gathered_segment_mean(X, members, arrays["member_edges"], g.num_hyperedges)
-        means.setflags(write=False)
-        return means
 
-    return T.derived((members, X), "edge_means", build)
+def _edge_means_t(h: Tensor, members: Array, member_edges: Array, num_edges: int) -> Tensor:
+    """Each hyperedge's mean of the rows of ``h`` at its members, the ``members`` entries of its ``member_edges`` runs."""
+    return T.segment_mean(T.gather_rows(h, members), member_edges, num_edges)
 
 
 def _fs_coefficients_t(g: Hypergraph, node_proj: Tensor, edge_proj: Tensor, a: Tensor) -> Tensor:
@@ -268,11 +283,12 @@ def _forward_t(
 ) -> Iterator[Tensor]:
     """The last hidden layer of each branch for the constant input ``X``, yielded in turn.
 
-    ``X @ W0`` and ``means(X) @ W0`` are recorded once, before any branch,
-    and every branch reads those two nodes. On a ``field`` of ``g``, the
-    rows are the field's: layer 0 reads its rows of ``X``, of the graph's
-    layer-0 means and of the dropout masks, and its pairs of the graph's
-    structural coefficients.
+    Layer 0's two projections (``_projections``) are recorded once, before
+    any branch, and every branch reads them. On a ``field`` of ``g``, the
+    rows are the field's: layer 0 multiplies the rows of ``X`` that the
+    field's hyperedges and nodes read (``ReceptiveField.layer0_arrays``),
+    and the field reads its rows of the dropout masks and its pairs of the
+    graph's structural coefficients.
     """
     unknown = [branch for branch in branches if branch not in BRANCHES]
     if unknown:
@@ -280,28 +296,32 @@ def _forward_t(
     x = T.as_tensor(X)
     if x.shape[0] != g.num_nodes:
         raise ContractError("X must have one row per node")
-    means = _input_edge_means(g, x.data)
     ss = ss_coefficients(g) if "ss" in branches else None
-    if field is not None:
+    if field is None:
+        arrays = g.incidence_arrays()
+        layer0 = _projections(x, weights[0], arrays["member_nodes"], arrays["member_edges"], g.num_hyperedges)
+    else:
         if field.hops < len(weights) - 1:
             raise ContractError(f"a {len(weights)}-layer forward needs a field of {len(weights) - 1} hops, got {field.hops}")
-        x, means = T._scanned(x.data[field.nodes]), means[field.edges]
+        read = field.layer0_arrays
+        # rows of X, which is finite already, so they are wrapped without another scan
+        rows = T._scanned(x.data[read["rows"]])
+        layer0 = _projections(
+            rows, weights[0], read["member_rows"], read["member_edges"], field.num_hyperedges, read["node_rows"]
+        )
         ss = None if ss is None else ss[field.pairs]
         dropout_masks = None if dropout_masks is None else [mask[field.nodes] for mask in dropout_masks]
         g = field
-    # the means and the rows of X are finite already, so they are wrapped without another scan
-    means = T._scanned(means)
-    x_w0, means_w0 = T.matmul(x, weights[0]), T.matmul(means, weights[0])
+    arrays = g.incidence_arrays()
     last = len(weights) - 1
     for branch in branches:
         if branch == "ss":
             coeff = T.as_tensor(T.column(ss))
         for t, (w, a) in enumerate(zip(weights, attn)):
             if t == 0:
-                hw, ew = x_w0, means_w0
+                hw, ew = layer0
             else:
-                edge_feats = _edge_means_t(g, h)
-                hw, ew = T.matmul(h, w), T.matmul(edge_feats, w)
+                hw, ew = _projections(h, w, arrays["member_nodes"], arrays["member_edges"], g.num_hyperedges)
             if branch == "fs":
                 coeff = _fs_coefficients_t(g, hw, ew, a)
             h = _node_update_t(g, hw, ew, coeff)
@@ -345,7 +365,7 @@ def taped_forward(
     """A fresh tape with ``params`` registered and the forward of ``branches`` on it, without loss heads.
 
     The branches share the parameter tensors, so their gradients accumulate
-    into the same weights, and they read one pair of layer-0 product nodes.
+    into the same weights, and they read one pair of layer-0 projections.
     With a ``field`` of ``g`` (``Hypergraph.receptive_field``) of at least
     ``layers - 1`` hops, only the field is taped, and ``losses`` takes the
     field's ids (see the module docstring for the bits this keeps).

@@ -22,9 +22,9 @@ scanned when it was made.
 
 Every cache in the package follows one rule, ``derived``: a value built from
 one or more frozen arrays is kept while all of them live, held weakly, and
-is dropped when any of them dies. The finiteness verdicts, the run indexes
-below, a graph's structural coefficients and the layer-0 hyperedge means of
-the input features (keyed on the graph and the features) are kept this way.
+is dropped when any of them dies. Four kinds of value are kept this way:
+the finiteness verdicts, the run indexes below, the extremes of id arrays
+and a graph's structural coefficients.
 
 The elementwise derivative factors of ``elu`` and ``leaky_relu`` are built
 once with a tracked node and reused by every backward pass and tangent sweep
@@ -542,35 +542,32 @@ class _RunIndex:
         # without splits every leaf is a root, and the ascending roots are 0 .. runs - 1
         self._roots = slot[by_root] if splits else slice(0, runs)
 
-    def sum_into(self, values: Array, num_rows: int, take: Array | None = None) -> Array:
-        """Per-id sums of ``values`` rows (of ``values[take]`` rows when given) in a (num_rows, d) array."""
-        return self._reduce(np.add, -0.0, np.zeros((num_rows, values.shape[1])), values, take)
+    def sum_into(self, values: Array, num_rows: int) -> Array:
+        """Per-id sums of ``values`` rows in a (num_rows, d) array."""
+        return self._reduce(np.add, -0.0, np.zeros((num_rows, values.shape[1])), values)
 
     def max_into(self, values: Array, num_rows: int) -> Array:
         """Per-id maxima of ``values`` rows; ids without rows read -inf."""
-        return self._reduce(np.maximum, -np.inf, np.full((num_rows, values.shape[1]), -np.inf), values, None)
+        return self._reduce(np.maximum, -np.inf, np.full((num_rows, values.shape[1]), -np.inf), values)
 
-    def _reduce(self, op, neutral: float, out: Array, values: Array, take: Array | None) -> Array:
-        def rows(positions: Array) -> Array:
-            return values[positions if take is None else take[positions]]
-
-        head = rows(self._heads)
+    def _reduce(self, op, neutral: float, out: Array, values: Array) -> Array:
+        head = values[self._heads]
         if self._blocks:
             sums = np.full((self._size, values.shape[1]), neutral)
-            acc = rows(self._blocks[0])  # (leaves, 8, d): the 8 accumulators of each leaf
+            acc = values[self._blocks[0]]  # (leaves, 8, d): the 8 accumulators of each leaf
             for positions in self._blocks[1:]:
-                _accumulate(op, acc, rows(positions))
+                _accumulate(op, acc, values[positions])
             a = [acc[:, k] for k in range(8)]
             sums[self._combined] = op(op(op(a[0], a[1]), op(a[2], a[3])), op(op(a[4], a[5]), op(a[6], a[7])))
             for positions in self._tails:
-                _accumulate(op, sums, rows(positions))
+                _accumulate(op, sums, values[positions])
             for parents, left, right in self._levels:
                 sums[parents] = op(sums[left], sums[right])
             op(head, sums[self._roots], out=head)
         elif self._tails:  # runs of at most 8 rows, see the class docstring
-            sums = rows(self._tails[0])
+            sums = values[self._tails[0]]
             for positions in self._tails[1:]:
-                _accumulate(op, sums, rows(positions))
+                _accumulate(op, sums, values[positions])
             _accumulate(op, head, sums)
         out[self._rows] = head
         return out
@@ -800,31 +797,6 @@ def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
         return out
 
     return _emit("segment_mean", means(values.data), (values,), grad, means)
-
-
-# column block of gathered_segment_mean, the width of a typical hidden layer
-_MEAN_BLOCK = 64
-
-
-def gathered_segment_mean(values: Array, rows, segment_ids, num_segments: int) -> Array:
-    """Untaped ``segment_mean(gather_rows(values, rows), ...)`` with its bits.
-
-    The sums read ``values[rows]`` rank by rank, so the gathered rows are
-    never held as a whole. Columns are summed independently, so blocks of
-    ``_MEAN_BLOCK`` columns give the same bits while keeping every temporary
-    small: on wide inputs, freeing a temporary as large as the result lets
-    glibc raise its mmap threshold to that size, and later per-step arrays
-    below it then stay on the heap and raise the peak RSS of the run.
-    """
-    rows = checked_ids(rows, "gather_rows", values.shape[0])
-    ids = checked_ids(segment_ids, "segment", num_segments, rows.size)
-    index = _run_index(ids)
-    counts = _segment_counts(index, num_segments)[:, None]
-    out = np.empty((num_segments, values.shape[1]))
-    for lo in range(0, values.shape[1], _MEAN_BLOCK):
-        block = slice(lo, lo + _MEAN_BLOCK)
-        out[:, block] = index.sum_into(values[:, block], num_segments, rows) / counts
-    return _finite("segment_mean", out)
 
 
 def segment_softmax(scores: Tensor, segment_ids) -> Tensor:

@@ -234,10 +234,12 @@ _FIELD_SHARE = 0.5
 def _probe_field(g: Hypergraph, ids: Array, layers: int) -> ReceptiveField | None:
     """The receptive field of ``ids`` for a ``layers``-layer forward, or None when it is not small.
 
-    A field's layer-0 products multiply fewer rows, and its sweeps run over
-    fewer; but its tape holds copies of its rows of the input features and
-    of the layer-0 means, which the whole graph's tape reads in place, so a
-    field that covers much of the graph holds more memory than the graph.
+    A field's layer-0 product multiplies fewer rows, and its sweeps run over
+    fewer; but its tape holds a copy of the rows of the input features that
+    its hyperedges read (``ReceptiveField.layer0_arrays``), which the whole
+    graph's tape reads in place, so a field that covers much of the graph
+    holds more memory than the graph. The share counts the field's nodes
+    and hyperedges, the rows its sweeps run over.
     """
     field = g.receptive_field(ids, layers - 1)
     if field.num_nodes + field.num_hyperedges <= _FIELD_SHARE * (g.num_nodes + g.num_hyperedges):

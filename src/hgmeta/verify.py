@@ -153,10 +153,17 @@ def jvp_check(nodes: int = 8, hidden: int = 4, seed: int = 0, eps: float = 1e-5)
     }
 
 
+# the step by which a parameter block whose analytic meta-gradient is exactly zero is differenced again
+ZERO_BLOCK_STEP = 100.0
+
+
 @dataclass
 class MetaCheckReport:
+    """The meta check's error, its analytic gradient's norm and the blocks it differenced at ``ZERO_BLOCK_STEP * eps``."""
+
     max_rel_err: float
     analytic_norm: float
+    redifferenced: tuple[str, ...] = ()
 
 
 def meta_gradient_check(
@@ -169,7 +176,17 @@ def meta_gradient_check(
     eps: float = 1e-5,
     mode: str = "complementary",
 ) -> MetaCheckReport:
-    """Analytic Theta-gradient vs finite differences through one probe step, in output ``mode``."""
+    """Analytic Theta-gradient vs finite differences through one probe step, in output ``mode``.
+
+    One rule holds for every seed: a parameter block whose analytic
+    gradient is exactly zero is differenced again at ``ZERO_BLOCK_STEP``
+    times ``eps``, and the report names it. Such a block differences at
+    ``eps`` to roundoff of the meta loss over 2 eps, which a block scale
+    floored at 1e-8 can read as a breach; the larger step divides that
+    noise by ``ZERO_BLOCK_STEP``, while a derivative that is not zero still
+    reads as itself to a truncation of order (``ZERO_BLOCK_STEP * eps``)^2,
+    so a wrongly zero block still breaches.
+    """
     ds = random_toy_dataset(nodes=nodes, seed=seed)
     rng = stream(seed, "meta-check")
     train_ids = np.asarray(ds.splits.train, dtype=np.int64)
@@ -189,5 +206,21 @@ def meta_gradient_check(
         w_vec = cache.w_vec - lam1 * _step_gradient(alpha, beta, cache, hgnn, 0.0)
         return meta_loss_value(ds.graph, ds.features, ds.labels, meta_ids, hgnn.with_vec(w_vec))[0]
 
-    numeric = central_difference(loss_at, mwn.flatten(), eps)
-    return MetaCheckReport(max_rel_err(analytic, numeric, mwn.param_items()), float(np.linalg.norm(analytic)))
+    theta = mwn.flatten()
+    numeric = central_difference(loss_at, theta, eps)
+    redifferenced, lo = [], 0
+    for name, arr in mwn.param_items():
+        block = slice(lo, lo + arr.size)
+        lo = block.stop
+        if not analytic[block].any():
+
+            def block_loss_at(values: Array, block=block) -> float:
+                vec = theta.copy()
+                vec[block] = values
+                return loss_at(vec)
+
+            numeric[block] = central_difference(block_loss_at, theta[block], ZERO_BLOCK_STEP * eps)
+            redifferenced.append(name)
+    return MetaCheckReport(
+        max_rel_err(analytic, numeric, mwn.param_items()), float(np.linalg.norm(analytic)), tuple(redifferenced)
+    )

@@ -254,31 +254,31 @@ PINNED_NUMPY = "2.4.6"
 PINNED_OPENBLAS = "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"
 PINNED_SHA256 = {
     "default": (
-        "46711f6b4096859e8325733e6fd64090dac7d4c3229ceee7ad00c945bc006a15",
+        "f72183f758424489792476b20aeec61ba53a7441d8a86ceb8476df34b7f83d90",
         "173ffaea3d611de6386c90a617b7c406937d08e2e7b6e0641edb6bebab8247e3",
     ),
     "independent": (
-        "59f5f00a86e36e8aa92902501b0793be68acf7a23180f1240b4d9b2ca4e2fe77",
+        "3f5f2262e543cdcaa1e7996da92556abab63e574e6cf2f89e04957a4f20f9dea",
         "e6681ce0e2596493bd9af2de0c1e6ae84639cb92318ddacb137b4f2b59b8f3c4",
     ),
     "pinned-batch": (
-        "6115642cad46674238e8b2e01be9ee30f3ef7feb0fa1e41024a7fd4e54a082a5",
+        "568dfdf1cbfa444524f72edc0ec1d725f2c68b105fc27292135730ff6a60a6ef",
         "ae4ba4ff2ebf42b4a267e613741654e8bb02a4ad6e6be5159dc0074178ae97e5",
     ),
     "pinned-ss": (
-        "f31c506703597b8adadb2150951480397d857e616e5f274272ac01994c66dc20",
+        "d72628246ab4cad2c56b3e39fc6bd28e4620ad283d7345d9b8b4f56a8487c016",
         "4628b5f36288f775434f19576bc6c84b146ddf7c3392d9f5b0163061836d39fd",
     ),
     "pinned-fs": (
-        "29ef4f0c94ad5db367f6e407b98ee66004f057cf0d06796e7bf4f72d70952d42",
+        "526f082ee3f559e55a715e0137483723b05064a808959110824feb2f1657c7da",
         "2ba2900674d6f6bc8e60d812cc35381512a490d86a7c4cc218fd8d31999088bd",
     ),
     "dropout-decay-adam": (
-        "15a5e0893186ef9df66598230028dc207aabc277a4361ee961f477c4060671c8",
+        "2f5afa64f858eda8fe081ef27e4150ba653f88c337337c34cc150b6f3c5aa1a9",
         "e127348f19830ca8c6073139677c08173783ae7ce2b9b0120d67981ad596e5a0",
     ),
     "layers3-log1p": (
-        "54bcb3c6f9d57ba09bf7ce0b28791e143332021b6fe6f8a5c4565f62e6147c6a",
+        "2eb6260a4a00d7138aa92ed66a5116d2cd01b543f2c6ea59f92e853acfadd1d8",
         "7212005ac4b442c32ab5f273b0f7d029e6e4b5d25fac24b4bef45517d47393ba",
     ),
 }

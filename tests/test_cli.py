@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hgmeta import cli
+from hgmeta import data as data_mod
 from hgmeta import tensor as T
 from hgmeta import trainer as trainer_mod
 from hgmeta import verify as verify_mod
@@ -122,6 +123,23 @@ class TestTrainCommand:
         assert cli.main(["train", str(tiny_config(tmp_path, **{section: value}))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and shape in err
+
+    def test_a_size_past_the_hosts_memory_exits_2_in_one_line(self, tmp_path, capsys, monkeypatch):
+        # 2**40 nodes of 4 features are 32 TiB, below the address-space bound; every draw raises as NumPy
+        # would on this host, so nothing is allocated
+        class Unallocatable:
+            def __getattr__(self, name):
+                def draw(*args, size=None, **kwargs):
+                    raise MemoryError(f"Unable to allocate 32.0 TiB for an array with shape {size}")
+
+                return draw
+
+        monkeypatch.setattr(data_mod, "stream", lambda seed, name: Unallocatable())
+        cfg = tiny_config(tmp_path, dataset={"synthetic": {"nodes": 2**40, "dim": 4}})
+        assert cli.main(["train", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "more memory than this host" in err and "Unable to allocate 32.0 TiB" in err
 
     @pytest.mark.parametrize(
         "section,value,key",
@@ -900,6 +918,13 @@ class TestGradCheck:
     def test_seed_2_passes_at_the_defaults(self, capsys):
         assert cli.main(["grad-check", "--seed", "2"]) == 0
         assert "result=ok" in capsys.readouterr().out
+
+    def test_seed_6_passes_and_names_the_blocks_differenced_again(self, capsys):
+        # head 1's analytic meta-gradient is exactly zero at seed 6 (see verify.meta_gradient_check)
+        assert cli.main(["grad-check", "--seed", "6"]) == 0
+        out = capsys.readouterr().out
+        assert "result=ok" in out
+        assert "complementary_meta_redifferenced=head1_w,head1_b\n" in out
 
     def test_smallest_checkable_sizes_run(self, capsys):
         assert cli.main(["grad-check", "--nodes", "2", "--hidden", "1", "--mwn-hidden", "1"]) == 0

@@ -372,7 +372,15 @@ class TestReceptiveField:
         inner, _ = _field_reference(g, ids, hops - 1) if hops else ([], [])
         for e in {e for v in inner for e in g.node_to_edges(v)}:
             assert arrays["edge_sizes"][edges.index(e)] == len(g.edge_to_nodes(e))
-        for name, values in [("ids", field.ids), ("nodes", field.nodes), ("pairs", field.pairs), *arrays.items()]:
+        # layer 0 reads every member of every field hyperedge, in the graph's order, and the field's nodes
+        layer0 = field.layer0_arrays
+        rows = sorted(set(nodes) | {u for e in edges for u in g.edge_to_nodes(e)})
+        assert layer0["rows"].tolist() == rows
+        assert layer0["rows"][layer0["node_rows"]].tolist() == nodes
+        memberships = [(edges.index(e), u) for e in edges for u in g.edge_to_nodes(e)]
+        assert list(zip(layer0["member_edges"].tolist(), layer0["rows"][layer0["member_rows"]].tolist())) == memberships
+        checked = [("ids", field.ids), ("nodes", field.nodes), ("pairs", field.pairs), *arrays.items(), *layer0.items()]
+        for name, values in checked:
             assert values.dtype == np.int64 and T.frozen(values), name
 
     def test_rows_map_its_ids_and_refuse_any_other_node(self):
@@ -380,6 +388,8 @@ class TestReceptiveField:
         field = g.receptive_field([3, 1], hops=1)
         assert field.nodes.tolist() == [0, 1, 2, 3] and field.edges.tolist() == [0, 1]
         assert field.rows([1, 3, 1]).tolist() == [1, 3, 1]
+        # no hyperedge of the field reaches past it here, so layer 0 reads the field's rows alone
+        assert field.layer0_arrays["rows"].tolist() == [0, 1, 2, 3]
         # node 2 lies in the field, but its rows hold no loss the field was built for
         for outside in ([2], [1, 4]):
             with pytest.raises(ContractError, match="not one of the ids"):
@@ -400,6 +410,9 @@ class TestReceptiveField:
         field = g.receptive_field([1], hops=0)
         assert field.nodes.tolist() == [1] and field.edges.tolist() == [0, 1]
         assert field.incidence_arrays()["edge_sizes"].tolist() == [1, 1]
+        # but layer 0 averages both hyperedges over all of their members
+        assert field.layer0_arrays["rows"].tolist() == [0, 1, 2, 3]
+        assert field.layer0_arrays["member_edges"].tolist() == [0, 0, 1, 1, 1]
 
     def test_bad_arguments_are_rejected(self):
         g = Hypergraph(3, [[0, 1]])

@@ -20,7 +20,7 @@ from hgmeta.errors import ContractError
 from hgmeta.hypergraph import Hypergraph
 from hgmeta.model import BRANCHES, HGNNParams, branch_losses, forward, ss_coefficients, taped_forward
 from hgmeta.rng import drawable, stream
-from hgmeta.verify import HGNN_TOLERANCE, hgnn_gradient_check
+from hgmeta.verify import HGNN_TOLERANCE, hgnn_gradient_check, random_toy_dataset
 
 from conftest import random_hypergraph
 from test_trainer import reference_per_sample_grads
@@ -123,19 +123,25 @@ class TestSSCoefficients:
                 gc.enable()
 
 
+def edge_means(g: Hypergraph, h) -> T.Tensor:
+    """The mean of the rows of ``h`` over every hyperedge of ``g``."""
+    arrays = g.incidence_arrays()
+    return model._edge_means_t(h, arrays["member_nodes"], arrays["member_edges"], g.num_hyperedges)
+
+
 class TestAggregateHyperedges:
     def test_identical_members_passthrough(self):
         g = pair_edge()
         feats = np.array([[2.0, -1.0], [2.0, -1.0]])
-        np.testing.assert_array_equal(model._edge_means_t(g, T.as_tensor(feats)).data, [[2.0, -1.0]])
+        np.testing.assert_array_equal(edge_means(g, T.as_tensor(feats)).data, [[2.0, -1.0]])
 
     def test_two_member_mean(self):
         g = pair_edge()
         feats = np.array([[0.0], [2.0]])
-        np.testing.assert_array_equal(model._edge_means_t(g, T.as_tensor(feats)).data, [[1.0]])
+        np.testing.assert_array_equal(edge_means(g, T.as_tensor(feats)).data, [[1.0]])
 
     def test_hub_toy_one_hot_means(self, toy):
-        out = model._edge_means_t(toy, T.as_tensor(np.eye(7))).data
+        out = edge_means(toy, T.as_tensor(np.eye(7))).data
         expected = np.zeros((3, 7))
         for e, members in enumerate(toy.edges()):
             expected[e, list(members)] = 0.25
@@ -177,7 +183,7 @@ class TestFSCoefficients:
 def _node_update(g: Hypergraph, feats, coeffs, w) -> T.Tensor:
     """The stage-2 update of ``feats`` projected by ``w``, with the stage-1 means of ``feats``."""
     x, w = T.as_tensor(feats), T.as_tensor(w)
-    edge_feats = model._edge_means_t(g, x)
+    edge_feats = edge_means(g, x)
     return model._node_update_t(g, T.matmul(x, w), T.matmul(edge_feats, w), T.as_tensor(T.column(coeffs)))
 
 
@@ -216,8 +222,9 @@ class TestForward:
 
     @pytest.mark.parametrize("branch", ["ss", "fs"])
     def test_three_layers_match_chain_of_stage_helpers(self, branch):
-        # forward is built from the stage helpers, so the chain
-        # aggregate -> project -> coefficients -> update reproduces it bit for bit
+        # forward is built from the stage helpers, so the chain project -> aggregate on the
+        # narrower side -> coefficients -> update reproduces it bit for bit; 5 -> 4 and 6 -> 3
+        # narrow and average h @ w, 4 -> 6 widens and projects the means of h
         rng = np.random.default_rng(18)
         for trial in range(20):
             g = random_hypergraph(rng, max_nodes=30)
@@ -226,7 +233,8 @@ class TestForward:
             h = T.as_tensor(X)
             for t, (w, a) in enumerate(zip(params.weights, params.attn)):
                 w = T.as_tensor(w)
-                hw, ew = T.matmul(h, w), T.matmul(model._edge_means_t(g, h), w)
+                hw = T.matmul(h, w)
+                ew = edge_means(g, hw) if t != 1 else T.matmul(edge_means(g, h), w)
                 if branch == "ss":
                     coeff = T.as_tensor(T.column(ss_coefficients(g)))
                 else:
@@ -277,152 +285,71 @@ class TestForward:
             np.testing.assert_allclose(moved, base, rtol=1e-12)
 
 
-class TestInputMeansCache:
-    """Layer-0 hyperedge means of frozen features are computed once per graph and features pair."""
+class TestNoFeatureCache:
+    """No value derived from the input features outlives a forward: a widening layer 0 averages them afresh."""
 
     @staticmethod
-    def _instance(seed=21):
-        """A graph, frozen features over ``bytes`` (as the loaders build them) and parameters."""
+    def _instance(seed, dim):
         rng = np.random.default_rng(seed)
         g = random_hypergraph(rng, max_nodes=30, allow_isolated=False)
-        X = np.frombuffer(rng.normal(size=(g.num_nodes, 5)).tobytes()).reshape(g.num_nodes, 5)
+        X = np.frombuffer(rng.normal(size=(g.num_nodes, dim)).tobytes()).reshape(g.num_nodes, dim)
         assert T.frozen(X)
-        return g, X, random_params([5, 4, 3], seed=seed)
+        return g, X, random_params([dim, 4, 3], seed=seed)
 
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        """A weakref to every layer-0 means array built, in order."""
-        made, build = [], T.gathered_segment_mean
-
-        def counting(*args):
-            means = build(*args)
-            made.append(weakref.ref(means))
-            return means
-
-        monkeypatch.setattr(T, "gathered_segment_mean", counting)
-        return made
-
-    @pytest.mark.parametrize("branch", ["ss", "fs"])
-    def test_read_only_features_reuse_their_means_with_the_same_bits(self, branch, builds):
-        g, X, params = self._instance()
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("dim", [3, 5], ids=["widening", "narrowing"])
+    def test_frozen_features_key_no_cache_entry_and_give_the_writeable_bits(self, dim):
+        g, X, params = self._instance(21, dim)
         ids = range(g.num_nodes)
-        first = forward(g, X, params, ids, (branch,))[0]
-        second = forward(g, X, params, ids, (branch,))[0]
-        assert len(builds) == 1
-        assert not builds[0]().flags.writeable
-        np.testing.assert_array_equal(first, second)
-        writeable = X.copy()
-        np.testing.assert_array_equal(forward(g, writeable, params, ids, (branch,))[0], first)
-        np.testing.assert_array_equal(forward(g, writeable, params, ids, (branch,))[0], first)
-        assert len(builds) == 3  # fresh means on every pass over a writeable array
-        forward(g, X, params, ids, (branch,))
-        assert len(builds) == 3  # and the frozen features' means are still held
-
-    def test_taped_gradients_match_writeable_features_bitwise(self):
-        g, X, params = self._instance(seed=22)
-        y = np.arange(g.num_nodes) % 3
-        ids = np.arange(g.num_nodes)
-        results = []
-        for feats in (X, X.copy(), X):
-            ss, fs = taped_forward(g, feats, params).losses(y, ids)
-            results.append(ss.tape.backward(T.add(ss.mean_loss, fs.mean_loss)))
-        for grads in results[1:]:
-            for name, value in results[0].items():
-                np.testing.assert_array_equal(grads[name], value)
-
-    def test_view_of_writeable_array_is_not_cached(self, builds):
-        g, X, params = self._instance(seed=23)
-        base = X.copy()
-        view = base[:]
-        view.setflags(write=False)
-        forward(g, X, params, [0], ("ss",))
-        forward(g, view, params, [0], ("ss",))
-        forward(g, view, params, [0], ("ss",))
-        forward(g, X, params, [0], ("ss",))
-        assert len(builds) == 3
-
-    @pytest.mark.parametrize("branch", ["ss", "fs"])
-    def test_owner_edited_between_passes_gives_fresh_means(self, branch):
-        g, frozen_x, params = self._instance(seed=25)
-        X = frozen_x.copy()
-        X.setflags(write=False)  # owns its memory, so it can be made writeable again
-        ids = range(g.num_nodes)
-        before = forward(g, X, params, ids, (branch,))[0]
-        X.setflags(write=True)
-        X *= -1.5
-        X.setflags(write=False)
-        after = forward(g, X, params, ids, (branch,))[0]
-        np.testing.assert_array_equal(after, forward(g, X.copy(), params, ids, (branch,))[0])
-        assert not np.array_equal(after, before)
-
-    def test_dropped_graph_is_not_kept_alive_by_its_features(self, builds):
-        g, X, params = self._instance(seed=26)
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            forward(g, X, params, [0], ("fs",))
-            members_ref = weakref.ref(g.incidence_arrays()["member_nodes"])
-            assert builds[0]() is not None
-            del g
-            assert members_ref() is None and builds[0]() is None
-        finally:
-            if was_enabled:
-                gc.enable()
-
-    def test_dropped_features_free_their_means_without_the_cyclic_collector(self, builds):
-        g, X, params = self._instance(seed=24)
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            forward(g, X, params, [0], ("fs",))
-            x_ref = weakref.ref(X)
-            assert builds[0]() is not None
-            del X
-            assert x_ref() is None and builds[0]() is None
-        finally:
-            if was_enabled:
-                gc.enable()
+        frozen = [forward(g, X, params, ids) for _ in range(2)]
+        # the finiteness verdict is the one value kept for the features
+        assert [kind for keys, kind in T._derived if id(X) in keys] == ["finite"]
+        writeable = forward(g, X.copy(), params, ids)
+        for logits in frozen[1:] + [writeable]:
+            assert [a.tobytes() for a in logits] == [b.tobytes() for b in frozen[0]]
 
 
 @pytest.mark.bitwise
 class TestSharedLayer0:
-    """Both branches of a pass read one pair of layer-0 product nodes of the constant input."""
+    """Both branches of a pass read one pair of layer-0 projections of the constant input."""
 
     # of the largest entry of |A| + |B| in each parameter: the joint sweep adds the two
     # branches' gradients before a product, where the single-root sweeps add after it
     JOINT_TOLERANCE = 1e-12
 
     @staticmethod
-    def _instance(seed: int, layers: int, frozen: bool):
+    def _instance(seed: int, layers: int, frozen: bool, dim: int = 5):
         rng = np.random.default_rng(seed)
         g = random_hypergraph(rng, max_nodes=30)
         n = g.num_nodes
-        X = rng.normal(size=(n, 5))
+        X = rng.normal(size=(n, dim))
         if frozen:
-            X = np.frombuffer(X.tobytes()).reshape(n, 5)
+            X = np.frombuffer(X.tobytes()).reshape(n, dim)
         masks = [(rng.random((n, 4)) < 0.7) / 0.7 for _ in range(layers - 1)]
         ids = np.sort(rng.choice(n, size=min(n, 6), replace=False))
         y = rng.integers(0, 3, size=n)
-        return g, X, y, random_params([5] + [4] * (layers - 1) + [3], seed=seed), masks, ids
+        return g, X, y, random_params([dim] + [4] * (layers - 1) + [3], seed=seed), masks, ids
 
+    @pytest.mark.parametrize("dim, products", [(5, 1), (3, 2)], ids=["narrowing", "widening"])
     @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "writeable"])
-    def test_taped_branches_read_two_layer0_nodes_on_w0(self, frozen):
-        g, X, y, params, masks, ids = self._instance(31, 2, frozen)
+    def test_taped_branches_read_the_layer0_products_on_w0(self, frozen, dim, products):
+        # a narrowing layer 0 multiplies X alone and averages the product; a widening one also multiplies the means of X
+        g, X, y, params, masks, ids = self._instance(31, 2, frozen, dim)
         ss, fs = taped_forward(g, X, params, masks).losses(y, ids)
         tape = ss.tape
         w0 = tape._params["w0"][0]
         layer0 = [i for i, (_, in_idxs, *_) in enumerate(tape._records) if w0 in in_idxs]
-        assert layer0 == [0, 1] and all(tape._records[i][1] == (None, w0) for i in layer0)
+        assert layer0 == list(range(products)) and all(tape._records[i][1] == (None, w0) for i in layer0)
         ran = []
         for i in layer0:
             out, in_idxs, grad_fn, tangent_fn = tape._records[i]
             tape._records[i] = (out, in_idxs, lambda g, i=i, fn=grad_fn: ran.append(i) or fn(g), tangent_fn)
         seed = np.ones((ids.size, 1))
-        # each branch reaches both nodes, and a joint sweep runs each node's rule once
+        # each branch reaches every layer-0 product, and a joint sweep runs each product's rule once
         for roots in ([(ss.loss_vec, seed)], [(fs.loss_vec, seed)], [(ss.loss_vec, seed), (fs.loss_vec, seed)]):
             ran.clear()
             tape.backward(roots)
-            assert ran == [1, 0]
+            assert ran == layer0[::-1]
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_a_zero_seeded_root_is_no_root(self, layers):
@@ -527,6 +454,60 @@ class TestSharedLayer0:
         assert done.returncode == 0, done.stderr[-2000:]
 
 
+def means_first_projections(h, w, members, member_edges, num_edges, node_rows=None):
+    """``model._projections`` in the order every layer took before: the hyperedge means of ``h``, projected by ``w``."""
+    hw = T.matmul(h if node_rows is None else T.gather_rows(h, node_rows), w)
+    return hw, T.matmul(model._edge_means_t(h, members, member_edges, num_edges), w)
+
+
+class TestMeansFirstReference:
+    """The narrower-side order against the means-first order at every layer: forward, step gradient and tangents."""
+
+    # of each array's largest entry: the orders differ only in where each hyperedge's sum is rounded, a few
+    # ulps per product; measured at most 1.1e-15 over these shapes, and three layers and the loss heads keep it small
+    TOLERANCE = 1e-12
+
+    SHAPES = {
+        "toy": (lambda: random_toy_dataset(seed=3), ([5, 4, 3], [5, 4, 6, 3])),
+        "desk": (lambda: generate_synthetic(SyntheticSpec(), 0), ([16, 64, 3], [16, 64, 64, 3])),
+        "wide-input": (
+            lambda: generate_synthetic(SyntheticSpec(nodes=300, hyperedges=200, dim=400, classes=5), 0),
+            ([400, 16, 5], [400, 32, 16, 5]),
+        ),
+    }
+
+    @staticmethod
+    def _derivatives(ds, hgnn, ids, masks, rng_seed):
+        rng = np.random.default_rng(rng_seed)
+        a, b = rng.uniform(0.0, 1.0, (2, ids.size, 1))
+        direction = {name: rng.normal(size=arr.shape) for name, arr in hgnn.param_items()}
+        forward_ = taped_forward(ds.graph, ds.features, hgnn, masks)
+        ss, fs = forward_.losses(ds.labels, ids)
+        step = trainer._flatten_grads(forward_.tape.backward([(ss.loss_vec, a), (fs.loss_vec, b)]), hgnn)
+        tangents = forward_.tape.jvp((ss.loss_vec, fs.loss_vec), direction)
+        return [*forward(ds.graph, ds.features, hgnn, ids), step, *tangents]
+
+    @pytest.mark.parametrize("dropout", [False, True], ids=["plain", "dropout"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_the_narrower_side_matches_the_means_first_order(self, shape, dropout, monkeypatch):
+        make, dims_list = self.SHAPES[shape]
+        ds = make()
+        ids = np.asarray(ds.splits.train)
+        names = ["logits ss", "logits fs", "step gradient", "tangent ss", "tangent fs"]
+        for seed, dims in enumerate(dims_list):
+            hgnn = random_params(dims, seed=seed)
+            rng = np.random.default_rng(seed)
+            masks = [(rng.random((ds.graph.num_nodes, d)) < 0.7) / 0.7 for d in dims[1:-1]] if dropout else None
+            new = self._derivatives(ds, hgnn, ids, masks, seed)
+            with monkeypatch.context() as patched:
+                patched.setattr(model, "_projections", means_first_projections)
+                reference = self._derivatives(ds, hgnn, ids, masks, seed)
+            for name, got, expected in zip(names, new, reference):
+                assert np.abs(got - expected).max() <= self.TOLERANCE * np.abs(expected).max(), (dims, name)
+            # the orders differ only in rounding, and somewhere they do differ
+            assert any(got.tobytes() != expected.tobytes() for got, expected in zip(new, reference)), dims
+
+
 @pytest.fixture(scope="module")
 def coraca():
     """The Cora-CA-shaped dataset, generated once for this module, and a classifier of hidden width 64."""
@@ -622,7 +603,7 @@ class TestReceptiveFieldTape:
             cls._assert_close(part, full, f"tangent {branch}")
 
     @pytest.mark.bitwise
-    @pytest.mark.parametrize("samples", [8, 64])
+    @pytest.mark.parametrize("samples", [8, 64, 128])
     def test_coraca_loss_columns_have_the_whole_graph_bits(self, samples, coraca):
         ds, hgnn = coraca
         ids = np.asarray(ds.splits.train[:samples])

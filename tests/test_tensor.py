@@ -239,14 +239,6 @@ class TestGroupedSums:
                 assert got.tobytes() == _reduceat_sum(ids, values, num_rows).tobytes()
         assert longest > 1024
 
-    def test_run_index_sum_over_taken_rows_equals_gathered(self):
-        rng = np.random.default_rng(32)
-        values = _signed_zero_values(rng, 50, 4)
-        rows = rng.integers(0, 50, size=700)
-        ids = rng.integers(0, 9, size=700)
-        got = T._RunIndex(ids).sum_into(values, 9, take=rows)
-        assert got.tobytes() == _reduceat_sum(ids, values[rows], 9).tobytes()
-
     def test_run_index_max_equals_reduceat(self):
         rng = np.random.default_rng(33)
         ids, num_rows = _random_runs(rng)
@@ -326,14 +318,6 @@ class TestGroupedSums:
         assert soft.data.tobytes() == ref_out.tobytes()
         assert d_scores.tobytes() == ref_grad.tobytes()
 
-    def test_gathered_segment_mean_equals_taped_composition(self):
-        rng = np.random.default_rng(34)
-        values = _signed_zero_values(rng, 30, 150)  # more than one column block
-        rows = rng.integers(0, 30, size=400)
-        ids = np.r_[rng.integers(0, 12, size=388), np.arange(12)]
-        composed = T.segment_mean(T.gather_rows(T.as_tensor(values), rows), ids, 12).data
-        assert T.gathered_segment_mean(values, rows, ids, 12).tobytes() == composed.tobytes()
-
 
 def _short_runs(rng, longest, num_runs):
     """Ids in random order for ``num_runs`` runs of 1 to ``longest`` rows each, and some ids without rows."""
@@ -364,10 +348,6 @@ class TestShortRuns:
             values = _signed_zero_values(rng, ids.size, d)
             assert index.sum_into(values, num_rows).tobytes() == _reduceat_sum(ids, values, num_rows).tobytes()
             assert index.max_into(values, num_rows).tobytes() == _reduceat_max(ids, values, num_rows).tobytes()
-            table = _signed_zero_values(rng, 40, d)
-            take = rng.integers(0, 40, size=ids.size)
-            taken = index.sum_into(table, num_rows, take=take)
-            assert taken.tobytes() == _reduceat_sum(ids, table[take], num_rows).tobytes()
         # only signed zeros: a run without a tail keeps its head's sign, and -0.0 sums stay -0.0
         zeros = np.where(rng.random((ids.size, 4)) < 0.5, 0.0, -0.0)
         assert index.sum_into(zeros, num_rows).tobytes() == _reduceat_sum(ids, zeros, num_rows).tobytes()
@@ -394,16 +374,6 @@ class TestShortRuns:
         rng = np.random.default_rng(80)
         self._assert_reduceat_bytes(np.zeros(0, dtype=np.int64), 3, rng)
         self._assert_reduceat_bytes(rng.permutation(20), 23, rng)
-
-    def test_gathered_segment_mean_over_short_runs(self):
-        rng = np.random.default_rng(81)
-        values = _signed_zero_values(rng, 30, 150)  # more than one column block
-        ids = rng.permutation(np.repeat(np.arange(12), np.r_[np.arange(1, 9), [8, 3, 1, 2]]))
-        rows = rng.integers(0, 30, size=ids.size)
-        counts = np.bincount(ids, minlength=12).astype(np.float64)[:, None]
-        assert not T._RunIndex(ids)._blocks
-        got = T.gathered_segment_mean(values, rows, ids, 12)
-        assert got.tobytes() == (_reduceat_sum(ids, values[rows], 12) / counts).tobytes()
 
     def test_cora_ca_shaped_incidence_takes_the_short_path(self, monkeypatch):
         """Node degrees of at most 8 and edge sizes of at most 6: all four run indexes sum without a scratch.
@@ -456,7 +426,6 @@ class TestRunIndexCache:
         T.segment_sum(T.as_tensor(values), ids, num_segments)
         T.segment_mean(T.as_tensor(values), ids, num_segments)
         T.segment_softmax(T.as_tensor(values[:, :1]), ids)
-        T.gathered_segment_mean(values, np.arange(ids.size), ids, num_segments)
         tape = Tape()
         table = tape.param("table", np.ones((num_segments, 2)))
         tape.backward(T.sum_all(T.gather_rows(table, ids)))
@@ -497,7 +466,7 @@ class TestRunIndexCache:
             assert not T.frozen(array)
             before, entries = len(builds), set(T._derived)
             self._use_every_primitive(array, 3)
-            assert len(builds) - before == 5
+            assert len(builds) - before == 4  # one for each primitive that sums by a run index
             assert set(T._derived) <= entries  # nothing is kept for it
 
     def test_owner_made_writeable_again_gives_fresh_sums(self):
@@ -761,8 +730,6 @@ class TestIdDtypes:
         "segment_sum": lambda a: T.segment_sum(a, [0.2, 1.9, 1.0, 0.5], 2),
         "segment_mean": lambda a: T.segment_mean(a, [0.2, 1.9, 1.0, 0.5], 2),
         "segment_softmax": lambda a: T.segment_softmax(T.slice_cols(a, 0, 1), [0.2, 1.9, 1.0, 0.5]),
-        "gathered_segment_mean-rows": lambda a: T.gathered_segment_mean(a.data, [0.0, 1.0], [0, 1], 2),
-        "gathered_segment_mean-ids": lambda a: T.gathered_segment_mean(a.data, [0, 1], [0.0, 1.0], 2),
     }
 
     @pytest.mark.parametrize("call", sorted(FLOAT_IDS))
